@@ -25,6 +25,8 @@ setup(
     author="paper-repo-growth",
     license="MIT",
     python_requires=">=3.10",
+    # scipy is imported only when a confidence interval is computed.
+    install_requires=["numpy", "scipy"],
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={

@@ -75,6 +75,28 @@ _SPEC_KEYS = frozenset(
 #: Keys an ``ExperimentSpec.telemetry`` block may carry.
 _TELEMETRY_KEYS = frozenset({"trace", "log_level"})
 
+#: Type (and its name for error messages) a payload key must carry when
+#: present and not ``null``; ``engine``, ``store_backend`` and
+#: ``telemetry`` are checked by the spec itself.
+_PAYLOAD_TYPES: dict[str, tuple[Any, str]] = {
+    "protocols": ((list, tuple), "a list"),
+    "scenario": (str, "a string"),
+    "scenario_def": (Mapping, "a dict"),
+    "arrival_rates": ((list, tuple), "a list of numbers"),
+    "replications": (int, "an integer"),
+    "num_transactions": (int, "an integer"),
+    "warmup_commits": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "executor": (str, "a string"),
+    "workers": (int, "an integer"),
+    "store": (str, "a string"),
+}
+
+
+def _is_a(value: Any, types: Any) -> bool:
+    # JSON true/false are Python ints, but never a count, seed or rate.
+    return isinstance(value, types) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -260,8 +282,8 @@ class ExperimentSpec:
         be compact spec strings, and omitted optional keys default.
 
         Raises:
-            ConfigurationError: Wrong schema, unknown keys, or malformed
-                protocol/scenario payloads.
+            ConfigurationError: Wrong schema, unknown keys, a value of the
+                wrong JSON type, or malformed protocol/scenario payloads.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
@@ -280,13 +302,28 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown experiment-spec keys: {sorted(unknown)}"
             )
-        if "protocols" not in data or not data["protocols"]:
+        for key, (types, expected) in _PAYLOAD_TYPES.items():
+            value = data.get(key)
+            if value is not None and not _is_a(value, types):
+                raise ConfigurationError(
+                    f"experiment spec {key!r} must be {expected}, "
+                    f"got {type(value).__name__}"
+                )
+        rates = data.get("arrival_rates")
+        bad_rates = [
+            rate for rate in rates or () if not _is_a(rate, (int, float))
+        ]
+        if bad_rates:
+            raise ConfigurationError(
+                f"experiment spec 'arrival_rates' must be a list of "
+                f"numbers, got {bad_rates[0]!r} in it"
+            )
+        if not data.get("protocols"):
             raise ConfigurationError(
                 "experiment spec needs a non-empty 'protocols' list"
             )
         protocols = tuple(protocol_spec(p) for p in data["protocols"])
         scenario_def = data.get("scenario_def")
-        rates = data.get("arrival_rates")
         return cls(
             protocols=protocols,
             scenario=data.get("scenario"),

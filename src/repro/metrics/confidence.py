@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -60,6 +59,9 @@ def mean_confidence_interval(
     mean = float(np.mean(samples))
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=0.0, level=level, n=1)
+    # Imported here: scipy takes ~1 s to load and only this quantile needs it.
+    from scipy import stats
+
     sem = float(np.std(samples, ddof=1)) / math.sqrt(n)
     t_crit = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
     return ConfidenceInterval(mean=mean, half_width=t_crit * sem, level=level, n=n)

@@ -25,7 +25,6 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -146,8 +145,18 @@ class ExponentialExecution(ExecutionDistribution):
         return self._mean
 
 
+def _normal_sf(z: float) -> float:
+    """Standard normal upper tail :math:`Q(z) = \\operatorname{erfc}(z/\\sqrt2)/2`."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 class NormalExecution(ExecutionDistribution):
-    """Execution time normal(mu, sigma) truncated to positive values."""
+    """Execution time normal(mu, sigma) truncated to positive values.
+
+    With :math:`\\alpha = -\\mu/\\sigma` the lower truncation point in
+    standard units, :math:`F(x) = Q((x-\\mu)/\\sigma) / Q(\\alpha)` and
+    the mean is :math:`\\mu + \\sigma\\,\\varphi(\\alpha) / Q(\\alpha)`.
+    """
 
     def __init__(self, mu: float, sigma: float) -> None:
         if mu <= 0 or sigma <= 0:
@@ -157,17 +166,18 @@ class NormalExecution(ExecutionDistribution):
         self._mu = mu
         self._sigma = sigma
         # Truncation at 0: renormalize by the mass above zero.
-        self._dist = stats.truncnorm(
-            a=(0.0 - mu) / sigma, b=math.inf, loc=mu, scale=sigma
-        )
+        alpha = -mu / sigma
+        self._mass = _normal_sf(alpha)
+        density = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
+        self._mean = mu + sigma * density / self._mass
 
     def survival(self, x: float) -> float:
         if x <= 0:
             return 1.0
-        return float(self._dist.sf(x))
+        return _normal_sf((x - self._mu) / self._sigma) / self._mass
 
     def mean(self) -> float:
-        return float(self._dist.mean())
+        return self._mean
 
 
 class EmpiricalExecution(ExecutionDistribution):

@@ -111,6 +111,23 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="cannot read"):
             ExperimentSpec.load(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("arrival_rates", 5),
+            ("arrival_rates", [[70]]),
+            ("arrival_rates", [None]),
+            ("protocols", 5),
+            ("num_transactions", "x"),
+            ("warmup_commits", "x"),
+            ("scenario_def", [1]),
+        ],
+    )
+    def test_wrongly_typed_field_is_a_configuration_error(self, key, value):
+        payload = {"protocols": ["scc-2s"], key: value}
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentSpec.from_dict(payload)
+
 
 # Property: from_dict(to_dict()) == spec over a broad slice of the space.
 _SCENARIOS = st.one_of(st.none(), st.sampled_from(available_scenarios()))

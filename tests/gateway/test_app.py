@@ -1,5 +1,6 @@
 """GatewayApp behavior: submit, dedup, quotas, breaker degradation, drain."""
 
+import json
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.gateway import (
     QuotaExceeded,
     UnknownExperiment,
 )
+from repro.gateway.routes import Request, dispatch
 
 from tests.gateway.conftest import tiny_spec_dict
 
@@ -67,6 +69,16 @@ class TestSubmit:
             app.submit({"schema": 1, "protocols": []}, client="alice")
         assert app.list_experiments() == []
         assert app.quotas.snapshot() == {}
+
+    def test_wrongly_typed_spec_is_a_400(self, make_app):
+        app = make_app()
+        body = json.dumps(tiny_spec_dict(arrival_rates=[[70]])).encode()
+        response = dispatch(
+            app, Request(method="POST", path="/experiments", body=body)
+        )
+        assert response.status == 400
+        assert "arrival_rates" in response.body["error"]
+        assert app.list_experiments() == []
 
     def test_unknown_experiment_raises(self, make_app):
         app = make_app()

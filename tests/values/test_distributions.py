@@ -80,6 +80,25 @@ class TestNormal:
         with pytest.raises(ConfigurationError):
             NormalExecution(mu=0.0, sigma=1.0)
 
+    def test_matches_scipy_truncnorm(self):
+        # scipy is not imported by the library at start-up; it serves only
+        # as an independent reference for the closed form.
+        stats = pytest.importorskip("scipy.stats")
+        for mu in (0.05, 0.5, 1.0, 2.0, 5.0, 37.0):
+            for sigma in (0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
+                dist = NormalExecution(mu=mu, sigma=sigma)
+                ref = stats.truncnorm(
+                    a=-mu / sigma, b=float("inf"), loc=mu, scale=sigma
+                )
+                assert dist.mean() == pytest.approx(float(ref.mean()), rel=1e-12)
+                for k in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+                    x = mu + k * sigma
+                    if x <= 0:
+                        continue
+                    assert dist.survival(x) == pytest.approx(
+                        float(ref.sf(x)), rel=1e-12
+                    )
+
 
 class TestEmpirical:
     def test_survival_from_samples(self):
