@@ -31,165 +31,85 @@ experiment serializes to JSON via ``ExperimentSpec`` for the CLI
 custom harnesses.
 """
 
-from repro.analysis import History, check_serializable, serialization_order
-from repro.core import (
-    SCC2S,
-    SCCCB,
-    SCCDC,
-    SCCVW,
-    DeadlineAwareReplacement,
-    LatestBlockedFirstOut,
-    SCCkS,
-    ValueAwareReplacement,
-)
-from repro.core.shadow_counts import figure3_table
-from repro.engine import RandomStreams, Simulator
-from repro.errors import (
-    ConfigurationError,
-    InvariantViolation,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-)
-from repro.metrics import MetricsCollector, RunSummary, mean_confidence_interval
-from repro.experiments.spec import Experiment, ExperimentSpec
-from repro.protocols import (
-    BasicOCC,
-    OCCBroadcastCommit,
-    ProtocolSpec,
-    SerialExecution,
-    TwoPhaseLockingPA,
-    Wait50,
-    available_protocols,
-    parse_protocol_spec,
-    protocol_spec,
-    register_protocol,
-)
-from repro.system import FiniteResources, InfiniteResources, RTDBSystem
-from repro.txn import Step, TransactionSpec, WorkloadGenerator
-from repro.values import TransactionClass, ValueFunction
-from repro.workloads import (
-    DiurnalArrivals,
-    HotspotAccess,
-    MMPPArrivals,
-    PartitionedAccess,
-    PoissonArrivals,
-    TraceArrivals,
-    TransactionGenerator,
-    UniformAccess,
-    WorkloadSpec,
-    ZipfianAccess,
-)
-from repro.workloads.scenarios import (
-    Scenario,
-    available_scenarios,
-    get_scenario,
-    register_scenario,
-    scenario_from_dict,
-)
-from repro.results import (
-    RunRecord,
-    RunStore,
-    SQLiteRunStore,
-    cell_fingerprint,
-    config_fingerprint,
-    open_store,
-)
-from repro.telemetry import (
-    JsonlTracer,
-    MemoryTracer,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    read_trace,
-)
-from repro.gateway import (
-    CircuitBreaker,
-    ClientQuotas,
-    GatewayApp,
-    GatewayClient,
-    GatewayError,
-    GatewayServer,
-    QuotaExceeded,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BasicOCC",
-    "CircuitBreaker",
-    "ClientQuotas",
-    "ConfigurationError",
-    "DeadlineAwareReplacement",
-    "DiurnalArrivals",
-    "Experiment",
-    "ExperimentSpec",
-    "FiniteResources",
-    "GatewayApp",
-    "GatewayClient",
-    "GatewayError",
-    "GatewayServer",
-    "History",
-    "HotspotAccess",
-    "InfiniteResources",
-    "InvariantViolation",
-    "JsonlTracer",
-    "LatestBlockedFirstOut",
-    "MMPPArrivals",
-    "MemoryTracer",
-    "MetricsCollector",
-    "NullTracer",
-    "OCCBroadcastCommit",
-    "PartitionedAccess",
-    "PoissonArrivals",
-    "ProtocolError",
-    "ProtocolSpec",
-    "QuotaExceeded",
-    "RTDBSystem",
-    "RandomStreams",
-    "ReproError",
-    "RunRecord",
-    "RunStore",
-    "RunSummary",
-    "SCC2S",
-    "SCCCB",
-    "SCCDC",
-    "SCCVW",
-    "SCCkS",
-    "SQLiteRunStore",
-    "Scenario",
-    "SerialExecution",
-    "SimulationError",
-    "Simulator",
-    "Step",
-    "TraceArrivals",
-    "TraceEvent",
-    "Tracer",
-    "TransactionClass",
-    "TransactionGenerator",
-    "TransactionSpec",
-    "TwoPhaseLockingPA",
-    "UniformAccess",
-    "ValueAwareReplacement",
-    "ValueFunction",
-    "Wait50",
-    "WorkloadGenerator",
-    "WorkloadSpec",
-    "ZipfianAccess",
-    "available_protocols",
-    "available_scenarios",
-    "cell_fingerprint",
-    "check_serializable",
-    "config_fingerprint",
-    "figure3_table",
-    "get_scenario",
-    "mean_confidence_interval",
-    "open_store",
-    "parse_protocol_spec",
-    "protocol_spec",
-    "read_trace",
-    "register_protocol",
-    "register_scenario",
-    "scenario_from_dict",
-    "serialization_order",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "History": "repro.analysis.history",
+    "check_serializable": "repro.analysis.serializability",
+    "serialization_order": "repro.analysis.serializability",
+    "DeadlineAwareReplacement": "repro.core.replacement",
+    "LatestBlockedFirstOut": "repro.core.replacement",
+    "ValueAwareReplacement": "repro.core.replacement",
+    "SCC2S": "repro.core.scc_2s",
+    "SCCCB": "repro.core.scc_cb",
+    "SCCDC": "repro.core.scc_dc",
+    "SCCkS": "repro.core.scc_ks",
+    "SCCVW": "repro.core.scc_vw",
+    "figure3_table": "repro.core.shadow_counts",
+    "RandomStreams": "repro.engine.rng",
+    "Simulator": "repro.engine.simulator",
+    "ConfigurationError": "repro.errors",
+    "InvariantViolation": "repro.errors",
+    "ProtocolError": "repro.errors",
+    "ReproError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "mean_confidence_interval": "repro.metrics.confidence",
+    "MetricsCollector": "repro.metrics.stats",
+    "RunSummary": "repro.metrics.stats",
+    "Experiment": "repro.experiments.spec",
+    "ExperimentSpec": "repro.experiments.spec",
+    "BasicOCC": "repro.protocols.occ",
+    "OCCBroadcastCommit": "repro.protocols.occ_bc",
+    "ProtocolSpec": "repro.protocols.registry",
+    "available_protocols": "repro.protocols.registry",
+    "parse_protocol_spec": "repro.protocols.registry",
+    "protocol_spec": "repro.protocols.registry",
+    "register_protocol": "repro.protocols.registry",
+    "SerialExecution": "repro.protocols.serial",
+    "TwoPhaseLockingPA": "repro.protocols.twopl_pa",
+    "Wait50": "repro.protocols.wait50",
+    "RTDBSystem": "repro.system.model",
+    "FiniteResources": "repro.system.resources",
+    "InfiniteResources": "repro.system.resources",
+    "WorkloadGenerator": "repro.txn.generator",
+    "Step": "repro.txn.spec",
+    "TransactionSpec": "repro.txn.spec",
+    "TransactionClass": "repro.values.classes",
+    "ValueFunction": "repro.values.value_function",
+    "HotspotAccess": "repro.workloads.access",
+    "PartitionedAccess": "repro.workloads.access",
+    "UniformAccess": "repro.workloads.access",
+    "ZipfianAccess": "repro.workloads.access",
+    "DiurnalArrivals": "repro.workloads.arrivals",
+    "MMPPArrivals": "repro.workloads.arrivals",
+    "PoissonArrivals": "repro.workloads.arrivals",
+    "TraceArrivals": "repro.workloads.arrivals",
+    "TransactionGenerator": "repro.workloads.generator",
+    "WorkloadSpec": "repro.workloads.generator",
+    "Scenario": "repro.workloads.scenarios",
+    "available_scenarios": "repro.workloads.scenarios",
+    "get_scenario": "repro.workloads.scenarios",
+    "register_scenario": "repro.workloads.scenarios",
+    "scenario_from_dict": "repro.workloads.scenarios",
+    "open_store": "repro.results.backends",
+    "cell_fingerprint": "repro.results.fingerprint",
+    "config_fingerprint": "repro.results.fingerprint",
+    "RunRecord": "repro.results.record",
+    "SQLiteRunStore": "repro.results.sqlite_store",
+    "RunStore": "repro.results.store",
+    "TraceEvent": "repro.telemetry.events",
+    "read_trace": "repro.telemetry.events",
+    "JsonlTracer": "repro.telemetry.tracer",
+    "MemoryTracer": "repro.telemetry.tracer",
+    "NullTracer": "repro.telemetry.tracer",
+    "Tracer": "repro.telemetry.tracer",
+    "GatewayApp": "repro.gateway.app",
+    "CircuitBreaker": "repro.gateway.breaker",
+    "GatewayClient": "repro.gateway.client",
+    "GatewayError": "repro.gateway.client",
+    "ClientQuotas": "repro.gateway.quotas",
+    "QuotaExceeded": "repro.gateway.quotas",
+    "GatewayServer": "repro.gateway.server",
+})

@@ -1,20 +1,14 @@
 """Correctness analysis: committed histories and serializability checking."""
 
-from repro.analysis.history import CommittedTransaction, History
-from repro.analysis.serializability import (
-    check_serializable,
-    precedence_graph,
-    serialization_order,
-)
-from repro.analysis.timeline import TimelineEvent, TimelineRecorder, TimelineRow
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommittedTransaction",
-    "History",
-    "TimelineEvent",
-    "TimelineRecorder",
-    "TimelineRow",
-    "check_serializable",
-    "precedence_graph",
-    "serialization_order",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CommittedTransaction": "repro.analysis.history",
+    "History": "repro.analysis.history",
+    "check_serializable": "repro.analysis.serializability",
+    "precedence_graph": "repro.analysis.serializability",
+    "serialization_order": "repro.analysis.serializability",
+    "TimelineEvent": "repro.analysis.timeline",
+    "TimelineRecorder": "repro.analysis.timeline",
+    "TimelineRow": "repro.analysis.timeline",
+})

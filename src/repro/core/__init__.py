@@ -14,35 +14,23 @@
   SCC-OB vs SCC-CB (§2, Figure 3).
 """
 
-from repro.core.conflict_table import AccessIndex, ConflictRecord, ConflictTable
-from repro.core.replacement import (
-    DeadlineAwareReplacement,
-    LatestBlockedFirstOut,
-    ReplacementPolicy,
-    ValueAwareReplacement,
-)
-from repro.core.scc_2s import SCC2S
-from repro.core.scc_base import SCCProtocolBase, SCCTxnRuntime
-from repro.core.scc_cb import SCCCB
-from repro.core.scc_dc import SCCDC
-from repro.core.scc_ks import SCCkS
-from repro.core.scc_vw import SCCVW
-from repro.core.shadow import Shadow, ShadowMode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessIndex",
-    "ConflictRecord",
-    "ConflictTable",
-    "DeadlineAwareReplacement",
-    "LatestBlockedFirstOut",
-    "ReplacementPolicy",
-    "SCC2S",
-    "SCCCB",
-    "SCCDC",
-    "SCCProtocolBase",
-    "SCCTxnRuntime",
-    "SCCVW",
-    "SCCkS",
-    "Shadow",
-    "ShadowMode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AccessIndex": "repro.core.conflict_table",
+    "ConflictRecord": "repro.core.conflict_table",
+    "ConflictTable": "repro.core.conflict_table",
+    "DeadlineAwareReplacement": "repro.core.replacement",
+    "LatestBlockedFirstOut": "repro.core.replacement",
+    "ReplacementPolicy": "repro.core.replacement",
+    "ValueAwareReplacement": "repro.core.replacement",
+    "SCC2S": "repro.core.scc_2s",
+    "SCCProtocolBase": "repro.core.scc_base",
+    "SCCTxnRuntime": "repro.core.scc_base",
+    "SCCCB": "repro.core.scc_cb",
+    "SCCDC": "repro.core.scc_dc",
+    "SCCkS": "repro.core.scc_ks",
+    "SCCVW": "repro.core.scc_vw",
+    "Shadow": "repro.core.shadow",
+    "ShadowMode": "repro.core.shadow",
+})

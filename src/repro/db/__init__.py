@@ -1,6 +1,9 @@
 """Paged database substrate with per-page version counters."""
 
-from repro.db.database import Database, WriteBatch
-from repro.db.page import Page
+from repro._lazy import lazy_exports
 
-__all__ = ["Database", "Page", "WriteBatch"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Database": "repro.db.database",
+    "WriteBatch": "repro.db.database",
+    "Page": "repro.db.page",
+})

@@ -13,23 +13,15 @@ both engines fire events in the identical ``(time, priority, sequence)``
 total order, so simulation results are bit-identical across them.
 """
 
-from repro.engine.array import (
-    ENGINE_NAMES,
-    ArraySimulator,
-    WorkloadTensors,
-    build_simulator,
-)
-from repro.engine.events import Event, EventQueue
-from repro.engine.rng import RandomStreams
-from repro.engine.simulator import Simulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_NAMES",
-    "ArraySimulator",
-    "Event",
-    "EventQueue",
-    "RandomStreams",
-    "Simulator",
-    "WorkloadTensors",
-    "build_simulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ENGINE_NAMES": "repro.engine.array",
+    "ArraySimulator": "repro.engine.array",
+    "WorkloadTensors": "repro.engine.array",
+    "build_simulator": "repro.engine.array",
+    "Event": "repro.engine.events",
+    "EventQueue": "repro.engine.events",
+    "RandomStreams": "repro.engine.rng",
+    "Simulator": "repro.engine.simulator",
+})

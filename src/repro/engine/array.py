@@ -46,6 +46,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.txn.spec import Step, TransactionSpec
 from repro.workloads.access import AccessPattern
 from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.generator import WorkloadSpec, build_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
@@ -703,11 +704,6 @@ class WorkloadTensors:
         streams : RandomStreams
             The cell's named random streams (seed × replication).
         """
-        # Imported here, not at module top: the generator module imports
-        # repro.engine.rng, so a top-level import would cycle whenever
-        # workloads load before the engine package.
-        from repro.workloads.generator import WorkloadSpec, build_generator
-
         # The generator performs all axis validation at construction time
         # (and construction consumes no randomness), so building it keeps
         # error behaviour identical across engines.

@@ -1,53 +1,27 @@
 """Experiment harness: baseline configuration, sweeps, per-figure setups."""
 
-from repro.experiments.config import (
-    ExperimentConfig,
-    baseline_config,
-    two_class_config,
-)
-from repro.experiments.parallel import (
-    CellOutcome,
-    ProcessSweepExecutor,
-    ProgressReporter,
-    SerialSweepExecutor,
-    SweepCell,
-    SweepExecutor,
-    available_executors,
-    make_executor,
-)
-from repro.experiments.figures import run_scenario
-from repro.experiments.profiling import (
-    OnlineProfiler,
-    capture_profile,
-    profile_classes,
-)
-from repro.experiments.runner import (
-    SweepResult,
-    normalize_protocols,
-    run_once,
-    run_sweep,
-)
-from repro.experiments.spec import Experiment, ExperimentSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellOutcome",
-    "Experiment",
-    "ExperimentConfig",
-    "ExperimentSpec",
-    "OnlineProfiler",
-    "ProcessSweepExecutor",
-    "ProgressReporter",
-    "SerialSweepExecutor",
-    "SweepCell",
-    "SweepExecutor",
-    "SweepResult",
-    "available_executors",
-    "baseline_config",
-    "make_executor",
-    "normalize_protocols",
-    "profile_classes",
-    "run_once",
-    "run_scenario",
-    "run_sweep",
-    "two_class_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ExperimentConfig": "repro.experiments.config",
+    "baseline_config": "repro.experiments.config",
+    "two_class_config": "repro.experiments.config",
+    "CellOutcome": "repro.experiments.parallel",
+    "ProcessSweepExecutor": "repro.experiments.parallel",
+    "ProgressReporter": "repro.experiments.parallel",
+    "SerialSweepExecutor": "repro.experiments.parallel",
+    "SweepCell": "repro.experiments.parallel",
+    "SweepExecutor": "repro.experiments.parallel",
+    "available_executors": "repro.experiments.parallel",
+    "make_executor": "repro.experiments.parallel",
+    "run_scenario": "repro.experiments.figures",
+    "OnlineProfiler": "repro.experiments.profiling",
+    "capture_profile": "repro.experiments.profiling",
+    "profile_classes": "repro.experiments.profiling",
+    "SweepResult": "repro.experiments.runner",
+    "normalize_protocols": "repro.experiments.runner",
+    "run_once": "repro.experiments.runner",
+    "run_sweep": "repro.experiments.runner",
+    "Experiment": "repro.experiments.spec",
+    "ExperimentSpec": "repro.experiments.spec",
+})

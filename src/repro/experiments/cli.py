@@ -83,14 +83,13 @@ Observability (see docs/ARCHITECTURE.md, "Telemetry & observability"):
 from __future__ import annotations
 
 import argparse
+import os
 import time
 from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.shadow_counts import figure3_table
 from repro.engine.array import ENGINE_NAMES
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments import figures
 from repro.experiments.config import (
     ExperimentConfig,
     baseline_config,
@@ -125,13 +124,15 @@ _FIGURES = {
     "fig15b": ("Figure 15(b): Average Tardiness (s), SCC-VW", "tardiness"),
 }
 
-_RUNNERS: dict[str, Callable] = {
-    "fig13a": figures.run_fig13,
-    "fig13b": figures.run_fig13,
-    "fig14a": figures.run_fig14a,
-    "fig14b": figures.run_fig14b,
-    "fig15a": figures.run_fig15,
-    "fig15b": figures.run_fig15,
+# Command -> runner in repro.experiments.figures.  The figure module is
+# imported by the figure commands only, so `run` and `serve` never load it.
+_RUNNERS = {
+    "fig13a": "run_fig13",
+    "fig13b": "run_fig13",
+    "fig14a": "run_fig14a",
+    "fig14b": "run_fig14b",
+    "fig15a": "run_fig15",
+    "fig15b": "run_fig15",
 }
 
 # Command -> figures.FIGURE_PROTOCOLS key: exports resolve their roster
@@ -259,12 +260,14 @@ def _resolve_executor_or_exit(args: argparse.Namespace):
 
 
 def _run_figure(command: str, args: argparse.Namespace) -> str:
+    from repro.experiments import figures
+
     title, metric = _FIGURES[command]
     if args.scenario is not None:
         title = f"{title} [scenario: {args.scenario}]"
     config = _build_config(args, two_class=(command == "fig14b"))
     rates = _parse_rates(args.rates)
-    runner = _RUNNERS[command]
+    runner = getattr(figures, _RUNNERS[command])
     executor = _resolve_executor_or_exit(args)
     store = _open_store_or_exit(args.store, args.store_backend) if args.store else None
     stored_before = len(store) if store is not None else 0
@@ -343,12 +346,20 @@ def _open_store_or_exit(
 
 
 def _load_store_or_exit(
-    path: Optional[str], backend: Optional[str] = None
+    path: Optional[str], backend: Optional[str] = None, create: bool = False
 ) -> BaseRunStore:
+    """Open a store for a ``results`` action.
+
+    Only ``merge``'s destination may be new (``create``): every other
+    action reads, so a mistyped path must fail rather than read as an
+    empty store (or leave one behind).
+    """
     if not path:
         raise SystemExit(
             "scc-experiments: error: the results command needs --store PATH"
         )
+    if not create and not os.path.exists(path):
+        raise SystemExit(f"scc-experiments: error: no run store at {path}")
     store = _open_store_or_exit(path, backend)
     if store.corrupt_lines:
         _log.warning(
@@ -431,7 +442,7 @@ def _results_merge(args: argparse.Namespace) -> tuple[str, int]:
             "shard path in --from"
         )
     sources = [_load_store_or_exit(path) for path in shard_paths]
-    dest = _load_store_or_exit(args.store, args.store_backend)
+    dest = _load_store_or_exit(args.store, args.store_backend, create=True)
     merged = merge_stores(dest, sources)
     dest.close()
     for source in sources:
@@ -637,6 +648,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_fig3(args: argparse.Namespace) -> str:
+    from repro.core.shadow_counts import figure3_table
+
     if args.scenario is not None:
         # fig3 is an analytic shadow-count table; no workload is simulated.
         _log.warning(

@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import os
 import sys
 import time
 import traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -313,6 +311,10 @@ class ProcessSweepExecutor(SweepExecutor):
     ) -> list[CellOutcome]:
         if not cells:
             return []
+        # Imported here so a serial run never loads the process machinery.
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         if "fork" not in multiprocessing.get_all_start_methods():
             # No fork: the runner closure cannot reach workers unpickled.
             # Degrade to the serial path — results are identical.

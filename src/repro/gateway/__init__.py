@@ -24,29 +24,20 @@ See ``docs/ARCHITECTURE.md`` ("Experiment gateway") for the request
 lifecycle.
 """
 
-from repro.gateway.app import (
-    EXPERIMENT_STATES,
-    GatewayApp,
-    GatewayDraining,
-    UnknownExperiment,
-)
-from repro.gateway.breaker import BREAKER_STATES, CircuitBreaker
-from repro.gateway.client import GatewayClient, GatewayError
-from repro.gateway.quotas import ClientQuotas, QuotaExceeded, TokenBucket
-from repro.gateway.server import GatewayServer, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BREAKER_STATES",
-    "CircuitBreaker",
-    "ClientQuotas",
-    "EXPERIMENT_STATES",
-    "GatewayApp",
-    "GatewayClient",
-    "GatewayDraining",
-    "GatewayError",
-    "GatewayServer",
-    "QuotaExceeded",
-    "TokenBucket",
-    "UnknownExperiment",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "EXPERIMENT_STATES": "repro.gateway.app",
+    "GatewayApp": "repro.gateway.app",
+    "GatewayDraining": "repro.gateway.app",
+    "UnknownExperiment": "repro.gateway.app",
+    "BREAKER_STATES": "repro.gateway.breaker",
+    "CircuitBreaker": "repro.gateway.breaker",
+    "GatewayClient": "repro.gateway.client",
+    "GatewayError": "repro.gateway.client",
+    "ClientQuotas": "repro.gateway.quotas",
+    "QuotaExceeded": "repro.gateway.quotas",
+    "TokenBucket": "repro.gateway.quotas",
+    "GatewayServer": "repro.gateway.server",
+    "serve": "repro.gateway.server",
+})

@@ -1,14 +1,12 @@
 """Performance measurement: per-run collectors, confidence intervals, reports."""
 
-from repro.metrics.confidence import ConfidenceInterval, mean_confidence_interval
-from repro.metrics.report import format_series_table, format_table
-from repro.metrics.stats import MetricsCollector, RunSummary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceInterval",
-    "MetricsCollector",
-    "RunSummary",
-    "format_series_table",
-    "format_table",
-    "mean_confidence_interval",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ConfidenceInterval": "repro.metrics.confidence",
+    "mean_confidence_interval": "repro.metrics.confidence",
+    "format_series_table": "repro.metrics.report",
+    "format_table": "repro.metrics.report",
+    "MetricsCollector": "repro.metrics.stats",
+    "RunSummary": "repro.metrics.stats",
+})

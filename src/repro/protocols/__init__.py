@@ -1,38 +1,23 @@
 """Concurrency-control protocols: shared machinery, baselines, registry."""
 
-from repro.protocols.base import CCProtocol, Execution, ExecutionState, ReadRecord
-from repro.protocols.occ import BasicOCC
-from repro.protocols.occ_bc import OCCBroadcastCommit
-from repro.protocols.registry import (
-    ProtocolFamily,
-    ProtocolSpec,
-    all_protocol_families,
-    available_protocols,
-    get_protocol_family,
-    parse_protocol_spec,
-    protocol_spec,
-    register_protocol,
-)
-from repro.protocols.serial import SerialExecution
-from repro.protocols.twopl_pa import TwoPhaseLockingPA
-from repro.protocols.wait50 import Wait50
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BasicOCC",
-    "CCProtocol",
-    "Execution",
-    "ExecutionState",
-    "OCCBroadcastCommit",
-    "ProtocolFamily",
-    "ProtocolSpec",
-    "ReadRecord",
-    "SerialExecution",
-    "TwoPhaseLockingPA",
-    "Wait50",
-    "all_protocol_families",
-    "available_protocols",
-    "get_protocol_family",
-    "parse_protocol_spec",
-    "protocol_spec",
-    "register_protocol",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CCProtocol": "repro.protocols.base",
+    "Execution": "repro.protocols.base",
+    "ExecutionState": "repro.protocols.base",
+    "ReadRecord": "repro.engine.kernels",
+    "BasicOCC": "repro.protocols.occ",
+    "OCCBroadcastCommit": "repro.protocols.occ_bc",
+    "ProtocolFamily": "repro.protocols.registry",
+    "ProtocolSpec": "repro.protocols.registry",
+    "all_protocol_families": "repro.protocols.registry",
+    "available_protocols": "repro.protocols.registry",
+    "get_protocol_family": "repro.protocols.registry",
+    "parse_protocol_spec": "repro.protocols.registry",
+    "protocol_spec": "repro.protocols.registry",
+    "register_protocol": "repro.protocols.registry",
+    "SerialExecution": "repro.protocols.serial",
+    "TwoPhaseLockingPA": "repro.protocols.twopl_pa",
+    "Wait50": "repro.protocols.wait50",
+})

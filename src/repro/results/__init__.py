@@ -20,53 +20,29 @@ cold run.  :mod:`repro.results.export` turns stored records into CSV/JSON
 and diffs stores cell by cell.
 """
 
-from repro.results.fingerprint import (
-    canonical_dumps,
-    cell_fingerprint,
-    config_fingerprint,
-    config_payload,
-    digest,
-)
-from repro.results.record import RECORD_SCHEMA, RunRecord
-from repro.results.store import BaseRunStore, RunStore, write_json_atomic
-from repro.results.sqlite_store import SQLiteRunStore
-from repro.results.backends import (
-    STORE_BACKENDS,
-    AmbiguousStoreError,
-    merge_stores,
-    open_store,
-    store_class,
-)
-from repro.results.export import (
-    CSV_COLUMNS,
-    DIFF_METRICS,
-    diff_records,
-    records_from_results,
-    records_to_json,
-    write_csv,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AmbiguousStoreError",
-    "BaseRunStore",
-    "CSV_COLUMNS",
-    "DIFF_METRICS",
-    "RECORD_SCHEMA",
-    "RunRecord",
-    "RunStore",
-    "SQLiteRunStore",
-    "STORE_BACKENDS",
-    "canonical_dumps",
-    "cell_fingerprint",
-    "config_fingerprint",
-    "config_payload",
-    "diff_records",
-    "digest",
-    "merge_stores",
-    "open_store",
-    "records_from_results",
-    "records_to_json",
-    "store_class",
-    "write_csv",
-    "write_json_atomic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "canonical_dumps": "repro.results.fingerprint",
+    "cell_fingerprint": "repro.results.fingerprint",
+    "config_fingerprint": "repro.results.fingerprint",
+    "config_payload": "repro.results.fingerprint",
+    "digest": "repro.results.fingerprint",
+    "RECORD_SCHEMA": "repro.results.record",
+    "RunRecord": "repro.results.record",
+    "BaseRunStore": "repro.results.store",
+    "RunStore": "repro.results.store",
+    "write_json_atomic": "repro.results.store",
+    "SQLiteRunStore": "repro.results.sqlite_store",
+    "STORE_BACKENDS": "repro.results.backends",
+    "AmbiguousStoreError": "repro.results.backends",
+    "merge_stores": "repro.results.backends",
+    "open_store": "repro.results.backends",
+    "store_class": "repro.results.backends",
+    "CSV_COLUMNS": "repro.results.export",
+    "DIFF_METRICS": "repro.results.export",
+    "diff_records": "repro.results.export",
+    "records_from_results": "repro.results.export",
+    "records_to_json": "repro.results.export",
+    "write_csv": "repro.results.export",
+})

@@ -25,7 +25,6 @@ import os
 from typing import Iterable, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.results.sqlite_store import SQLiteRunStore
 from repro.results.store import BaseRunStore, PathLike, RunStore
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
 
 #: Registered store backend names, in default-preference order.
 STORE_BACKENDS = ("jsonl", "sqlite")
-
-_CLASSES = {"jsonl": RunStore, "sqlite": SQLiteRunStore}
 
 #: First bytes of every SQLite 3 database file.
 _SQLITE_MAGIC = b"SQLite format 3\x00"
@@ -80,16 +77,22 @@ class AmbiguousStoreError(ConfigurationError, ValueError):
 def store_class(backend: str) -> type:
     """The store class registered under ``backend``.
 
+    The SQLite backend (and with it :mod:`sqlite3`) is imported only
+    when it is asked for.
+
     Raises:
         ConfigurationError: For a name not in :data:`STORE_BACKENDS`.
     """
-    try:
-        return _CLASSES[backend]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown store backend {backend!r} "
-            f"(choose from {', '.join(STORE_BACKENDS)})"
-        ) from None
+    if backend == "jsonl":
+        return RunStore
+    if backend == "sqlite":
+        from repro.results.sqlite_store import SQLiteRunStore
+
+        return SQLiteRunStore
+    raise ConfigurationError(
+        f"unknown store backend {backend!r} "
+        f"(choose from {', '.join(STORE_BACKENDS)})"
+    )
 
 
 def sniff_backend(path: PathLike) -> str:

@@ -1,6 +1,10 @@
 """The logical RTDBS model (paper Figure 12) and resource managers."""
 
-from repro.system.model import RTDBSystem
-from repro.system.resources import FiniteResources, InfiniteResources, ResourceManager
+from repro._lazy import lazy_exports
 
-__all__ = ["FiniteResources", "InfiniteResources", "RTDBSystem", "ResourceManager"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "RTDBSystem": "repro.system.model",
+    "FiniteResources": "repro.system.resources",
+    "InfiniteResources": "repro.system.resources",
+    "ResourceManager": "repro.system.resources",
+})

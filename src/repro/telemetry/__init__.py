@@ -16,37 +16,26 @@ See docs/ARCHITECTURE.md ("Telemetry & observability") for the event
 taxonomy and the overhead contract.
 """
 
-from repro.telemetry.bus import SWEEP_EVENT_KINDS, EventBus, SweepEvent
-from repro.telemetry.counters import TELEMETRY_SCHEMA, CounterRegistry, run_telemetry
-from repro.telemetry.events import (
-    EVENT_KINDS,
-    TraceEvent,
-    execution_mode,
-    is_marker,
-    iter_trace,
-    read_trace,
-)
-from repro.telemetry.log import LOG_LEVELS, configure_logging, get_logger
-from repro.telemetry.tracer import JsonlTracer, MemoryTracer, NullTracer, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "LOG_LEVELS",
-    "SWEEP_EVENT_KINDS",
-    "TELEMETRY_SCHEMA",
-    "CounterRegistry",
-    "EventBus",
-    "JsonlTracer",
-    "MemoryTracer",
-    "NullTracer",
-    "SweepEvent",
-    "TraceEvent",
-    "Tracer",
-    "configure_logging",
-    "execution_mode",
-    "get_logger",
-    "is_marker",
-    "iter_trace",
-    "read_trace",
-    "run_telemetry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SWEEP_EVENT_KINDS": "repro.telemetry.bus",
+    "EventBus": "repro.telemetry.bus",
+    "SweepEvent": "repro.telemetry.bus",
+    "TELEMETRY_SCHEMA": "repro.telemetry.counters",
+    "CounterRegistry": "repro.telemetry.counters",
+    "run_telemetry": "repro.telemetry.counters",
+    "EVENT_KINDS": "repro.telemetry.events",
+    "TraceEvent": "repro.telemetry.events",
+    "execution_mode": "repro.telemetry.events",
+    "is_marker": "repro.telemetry.events",
+    "iter_trace": "repro.telemetry.events",
+    "read_trace": "repro.telemetry.events",
+    "LOG_LEVELS": "repro.telemetry.log",
+    "configure_logging": "repro.telemetry.log",
+    "get_logger": "repro.telemetry.log",
+    "JsonlTracer": "repro.telemetry.tracer",
+    "MemoryTracer": "repro.telemetry.tracer",
+    "NullTracer": "repro.telemetry.tracer",
+    "Tracer": "repro.telemetry.tracer",
+})

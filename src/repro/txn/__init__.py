@@ -1,22 +1,14 @@
 """Transaction model and workload generation."""
 
-from repro.txn.generator import WorkloadGenerator
-from repro.txn.priority import (
-    ArrivalOrderPolicy,
-    EarliestDeadlineFirst,
-    HighestValueFirst,
-    PriorityPolicy,
-    ValueDensityPolicy,
-)
-from repro.txn.spec import Step, TransactionSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalOrderPolicy",
-    "EarliestDeadlineFirst",
-    "HighestValueFirst",
-    "PriorityPolicy",
-    "Step",
-    "TransactionSpec",
-    "ValueDensityPolicy",
-    "WorkloadGenerator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "WorkloadGenerator": "repro.txn.generator",
+    "ArrivalOrderPolicy": "repro.txn.priority",
+    "EarliestDeadlineFirst": "repro.txn.priority",
+    "HighestValueFirst": "repro.txn.priority",
+    "PriorityPolicy": "repro.txn.priority",
+    "ValueDensityPolicy": "repro.txn.priority",
+    "Step": "repro.txn.spec",
+    "TransactionSpec": "repro.txn.spec",
+})

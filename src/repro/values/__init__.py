@@ -6,24 +6,15 @@ gradient past the deadline).  Execution-time distributions provide the
 survival functions that SCC-DC's probabilistic commit deferral relies on.
 """
 
-from repro.values.classes import TransactionClass
-from repro.values.distributions import (
-    DeterministicExecution,
-    EmpiricalExecution,
-    ExecutionDistribution,
-    ExponentialExecution,
-    NormalExecution,
-    UniformExecution,
-)
-from repro.values.value_function import ValueFunction
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeterministicExecution",
-    "EmpiricalExecution",
-    "ExecutionDistribution",
-    "ExponentialExecution",
-    "NormalExecution",
-    "TransactionClass",
-    "UniformExecution",
-    "ValueFunction",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "TransactionClass": "repro.values.classes",
+    "DeterministicExecution": "repro.values.distributions",
+    "EmpiricalExecution": "repro.values.distributions",
+    "ExecutionDistribution": "repro.values.distributions",
+    "ExponentialExecution": "repro.values.distributions",
+    "NormalExecution": "repro.values.distributions",
+    "UniformExecution": "repro.values.distributions",
+    "ValueFunction": "repro.values.value_function",
+})

@@ -9,89 +9,37 @@ declarative registry of named scenarios binding the axes to class mixes
 uniform + per-class slack) is bit-identical to the seed generator.
 """
 
-from repro.workloads.access import (
-    AccessPattern,
-    HotspotAccess,
-    PartitionedAccess,
-    UniformAccess,
-    ZipfianAccess,
-    access_pattern_from_dict,
-)
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    ArrivalSpec,
-    DiurnalArrivals,
-    DiurnalSpec,
-    MMPPArrivals,
-    MMPPSpec,
-    PoissonArrivals,
-    PoissonSpec,
-    TraceArrivals,
-    TraceSpec,
-    arrival_spec_from_dict,
-)
-from repro.workloads.generator import (
-    DeadlinePolicy,
-    FixedOffsetDeadlines,
-    SlackDeadlines,
-    TransactionGenerator,
-    WorkloadSpec,
-    build_generator,
-    deadline_policy_from_dict,
-)
+from repro._lazy import lazy_exports
 
-# The scenario registry imports repro.experiments.config (for
-# ExperimentConfig / baseline_class); loading it eagerly here would close
-# an import cycle through repro.txn -> repro.workloads.  PEP 562 lazy
-# re-export keeps `from repro.workloads import get_scenario` working while
-# low-level consumers (the txn shim, the sweep runner) stay cycle-free.
-_SCENARIO_EXPORTS = (
-    "Scenario",
-    "all_scenarios",
-    "available_scenarios",
-    "get_scenario",
-    "register_scenario",
-    "scenario_from_dict",
-)
-
-
-def __getattr__(name: str):
-    if name in _SCENARIO_EXPORTS or name == "scenarios":
-        import importlib
-
-        module = importlib.import_module("repro.workloads.scenarios")
-        return module if name == "scenarios" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AccessPattern",
-    "ArrivalProcess",
-    "ArrivalSpec",
-    "DeadlinePolicy",
-    "DiurnalArrivals",
-    "DiurnalSpec",
-    "FixedOffsetDeadlines",
-    "HotspotAccess",
-    "MMPPArrivals",
-    "MMPPSpec",
-    "PartitionedAccess",
-    "PoissonArrivals",
-    "PoissonSpec",
-    "Scenario",
-    "SlackDeadlines",
-    "TraceArrivals",
-    "TraceSpec",
-    "TransactionGenerator",
-    "UniformAccess",
-    "WorkloadSpec",
-    "ZipfianAccess",
-    "access_pattern_from_dict",
-    "all_scenarios",
-    "arrival_spec_from_dict",
-    "available_scenarios",
-    "build_generator",
-    "deadline_policy_from_dict",
-    "get_scenario",
-    "register_scenario",
-    "scenario_from_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AccessPattern": "repro.workloads.access",
+    "HotspotAccess": "repro.workloads.access",
+    "PartitionedAccess": "repro.workloads.access",
+    "UniformAccess": "repro.workloads.access",
+    "ZipfianAccess": "repro.workloads.access",
+    "access_pattern_from_dict": "repro.workloads.access",
+    "ArrivalProcess": "repro.workloads.arrivals",
+    "ArrivalSpec": "repro.workloads.arrivals",
+    "DiurnalArrivals": "repro.workloads.arrivals",
+    "DiurnalSpec": "repro.workloads.arrivals",
+    "MMPPArrivals": "repro.workloads.arrivals",
+    "MMPPSpec": "repro.workloads.arrivals",
+    "PoissonArrivals": "repro.workloads.arrivals",
+    "PoissonSpec": "repro.workloads.arrivals",
+    "TraceArrivals": "repro.workloads.arrivals",
+    "TraceSpec": "repro.workloads.arrivals",
+    "arrival_spec_from_dict": "repro.workloads.arrivals",
+    "DeadlinePolicy": "repro.workloads.generator",
+    "FixedOffsetDeadlines": "repro.workloads.generator",
+    "SlackDeadlines": "repro.workloads.generator",
+    "TransactionGenerator": "repro.workloads.generator",
+    "WorkloadSpec": "repro.workloads.generator",
+    "build_generator": "repro.workloads.generator",
+    "deadline_policy_from_dict": "repro.workloads.generator",
+    "Scenario": "repro.workloads.scenarios",
+    "all_scenarios": "repro.workloads.scenarios",
+    "available_scenarios": "repro.workloads.scenarios",
+    "get_scenario": "repro.workloads.scenarios",
+    "register_scenario": "repro.workloads.scenarios",
+    "scenario_from_dict": "repro.workloads.scenarios",
+})

@@ -19,7 +19,7 @@ Registered scenarios (see SCENARIOS.md for the full catalogue):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
@@ -141,13 +141,51 @@ class Scenario:
         }
 
 
+#: Type (and its name for error messages) each scenario key must carry.
+_FIELD_TYPES: dict[str, tuple[Any, str]] = {
+    "name": (str, "a string"),
+    "description": (str, "a string"),
+    "arrivals": (Mapping, "a dict"),
+    "access": (Mapping, "a dict"),
+    "deadlines": (Mapping, "a dict"),
+    "classes": ((list, tuple), "a list"),
+    "arrival_rates": ((list, tuple), "a list of numbers"),
+    "num_pages": (int, "an integer"),
+    "stresses": (str, "a string"),
+}
+
+
+def _check_field_types(data: Mapping) -> None:
+    # JSON true/false are Python ints, but never a page count or a rate.
+    for key, (types, expected) in _FIELD_TYPES.items():
+        if key not in data:
+            continue
+        value = data[key]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigurationError(
+                f"scenario {key!r} must be {expected}, "
+                f"got {type(value).__name__}"
+            )
+    for rate in data.get("arrival_rates", ()):
+        if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+            raise ConfigurationError(
+                "scenario 'arrival_rates' must be a list of numbers, "
+                f"got {rate!r} in it"
+            )
+
+
 def scenario_from_dict(payload: dict) -> Scenario:
     """Build a :class:`Scenario` from its dict form.
 
     Only ``name`` and ``description`` are required; omitted axes fall back
     to the paper baseline (Poisson, uniform, per-class slack deadlines).
+
+    Raises:
+        ConfigurationError: A missing or unknown key, or a value of the
+            wrong type (the message names the key).
     """
     data = dict(payload)
+    _check_field_types(data)
     try:
         name = data.pop("name")
         description = data.pop("description")

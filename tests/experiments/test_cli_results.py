@@ -275,3 +275,56 @@ def test_unreadable_store_is_a_clean_cli_error(tmp_path):
             ["results", "list", "--store", str(bad),
              "--store-backend", "sqlite"]
         )
+
+
+# ----------------------------------------------------------------------
+# read-only actions on a missing store
+# ----------------------------------------------------------------------
+
+
+def _fails_cleanly(argv) -> str:
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value)
+    assert message.startswith("scc-experiments: error: ")
+    assert "\n" not in message
+    return message
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+@pytest.mark.parametrize("action", ["list", "export", "compact", "diff"])
+def test_read_only_action_on_missing_store_fails(tmp_path, action, suffix):
+    missing = tmp_path / f"missing{suffix}"
+    argv = ["results", action, "--store", str(missing)]
+    if action == "diff":
+        argv += ["--against", str(tmp_path / f"other{suffix}")]
+    assert str(missing) in _fails_cleanly(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+def test_diff_against_missing_store_fails(tmp_path, capsys, suffix):
+    # A mistyped --against must not read as an empty store: a CI drift
+    # gate would pass on "identical cells: 0".
+    store_path = str(tmp_path / "runs.jsonl")
+    run_cli(["fig13a", *REDUCED, "--rates", "60", "--store", store_path], capsys)
+    missing = tmp_path / f"typo{suffix}"
+    message = _fails_cleanly(
+        ["results", "diff", "--store", store_path, "--against", str(missing)]
+    )
+    assert str(missing) in message
+    assert not missing.exists()
+
+
+def test_merge_from_missing_shard_fails_and_creates_nothing(tmp_path, capsys):
+    shard = str(tmp_path / "a.jsonl")
+    run_cli(["fig13a", *REDUCED, "--rates", "60", "--store", shard], capsys)
+    missing = tmp_path / "b.sqlite"
+    merged = tmp_path / "merged.jsonl"
+    message = _fails_cleanly(
+        ["results", "merge", "--store", str(merged),
+         "--from", f"{shard},{missing}"]
+    )
+    assert str(missing) in message
+    assert not missing.exists()
+    assert not merged.exists()

@@ -121,11 +121,22 @@ class TestSerialization:
             ("num_transactions", "x"),
             ("warmup_commits", "x"),
             ("scenario_def", [1]),
+            # "scenario_def.FIELD": one wrongly typed field of an inline
+            # scenario body.
+            ("scenario_def.arrivals", 5),
+            ("scenario_def.access", [1]),
+            ("scenario_def.arrival_rates", 5),
+            ("scenario_def.num_pages", "x"),
+            ("scenario_def.deadlines", "x"),
+            ("scenario_def.name", 5),
         ],
     )
     def test_wrongly_typed_field_is_a_configuration_error(self, key, value):
+        key, _, field = key.partition(".")
+        if field:
+            value = {"name": "inline", "description": "typed body", field: value}
         payload = {"protocols": ["scc-2s"], key: value}
-        with pytest.raises(ConfigurationError, match=key):
+        with pytest.raises(ConfigurationError, match=field or key):
             ExperimentSpec.from_dict(payload)
 
 

@@ -72,12 +72,23 @@ class TestSubmit:
 
     def test_wrongly_typed_spec_is_a_400(self, make_app):
         app = make_app()
-        body = json.dumps(tiny_spec_dict(arrival_rates=[[70]])).encode()
-        response = dispatch(
-            app, Request(method="POST", path="/experiments", body=body)
-        )
-        assert response.status == 400
-        assert "arrival_rates" in response.body["error"]
+        inline = {"name": "inline", "description": "typed body"}
+        cases = [
+            ({"arrival_rates": [[70]]}, "arrival_rates"),
+            ({"scenario_def": {**inline, "arrivals": 5}}, "arrivals"),
+            ({"scenario_def": {**inline, "access": [1]}}, "access"),
+            ({"scenario_def": {**inline, "arrival_rates": 5}}, "arrival_rates"),
+            ({"scenario_def": {**inline, "num_pages": "x"}}, "num_pages"),
+            ({"scenario_def": {**inline, "deadlines": "x"}}, "deadlines"),
+            ({"scenario_def": {**inline, "name": 5}}, "name"),
+        ]
+        for fields, named in cases:
+            body = json.dumps(tiny_spec_dict(**fields)).encode()
+            response = dispatch(
+                app, Request(method="POST", path="/experiments", body=body)
+            )
+            assert response.status == 400, fields
+            assert f"{named!r} must be" in response.body["error"], fields
         assert app.list_experiments() == []
 
     def test_unknown_experiment_raises(self, make_app):

@@ -8,41 +8,51 @@ import pytest
 import repro
 
 
-def test_all_exports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+#: The public modules: every package root plus the modules users import
+#: directly.
+MODULES = [
+    "repro.analysis",
+    "repro.core",
+    "repro.db",
+    "repro.engine",
+    "repro.errors",
+    "repro.experiments",
+    "repro.experiments.spec",
+    "repro.gateway",
+    "repro.gateway.client",
+    "repro.metrics",
+    "repro.protocols",
+    "repro.protocols.registry",
+    "repro.results",
+    "repro.system",
+    "repro.telemetry",
+    "repro.telemetry.events",
+    "repro.telemetry.tracer",
+    "repro.txn",
+    "repro.values",
+    "repro.workloads",
+    "repro.workloads.scenarios",
+]
+
+
+@pytest.mark.parametrize("module_name", ["repro", *MODULES])
+def test_all_exports_resolve(module_name):
+    # Package roots resolve their exports on first access (PEP 562), so
+    # a typo in an export table only shows when the name is looked up.
+    module = importlib.import_module(module_name)
+    names = getattr(module, "__all__", [])
+    for name in names:
+        assert getattr(module, name) is not None, name
+    assert set(names) <= set(dir(module))
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_export")
 
 
 def test_version():
     assert repro.__version__
 
 
-@pytest.mark.parametrize(
-    "module_name",
-    [
-        "repro.analysis",
-        "repro.core",
-        "repro.db",
-        "repro.engine",
-        "repro.errors",
-        "repro.experiments",
-        "repro.experiments.spec",
-        "repro.gateway",
-        "repro.gateway.client",
-        "repro.metrics",
-        "repro.protocols",
-        "repro.protocols.registry",
-        "repro.results",
-        "repro.system",
-        "repro.telemetry",
-        "repro.telemetry.events",
-        "repro.telemetry.tracer",
-        "repro.txn",
-        "repro.values",
-        "repro.workloads",
-        "repro.workloads.scenarios",
-    ],
-)
+@pytest.mark.parametrize("module_name", MODULES)
 def test_subpackages_import_and_have_docstrings(module_name):
     module = importlib.import_module(module_name)
     assert module.__doc__, module_name
