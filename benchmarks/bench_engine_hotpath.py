@@ -1,45 +1,37 @@
-"""Engine hot-path microbenchmarks (object vs array engine).
+"""Engine hot-path microbenchmarks.
 
 Unlike the figure benchmarks (which time whole experiment sweeps), these
 isolate the layers every sweep cell pays for on *every simulated page
-access*, as matched object/array pairs:
+access*:
 
-* ``test_event_loop_throughput[_array]`` — the bare simulator:
+* ``test_event_loop_throughput_array`` — the bare simulator:
   schedule/fire a large batch of self-rescheduling no-op events.
-  Measures queue discipline (tuple-keyed heap vs bucketed dispatch) with
-  no protocol on top.
-* ``test_scc_step_loop_throughput[_array]`` — one in-process SCC-2S run
+  Measures the bucketed dispatch with no protocol on top.
+* ``test_scc_step_loop_throughput_array`` — one in-process SCC-2S run
   at a contended (but pre-saturation) arrival rate.  Measures the full
-  per-access stack: step loop, conflict detection against the access
-  index, shadow fork/block/promote, and commit processing.
-* ``test_workload_generation_throughput`` /
-  ``test_workload_tensor_throughput_array`` — building one sweep cell's
-  workload: the per-transaction generator loop vs
-  :meth:`WorkloadTensors.from_config` (batched RNG draws).
-* ``test_arrival_load_throughput[_array]`` — loading a sorted workload
-  into the simulator: per-spec ``schedule_at`` heap pushes vs one
-  ``schedule_batch`` arrival track.
+  per-access stack: the fused shadow-pool step loop, conflict probes,
+  shadow fork/block/promote, and commit processing.
+* ``test_workload_tensor_throughput_array`` — building one sweep cell's
+  workload with :meth:`WorkloadTensors.from_config` (batched RNG draws).
+* ``test_arrival_load_throughput_array`` — loading a sorted workload
+  into the simulator as one ``schedule_batch`` arrival track.
 
-Every benchmark reports ``events_per_sec`` (where events are meaningful)
-in ``extra_info``; each array-engine entry additionally reports
-``object_vs_array_ratio`` — the measured speedup over its object
-counterpart *from the same run* — so the speedups land in
-BENCH_baseline.json next to the raw timings.  The regression gate
-(`scripts/check_bench_regression.py`) tracks wall clock like every other
-entry.  See benchmarks/README.md for how to read the output and when
-re-baselining is legitimate.
+The ``_array`` suffixes are historical: they keep the entry names the
+regression gate (`scripts/check_bench_regression.py`) compares against
+in BENCH_baseline.json.  Every benchmark reports ``events_per_sec``
+(where events are meaningful) in ``extra_info``.  See
+benchmarks/README.md for how to read the output and when re-baselining
+is legitimate.
 """
 
 import gc
 
 from repro.core.scc_2s import SCC2S
-from repro.engine.array import ArraySimulator, WorkloadTensors, build_simulator
+from repro.engine.array import ArraySimulator, WorkloadTensors
 from repro.engine.rng import RandomStreams
-from repro.engine.simulator import Simulator
 from repro.experiments.config import baseline_config
 from repro.metrics.stats import MetricsCollector
 from repro.system.model import RTDBSystem
-from repro.workloads.generator import build_generator
 
 # Enough events to dominate interpreter warmup noise while keeping the
 # benchmark under a second on developer hardware.
@@ -48,43 +40,27 @@ SCC_TRANSACTIONS = 400
 # Contended low-mid range of the fig13 sweep: ~30% of transactions fork
 # speculative shadows here (122 forks / 400 txns, peak 14 live shadows).
 # Near the saturation knee (150) the run's time shifts into shadow
-# fork/replacement — protocol code both engines share — while this pair
-# exists to isolate the per-access stack (step loop, conflict probes,
-# commit sweep) that the engines implement differently.
+# fork/replacement, while this entry exists to isolate the per-access
+# stack (step loop, conflict probes, commit sweep).
 SCC_ARRIVAL_RATE = 50.0
 WORKLOAD_TRANSACTIONS = 12_000
 WORKLOAD_ARRIVAL_RATE = 120.0
 ARRIVAL_BATCH = 200_000
 
-# Object-engine wall clocks recorded as the module runs, so each array
-# entry can publish its measured speedup next to the raw timing.  pytest
-# collects tests in definition order, so every object entry lands here
-# before its array counterpart looks it up.
-_OBJECT_SECONDS: dict[str, float] = {}
 
-
-def _record(benchmark, pair: str, engine: str, events: int = 0) -> None:
+def _record(benchmark, events: int) -> None:
     seconds = benchmark.stats.stats.min
-    if engine == "object":
-        _OBJECT_SECONDS[pair] = seconds
-    else:
-        base = _OBJECT_SECONDS.get(pair)
-        if base is not None:
-            benchmark.extra_info["object_vs_array_ratio"] = round(
-                base / seconds, 2
-            )
-    if events:
-        benchmark.extra_info["events_fired"] = events
-        benchmark.extra_info["events_per_sec"] = round(events / seconds)
+    benchmark.extra_info["events_fired"] = events
+    benchmark.extra_info["events_per_sec"] = round(events / seconds)
 
 
 # ----------------------------------------------------------------------
-# pair 1: bare event loop
+# bare event loop
 # ----------------------------------------------------------------------
 
 
-def _drive_event_loop(num_events: int, engine: str) -> int:
-    sim = build_simulator(engine)
+def _drive_event_loop(num_events: int) -> int:
+    sim = ArraySimulator()
     remaining = [num_events]
 
     def tick() -> None:
@@ -99,26 +75,17 @@ def _drive_event_loop(num_events: int, engine: str) -> int:
     return sim.events_fired
 
 
-def test_event_loop_throughput(benchmark):
-    fired = benchmark.pedantic(
-        lambda: _drive_event_loop(EVENT_BATCH, "object"),
-        rounds=5, iterations=1, warmup_rounds=1
-    )
-    assert fired >= EVENT_BATCH
-    _record(benchmark, "event_loop", "object", events=fired)
-
-
 def test_event_loop_throughput_array(benchmark):
     fired = benchmark.pedantic(
-        lambda: _drive_event_loop(EVENT_BATCH, "array"),
+        lambda: _drive_event_loop(EVENT_BATCH),
         rounds=5, iterations=1, warmup_rounds=1
     )
     assert fired >= EVENT_BATCH
-    _record(benchmark, "event_loop", "array", events=fired)
+    _record(benchmark, fired)
 
 
 # ----------------------------------------------------------------------
-# pair 2: full SCC cell (workload + run)
+# full SCC cell
 # ----------------------------------------------------------------------
 
 
@@ -132,15 +99,12 @@ def _scc_config():
     )
 
 
-# The array cell reuses one materialized workload across rounds — the
-# same semantics run_sweep's tensor cache gives every sweep cell (the
-# workload depends only on (config, rate, replication); run_instrumented
-# shallow-copies before loading).  The object engine has no such cache in
-# the runner, so its cell keeps generating per round.
+# The cell reuses one materialized workload across rounds, so it times
+# the step loop alone; workload construction has its own entry below.
 _SCC_WORKLOAD_CACHE: list = []
 
 
-def _scc_array_workload() -> tuple:
+def _scc_workload() -> tuple:
     if not _SCC_WORKLOAD_CACHE:
         config = _scc_config()
         streams = RandomStreams(config.seed)
@@ -149,30 +113,24 @@ def _scc_array_workload() -> tuple:
     return _SCC_WORKLOAD_CACHE[0]
 
 
-def _run_scc_cell(engine: str) -> RTDBSystem:
+def _run_scc_cell() -> RTDBSystem:
     config = _scc_config()
     system = RTDBSystem(
         protocol=SCC2S(),
         num_pages=config.num_pages,
         metrics=MetricsCollector(warmup_commits=config.warmup_commits),
         record_history=False,
-        engine=engine,
     )
-    if engine == "array":
-        system.load_workload(list(_scc_array_workload()))
-    else:
-        streams = RandomStreams(config.seed)
-        generator = build_generator(config, SCC_ARRIVAL_RATE, streams)
-        system.load_workload(generator.generate(config.num_transactions))
+    system.load_workload(list(_scc_workload()))
     system.run()
     return system
 
 
-# Both SCC cells quiesce the collector for the timed region (collect,
+# The SCC cell quiesces the collector for the timed region (collect,
 # then disable): a gen-2 pass landing mid-round scans the whole test
-# process heap and can inflate one side of the published ratio by tens
-# of percent.  The cells allocate bounded, mostly short-lived garbage,
-# so disabling collection for a ~100ms run is safe.
+# process heap and can inflate a round by tens of percent.  The cell
+# allocates bounded, mostly short-lived garbage, so disabling collection
+# for a ~100ms run is safe.
 
 
 def _gc_off():
@@ -181,12 +139,10 @@ def _gc_off():
     return (), {}
 
 
-def test_scc_step_loop_throughput(benchmark):
-    # 5 rounds (vs 3 elsewhere): the published object/array ratio divides
-    # two mins, so each side gets extra samples to shake scheduler noise.
+def test_scc_step_loop_throughput_array(benchmark):
     try:
         system = benchmark.pedantic(
-            lambda: _run_scc_cell("object"),
+            _run_scc_cell,
             setup=_gc_off, rounds=5, iterations=1, warmup_rounds=1,
         )
     finally:
@@ -194,25 +150,12 @@ def test_scc_step_loop_throughput(benchmark):
     # Every transaction must have committed (soft deadlines), or the run
     # measured a broken simulation rather than the hot path.
     assert system.committed_count == SCC_TRANSACTIONS
-    _record(benchmark, "scc_cell", "object", events=system.sim.events_fired)
-    benchmark.extra_info["restarts"] = system.metrics.restarts
-
-
-def test_scc_step_loop_throughput_array(benchmark):
-    try:
-        system = benchmark.pedantic(
-            lambda: _run_scc_cell("array"),
-            setup=_gc_off, rounds=5, iterations=1, warmup_rounds=1,
-        )
-    finally:
-        gc.enable()
-    assert system.committed_count == SCC_TRANSACTIONS
-    _record(benchmark, "scc_cell", "array", events=system.sim.events_fired)
+    _record(benchmark, system.sim.events_fired)
     benchmark.extra_info["restarts"] = system.metrics.restarts
 
 
 # ----------------------------------------------------------------------
-# pair 3: one sweep cell's workload construction
+# one sweep cell's workload construction
 # ----------------------------------------------------------------------
 
 
@@ -226,20 +169,6 @@ def _workload_config():
     )
 
 
-def test_workload_generation_throughput(benchmark):
-    config = _workload_config()
-
-    def generate():
-        streams = RandomStreams(config.seed).spawn(0)
-        generator = build_generator(config, WORKLOAD_ARRIVAL_RATE, streams)
-        return list(generator.generate(config.num_transactions))
-
-    specs = benchmark.pedantic(generate, rounds=7, iterations=1, warmup_rounds=1)
-    assert len(specs) == WORKLOAD_TRANSACTIONS
-    _record(benchmark, "workload_tensors", "object")
-    benchmark.extra_info["transactions"] = len(specs)
-
-
 def test_workload_tensor_throughput_array(benchmark):
     config = _workload_config()
 
@@ -251,33 +180,16 @@ def test_workload_tensor_throughput_array(benchmark):
 
     tensors = benchmark.pedantic(precompute, rounds=7, iterations=1, warmup_rounds=1)
     assert len(tensors) == WORKLOAD_TRANSACTIONS
-    _record(benchmark, "workload_tensors", "array")
     benchmark.extra_info["transactions"] = len(tensors)
 
 
 # ----------------------------------------------------------------------
-# pair 4: loading a sorted workload into the simulator
+# loading a sorted workload into the simulator
 # ----------------------------------------------------------------------
 
 
 def _noop(index: int) -> None:
     pass
-
-
-def test_arrival_load_throughput(benchmark):
-    times = [0.001 * (i + 1) for i in range(ARRIVAL_BATCH)]
-
-    def load() -> Simulator:
-        sim = Simulator()
-        schedule_at = sim.schedule_at
-        for i, t in enumerate(times):
-            schedule_at(t, _noop, i)
-        return sim
-
-    sim = benchmark.pedantic(load, rounds=5, iterations=1, warmup_rounds=1)
-    assert sim.pending_events == ARRIVAL_BATCH
-    _record(benchmark, "arrival_load", "object")
-    benchmark.extra_info["entries"] = ARRIVAL_BATCH
 
 
 def test_arrival_load_throughput_array(benchmark):
@@ -291,5 +203,4 @@ def test_arrival_load_throughput_array(benchmark):
 
     sim = benchmark.pedantic(load, rounds=5, iterations=1, warmup_rounds=1)
     assert sim.pending_events == ARRIVAL_BATCH
-    _record(benchmark, "arrival_load", "array")
     benchmark.extra_info["entries"] = ARRIVAL_BATCH

@@ -49,7 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SCCVW": "repro.core.scc_vw",
     "figure3_table": "repro.core.shadow_counts",
     "RandomStreams": "repro.engine.rng",
-    "Simulator": "repro.engine.simulator",
     "ConfigurationError": "repro.errors",
     "InvariantViolation": "repro.errors",
     "ProtocolError": "repro.errors",

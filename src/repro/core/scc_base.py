@@ -152,7 +152,7 @@ class SCCProtocolBase(CCProtocol):
         """
         super().bind(system)
         # Imported lazily: shadow_pool imports this module's class for
-        # its eligibility check, and the fast path is array-engine-only.
+        # its eligibility check.
         from repro.engine.shadow_pool import maybe_install_fast_path
 
         maybe_install_fast_path(self, system)

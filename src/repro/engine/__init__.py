@@ -1,27 +1,20 @@
 """Discrete-event simulation kernel.
 
-This package is the substrate every experiment runs on: the pure
-state-transition kernels both engines share
-(:mod:`repro.engine.kernels`), a deterministic event queue
-(:mod:`repro.engine.events`), the reference simulator loop and clock
-(:mod:`repro.engine.simulator`), the array-native engine
-(:mod:`repro.engine.array`), and named reproducible random streams
+This package is the substrate every experiment runs on: the simulation
+engine and its workload tensors (:mod:`repro.engine.array`), the pure
+state-transition kernels shared by the generic SCC step loop and the
+fused shadow-pool driver (:mod:`repro.engine.kernels`,
+:mod:`repro.engine.shadow_pool`), and named reproducible random streams
 (:mod:`repro.engine.rng`).
 
-Engine selection happens through :func:`~repro.engine.array.build_simulator`;
-both engines fire events in the identical ``(time, priority, sequence)``
-total order, so simulation results are bit-identical across them.
+Events fire in the deterministic ``(time, priority, sequence)`` total
+order, so a run is reproducible bit for bit from its seed.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "ENGINE_NAMES": "repro.engine.array",
     "ArraySimulator": "repro.engine.array",
     "WorkloadTensors": "repro.engine.array",
-    "build_simulator": "repro.engine.array",
-    "Event": "repro.engine.events",
-    "EventQueue": "repro.engine.events",
     "RandomStreams": "repro.engine.rng",
-    "Simulator": "repro.engine.simulator",
 })

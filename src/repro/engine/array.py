@@ -1,11 +1,9 @@
-"""Array-native simulation engine: bucketed dispatch + workload tensors.
+"""The simulation engine: bucketed dispatch + workload tensors.
 
-The object engine (:class:`~repro.engine.simulator.Simulator`) pays a heap
-push/pop and an :class:`~repro.engine.events.Event` allocation per event.
-This module removes both costs while firing events in the *identical*
-``(time, priority, sequence)`` total order (the kernel contract of
-:func:`repro.engine.kernels.event_sort_position`), which is what lets the
-golden determinism gate hold bit-identically across engines:
+Events fire in the deterministic ``(time, priority, sequence)`` total
+order (the kernel contract of
+:func:`repro.engine.kernels.event_sort_position`), which is what makes
+every run reproducible bit for bit from its seed:
 
 * :class:`ArraySimulator` — batched same-timestamp dispatch.  Events are
   plain ``(priority, sequence, callback, args)`` tuples grouped into
@@ -19,18 +17,12 @@ golden determinism gate hold bit-identically across engines:
   loading O(1) per transaction.
 * :class:`WorkloadTensors` — the per-replication workload precomputed as
   numpy tensors (arrival vector, class vector, flat page matrix, write
-  flags) using *batched* draws that are bit-identical to the object
-  path's sequential draws: the named streams of
+  flags) using *batched* draws that are bit-identical to the
+  transaction generator's sequential draws: the named streams of
   :class:`~repro.engine.rng.RandomStreams` are independent, and within
   each stream a batched draw (``exponential(size=n)``, ``cumsum``,
   ``random(total)``, ``choice(size=n)``) consumes the generator exactly
   as n sequential draws do.
-
-Engine selection is a constructor argument everywhere above this module
-(:class:`~repro.system.model.RTDBSystem`,
-:func:`~repro.experiments.runner.run_sweep`,
-:class:`~repro.experiments.spec.ExperimentSpec`); use
-:func:`build_simulator` to map an engine name to an instance.
 """
 
 from __future__ import annotations
@@ -41,8 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.engine.rng import RandomStreams
-from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.txn.spec import Step, TransactionSpec
 from repro.workloads.access import AccessPattern
 from repro.workloads.arrivals import PoissonArrivals
@@ -51,15 +42,7 @@ from repro.workloads.generator import WorkloadSpec, build_generator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
 
-__all__ = [
-    "ENGINE_NAMES",
-    "ArraySimulator",
-    "WorkloadTensors",
-    "build_simulator",
-]
-
-#: The selectable engine names, in preference order.
-ENGINE_NAMES = ("object", "array")
+__all__ = ["ArraySimulator", "WorkloadTensors"]
 
 
 class _ArrivalTrack:
@@ -89,23 +72,23 @@ class _ArrivalTrack:
 
 
 class ArraySimulator:
-    """Drop-in :class:`~repro.engine.simulator.Simulator` replacement.
+    """Discrete-event simulation loop: a clock plus bucketed dispatch.
 
-    Same API, same deterministic ``(time, priority, sequence)`` firing
-    order, different data layout: a heap of *distinct* timestamps plus a
-    dict mapping each timestamp to its bucket of pending
+    Events fire in the deterministic ``(time, priority, sequence)``
+    order.  The layout is a heap of *distinct* timestamps plus a dict
+    mapping each timestamp to its bucket of pending
     ``(priority, sequence, callback, args)`` tuples.  Draining a bucket
     dispatches every same-instant event in one vectorized step — one
-    C-level sort plus a tight loop — so the per-event cost of heap
-    maintenance and ``Event`` allocation disappears.
+    C-level sort plus a tight loop — so no per-event heap push/pop or
+    event-object allocation is paid.
 
     Three auxiliary structures keep the order exact:
 
     * a *straggler* heap for events scheduled **at the instant currently
       being drained** (e.g. a zero-delay restart fired from a callback) —
       they must interleave with the rest of the bucket by priority;
-    * a *cancelled* set keyed by sequence number (cancellation is lazy,
-      as in the object engine);
+    * a *cancelled* set keyed by sequence number (cancellation is lazy:
+      a cancelled entry is skipped when its instant drains);
     * *arrival tracks* (:meth:`schedule_batch`): pre-sorted bulk batches
       merged lazily into the run loop instead of being pushed eagerly.
 
@@ -355,8 +338,8 @@ class ArraySimulator:
         handle : tuple
             The handle returned by :meth:`schedule` / :meth:`schedule_at`.
             Cancelling the same handle twice is a no-op; handles of events
-            that already fired must not be cancelled (the object engine
-            tolerates it, this engine's live-event count would drift).
+            that already fired must not be cancelled (the live-event count
+            would drift).
         """
         sequence = handle[1]
         if sequence not in self._cancelled:
@@ -581,35 +564,12 @@ class ArraySimulator:
         return True
 
 
-def build_simulator(engine: Optional[str] = None) -> "Simulator | ArraySimulator":
-    """Instantiate the simulation engine named ``engine``.
-
-    Parameters
-    ----------
-    engine : str, optional
-        ``"object"`` (or ``None``) for the reference
-        :class:`~repro.engine.simulator.Simulator`, ``"array"`` for
-        :class:`ArraySimulator`.
-
-    Raises
-    ------
-    ConfigurationError
-        On an unknown engine name.
-    """
-    if engine is None or engine == "object":
-        return Simulator()
-    if engine == "array":
-        return ArraySimulator()
-    raise ConfigurationError(
-        f"unknown engine {engine!r}; choose from {list(ENGINE_NAMES)}"
-    )
-
-
 class WorkloadTensors:
     """One sweep cell's workload, precomputed as struct-of-arrays tensors.
 
-    The object path samples each transaction's randomness one scalar draw
-    at a time (:class:`~repro.workloads.generator.TransactionGenerator`).
+    The transaction generator
+    (:class:`~repro.workloads.generator.TransactionGenerator`) samples
+    each transaction's randomness one scalar draw at a time.
     This class draws the same randomness in *batches* per named stream —
     one ``exponential(size=n)`` + ``cumsum`` for every arrival instant,
     one ``choice(size=n)`` for every class pick, one ``random(total)``
@@ -623,8 +583,8 @@ class WorkloadTensors:
     Workloads whose axes cannot be batched — non-Poisson arrival
     processes, or access patterns overriding
     :meth:`~repro.workloads.access.AccessPattern.sample_steps` — fall
-    back to the object generator and are decomposed into the same tensor
-    layout, so downstream consumers never branch.
+    back to the transaction generator and are decomposed into the same
+    tensor layout, so downstream consumers never branch.
 
     Attributes
     ----------
@@ -706,7 +666,7 @@ class WorkloadTensors:
         """
         # The generator performs all axis validation at construction time
         # (and construction consumes no randomness), so building it keeps
-        # error behaviour identical across engines.
+        # error behaviour identical to the generator's for every workload.
         generator = build_generator(config, arrival_rate, streams)
         workload = config.workload if config.workload is not None else WorkloadSpec()
         classes = list(config.classes)
@@ -794,7 +754,7 @@ class WorkloadTensors:
         )
 
     def materialize(self) -> list[TransactionSpec]:
-        """Build the transaction list, bit-identical to the object path.
+        """Build the transaction list, bit-identical to the generator's.
 
         Replays :meth:`TransactionGenerator._make
         <repro.workloads.generator.TransactionGenerator>` per transaction

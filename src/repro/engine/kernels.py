@@ -1,13 +1,14 @@
-"""Pure state-transition kernels shared by both simulation engines.
+"""Pure state-transition kernels shared by the two SCC step loops.
 
 Every function here is a *kernel*: a side-effect-free computation that
 maps plain values to plain values, with no simulator, system, or protocol
-handle in sight.  The object engine (:mod:`repro.engine.simulator` plus
-the step loop in :mod:`repro.protocols.base`) and the array engine
-(:mod:`repro.engine.array`) both drive their state through these same
-functions, which is what makes "bit-identical metrics across engines" a
-structural property instead of a testing aspiration: an engine only
-decides *when* a kernel runs, never *what* it computes.
+handle in sight.  The generic step loop (:mod:`repro.protocols.base`
+plus the SCC hooks in :mod:`repro.core.scc_base`) and the fused
+shadow-pool driver (:mod:`repro.engine.shadow_pool`) both drive their
+state through these same functions, which is what makes "bit-identical
+metrics on either path" a structural property instead of a testing
+aspiration: a loop only decides *when* a kernel runs, never *what* it
+computes.
 
 The kernels fall into three groups:
 
@@ -21,8 +22,8 @@ The kernels fall into three groups:
   the SCC protocols (fork-donor choice and Commit Rule promotion).
 * **Event ordering** — :func:`event_sort_position`,
   :func:`fires_before`: the ``(time, priority, sequence)`` total order
-  both engines must realize, exposed so the array engine's bucketed
-  dispatch can be property-tested against the object engine's heap.
+  the engine must realize, exposed so its bucketed dispatch can be
+  property-tested against a plain sort by this key.
 
 Randomness-consuming helpers are deliberately *not* kernels: they live
 with the workload tensors (:mod:`repro.engine.array`), because consuming
@@ -153,8 +154,8 @@ def select_fork_donor(donors: Sequence[_S]) -> Optional[_S]:
 
     The *latest* donor wins — largest program position — with creation
     order (smallest ``serial``) as the deterministic tie-break.  Both
-    engines and every SCC variant share this rule, so shadow forks are
-    reproducible across engines by construction.
+    step loops and every SCC variant share this rule, so shadow forks
+    are reproducible on either path by construction.
 
     Parameters
     ----------
@@ -212,7 +213,7 @@ def event_sort_position(
 ) -> tuple[float, int, int]:
     """The total-order key of one scheduled event.
 
-    Both engines fire events in ascending ``(time, priority, sequence)``
+    The engine fires events in ascending ``(time, priority, sequence)``
     order; the unique sequence number makes the order total, which is
     what makes whole simulation runs bit-for-bit reproducible.
     """

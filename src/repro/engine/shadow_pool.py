@@ -1,4 +1,4 @@
-"""Vectorized shadow-pool fast path for SCC on the array engine.
+"""Vectorized shadow-pool fast path for the SCC step loop.
 
 The generic step loop (:meth:`repro.protocols.base.CCProtocol._advance` /
 ``_complete_step`` plus the SCC hooks in
@@ -8,7 +8,7 @@ advance -> ``before_step`` -> resource request -> schedule.  That frame
 traffic, not any single computation, is why the SCC step-loop benchmark
 pair ran at ~1x after PR 6 vectorized arrivals and dispatch.
 
-This module closes the gap for the array engine with two pieces:
+This module closes that gap with two pieces:
 
 * :class:`ShadowPool` — a preallocated, grow-by-doubling slot pool of
   per-transaction protocol state: a numpy slot table plus packed page
@@ -43,10 +43,10 @@ path (:class:`~repro.core.shadow.Shadow` creation in the shared cold
 code), preserves the Write Rule's set-copy iteration order, and defers
 every cold transition (fork, kill, promote, restart, rebuild,
 termination) to the shared SCC machinery.  The golden gate, the
-object/array parity suite, and the telemetry trace-diff gate therefore
-hold bit-identically with the fast path installed — enforced by
-``tests/engine/test_shadow_pool_parity.py`` and CI's
-engine-parity-smoke.
+frozen engine reference, and its trace digests therefore hold
+bit-identically with the fast path installed, and
+``tests/engine/test_shadow_pool_parity.py`` compares the fused driver
+against the generic loop on adversarial schedules.
 
 Eligibility is checked structurally, never assumed: the simulator must
 be an :class:`~repro.engine.array.ArraySimulator`, the resource manager
@@ -249,8 +249,7 @@ class FusedSCCStepDriver:
     protocol : SCCProtocolBase
         The bound, eligibility-checked protocol.
     system : RTDBSystem
-        The system the protocol is bound to (array engine, infinite
-        resources).
+        The system the protocol is bound to (infinite resources).
     capacity : int, optional
         Initial :class:`ShadowPool` capacity.
     """
@@ -429,7 +428,7 @@ class FusedSCCStepDriver:
         # rather than lazily on the first serviced access: the index's
         # query API treats empty and missing entries identically, so by
         # the time any consumer looks (Read/Write Rules, commit cleanup)
-        # the contents match the generic engine's lazy creation exactly.
+        # the contents match the generic loop's lazy creation exactly.
         reads = self._txn_reads.get(txn_id)
         if reads is None:
             reads = self._txn_reads[txn_id] = {}

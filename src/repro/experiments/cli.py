@@ -28,7 +28,7 @@ table.
 specs, grid axes, execution policy, and store in one artifact.  Flags
 given on the command line (``--rates``, ``--transactions``,
 ``--replications``, ``--seed``, ``--executor``, ``--workers``,
-``--store``, ``--engine``) override the spec for that invocation;
+``--store``) override the spec for that invocation;
 everything omitted comes from the spec file.  ``specs`` lists the registered protocol
 families and their parameters (the vocabulary of ``protocols`` entries
 in spec files).
@@ -88,7 +88,6 @@ import time
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.engine.array import ENGINE_NAMES
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import (
     ExperimentConfig,
@@ -274,8 +273,7 @@ def _run_figure(command: str, args: argparse.Namespace) -> str:
     started = time.time()
     results: dict[str, SweepResult] = runner(
         config, arrival_rates=rates, executor=executor, store=store,
-        scenario=args.scenario, engine=args.engine,
-        on_event=_log_sweep_event,
+        scenario=args.scenario, on_event=_log_sweep_event,
     )
     elapsed = time.time() - started
     some = next(iter(results.values()))
@@ -565,7 +563,6 @@ def _run_spec(args: argparse.Namespace) -> str:
                 store=store,
                 arrival_rates=rates,
                 config=config,
-                engine=args.engine,
                 trace=args.trace,
                 on_event=_log_sweep_event,
             )
@@ -830,11 +827,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workers", type=int, default=None,
         help="worker processes for the process and distributed executors "
         "(default: all cores)",
-    )
-    parser.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default=None,
-        help="simulation engine (default: the spec's value for the run "
-        "command, else object); engines produce bit-identical results",
     )
     parser.add_argument(
         "--max-n", dest="max_n", type=int, default=8,

@@ -79,7 +79,6 @@ def run_scenario(
     executor: "SweepExecutor | str | None" = None,
     workers: Optional[int] = None,
     store=None,
-    engine: Optional[str] = None,
     on_event: Optional[Callable] = None,
     **config_overrides,
 ) -> dict[str, SweepResult]:
@@ -104,8 +103,7 @@ def run_scenario(
     config = scenario.to_config(**config_overrides)
     return run_sweep(protocols or fig14_protocols(), config, arrival_rates,
                      executor=executor, workers=workers, store=store,
-                     scenario=scenario.name, engine=engine,
-                     on_event=on_event)
+                     scenario=scenario.name, on_event=on_event)
 
 
 def run_fig13(
@@ -115,14 +113,13 @@ def run_fig13(
     workers: Optional[int] = None,
     store=None,
     scenario: Optional[str] = None,
-    engine: Optional[str] = None,
     on_event: Optional[Callable] = None,
 ) -> dict[str, SweepResult]:
     """Figures 13(a)+(b): Missed Ratio and Average Tardiness, baseline model."""
     return run_sweep(FIGURE_PROTOCOLS["fig13"](), config or baseline_config(),
                      arrival_rates,
                      executor=executor, workers=workers, store=store,
-                     scenario=scenario, engine=engine, on_event=on_event)
+                     scenario=scenario, on_event=on_event)
 
 
 def run_fig14a(
@@ -132,14 +129,13 @@ def run_fig14a(
     workers: Optional[int] = None,
     store=None,
     scenario: Optional[str] = None,
-    engine: Optional[str] = None,
     on_event: Optional[Callable] = None,
 ) -> dict[str, SweepResult]:
     """Figure 14(a): System Value, one transaction class (45° gradient)."""
     return run_sweep(FIGURE_PROTOCOLS["fig14a"](), config or baseline_config(),
                      arrival_rates,
                      executor=executor, workers=workers, store=store,
-                     scenario=scenario, engine=engine, on_event=on_event)
+                     scenario=scenario, on_event=on_event)
 
 
 def run_fig14b(
@@ -149,14 +145,13 @@ def run_fig14b(
     workers: Optional[int] = None,
     store=None,
     scenario: Optional[str] = None,
-    engine: Optional[str] = None,
     on_event: Optional[Callable] = None,
 ) -> dict[str, SweepResult]:
     """Figure 14(b): System Value, the 10%/90% two-class mix."""
     return run_sweep(FIGURE_PROTOCOLS["fig14b"](), config or two_class_config(),
                      arrival_rates,
                      executor=executor, workers=workers, store=store,
-                     scenario=scenario, engine=engine, on_event=on_event)
+                     scenario=scenario, on_event=on_event)
 
 
 def run_fig15(
@@ -166,14 +161,13 @@ def run_fig15(
     workers: Optional[int] = None,
     store=None,
     scenario: Optional[str] = None,
-    engine: Optional[str] = None,
     on_event: Optional[Callable] = None,
 ) -> dict[str, SweepResult]:
     """Figures 15(a)+(b): SCC-VW's Missed Ratio / Average Tardiness."""
     return run_sweep(FIGURE_PROTOCOLS["fig15"](), config or baseline_config(),
                      arrival_rates,
                      executor=executor, workers=workers, store=store,
-                     scenario=scenario, engine=engine, on_event=on_event)
+                     scenario=scenario, on_event=on_event)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ stream is derived from ``(seed, replication)`` only.  Confidence intervals
 are computed across replications per the paper's 90% rule.
 
 Workload shape is delegated to :mod:`repro.workloads`: each cell builds
-its generator via :func:`~repro.workloads.generator.build_generator`, so
-scenario configs (``config.workload``) and the paper baseline take the
+its workload via :meth:`~repro.engine.array.WorkloadTensors.from_config`,
+so scenario configs (``config.workload``) and the paper baseline take the
 same path.
 """
 
@@ -50,8 +50,6 @@ from repro.system.resources import InfiniteResources, ResourceManager
 from repro.telemetry.bus import EventBus
 from repro.telemetry.counters import run_telemetry
 from repro.telemetry.tracer import JsonlTracer, Tracer
-from repro.txn.spec import TransactionSpec
-from repro.workloads.generator import build_generator
 
 ProtocolFactory = Callable[[], CCProtocol]
 #: What run_sweep accepts per protocol entry: a zero-arg factory, a
@@ -140,9 +138,6 @@ def run_instrumented(
     arrival_rate: float,
     replication: int = 0,
     resources: Optional[ResourceFactory] = None,
-    engine: Optional[str] = None,
-    tensors: Optional[WorkloadTensors] = None,
-    workload: Optional[Sequence[TransactionSpec]] = None,
     tracer: Optional[Tracer] = None,
 ) -> tuple[RunSummary, dict]:
     """Run one complete simulation; return its summary and telemetry block.
@@ -160,18 +155,6 @@ def run_instrumented(
         arrival_rate: Mean arrival rate for this run.
         replication: Replication index (workload stream selector).
         resources: Optional resource-manager factory.
-        engine: Simulation engine name (``"object"``/``"array"``;
-            ``None`` means object).  Results are bit-identical across
-            engines.
-        tensors: Optional precomputed workload tensors for the array
-            engine (must match ``(config, arrival_rate, replication)``);
-            computed on the fly when omitted.  Ignored by the object
-            engine.
-        workload: Optional pre-materialized transaction specs for the
-            array engine (must match ``tensors``); skips the per-run
-            ``tensors.materialize()``.  The list is shallow-copied
-            before loading so no engine can alias a shared cache entry.
-            Ignored by the object engine.
         tracer: Optional :class:`~repro.telemetry.tracer.Tracer` sink
             receiving typed lifecycle events.  ``None`` disables tracing
             (the zero-cost default).  Tracing never affects results.
@@ -188,27 +171,12 @@ def run_instrumented(
         resources=resource_factory(config),
         metrics=MetricsCollector(warmup_commits=config.warmup_commits),
         record_history=config.check_serializability,
-        engine=engine,
         tracer=tracer,
     )
     started = time.perf_counter()
-    if engine == "array":
-        if workload is None:
-            if tensors is None:
-                streams = RandomStreams(config.seed).spawn(replication)
-                tensors = WorkloadTensors.from_config(
-                    config, arrival_rate, streams
-                )
-            workload = tensors.materialize()
-        else:
-            # Copy-on-load guard: the caller may be sharing one
-            # materialized list across many runs (run_sweep's cache).
-            workload = list(workload)
-        system.load_workload(workload)
-    else:
-        streams = RandomStreams(config.seed).spawn(replication)
-        generator = build_generator(config, arrival_rate, streams)
-        system.load_workload(generator.generate(config.num_transactions))
+    streams = RandomStreams(config.seed).spawn(replication)
+    tensors = WorkloadTensors.from_config(config, arrival_rate, streams)
+    system.load_workload(tensors.materialize())
     system.run()
     wall_clock = time.perf_counter() - started
     if config.check_serializability and system.history is not None:
@@ -226,9 +194,6 @@ def run_once(
     arrival_rate: float,
     replication: int = 0,
     resources: Optional[ResourceFactory] = None,
-    engine: Optional[str] = None,
-    tensors: Optional[WorkloadTensors] = None,
-    workload: Optional[Sequence[TransactionSpec]] = None,
     tracer: Optional[Tracer] = None,
 ) -> RunSummary:
     """Run one complete simulation and return its summary.
@@ -242,9 +207,6 @@ def run_once(
         arrival_rate,
         replication=replication,
         resources=resources,
-        engine=engine,
-        tensors=tensors,
-        workload=workload,
         tracer=tracer,
     )
     return summary
@@ -354,7 +316,6 @@ def run_sweep(
     store: Union[BaseRunStore, str, os.PathLike, None] = None,
     store_backend: Optional[str] = None,
     scenario: Optional[str] = None,
-    engine: Optional[str] = None,
     on_event: Optional[Callable] = None,
     trace: Union[str, os.PathLike, None] = None,
 ) -> dict[str, SweepResult]:
@@ -415,10 +376,6 @@ def run_sweep(
             path.
         scenario: Scenario name recorded as metadata on stored records
             (:func:`~repro.experiments.figures.run_scenario` supplies it).
-        engine: Simulation engine name (``"object"``/``"array"``;
-            ``None`` means object).  Engines are bit-identical, so the
-            choice is deliberately *not* part of the cell fingerprint —
-            a store populated under one engine serves the other.
         on_event: Optional subscriber for the unified sweep event stream
             (:class:`~repro.telemetry.bus.SweepEvent`): ``cell_started``
             and ``cell_completed`` progress ticks plus one
@@ -476,34 +433,7 @@ def run_sweep(
             # (spawn/stop/loss, lease-expiry retries) through this seam.
             chosen.lifecycle_hook = bus.publish_lifecycle
 
-    # One tensor set per (rate, replication) cell — *with* its
-    # materialized spec list — shared across every protocol of that
-    # cell: the workload depends only on those coordinates.  Caching the
-    # materialized specs alongside the tensors means a cache hit skips
-    # both the tensor rebuild and the per-replication materialize();
-    # run_instrumented shallow-copies the list before loading, so no
-    # engine can mutate the shared entry.  The cache lives in this
-    # closure, so the process executor (fork start method) shares it per
-    # worker chunk while the serial path reuses every entry.
-    tensor_cache: dict[
-        tuple[float, int], tuple[WorkloadTensors, tuple[TransactionSpec, ...]]
-    ] = {}
-
     def run_cell(cell: SweepCell) -> tuple[RunSummary, dict]:
-        tensors = None
-        workload = None
-        if engine == "array":
-            key = (cell.arrival_rate, cell.replication)
-            cached = tensor_cache.get(key)
-            if cached is None:
-                streams = RandomStreams(config.seed).spawn(cell.replication)
-                tensors = WorkloadTensors.from_config(
-                    config, cell.arrival_rate, streams
-                )
-                workload = tuple(tensors.materialize())
-                tensor_cache[key] = (tensors, workload)
-            else:
-                tensors, workload = cached
         if tracer is not None:
             # One marker + a fresh lane numbering per cell, so each
             # cell's event stream is self-contained and reproducible.
@@ -523,9 +453,6 @@ def run_sweep(
             arrival_rate=cell.arrival_rate,
             replication=cell.replication,
             resources=resources,
-            engine=engine,
-            tensors=tensors,
-            workload=workload,
             tracer=tracer,
         )
 

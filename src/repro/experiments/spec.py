@@ -35,7 +35,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.engine.array import ENGINE_NAMES
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, baseline_config
 from repro.experiments.runner import (
@@ -67,17 +66,22 @@ _SPEC_KEYS = frozenset(
         "workers",
         "store",
         "store_backend",
-        "engine",
         "telemetry",
     }
 )
+
+#: Values of the retired ``engine`` key that still load (and are
+#: dropped): specs and gateway board payloads written while the key
+#: existed carry ``"engine": null``, or ``"array"`` when they chose the
+#: engine that is now the only one.
+_RETIRED_ENGINE_VALUES = (None, "array")
 
 #: Keys an ``ExperimentSpec.telemetry`` block may carry.
 _TELEMETRY_KEYS = frozenset({"trace", "log_level"})
 
 #: Type (and its name for error messages) a payload key must carry when
-#: present and not ``null``; ``engine``, ``store_backend`` and
-#: ``telemetry`` are checked by the spec itself.
+#: present and not ``null``; ``store_backend`` and ``telemetry`` are
+#: checked by the spec itself.
 _PAYLOAD_TYPES: dict[str, tuple[Any, str]] = {
     "protocols": ((list, tuple), "a list"),
     "scenario": (str, "a string"),
@@ -128,17 +132,12 @@ class ExperimentSpec:
             (:data:`~repro.results.backends.STORE_BACKENDS` name) for a
             path-given store; ``None`` lets the path decide (existing
             files are sniffed by content, new paths by extension).
-        engine: Default simulation engine (``"object"`` / ``"array"``);
-            ``None`` means the reference object engine.  Part of the
-            execution policy, *not* of the experiment identity: engines
-            are bit-identical, so the choice never enters the run-store
-            fingerprint.
         telemetry: Default observability policy — a dict with optional
             ``"trace"`` (JSONL trace-file path) and ``"log_level"``
             (:data:`~repro.telemetry.log.LOG_LEVELS` name) keys, or
-            ``None`` for no telemetry.  Like ``engine``, pure execution
-            policy: tracing never perturbs results, so the block never
-            enters the fingerprint.
+            ``None`` for no telemetry.  Pure execution policy: tracing
+            never perturbs results, so the block never enters the
+            fingerprint.
     """
 
     protocols: tuple[ProtocolSpec, ...]
@@ -153,15 +152,9 @@ class ExperimentSpec:
     workers: Optional[int] = None
     store: Optional[str] = None
     store_backend: Optional[str] = None
-    engine: Optional[str] = None
     telemetry: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{list(ENGINE_NAMES)}"
-            )
         if self.store_backend is not None:
             from repro.results.backends import STORE_BACKENDS
 
@@ -270,7 +263,6 @@ class ExperimentSpec:
             "workers": self.workers,
             "store": self.store,
             "store_backend": self.store_backend,
-            "engine": self.engine,
             "telemetry": self.telemetry,
         }
 
@@ -279,11 +271,14 @@ class ExperimentSpec:
         """Rebuild a spec from its :meth:`to_dict` form.
 
         Accepts the friendly shorthand forms too: protocol entries may
-        be compact spec strings, and omitted optional keys default.
+        be compact spec strings, and omitted optional keys default.  The
+        retired ``engine`` key is accepted and dropped when it is
+        ``null`` or ``"array"``.
 
         Raises:
             ConfigurationError: Wrong schema, unknown keys, a value of the
-                wrong JSON type, or malformed protocol/scenario payloads.
+                wrong JSON type, an ``engine`` other than the one that
+                remains, or malformed protocol/scenario payloads.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
@@ -296,6 +291,13 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unsupported experiment-spec schema {schema!r} "
                 f"(this library reads schema {SPEC_SCHEMA})"
+            )
+        engine = data.pop("engine", None)
+        if engine not in _RETIRED_ENGINE_VALUES:
+            raise ConfigurationError(
+                f"experiment spec 'engine' {engine!r} is not available: the "
+                "object engine was removed and every run uses the one "
+                "simulation engine; drop the key"
             )
         unknown = set(data) - _SPEC_KEYS
         if unknown:
@@ -345,7 +347,6 @@ class ExperimentSpec:
             workers=data.get("workers"),
             store=data.get("store"),
             store_backend=data.get("store_backend"),
-            engine=data.get("engine"),
             telemetry=data.get("telemetry"),
         )
 
@@ -435,7 +436,6 @@ class ExperimentSpec:
         progress=None,
         on_progress=None,
         config: Optional[ExperimentConfig] = None,
-        engine: Optional[str] = None,
         trace: "str | os.PathLike | None" = None,
         on_event=None,
         **config_overrides: Any,
@@ -444,7 +444,7 @@ class ExperimentSpec:
 
         Keyword arguments override the spec's own execution policy
         (``executor``/``workers``/``store``/``store_backend``/
-        ``engine``/``telemetry``) for this invocation only;
+        ``telemetry``) for this invocation only;
         ``config_overrides`` pass to :meth:`to_config` (e.g.
         ``num_transactions=200`` for a smoke run).  A caller that
         already built the config (to print status from it, say) can pass
@@ -475,7 +475,6 @@ class ExperimentSpec:
                 if store_backend is not None
                 else self.store_backend
             ),
-            engine=engine if engine is not None else self.engine,
             progress=progress,
             on_progress=on_progress,
             scenario=self.scenario_name(),
@@ -570,7 +569,6 @@ class Experiment:
             "workers",
             "store",
             "store_backend",
-            "engine",
             "telemetry",
         ):
             value = getattr(spec, name)
@@ -670,11 +668,6 @@ class Experiment:
         self._fields["store"] = os.fspath(path)
         if backend is not None:
             self._fields["store_backend"] = backend
-        return self
-
-    def engine(self, name: str) -> "Experiment":
-        """Set the simulation engine (``"object"`` / ``"array"``)."""
-        self._fields["engine"] = name
         return self
 
     def telemetry(

@@ -29,8 +29,9 @@ them in the class body, not by assigning instance attributes after
 binding.
 
 State transitions themselves live in :mod:`repro.engine.kernels` — pure
-functions shared with the array engine (:mod:`repro.engine.array`), so
-both engines compute identical readset/writeset updates by construction.
+functions shared with the fused shadow-pool driver
+(:mod:`repro.engine.shadow_pool`), so both step loops compute identical
+readset/writeset updates by construction.
 The hottest trivial guards (epoch staleness, first-write detection,
 program exhaustion) are inlined here with a comment naming the kernel
 they realize; the kernels remain the specification and are tested

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from repro.analysis.history import History
 from repro.db.database import Database
-from repro.engine.array import build_simulator
+from repro.engine.array import ArraySimulator
 from repro.errors import InvariantViolation, ProtocolError
 from repro.metrics.stats import MetricsCollector
 from repro.protocols.base import CCProtocol, Execution
@@ -45,10 +45,6 @@ class RTDBSystem:
         metrics: Metrics collector; a fresh one is created by default.
         record_history: Whether to record the committed history for
             serializability checking (cheap; on by default).
-        engine: Simulation engine name (``"object"`` or ``"array"``, see
-            :func:`~repro.engine.array.build_simulator`); ``None`` means
-            the reference object engine.  Results are bit-identical
-            across engines.
         tracer: Optional :class:`~repro.telemetry.tracer.Tracer` sink for
             typed lifecycle events.  ``None`` (the default) disables
             tracing entirely; instrumented code then pays one attribute
@@ -63,10 +59,9 @@ class RTDBSystem:
         resources: Optional[ResourceManager] = None,
         metrics: Optional[MetricsCollector] = None,
         record_history: bool = True,
-        engine: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.sim = build_simulator(engine)
+        self.sim = ArraySimulator()
         self.tracer = tracer
         self.counters = CounterRegistry()
         # Ask the engine to track peak pending-event depth (a cheap
@@ -90,27 +85,24 @@ class RTDBSystem:
     def load_workload(self, specs: Iterable[TransactionSpec]) -> int:
         """Schedule the arrival of every spec.  Returns the count loaded.
 
-        On an engine exposing ``schedule_batch`` (the array engine), a
-        workload already sorted by arrival time is loaded as one bulk
-        arrival track instead of per-spec heap pushes; the firing order
-        is identical either way.
+        A workload already sorted by arrival time is loaded as one bulk
+        arrival track (:meth:`~repro.engine.array.ArraySimulator.schedule_batch`)
+        instead of per-spec schedules; the firing order is identical
+        either way.
         """
-        batch = getattr(self.sim, "schedule_batch", None)
-        if batch is not None:
-            spec_list = list(specs)
-            times = [spec.arrival for spec in spec_list]
-            if all(a <= b for a, b in zip(times, times[1:])):
-                count = batch(
-                    times,
-                    self._arrive,
-                    [(spec,) for spec in spec_list],
-                    priority=_ARRIVAL_PRIORITY,
-                )
-                self._submitted += count
-                return count
-            specs = spec_list  # unsorted: fall through to per-spec loads
+        spec_list = list(specs)
+        times = [spec.arrival for spec in spec_list]
+        if all(a <= b for a, b in zip(times, times[1:])):
+            count = self.sim.schedule_batch(
+                times,
+                self._arrive,
+                [(spec,) for spec in spec_list],
+                priority=_ARRIVAL_PRIORITY,
+            )
+            self._submitted += count
+            return count
         count = 0
-        for spec in specs:
+        for spec in spec_list:
             self.sim.schedule_at(
                 spec.arrival, self._arrive, spec, priority=_ARRIVAL_PRIORITY
             )

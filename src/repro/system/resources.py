@@ -22,7 +22,7 @@ import heapq
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Optional
 
-from repro.engine.simulator import Simulator
+from repro.engine.array import ArraySimulator
 from repro.errors import ConfigurationError
 from repro.protocols.base import Execution, ExecutionState
 from repro.txn.priority import EarliestDeadlineFirst, PriorityPolicy
@@ -52,18 +52,18 @@ class ResourceManager(ABC):
             )
         self.cpu_time = cpu_time
         self.io_time = io_time
-        self._sim: Optional[Simulator] = None
+        self._sim: Optional[ArraySimulator] = None
 
     @property
     def step_service_time(self) -> float:
         """Total service time of one page access (CPU + I/O)."""
         return self.cpu_time + self.io_time
 
-    def bind(self, sim: Simulator) -> None:
+    def bind(self, sim: ArraySimulator) -> None:
         """Attach to a simulator.  Called once by the system model."""
         self._sim = sim
 
-    def _require_sim(self) -> Simulator:
+    def _require_sim(self) -> ArraySimulator:
         if self._sim is None:
             raise ConfigurationError("resource manager is not bound to a simulator")
         return self._sim

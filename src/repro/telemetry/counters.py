@@ -83,7 +83,7 @@ def run_telemetry(system: Any, wall_clock: float) -> dict:
         "schema": TELEMETRY_SCHEMA,
         "wall_clock": wall_clock,
         "events_fired": sim.events_fired,
-        "peak_pending_events": getattr(sim, "peak_pending", 0),
+        "peak_pending_events": sim.peak_pending,
         "counters": snap["counters"],
         "gauges": snap["gauges"],
     }

@@ -76,7 +76,7 @@ class Tracer:
     assignment, event construction, the context-manager protocol — is
     shared.  Lanes renumber process-global execution serials into
     0-based first-seen order so traces are reproducible across runs and
-    comparable across engines; :meth:`reset_lanes` restarts the
+    comparable across step loops; :meth:`reset_lanes` restarts the
     numbering (e.g. at sweep-cell boundaries).
     """
 
@@ -169,7 +169,7 @@ class NullTracer(Tracer):
 class MemoryTracer(Tracer):
     """A tracer that buffers events in a list (``.events``).
 
-    The workhorse for tests and the engine trace-parity suite: two runs'
+    The workhorse for tests and the engine trace suite: two runs'
     ``dicts()`` outputs compare with plain ``==``.
     """
 

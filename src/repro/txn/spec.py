@@ -92,9 +92,8 @@ class TransactionSpec:
     def step_columns(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
         """Columnar view of the program: parallel (pages, write flags).
 
-        Computed once and cached on the spec, so engines that replay a
-        materialized workload across replications (the array engine's
-        tensor cache) build the columns exactly once per transaction.
+        Computed once and cached on the spec (the fused shadow-pool
+        driver reads it when the transaction arrives).
 
         Returns
         -------

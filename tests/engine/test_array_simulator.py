@@ -1,28 +1,20 @@
-"""Behavioural tests for the struct-of-arrays simulation engine.
+"""Behavioural tests for the simulation engine.
 
 The contract under test: :class:`~repro.engine.array.ArraySimulator`
-fires callbacks in exactly the same total ``(time, priority, sequence)``
-order as the reference :class:`~repro.engine.simulator.Simulator`, for
-every scheduling pattern the library uses — including bulk arrival
-tracks, zero-delay events scheduled *during* a same-instant drain, and
-mid-bucket ``max_events`` suspension.
+fires callbacks in the total ``(time, priority, sequence)`` order of
+:func:`~repro.engine.kernels.event_sort_position`, for every scheduling
+pattern the library uses — including bulk arrival tracks, zero-delay
+events scheduled *during* a same-instant drain, and mid-bucket
+``max_events`` suspension.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.array import ArraySimulator, build_simulator
-from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError, SimulationError
-
-
-def test_build_simulator_selects_engines():
-    assert isinstance(build_simulator(None), Simulator)
-    assert isinstance(build_simulator("object"), Simulator)
-    assert isinstance(build_simulator("array"), ArraySimulator)
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        build_simulator("vector")
+from repro.engine.array import ArraySimulator
+from repro.engine.kernels import event_sort_position
+from repro.errors import SimulationError
 
 
 def test_orders_by_time_then_priority_then_sequence():
@@ -201,7 +193,7 @@ def test_two_tracks_merge_by_time():
 
 
 # ----------------------------------------------------------------------
-# equivalence with the object engine
+# firing order against a plain sort by (time, priority, sequence)
 # ----------------------------------------------------------------------
 
 _schedule_ops = st.lists(
@@ -214,36 +206,43 @@ _schedule_ops = st.lists(
 )
 
 
+def expected_order(ops):
+    """Indices sorted by ``(time, priority, sequence)``.
+
+    Every op is scheduled up front from ``now == 0`` in index order, so
+    its sequence number is its index and its firing time its delay.
+    """
+    return sorted(
+        range(len(ops)),
+        key=lambda i: event_sort_position(round(ops[i][0], 1), ops[i][1], i),
+    )
+
+
+def schedule_all(sim, ops, trace):
+    for index, (delay, priority) in enumerate(ops):
+        sim.schedule(round(delay, 1), trace.append, index, priority=priority)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_schedule_ops)
-def test_firing_order_matches_object_engine(ops):
+def test_firing_order_is_time_priority_sequence(ops):
     # Low-resolution times force heavy same-instant collisions, the case
-    # where bucketed dispatch could diverge from the reference heap.
-    traces = []
-    for sim in (Simulator(), ArraySimulator()):
-        trace = []
-        for index, (delay, priority) in enumerate(ops):
-            sim.schedule(
-                round(delay, 1), trace.append, index, priority=priority
-            )
-        sim.run()
-        traces.append(trace)
-    assert traces[0] == traces[1]
+    # where bucketed dispatch could diverge from the total order.
+    sim = ArraySimulator()
+    trace = []
+    schedule_all(sim, ops, trace)
+    sim.run()
+    assert trace == expected_order(ops)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_schedule_ops, st.integers(min_value=1, max_value=8))
-def test_chunked_run_matches_object_engine(ops, chunk):
+def test_chunked_run_fires_in_time_priority_sequence_order(ops, chunk):
     # Repeated bounded runs (the run_scenario idiom) must fire the same
     # order as one unbounded run, including mid-bucket suspensions.
-    traces = []
-    for sim in (Simulator(), ArraySimulator()):
-        trace = []
-        for index, (delay, priority) in enumerate(ops):
-            sim.schedule(
-                round(delay, 1), trace.append, index, priority=priority
-            )
-        while sim.pending_events:
-            sim.run(max_events=chunk)
-        traces.append(trace)
-    assert traces[0] == traces[1]
+    sim = ArraySimulator()
+    trace = []
+    schedule_all(sim, ops, trace)
+    while sim.pending_events:
+        sim.run(max_events=chunk)
+    assert trace == expected_order(ops)

@@ -5,8 +5,8 @@ deterministic lowest-first slot assignment, release/reuse, doubling
 growth with occupied slots preserved in place, and the error paths —
 plus the structural eligibility rules of
 :func:`~repro.engine.shadow_pool.maybe_install_fast_path` (the fused
-driver must install exactly when the binding is an array-engine SCC
-protocol with no hook overrides and infinite resources).  Behavioural
+driver must install exactly when the binding is an SCC protocol with
+no hook overrides and infinite resources).  Behavioural
 parity of the installed driver lives in ``test_shadow_pool_parity.py``.
 """
 
@@ -21,18 +21,18 @@ from repro.engine.shadow_pool import (
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.stats import MetricsCollector
+from repro.protocols.registry import available_protocols, protocol_spec
 from repro.system.model import RTDBSystem
 from repro.system.resources import FiniteResources
 
 
-def make_system(protocol=None, engine="array", resources=None):
+def make_system(protocol=None, resources=None):
     return RTDBSystem(
         protocol=protocol or SCC2S(),
         num_pages=32,
         resources=resources,
         metrics=MetricsCollector(warmup_commits=0),
         record_history=False,
-        engine=engine,
     )
 
 
@@ -136,9 +136,14 @@ def test_fast_path_installs_on_the_array_engine():
     assert system.protocol.commit_transaction.__self__ is driver
 
 
-def test_fast_path_skips_the_object_engine():
-    system = make_system(engine="object")
-    assert getattr(system.protocol, "fast_path", None) is None
+@pytest.mark.parametrize("name", available_protocols())
+def test_fast_path_installs_for_exactly_the_scc_families(name):
+    # SCC variants specialize only coverage policy and termination, so
+    # every shipped one takes the fused driver by default; no other
+    # family does.
+    system = make_system(protocol=protocol_spec(name)())
+    installed = getattr(system.protocol, "fast_path", None) is not None
+    assert installed == name.startswith("scc-")
 
 
 def test_fast_path_skips_finite_resources():

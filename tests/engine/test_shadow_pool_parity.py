@@ -1,8 +1,9 @@
 """Bit-identity of the fused shadow-pool path under adversarial schedules.
 
-The fast path's contract is that summaries equal the object engine's
-``==`` — not approximately — on *every* workload, so these sweeps aim at
-the schedules most likely to expose an ordering or state-mirroring bug:
+The fast path's contract is that summaries equal the generic SCC step
+loop's ``==`` — not approximately — on *every* workload, so these sweeps
+aim at the schedules most likely to expose an ordering or
+state-mirroring bug:
 
 * bursts of transactions arriving at literally the same instant (the
   bucketed dispatch drains them as one cohort, and slot assignment,
@@ -15,7 +16,13 @@ the schedules most likely to expose an ordering or state-mirroring bug:
 * hypothesis-generated schedules mixing all of the above.
 
 Workloads are hand-built specs (no RNG), loaded into directly constructed
-systems so the exact same transaction list drives both engines.
+systems so the exact same transaction list drives both step loops.  The
+oracle run passes a subclass of
+:class:`~repro.system.resources.InfiniteResources`:
+:func:`~repro.engine.shadow_pool.maybe_install_fast_path` requires
+exactly that class, so the subclass keeps the generic loop with the same
+service semantics.  The fixed burst is also held against the frozen
+engine reference for every registered protocol.
 """
 
 import dataclasses
@@ -26,80 +33,54 @@ from hypothesis import strategies as st
 
 from repro.core.scc_base import SCCProtocolBase
 from repro.engine.shadow_pool import maybe_install_fast_path
-from repro.metrics.stats import MetricsCollector
 from repro.protocols.registry import available_protocols, protocol_spec
-from repro.system.model import RTDBSystem
-from repro.txn.spec import Step, TransactionSpec
-from repro.values.classes import TransactionClass
-
-NUM_PAGES = 24
-
-BURST_CLASS = TransactionClass(
-    name="burst",
-    num_steps=4,
-    write_probability=0.25,
-    slack_factor=8.0,
+from repro.system.resources import InfiniteResources
+from tests.golden.golden_common import (
+    ADVERSARIAL_BURST,
+    BURST_PAGES,
+    build_burst_specs,
+    burst_system,
+    load_engine_reference,
+    run_burst_summary,
 )
 
-
-def build_specs(schedule):
-    """Materialize ``(arrival, ((page, is_write), ...))`` rows as specs."""
-    return [
-        TransactionSpec.build(
-            txn_id=txn_id,
-            arrival=arrival,
-            steps=[Step(page, is_write) for page, is_write in steps],
-            txn_class=BURST_CLASS,
-            step_duration=0.006,
-        )
-        for txn_id, (arrival, steps) in enumerate(schedule)
-    ]
+BURSTS = load_engine_reference()["bursts"]
 
 
-def run_schedule(protocol_name, schedule, engine, capacity=None):
-    """Run a hand-built schedule on one engine; return (summary, protocol)."""
+class _Generic(InfiniteResources):
+    """Infinite resources the fused driver does not recognize."""
+
+
+def run_schedule(protocol_name, schedule, generic, capacity=None):
+    """Run a hand-built schedule on one step loop; return (summary, protocol)."""
     protocol = protocol_spec(protocol_name)()
-    system = RTDBSystem(
-        protocol=protocol,
-        num_pages=NUM_PAGES,
-        metrics=MetricsCollector(warmup_commits=0),
-        record_history=False,
-        engine=engine,
-    )
-    if capacity is not None and engine == "array":
+    resources = _Generic(cpu_time=0.001, io_time=0.005) if generic else None
+    system = burst_system(protocol, resources=resources)
+    if capacity is not None and not generic:
         assert maybe_install_fast_path(protocol, system, capacity=capacity)
-    system.load_workload(build_specs(schedule))
+    system.load_workload(build_burst_specs(schedule))
     system.run()
     return dataclasses.asdict(system.metrics.summary()), protocol
 
 
 def assert_parity(protocol_name, schedule, capacity=None):
-    obj_summary, _ = run_schedule(protocol_name, schedule, "object")
-    arr_summary, protocol = run_schedule(
-        protocol_name, schedule, "array", capacity=capacity
+    fused_summary, protocol = run_schedule(
+        protocol_name, schedule, generic=False, capacity=capacity
     )
-    assert obj_summary == arr_summary
-    # The sweep must exercise the vectorized path, not fall back to the
-    # generic loop: every shipped SCC variant is eligible.
-    if isinstance(protocol, SCCProtocolBase):
-        assert protocol.fast_path is not None
-    return arr_summary, protocol
-
-
-# Three same-instant waves over a hot page set: wave 0 is a 6-transaction
-# simultaneous burst on overlapping read/write programs, wave 1 lands
-# while wave 0's shadows are mid-flight, wave 2 arrives as wave 1 commits.
-ADVERSARIAL_BURST = (
-    [(0.0, ((0, True), (1, False), (2, False))) for _ in range(3)]
-    + [(0.0, ((1, True), (0, False), (3, False))) for _ in range(3)]
-    + [(0.02, ((0, False), (1, True), (2, True))) for _ in range(4)]
-    + [(0.15, ((2, False), (3, True), (0, False))) for _ in range(4)]
-)
+    generic_summary, oracle = run_schedule(protocol_name, schedule, generic=True)
+    # The sweep must exercise the vectorized path against the generic
+    # loop, not compare one loop with itself.
+    assert getattr(protocol, "fast_path", None) is not None
+    assert getattr(oracle, "fast_path", None) is None
+    assert fused_summary == generic_summary
+    return fused_summary, protocol
 
 
 @pytest.mark.parametrize("protocol", available_protocols())
 def test_every_protocol_bit_identical_on_same_instant_bursts(protocol):
-    assert_parity(protocol, ADVERSARIAL_BURST)
+    assert run_burst_summary(protocol) == BURSTS[protocol]
+    if isinstance(protocol_spec(protocol)(), SCCProtocolBase):
+        assert_parity(protocol, ADVERSARIAL_BURST)
 
 
 def test_burst_larger_than_pool_grows_and_stays_identical():
@@ -107,7 +88,7 @@ def test_burst_larger_than_pool_grows_and_stays_identical():
     # every slot is claimed inside one bucket drain, the pool doubles
     # (16 -> 32 -> 64 -> 128) mid-drain, and results must not move.
     schedule = [
-        (0.0, ((txn % NUM_PAGES, txn % 4 == 0), ((txn + 7) % NUM_PAGES, False)))
+        (0.0, ((txn % BURST_PAGES, txn % 4 == 0), ((txn + 7) % BURST_PAGES, False)))
         for txn in range(80)
     ]
     summary, protocol = assert_parity("scc-2s", schedule, capacity=16)
@@ -163,7 +144,7 @@ def adversarial_schedules(draw):
 @settings(max_examples=25, deadline=None)
 @given(
     schedule=adversarial_schedules(),
-    protocol=st.sampled_from(["scc-2s", "scc-ks", "scc-vw", "2pl-pa"]),
+    protocol=st.sampled_from(["scc-2s", "scc-ks", "scc-vw"]),
 )
 def test_parity_holds_on_arbitrary_same_instant_schedules(schedule, protocol):
     assert_parity(protocol, schedule)

@@ -1,13 +1,18 @@
-"""Unit tests for the simulator loop."""
+"""Unit tests for the simulator loop: clock, bounds, cancellation, re-entrancy.
+
+The public scheduling contract of :class:`~repro.engine.array.ArraySimulator`;
+its bucketed same-instant dispatch and arrival tracks are covered in
+``test_array_simulator.py``.
+"""
 
 import pytest
 
-from repro.engine.simulator import Simulator
+from repro.engine.array import ArraySimulator
 from repro.errors import SimulationError
 
 
 def test_run_advances_clock_and_fires_in_order():
-    sim = Simulator()
+    sim = ArraySimulator()
     trace = []
     sim.schedule(2.0, lambda: trace.append(("b", sim.now)))
     sim.schedule(1.0, lambda: trace.append(("a", sim.now)))
@@ -18,7 +23,7 @@ def test_run_advances_clock_and_fires_in_order():
 
 
 def test_events_can_schedule_more_events():
-    sim = Simulator()
+    sim = ArraySimulator()
     trace = []
 
     def chain(n):
@@ -32,19 +37,19 @@ def test_events_can_schedule_more_events():
 
 
 def test_negative_delay_rejected():
-    sim = Simulator()
+    sim = ArraySimulator()
     with pytest.raises(SimulationError):
         sim.schedule(-0.1, lambda: None)
 
 
 def test_nan_delay_rejected():
-    sim = Simulator()
+    sim = ArraySimulator()
     with pytest.raises(SimulationError):
         sim.schedule(float("nan"), lambda: None)
 
 
 def test_schedule_at_rejects_past():
-    sim = Simulator()
+    sim = ArraySimulator()
     sim.schedule(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
@@ -52,7 +57,7 @@ def test_schedule_at_rejects_past():
 
 
 def test_run_until_stops_and_advances_clock():
-    sim = Simulator()
+    sim = ArraySimulator()
     fired = []
     sim.schedule(1.0, fired.append, 1)
     sim.schedule(5.0, fired.append, 5)
@@ -64,7 +69,7 @@ def test_run_until_stops_and_advances_clock():
 
 
 def test_run_max_events_bound():
-    sim = Simulator()
+    sim = ArraySimulator()
     fired = []
     for i in range(10):
         sim.schedule(float(i + 1), fired.append, i)
@@ -74,7 +79,7 @@ def test_run_max_events_bound():
 
 
 def test_cancel_pending_event():
-    sim = Simulator()
+    sim = ArraySimulator()
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
     sim.cancel(handle)
@@ -83,7 +88,7 @@ def test_cancel_pending_event():
 
 
 def test_run_is_not_reentrant():
-    sim = Simulator()
+    sim = ArraySimulator()
 
     def reenter():
         with pytest.raises(SimulationError):
@@ -94,7 +99,7 @@ def test_run_is_not_reentrant():
 
 
 def test_step_fires_single_event():
-    sim = Simulator()
+    sim = ArraySimulator()
     fired = []
     sim.schedule(1.0, fired.append, "a")
     sim.schedule(2.0, fired.append, "b")
@@ -106,7 +111,7 @@ def test_step_fires_single_event():
 
 
 def test_zero_delay_event_fires_at_now():
-    sim = Simulator()
+    sim = ArraySimulator()
     times = []
     sim.schedule(1.0, lambda: sim.schedule(0.0, lambda: times.append(sim.now)))
     sim.run()

@@ -1,11 +1,14 @@
-"""Object-vs-array engine parity of the telemetry streams.
+"""Telemetry streams against the frozen engine reference.
 
-The acceptance criterion for the tracing subsystem: both engines emit the
+The acceptance criterion for the tracing subsystem: a cell emits the
 *identical* typed event stream — same kinds, same simulated times, same
-lane numbering, same payloads — because the emission points live in
-shared protocol/system code and the engines fire callbacks in the same
-total order.  The suite also pins the counter registry and the golden
-determinism invariant (tracing must not perturb results).
+lane numbering, same payloads — that the original object engine emitted
+before it was removed, because the emission points live in shared
+protocol/system code and events fire in the same total order.
+``tests/golden/engine_reference.json`` holds, per traced cell, the
+sha256 of the stream's canonical JSON plus the cell's counters and
+gauges.  The suite also pins lane numbering and the golden determinism
+invariant (tracing must not perturb results).
 """
 
 import dataclasses
@@ -13,50 +16,54 @@ import dataclasses
 import pytest
 
 from repro.experiments.runner import run_instrumented, run_once
-from repro.protocols.registry import protocol_spec
+from repro.protocols.registry import available_protocols, protocol_spec
 from repro.telemetry.tracer import MemoryTracer, NullTracer
-from repro.workloads.scenarios import get_scenario
-
-SCALE = dict(
-    num_transactions=100,
-    warmup_commits=10,
-    replications=1,
-    check_serializability=False,
+from tests.golden.golden_common import (
+    cell_config,
+    cell_key,
+    load_engine_reference,
+    run_cell_trace,
 )
+
+TRACES = load_engine_reference()["traces"]
 
 SCENARIOS = ("paper-baseline", "flash-sale-hotspot")
 PROTOCOLS = ("scc-2s", "scc-vw", "2pl-pa")
 
 
-def traced_run(scenario, protocol, engine, rate=120.0):
-    config = get_scenario(scenario).to_config(**SCALE)
+def traced_run(scenario, protocol, rate=120.0):
     tracer = MemoryTracer()
     summary, telemetry = run_instrumented(
-        protocol_spec(protocol), config, arrival_rate=rate,
-        engine=engine, tracer=tracer,
+        protocol_spec(protocol), cell_config("trace-parity", scenario),
+        arrival_rate=rate, tracer=tracer,
     )
     return summary, telemetry, tracer
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_trace_streams_bit_identical_across_engines(scenario, protocol):
-    runs = [traced_run(scenario, protocol, engine)
-            for engine in ("object", "array")]
-    (obj_summary, obj_tel, obj_tracer), (arr_summary, arr_tel, arr_tracer) = runs
-    assert obj_tracer.dicts() == arr_tracer.dicts()
-    assert obj_tracer.events  # the parity must not be vacuous
-    assert obj_summary == arr_summary
-    # Counters derive from the same emission points, so they must agree;
-    # wall_clock is host time and events_fired/peak depth are engine
-    # mechanics, so only the lifecycle portion is parity-gated.
-    assert obj_tel["counters"] == arr_tel["counters"]
-    assert obj_tel["gauges"] == arr_tel["gauges"]
+def test_trace_streams_match_frozen_reference(scenario, protocol):
+    current = run_cell_trace("trace-parity", scenario, protocol, 120.0, 0)
+    expected = TRACES["trace-parity"][cell_key(scenario, protocol, 120.0, 0)]
+    assert current["events"] > 0  # the comparison must not be vacuous
+    # Counters derive from the same emission points; wall_clock is host
+    # time, so only the lifecycle portion is recorded.
+    assert current == expected
+
+
+@pytest.mark.parametrize("protocol", available_protocols())
+def test_telemetry_smoke_traces_match_frozen_reference(protocol):
+    current = run_cell_trace(
+        "telemetry-smoke", "paper-baseline", protocol, 140.0, 0
+    )
+    key = cell_key("paper-baseline", protocol, 140.0, 0)
+    assert current["events"] > 0
+    assert current == TRACES["telemetry-smoke"][key]
 
 
 @pytest.mark.parametrize("protocol", ("scc-2s", "scc-vw"))
 def test_scc_traces_cover_the_speculation_machinery(protocol):
-    _, _, tracer = traced_run("flash-sale-hotspot", protocol, "object")
+    _, _, tracer = traced_run("flash-sale-hotspot", protocol)
     kinds = {event.kind for event in tracer.events}
     assert {"txn_start", "step_complete", "commit", "shadow_fork"} <= kinds
     forks = [e for e in tracer.events if e.kind == "shadow_fork"]
@@ -64,8 +71,8 @@ def test_scc_traces_cover_the_speculation_machinery(protocol):
 
 
 def test_lanes_are_run_local_and_zero_based():
-    _, _, first = traced_run("paper-baseline", "scc-2s", "object")
-    _, _, second = traced_run("paper-baseline", "scc-2s", "object")
+    _, _, first = traced_run("paper-baseline", "scc-2s")
+    _, _, second = traced_run("paper-baseline", "scc-2s")
     # Execution serials are process-global and keep counting between the
     # two runs; lane normalization must hide that entirely.
     assert first.dicts() == second.dicts()
@@ -74,17 +81,12 @@ def test_lanes_are_run_local_and_zero_based():
     assert lanes == list(range(len(lanes)))
 
 
-@pytest.mark.parametrize("engine", ("object", "array"))
-def test_tracing_never_perturbs_results(engine):
-    config = get_scenario("paper-baseline").to_config(**SCALE)
+def test_tracing_never_perturbs_results():
+    config = cell_config("trace-parity", "paper-baseline")
     spec = protocol_spec("scc-2s")
-    plain = run_once(spec, config, arrival_rate=140.0, engine=engine)
-    with_null = run_once(
-        spec, config, arrival_rate=140.0, engine=engine, tracer=NullTracer(),
-    )
-    traced_summary, _, _ = traced_run(
-        "paper-baseline", "scc-2s", engine, rate=140.0,
-    )
+    plain = run_once(spec, config, arrival_rate=140.0)
+    with_null = run_once(spec, config, arrival_rate=140.0, tracer=NullTracer())
+    traced_summary, _, _ = traced_run("paper-baseline", "scc-2s", rate=140.0)
     assert dataclasses.asdict(plain) == dataclasses.asdict(with_null)
     # traced_run uses rate=140 here to compare against the same cell.
     assert dataclasses.asdict(plain) == dataclasses.asdict(traced_summary)

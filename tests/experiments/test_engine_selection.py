@@ -1,23 +1,28 @@
-"""Engine selection plumbing: spec field, CLI flag, fingerprint neutrality.
+"""The retired engine choice: old specs still load, new ones carry no key.
 
-Engines are bit-identical by contract (see the parity and golden-array
-suites), so the engine choice is *execution policy*: it must round-trip
-through the spec JSON, be validated early, be overridable at run time —
-and it must never leak into result identity.  A store populated under
-one engine has to serve the other without recomputing a single cell.
+Every run uses the one simulation engine, so nothing selects an engine
+any more.  Specs saved while the choice existed — and gateway board
+payloads, which embed the spec — carry ``"engine": null`` (or
+``"array"``), so those values still load and are dropped.  A spec asking
+for the removed object engine is refused with a
+:class:`~repro.errors.ConfigurationError`, which is a gateway 400 and a
+one-line ``repro run`` error; the CLI no longer has an ``--engine``
+flag.  Engine choice never entered result identity, so stores written
+under either engine keep serving cells.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.cli import main as cli_main
 from repro.experiments.config import baseline_config
-from repro.experiments.runner import run_sweep
-from repro.experiments.spec import Experiment, ExperimentSpec
+from repro.experiments.spec import ExperimentSpec
 from repro.results.fingerprint import config_payload
-from repro.results.store import RunStore
+
+CI_SMOKE = Path(__file__).resolve().parents[2] / "specs" / "ci-smoke.json"
 
 SMALL = baseline_config(
     num_transactions=80,
@@ -27,83 +32,46 @@ SMALL = baseline_config(
     check_serializability=False,
 )
 
-
-# ----------------------------------------------------------------------
-# ExperimentSpec field
-# ----------------------------------------------------------------------
-
-
-def test_engine_round_trips_through_json():
-    spec = ExperimentSpec.create(["scc-2s"], engine="array")
-    rebuilt = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    assert rebuilt.engine == "array"
-    assert rebuilt == spec
-
-
-def test_engine_defaults_to_none_and_stays_out_of_the_payload():
-    spec = ExperimentSpec.create(["scc-2s"])
-    assert spec.engine is None
-    assert "engine" not in {
-        k for k, v in spec.to_dict().items() if v is None
-    } or spec.to_dict().get("engine") is None
-
-
-def test_unknown_engine_rejected_at_construction():
-    with pytest.raises(ConfigurationError, match="engine"):
-        ExperimentSpec.create(["scc-2s"], engine="vector")
-
-
-def test_builder_sets_engine_and_from_spec_copies_it():
-    spec = Experiment.baseline().protocols("scc-2s").engine("array").build()
-    assert spec.engine == "array"
-    derived = Experiment.from_spec(spec).build()
-    assert derived.engine == "array"
-
-
-def test_spec_run_engine_kwarg_overrides_spec_field():
-    spec = ExperimentSpec.create(
-        ["scc-2s"],
-        arrival_rates=(60.0,),
-        num_transactions=80,
-        warmup_commits=8,
-        replications=1,
-        engine="object",
-    )
-    via_field = spec.run()
-    via_override = spec.run(engine="array")
-    assert (
-        via_field["SCC-2S"].replications
-        == via_override["SCC-2S"].replications
-    )
-
-
-# ----------------------------------------------------------------------
-# CLI flag
-# ----------------------------------------------------------------------
-
-
-def test_cli_engine_flag_is_bit_identical(capsys):
-    args = ["fig13a", "--transactions", "80",
-            "--replications", "1", "--rates", "100"]
-    outputs = []
-    for engine_args in ([], ["--engine", "array"]):
-        assert cli_main(args + engine_args) == 0
-        outputs.append(capsys.readouterr().out)
-    # Identical tables modulo the trailing wall-clock status line, which
-    # is timing-dependent (same idiom as the store/executor CLI tests).
-    strip = lambda text: [l for l in text.splitlines() if not l.startswith("[")]
-    assert strip(outputs[0]) == strip(outputs[1])
-
-
-def test_cli_rejects_unknown_engine(capsys):
-    with pytest.raises(SystemExit):
-        cli_main(["fig13a", "--engine", "vector"])
-    assert "invalid choice" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# fingerprint neutrality
-# ----------------------------------------------------------------------
+#: ``ExperimentSpec.load("specs/ci-smoke.json").to_json()`` as written
+#: while specs still carried the engine choice.
+CI_SMOKE_WITH_ENGINE = """{
+  "arrival_rates": [
+    60.0,
+    140.0
+  ],
+  "engine": null,
+  "executor": null,
+  "num_transactions": 200,
+  "protocols": [
+    {
+      "family": "scc-ks",
+      "params": {
+        "k": 3,
+        "replacement": "lbfo"
+      }
+    },
+    {
+      "family": "occ-bc",
+      "params": {}
+    },
+    {
+      "family": "wait-50",
+      "params": {
+        "wait_threshold": 0.25
+      }
+    }
+  ],
+  "replications": 2,
+  "scenario": "flash-sale-hotspot",
+  "scenario_def": null,
+  "schema": 1,
+  "seed": null,
+  "store": null,
+  "store_backend": null,
+  "telemetry": null,
+  "warmup_commits": 20,
+  "workers": null
+}"""
 
 
 def test_config_payload_carries_no_engine_key():
@@ -111,20 +79,44 @@ def test_config_payload_carries_no_engine_key():
     assert "engine" not in payload
 
 
-def test_store_populated_under_object_serves_array(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    cold = run_sweep({"SCC-2S": "scc-2s"}, SMALL, store=path, engine="object")
-    assert len(RunStore(path)) == 1
-    # Same grid under the array engine: every cell must come from the
-    # store (record count unchanged), with bit-identical summaries.
-    warm = run_sweep({"SCC-2S": "scc-2s"}, SMALL, store=path, engine="array")
-    assert len(RunStore(path)) == 1
-    assert warm["SCC-2S"].replications == cold["SCC-2S"].replications
+def test_spec_saved_with_engine_null_loads():
+    spec = ExperimentSpec.from_json(CI_SMOKE_WITH_ENGINE)
+    assert spec == ExperimentSpec.load(CI_SMOKE)
+    assert "engine" not in spec.to_dict()
 
 
-def test_store_populated_under_array_serves_object(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    cold = run_sweep({"SCC-2S": "scc-2s"}, SMALL, store=path, engine="array")
-    warm = run_sweep({"SCC-2S": "scc-2s"}, SMALL, store=path)
-    assert len(RunStore(path)) == 1
-    assert warm["SCC-2S"].replications == cold["SCC-2S"].replications
+def test_engine_array_is_accepted_and_dropped():
+    payload = ExperimentSpec.create(["scc-2s"]).to_dict()
+    spec = ExperimentSpec.from_dict({**payload, "engine": "array"})
+    assert spec == ExperimentSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize("engine", ["object", "vector", 1])
+def test_other_engines_are_refused(engine):
+    payload = ExperimentSpec.create(["scc-2s"]).to_dict()
+    with pytest.raises(ConfigurationError, match="object engine was removed"):
+        ExperimentSpec.from_dict({**payload, "engine": engine})
+
+
+def test_run_refuses_an_object_engine_spec_in_one_line(tmp_path):
+    path = tmp_path / "spec.json"
+    payload = json.loads(CI_SMOKE_WITH_ENGINE)
+    path.write_text(json.dumps({**payload, "engine": "object"}))
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["run", str(path)])
+    message = str(excinfo.value)
+    assert message.startswith("scc-experiments: error: ")
+    assert "object engine was removed" in message
+    assert "\n" not in message
+
+
+def test_cli_rejects_unknown_engine(capsys):
+    # The --engine flag went with the choice: any value is an
+    # unrecognized argument, on figure commands and on ``run`` alike.
+    for args in (
+        ["fig13a", "--engine", "vector"],
+        ["run", str(CI_SMOKE), "--engine", "array"],
+    ):
+        with pytest.raises(SystemExit):
+            cli_main(args)
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err

@@ -91,6 +91,16 @@ class TestSubmit:
             assert f"{named!r} must be" in response.body["error"], fields
         assert app.list_experiments() == []
 
+    def test_object_engine_spec_is_a_400(self, make_app):
+        app = make_app()
+        body = json.dumps({**tiny_spec_dict(), "engine": "object"}).encode()
+        response = dispatch(
+            app, Request(method="POST", path="/experiments", body=body)
+        )
+        assert response.status == 400
+        assert "object engine was removed" in response.body["error"]
+        assert app.list_experiments() == []
+
     def test_unknown_experiment_raises(self, make_app):
         app = make_app()
         with pytest.raises(UnknownExperiment):
@@ -346,6 +356,35 @@ class TestRecovery:
             assert counts["pending"] == 0 and counts["claimed"] == 0
         finally:
             second.close()
+
+    def test_orphan_spec_with_engine_null_is_adopted(self, tmp_path):
+        from repro.experiments.distributed import JobBoard
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        board = JobBoard(workdir / "board.sqlite")
+        # A board persisted while specs still carried the engine choice.
+        board.add(0, {"experiment": "cafef00d", "client": "alice",
+                      "fingerprint": "ee" * 16,
+                      "cell": {"index": 0, "protocol": "SCC-2S",
+                               "rate_index": 0, "arrival_rate": 60.0,
+                               "replication": 0},
+                      "spec": {**tiny_spec_dict(), "engine": None}})
+        board.close()
+        app = GatewayApp(
+            store=str(tmp_path / "store.jsonl"), workers=1,
+            workdir=str(workdir),
+        )
+        try:
+            recovered = app.status("cafef00d")
+            assert recovered["client"] == "alice"
+            assert wait_done(app, "cafef00d") == "done"
+            with app._lock:
+                counts = app._board.counts()
+            assert counts["failed"] == 0
+            assert counts["pending"] == 0 and counts["claimed"] == 0
+        finally:
+            app.close()
 
     def test_undecodable_orphan_payloads_are_failed_not_spun(self, tmp_path):
         from repro.experiments.distributed import JobBoard
