@@ -39,6 +39,10 @@ class TerminationPolicy(ABC):
             raise ProtocolError("termination policy already bound")
         self._protocol = protocol
 
+    def unbind(self) -> None:
+        """Detach from the owning protocol (the inverse of :meth:`bind`)."""
+        self._protocol = None
+
     @property
     def protocol(self) -> "SCCProtocolBase":
         """The owning protocol."""

@@ -157,6 +157,14 @@ class SCCProtocolBase(CCProtocol):
 
         maybe_install_fast_path(self, system)
 
+    def unbind(self) -> None:
+        """Detach from the system; the released driver stays as ``fast_path``."""
+        driver = getattr(self, "fast_path", None)
+        if driver is not None:
+            driver.release()
+        self._termination.unbind()
+        super().unbind()
+
     #: Observer kinds that map onto SCC-specific trace events.  The
     #: remaining kinds ("block", "finish", "commit") are already traced
     #: at the base-protocol/system layer and are *not* re-emitted here.

@@ -346,6 +346,18 @@ class ArraySimulator:
             self._cancelled.add(sequence)
             self._live -= 1
 
+    def clear(self) -> None:
+        """Drop every pending event, straggler, cancellation and arrival track.
+
+        Emptied in place: a fused step driver holds these containers.
+        """
+        self._times.clear()
+        self._buckets.clear()
+        self._stragglers.clear()
+        self._tracks.clear()
+        self._cancelled.clear()
+        self._live = 0
+
     def _next_track_time(self) -> Optional[float]:
         """Earliest pending track time, pruning exhausted tracks."""
         tracks = self._tracks

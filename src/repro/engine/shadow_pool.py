@@ -372,6 +372,22 @@ class FusedSCCStepDriver:
         # schedule).  Built last: it captures everything above.
         self._complete_cb = self._build_complete_step()
 
+    def release(self) -> None:
+        """Uninstall from the protocol and drop every handle on the run.
+
+        Undoes :func:`maybe_install_fast_path` and empties the completion
+        closure, which schedules itself and captures protocol bound
+        methods; both are reference cycles.  The driver cannot step again.
+        """
+        protocol = self._protocol
+        if protocol is None:
+            return
+        for name in ("_advance", "_complete_step", "on_arrival", "commit_transaction"):
+            del protocol.__dict__[name]
+        for cell in self._complete_cb.__closure__:
+            del cell.cell_contents
+        self._protocol = self._system = self._complete_cb = None
+
     # ------------------------------------------------------------------
     # arrival / departure (cold; pool slot lifecycle rides along)
     # ------------------------------------------------------------------

@@ -173,19 +173,23 @@ def run_instrumented(
         record_history=config.check_serializability,
         tracer=tracer,
     )
-    started = time.perf_counter()
-    streams = RandomStreams(config.seed).spawn(replication)
-    tensors = WorkloadTensors.from_config(config, arrival_rate, streams)
-    system.load_workload(tensors.materialize())
-    system.run()
-    wall_clock = time.perf_counter() - started
-    if config.check_serializability and system.history is not None:
-        if not check_serializable(system.history):
-            raise InvariantViolation(
-                f"{system.protocol.name} produced a non-serializable history "
-                f"at rate {arrival_rate}"
-            )
-    return system.metrics.summary(), run_telemetry(system, wall_clock)
+    try:
+        started = time.perf_counter()
+        streams = RandomStreams(config.seed).spawn(replication)
+        tensors = WorkloadTensors.from_config(config, arrival_rate, streams)
+        system.load_workload(tensors.materialize())
+        system.run()
+        wall_clock = time.perf_counter() - started
+        if config.check_serializability and system.history is not None:
+            if not check_serializable(system.history):
+                raise InvariantViolation(
+                    f"{system.protocol.name} produced a non-serializable history "
+                    f"at rate {arrival_rate}"
+                )
+        return system.metrics.summary(), run_telemetry(system, wall_clock)
+    finally:
+        # Reference counting then frees the cell as it ends (or raises).
+        system.close()
 
 
 def run_once(

@@ -32,9 +32,10 @@ __all__ = ["GatewayServer", "serve"]
 
 _log = get_logger("gateway")
 
-#: Parser guard rails: maximum header block and body sizes (bytes).
+#: Parser guard rails: maximum header block and body sizes (bytes).  A
+#: spec is a few KB; 1 MiB fits an inline trace of ~50k timestamps.
 MAX_HEADER_BYTES = 64 * 1024
-MAX_BODY_BYTES = 64 * 1024 * 1024
+MAX_BODY_BYTES = 1024 * 1024
 
 #: How often the event stream polls the app for news (seconds).
 STREAM_POLL_SECONDS = 0.02
@@ -164,9 +165,14 @@ class GatewayServer:
         for line in lines[1:]:
             if ":" in line:
                 name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
+                headers[name.strip().lower()] = value.strip(" \t")
+        # 1*DIGIT only: int() also takes "1_0" and padding, raises on the
+        # rest, and refuses strings of over 4300 digits.
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()) or len(declared) > 16:
+            return None
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
         return Request(

@@ -26,7 +26,8 @@ the step service time, and the subclass hook methods), and per-step
 re-derivation of program length (cached on the execution).  The hook
 methods are resolved once at ``bind`` time, so protocols must override
 them in the class body, not by assigning instance attributes after
-binding.
+binding.  ``unbind`` drops those handles (reference cycles, like the
+system back-reference) when the run closes.
 
 State transitions themselves live in :mod:`repro.engine.kernels` — pure
 functions shared with the fused shadow-pool driver
@@ -249,6 +250,17 @@ class CCProtocol(ABC):
         # is installed.
         self._tracer = getattr(system, "tracer", None)
         self._cache_hook_handles()
+
+    def unbind(self) -> None:
+        """Detach from the system, undoing :meth:`bind` (each handle is a cycle).
+
+        Subclasses that store back-references, their own bound methods
+        or closures in ``bind`` drop them here too.
+        """
+        self.system = None
+        self._resources = None
+        self._tracer = None
+        self._before_step = self._after_step = self._on_finished = None
 
     def _require_system(self) -> "RTDBSystem":
         if self.system is None:

@@ -248,3 +248,12 @@ class RTDBSystem:
                 f"simulation drained with {len(stuck)} live transactions: "
                 f"{stuck[:10]}"
             )
+
+    def close(self) -> None:
+        """Break the run's reference cycles so reference counting frees it.
+
+        Queued events and the protocol's ``bind`` handles point back at
+        the system.  Call once the results are read; it cannot run again.
+        """
+        self.sim.clear()
+        self.protocol.unbind()

@@ -5,15 +5,21 @@ store contents bit-identical to ``spec.run`` of the same spec;
 overlapping concurrent submissions from different clients share
 fingerprinted cells (observable as ``cached=true`` on the event stream)
 and never duplicate records in either store backend; an over-quota
-client gets 429 without disturbing others; a drain answers 503.
+client gets 429 without disturbing others; a drain answers 503; a
+malformed or over-cap ``Content-Length`` closes the connection before
+any body is read.
 """
 
+import json
+import logging
+import socket
 import threading
 
 import pytest
 
 from repro.experiments.spec import ExperimentSpec
 from repro.gateway import ClientQuotas, GatewayClient, GatewayError
+from repro.gateway.server import MAX_BODY_BYTES
 from repro.results import diff_records, open_store
 
 from tests.gateway.conftest import running_server, tiny_spec_dict
@@ -173,3 +179,66 @@ class TestDrainOverHttp:
             streamer.join(30)
         # The open stream terminated cleanly at the interrupted marker.
         assert stream_events[-1]["kind"] == "experiment_interrupted"
+
+
+class _ErrorRecords(logging.Handler):
+    """Collects ERROR records logged while attached to the gateway logger."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records = []
+
+    def emit(self, record) -> None:
+        self.records.append(record)
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes; return everything the server sends before closing.
+
+    A server still waiting for a body never closes, so the socket timeout
+    fails the caller instead of hanging it.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def submit_head(content_length: str) -> bytes:
+    return (
+        "POST /experiments HTTP/1.1\r\nHost: localhost\r\n"
+        f"X-Client: alice\r\nContent-Length: {content_length}\r\n\r\n"
+    ).encode("latin-1")
+
+
+class TestRequestLimits:
+    def test_body_cap_is_what_a_spec_needs(self):
+        assert MAX_BODY_BYTES == 1024 * 1024
+
+    def test_over_cap_length_closes_without_reading_the_body(self, make_app):
+        with running_server(make_app()) as server:
+            reply = raw_exchange(server.port, submit_head(str(MAX_BODY_BYTES + 1)))
+        assert reply == b""
+
+    @pytest.mark.parametrize("declared", ["abc", "1_0", "-1", "\xb2", ""])
+    def test_malformed_length_closes_cleanly(self, make_app, declared):
+        errors = _ErrorRecords()
+        logger = logging.getLogger("repro.gateway")
+        logger.addHandler(errors)
+        try:
+            with running_server(make_app()) as server:
+                reply = raw_exchange(server.port, submit_head(declared))
+        finally:
+            logger.removeHandler(errors)
+        assert reply == b""
+        assert [record.getMessage() for record in errors.records] == []
+
+    def test_valid_submit_still_accepted(self, make_app):
+        body = json.dumps(tiny_spec_dict()).encode()
+        with running_server(make_app()) as server:
+            reply = raw_exchange(server.port, submit_head(str(len(body))) + body)
+        assert reply.startswith(b"HTTP/1.1 202 ")

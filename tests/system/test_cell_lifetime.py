@@ -1,0 +1,168 @@
+"""A finished cell leaves no reference cycles behind.
+
+``run_instrumented`` closes its :class:`~repro.system.model.RTDBSystem`
+when the cell ends (or raises), so reference counting frees the whole
+run at once instead of leaving it for a full garbage collection.  Each
+case runs a cell with the cyclic collector disabled, then asks the
+collector what it would have had to reclaim: a ``repro`` object in that
+garbage is a back-reference that ``close``/``unbind`` missed, and the
+failure names its type.
+"""
+
+import collections
+import gc
+
+import pytest
+
+from repro.experiments.parallel import SweepCell, _execute_cell
+from repro.experiments.runner import run_instrumented
+from repro.protocols.registry import available_protocols, protocol_spec
+from repro.system.resources import FiniteResources, InfiniteResources
+from repro.telemetry.tracer import MemoryTracer
+from repro.workloads.scenarios import available_scenarios, get_scenario
+
+SCC_FAMILIES = ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-dc", "scc-vw"]
+RATE = 80.0
+
+
+class _Generic(InfiniteResources):
+    """Infinite resources the fused driver does not recognize.
+
+    The fused fast path installs only on exactly :class:`InfiniteResources`
+    (see ``tests/engine/test_engine_parity.py``), so this subclass keeps
+    the generic SCC step loop.
+    """
+
+
+class _FailingTracer(MemoryTracer):
+    """A tracer that raises from inside the event loop after ``LIMIT`` events.
+
+    The override is class-level: an instance attribute wrapping a bound
+    method would itself be a reference cycle.
+    """
+
+    __slots__ = ()
+    LIMIT = 300
+
+    def emit(self, *args, **kwargs):
+        if len(self.events) >= self.LIMIT:
+            raise RuntimeError("tracer failed mid-run")
+        super().emit(*args, **kwargs)
+
+
+def config(scenario="paper-baseline"):
+    return get_scenario(scenario).to_config(num_transactions=150, warmup_commits=10)
+
+
+def cell_runner(protocol, scenario="paper-baseline", resources=None, tracer=None):
+    """A no-argument callable running one cell, building everything fresh."""
+    cfg = config(scenario)
+
+    def run():
+        run_instrumented(
+            protocol_spec(protocol),
+            cfg,
+            arrival_rate=RATE,
+            resources=resources,
+            tracer=tracer() if tracer is not None else None,
+        )
+
+    return run
+
+
+def leaked(run):
+    """``repro`` types (with counts) the collector reclaims after ``run()``."""
+    run()  # warm-up: lazy imports and first-use caches
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return collections.Counter(
+            type(obj).__qualname__
+            for obj in gc.garbage
+            if (type(obj).__module__ or "").startswith("repro")
+        )
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def assert_freed(run):
+    types = leaked(run)
+    assert not types, f"cell left cyclic garbage: {dict(types.most_common(8))}"
+
+
+@pytest.mark.parametrize("protocol", available_protocols())
+def test_every_family_frees_its_cell(protocol):
+    cfg = config()
+    fused = []
+
+    def run():
+        built = []
+
+        def factory():
+            built.append(protocol_spec(protocol)())
+            return built[-1]
+
+        run_instrumented(factory, cfg, arrival_rate=RATE)
+        # Read and drop the protocol before collecting: holding it would
+        # keep a leaked graph reachable.
+        fused.append(getattr(built.pop(), "fast_path", None) is not None)
+
+    assert_freed(run)
+    # SCC families ran the fused driver, and it stays readable after close.
+    assert fused == [protocol.startswith("scc-")] * 2
+
+
+@pytest.mark.parametrize("protocol", SCC_FAMILIES)
+def test_generic_scc_loop_frees_its_cell(protocol):
+    resources = lambda cfg: _Generic(cpu_time=cfg.cpu_time, io_time=cfg.io_time)
+    assert_freed(cell_runner(protocol, resources=resources))
+
+
+@pytest.mark.parametrize("protocol", ["occ-bc", "2pl-pa"])
+def test_finite_resources_free_their_cell(protocol):
+    resources = lambda cfg: FiniteResources(
+        cpu_time=cfg.cpu_time, io_time=cfg.io_time, num_servers=4
+    )
+    assert_freed(cell_runner(protocol, resources=resources))
+
+
+@pytest.mark.parametrize("protocol", ["scc-2s", "occ-bc"])
+def test_traced_cell_frees_its_events(protocol):
+    assert_freed(cell_runner(protocol, tracer=MemoryTracer))
+
+
+@pytest.mark.parametrize("scenario", available_scenarios())
+def test_every_scenario_frees_its_cell(scenario):
+    assert_freed(cell_runner("scc-2s", scenario=scenario))
+
+
+@pytest.mark.parametrize("protocol", ["scc-2s", "scc-vw", "occ-bc"])
+def test_cell_that_raises_mid_run_frees_itself(protocol):
+    cfg = config()
+    cell = SweepCell(
+        index=0, protocol=protocol, rate_index=0, arrival_rate=RATE, replication=0
+    )
+    errors = []
+
+    def runner(cell):
+        return run_instrumented(
+            protocol_spec(cell.protocol),
+            cfg,
+            arrival_rate=cell.arrival_rate,
+            replication=cell.replication,
+            tracer=_FailingTracer(),
+        )
+
+    def run():
+        errors.append(_execute_cell(cell, runner).error)
+
+    assert_freed(run)
+    assert [error.exc_type for error in errors] == ["RuntimeError"] * 2
+    assert "tracer failed mid-run" in errors[0].message
