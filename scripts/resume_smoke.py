@@ -71,9 +71,9 @@ def run_interrupted(args: argparse.Namespace) -> int:
     kill_after = total // 2
     completed = 0
 
-    def on_progress(event) -> None:
+    def on_event(event) -> None:
         nonlocal completed
-        if event.kind != "completed":
+        if event.kind != "cell_completed":
             return
         completed += 1
         if completed >= kill_after:
@@ -82,7 +82,7 @@ def run_interrupted(args: argparse.Namespace) -> int:
             os._exit(KILL_EXIT_CODE)
 
     run_sweep(protocols, config, store=args.store,
-              store_backend=args.store_backend, on_progress=on_progress)
+              store_backend=args.store_backend, on_event=on_event)
     print("error: interrupted phase ran to completion without dying",
           file=sys.stderr)
     return 1
@@ -140,11 +140,11 @@ def main(argv=None) -> int:
 
     def count(event) -> None:
         nonlocal executed
-        if event.kind == "completed":
+        if event.kind == "cell_completed":
             executed += 1
 
     resumed = run_sweep(protocols, config, store=args.store,
-                        store_backend=args.store_backend, on_progress=count)
+                        store_backend=args.store_backend, on_event=count)
     print(f"      resume executed {executed} cells "
           f"(grid {total}, surviving {survived})")
     if executed != total - survived:

@@ -1,17 +1,18 @@
-"""CI spec-smoke gate: `repro run spec.json` == hand-built run_sweep.
+"""CI spec-smoke gate: `repro run spec.json` == hand-built protocols.
 
 Runs the committed experiment spec (``specs/ci-smoke.json``) end to end
-through the CLI's ``run`` command with ``--format json``, then runs the
-*same grid* through legacy :func:`repro.experiments.runner.run_sweep`
-with hand-constructed protocol factories and a hand-assembled scenario
+through the CLI's ``run`` command with ``--format json``, then re-runs
+every cell of the *same grid* with :func:`repro.experiments.runner.run_once`
+on hand-constructed protocol instances and a hand-assembled scenario
 config — the pre-spec idiom — and asserts every cell's summary is
 **bit-identical** between the two paths.
 
 This is the acceptance gate of the declarative experiment API: the
 ExperimentSpec facade is a pure re-description of the imperative path,
-never a behavioural fork.  It also exercises the protocol registry's
+never a behavioural fork.  It also proves the protocol registry's
 parameterized builds (``scc-ks?k=3``, ``wait-50?wait_threshold=0.25``)
-against directly-constructed ``SCCkS(k=3)`` / ``Wait50(0.25)`` instances.
+match directly-constructed ``SCCkS(k=3)`` / ``Wait50(wait_threshold=0.25)``
+instances exactly.
 
 Usage:  python scripts/spec_smoke.py [--spec specs/ci-smoke.json]
 Exit codes: 0 OK, 1 mismatch.
@@ -23,7 +24,6 @@ import io
 import json
 import os
 import sys
-import warnings
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -31,7 +31,7 @@ sys.path.insert(
 
 from repro.core.scc_ks import SCCkS  # noqa: E402
 from repro.experiments.cli import main as cli_main  # noqa: E402
-from repro.experiments.runner import run_sweep  # noqa: E402
+from repro.experiments.runner import run_once  # noqa: E402
 from repro.protocols.occ_bc import OCCBroadcastCommit  # noqa: E402
 from repro.protocols.wait50 import Wait50  # noqa: E402
 from repro.workloads.scenarios import get_scenario  # noqa: E402
@@ -43,7 +43,7 @@ DEFAULT_SPEC = os.path.join(
 )
 
 # The hand-built twin of specs/ci-smoke.json: same grid, pre-spec idiom.
-LEGACY_PROTOCOLS = {
+HAND_BUILT = {
     "SCC-3S": lambda: SCCkS(k=3),
     "OCC-BC": OCCBroadcastCommit,
     "WAIT-25": lambda: Wait50(wait_threshold=0.25),
@@ -65,19 +65,14 @@ def cli_records(spec_path: str) -> list[dict]:
     return json.loads(stdout.getvalue())
 
 
-def legacy_results() -> dict:
-    """The same grid through pre-spec run_sweep with hand-built factories."""
-    config = get_scenario(SCENARIO).to_config(
+def hand_built_config():
+    """The scenario config of the grid, assembled by hand."""
+    return get_scenario(SCENARIO).to_config(
         num_transactions=TRANSACTIONS,
         warmup_commits=WARMUP,
         replications=REPLICATIONS,
         arrival_rates=RATES,
     )
-    # The deprecated factory idiom is the very thing this gate holds the
-    # spec path bit-identical to; silence the (expected) warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_sweep(LEGACY_PROTOCOLS, config)
 
 
 def main() -> int:
@@ -92,31 +87,29 @@ def main() -> int:
         for r in records
     }
 
-    print("running the hand-built legacy twin through run_sweep...", flush=True)
-    legacy = legacy_results()
-
-    expected_cells = len(LEGACY_PROTOCOLS) * len(RATES) * REPLICATIONS
-    if len(by_cell) != expected_cells or len(records) != expected_cells:
+    expected = {
+        (name, rate, replication)
+        for name in HAND_BUILT
+        for rate in RATES
+        for replication in range(REPLICATIONS)
+    }
+    if len(records) != len(expected) or set(by_cell) != expected:
         print(
-            f"FAIL: expected {expected_cells} cells, CLI produced "
-            f"{len(records)} records ({len(by_cell)} distinct)"
+            f"FAIL: expected cells {sorted(expected)}, CLI produced "
+            f"{len(records)} records for {sorted(by_cell)}"
         )
         return 1
 
+    print("re-running every cell with hand-built protocols...", flush=True)
+    config = hand_built_config()
     mismatches = 0
-    for name, sweep in legacy.items():
-        for rate, summaries in zip(sweep.arrival_rates, sweep.replications):
-            for replication, summary in enumerate(summaries):
-                key = (name, rate, replication)
-                if key not in by_cell:
-                    print(f"FAIL: CLI output is missing cell {key}")
-                    mismatches += 1
-                    continue
-                if by_cell[key] != summary.to_dict():
-                    print(f"FAIL: summaries differ at cell {key}")
-                    mismatches += 1
+    for name, rate, replication in sorted(expected):
+        summary = run_once(HAND_BUILT[name], config, rate, replication)
+        if by_cell[(name, rate, replication)] != summary.to_dict():
+            print(f"FAIL: summaries differ at cell {(name, rate, replication)}")
+            mismatches += 1
     if mismatches:
-        print(f"FAIL: {mismatches} cell(s) differ between spec and legacy runs")
+        print(f"FAIL: {mismatches} cell(s) differ between spec and hand-built runs")
         return 1
 
     specs_seen = {r["protocol"]: r["protocol_spec"] for r in records}
@@ -126,8 +119,8 @@ def main() -> int:
             return 1
 
     print(
-        f"OK: {expected_cells} cells bit-identical between "
-        "`repro run` and legacy run_sweep; records carry protocol specs"
+        f"OK: {len(expected)} cells bit-identical between "
+        "`repro run` and hand-built protocols; records carry protocol specs"
     )
     return 0
 

@@ -27,8 +27,10 @@ shadow budget — see ``repro.protocols.registry``); scenarios come from
 the workload registry (``repro.workloads.scenarios``); and the whole
 experiment serializes to JSON via ``ExperimentSpec`` for the CLI
 (``repro run experiment.json``).  The lower-level building blocks
-(``RTDBSystem``, ``WorkloadGenerator``, ``run_sweep``) remain public for
-custom harnesses.
+(``RTDBSystem``, ``TransactionGenerator``, ``run_sweep``) remain public
+for custom harnesses; a sweep's roster is always registry specs, so a
+custom protocol joins one by registering its family
+(``register_protocol``).
 """
 
 from repro._lazy import lazy_exports
@@ -72,7 +74,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RTDBSystem": "repro.system.model",
     "FiniteResources": "repro.system.resources",
     "InfiniteResources": "repro.system.resources",
-    "WorkloadGenerator": "repro.txn.generator",
     "Step": "repro.txn.spec",
     "TransactionSpec": "repro.txn.spec",
     "TransactionClass": "repro.values.classes",

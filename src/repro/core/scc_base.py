@@ -45,12 +45,11 @@ invariants checkable in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.conflict_table import AccessIndex, ConflictTable
 from repro.core.deferral import ImmediateCommit, TerminationPolicy
 from repro.core.shadow import Shadow, ShadowMode
-from repro.engine.kernels import select_replacement
 from repro.errors import InvariantViolation, ProtocolError
 from repro.protocols.base import CCProtocol, Execution, ExecutionState
 from repro.txn.spec import Step, TransactionSpec
@@ -60,6 +59,40 @@ from repro.txn.spec import Step, TransactionSpec
 _DONOR_STATES = frozenset(
     (ExecutionState.RUNNING, ExecutionState.BLOCKED, ExecutionState.READY)
 )
+
+
+def select_replacement(
+    survivors: Sequence[tuple[int, Shadow]], committer_id: int
+) -> Optional[tuple[int, Shadow]]:
+    """Pick the speculative shadow promoted by the Commit Rule.
+
+    The latest position wins; among equals, the shadow that speculated on
+    the committing transaction itself is preferred (Commit Rule case 1),
+    then creation order (smallest ``serial``) breaks the remaining tie.
+
+    Parameters
+    ----------
+    survivors : sequence of (writer, shadow)
+        Live speculative shadows keyed by the conflicting writer each one
+        hedges against.
+    committer_id : int
+        The transaction that just committed.
+
+    Returns
+    -------
+    tuple of (int, Shadow) or None
+        The chosen ``(writer, shadow)`` pair, or ``None`` when no
+        speculative shadow survived (the transaction must restart from
+        scratch).
+    """
+    if not survivors:
+        return None
+
+    def rank(item: tuple[int, Shadow]) -> tuple:
+        writer, shadow = item
+        return (shadow.pos, writer == committer_id, -shadow.serial)
+
+    return max(survivors, key=rank)
 
 
 @dataclass
@@ -470,11 +503,10 @@ class SCCProtocolBase(CCProtocol):
             )
         written = self._index.written_by(writer)
         first_pos = conflict.first_pos
-        # Single-pass inline of live_shadows + the donor filter +
-        # kernels.select_fork_donor (largest pos, smallest serial): the
-        # donor-state filter subsumes live_shadows' aliveness check, and
-        # the (pos, -serial) maximum is order-independent, so the scan
-        # is equivalent to filtering a materialized candidate list.
+        # One pass picks the latest donor (largest pos, then smallest
+        # serial) among shadows in a donor state: that filter subsumes
+        # live_shadows' aliveness check, and the (pos, -serial) maximum
+        # is order-independent, so the choice is deterministic.
         donor = None
         for shadow in (
             runtime.optimistic,

@@ -1,10 +1,9 @@
 """Discrete-event simulation kernel.
 
 This package is the substrate every experiment runs on: the simulation
-engine and its workload tensors (:mod:`repro.engine.array`), the pure
-state-transition kernels shared by the generic SCC step loop and the
-fused shadow-pool driver (:mod:`repro.engine.kernels`,
-:mod:`repro.engine.shadow_pool`), and named reproducible random streams
+engine and its workload tensors (:mod:`repro.engine.array`), the fused
+shadow-pool driver of the SCC step loop
+(:mod:`repro.engine.shadow_pool`), and named reproducible random streams
 (:mod:`repro.engine.rng`).
 
 Events fire in the deterministic ``(time, priority, sequence)`` total

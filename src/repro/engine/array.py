@@ -1,9 +1,8 @@
 """The simulation engine: bucketed dispatch + workload tensors.
 
-Events fire in the deterministic ``(time, priority, sequence)`` total
-order (the kernel contract of
-:func:`repro.engine.kernels.event_sort_position`), which is what makes
-every run reproducible bit for bit from its seed:
+Events fire in ascending ``(time, priority, sequence)`` order; the
+unique sequence number makes the order total, which is what makes every
+run reproducible bit for bit from its seed:
 
 * :class:`ArraySimulator` — batched same-timestamp dispatch.  Events are
   plain ``(priority, sequence, callback, args)`` tuples grouped into

@@ -26,11 +26,12 @@ This module closes that gap with two pieces:
   ``_advance`` / ``_complete_step`` / ``on_arrival`` /
   ``commit_transaction`` (protocol instances carry a ``__dict__``
   precisely so binding-time specialization like this is possible).  The
-  fused methods inline the same kernels the generic loop realizes
-  (:func:`~repro.engine.kernels.record_access`,
-  ``writeset_addition``, ``program_exhausted``, ``completion_is_stale``)
-  and the same index updates, in the same order, with the same trace
-  emissions — each inline is annotated with the generic code it mirrors.
+  fused methods apply the same per-access rules as the generic loop
+  (the :func:`~repro.protocols.base.record_access` readset transition,
+  first-write-only writeset entries, program exhaustion, the
+  stale-completion guard) and the same index updates, in the same
+  order, with the same trace emissions — each inline is annotated with
+  the generic code it mirrors.
 
 Same-instant service completions already drain as one cohort per
 :class:`~repro.engine.array.ArraySimulator` bucket; the fused driver is
@@ -65,9 +66,8 @@ import numpy as np
 
 from repro.core.shadow import Shadow, ShadowMode
 from repro.engine.array import ArraySimulator
-from repro.engine.kernels import ReadRecord
 from repro.errors import ConfigurationError, InvariantViolation, ProtocolError
-from repro.protocols.base import ExecutionState
+from repro.protocols.base import ExecutionState, ReadRecord
 from repro.system.resources import InfiniteResources
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -651,7 +651,7 @@ class FusedSCCStepDriver:
         sim = self._sim
         pos = execution.pos
         if pos >= execution.num_steps:
-            # Inline of kernels.program_exhausted + generic finish path.
+            # Program exhausted (pos >= num_steps): the generic finish path.
             execution.state = _FINISHED
             execution.epoch += 1
             tracer = self._tracer
@@ -728,7 +728,7 @@ class FusedSCCStepDriver:
         """Build the fused service-completion callback as a closure.
 
         The returned function fuses the generic
-        ``CCProtocol._complete_step`` (kernel inlines annotated there),
+        ``CCProtocol._complete_step`` (its per-access rules annotated there),
         the database version read, the SCC ``after_step``
         (completion-time Read Rule, exposure re-check, Write Rule
         broadcast), the access-index updates, and the pool bitset mirrors
@@ -798,7 +798,7 @@ class FusedSCCStepDriver:
             # unguarded here.
             version = versions[page]
             now = sim.now
-            # Inline of kernels.record_access: first access keeps its own
+            # Inline of record_access: first access keeps its own
             # position, a re-access keeps the first position but observes
             # the latest committed version and time.
             readset = execution.readset
@@ -820,7 +820,7 @@ class FusedSCCStepDriver:
             # frame; the instance is indistinguishable from ReadRecord().
             readset[page] = _new_record(ReadRecord, (position, version, now))
             is_write = writes_of[pos]
-            # Inline of kernels.writeset_addition: first write only.
+            # Only the first write of a page enters the writeset.
             if is_write and page not in execution.writeset:
                 execution.writeset[page] = pos
             execution.pos = pos + 1
@@ -921,7 +921,7 @@ class FusedSCCStepDriver:
             # --- fused tail of _advance (guards established above) ----
             pos = execution.pos
             if pos >= execution.num_steps:
-                # Inline of kernels.program_exhausted + generic finish.
+                # Program exhausted: the generic finish path.
                 execution.state = _FINISHED
                 execution.epoch += 1
                 if tracer is not None:

@@ -271,10 +271,13 @@ def _run_figure(command: str, args: argparse.Namespace) -> str:
     store = _open_store_or_exit(args.store, args.store_backend) if args.store else None
     stored_before = len(store) if store is not None else 0
     started = time.time()
-    results: dict[str, SweepResult] = runner(
-        config, arrival_rates=rates, executor=executor, store=store,
-        scenario=args.scenario, on_event=_log_sweep_event,
-    )
+    try:
+        results: dict[str, SweepResult] = runner(
+            config, arrival_rates=rates, executor=executor, store=store,
+            scenario=args.scenario, on_event=_log_sweep_event,
+        )
+    except ConfigurationError as exc:
+        raise SystemExit(f"scc-experiments: error: {exc}")
     elapsed = time.time() - started
     some = next(iter(results.values()))
     status = f"[{config.num_transactions} txns x {config.replications} reps, {elapsed:.1f}s]"
@@ -316,7 +319,7 @@ def _machine_records(
     # store, serve the stored records (they carry the cells' real
     # wall-clock) — records_from_results only fills the no-store path.
     records = records_from_results(
-        config, results, scenario=scenario, protocol_specs=protocol_specs,
+        config, results, protocol_specs, scenario=scenario
     )
     if store is not None:
         records = [store.get(r.fingerprint) or r for r in records]

@@ -25,7 +25,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.runner import (
-    ProtocolFactory,
+    ProtocolLike,
     SweepResult,
     run_sweep,
 )
@@ -74,7 +74,7 @@ FIGURE_PROTOCOLS: dict[str, Callable[[], dict[str, ProtocolSpec]]] = {
 
 def run_scenario(
     scenario,
-    protocols: Optional[Mapping[str, ProtocolFactory]] = None,
+    protocols: Optional[Mapping[str, ProtocolLike]] = None,
     arrival_rates: Optional[Sequence[float]] = None,
     executor: "SweepExecutor | str | None" = None,
     workers: Optional[int] = None,
@@ -87,8 +87,10 @@ def run_scenario(
     Args:
         scenario: A registry name (``"bursty-telecom"``) or a
             :class:`~repro.workloads.scenarios.Scenario` instance.
-        protocols: Protocol set; defaults to :func:`fig14_protocols` (the
-            value-cognizant contenders).
+        protocols: Protocol roster (see
+            :func:`~repro.experiments.runner.normalize_protocols`);
+            defaults to :func:`fig14_protocols` (the value-cognizant
+            contenders).
         arrival_rates: Overrides the scenario's default sweep axis.
         on_event: Optional subscriber for the unified sweep event stream
             (see :func:`~repro.experiments.runner.run_sweep`).

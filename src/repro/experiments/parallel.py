@@ -12,13 +12,17 @@ and still produce bit-identical summaries.  This module provides:
   chunked scheduling, deterministic reassembly (outcomes are returned in
   cell order regardless of completion order), and per-cell fault isolation
   (a crashed cell yields an error record instead of killing the sweep).
-* :class:`ProgressReporter` — structured progress/ETA lines on stderr.
+* :class:`ProgressReporter` — a sweep event subscriber
+  (``run_sweep(on_event=...)``) that prints progress/ETA lines on stderr;
+  ``run_sweep`` publishes the executors' :class:`ProgressEvent` ticks on
+  that stream.
 
 The process executor prefers the ``fork`` start method so the cell runner
-(a closure over protocol factories, which are frequently lambdas and hence
-unpicklable) is inherited by workers rather than serialized.  Where fork
-is unavailable the executor degrades to the serial path, preserving
-results exactly.
+(a closure over the sweep's config, roster and optional resource-manager
+factory, which may be a lambda and hence unpicklable) is inherited by
+workers rather than serialized.  So is the protocol registry, including
+families registered at run time.  Where fork is unavailable the executor
+degrades to the serial path, preserving results exactly.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ import time
 import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
 from repro.errors import ConfigurationError
 from repro.metrics.stats import RunSummary
+
+if TYPE_CHECKING:  # import-light: only for annotations
+    from repro.telemetry.bus import SweepEvent
 
 __all__ = [
     "CellError",
@@ -366,16 +373,18 @@ class ProcessSweepExecutor(SweepExecutor):
 
 
 class ProgressReporter:
-    """Formats :class:`ProgressEvent` streams into status/ETA lines.
+    """Formats a sweep's event stream into status/ETA lines.
 
     Implemented on stdlib :mod:`logging`: each reporter owns a detached
     ``Logger`` instance (never registered in the global logger tree, so
     reporters cannot stack handlers on each other or on the ``repro``
     logger) with a message-only ``StreamHandler`` on the given stream.
 
-    Usable directly as the ``on_progress`` callback of any executor::
+    A subscriber to the sweep event stream: it renders the
+    ``cell_completed`` events (and ``cell_started`` ones with
+    ``report_started``) and ignores every other kind::
 
-        executor.run(cells, runner, on_progress=ProgressReporter())
+        run_sweep(protocols, config, on_event=ProgressReporter())
     """
 
     def __init__(
@@ -392,18 +401,23 @@ class ProgressReporter:
         logger.addHandler(handler)
         self.logger = logger
 
-    def __call__(self, event: ProgressEvent) -> None:
-        if event.kind == "started" and not self.report_started:
+    def __call__(self, event: "SweepEvent") -> None:
+        if event.kind == "cell_completed":
+            kind = "completed"
+        elif event.kind == "cell_started" and self.report_started:
+            kind = "started"
+        else:
             return
-        eta = f"{event.eta:.0f}s" if event.eta is not None else "?"
-        status = "" if event.ok else "  ** FAILED **"
+        payload = event.payload
+        eta = f"{payload['eta']:.0f}s" if payload["eta"] is not None else "?"
+        status = "" if payload["ok"] else "  ** FAILED **"
         self.logger.info(
             "  [%d/%d] %-9s %-40s elapsed=%.1fs eta=%s%s",
-            event.completed,
-            event.total,
-            event.kind,
-            event.cell.describe(),
-            event.elapsed,
+            payload["completed"],
+            payload["total"],
+            kind,
+            SweepCell(**payload["cell"]).describe(),
+            payload["elapsed"],
             eta,
             status,
         )

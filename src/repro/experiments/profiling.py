@@ -31,9 +31,10 @@ from repro.metrics.stats import MetricsCollector
 from repro.protocols.serial import SerialExecution
 from repro.system.model import RTDBSystem
 from repro.system.resources import InfiniteResources, ResourceManager
-from repro.txn.generator import WorkloadGenerator
 from repro.values.classes import TransactionClass
 from repro.values.distributions import EmpiricalExecution
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.generator import TransactionGenerator
 
 
 def capture_profile(
@@ -136,12 +137,13 @@ def profile_classes(
         raise ConfigurationError(
             "profiling workload too small to cover every class"
         )
-    generator = WorkloadGenerator(
+    generator = TransactionGenerator(
         classes=list(classes),
         num_pages=num_pages,
-        arrival_rate=1.0,  # placeholder; arrivals are re-spaced below
         step_duration=step_duration,
         streams=RandomStreams(seed),
+        # Placeholder rate; arrivals are re-spaced below.
+        arrivals=PoissonArrivals(1.0),
     )
     resources = resources or InfiniteResources(
         cpu_time=step_duration, io_time=0.0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -31,7 +30,6 @@ from repro.errors import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CellOutcome,
-    ProgressCallback,
     SerialSweepExecutor,
     SweepCell,
     SweepExecutor,
@@ -52,28 +50,30 @@ from repro.telemetry.counters import run_telemetry
 from repro.telemetry.tracer import JsonlTracer, Tracer
 
 ProtocolFactory = Callable[[], CCProtocol]
-#: What run_sweep accepts per protocol entry: a zero-arg factory, a
-#: registry ProtocolSpec, a compact spec string, or a spec dict.
-ProtocolLike = Union[ProtocolFactory, ProtocolSpec, str, dict]
+#: What a sweep roster entry may be: a registry ProtocolSpec, a compact
+#: spec string, or a spec dict.
+ProtocolLike = Union[ProtocolSpec, str, dict]
 ResourceFactory = Callable[[ExperimentConfig], ResourceManager]
 
 
 def normalize_protocols(
     protocols: "Mapping[str, ProtocolLike] | Sequence[ProtocolLike]",
-) -> tuple[dict[str, ProtocolFactory], dict[str, Optional[ProtocolSpec]]]:
-    """Resolve the protocol argument of :func:`run_sweep`.
+) -> dict[str, ProtocolSpec]:
+    """Resolve the protocol roster of :func:`run_sweep` to ``{label: spec}``.
 
-    Accepts either a mapping ``{label: factory-or-spec}`` or a bare
-    sequence of specs/spec strings (labels then come from
-    :attr:`~repro.protocols.registry.ProtocolSpec.label`).  Returns the
-    ``{label: factory}`` dict the executors consume plus a parallel
-    ``{label: ProtocolSpec | None}`` identity map — ``None`` marks a
-    legacy opaque factory whose store identity is the label itself.
+    Accepts either a mapping ``{label: entry}`` or a bare sequence of
+    entries (labels then come from
+    :attr:`~repro.protocols.registry.ProtocolSpec.label`).  Each entry is
+    a registry :class:`~repro.protocols.registry.ProtocolSpec`, a compact
+    spec string, or a spec dict; the spec both builds the cell's protocol
+    and is its store identity.
 
     Raises:
-        ConfigurationError: On duplicate labels (two differently
-            parameterized specs whose labels collide would silently
-            overwrite each other's results) or an uninterpretable entry.
+        ConfigurationError: On an entry that is not a spec (a protocol
+            class or other callable included: register its family with
+            :func:`~repro.protocols.registry.register_protocol`), on a
+            duplicate label, on two labels naming one spec (their cells
+            would share fingerprints), or on an empty roster.
     """
     if isinstance(protocols, (str, ProtocolSpec)) or (
         isinstance(protocols, Mapping) and "family" in protocols
@@ -81,51 +81,34 @@ def normalize_protocols(
         # A single spec (string, ProtocolSpec, or {"family": ...} dict)
         # passed bare: treat it as a one-protocol roster rather than
         # iterating a string character by character or misreading the
-        # spec dict as a {label: factory} mapping.
+        # spec dict as a {label: spec} mapping.
         items = [(None, protocols)]
     elif isinstance(protocols, Mapping):
-        items = [(label, value) for label, value in protocols.items()]
+        items = list(protocols.items())
     else:
         items = [(None, value) for value in protocols]
-    factories: dict[str, ProtocolFactory] = {}
-    specs: dict[str, Optional[ProtocolSpec]] = {}
+    specs: dict[str, ProtocolSpec] = {}
+    labels: dict[ProtocolSpec, str] = {}
     for label, value in items:
-        if isinstance(value, (ProtocolSpec, str, dict)):
-            spec = protocol_spec(value)
-            label = spec.label if label is None else label
-            factory: ProtocolFactory = spec
-        elif callable(value):
-            warnings.warn(
-                "passing zero-arg protocol factories to run_sweep is "
-                "deprecated; use registry ProtocolSpec entries (e.g. the "
-                "spec string 'scc-2s' or 'scc-vw?period=0.01') so results "
-                "are fingerprinted by their full protocol identity",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            spec = None
-            factory = value
-            if label is None:
-                raise ConfigurationError(
-                    f"bare protocol factory {value!r} needs a label; pass "
-                    "a {label: factory} mapping or use registry specs"
-                )
-        else:
+        spec = protocol_spec(value)
+        label = spec.label if label is None else label
+        if spec in labels:
             raise ConfigurationError(
-                f"cannot interpret protocol entry {value!r}; expected a "
-                "factory, ProtocolSpec, spec string, or spec dict"
+                f"protocol labels {labels[spec]!r} and {label!r} name the "
+                f"same spec {spec.canonical()!r}; their cells would share "
+                "one fingerprint, so list the spec once"
             )
-        if label in factories:
+        if label in specs:
             raise ConfigurationError(
                 f"duplicate protocol label {label!r} in one sweep; "
                 "pass an explicit {label: spec} mapping to give the "
                 "variants distinct labels"
             )
-        factories[label] = factory
         specs[label] = spec
-    if not factories:
+        labels[spec] = label
+    if not specs:
         raise ConfigurationError("run_sweep needs at least one protocol")
-    return factories, specs
+    return specs
 
 
 def _default_resources(config: ExperimentConfig) -> ResourceManager:
@@ -258,7 +241,17 @@ def build_cells(
     rates: Sequence[float],
     replications: int,
 ) -> list[SweepCell]:
-    """Enumerate the sweep grid in serial order (protocol, rate, replication)."""
+    """Enumerate the sweep grid in serial order (protocol, rate, replication).
+
+    Raises:
+        ConfigurationError: On a repeated arrival rate: its cells would
+            share fingerprints, so one grid would compute and store each
+            of them twice.
+    """
+    if len(set(rates)) != len(rates):
+        raise ConfigurationError(
+            f"arrival rates {list(rates)} repeat a rate; list each rate once"
+        )
     cells: list[SweepCell] = []
     for name in protocol_names:
         for rate_index, rate in enumerate(rates):
@@ -313,10 +306,8 @@ def run_sweep(
     config: ExperimentConfig,
     arrival_rates: Optional[Sequence[float]] = None,
     resources: Optional[ResourceFactory] = None,
-    progress: Optional[Callable[[str, float, int], None]] = None,
     executor: "SweepExecutor | str | None" = None,
     workers: Optional[int] = None,
-    on_progress: Optional[ProgressCallback] = None,
     store: Union[BaseRunStore, str, os.PathLike, None] = None,
     store_backend: Optional[str] = None,
     scenario: Optional[str] = None,
@@ -338,37 +329,25 @@ def run_sweep(
     (summaries round-trip through canonical JSON exactly).
 
     Args:
-        protocols: The protocol set, normalized by
+        protocols: The protocol roster, normalized by
             :func:`normalize_protocols`: a ``{label: entry}`` mapping or
             a bare sequence of entries, where each entry is a registry
-            :class:`~repro.protocols.registry.ProtocolSpec` (or compact
-            spec string / spec dict) or a legacy zero-arg factory.  With
-            a store, spec entries are fingerprinted by their full
-            ``family + params`` identity — two parameterizations can
-            never share a cached cell — while legacy factories fall back
-            to label-as-identity: reusing a label for a differently
-            parameterized factory against the same store returns the old
-            records.
+            :class:`~repro.protocols.registry.ProtocolSpec`, compact spec
+            string, or spec dict.  Cells are fingerprinted by the full
+            ``family + params`` identity, so two parameterizations can
+            never share a cached cell.
         config: Experiment configuration.
         arrival_rates: Overrides ``config.arrival_rates`` when given.
         resources: Optional resource-manager factory (infinite by default).
             Mutually exclusive with ``store``: resource managers are not
             fingerprinted, so caching across resource models would serve
             wrong results.
-        progress: Optional callback ``(protocol, rate, replication)`` fired
-            before each run under the serial executor, and as cells complete
-            under the process executor (workers start cells remotely).
         executor: A :class:`SweepExecutor` instance, a registry name
             (``"serial"``/``"process"``/``"distributed"``), or ``None``
             for the default (serial, unless ``workers`` > 1 implies the
             process pool).
         workers: Worker-process count for the process and distributed
             executors.
-        on_progress: Optional structured callback receiving
-            :class:`~repro.experiments.parallel.ProgressEvent` ticks
-            (e.g. a :class:`~repro.experiments.parallel.ProgressReporter`).
-            With a store, ``completed``/``total`` count only the cells
-            actually being run this invocation.
         store: An open store (:class:`~repro.results.store.RunStore` or
             :class:`~repro.results.sqlite_store.SQLiteRunStore`) or a
             path, opened via :func:`~repro.results.backends.open_store`
@@ -380,12 +359,16 @@ def run_sweep(
             path.
         scenario: Scenario name recorded as metadata on stored records
             (:func:`~repro.experiments.figures.run_scenario` supplies it).
-        on_event: Optional subscriber for the unified sweep event stream
+        on_event: Optional subscriber for the sweep event stream
             (:class:`~repro.telemetry.bus.SweepEvent`): ``cell_started``
-            and ``cell_completed`` progress ticks plus one
+            (serial executor only) and ``cell_completed`` progress ticks
+            with ``completed``/``total``/``eta``, plus one
             ``cell_outcome`` per materialized outcome (carrying the
-            summary dict and the run's telemetry block).  This is the
-            structured superset of ``progress``/``on_progress``.
+            summary dict and the run's telemetry block; store-served
+            cells arrive first, with ``cached: true``).  With a store,
+            progress ticks count only the cells run this invocation.
+            :class:`~repro.experiments.parallel.ProgressReporter` renders
+            the stream as status/ETA lines.
         trace: Optional path; when given, every cell's typed lifecycle
             events are appended to this JSONL trace file, with a
             ``cell_start`` marker line (and a lane-numbering reset)
@@ -396,6 +379,9 @@ def run_sweep(
         name -> :class:`SweepResult`.
 
     Raises:
+        ConfigurationError: On a roster entry that is not a protocol
+            spec, two labels naming one spec, or a repeated arrival rate
+            — before any cell runs.
         SweepExecutionError: If any cell crashed.  The executor isolates
             failures per cell, so every other cell still runs to completion
             and all error records are reported together.  Failed cells are
@@ -415,8 +401,8 @@ def run_sweep(
         )
     rates = tuple(arrival_rates if arrival_rates is not None else config.arrival_rates)
     chosen = resolve_executor(executor, workers=workers)
-    factories, spec_map = normalize_protocols(protocols)
-    names = list(factories)
+    specs = normalize_protocols(protocols)
+    names = list(specs)
     cells = build_cells(names, rates, config.replications)
 
     tracer: Optional[JsonlTracer] = None
@@ -436,6 +422,7 @@ def run_sweep(
             # The distributed executor reports its worker fleet
             # (spawn/stop/loss, lease-expiry retries) through this seam.
             chosen.lifecycle_hook = bus.publish_lifecycle
+    on_progress = bus.publish_progress if bus is not None else None
 
     def run_cell(cell: SweepCell) -> tuple[RunSummary, dict]:
         if tracer is not None:
@@ -452,7 +439,7 @@ def run_sweep(
                 }
             )
         return run_instrumented(
-            factories[cell.protocol],
+            specs[cell.protocol],
             config,
             arrival_rate=cell.arrival_rate,
             replication=cell.replication,
@@ -460,39 +447,13 @@ def run_sweep(
             tracer=tracer,
         )
 
-    # Legacy (name, rate, replication) progress: fire on "started" ticks
-    # under the serial executor (preserving pre-run semantics) and on
-    # "completed" ticks otherwise, since worker starts are not observable.
-    legacy_kind = (
-        "started" if isinstance(chosen, SerialSweepExecutor) else "completed"
-    )
-
-    def emit(event) -> None:
-        if progress is not None and event.kind == legacy_kind:
-            progress(event.cell.protocol, event.cell.arrival_rate,
-                     event.cell.replication)
-        if on_progress is not None:
-            on_progress(event)
-        if bus is not None:
-            bus.publish_progress(event)
-
-    callback = (
-        emit
-        if (progress is not None or on_progress is not None or bus is not None)
-        else None
-    )
-
     if store is None:
-        def outcome_hook(outcome: CellOutcome) -> None:
-            if bus is not None:
-                bus.publish_outcome(outcome)
-
         try:
             outcomes = chosen.run(
                 cells,
                 run_cell,
-                on_progress=callback,
-                on_outcome=outcome_hook if bus is not None else None,
+                on_progress=on_progress,
+                on_outcome=bus.publish_outcome if bus is not None else None,
             )
         finally:
             if tracer is not None:
@@ -505,7 +466,7 @@ def run_sweep(
     fingerprints = {
         cell.index: cell_fingerprint(
             payload,
-            spec_map[cell.protocol] or cell.protocol,
+            specs[cell.protocol],
             cell.arrival_rate,
             cell.replication,
         )
@@ -537,9 +498,8 @@ def run_sweep(
         if outcome.ok:
             run_store.append(
                 RunRecord.from_outcome(
-                    config, outcome, scenario=scenario,
-                    config_payload_dict=payload,
-                    protocol_spec=spec_map[outcome.cell.protocol],
+                    config, outcome, specs[outcome.cell.protocol],
+                    scenario=scenario, config_payload_dict=payload,
                 )
             )
         if bus is not None:
@@ -549,7 +509,7 @@ def run_sweep(
     try:
         if missing:
             for outcome in chosen.run(
-                missing, run_cell, on_progress=callback, on_outcome=persist
+                missing, run_cell, on_progress=on_progress, on_outcome=persist
             ):
                 fresh[outcome.cell.index] = outcome
     finally:

@@ -193,7 +193,9 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"experiment spec protocols must be ProtocolSpec "
                     f"instances, got {entry!r} (use ExperimentSpec.create "
-                    "or the Experiment builder to coerce strings/dicts)"
+                    "or the Experiment builder to coerce spec strings such "
+                    "as 'scc-ks?k=3' or dicts, and register a protocol "
+                    "built outside the registry with register_protocol)"
                 )
         if self.scenario is not None and self.scenario_def is not None:
             raise ConfigurationError(
@@ -400,8 +402,7 @@ class ExperimentSpec:
 
     def protocol_mapping(self) -> dict[str, ProtocolSpec]:
         """``{label: spec}`` in roster order, rejecting label collisions."""
-        factories, specs = normalize_protocols(self.protocols)
-        return {label: specs[label] for label in factories}
+        return normalize_protocols(self.protocols)
 
     def to_config(self, **overrides: Any) -> ExperimentConfig:
         """The :class:`ExperimentConfig` this spec describes.
@@ -433,8 +434,6 @@ class ExperimentSpec:
         store: "str | os.PathLike | None" = None,
         store_backend: Optional[str] = None,
         arrival_rates: Optional[Sequence[float]] = None,
-        progress=None,
-        on_progress=None,
         config: Optional[ExperimentConfig] = None,
         trace: "str | os.PathLike | None" = None,
         on_event=None,
@@ -475,8 +474,6 @@ class ExperimentSpec:
                 if store_backend is not None
                 else self.store_backend
             ),
-            progress=progress,
-            on_progress=on_progress,
             scenario=self.scenario_name(),
             trace=trace,
             on_event=on_event,

@@ -55,7 +55,7 @@ import threading
 import time
 import uuid
 from dataclasses import asdict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.distributed import JobBoard
@@ -75,6 +75,7 @@ from repro.experiments.runner import (
 from repro.experiments.spec import ExperimentSpec
 from repro.gateway.breaker import CircuitBreaker
 from repro.gateway.quotas import ClientQuotas
+from repro.protocols.registry import ProtocolSpec
 from repro.results.backends import open_store
 from repro.results.fingerprint import cell_fingerprint, config_payload
 from repro.results.record import RunRecord
@@ -144,8 +145,7 @@ class ExperimentState:
         client: str,
         spec: ExperimentSpec,
         config,
-        factories: Dict[str, Callable],
-        spec_map: Dict[str, Any],
+        specs: Dict[str, ProtocolSpec],
         cells: List[SweepCell],
         fingerprints: Dict[int, str],
     ) -> None:
@@ -154,8 +154,7 @@ class ExperimentState:
         self.spec = spec
         self.config = config
         self.scenario = spec.scenario_name()
-        self.factories = factories
-        self.spec_map = spec_map
+        self.specs = specs
         self.cells = cells
         self.fingerprints = fingerprints
         self.total = len(cells)
@@ -289,7 +288,7 @@ class ExperimentState:
                 "client": self.client,
                 "status": self.status,
                 "scenario": self.scenario,
-                "protocols": list(self.factories),
+                "protocols": list(self.specs),
                 "total_cells": self.total,
                 "completed": self.done,
                 "failed": list(self.failed),
@@ -435,15 +434,15 @@ class GatewayApp:
             else ExperimentSpec.from_dict(payload)
         )
         config = spec.to_config()
-        factories, spec_map = normalize_protocols(spec.protocols)
+        specs = normalize_protocols(spec.protocols)
         cells = build_cells(
-            list(factories), tuple(config.arrival_rates), config.replications
+            list(specs), tuple(config.arrival_rates), config.replications
         )
         cfg_payload = config_payload(config)
         fingerprints = {
             cell.index: cell_fingerprint(
                 cfg_payload,
-                spec_map[cell.protocol] or cell.protocol,
+                specs[cell.protocol],
                 cell.arrival_rate,
                 cell.replication,
             )
@@ -454,8 +453,7 @@ class GatewayApp:
             client=client,
             spec=spec,
             config=config,
-            factories=factories,
-            spec_map=spec_map,
+            specs=specs,
             cells=cells,
             fingerprints=fingerprints,
         )
@@ -579,7 +577,7 @@ class GatewayApp:
                 spec = ExperimentSpec.from_dict(first["spec"])
                 client = str(first.get("client", "recovered"))
                 config = spec.to_config()
-                factories, spec_map = normalize_protocols(spec.protocols)
+                specs = normalize_protocols(spec.protocols)
                 cells = [
                     SweepCell(**payload["cell"]) for _, payload in entries
                 ]
@@ -601,8 +599,7 @@ class GatewayApp:
                 client=client,
                 spec=spec,
                 config=config,
-                factories=factories,
-                spec_map=spec_map,
+                specs=specs,
                 cells=cells,
                 fingerprints=fingerprints,
             )
@@ -636,7 +633,7 @@ class GatewayApp:
             if self._fault_hook is not None:
                 self._fault_hook(cell)
             return run_instrumented(
-                exp.factories[cell.protocol],
+                exp.specs[cell.protocol],
                 exp.config,
                 arrival_rate=cell.arrival_rate,
                 replication=cell.replication,
@@ -715,9 +712,9 @@ class GatewayApp:
             record = RunRecord.from_outcome(
                 exp.config,
                 outcome,
+                exp.specs[cell.protocol],
                 scenario=exp.scenario,
                 config_payload_dict=config_payload(exp.config),
-                protocol_spec=exp.spec_map[cell.protocol],
             )
             with self._store_lock:
                 self._store.append(record)

@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CCProtocol": "repro.protocols.base",
     "Execution": "repro.protocols.base",
     "ExecutionState": "repro.protocols.base",
-    "ReadRecord": "repro.engine.kernels",
+    "ReadRecord": "repro.protocols.base",
     "BasicOCC": "repro.protocols.occ",
     "OCCBroadcastCommit": "repro.protocols.occ_bc",
     "ProtocolFamily": "repro.protocols.registry",

@@ -29,23 +29,20 @@ them in the class body, not by assigning instance attributes after
 binding.  ``unbind`` drops those handles (reference cycles, like the
 system back-reference) when the run closes.
 
-State transitions themselves live in :mod:`repro.engine.kernels` — pure
-functions shared with the fused shadow-pool driver
-(:mod:`repro.engine.shadow_pool`), so both step loops compute identical
-readset/writeset updates by construction.
-The hottest trivial guards (epoch staleness, first-write detection,
-program exhaustion) are inlined here with a comment naming the kernel
-they realize; the kernels remain the specification and are tested
-directly.
+The fused shadow-pool driver (:mod:`repro.engine.shadow_pool`) applies
+the same per-access rules to SCC protocols in one fused frame: the
+readset transition (:func:`record_access`), first-write-only writeset
+entries, program exhaustion, and the stale-completion guard.  The golden
+gate, the frozen engine reference and the parity oracles
+(``tests/engine``) hold the two loops to identical results.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from repro.engine.kernels import ReadRecord, record_access
 from repro.errors import InvariantViolation, ProtocolError
 from repro.telemetry.events import execution_mode
 from repro.txn.spec import Step, TransactionSpec
@@ -76,6 +73,54 @@ _ALIVE_STATES = frozenset(
         ExecutionState.FINISHED,
     )
 )
+
+
+class ReadRecord(NamedTuple):
+    """One page read performed by an execution.
+
+    Attributes
+    ----------
+    position : int
+        Program position of the (first) read of this page.
+    version : int
+        Committed page version observed.
+    time : float
+        Simulated time of the read.
+    """
+
+    position: int
+    version: int
+    time: float
+
+
+def record_access(
+    prior: Optional[ReadRecord], pos: int, version: int, now: float
+) -> ReadRecord:
+    """The readset transition of one serviced page access.
+
+    A first access records its own position; a re-access of a page
+    (possible in hand-built programs) keeps the first position but
+    observes the latest committed version and time.
+
+    Parameters
+    ----------
+    prior : ReadRecord or None
+        The existing readset entry for the page, if any.
+    pos : int
+        Program position of the access being recorded.
+    version : int
+        Committed page version observed by the access.
+    now : float
+        Simulated time of the access.
+
+    Returns
+    -------
+    ReadRecord
+        The readset entry to store for the page.
+    """
+    if prior is None:
+        return ReadRecord(pos, version, now)
+    return ReadRecord(prior[0], version, now)
 
 
 class Execution:
@@ -417,8 +462,9 @@ class CCProtocol(ABC):
             mismatch means the execution was aborted/blocked while in
             service and the completion is dropped.
         """
-        # Inline of kernels.completion_is_stale (this frame fires once per
-        # simulated page access; the guard stays call-free).
+        # A completion is stale when the epoch moved on or the execution
+        # is no longer RUNNING (this frame fires once per simulated page
+        # access, so the guard stays call-free).
         if execution.epoch != epoch or execution.state is not ExecutionState.RUNNING:
             return  # the execution was aborted/blocked while in service
         system = self.system
@@ -430,8 +476,7 @@ class CCProtocol(ABC):
         execution.readset[page] = record_access(
             execution.readset.get(page), pos, version, now
         )
-        # Inline of kernels.writeset_addition: only the first write of a
-        # page is recorded.
+        # Only the first write of a page is recorded.
         if step.is_write and page not in execution.writeset:
             execution.writeset[page] = pos
         execution.pos = pos + 1

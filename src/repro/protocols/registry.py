@@ -9,9 +9,9 @@ deals in:
 
 * it is serializable — dict/JSON and compact-string round-trips are
   exact, so specs can live in experiment files and CLI arguments;
-* it is a factory — calling a spec builds a fresh protocol instance, so
-  any ``{label: factory}`` mapping accepted by
-  :func:`~repro.experiments.runner.run_sweep` can hold specs directly;
+* it is a factory — calling a spec builds a fresh protocol instance,
+  which is how :func:`~repro.experiments.runner.run_sweep` builds each
+  cell's protocol from its roster;
 * it is content-addressable — :meth:`ProtocolSpec.fingerprint_payload`
   feeds the run-store fingerprints
   (:mod:`repro.results.fingerprint`), so two differently-parameterized
@@ -235,8 +235,8 @@ class ProtocolSpec:
     :meth:`from_dict` rather than the raw constructor.
 
     A spec is also a zero-argument protocol factory (calling it builds a
-    fresh instance), so it slots into every ``{label: factory}`` mapping
-    the sweep runner accepts.
+    fresh instance), so it can be passed wherever one protocol run takes
+    a factory (:func:`~repro.experiments.runner.run_once`).
     """
 
     family: str
@@ -397,6 +397,13 @@ def protocol_spec(
 
     Accepts an existing spec (returned as-is), a compact spec string, or
     a ``{"family": ..., "params": {...}}`` dict.
+
+    Raises
+    ------
+    ConfigurationError
+        Anything else, a protocol class or factory included: a protocol
+        built outside the registry has no store identity until its
+        family is registered with :func:`register_protocol`.
     """
     if isinstance(value, ProtocolSpec):
         return value
@@ -405,8 +412,10 @@ def protocol_spec(
     if isinstance(value, Mapping):
         return ProtocolSpec.from_dict(value)
     raise ConfigurationError(
-        f"cannot interpret {value!r} as a protocol spec "
-        "(expected ProtocolSpec, spec string, or dict)"
+        f"cannot interpret {value!r} as a protocol spec: pass a "
+        "ProtocolSpec, a spec string such as 'scc-ks?k=3', or a spec "
+        "dict, and register a protocol built outside the registry with "
+        "register_protocol"
     )
 
 

@@ -19,6 +19,7 @@ from repro.results.record import RunRecord
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import SweepResult
+    from repro.protocols.registry import ProtocolSpec
 
 __all__ = [
     "CSV_COLUMNS",
@@ -63,8 +64,8 @@ DIFF_METRICS = tuple(f.name for f in dataclasses.fields(RunSummary))
 def records_from_results(
     config: "ExperimentConfig",
     results: Mapping[str, "SweepResult"],
+    protocol_specs: Mapping[str, "ProtocolSpec"],
     scenario: Optional[str] = None,
-    protocol_specs: Optional[Mapping[str, object]] = None,
 ) -> list[RunRecord]:
     """Flatten assembled sweep results into canonical records.
 
@@ -72,26 +73,22 @@ def records_from_results(
     store): the records carry ``elapsed=0.0`` since per-cell wall-clock is
     not retained by :class:`~repro.experiments.runner.SweepResult`.
 
-    ``protocol_specs`` optionally maps result labels to their registry
-    :class:`~repro.protocols.registry.ProtocolSpec`; matching labels get
-    spec-based fingerprints (identical to what a store-backed run of the
-    same sweep persists) and carry the spec dict on the record.
+    ``protocol_specs`` maps each result label to its registry
+    :class:`~repro.protocols.registry.ProtocolSpec`, so every record
+    carries the fingerprint a store-backed run of the same sweep
+    persists, and the spec dict.
     """
     payload = config_payload(config)
     config_fp = digest(payload)
-    specs = protocol_specs or {}
     records = []
     for protocol, sweep in results.items():
-        spec = specs.get(protocol)
+        spec = protocol_specs[protocol]
         for rate, summaries in zip(sweep.arrival_rates, sweep.replications):
             for replication, summary in enumerate(summaries):
                 records.append(
                     RunRecord(
                         fingerprint=cell_fingerprint(
-                            payload,
-                            spec if spec is not None else protocol,
-                            rate,
-                            replication,
+                            payload, spec, rate, replication
                         ),
                         config_fingerprint=config_fp,
                         protocol=protocol,
@@ -100,11 +97,7 @@ def records_from_results(
                         seed=config.seed,
                         summary=summary,
                         scenario=scenario,
-                        protocol_spec=(
-                            spec.to_dict()
-                            if hasattr(spec, "to_dict")
-                            else spec
-                        ),
+                        protocol_spec=spec.to_dict(),
                     )
                 )
     return records
@@ -137,8 +130,8 @@ def write_csv(records: Iterable[RunRecord], stream: IO[str]) -> int:
             record.scenario if record.scenario is not None else "",
             record.protocol,
             # The registry identity, embedded as JSON like the per-class
-            # columns ("" for legacy name-keyed records), so label
-            # collisions stay distinguishable without decoding hashes.
+            # columns ("" for schema-1 records), so label collisions
+            # stay distinguishable without decoding hashes.
             (
                 json.dumps(record.protocol_spec, sort_keys=True)
                 if record.protocol_spec is not None

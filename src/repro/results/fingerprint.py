@@ -28,17 +28,12 @@ stored.
 
 Protocol identity
 -----------------
-When the sweep runs registry-backed
-:class:`~repro.protocols.registry.ProtocolSpec` entries (everything
-routed through :class:`~repro.experiments.spec.ExperimentSpec`, the
-figure runners, and the CLI), the fingerprint hashes the *full spec* —
-family plus every parameter — so parameterized variants such as
-``scc-ks?k=2`` vs ``scc-ks?k=3`` can never share a cached cell even if a
-caller labels them identically.  Legacy ``{name: factory}`` sweeps fall
-back to hashing the caller-supplied display name, exactly as before the
-registry existed (their stores keep hitting); spec-driven sweeps hash
-differently by design, so a pre-registry store re-runs under the new
-identity scheme rather than serving name-addressed cells.
+Every sweep roster entry is a registry
+:class:`~repro.protocols.registry.ProtocolSpec`, and the fingerprint
+hashes the *full spec* — family plus every parameter, defaults filled
+in — so parameterized variants such as ``scc-ks?k=2`` vs ``scc-ks?k=3``
+can never share a cached cell, whatever display labels a caller gives
+them.  Display labels are never hashed.
 """
 
 from __future__ import annotations
@@ -49,6 +44,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
+    from repro.protocols.registry import ProtocolSpec
 
 __all__ = [
     "FINGERPRINT_HEX_CHARS",
@@ -57,7 +53,6 @@ __all__ = [
     "config_fingerprint",
     "config_payload",
     "digest",
-    "protocol_identity",
 ]
 
 #: Hex characters kept from the sha256 digest (128 bits — collisions are
@@ -107,24 +102,9 @@ def config_fingerprint(config: "ExperimentConfig") -> str:
     return digest(config_payload(config))
 
 
-def protocol_identity(protocol) -> "str | dict":
-    """The hashable identity of one protocol designator.
-
-    A :class:`~repro.protocols.registry.ProtocolSpec` (anything exposing
-    ``fingerprint_payload()``) contributes its full ``{family, params}``
-    payload; a plain-dict spec payload passes through; a bare string
-    (legacy name-keyed sweeps) is identity by display name, unchanged
-    from the pre-registry scheme.
-    """
-    payload_fn = getattr(protocol, "fingerprint_payload", None)
-    if payload_fn is not None:
-        return payload_fn()
-    return protocol
-
-
 def cell_fingerprint(
     config: "ExperimentConfig | dict",
-    protocol,
+    protocol: "ProtocolSpec",
     arrival_rate: float,
     replication: int,
 ) -> str:
@@ -134,10 +114,9 @@ def cell_fingerprint(
         config: The experiment config, or a precomputed
             :func:`config_payload` dict (callers fingerprinting a whole
             grid should precompute the payload once).
-        protocol: The cell's protocol identity: a
-            :class:`~repro.protocols.registry.ProtocolSpec`, its
-            ``fingerprint_payload()`` dict, or a bare display name
-            (legacy name-keyed sweeps).
+        protocol: The cell's
+            :class:`~repro.protocols.registry.ProtocolSpec`; its
+            ``fingerprint_payload()`` is the hashed identity.
         arrival_rate: The cell's arrival rate (tps).
         replication: The cell's replication index.
     """
@@ -145,7 +124,7 @@ def cell_fingerprint(
     return digest(
         {
             "config": payload,
-            "protocol": protocol_identity(protocol),
+            "protocol": protocol.fingerprint_payload(),
             "arrival_rate": float(arrival_rate),
             "replication": int(replication),
         }

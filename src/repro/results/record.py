@@ -1,8 +1,10 @@
 """The versioned experiment record: one cell's inputs and outcome.
 
 A :class:`RunRecord` is the unit the persistent store deals in — the cell
-coordinates (protocol, arrival rate, replication), the fingerprints that
-make it content-addressable, and the full
+coordinates (protocol label, arrival rate, replication), the registry
+:class:`~repro.protocols.registry.ProtocolSpec` the cell ran, the
+fingerprints that make it content-addressable (the spec, never the
+label, is the protocol's identity), and the full
 :class:`~repro.metrics.stats.RunSummary`.  Records round-trip through
 canonical dicts/JSON bit-identically (floats survive via shortest-repr),
 which is what lets a resumed sweep assemble results indistinguishable from
@@ -21,6 +23,7 @@ from repro.results.fingerprint import cell_fingerprint, config_payload, digest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.parallel import CellOutcome
+    from repro.protocols.registry import ProtocolSpec
 
 __all__ = ["RECORD_SCHEMA", "RunRecord"]
 
@@ -33,11 +36,11 @@ __all__ = ["RECORD_SCHEMA", "RunRecord"]
 #: * **1** — protocol identity is the display name only.
 #: * **2** — adds ``protocol_spec``, the registry identity
 #:   (``{"family", "params"}`` from
-#:   :meth:`~repro.protocols.registry.ProtocolSpec.to_dict`, or ``None``
-#:   for legacy name-keyed sweeps).  Schema-1 records are still *read*
-#:   (as ``protocol_spec=None``) so old stores stay listable/exportable,
-#:   but spec-driven sweeps fingerprint protocols by their full spec, so
-#:   cells recorded before the bump are re-run rather than reused.
+#:   :meth:`~repro.protocols.registry.ProtocolSpec.to_dict`).  Schema-1
+#:   records are still *read* (as ``protocol_spec=None``) so old stores
+#:   stay listable/exportable, but sweeps fingerprint protocols by their
+#:   full spec, so cells recorded before the bump are re-run rather than
+#:   reused.
 #: * **3** — adds ``telemetry``, the run's counter/gauge block
 #:   (:func:`~repro.telemetry.counters.run_telemetry`: lifecycle
 #:   counters, peak gauges, events fired, wall-clock), or ``None`` when
@@ -90,8 +93,7 @@ class RunRecord:
         elapsed: Wall-clock seconds the cell took when first computed.
         protocol_spec: Registry identity of the protocol
             (:meth:`~repro.protocols.registry.ProtocolSpec.to_dict`
-            form), or ``None`` for legacy name-keyed sweeps and
-            schema-1 records.
+            form), or ``None`` for schema-1 records.
         telemetry: The run's counter/gauge telemetry block
             (:func:`~repro.telemetry.counters.run_telemetry`), or
             ``None`` for pre-telemetry records and cached schema-1/2
@@ -178,9 +180,9 @@ class RunRecord:
         cls,
         config: "ExperimentConfig",
         outcome: "CellOutcome",
+        protocol_spec: "ProtocolSpec",
         scenario: Optional[str] = None,
         config_payload_dict: Optional[dict] = None,
-        protocol_spec=None,
     ) -> "RunRecord":
         """Build the record for one successful :class:`CellOutcome`.
 
@@ -188,15 +190,14 @@ class RunRecord:
             config: The experiment config the cell ran under.
             outcome: A successful outcome (``outcome.ok`` must hold —
                 failed cells are never persisted, so reruns retry them).
+            protocol_spec: The cell's
+                :class:`~repro.protocols.registry.ProtocolSpec`; it
+                becomes both the stored ``protocol_spec`` field and the
+                fingerprint identity.
             scenario: Optional scenario name, stored as metadata.
             config_payload_dict: Precomputed
                 :func:`~repro.results.fingerprint.config_payload`, to
                 amortize payload construction over a whole grid.
-            protocol_spec: The cell's
-                :class:`~repro.protocols.registry.ProtocolSpec` when the
-                sweep is registry-driven; it becomes both the stored
-                ``protocol_spec`` field and the fingerprint identity.
-                ``None`` keeps the legacy name-only identity.
         """
         if not outcome.ok or outcome.summary is None:
             raise ConfigurationError(
@@ -210,8 +211,7 @@ class RunRecord:
         return cls(
             fingerprint=cell_fingerprint(
                 payload,
-                protocol_spec if protocol_spec is not None
-                else outcome.cell.protocol,
+                protocol_spec,
                 outcome.cell.arrival_rate,
                 outcome.cell.replication,
             ),
@@ -223,10 +223,6 @@ class RunRecord:
             summary=outcome.summary,
             scenario=scenario,
             elapsed=outcome.elapsed,
-            protocol_spec=(
-                protocol_spec.to_dict()
-                if hasattr(protocol_spec, "to_dict")
-                else protocol_spec
-            ),
-            telemetry=getattr(outcome, "telemetry", None),
+            protocol_spec=protocol_spec.to_dict(),
+            telemetry=outcome.telemetry,
         )

@@ -1,14 +1,17 @@
-"""The unified sweep event bus: one structured ``on_event`` stream.
+"""The sweep event bus: the one structured ``on_event`` stream.
 
-:func:`~repro.experiments.runner.run_sweep` historically exposed two
-ad-hoc callbacks (``on_progress`` for :class:`ProgressEvent` ticks, the
-store's outcome hook for persistence).  The bus unifies them: every
-lifecycle moment of a sweep — a cell starting, completing, or yielding
-its outcome (with the run's ``telemetry`` block) — is published as one
-:class:`SweepEvent` whose payload is plain JSON-ready data.  This is the
-exact stream the experiment gateway (:mod:`repro.gateway`) serializes to
-clients over ``GET /experiments/{id}/events``; the CLI and tests
-subscribe to the same stream in-process via ``run_sweep(on_event=...)``.
+``on_event`` is the only subscriber
+:func:`~repro.experiments.runner.run_sweep` takes.  Every lifecycle
+moment of a sweep — a cell starting, completing, or yielding its outcome
+(with the run's ``telemetry`` block) — is published as one
+:class:`SweepEvent` whose payload is plain JSON-ready data; the bus
+adapts the executors' internal hooks (:class:`ProgressEvent` ticks,
+materialized :class:`CellOutcome` results, distributed fleet events)
+into it.  This is the exact stream the experiment gateway
+(:mod:`repro.gateway`) serializes to clients over
+``GET /experiments/{id}/events``; the CLI,
+:class:`~repro.experiments.parallel.ProgressReporter` and tests subscribe
+to the same stream in-process via ``run_sweep(on_event=...)``.
 
 Subscribers must not raise (an exception would abort the sweep) and must
 not mutate payloads.
@@ -72,10 +75,10 @@ def _cell_payload(cell: "SweepCell") -> Dict[str, Any]:
 
 
 class EventBus:
-    """Fan sweep events out to subscribers, adapting the legacy callbacks.
+    """Fan sweep events out to subscribers, adapting the executor hooks.
 
     ``run_sweep`` builds one bus per sweep when ``on_event`` is given and
-    routes its existing progress/outcome hooks through
+    routes the executor's progress/outcome hooks through
     :meth:`publish_progress` / :meth:`publish_outcome`.
     """
 

@@ -1,9 +1,8 @@
-"""Transaction model and workload generation."""
+"""Transaction model: step programs, specs and priority policies."""
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "WorkloadGenerator": "repro.txn.generator",
     "ArrivalOrderPolicy": "repro.txn.priority",
     "EarliestDeadlineFirst": "repro.txn.priority",
     "HighestValueFirst": "repro.txn.priority",

@@ -66,8 +66,7 @@ class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals — the paper's baseline.
 
     Draws exactly one exponential inter-arrival per transaction, which
-    keeps its stream consumption bit-identical to the seed
-    ``WorkloadGenerator``.
+    keeps its stream consumption bit-identical to the seed generator.
     """
 
     def __init__(self, rate: float) -> None:

@@ -1,8 +1,7 @@
 """Workload assembly: arrival process × access pattern × class mix.
 
-This is the extraction target of the seed's ``repro.txn.generator``: the
-same sampling pipeline (arrival instant → class pick → page selection →
-update coin-flips → deadline) with each axis now pluggable.  Randomness
+The sampling pipeline is arrival instant → class pick → page selection →
+update coin-flips → deadline, with each axis pluggable.  Randomness
 stays split across the named streams of
 :class:`~repro.engine.rng.RandomStreams`:
 
@@ -14,6 +13,9 @@ Because each axis owns its streams, changing one axis can never perturb
 another — protocols are still compared "on the same workload", and with
 the default axes (Poisson + uniform + class slack deadlines) the output is
 bit-identical to the seed generator.
+
+:func:`fixed_workload` builds the hand-crafted workloads of the
+paper-figure vignettes instead (explicit programs and arrival times).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
-from repro.txn.spec import TransactionSpec
+from repro.txn.spec import Step, TransactionSpec
 from repro.values.classes import TransactionClass
 from repro.workloads.access import AccessPattern, UniformAccess
 from repro.workloads.arrivals import ArrivalProcess, ArrivalSpec, PoissonSpec
@@ -42,6 +44,7 @@ __all__ = [
     "WorkloadSpec",
     "build_generator",
     "deadline_policy_from_dict",
+    "fixed_workload",
 ]
 
 
@@ -304,7 +307,7 @@ def build_generator(
 
     Uses ``config.workload`` when set (scenario-driven runs) and the
     baseline :class:`WorkloadSpec` otherwise — the latter is bit-identical
-    to the seed ``WorkloadGenerator`` path.
+    to the seed generator.
     """
     spec = config.workload if config.workload is not None else WorkloadSpec()
     return TransactionGenerator(
@@ -316,3 +319,47 @@ def build_generator(
         access=spec.access,
         deadlines=spec.deadlines,
     )
+
+
+def fixed_workload(
+    programs: Sequence[Sequence[Step]],
+    arrivals: Sequence[float],
+    txn_class: TransactionClass,
+    step_duration: float,
+    deadlines: Optional[Sequence[Optional[float]]] = None,
+) -> list[TransactionSpec]:
+    """Build a hand-crafted workload (used by the paper-figure vignettes).
+
+    Args:
+        programs: One step list per transaction.
+        arrivals: Arrival time per transaction (same length as programs).
+        txn_class: Class applied to every transaction.
+        step_duration: Per-page service time for deadline estimation.
+        deadlines: Optional explicit deadline per transaction; ``None``
+            entries fall back to the slack-factor rule.
+
+    Returns:
+        Specs with ids ``0..n-1`` in the given order.
+    """
+    if len(programs) != len(arrivals):
+        raise ConfigurationError(
+            f"{len(programs)} programs but {len(arrivals)} arrival times"
+        )
+    if deadlines is not None and len(deadlines) != len(programs):
+        raise ConfigurationError(
+            f"{len(programs)} programs but {len(deadlines)} deadlines"
+        )
+    specs = []
+    for i, (program, arrival) in enumerate(zip(programs, arrivals)):
+        deadline = deadlines[i] if deadlines is not None else None
+        specs.append(
+            TransactionSpec.build(
+                txn_id=i,
+                arrival=arrival,
+                steps=list(program),
+                txn_class=txn_class,
+                step_duration=step_duration,
+                deadline=deadline,
+            )
+        )
+    return specs

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.timeline import TimelineRecorder
 from repro.core.scc_2s import SCC2S
 from repro.errors import ConfigurationError
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from tests.conftest import R, W, build_system, make_class
 
 

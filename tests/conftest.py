@@ -18,7 +18,7 @@ from repro.metrics.stats import MetricsCollector
 from repro.protocols.base import CCProtocol
 from repro.system.model import RTDBSystem
 from repro.system.resources import InfiniteResources, ResourceManager
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from repro.txn.spec import Step
 from repro.values.classes import TransactionClass
 
@@ -118,4 +118,39 @@ def baseline_class() -> TransactionClass:
     """The paper's baseline transaction class (16 pages, 25% update)."""
     return make_class(
         name="baseline", num_steps=16, write_probability=0.25, slack_factor=2.0
+    )
+
+
+def register_family(monkeypatch, name: str, builder) -> None:
+    """Register a parameterless protocol family for one test's duration.
+
+    ``monkeypatch`` restores the registry afterwards.  Sweeps then name
+    the family by its spec string ``name``; the process and distributed
+    executors fork, so their workers inherit the registration.
+    """
+    from repro.protocols import registry
+
+    family = registry.ProtocolFamily(name=name, builder=builder)
+    monkeypatch.setitem(registry._REGISTRY, name, family)
+
+
+def explode():
+    """A protocol builder whose every cell fails."""
+    raise RuntimeError("protocol cannot run")
+
+
+def computed_cells(events) -> list[tuple]:
+    """``(protocol, rate, replication)`` of the cells a sweep computed.
+
+    ``events`` is what an ``on_event`` subscriber collected; store-served
+    cells arrive as ``cell_outcome`` events with ``cached: true``.
+    """
+    return sorted(
+        (
+            event.payload["cell"]["protocol"],
+            event.payload["cell"]["arrival_rate"],
+            event.payload["cell"]["replication"],
+        )
+        for event in events
+        if event.kind == "cell_outcome" and not event.payload["cached"]
     )

@@ -6,7 +6,7 @@ from repro.core.deferral import DeferredTermination, ImmediateCommit
 from repro.core.scc_ks import SCCkS
 from repro.errors import ConfigurationError, ProtocolError
 from tests.conftest import R, W, build_system, commit_time_of
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from tests.conftest import make_class
 
 

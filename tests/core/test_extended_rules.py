@@ -13,7 +13,7 @@ from repro.analysis.serializability import check_serializable
 from repro.core.deferral import DeferredTermination
 from repro.core.scc_ks import SCCkS
 from repro.protocols.base import ExecutionState
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from tests.conftest import R, W, build_system, commit_time_of, make_class
 
 

@@ -8,7 +8,6 @@ from repro.core.replacement import (
 )
 from repro.core.scc_ks import SCCkS
 from tests.conftest import R, W, build_system
-from repro.txn.generator import fixed_workload
 from tests.conftest import make_class
 
 

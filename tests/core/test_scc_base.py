@@ -6,7 +6,7 @@ from repro.core.scc_ks import SCCkS
 from repro.core.shadow import Shadow, ShadowMode
 from repro.errors import InvariantViolation, ProtocolError
 from repro.protocols.base import ExecutionState, ReadRecord
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from tests.conftest import R, W, build_system, make_class
 
 

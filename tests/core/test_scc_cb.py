@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.serializability import check_serializable
 from repro.core.scc_cb import SCCCB
 from repro.core.scc_ks import SCCkS
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from tests.conftest import R, W, build_system, commit_time_of, make_class
 
 

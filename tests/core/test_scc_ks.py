@@ -12,7 +12,7 @@ from repro.core.shadow import ShadowMode
 from repro.errors import ConfigurationError
 from repro.protocols.base import ExecutionState
 from tests.conftest import R, W, build_system, commit_time_of, run_scenario
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from tests.conftest import make_class
 
 

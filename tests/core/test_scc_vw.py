@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.serializability import check_serializable
 from repro.core.scc_2s import SCC2S
 from repro.core.scc_vw import SCCVW, VWTermination
-from repro.txn.generator import fixed_workload
 from repro.txn.spec import TransactionSpec
 from tests.conftest import R, W, build_system, commit_time_of, make_class
 

@@ -1,8 +1,8 @@
 """Behavioural tests for the simulation engine.
 
 The contract under test: :class:`~repro.engine.array.ArraySimulator`
-fires callbacks in the total ``(time, priority, sequence)`` order of
-:func:`~repro.engine.kernels.event_sort_position`, for every scheduling
+fires callbacks in ascending ``(time, priority, sequence)`` order, a
+total order because sequence numbers are unique, for every scheduling
 pattern the library uses — including bulk arrival tracks, zero-delay
 events scheduled *during* a same-instant drain, and mid-bucket
 ``max_events`` suspension.
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.array import ArraySimulator
-from repro.engine.kernels import event_sort_position
 from repro.errors import SimulationError
 
 
@@ -214,7 +213,7 @@ def expected_order(ops):
     """
     return sorted(
         range(len(ops)),
-        key=lambda i: event_sort_position(round(ops[i][0], 1), ops[i][1], i),
+        key=lambda i: (round(ops[i][0], 1), ops[i][1], i),
     )
 
 

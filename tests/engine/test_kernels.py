@@ -1,25 +1,39 @@
-"""Unit tests for the pure state-transition kernels."""
+"""Unit tests for the per-access rules of the two step loops.
+
+The generic loop (:mod:`repro.protocols.base`) and the fused shadow-pool
+driver apply the same rules to every serviced page access: the readset
+transition (``record_access``), first-write-only writeset entries, the
+program-exhaustion boundary and the stale-completion guard.
+``select_replacement`` (:mod:`repro.core.scc_base`) is the Commit Rule's
+promotion choice.
+"""
 
 from types import SimpleNamespace
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.engine.kernels import (
+from repro.core.scc_2s import SCC2S
+from repro.core.scc_base import select_replacement
+from repro.protocols.base import (
+    Execution,
+    ExecutionState,
     ReadRecord,
-    completion_is_stale,
-    event_sort_position,
-    fires_before,
-    program_exhausted,
     record_access,
-    select_fork_donor,
-    select_replacement,
-    writeset_addition,
 )
+from repro.protocols.occ_bc import OCCBroadcastCommit
+from repro.workloads.generator import fixed_workload
+from tests.conftest import R, W, build_system, make_class
 
 
 def shadow(pos, serial):
     return SimpleNamespace(pos=pos, serial=serial)
+
+
+def one_transaction(steps):
+    return fixed_workload(
+        programs=[steps],
+        arrivals=[0.0],
+        txn_class=make_class(num_steps=len(steps)),
+        step_duration=1.0,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -40,40 +54,49 @@ def test_record_access_reread_keeps_first_position():
 
 
 def test_writeset_addition_only_first_write():
-    assert writeset_addition(is_write=True, already_recorded=False)
-    assert not writeset_addition(is_write=True, already_recorded=True)
-    assert not writeset_addition(is_write=False, already_recorded=False)
+    # Page 1 is written at positions 0 and 2: only the first write enters
+    # the writeset, on the generic loop (OCC-BC) and the fused driver
+    # (SCC-2S) alike.
+    for protocol in (OCCBroadcastCommit(), SCC2S()):
+        system = build_system(protocol, num_pages=4)
+        system.load_workload(one_transaction([W(1), R(0), W(1)]))
+        seen = []
+        install = system.commit
+
+        def commit(execution, install=install, seen=seen):
+            seen.append(dict(execution.writeset))
+            install(execution)
+
+        system.commit = commit
+        system.run()
+        assert seen == [{1: 0}], protocol.name
+        fused = getattr(protocol, "fast_path", None) is not None
+        assert fused == isinstance(protocol, SCC2S), protocol.name
 
 
 def test_program_exhausted_boundary():
-    assert not program_exhausted(4, 5)
-    assert program_exhausted(5, 5)
-    assert program_exhausted(6, 5)
+    execution = Execution(one_transaction([R(0)] * 5)[0])
+    for pos, done in ((4, False), (5, True), (6, True)):
+        execution.pos = pos
+        assert execution.done is done
 
 
 def test_completion_is_stale_epoch_and_state():
-    assert not completion_is_stale(2, 2, is_running=True)
-    assert completion_is_stale(3, 2, is_running=True)  # epoch bumped
-    assert completion_is_stale(2, 2, is_running=False)  # blocked/aborted
+    # A completion captured under an old epoch, or arriving while the
+    # execution is not RUNNING, records nothing.
+    system = build_system(OCCBroadcastCommit(), num_pages=4)
+    protocol = system.protocol
+    execution = Execution(one_transaction([R(0), R(1)])[0])
+    execution.state = ExecutionState.RUNNING
+    protocol._complete_step(execution, execution.epoch + 1)
+    execution.state = ExecutionState.BLOCKED
+    protocol._complete_step(execution, execution.epoch)
+    assert execution.pos == 0 and execution.readset == {}
 
 
 # ----------------------------------------------------------------------
 # shadow selection
 # ----------------------------------------------------------------------
-
-
-def test_fork_donor_empty_is_none():
-    assert select_fork_donor([]) is None
-
-
-def test_fork_donor_latest_position_wins():
-    early, late = shadow(2, serial=0), shadow(5, serial=1)
-    assert select_fork_donor([early, late]) is late
-
-
-def test_fork_donor_tie_breaks_by_creation_order():
-    older, newer = shadow(3, serial=1), shadow(3, serial=2)
-    assert select_fork_donor([newer, older]) is older
 
 
 def test_replacement_empty_is_none():
@@ -95,37 +118,3 @@ def test_replacement_prefers_committer_among_position_ties():
 def test_replacement_final_tie_breaks_by_creation_order():
     survivors = [(2, shadow(4, 3)), (3, shadow(4, 1))]
     assert select_replacement(survivors, committer_id=9) == survivors[1]
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 20)),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_fork_donor_is_permutation_invariant(raw):
-    # Deterministic choice must not depend on candidate enumeration order.
-    donors = [shadow(pos, serial) for serial, (pos, _) in enumerate(raw)]
-    chosen = select_fork_donor(donors)
-    assert select_fork_donor(list(reversed(donors))) is chosen
-
-
-# ----------------------------------------------------------------------
-# event ordering
-# ----------------------------------------------------------------------
-
-
-def test_event_sort_position_is_the_triple():
-    assert event_sort_position(1.5, 2, 9) == (1.5, 2, 9)
-
-
-@given(
-    st.tuples(st.floats(0, 100), st.integers(0, 10), st.integers(0, 1000)),
-    st.tuples(st.floats(0, 100), st.integers(0, 10), st.integers(0, 1000)),
-)
-def test_fires_before_is_lexicographic(a, b):
-    assert fires_before(a, b) == (a < b)
-    # Antisymmetry on distinct keys: exactly one direction fires first.
-    if a != b:
-        assert fires_before(a, b) != fires_before(b, a)

@@ -181,13 +181,13 @@ def test_run_executes_a_spec_file(capsys, tmp_path):
 
 def test_run_spec_bit_identical_to_direct_run_sweep(capsys, tmp_path):
     # The acceptance criterion: a JSON spec run via the CLI produces
-    # results bit-identical to the same grid through legacy run_sweep
-    # with hand-built factories.
+    # results bit-identical to the same grid run cell by cell with
+    # hand-built protocol classes.
     import json
 
     from repro.core.scc_2s import SCC2S
     from repro.experiments.config import baseline_config
-    from repro.experiments.runner import run_sweep
+    from repro.experiments.runner import run_once
     from repro.protocols.occ_bc import OCCBroadcastCommit
 
     path, _ = _write_smoke_spec(tmp_path)
@@ -197,19 +197,30 @@ def test_run_spec_bit_identical_to_direct_run_sweep(capsys, tmp_path):
         num_transactions=120, warmup_commits=12, replications=1,
         arrival_rates=(60.0, 120.0),
     )
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        legacy = run_sweep(
-            {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}, config
+    hand_built = {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}
+    assert len(records) == 4
+    assert {r["protocol"] for r in records} == set(hand_built)
+    for record in records:
+        summary = run_once(
+            hand_built[record["protocol"]], config,
+            record["arrival_rate"], record["replication"],
         )
-    by_cell = {
-        (r["protocol"], r["arrival_rate"], r["replication"]): r["summary"]
-        for r in records
-    }
-    assert len(by_cell) == len(records) == 4
-    for name, sweep in legacy.items():
-        for rate, summaries in zip(sweep.arrival_rates, sweep.replications):
-            for replication, summary in enumerate(summaries):
-                assert by_cell[(name, rate, replication)] == summary.to_dict()
+        assert record["summary"] == summary.to_dict()
+
+
+def test_repeated_cells_are_one_error_line(tmp_path):
+    # A grid that would compute one fingerprint twice is refused before
+    # any cell runs, as a plain error line rather than a traceback.
+    path, _ = _write_smoke_spec(tmp_path, arrival_rates=(60.0, 60.0))
+    for argv in (
+        ["run", str(path)],
+        ["fig13a", "--transactions", "60", "--rates", "40,40"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message.startswith("scc-experiments: error:"), argv
+        assert "repeat" in message and "\n" not in message, argv
 
 
 def test_run_with_store_reuses_cells(capsys, tmp_path):

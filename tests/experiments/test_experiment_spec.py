@@ -1,5 +1,5 @@
 """Tests for the declarative experiment API: spec round-trips, builder,
-legacy-equivalence, and spec-based store identity."""
+equivalence with hand-built protocols, and spec-based store identity."""
 
 import json
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.scc_2s import SCC2S
 from repro.errors import ConfigurationError
 from repro.experiments.config import baseline_config
-from repro.experiments.runner import normalize_protocols, run_sweep
+from repro.experiments.runner import normalize_protocols, run_once, run_sweep
 from repro.experiments.spec import SPEC_SCHEMA, Experiment, ExperimentSpec
 from repro.protocols.occ_bc import OCCBroadcastCommit
 from repro.protocols.registry import ProtocolSpec, parse_protocol_spec
@@ -50,6 +50,20 @@ class TestSpecConstruction:
     def test_rejects_raw_strings_in_constructor(self):
         with pytest.raises(ConfigurationError, match="ProtocolSpec"):
             ExperimentSpec(protocols=("scc-2s",))
+
+    def test_rejects_callable_entries_everywhere(self):
+        builds = (
+            lambda entry: ExperimentSpec(protocols=(entry,)),
+            lambda entry: ExperimentSpec.create([entry]),
+            lambda entry: ExperimentSpec.from_dict({"protocols": [entry]}),
+            lambda entry: Experiment.baseline().protocols(entry),
+        )
+        for entry in (SCC2S, lambda: SCC2S()):
+            for build in builds:
+                with pytest.raises(ConfigurationError) as excinfo:
+                    build(entry)
+                assert "'scc-ks?k=3'" in str(excinfo.value)
+                assert "register_protocol" in str(excinfo.value)
 
     def test_scenario_name_and_inline_def_are_exclusive(self):
         with pytest.raises(ConfigurationError, match="not both"):
@@ -276,17 +290,19 @@ class TestToConfig:
 
 class TestRunEquivalence:
     def test_spec_run_bit_identical_to_legacy_run_sweep(self):
+        # The oracle is the pre-spec idiom: hand-built protocol classes,
+        # one run_once per cell.
         config = baseline_config(**SMOKE, arrival_rates=(60.0, 140.0))
-        with pytest.warns(DeprecationWarning, match="protocol factories"):
-            legacy = run_sweep(
-                {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}, config
-            )
         spec_results = small_spec().run()
-        assert set(legacy) == set(spec_results)
-        for name in legacy:
-            assert (
-                legacy[name].replications == spec_results[name].replications
-            ), name
+        hand_built = {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}
+        assert set(spec_results) == set(hand_built)
+        for name, factory in hand_built.items():
+            sweep = spec_results[name]
+            for rate, summaries in zip(sweep.arrival_rates, sweep.replications):
+                for replication, summary in enumerate(summaries):
+                    assert summary == run_once(
+                        factory, config, rate, replication
+                    ), (name, rate, replication)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -302,25 +318,40 @@ class TestRunEquivalence:
 
 class TestNormalizeProtocols:
     def test_sequence_of_specs_labels_itself(self):
-        factories, specs = normalize_protocols(["scc-ks?k=3", "occ-bc"])
-        assert list(factories) == ["SCC-3S", "OCC-BC"]
+        specs = normalize_protocols(["scc-ks?k=3", "occ-bc"])
+        assert list(specs) == ["SCC-3S", "OCC-BC"]
         assert specs["SCC-3S"] == parse_protocol_spec("scc-ks?k=3")
 
     def test_mapping_with_legacy_factories_keeps_name_identity(self):
-        with pytest.warns(DeprecationWarning, match="protocol factories"):
-            factories, specs = normalize_protocols({"SCC-2S": SCC2S})
-        assert factories["SCC-2S"] is SCC2S
-        assert specs["SCC-2S"] is None
+        # A label no longer stands in for a factory's store identity: a
+        # labelled class or lambda is refused, and the message names the
+        # spec-string form and register_protocol as the way out.
+        for roster in ({"SCC-2S": SCC2S}, {"x": lambda: SCC2S()}):
+            with pytest.raises(ConfigurationError) as excinfo:
+                normalize_protocols(roster)
+            assert "'scc-ks?k=3'" in str(excinfo.value)
+            assert "register_protocol" in str(excinfo.value)
 
     def test_mapping_label_wins_over_spec_label(self):
-        factories, specs = normalize_protocols({"mine": "scc-ks?k=3"})
-        assert list(factories) == ["mine"]
+        specs = normalize_protocols({"mine": "scc-ks?k=3"})
+        assert list(specs) == ["mine"]
         assert specs["mine"].family == "scc-ks"
 
     def test_bare_factory_without_label_rejected(self):
-        with pytest.warns(DeprecationWarning, match="protocol factories"):
-            with pytest.raises(ConfigurationError, match="needs a label"):
-                normalize_protocols([SCC2S])
+        # A bare protocol class has no store identity either.
+        with pytest.raises(ConfigurationError) as excinfo:
+            normalize_protocols([SCC2S])
+        assert "'scc-ks?k=3'" in str(excinfo.value)
+        assert "register_protocol" in str(excinfo.value)
+
+    def test_one_spec_under_two_labels_rejected(self):
+        # Equal fingerprint payloads would give two cells one fingerprint.
+        for roster in (
+            {"A": "scc-2s", "B": "scc-2s"},
+            {"A": "scc-ks", "B": "scc-ks?k=2&replacement=lbfo"},
+        ):
+            with pytest.raises(ConfigurationError, match="'A' and 'B'"):
+                normalize_protocols(roster)
 
     def test_uninterpretable_entry_rejected(self):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
@@ -403,9 +434,9 @@ def test_normalize_protocols_accepts_a_bare_spec():
     # a sequence to iterate character by character.
     for bare in ("scc-ks?k=3", parse_protocol_spec("scc-ks?k=3"),
                  {"family": "scc-ks", "params": {"k": 3}}):
-        factories, specs = normalize_protocols(bare)
-        assert list(factories) == ["SCC-3S"]
-        assert specs["SCC-3S"] == parse_protocol_spec("scc-ks?k=3")
+        assert normalize_protocols(bare) == {
+            "SCC-3S": parse_protocol_spec("scc-ks?k=3")
+        }
 
 
 def test_save_is_atomic(tmp_path, monkeypatch):

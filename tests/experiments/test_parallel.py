@@ -20,6 +20,7 @@ from repro.experiments.parallel import (
     resolve_executor,
 )
 from repro.experiments.runner import build_cells, run_sweep
+from tests.conftest import explode, register_family
 
 SMALL = baseline_config(
     num_transactions=120,
@@ -155,11 +156,19 @@ def test_progress_events_monotonic_with_eta():
 def test_progress_reporter_formats_lines(capsys):
     import sys
 
-    reporter = ProgressReporter(stream=sys.stderr)
-    SerialSweepExecutor().run(_cells(2), _square, on_progress=reporter)
-    err = capsys.readouterr().err
-    assert "[1/2]" in err and "[2/2]" in err
-    assert "eta=" in err
+    config = SMALL.scaled(num_transactions=40, warmup_commits=2,
+                          replications=1, arrival_rates=[30.0, 60.0])
+    for executor, workers in (("serial", None), ("process", 2)):
+        run_sweep(
+            {"SCC-2S": "scc-2s"}, config, executor=executor, workers=workers,
+            on_event=ProgressReporter(stream=sys.stderr),
+        )
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, executor
+        assert "[1/2] completed" in lines[0], executor
+        assert "[2/2] completed" in lines[1], executor
+        assert all("SCC-2S rate=" in line and "eta=" in line
+                   for line in lines), executor
 
 
 # ----------------------------------------------------------------------
@@ -185,38 +194,38 @@ def test_workers_kwarg_alone_selects_process_pool():
         assert via_workers[name].replications == serial[name].replications
 
 
-def test_sweep_failures_aggregate():
-    class Exploding:
-        name = "EXPLODING"
-
-        def __getattr__(self, attr):
-            raise RuntimeError("protocol cannot run")
-
-    # Exploding is not registry-representable, so it stays a legacy
-    # factory and run_sweep warns about it before the cells execute.
-    protocols = {"SCC-2S": "scc-2s", "BAD": Exploding}
+def test_sweep_failures_aggregate(monkeypatch):
+    # The forked workers inherit the test-registered family.
+    register_family(monkeypatch, "exploding", explode)
+    protocols = {"SCC-2S": "scc-2s", "BAD": "exploding"}
     config = SMALL.scaled(num_transactions=60, warmup_commits=5,
                           replications=1, arrival_rates=[40.0])
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        with pytest.raises(SweepExecutionError) as excinfo:
-            run_sweep(protocols, config, executor="process", workers=2)
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_sweep(protocols, config, executor="process", workers=2)
     failures = excinfo.value.failures
     # The good protocol's cell ran to completion; only BAD's cell failed.
     assert [f.cell.protocol for f in failures] == ["BAD"]
     assert "RuntimeError" in str(excinfo.value)
 
 
-def test_legacy_progress_fires_on_completion_in_parallel():
-    calls = []
+def test_cell_completed_events_fire_in_parallel():
+    # Worker-side starts are not observable: the process executor
+    # reports only completions.
+    events = []
     run_sweep(
         {"SCC-2S": "scc-2s"},
         SMALL.scaled(num_transactions=40, warmup_commits=2, replications=1,
                      arrival_rates=[30.0, 60.0]),
-        progress=lambda name, rate, rep: calls.append((name, rate, rep)),
         executor="process",
         workers=2,
+        on_event=events.append,
     )
-    assert sorted(calls) == [("SCC-2S", 30.0, 0), ("SCC-2S", 60.0, 0)]
+    progress = [e for e in events if e.kind in ("cell_started", "cell_completed")]
+    assert {e.kind for e in progress} == {"cell_completed"}
+    assert sorted(
+        (e.payload["cell"]["protocol"], e.payload["cell"]["arrival_rate"])
+        for e in progress
+    ) == [("SCC-2S", 30.0), ("SCC-2S", 60.0)]
 
 
 def test_cell_error_from_exception_captures_chain():

@@ -60,7 +60,8 @@ class TestProfileClasses:
         from repro.core.scc_dc import SCCDC
         from repro.engine.rng import RandomStreams
         from repro.system.model import RTDBSystem
-        from repro.txn.generator import WorkloadGenerator
+        from repro.workloads.arrivals import PoissonArrivals
+        from repro.workloads.generator import TransactionGenerator
 
         [profiled] = profile_classes(
             [make_class(name="p", num_steps=6)],
@@ -68,12 +69,12 @@ class TestProfileClasses:
             step_duration=0.01,
             transactions=30,
         )
-        generator = WorkloadGenerator(
+        generator = TransactionGenerator(
             classes=[profiled],
             num_pages=64,
-            arrival_rate=40.0,
             step_duration=0.01,
             streams=RandomStreams(3),
+            arrivals=PoissonArrivals(40.0),
         )
         system = RTDBSystem(protocol=SCCDC(period=0.02), num_pages=64)
         system.load_workload(generator.generate(60))

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.scc_2s import SCC2S
+from repro.errors import ConfigurationError
 from repro.experiments.config import baseline_config
+from repro.experiments.figures import run_scenario
 from repro.experiments.runner import run_once, run_sweep
 from repro.protocols.occ_bc import OCCBroadcastCommit
 
@@ -51,14 +53,23 @@ def test_sweep_shapes_and_metrics():
 
 
 def test_progress_callback_invoked():
-    calls = []
+    events = []
     run_sweep(
         {"Serial": "serial"},
         SMALL.scaled(num_transactions=40, warmup_commits=2, replications=1,
                      arrival_rates=[30.0]),
-        progress=lambda name, rate, rep: calls.append((name, rate, rep)),
+        on_event=events.append,
     )
-    assert calls == [("Serial", 30.0, 0)]
+    # The serial executor announces each cell before running it.
+    progress = [
+        (e.kind, e.payload["cell"]["protocol"], e.payload["cell"]["arrival_rate"])
+        for e in events
+        if e.kind in ("cell_started", "cell_completed")
+    ]
+    assert progress == [
+        ("cell_started", "Serial", 30.0),
+        ("cell_completed", "Serial", 30.0),
+    ]
 
 
 def test_protocols_see_identical_workload_per_cell():
@@ -68,3 +79,31 @@ def test_protocols_see_identical_workload_per_cell():
     a = run_once(SCC2S, SMALL, arrival_rate=40.0, replication=0)
     b = run_once(OCCBroadcastCommit, SMALL, arrival_rate=40.0, replication=0)
     assert a.committed == b.committed
+
+
+def test_callable_roster_entries_rejected_before_any_cell(tmp_path):
+    # A class, a lambda or any other callable has no store identity.
+    path = tmp_path / "runs.jsonl"
+    for entry in (SCC2S, lambda: OCCBroadcastCommit()):
+        events = []
+        for sweep in (
+            lambda: run_sweep({"P": entry}, SMALL, store=path,
+                              on_event=events.append),
+            lambda: run_scenario("paper-baseline", protocols={"P": entry},
+                                 store=path, on_event=events.append),
+        ):
+            with pytest.raises(ConfigurationError) as excinfo:
+                sweep()
+            assert "'scc-ks?k=3'" in str(excinfo.value)
+            assert "register_protocol" in str(excinfo.value)
+        assert events == []
+    assert not path.exists()
+
+
+def test_one_grid_never_holds_two_cells_with_one_fingerprint(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    with pytest.raises(ConfigurationError, match="'A' and 'B'"):
+        run_sweep({"A": "scc-2s", "B": "scc-2s"}, SMALL, store=path)
+    with pytest.raises(ConfigurationError, match="repeat"):
+        run_sweep({"A": "scc-2s"}, SMALL, arrival_rates=[60, 60.0], store=path)
+    assert not path.exists()

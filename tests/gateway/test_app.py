@@ -91,6 +91,33 @@ class TestSubmit:
             assert f"{named!r} must be" in response.body["error"], fields
         assert app.list_experiments() == []
 
+    def test_repeated_cells_are_a_400(self, make_app):
+        # One computation, one record: a spec whose grid would hold one
+        # fingerprint twice is refused before anything is enqueued.
+        app = make_app()
+        cases = [
+            ({"arrival_rates": [60, 60]}, "repeat"),
+            ({"protocols": ["scc-ks", "scc-ks?k=2"]}, "same spec"),
+        ]
+        for fields, named in cases:
+            body = json.dumps(tiny_spec_dict(**fields)).encode()
+            response = dispatch(
+                app, Request(method="POST", path="/experiments", body=body)
+            )
+            assert response.status == 400, fields
+            assert named in response.body["error"], fields
+        assert app.list_experiments() == []
+        assert len(app._store) == 0
+
+    def test_callable_protocol_entry_rejected(self, make_app):
+        from repro.core.scc_2s import SCC2S
+
+        app = make_app()
+        for entry in (SCC2S, lambda: SCC2S()):
+            with pytest.raises(ConfigurationError, match="register_protocol"):
+                app.submit(tiny_spec_dict(protocols=[entry]), client="alice")
+        assert app.list_experiments() == []
+
     def test_object_engine_spec_is_a_400(self, make_app):
         app = make_app()
         body = json.dumps({**tiny_spec_dict(), "engine": "object"}).encode()

@@ -14,7 +14,7 @@ from repro.core.shadow_counts import (
     scc_ob_shadows_enumerated,
 )
 from repro.metrics.confidence import mean_confidence_interval
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from repro.txn.spec import Step
 from repro.values.distributions import (
     ExponentialExecution,

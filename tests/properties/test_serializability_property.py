@@ -20,7 +20,7 @@ from repro.protocols.occ_bc import OCCBroadcastCommit
 from repro.protocols.serial import SerialExecution
 from repro.protocols.twopl_pa import TwoPhaseLockingPA
 from repro.protocols.wait50 import Wait50
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from repro.txn.spec import Step
 from tests.conftest import build_system, make_class
 

@@ -30,8 +30,12 @@ SMALL = baseline_config(
 
 
 def test_records_from_results_cover_the_full_grid(tmp_path):
+    from repro.protocols.registry import protocol_spec
+
     results = run_sweep({"SCC-2S": "scc-2s"}, SMALL)
-    records = records_from_results(SMALL, results)
+    records = records_from_results(
+        SMALL, results, {"SCC-2S": protocol_spec("scc-2s")}
+    )
     assert len(records) == 4  # 1 protocol x 2 rates x 2 replications
     coords = {(r.protocol, r.arrival_rate, r.replication) for r in records}
     assert coords == {

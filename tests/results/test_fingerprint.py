@@ -12,6 +12,7 @@ from repro.results.fingerprint import (
     config_payload,
     digest,
 )
+from repro.protocols.registry import parse_protocol_spec
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.scenarios import get_scenario
 
@@ -59,18 +60,20 @@ def test_none_workload_equals_explicit_default_spec():
 
 def test_cell_fingerprint_covers_coordinates():
     config = baseline_config()
-    base = cell_fingerprint(config, "SCC-2S", 50.0, 0)
-    assert cell_fingerprint(config, "SCC-2S", 50.0, 0) == base
-    assert cell_fingerprint(config, "OCC-BC", 50.0, 0) != base
-    assert cell_fingerprint(config, "SCC-2S", 60.0, 0) != base
-    assert cell_fingerprint(config, "SCC-2S", 50.0, 1) != base
+    scc, occ = parse_protocol_spec("scc-2s"), parse_protocol_spec("occ-bc")
+    base = cell_fingerprint(config, scc, 50.0, 0)
+    assert cell_fingerprint(config, scc, 50.0, 0) == base
+    assert cell_fingerprint(config, occ, 50.0, 0) != base
+    assert cell_fingerprint(config, scc, 60.0, 0) != base
+    assert cell_fingerprint(config, scc, 50.0, 1) != base
 
 
 def test_cell_fingerprint_accepts_precomputed_payload():
     config = baseline_config()
     payload = config_payload(config)
-    assert cell_fingerprint(payload, "SCC-2S", 50.0, 0) == cell_fingerprint(
-        config, "SCC-2S", 50.0, 0
+    spec = parse_protocol_spec("scc-2s")
+    assert cell_fingerprint(payload, spec, 50.0, 0) == cell_fingerprint(
+        config, spec, 50.0, 0
     )
 
 
@@ -82,8 +85,6 @@ def test_cell_fingerprint_accepts_precomputed_payload():
 def test_cell_fingerprint_distinguishes_parameterized_variants():
     # The regression the registry exists for: scc-ks?k=2 vs scc-ks?k=3
     # must never share a cell, even though both could display "SCC-kS".
-    from repro.protocols.registry import parse_protocol_spec
-
     config = baseline_config()
     k2 = cell_fingerprint(config, parse_protocol_spec("scc-ks?k=2"), 50.0, 0)
     k3 = cell_fingerprint(config, parse_protocol_spec("scc-ks?k=3"), 50.0, 0)
@@ -92,8 +93,6 @@ def test_cell_fingerprint_distinguishes_parameterized_variants():
 
 def test_cell_fingerprint_spec_is_stable_across_spellings():
     # Default-filled and explicit spellings of the same spec hash alike.
-    from repro.protocols.registry import parse_protocol_spec
-
     config = baseline_config()
     assert cell_fingerprint(
         config, parse_protocol_spec("scc-ks"), 50.0, 0
@@ -102,21 +101,31 @@ def test_cell_fingerprint_spec_is_stable_across_spellings():
     )
 
 
+def _cell_digest(payload, protocol):
+    return digest(
+        {
+            "config": payload,
+            "protocol": protocol,
+            "arrival_rate": 50.0,
+            "replication": 0,
+        }
+    )
+
+
 def test_cell_fingerprint_spec_differs_from_bare_name():
-    # Spec identity is a schema change by design: a spec-driven sweep
-    # does not silently reuse name-addressed cells from legacy stores.
-    from repro.protocols.registry import parse_protocol_spec
-
-    config = baseline_config()
+    # Schema-1 records were addressed by display name; sweeps hash the
+    # spec, so such cells are recomputed rather than silently reused.
+    payload = config_payload(baseline_config())
     assert cell_fingerprint(
-        config, parse_protocol_spec("scc-2s"), 50.0, 0
-    ) != cell_fingerprint(config, "SCC-2S", 50.0, 0)
+        payload, parse_protocol_spec("scc-2s"), 50.0, 0
+    ) != _cell_digest(payload, "SCC-2S")
 
 
-def test_protocol_identity_helper():
-    from repro.protocols.registry import parse_protocol_spec
-    from repro.results.fingerprint import protocol_identity
-
+def test_cell_fingerprint_hashes_the_spec_payload():
+    # The hashed protocol identity is the spec's full payload (family +
+    # every parameter); pinning it keeps stored cells reusable.
     spec = parse_protocol_spec("wait-50?wait_threshold=0.25")
-    assert protocol_identity(spec) == spec.fingerprint_payload()
-    assert protocol_identity("WAIT-25") == "WAIT-25"
+    payload = config_payload(baseline_config())
+    assert cell_fingerprint(payload, spec, 50.0, 0) == _cell_digest(
+        payload, spec.fingerprint_payload()
+    )

@@ -135,6 +135,7 @@ def test_telemetry_block_round_trips():
 def test_from_outcome_carries_telemetry():
     from repro.experiments.config import baseline_config
     from repro.experiments.parallel import CellOutcome, SweepCell
+    from repro.protocols.registry import parse_protocol_spec
 
     config = baseline_config()
     cell = SweepCell(
@@ -146,7 +147,9 @@ def test_from_outcome_carries_telemetry():
         cell=cell, summary=make_summary(), error=None, elapsed=0.5,
         telemetry=telemetry,
     )
-    record = RunRecord.from_outcome(config, outcome)
+    record = RunRecord.from_outcome(
+        config, outcome, parse_protocol_spec("scc-2s")
+    )
     assert record.telemetry == telemetry
 
 
@@ -177,9 +180,6 @@ def test_from_outcome_uses_spec_identity_when_given():
     assert record.fingerprint == cell_fingerprint(config, spec, 50.0, 0)
     assert record.protocol == "SCC-3S"
     assert record.protocol_spec == spec.to_dict()
-    legacy = RunRecord.from_outcome(config, outcome)
-    assert legacy.fingerprint == cell_fingerprint(config, "SCC-3S", 50.0, 0)
-    assert legacy.protocol_spec is None
 
 
 def test_record_from_dict_rejects_missing_and_unknown_keys():

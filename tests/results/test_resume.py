@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.scc_2s import SCC2S
 from repro.errors import SweepExecutionError
 from repro.experiments.config import baseline_config
 from repro.experiments.figures import run_scenario
@@ -10,6 +9,7 @@ from repro.experiments.parallel import CellError, CellOutcome
 from repro.experiments.runner import assemble_results, build_cells, run_sweep
 from repro.protocols.occ_bc import OCCBroadcastCommit
 from repro.results import RunStore
+from tests.conftest import computed_cells, explode, register_family
 
 SMALL = baseline_config(
     num_transactions=80,
@@ -18,69 +18,49 @@ SMALL = baseline_config(
     arrival_rates=(40.0, 90.0),
     check_serializability=False,
 )
-
-
-def counting(factory):
-    """Wrap a protocol factory, counting how many cells actually ran."""
-    calls = []
-
-    def wrapped():
-        calls.append(1)
-        return factory()
-
-    return wrapped, calls
+PROTOCOLS = {"SCC-2S": "scc-2s", "OCC-BC": "occ-bc"}
 
 
 def test_cold_store_run_matches_storeless_run(tmp_path):
-    protocols = {"SCC-2S": "scc-2s", "OCC-BC": "occ-bc"}
-    plain = run_sweep(protocols, SMALL)
-    stored = run_sweep(protocols, SMALL, store=tmp_path / "runs.jsonl")
-    for name in protocols:
+    plain = run_sweep(PROTOCOLS, SMALL)
+    stored = run_sweep(PROTOCOLS, SMALL, store=tmp_path / "runs.jsonl")
+    for name in PROTOCOLS:
         assert stored[name].replications == plain[name].replications
 
 
 def test_resume_runs_only_missing_cells_and_is_bit_identical(tmp_path):
-    # Counting how many cells actually ran requires legacy factories
-    # (label-as-identity), which run_sweep now warns about; both the
-    # populating and the resuming sweeps must share that identity.
     path = tmp_path / "runs.jsonl"
-    protocols = {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        cold = run_sweep(protocols, SMALL)
+    cold = run_sweep(PROTOCOLS, SMALL)
 
-        # Interrupted sweep: only the first arrival rate got done.
-        run_sweep(protocols, SMALL, arrival_rates=[40.0], store=path)
-        assert len(RunStore(path)) == 4
+    # Interrupted sweep: only the first arrival rate got done.
+    run_sweep(PROTOCOLS, SMALL, arrival_rates=[40.0], store=path)
+    assert len(RunStore(path)) == 4
 
-        factory, calls = counting(SCC2S)
-        factory2, calls2 = counting(OCCBroadcastCommit)
-        resumed = run_sweep(
-            {"SCC-2S": factory, "OCC-BC": factory2}, SMALL, store=path
-        )
+    events = []
+    resumed = run_sweep(PROTOCOLS, SMALL, store=path, on_event=events.append)
     # Only the 90.0-rate cells ran (2 protocols x 2 replications).
-    assert len(calls) == 2 and len(calls2) == 2
-    for name in protocols:
+    assert computed_cells(events) == [
+        ("OCC-BC", 90.0, 0), ("OCC-BC", 90.0, 1),
+        ("SCC-2S", 90.0, 0), ("SCC-2S", 90.0, 1),
+    ]
+    for name in PROTOCOLS:
         assert resumed[name].replications == cold[name].replications
         assert resumed[name].arrival_rates == cold[name].arrival_rates
 
 
 def test_fully_warm_store_runs_nothing(tmp_path):
     path = tmp_path / "runs.jsonl"
-    protocols = {"SCC-2S": SCC2S}
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        first = run_sweep(protocols, SMALL, store=path)
-        factory, calls = counting(SCC2S)
-        warm = run_sweep({"SCC-2S": factory}, SMALL, store=path)
-    assert calls == []
+    protocols = {"SCC-2S": "scc-2s"}
+    first = run_sweep(protocols, SMALL, store=path)
+    events = []
+    warm = run_sweep(protocols, SMALL, store=path, on_event=events.append)
+    assert computed_cells(events) == []
     assert warm["SCC-2S"].replications == first["SCC-2S"].replications
 
 
 def test_truncated_store_reruns_only_the_lost_cell(tmp_path):
     path = tmp_path / "runs.jsonl"
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        run_sweep(
-            {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}, SMALL, store=path
-        )
+    run_sweep(PROTOCOLS, SMALL, store=path)
     with open(path, "rb+") as fh:
         data = fh.read()
         fh.seek(0)
@@ -89,17 +69,13 @@ def test_truncated_store_reruns_only_the_lost_cell(tmp_path):
     recovered = RunStore(path)
     assert recovered.corrupt_lines == 1
     assert len(recovered) == 7
-    factory, calls = counting(SCC2S)
-    factory2, calls2 = counting(OCCBroadcastCommit)
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        cold = run_sweep(
-            {"SCC-2S": SCC2S, "OCC-BC": OCCBroadcastCommit}, SMALL
-        )
-        resumed = run_sweep(
-            {"SCC-2S": factory, "OCC-BC": factory2}, SMALL, store=recovered
-        )
-    assert len(calls) + len(calls2) == 1  # just the torn cell
-    for name in ("SCC-2S", "OCC-BC"):
+    cold = run_sweep(PROTOCOLS, SMALL)
+    events = []
+    resumed = run_sweep(
+        PROTOCOLS, SMALL, store=recovered, on_event=events.append
+    )
+    assert len(computed_cells(events)) == 1  # just the torn cell
+    for name in PROTOCOLS:
         assert resumed[name].replications == cold[name].replications
 
 
@@ -110,31 +86,25 @@ def test_store_accepts_instance_and_path_equally(tmp_path):
     assert via_path["SCC-2S"].replications == via_instance["SCC-2S"].replications
 
 
-def test_failed_cells_are_not_persisted_and_retry_on_rerun(tmp_path):
+def test_failed_cells_are_not_persisted_and_retry_on_rerun(
+    tmp_path, monkeypatch
+):
     path = tmp_path / "runs.jsonl"
-
-    class Exploding:
-        name = "EXPLODING"
-
-        def __getattr__(self, attr):
-            raise RuntimeError("protocol cannot run")
-
+    register_family(monkeypatch, "exploding", explode)
+    protocols = {"SCC-2S": "scc-2s", "BAD": "exploding"}
     config = SMALL.scaled(replications=1, arrival_rates=[40.0])
-    # BAD is not registry-representable, so it stays a (warned-about)
-    # legacy factory; SCC-2S keeps factory identity to match it.
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        with pytest.raises(SweepExecutionError) as excinfo:
-            run_sweep({"SCC-2S": SCC2S, "BAD": Exploding}, config, store=path)
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_sweep(protocols, config, store=path)
     assert [f.cell.protocol for f in excinfo.value.failures] == ["BAD"]
     # The good cell was persisted before the sweep raised; the bad one
     # was not, so a fixed rerun retries exactly it.
     store = RunStore(path)
     assert len(store) == 1
     assert store.records()[0].protocol == "SCC-2S"
-    factory, calls = counting(OCCBroadcastCommit)
-    with pytest.warns(DeprecationWarning, match="protocol factories"):
-        fixed = run_sweep({"SCC-2S": SCC2S, "BAD": factory}, config, store=path)
-    assert len(calls) == 1
+    register_family(monkeypatch, "exploding", OCCBroadcastCommit)
+    events = []
+    fixed = run_sweep(protocols, config, store=path, on_event=events.append)
+    assert computed_cells(events) == [("BAD", 40.0, 0)]
     assert set(fixed) == {"SCC-2S", "BAD"}
 
 

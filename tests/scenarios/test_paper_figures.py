@@ -72,7 +72,7 @@ def test_figure3_shadow_set_for_three_pairwise_conflicts():
     # transaction (the figure's T3', T3^1, T3^2 — three total under
     # SCC-CB vs five orders under SCC-OB, checked analytically elsewhere).
     from repro.core.scc_cb import SCCCB
-    from repro.txn.generator import fixed_workload
+    from repro.workloads.generator import fixed_workload
 
     protocol = SCCCB()
     # T3 reads x (written by T1) and y (written by T2).

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import InvariantViolation, ProtocolError
 from repro.protocols.base import CCProtocol, Execution
 from repro.protocols.serial import SerialExecution
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 from repro.txn.spec import TransactionSpec
 from tests.conftest import R, W, build_system, make_class
 

@@ -7,7 +7,7 @@ from repro.protocols.serial import SerialExecution
 from repro.protocols.occ_bc import OCCBroadcastCommit
 from repro.system.resources import FiniteResources, InfiniteResources
 from tests.conftest import R, W, build_system, commit_time_of, make_class
-from repro.txn.generator import fixed_workload
+from repro.workloads.generator import fixed_workload
 
 
 def run_with(resources, programs, arrivals=None):

@@ -106,24 +106,25 @@ def test_quickstart_docstring_example_runs():
 def test_low_level_building_blocks_still_run():
     # The pre-spec surface stays public for custom harnesses.
     from repro import (
+        PoissonArrivals,
         RTDBSystem,
         RandomStreams,
         SCC2S,
         TransactionClass,
-        WorkloadGenerator,
+        TransactionGenerator,
     )
 
     streams = RandomStreams(seed=42)
-    generator = WorkloadGenerator(
+    generator = TransactionGenerator(
         classes=[
             TransactionClass(
                 "base", num_steps=16, write_probability=0.25, slack_factor=2.0
             )
         ],
         num_pages=1000,
-        arrival_rate=50.0,
         step_duration=0.006,
         streams=streams,
+        arrivals=PoissonArrivals(50.0),
     )
     system = RTDBSystem(protocol=SCC2S(), num_pages=1000)
     system.load_workload(generator.generate(100))

@@ -1,21 +1,26 @@
-"""Unit tests for the workload generator (paper §4 baseline model)."""
+"""Unit tests for the workload generator (paper §4 baseline model).
+
+The baseline generator is a :class:`TransactionGenerator` over Poisson
+arrivals with the default uniform access and slack deadlines.
+"""
 
 import numpy as np
 import pytest
 
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
-from repro.txn.generator import WorkloadGenerator, fixed_workload
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.generator import TransactionGenerator, fixed_workload
 from tests.conftest import R, W, make_class
 
 
 def make_generator(rate=50.0, classes=None, seed=7, num_pages=1000):
-    return WorkloadGenerator(
+    return TransactionGenerator(
         classes=classes or [make_class(num_steps=16)],
         num_pages=num_pages,
-        arrival_rate=rate,
         step_duration=0.006,
         streams=RandomStreams(seed),
+        arrivals=PoissonArrivals(rate),
     )
 
 
@@ -92,21 +97,21 @@ def test_invalid_configurations_rejected():
     with pytest.raises(ConfigurationError):
         make_generator(rate=0.0)
     with pytest.raises(ConfigurationError):
-        WorkloadGenerator(
+        TransactionGenerator(
             classes=[],
             num_pages=10,
-            arrival_rate=1.0,
             step_duration=0.01,
             streams=RandomStreams(1),
+            arrivals=PoissonArrivals(1.0),
         )
     with pytest.raises(ConfigurationError):
         # class accesses more pages than the database holds
-        WorkloadGenerator(
+        TransactionGenerator(
             classes=[make_class(num_steps=20)],
             num_pages=10,
-            arrival_rate=1.0,
             step_duration=0.01,
             streams=RandomStreams(1),
+            arrivals=PoissonArrivals(1.0),
         )
 
 

@@ -6,7 +6,7 @@ Two properties anchor the subsystem:
    swapping the access pattern (or deadline policy, or class mix) leaves
    the arrival-time sequence bit-identical.
 2. *Baseline compatibility* — the default axes reproduce the seed
-   ``WorkloadGenerator`` spec-for-spec under the same seed, so every
+   generator's algorithm spec-for-spec under the same seed, so every
    pre-subsystem result stays reproducible.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
-from repro.txn.generator import WorkloadGenerator
 from repro.txn.spec import Step
 from repro.workloads.access import UniformAccess, ZipfianAccess
 from repro.workloads.arrivals import MMPPArrivals, PoissonArrivals
@@ -126,19 +125,6 @@ class TestSeedCompatibility:
             60, classes, num_pages=500, rate=80.0, step=0.008, seed=SEED
         )
         assert self.as_tuples(generator.generate(60)) == expected
-
-    def test_legacy_shim_matches_new_generator(self):
-        legacy = WorkloadGenerator(
-            classes=[make_class(num_steps=16)],
-            num_pages=500,
-            arrival_rate=80.0,
-            step_duration=0.008,
-            streams=RandomStreams(SEED),
-        )
-        modern = make_generator()
-        assert self.as_tuples(legacy.generate(80)) == self.as_tuples(
-            modern.generate(80)
-        )
 
     def test_default_workload_spec_is_the_baseline(self):
         spec = WorkloadSpec()
