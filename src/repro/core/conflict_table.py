@@ -8,24 +8,26 @@ Two structures:
   well defined prefixes).  It answers the detection queries of the Read
   and Write Rules.
 * :class:`ConflictTable` — per *reader* transaction: for each uncommitted
-  *writer* it conflicts with, the set of conflicting pages and the position
-  of the reader's **first** read of any of them.  That first position is
-  where a speculative shadow accounting for the conflict must block (the
-  paper's Figures 5 and 6: a newly discovered earlier conflict page moves
-  the blocking point forward and forces a shadow replacement).
+  *writer* it conflicts with, the position of the reader's **first** read
+  of any page that writer wrote.  That one number is the conflict's
+  *blocking point*: where a speculative shadow accounting for the
+  conflict must block, and the key LBFO ranks conflicts by (the paper's
+  Figures 5 and 6: a newly discovered earlier conflict page moves the
+  blocking point forward and forces a shadow replacement).  Which pages
+  conflict is not kept — a later page of a known writer changes nothing.
 
-Both structures are *precomputed indices*: every page keeps its reader and
-writer sets and every transaction its page maps, maintained incrementally
-on each access, so the Read/Write Rule detection queries are dictionary
-probes rather than scans over active transactions.  The ``*_view``
-accessors expose the internal sets without copying for the per-access hot
-path; the copying accessors remain the safe public API.
+The access index is a *precomputed index*: every page keeps its reader
+and writer sets and every transaction its page maps, maintained
+incrementally on each access, so the Read/Write Rule detection queries
+are dictionary probes rather than scans over active transactions.  The
+``*_view`` accessors expose the internal sets without copying for the
+per-access hot path; the copying accessors remain the safe public API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from heapq import nsmallest
+from typing import NamedTuple, Optional
 
 from repro.errors import InvariantViolation
 
@@ -34,105 +36,83 @@ from repro.errors import InvariantViolation
 _EMPTY: tuple = ()
 
 
-@dataclass
-class ConflictRecord:
+class ConflictRecord(NamedTuple):
     """One directed conflict ``writer -> reader`` (reader's perspective).
+
+    The table stores only the blocking point; :meth:`ConflictTable.records`
+    builds records on demand for the replacement policies that rank by
+    more than it.
 
     Attributes
     ----------
     writer : int
         Transaction id whose commit would invalidate the reader.
-    pages : set of int
-        Conflicting pages (writer wrote them, reader read/reads them).
     first_pos : int
-        Reader's earliest program position reading any of them.
+        Reader's earliest program position reading any page the writer
+        wrote: the blocking point.
     """
 
     writer: int
-    pages: set[int] = field(default_factory=set)
-    first_pos: int = 0
-
-    def merge(self, page: int, position: int) -> bool:
-        """Fold in one more conflicting page.
-
-        Parameters
-        ----------
-        page : int
-            Newly detected conflicting page.
-        position : int
-            Reader's first read position of that page.
-
-        Returns
-        -------
-        bool
-            ``True`` if the record changed (new page or earlier position).
-        """
-        changed = page not in self.pages
-        self.pages.add(page)
-        if position < self.first_pos:
-            self.first_pos = position
-            changed = True
-        return changed
+    first_pos: int
 
 
 class ConflictTable:
-    """Per-transaction table of uncommitted writers it conflicts with.
+    """Per-transaction map from uncommitted writer to blocking point.
 
-    The table is keyed by writer id; each entry carries the conflicting
-    pages and the reader's earliest read position among them (the blocking
-    point a speculative shadow must respect).  A sorted snapshot for
-    replacement policies is cached and invalidated on mutation, so
-    repeated coverage rebuilds between conflict changes do not re-sort.
+    One ``{writer: first_pos}`` dict, in detection order.  :meth:`record`
+    reports a change only when a blocking point moves — a new writer or a
+    strictly earlier position — which is all that can change LBFO
+    coverage.  :meth:`earliest` selects that coverage without sorting the
+    table for a finite budget; the unbounded (SCC-CB) order is a sort
+    cached until a blocking point moves or a writer leaves.
     """
 
-    __slots__ = ("_records", "_sorted")
+    __slots__ = ("_first", "_order")
 
     def __init__(self) -> None:
-        self._records: dict[int, ConflictRecord] = {}
-        self._sorted: Optional[list[ConflictRecord]] = None
+        self._first: dict[int, int] = {}
+        self._order: Optional[list[int]] = None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._first)
 
     def __contains__(self, writer: int) -> bool:
-        return writer in self._records
+        return writer in self._first
 
     def writers(self) -> list[int]:
-        """Return all conflicting writer ids."""
-        return list(self._records)
+        """Return all conflicting writer ids, in detection order."""
+        return list(self._first)
 
     def record(self, writer: int, page: int, position: int) -> bool:
-        """Record a conflict page.
+        """Record that the reader reads a page ``writer`` wrote.
 
         Parameters
         ----------
         writer : int
             Uncommitted transaction whose write conflicts.
         page : int
-            The conflicting page.
+            The conflicting page (not stored: only the earliest position
+            matters).
         position : int
             The reader's first read position of ``page``.
 
         Returns
         -------
         bool
-            ``True`` if the table changed.
+            ``True`` if the blocking point moved: ``writer`` is new, or
+            ``position`` is strictly earlier than its recorded one.
         """
-        existing = self._records.get(writer)
-        if existing is None:
-            self._records[writer] = ConflictRecord(
-                writer=writer, pages={page}, first_pos=position
-            )
-            self._sorted = None
-            return True
-        changed = existing.merge(page, position)
-        if changed:
-            self._sorted = None
-        return changed
+        first = self._first
+        prior = first.get(writer)
+        if prior is not None and prior <= position:
+            return False
+        first[writer] = position
+        self._order = None
+        return True
 
-    def get(self, writer: int) -> Optional[ConflictRecord]:
-        """Return the record for ``writer``, or ``None``."""
-        return self._records.get(writer)
+    def blocking_point(self, writer: int) -> Optional[int]:
+        """Return the reader's first read of ``writer``'s pages, or ``None``."""
+        return self._first.get(writer)
 
     def remove_writer(self, writer: int) -> bool:
         """Drop the conflict with ``writer`` (it committed).  Idempotent.
@@ -142,37 +122,50 @@ class ConflictTable:
         bool
             ``True`` if a record was actually removed.
         """
-        if self._records.pop(writer, None) is not None:
-            self._sorted = None
-            return True
-        return False
+        if self._first.pop(writer, None) is None:
+            return False
+        self._order = None
+        return True
 
-    def _sorted_records(self) -> list[ConflictRecord]:
-        """The cached (first_pos, writer)-sorted records.
+    def earliest(self, budget: Optional[int]) -> list[int]:
+        """Return the writers with the earliest blocking points (LBFO).
+
+        Ordered by ``(first_pos, writer)``.  A budget of one is a ``min``
+        over the table, any other finite budget a bounded heap selection,
+        and ``None`` (unbounded) a full sort cached until the table
+        changes.
+
+        Parameters
+        ----------
+        budget : int or None
+            How many writers to return; ``None`` returns all of them.
 
         Returns
         -------
-        list of ConflictRecord
-            The cache itself — callers must treat it as read-only.  The
-            rebuild-speculation hot path borrows this to skip the
-            defensive copy :meth:`records` makes.
+        list of int
+            Writer ids, earliest blocking point first.  For ``None`` this
+            is the cached order itself: callers must not mutate it.
         """
-        if self._sorted is None:
-            self._sorted = sorted(
-                self._records.values(), key=lambda r: (r.first_pos, r.writer)
-            )
-        return self._sorted
+        first = self._first
+        if budget is None:
+            order = self._order
+            if order is None:
+                order = self._order = [
+                    writer for _, writer in sorted(zip(first.values(), first))
+                ]
+            return order
+        if budget == 1:
+            return [min(zip(first.values(), first))[1]] if first else []
+        heads = nsmallest(budget, zip(first.values(), first))
+        return [writer for _, writer in heads]
 
     def records(self) -> list[ConflictRecord]:
-        """Return all records, ordered by first conflict position then writer id.
-
-        Returns
-        -------
-        list of ConflictRecord
-            A fresh list (safe to mutate); the underlying sort is cached
-            until the table changes.
-        """
-        return list(self._sorted_records())
+        """Return all records, ordered by blocking point then writer id."""
+        first = self._first
+        return [
+            ConflictRecord(writer, first_pos)
+            for first_pos, writer in sorted(zip(first.values(), first))
+        ]
 
 
 class AccessIndex:
@@ -322,26 +315,3 @@ class AccessIndex:
             raise InvariantViolation(
                 f"no recorded read of page {page} by T{txn_id}"
             ) from None
-
-    def blocked_page_for(self, txn_id: int, wait_for: Iterable[int]) -> set[int]:
-        """Return pages written by any transaction in ``wait_for``.
-
-        Parameters
-        ----------
-        txn_id : int
-            The waiting transaction (unused; kept for signature
-            compatibility).
-        wait_for : iterable of int
-            The speculated wait set.
-
-        Returns
-        -------
-        set of int
-            Union of the writers' write sets (the blocking pages).
-        """
-        pages: set[int] = set()
-        for writer in wait_for:
-            writes = self._txn_writes.get(writer)
-            if writes:
-                pages |= writes
-        return pages

@@ -68,7 +68,12 @@ class ReplacementPolicy(ABC):
 
 
 class LatestBlockedFirstOut(ReplacementPolicy):
-    """Keep the earliest blocking points (the paper's LBFO policy)."""
+    """Keep the earliest blocking points (the paper's LBFO policy).
+
+    SCC-kS does not call this policy on its rebuild path: the choice is
+    :meth:`ConflictTable.earliest <repro.core.conflict_table.ConflictTable.earliest>`,
+    the same ``(first_pos, writer)`` order selected without a sort.
+    """
 
     name = "lbfo"
     time_invariant = True
@@ -109,7 +114,8 @@ class ValueAwareReplacement(ReplacementPolicy):
 
     name = "value"
     # NOT time_invariant: value functions decay with simulated time, so the
-    # ordering can change between rebuilds even with unchanged conflicts.
+    # ordering can change between rebuilds even with unchanged conflicts —
+    # its coverage depends on *when* rebuilds run, not only on the table.
 
     def order(self, runtime, records, protocol, now):
         """Sort by the writer's value *at the current time*, highest first."""

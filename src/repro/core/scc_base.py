@@ -257,6 +257,13 @@ class SCCProtocolBase(CCProtocol):
         """
         return []
 
+    def budget_for(self, txn: TransactionSpec) -> Optional[int]:
+        """Speculative-shadow budget for one transaction (``None``: no limit).
+
+        The default is 0, matching the empty default coverage.
+        """
+        return 0
+
     # ------------------------------------------------------------------
     # shared queries (used by policies and termination rules)
     # ------------------------------------------------------------------
@@ -417,9 +424,10 @@ class SCCProtocolBase(CCProtocol):
         # A speculative shadow may have completed a read of a page its
         # *waited* writer wrote while the read was in flight: the writer's
         # WAR pass ran before this read was recorded (the shadow looked
-        # valid then), and the conflict table may already know the page
-        # (no "change").  The shadow is now exposed to its own wait set —
-        # force a rebuild so it is replaced (paper Figure 5 semantics).
+        # valid then), and the conflict table may already hold the writer
+        # at this position or an earlier one (no "change").  The shadow is
+        # now exposed to its own wait set — force a rebuild so it is
+        # replaced (paper Figure 5 semantics).
         if (
             not changed
             and shadow.mode is ShadowMode.SPECULATIVE
@@ -495,14 +503,13 @@ class SCCProtocolBase(CCProtocol):
         or before the conflict's first position that has not read any of
         the writer's pages.  With no donor it re-executes from scratch.
         """
-        conflict = runtime.conflicts.get(writer)
-        if conflict is None:
+        first_pos = runtime.conflicts.blocking_point(writer)
+        if first_pos is None:
             raise InvariantViolation(
                 f"spawning shadow for unrecorded conflict "
                 f"T{writer} -> T{runtime.txn_id}"
             )
         written = self._index.written_by(writer)
-        first_pos = conflict.first_pos
         # One pass picks the latest donor (largest pos, then smallest
         # serial) among shadows in a donor state: that filter subsumes
         # live_shadows' aliveness check, and the (pos, -serial) maximum
@@ -650,9 +657,23 @@ class SCCProtocolBase(CCProtocol):
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Raise :class:`InvariantViolation` on any broken SCC invariant."""
+        """Raise :class:`InvariantViolation` on any broken SCC invariant.
+
+        Checked for every active transaction: it holds at most
+        :meth:`budget_for` speculative shadows (Figure 6; no limit for
+        SCC-CB); its registered optimistic shadow is live and optimistic;
+        each speculative shadow waits only on writers in the conflict
+        table and has not read its writer's pages; and no live shadow
+        holds a stale read.
+        """
         system = self._require_system()
         for runtime in self._runtimes.values():
+            budget = self.budget_for(runtime.spec)
+            if budget is not None and len(runtime.speculatives) > budget:
+                raise InvariantViolation(
+                    f"T{runtime.txn_id}: {len(runtime.speculatives)} "
+                    f"speculative shadows exceed its budget of {budget}"
+                )
             optimistic = runtime.optimistic
             if optimistic.mode is not ShadowMode.OPTIMISTIC:
                 raise InvariantViolation(
@@ -681,6 +702,12 @@ class SCCProtocolBase(CCProtocol):
                         f"T{runtime.txn_id}: shadow waiting on T{writer} has "
                         f"read the writer's pages"
                     )
+                for waited in shadow.wait_for:
+                    if waited not in runtime.conflicts:
+                        raise InvariantViolation(
+                            f"T{runtime.txn_id}: speculative shadow waits on "
+                            f"T{waited}, which is not in its conflict table"
+                        )
             for shadow in runtime.live_shadows():
                 for page, record in shadow.readset.items():
                     if system.db.version(page) != record.version:

@@ -84,7 +84,9 @@ class SCCkS(SCCProtocolBase):
         Returns
         -------
         list of int
-            Writer ids to keep speculative shadows for, in spawn order.
+            Writer ids to keep speculative shadows for, in spawn order
+            (read-only: under an unbounded LBFO budget it is the conflict
+            table's cached order).
         """
         if self._k_for is None:
             # Static k (validated >= 1 at construction): skip the
@@ -95,15 +97,11 @@ class SCCkS(SCCProtocolBase):
             budget = self.budget_for(runtime.spec)
         if budget == 0:
             return []
-        # Fast path: the conflict table's cached sort is by
-        # (first_pos, writer), which is exactly LBFO's order — borrow it
-        # read-only and skip both the re-sort and the defensive copy on
-        # the default policy.
+        # LBFO ranks by the blocking point alone, which the conflict
+        # table selects without sorting itself for a finite budget.
         if type(self.replacement) is LatestBlockedFirstOut:
-            records = runtime.conflicts._sorted_records()
-            selected = records if budget is None else records[:budget]
-        else:
-            records = runtime.conflicts.records()
-            now = self.system.sim.now if self.system is not None else 0.0
-            selected = self.replacement.select(runtime, records, budget, self, now)
+            return runtime.conflicts.earliest(budget)
+        records = runtime.conflicts.records()
+        now = self.system.sim.now if self.system is not None else 0.0
+        selected = self.replacement.select(runtime, records, budget, self, now)
         return [record.writer for record in selected]

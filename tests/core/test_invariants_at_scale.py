@@ -1,0 +1,56 @@
+"""SCC invariants checked mid-run on registered scenarios (paper Figs 3, 6).
+
+The unit tests call ``check_invariants`` on hand-built schedules of a few
+transactions.  Here every speculating family steps a contended scenario
+cell on the fused driver in short ``sim.run(until=...)`` slices and
+checks after each one: the per-transaction shadow budget, each
+speculative shadow waiting only on writers in its conflict table, and
+the rest of :meth:`~repro.core.scc_base.SCCProtocolBase.check_invariants`.
+"""
+
+import pytest
+
+from repro.engine.array import WorkloadTensors
+from repro.engine.rng import RandomStreams
+from repro.metrics.stats import MetricsCollector
+from repro.protocols.registry import protocol_spec
+from repro.system.model import RTDBSystem
+from repro.system.resources import InfiniteResources
+from repro.workloads.scenarios import get_scenario
+
+TRANSACTIONS = 150
+RATE = 120.0
+#: Simulated seconds between two checks.
+SLICE = 0.05
+
+
+@pytest.mark.parametrize("scenario", ["flash-sale-hotspot", "diurnal-oltp"])
+@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
+def test_invariants_hold_at_every_checkpoint(scenario, spec):
+    config = get_scenario(scenario).to_config(
+        num_transactions=TRANSACTIONS, warmup_commits=0, replications=1
+    )
+    protocol = protocol_spec(spec)()
+    system = RTDBSystem(
+        protocol=protocol,
+        num_pages=config.num_pages,
+        resources=InfiniteResources(cpu_time=config.cpu_time, io_time=config.io_time),
+        metrics=MetricsCollector(warmup_commits=0),
+        record_history=False,
+    )
+    try:
+        assert getattr(protocol, "fast_path", None) is not None
+        streams = RandomStreams(config.seed).spawn(0)
+        tensors = WorkloadTensors.from_config(config, RATE, streams)
+        system.load_workload(tensors.materialize())
+        checkpoints = 0
+        while system.committed_count < TRANSACTIONS:
+            checkpoints += 1
+            assert checkpoints < 1000, "cell did not finish"
+            system.sim.run(until=checkpoints * SLICE)
+            protocol.check_invariants()
+        assert checkpoints >= 20
+        system.run()
+        assert system.committed_count == TRANSACTIONS
+    finally:
+        system.close()

@@ -12,7 +12,7 @@ from tests.conftest import make_class
 
 
 def records(*pairs):
-    return [ConflictRecord(writer=w, pages={100 + w}, first_pos=p) for w, p in pairs]
+    return [ConflictRecord(writer=w, first_pos=p) for w, p in pairs]
 
 
 def protocol_with_writers(deadlines_values):
@@ -85,17 +85,21 @@ def test_policies_handle_departed_writers():
 def test_lbfo_order_matches_conflict_table_sort():
     """Pin the coupling SCCkS._desired_coverage's fast path relies on.
 
-    ConflictTable.records() returns records sorted by (first_pos, writer)
-    — exactly LBFO's order.  The SCC-kS coverage fast path skips LBFO's
-    re-sort on that basis; if either side's key ever changes, this test
-    must fail before the fast path silently diverges.
+    Under LBFO, SCC-kS takes its coverage from ConflictTable.earliest —
+    a min, a bounded heap, or a cached sort by (first_pos, writer) — and
+    skips the policy.  ConflictTable.records() is sorted by the same key.
+    If either side's key ever changes, this test must fail before the
+    fast path silently diverges from LatestBlockedFirstOut.select.
     """
     from repro.core.conflict_table import ConflictTable
 
     table = ConflictTable()
     # Deliberately adversarial insertion order: late positions first,
-    # writer ids shuffled, one record's first_pos moved earlier by merge.
-    for writer, page, pos in [(7, 3, 9), (2, 4, 1), (9, 5, 4), (2, 6, 5), (7, 7, 2)]:
+    # writer ids shuffled, one record's first_pos moved earlier, and a
+    # position tie broken by writer id.
+    for writer, page, pos in [
+        (7, 3, 9), (2, 4, 1), (9, 5, 4), (2, 6, 5), (7, 7, 2), (5, 8, 2)
+    ]:
         table.record(writer, page, pos)
     sorted_records = table.records()
     assert [(r.first_pos, r.writer) for r in sorted_records] == sorted(
@@ -103,3 +107,7 @@ def test_lbfo_order_matches_conflict_table_sort():
     )
     policy = LatestBlockedFirstOut()
     assert policy.order(None, sorted_records, None, 0.0) == sorted_records
+    shuffled = sorted(sorted_records, key=lambda r: -r.writer)
+    for budget in (1, 2, None):
+        selected = policy.select(None, shuffled, budget, None, 0.0)
+        assert table.earliest(budget) == [r.writer for r in selected]

@@ -64,7 +64,7 @@ class TestStartAndReadRules:
         assert shadow.pos == 1
         assert shadow.forked_at == 1  # forked off the optimistic shadow
         assert not shadow.has_read(0)
-        assert runtime.conflicts.get(1).first_pos == 1
+        assert runtime.conflicts.blocking_point(1) == 1
         protocol.check_invariants()
         system.sim.run()
         assert check_serializable(system.history)
@@ -87,7 +87,7 @@ class TestStartAndReadRules:
         runtime = protocol.runtime_of(0)
         assert list(runtime.speculatives) == [1]
         assert runtime.speculatives[1].forked_at == 0  # from scratch
-        assert runtime.conflicts.get(1).first_pos == 1
+        assert runtime.conflicts.blocking_point(1) == 1
         system.sim.run()
         assert check_serializable(system.history)
         assert system.metrics.restarts == 0
@@ -185,7 +185,7 @@ class TestWriteRule:
         replacement = protocol.runtime_of(0).speculatives[1]
         assert replacement is not first_shadow
         assert first_shadow.state is ExecutionState.ABORTED
-        assert runtime.conflicts.get(1).first_pos == 0
+        assert runtime.conflicts.blocking_point(1) == 0
         system.sim.run()
         assert check_serializable(system.history)
 
