@@ -9,7 +9,7 @@ access*:
   Measures the bucketed dispatch with no protocol on top.
 * ``test_scc_step_loop_throughput_array`` — one in-process SCC-2S run
   at a contended (but pre-saturation) arrival rate.  Measures the full
-  per-access stack: the fused shadow-pool step loop, conflict probes,
+  per-access stack: the SCC step loop, conflict probes,
   shadow fork/block/promote, and commit processing.
 * ``test_workload_tensor_throughput_array`` — building one sweep cell's
   workload with :meth:`WorkloadTensors.from_config` (batched RNG draws).

@@ -20,8 +20,9 @@ The access index is a *precomputed index*: every page keeps its reader
 and writer sets and every transaction its page maps, maintained
 incrementally on each access, so the Read/Write Rule detection queries
 are dictionary probes rather than scans over active transactions.  The
-``*_view`` accessors expose the internal sets without copying for the
-per-access hot path; the copying accessors remain the safe public API.
+SCC step loop (:mod:`repro.core.shadow_pool`) probes and updates the
+backing dicts in place on its per-access path; the methods are the API
+for everything else.
 """
 
 from __future__ import annotations
@@ -246,10 +247,6 @@ class AccessIndex:
     # queries
     # ------------------------------------------------------------------
 
-    def writers_of(self, page: int) -> set[int]:
-        """Return a copy of the uncommitted writers of ``page``."""
-        return set(self._page_writers.get(page, _EMPTY))
-
     def readers_of(self, page: int) -> set[int]:
         """Return a copy of the uncommitted readers of ``page``."""
         return set(self._page_readers.get(page, _EMPTY))
@@ -261,17 +258,9 @@ class AccessIndex:
         -------
         collection of int
             The live internal set (or a shared empty tuple).  Callers
-            MUST NOT mutate it and MUST NOT hold it across index updates;
-            it is a read-only view for the per-access hot path.
+            MUST NOT mutate it and MUST NOT hold it across index updates.
         """
         return self._page_writers.get(page, _EMPTY)
-
-    def readers_view(self, page: int):
-        """Return the internal reader set of ``page`` without copying.
-
-        See :meth:`writers_view` for the (non-)aliasing contract.
-        """
-        return self._page_readers.get(page, _EMPTY)
 
     def written_by(self, txn_id: int) -> set[int]:
         """Return pages written (so far) by ``txn_id``'s program.

@@ -1,58 +1,51 @@
-"""Shared SCC machinery: the five rules of SCC-kS (paper §2.1).
+"""Shared SCC machinery: the state and cold transitions of SCC-kS (§2.1).
 
-This base class implements the paper's rules as event-driven hooks over the
-generic execution framework:
+The paper's five rules are applied per access by the SCC step loop,
+:class:`~repro.core.shadow_pool.FusedSCCStepDriver`, which
+:meth:`SCCProtocolBase.bind` installs under every resource model and to
+which ``on_arrival``, ``commit_transaction`` and ``_advance`` forward.
+This module holds what the rules act on and what they trigger:
 
-* **Start Rule** — ``on_arrival`` creates the optimistic shadow.
-* **Read Rule** — a read-after-write conflict is detected in
-  ``before_step`` of the optimistic shadow, *before* the exposing read
-  happens; speculation is rebuilt so a shadow can fork off the optimistic
-  at the current position (it blocks immediately, the paper's "forked off
-  T_o_r").
-* **Write Rule** — a write-after-read conflict is detected in
-  ``after_step`` of any shadow performing a write; the affected *reader*
-  transaction's speculation is rebuilt, forking from the latest valid
-  donor before the conflict position, or from scratch (the paper's "create
-  a new copy of the reader transaction"), including the Figure 5/6
-  replacement adjustments.
-* **Blocking Rule** — a speculative shadow is blocked in ``before_step``
-  the first time it would read a page written by a transaction in its
-  ``wait_for`` set.
-* **Commit Rule** — :meth:`commit_transaction` installs the committing
-  shadow, kills every shadow *anywhere* that read a now-stale page
-  ("exposed" shadows, e.g. T³₁ in the paper's Figure 7), and for each
-  transaction whose optimistic shadow died promotes the surviving shadow
-  with the latest blocking point.  Because any shadow past the first
-  conflict position with the committer must have read the conflict page
-  and is therefore dead, the latest-blocked survivor *is* the shadow that
-  waited on the committer whenever one exists — uniformly realizing both
-  cases of the paper's Commit Rule (Figures 7 and 8).  With no survivor
-  the transaction restarts from scratch (OCC-BC behaviour).
+* the per-transaction state (:class:`SCCTxnRuntime`: the optimistic
+  shadow, the speculative shadows keyed by writer, the conflict table)
+  and the global :class:`~repro.core.conflict_table.AccessIndex`;
+* speculation maintenance, centralized in :meth:`_rebuild_speculation`,
+  which reconciles the live shadow set against the *desired coverage*
+  (which conflicts deserve shadows, per subclass policy and budget).
+  The Read and Write Rules, LBFO replacement and post-commit
+  re-speculation are all "conflict table changed → rebuild", which keeps
+  the invariants checkable in one place;
+* the Commit Rule's per-transaction effects
+  (:meth:`_process_commit_effects`): kill every shadow that read a
+  now-stale page ("exposed" shadows, e.g. T³₁ in the paper's Figure 7)
+  and, where the optimistic shadow died, promote the surviving shadow
+  with the latest blocking point.  Any shadow past the first conflict
+  position with the committer must have read the conflict page and is
+  therefore dead, so the latest-blocked survivor *is* the shadow that
+  waited on the committer whenever one exists — both cases of the
+  paper's Commit Rule (Figures 7 and 8).  With no survivor the
+  transaction restarts from scratch (OCC-BC behaviour);
+* the runtime checker :meth:`SCCProtocolBase.check_invariants`.
 
 Deciding *when* a finished optimistic shadow commits is delegated to a
 :class:`~repro.core.deferral.TerminationPolicy`: immediate for
 SCC-kS/2S/CB, deferred for the value-cognizant SCC-DC/SCC-VW (§3's
-Termination Rule).
-
-Speculation maintenance is centralized in :meth:`_rebuild_speculation`,
-which reconciles the live shadow set against the *desired coverage*
-(which conflicts deserve shadows, per subclass policy and budget).  The
-Read and Write Rules, LBFO replacement, and post-commit re-speculation are
-all "conflict table changed → rebuild" under the hood, which keeps the
-invariants checkable in one place.
+Termination Rule).  Variants specialise coverage
+(:meth:`SCCProtocolBase._desired_coverage`, :meth:`~SCCProtocolBase.budget_for`)
+and termination, never the per-access rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from repro.core.conflict_table import AccessIndex, ConflictTable
 from repro.core.deferral import ImmediateCommit, TerminationPolicy
 from repro.core.shadow import Shadow, ShadowMode
 from repro.errors import InvariantViolation, ProtocolError
 from repro.protocols.base import CCProtocol, Execution, ExecutionState
-from repro.txn.spec import Step, TransactionSpec
+from repro.txn.spec import TransactionSpec
 
 #: States a shadow may be in to serve as a fork donor: it must still be
 #: executing (or about to) so the copied prefix is a live computation.
@@ -167,36 +160,59 @@ class SCCProtocolBase(CCProtocol):
         #: Live shadow count across all runtimes, maintained by _emit for
         #: the ``peak_live_shadows`` telemetry gauge.
         self._live_shadow_count = 0
+        #: The step loop of the current binding (``None`` when unbound).
+        self._driver = None
 
     def bind(self, system) -> None:
-        """Attach to a system, then try to install the fused fast path.
-
-        On an :class:`~repro.engine.array.ArraySimulator` with infinite
-        resources and no subclass hook overrides,
-        :func:`repro.engine.shadow_pool.maybe_install_fast_path` rebinds
-        the hot step-loop entry points to the fused shadow-pool driver
-        (bit-identical, ~3x fewer Python frames per page access).  Any
-        ineligible configuration keeps the generic loop.
+        """Attach to a system and install the SCC step loop.
 
         Parameters
         ----------
         system : RTDBSystem
-            The fully constructed system model.
+            The fully constructed system model, under any resource
+            model.
         """
         super().bind(system)
-        # Imported lazily: shadow_pool imports this module's class for
-        # its eligibility check.
-        from repro.engine.shadow_pool import maybe_install_fast_path
+        # Imported here, not at module load: the step loop imports this
+        # module, and it need not load before a cell binds.
+        from repro.core.shadow_pool import FusedSCCStepDriver
 
-        maybe_install_fast_path(self, system)
+        self._driver = FusedSCCStepDriver(self, system)
 
     def unbind(self) -> None:
-        """Detach from the system; the released driver stays as ``fast_path``."""
-        driver = getattr(self, "fast_path", None)
-        if driver is not None:
-            driver.release()
+        """Detach from the system, releasing the step loop."""
+        if self._driver is not None:
+            self._driver.release()
+            self._driver = None
         self._termination.unbind()
         super().unbind()
+
+    # ------------------------------------------------------------------
+    # the step loop's entry points
+    # ------------------------------------------------------------------
+
+    def on_arrival(self, txn: TransactionSpec) -> None:
+        """Apply the Start Rule (the step loop creates the optimistic shadow).
+
+        Parameters
+        ----------
+        txn : TransactionSpec
+            The arriving transaction.
+        """
+        self._driver.on_arrival(txn)
+
+    def commit_transaction(self, runtime: SCCTxnRuntime) -> None:
+        """Apply the Commit Rule for ``runtime``'s finished optimistic shadow.
+
+        Parameters
+        ----------
+        runtime : SCCTxnRuntime
+            The transaction to commit.
+        """
+        self._driver.commit_transaction(runtime)
+
+    def _advance(self, execution: Execution) -> None:
+        self._driver.advance(execution)
 
     #: Observer kinds that map onto SCC-specific trace events.  The
     #: remaining kinds ("block", "finish", "commit") are already traced
@@ -307,160 +323,6 @@ class SCCProtocolBase(CCProtocol):
         return result
 
     # ------------------------------------------------------------------
-    # Start Rule
-    # ------------------------------------------------------------------
-
-    def on_arrival(self, txn: TransactionSpec) -> None:
-        """Apply the Start Rule: create and start the optimistic shadow.
-
-        Invariant established: every active transaction has exactly one
-        live optimistic shadow at all times (replacements promote or
-        restart before the old one's death is visible).
-        """
-        optimistic = Shadow(txn, ShadowMode.OPTIMISTIC)
-        runtime = SCCTxnRuntime(spec=txn, optimistic=optimistic)
-        self._runtimes[txn.txn_id] = runtime
-        self._emit("spawn", txn.txn_id, optimistic)
-        self._start(optimistic)
-
-    # ------------------------------------------------------------------
-    # Read + Blocking Rules (before the access)
-    # ------------------------------------------------------------------
-
-    def before_step(self, execution: Execution, step: Step) -> bool:
-        """Apply the Read Rule (optimistic) or Blocking Rule (speculative).
-
-        Parameters
-        ----------
-        execution : Execution
-            The shadow about to perform ``step`` (must be a
-            :class:`~repro.core.shadow.Shadow`).
-        step : Step
-            The page access about to happen.
-
-        Returns
-        -------
-        bool
-            ``False`` when the Blocking Rule stopped a speculative shadow
-            just before it would read a waited-on writer's page; ``True``
-            to let the access proceed.
-
-        Notes
-        -----
-        Invariant preserved: conflict detection runs *before* the exposing
-        read, so a shadow forked here can still block ahead of it — the
-        paper's "forked off T_o_r" construction.
-        """
-        shadow = self._as_shadow(execution)
-        runtime = self._runtimes[shadow.txn.txn_id]
-        page = step.page
-        if shadow.mode is ShadowMode.SPECULATIVE:
-            # Blocking Rule: stop before reading anything a waited-on
-            # transaction writes.
-            for writer in shadow.wait_for:
-                if self._index.writes_page(writer, page):
-                    self._block(shadow)
-                    self._emit("block", shadow.txn.txn_id, shadow)
-                    return False
-            return True
-        # Optimistic shadow: Read Rule conflict detection, *before* the
-        # exposing read, so a forked shadow can still block ahead of it.
-        # The writer view is the precomputed page index — no copy, no scan;
-        # conflicts.record never mutates the index, so iterating the live
-        # set is safe.
-        changed = False
-        txn_id = runtime.txn_id
-        conflicts = runtime.conflicts
-        for writer in self._index.writers_view(page):
-            if writer == txn_id:
-                continue
-            if conflicts.record(writer, page, shadow.pos):
-                changed = True
-        if changed:
-            self._rebuild_speculation(runtime)
-        return True
-
-    # ------------------------------------------------------------------
-    # Write Rule (after the access)
-    # ------------------------------------------------------------------
-
-    def after_step(self, execution: Execution, step: Step) -> None:
-        """Apply the Write Rule and the completion-time Read Rule re-check.
-
-        Parameters
-        ----------
-        execution : Execution
-            The shadow whose access just completed (already recorded in
-            its read/write sets).
-        step : Step
-            The completed access.
-
-        Notes
-        -----
-        Invariants preserved: the global :class:`AccessIndex` learns of
-        the read *here* (completion time), so detection windows opened
-        while the read was in flight are re-checked; a write is broadcast
-        to every prior reader's conflict table exactly once (first write
-        of the page by this transaction).
-        """
-        shadow = self._as_shadow(execution)
-        runtime = self._runtimes[shadow.txn.txn_id]
-        txn_id = runtime.txn_id
-        index = self._index
-        page = step.page
-        record = shadow.readset[page]
-        position = record.position
-        index.add_read(txn_id, page, position)
-        # Read Rule, completion-time half: a write recorded while this read
-        # was in flight (after our before_step check, before completion)
-        # would be missed by both the before_step RAW check and the
-        # writer's WAR check (our read was not yet recorded).  Re-checking
-        # here closes that window; the conflict table is idempotent.
-        changed = False
-        conflicts = runtime.conflicts
-        for writer in index.writers_view(page):
-            if writer != txn_id and conflicts.record(writer, page, position):
-                changed = True
-        # A speculative shadow may have completed a read of a page its
-        # *waited* writer wrote while the read was in flight: the writer's
-        # WAR pass ran before this read was recorded (the shadow looked
-        # valid then), and the conflict table may already hold the writer
-        # at this position or an earlier one (no "change").  The shadow is
-        # now exposed to its own wait set — force a rebuild so it is
-        # replaced (paper Figure 5 semantics).
-        if (
-            not changed
-            and shadow.mode is ShadowMode.SPECULATIVE
-            and shadow.alive
-            and any(
-                index.writes_page(writer, page) for writer in shadow.wait_for
-            )
-        ):
-            changed = True
-        if changed:
-            self._rebuild_speculation(runtime)
-        if not step.is_write:
-            return
-        newly_written = not index.writes_page(txn_id, page)
-        index.add_write(txn_id, page)
-        if not newly_written:
-            return
-        # Write Rule: this transaction's write conflicts with everyone who
-        # already read the page.  This loop iterates the copying accessor
-        # deliberately: rebuild side effects below schedule events, so the
-        # iteration order is part of the deterministic result and must
-        # match the set-copy order the golden reference was recorded under.
-        for reader in index.readers_of(page):
-            if reader == txn_id:
-                continue
-            other = self._runtimes.get(reader)
-            if other is None:
-                continue
-            position = index.first_read_position(reader, page)
-            if other.conflicts.record(txn_id, page, position):
-                self._rebuild_speculation(other)
-
-    # ------------------------------------------------------------------
     # speculation maintenance
     # ------------------------------------------------------------------
 
@@ -560,31 +422,11 @@ class SCCProtocolBase(CCProtocol):
         self._emit("finish", runtime.txn_id, shadow)
         self._termination.on_finished(runtime)
 
-    def commit_transaction(self, runtime: SCCTxnRuntime) -> None:
-        """Apply the Commit Rule for ``runtime``'s finished optimistic shadow."""
-        shadow = runtime.optimistic
-        if shadow.state is not ExecutionState.FINISHED:
-            raise ProtocolError(
-                f"T{runtime.txn_id} has no finished shadow to commit"
-            )
-        committer_id = runtime.txn_id
-        write_pages = set(shadow.writeset)
-        self._commit(shadow)
-        self._emit("commit", committer_id, shadow)
-        for speculative in runtime.speculatives.values():
-            if speculative.alive:
-                self._emit("kill", committer_id, speculative)
-            self._kill(speculative)
-        runtime.speculatives.clear()
-        del self._runtimes[committer_id]
-        self._index.remove_txn(committer_id)
-        self._termination.on_departure(runtime)
-        for other in list(self._runtimes.values()):
-            self._process_commit_effects(other, committer_id, write_pages)
-        self._termination.on_system_change()
-
     def _process_commit_effects(
-        self, runtime: SCCTxnRuntime, committer_id: int, write_pages: set[int]
+        self,
+        runtime: SCCTxnRuntime,
+        committer_id: int,
+        write_pages: Collection[int],
     ) -> None:
         """Kill exposed shadows of one transaction and promote/restart.
 
@@ -594,7 +436,7 @@ class SCCProtocolBase(CCProtocol):
             An active transaction other than the committer.
         committer_id : int
             The transaction that just committed.
-        write_pages : set of int
+        write_pages : collection of int
             The committer's installed write set; any shadow that read one
             of these pages is exposed and must die (Commit Rule).
 
@@ -605,8 +447,8 @@ class SCCProtocolBase(CCProtocol):
         killed, no promotion) and the coverage policy is time-invariant.
         New conflicts always trigger an eager rebuild at detection time
         (Read/Write Rules) and shadow exposure to its *own* wait set is
-        reaped eagerly in ``after_step``, so an unchanged runtime's desired
-        coverage is exactly its current coverage.
+        reaped eagerly when the exposing read completes, so an unchanged
+        runtime's desired coverage is exactly its current coverage.
         """
         changed = runtime.conflicts.remove_writer(committer_id)
         for writer, speculative in list(runtime.speculatives.items()):
@@ -664,9 +506,13 @@ class SCCProtocolBase(CCProtocol):
         SCC-CB); its registered optimistic shadow is live and optimistic;
         each speculative shadow waits only on writers in the conflict
         table and has not read its writer's pages; and no live shadow
-        holds a stale read.
+        holds a stale read.  The step loop's own copies of state held
+        elsewhere are checked too
+        (:meth:`~repro.core.shadow_pool.FusedSCCStepDriver.check_mirrors`).
         """
         system = self._require_system()
+        if self._driver is not None:
+            self._driver.check_mirrors()
         for runtime in self._runtimes.values():
             budget = self.budget_for(runtime.spec)
             if budget is not None and len(runtime.speculatives) > budget:

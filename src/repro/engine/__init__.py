@@ -1,10 +1,10 @@
 """Discrete-event simulation kernel.
 
 This package is the substrate every experiment runs on: the simulation
-engine and its workload tensors (:mod:`repro.engine.array`), the fused
-shadow-pool driver of the SCC step loop
-(:mod:`repro.engine.shadow_pool`), and named reproducible random streams
-(:mod:`repro.engine.rng`).
+engine and its workload tensors (:mod:`repro.engine.array`) and named
+reproducible random streams (:mod:`repro.engine.rng`).  It knows
+nothing of the layers above it: no module here imports
+:mod:`repro.core`, :mod:`repro.protocols` or :mod:`repro.system`.
 
 Events fire in the deterministic ``(time, priority, sequence)`` total
 order, so a run is reproducible bit for bit from its seed.

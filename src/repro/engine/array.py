@@ -346,10 +346,7 @@ class ArraySimulator:
             self._live -= 1
 
     def clear(self) -> None:
-        """Drop every pending event, straggler, cancellation and arrival track.
-
-        Emptied in place: a fused step driver holds these containers.
-        """
+        """Drop every pending event, straggler, cancellation and arrival track."""
         self._times.clear()
         self._buckets.clear()
         self._stragglers.clear()

@@ -264,7 +264,10 @@ def _run_figure(command: str, args: argparse.Namespace) -> str:
     title, metric = _FIGURES[command]
     if args.scenario is not None:
         title = f"{title} [scenario: {args.scenario}]"
-    config = _build_config(args, two_class=(command == "fig14b"))
+    try:
+        config = _build_config(args, two_class=(command == "fig14b"))
+    except ConfigurationError as exc:
+        raise SystemExit(f"scc-experiments: error: {exc}")
     rates = _parse_rates(args.rates)
     runner = getattr(figures, _RUNNERS[command])
     executor = _resolve_executor_or_exit(args)

@@ -15,6 +15,7 @@ EXPERIMENTS.md records the shape agreement point by point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -58,8 +59,11 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
-        if not self.arrival_rates:
-            raise ConfigurationError("need at least one arrival rate")
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed}"
+            )
+        check_arrival_rates(self.arrival_rates)
 
     @property
     def step_duration(self) -> float:
@@ -84,6 +88,29 @@ class ExperimentConfig:
         if warmup_commits is not None:
             updates["warmup_commits"] = warmup_commits
         return replace(self, **updates)
+
+
+def check_arrival_rates(rates: Sequence[float]) -> None:
+    """Refuse a rate axis no cell can run: empty, or a rate not finite and > 0.
+
+    Raises
+    ------
+    ConfigurationError
+        On an empty axis or a rate (tps) that is not a positive finite
+        number.
+    """
+    if not rates:
+        raise ConfigurationError("need at least one arrival rate")
+    for rate in rates:
+        try:
+            valid = rate > 0 and math.isfinite(rate)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                f"arrival rates must be positive finite numbers (tps), "
+                f"got {rate!r}"
+            )
 
 
 def baseline_class(alpha_degrees: float = 45.0, value: float = 1.0) -> TransactionClass:

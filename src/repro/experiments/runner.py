@@ -27,7 +27,7 @@ from repro.errors import (
     InvariantViolation,
     SweepExecutionError,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, check_arrival_rates
 from repro.experiments.parallel import (
     CellOutcome,
     SerialSweepExecutor,
@@ -399,6 +399,8 @@ def run_sweep(
             "run_sweep(store_backend=...) needs store= (a path to open "
             "with that backend)"
         )
+    if arrival_rates is not None:
+        check_arrival_rates(arrival_rates)
     rates = tuple(arrival_rates if arrival_rates is not None else config.arrival_rates)
     chosen = resolve_executor(executor, workers=workers)
     specs = normalize_protocols(protocols)

@@ -435,6 +435,16 @@ class GatewayApp:
         )
         config = spec.to_config()
         specs = normalize_protocols(spec.protocols)
+        # Refuse a hopeless grid before building or fingerprinting it.
+        # Cells have distinct fingerprints, and each stored or in-flight
+        # one can spare at most one of them, so this bounds the fresh
+        # cells from below.
+        with self._store_lock:
+            stored = len(self._store)
+        with self._lock:
+            inflight = len(self._inflight)
+        grid = len(specs) * len(set(config.arrival_rates)) * config.replications
+        self.quotas.refuse_oversized(client, grid - stored - inflight)
         cells = build_cells(
             list(specs), tuple(config.arrival_rates), config.replications
         )

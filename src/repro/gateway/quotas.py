@@ -190,6 +190,28 @@ class ClientQuotas:
             state.experiments += 1
             state.queued_cells += fresh_cells
 
+    def refuse_oversized(self, client: str, min_fresh_cells: int) -> None:
+        """Refuse a submission that enqueues at least ``min_fresh_cells`` cells.
+
+        A pre-check for a grid whose fresh cells are only bounded from
+        below: it charges nothing and records nothing, so a refused
+        submission leaves the client's accounting untouched.
+
+        Raises:
+            QuotaExceeded: When that many cells alone overflow the
+                client's queued-cell cap.
+        """
+        with self._lock:
+            state = self._clients.get(client)
+            queued = state.queued_cells if state is not None else 0
+            if queued + min_fresh_cells > self.max_queued_cells:
+                raise QuotaExceeded(
+                    client,
+                    f"submission would enqueue at least {min_fresh_cells} "
+                    f"cell(s) on top of {queued} already queued "
+                    f"(max {self.max_queued_cells})",
+                )
+
     def cell_finished(self, client: str, count: int = 1) -> None:
         """Release ``count`` queued-cell charges as cells reach a terminal state."""
         with self._lock:

@@ -75,7 +75,8 @@ class Request:
         """The body decoded as JSON.
 
         Raises:
-            ValueError: On an empty or undecodable body.
+            ValueError: On an empty or undecodable body, or one nested
+                deeper than the decoder's recursion limit.
         """
         if not self.body:
             raise ValueError("request body is empty; expected JSON")
@@ -83,6 +84,10 @@ class Request:
             return json.loads(self.body)
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ValueError(
+                "request body nests JSON arrays or objects too deeply"
+            ) from None
 
 
 @dataclass

@@ -174,7 +174,10 @@ class GatewayServer:
         length = int(declared)
         if length > MAX_BODY_BYTES:
             return None
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return None  # the client closed before sending the whole body
         return Request(
             method=method.upper(), path=path, headers=headers, body=body
         )

@@ -8,9 +8,8 @@ deterministic step program.  The base class owns the step loop:
     _start -> _advance -> [before_step hook] -> resource service ->
     _complete_step -> record access -> [after_step hook] -> _advance ...
 
-``before_step`` lets a protocol block the execution (lock waits, SCC
-blocking rule) or fork shadows (SCC read rule) *before* the access happens;
-``after_step`` lets it react to the access (write-after-read detection).
+``before_step`` lets a protocol block the execution (2PL lock waits)
+*before* the access happens; ``after_step`` lets it react to the access.
 When the program is exhausted ``on_finished`` fires (validation/commit).
 
 Stale-callback safety: each execution carries an ``epoch`` bumped on every
@@ -29,12 +28,13 @@ them in the class body, not by assigning instance attributes after
 binding.  ``unbind`` drops those handles (reference cycles, like the
 system back-reference) when the run closes.
 
-The fused shadow-pool driver (:mod:`repro.engine.shadow_pool`) applies
-the same per-access rules to SCC protocols in one fused frame: the
-readset transition (:func:`record_access`), first-write-only writeset
-entries, program exhaustion, and the stale-completion guard.  The golden
-gate, the frozen engine reference and the parity oracles
-(``tests/engine``) hold the two loops to identical results.
+SCC protocols run their own step loop (:mod:`repro.core.shadow_pool`):
+``SCCProtocolBase`` overrides ``_advance``, so its executions never reach
+``before_step``/``after_step``.  That loop applies the same per-access
+rules in one frame — the readset transition (:func:`record_access`),
+first-write-only writeset entries, program exhaustion and the
+stale-completion guard — and requests service through the same
+``ResourceManager.request``.
 """
 
 from __future__ import annotations

@@ -13,10 +13,7 @@ numbers are process-global (they keep counting across runs), so a raw
 serial would make two identical runs produce different traces.  The
 :class:`~repro.telemetry.tracer.Tracer` base class therefore renumbers
 serials into run-local lanes in first-seen order, which is what makes
-trace streams bit-identical across runs *and* across the generic and
-fused SCC step loops (the emission points live in shared
-protocol/system code, and both loops fire callbacks in the identical
-total order).
+trace streams bit-identical across runs.
 
 Serialization is strict and canonical: :meth:`TraceEvent.to_dict` always
 emits the full key set, :meth:`TraceEvent.from_dict` refuses unknown keys

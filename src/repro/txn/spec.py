@@ -92,8 +92,8 @@ class TransactionSpec:
     def step_columns(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
         """Columnar view of the program: parallel (pages, write flags).
 
-        Computed once and cached on the spec (the fused shadow-pool
-        driver reads it when the transaction arrives).
+        Computed once and cached on the spec (the SCC step loop reads
+        it when the transaction arrives).
 
         Returns
         -------

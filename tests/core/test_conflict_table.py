@@ -103,7 +103,7 @@ class TestAccessIndex:
         index.add_read(1, page=10, position=2)
         index.add_write(2, page=10)
         assert index.readers_of(10) == {1}
-        assert index.writers_of(10) == {2}
+        assert index.writers_view(10) == {2}
         assert index.written_by(2) == {10}
         assert index.writes_page(2, 10)
         assert not index.writes_page(1, 10)
@@ -128,6 +128,6 @@ class TestAccessIndex:
         index.add_read(2, 10, 1)
         index.remove_txn(1)
         assert index.readers_of(10) == {2}
-        assert index.writers_of(11) == set()
+        assert not index.writers_view(11)
         assert index.written_by(1) == set()
         index.remove_txn(1)  # idempotent

@@ -2,10 +2,12 @@
 
 The unit tests call ``check_invariants`` on hand-built schedules of a few
 transactions.  Here every speculating family steps a contended scenario
-cell on the fused driver in short ``sim.run(until=...)`` slices and
-checks after each one: the per-transaction shadow budget, each
-speculative shadow waiting only on writers in its conflict table, and
-the rest of :meth:`~repro.core.scc_base.SCCProtocolBase.check_invariants`.
+cell in short ``sim.run(until=...)`` slices and checks after each one:
+the per-transaction shadow budget, each speculative shadow waiting only
+on writers in its conflict table, the step loop's mirrored state (pool
+bitsets, dispatch cohorts, the version list), and the rest of
+:meth:`~repro.core.scc_base.SCCProtocolBase.check_invariants` — under
+infinite resources and under a two-server pool, where requests queue.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from repro.engine.rng import RandomStreams
 from repro.metrics.stats import MetricsCollector
 from repro.protocols.registry import protocol_spec
 from repro.system.model import RTDBSystem
-from repro.system.resources import InfiniteResources
+from repro.system.resources import FiniteResources, InfiniteResources
 from repro.workloads.scenarios import get_scenario
 
 TRANSACTIONS = 150
@@ -24,9 +26,8 @@ RATE = 120.0
 SLICE = 0.05
 
 
-@pytest.mark.parametrize("scenario", ["flash-sale-hotspot", "diurnal-oltp"])
-@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
-def test_invariants_hold_at_every_checkpoint(scenario, spec):
+def check_at_every_slice(scenario, spec, resources):
+    """Run one cell in slices, calling ``check_invariants`` after each."""
     config = get_scenario(scenario).to_config(
         num_transactions=TRANSACTIONS, warmup_commits=0, replications=1
     )
@@ -34,12 +35,11 @@ def test_invariants_hold_at_every_checkpoint(scenario, spec):
     system = RTDBSystem(
         protocol=protocol,
         num_pages=config.num_pages,
-        resources=InfiniteResources(cpu_time=config.cpu_time, io_time=config.io_time),
+        resources=resources(config),
         metrics=MetricsCollector(warmup_commits=0),
         record_history=False,
     )
     try:
-        assert getattr(protocol, "fast_path", None) is not None
         streams = RandomStreams(config.seed).spawn(0)
         tensors = WorkloadTensors.from_config(config, RATE, streams)
         system.load_workload(tensors.materialize())
@@ -54,3 +54,27 @@ def test_invariants_hold_at_every_checkpoint(scenario, spec):
         assert system.committed_count == TRANSACTIONS
     finally:
         system.close()
+
+
+@pytest.mark.parametrize("scenario", ["flash-sale-hotspot", "diurnal-oltp"])
+@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
+def test_invariants_hold_at_every_checkpoint(scenario, spec):
+    check_at_every_slice(
+        scenario,
+        spec,
+        lambda config: InfiniteResources(
+            cpu_time=config.cpu_time, io_time=config.io_time
+        ),
+    )
+
+
+@pytest.mark.parametrize("scenario", ["flash-sale-hotspot", "diurnal-oltp"])
+@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
+def test_invariants_hold_under_finite_resources(scenario, spec):
+    check_at_every_slice(
+        scenario,
+        spec,
+        lambda config: FiniteResources(
+            cpu_time=config.cpu_time, io_time=config.io_time, num_servers=2
+        ),
+    )

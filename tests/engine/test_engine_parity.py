@@ -1,4 +1,4 @@
-"""Engine results against the frozen engine reference and the generic loop.
+"""Engine results against the frozen engine reference and the SCC oracle.
 
 ``tests/golden/engine_reference.json`` holds single-cell summaries that
 the original object engine produced before it was removed.  Every
@@ -9,8 +9,11 @@ registered scenario (each arrival process and access pattern, including
 the tensor fallback paths for MMPP/diurnal/trace arrivals) on SCC-2S.
 
 Hypothesis-drawn coordinates cannot be frozen in advance, so the sweep
-over arbitrary rates and replications compares the fused shadow-pool
-driver against the generic SCC step loop on the same engine.
+over arbitrary rates and replications compares the SCC step loop with
+the generic-hook oracle (:mod:`tests.engine.generic_scc`) on the same
+engine.  Finite server pools have no frozen cells either: there the
+loop must match the oracle on registered scenarios at 1, 2 and 4
+servers.
 """
 
 import dataclasses
@@ -21,8 +24,9 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import run_once
 from repro.protocols.registry import available_protocols, protocol_spec
-from repro.system.resources import InfiniteResources
+from repro.system.resources import FiniteResources
 from repro.workloads.scenarios import available_scenarios
+from tests.engine.generic_scc import GenericSCCLoop, generic_oracle
 from tests.golden.golden_common import (
     cell_config,
     cell_key,
@@ -31,15 +35,6 @@ from tests.golden.golden_common import (
 )
 
 REFERENCE = load_engine_reference()["summaries"]
-
-
-class _Generic(InfiniteResources):
-    """Infinite resources the fused driver does not recognize.
-
-    :func:`~repro.engine.shadow_pool.maybe_install_fast_path` requires
-    exactly :class:`InfiniteResources`, so a subclass keeps the generic
-    SCC step loop with identical service semantics.
-    """
 
 
 def frozen(scenario, protocol, rate, replication=0):
@@ -67,18 +62,23 @@ def test_hotspot_contention_bit_identical_under_twopl():
     assert current == frozen("flash-sale-hotspot", "2pl-pa", 160.0)
 
 
-def run_on_loop(protocol, rate, replication, generic):
-    """One paper-baseline cell; returns (summary dict, installed driver)."""
-    config = cell_config("summaries", "paper-baseline")
+def run_on_loop(protocol, rate, replication, oracle, scenario="paper-baseline",
+                servers=None):
+    """One cell on the step loop or the oracle; returns (summary, protocol)."""
+    config = cell_config("summaries", scenario)
     built = []
 
     def factory():
         built.append(protocol_spec(protocol)())
-        return built[-1]
+        return generic_oracle(built[-1]) if oracle else built[-1]
 
     resources = (
-        (lambda cfg: _Generic(cpu_time=cfg.cpu_time, io_time=cfg.io_time))
-        if generic
+        (
+            lambda cfg: FiniteResources(
+                cpu_time=cfg.cpu_time, io_time=cfg.io_time, num_servers=servers
+            )
+        )
+        if servers is not None
         else None
     )
     summary = run_once(
@@ -88,7 +88,16 @@ def run_on_loop(protocol, rate, replication, generic):
         replication=replication,
         resources=resources,
     )
-    return dataclasses.asdict(summary), getattr(built[0], "fast_path", None)
+    return dataclasses.asdict(summary), built[0]
+
+
+def assert_matches_oracle(protocol, rate, replication, **cell):
+    summary, loop_protocol = run_on_loop(protocol, rate, replication, False, **cell)
+    oracle_summary, oracle = run_on_loop(protocol, rate, replication, True, **cell)
+    # Compare the step loop with the oracle, not one loop with itself.
+    assert not isinstance(loop_protocol, GenericSCCLoop)
+    assert isinstance(oracle, GenericSCCLoop)
+    assert summary == oracle_summary
 
 
 @settings(max_examples=10, deadline=None)
@@ -98,8 +107,18 @@ def run_on_loop(protocol, rate, replication, generic):
     protocol=st.sampled_from(["scc-2s", "scc-vw", "scc-ks?k=3"]),
 )
 def test_parity_holds_at_arbitrary_coordinates(rate, replication, protocol):
-    fused, driver = run_on_loop(protocol, rate, replication, generic=False)
-    generic, oracle_driver = run_on_loop(protocol, rate, replication, generic=True)
-    assert driver is not None
-    assert oracle_driver is None
-    assert fused == generic
+    assert_matches_oracle(protocol, rate, replication)
+
+
+@pytest.mark.parametrize("servers", [1, 2, 4])
+@pytest.mark.parametrize(
+    "scenario, protocol",
+    [
+        ("paper-baseline", "scc-2s"),
+        ("paper-two-class", "scc-vw"),
+        ("flash-sale-hotspot", "scc-ks?k=3"),
+        ("diurnal-oltp", "scc-dc"),
+    ],
+)
+def test_finite_resources_match_the_oracle(scenario, protocol, servers):
+    assert_matches_oracle(protocol, 40.0, 0, scenario=scenario, servers=servers)

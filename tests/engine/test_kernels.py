@@ -1,8 +1,9 @@
 """Unit tests for the per-access rules of the two step loops.
 
-The generic loop (:mod:`repro.protocols.base`) and the fused shadow-pool
-driver apply the same rules to every serviced page access: the readset
-transition (``record_access``), first-write-only writeset entries, the
+The generic loop (:mod:`repro.protocols.base`, every non-SCC protocol)
+and the SCC step loop (:mod:`repro.core.shadow_pool`) apply the same
+rules to every serviced page access: the readset transition
+(``record_access``), first-write-only writeset entries, the
 program-exhaustion boundary and the stale-completion guard.
 ``select_replacement`` (:mod:`repro.core.scc_base`) is the Commit Rule's
 promotion choice.
@@ -55,7 +56,7 @@ def test_record_access_reread_keeps_first_position():
 
 def test_writeset_addition_only_first_write():
     # Page 1 is written at positions 0 and 2: only the first write enters
-    # the writeset, on the generic loop (OCC-BC) and the fused driver
+    # the writeset, on the generic loop (OCC-BC) and the SCC step loop
     # (SCC-2S) alike.
     for protocol in (OCCBroadcastCommit(), SCC2S()):
         system = build_system(protocol, num_pages=4)
@@ -70,8 +71,8 @@ def test_writeset_addition_only_first_write():
         system.commit = commit
         system.run()
         assert seen == [{1: 0}], protocol.name
-        fused = getattr(protocol, "fast_path", None) is not None
-        assert fused == isinstance(protocol, SCC2S), protocol.name
+        scc_loop = getattr(protocol, "_driver", None) is not None
+        assert scc_loop == isinstance(protocol, SCC2S), protocol.name
 
 
 def test_program_exhausted_boundary():

@@ -1,29 +1,29 @@
-"""Unit tests for the shadow-pool slot allocator and fast-path install.
+"""Unit tests for the shadow-pool slot allocator and the step-loop install.
 
-Covers the :class:`~repro.engine.shadow_pool.ShadowPool` lifecycle —
+Covers the :class:`~repro.core.shadow_pool.ShadowPool` lifecycle —
 deterministic lowest-first slot assignment, release/reuse, doubling
 growth with occupied slots preserved in place, and the error paths —
-plus the structural eligibility rules of
-:func:`~repro.engine.shadow_pool.maybe_install_fast_path` (the fused
-driver must install exactly when the binding is an SCC protocol with
-no hook overrides and infinite resources).  Behavioural
-parity of the installed driver lives in ``test_shadow_pool_parity.py``.
+plus the install: ``SCCProtocolBase.bind`` builds the SCC step loop for
+every registered ``scc-*`` family under every resource model, and every
+page access of such a run is serviced through the loop.  Behavioural
+parity of the loop lives in ``test_shadow_pool_parity.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.scc_2s import SCC2S
-from repro.engine.shadow_pool import (
+from repro.core.shadow_pool import (
     DEFAULT_POOL_CAPACITY,
+    FusedSCCStepDriver,
     ShadowPool,
-    maybe_install_fast_path,
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.stats import MetricsCollector
 from repro.protocols.registry import available_protocols, protocol_spec
 from repro.system.model import RTDBSystem
-from repro.system.resources import FiniteResources
+from repro.system.resources import FiniteResources, InfiniteResources
+from tests.golden.golden_common import ADVERSARIAL_BURST, build_burst_specs
 
 
 def make_system(protocol=None, resources=None):
@@ -121,50 +121,65 @@ def test_live_slots_reduction():
 
 
 # ----------------------------------------------------------------------
-# fast-path eligibility
+# the step-loop install (the "fast_path" test names predate the single
+# SCC loop, when it was an optional fast path)
 # ----------------------------------------------------------------------
 
 
 def test_fast_path_installs_on_the_array_engine():
     system = make_system()
-    driver = system.protocol.fast_path
-    assert driver is not None
+    protocol = system.protocol
+    driver = protocol._driver
+    assert isinstance(driver, FusedSCCStepDriver)
     assert driver.pool.capacity == DEFAULT_POOL_CAPACITY
-    # The hot entry points are rebound to the driver as instance attrs.
-    assert system.protocol._advance.__self__ is driver
-    assert system.protocol.on_arrival.__self__ is driver
-    assert system.protocol.commit_transaction.__self__ is driver
+    system.close()
+    # Closing the run releases the loop.
+    assert protocol._driver is None
+
+
+class _Recording:
+    """A resource-manager mixin noting every completion callback requested."""
+
+    def request(self, execution, on_done, *args):
+        self.callbacks.add(on_done)
+        super().request(execution, on_done, *args)
+
+
+class _RecordingInfinite(_Recording, InfiniteResources):
+    """Infinite resources that note every completion callback."""
+
+
+class _RecordingFinite(_Recording, FiniteResources):
+    """A finite server pool that notes every completion callback."""
+
+
+def _resources(model):
+    resources = (
+        _RecordingInfinite(cpu_time=0.001, io_time=0.005)
+        if model == "infinite"
+        else _RecordingFinite(cpu_time=0.001, io_time=0.005, num_servers=2)
+    )
+    resources.callbacks = set()
+    return resources
 
 
 @pytest.mark.parametrize("name", available_protocols())
 def test_fast_path_installs_for_exactly_the_scc_families(name):
-    # SCC variants specialize only coverage policy and termination, so
-    # every shipped one takes the fused driver by default; no other
-    # family does.
-    system = make_system(protocol=protocol_spec(name)())
-    installed = getattr(system.protocol, "fast_path", None) is not None
-    assert installed == name.startswith("scc-")
-
-
-def test_fast_path_skips_finite_resources():
-    resources = FiniteResources(cpu_time=0.001, io_time=0.005, num_servers=2)
-    system = make_system(resources=resources)
-    assert getattr(system.protocol, "fast_path", None) is None
-
-
-def test_fast_path_skips_subclasses_overriding_fused_hooks():
-    class HookedSCC2S(SCC2S):
-        def after_step(self, *args, **kwargs):
-            return super().after_step(*args, **kwargs)
-
-    system = make_system(protocol=HookedSCC2S())
-    assert getattr(system.protocol, "fast_path", None) is None
-
-
-def test_reinstall_with_custom_capacity_replaces_the_driver():
-    system = make_system()
-    first = system.protocol.fast_path
-    driver = maybe_install_fast_path(system.protocol, system, capacity=2)
-    assert driver is not None and driver is not first
-    assert system.protocol.fast_path is driver
-    assert driver.pool.capacity == 2
+    # Every SCC family runs the one step loop under both resource models
+    # (variants specialize coverage and termination, never the loop):
+    # the loop is bound, and every access it requests completes into
+    # it.  No other family builds one.
+    scc = name.startswith("scc-")
+    for model in ("infinite", "finite"):
+        resources = _resources(model)
+        system = make_system(protocol=protocol_spec(name)(), resources=resources)
+        driver = getattr(system.protocol, "_driver", None)
+        assert isinstance(driver, FusedSCCStepDriver) == scc, model
+        system.load_workload(build_burst_specs(ADVERSARIAL_BURST))
+        system.run()
+        assert system.committed_count == len(ADVERSARIAL_BURST)
+        if scc:
+            assert resources.callbacks == {driver._step}, model
+        else:
+            assert driver is None
+        system.close()

@@ -1,9 +1,9 @@
-"""Bit-identity of the fused shadow-pool path under adversarial schedules.
+"""Parity of the SCC step loop with the generic-hook oracle.
 
-The fast path's contract is that summaries equal the generic SCC step
-loop's ``==`` — not approximately — on *every* workload, so these sweeps
-aim at the schedules most likely to expose an ordering or
-state-mirroring bug:
+The loop's contract is that summaries equal the oracle's
+(:mod:`tests.engine.generic_scc`) ``==`` — not approximately — on
+*every* workload, so these sweeps aim at the schedules most likely to
+expose an ordering or state-mirroring bug:
 
 * bursts of transactions arriving at literally the same instant (the
   bucketed dispatch drains them as one cohort, and slot assignment,
@@ -12,29 +12,28 @@ state-mirroring bug:
 * hotspot programs where every transaction hammers a few pages, maximizing
   conflict-table and reverse-index traffic;
 * arrival bursts larger than the pool, forcing the exhaustion/growth path
-  mid-run (and, with a re-installed capacity-1 driver, repeatedly);
+  mid-run (and, with a capacity-1 pool, repeatedly);
+* finite server pools, where requests queue by priority;
 * hypothesis-generated schedules mixing all of the above.
 
 Workloads are hand-built specs (no RNG), loaded into directly constructed
-systems so the exact same transaction list drives both step loops.  The
-oracle run passes a subclass of
-:class:`~repro.system.resources.InfiniteResources`:
-:func:`~repro.engine.shadow_pool.maybe_install_fast_path` requires
-exactly that class, so the subclass keeps the generic loop with the same
-service semantics.  The fixed burst is also held against the frozen
-engine reference for every registered protocol.
+systems so the exact same transaction list drives the loop and the
+oracle.  The fixed burst is also held against the frozen engine
+reference for every registered protocol.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import shadow_pool
 from repro.core.scc_base import SCCProtocolBase
-from repro.engine.shadow_pool import maybe_install_fast_path
 from repro.protocols.registry import available_protocols, protocol_spec
-from repro.system.resources import InfiniteResources
+from repro.system.resources import FiniteResources
+from tests.engine.generic_scc import generic_oracle
 from tests.golden.golden_common import (
     ADVERSARIAL_BURST,
     BURST_PAGES,
@@ -47,33 +46,41 @@ from tests.golden.golden_common import (
 BURSTS = load_engine_reference()["bursts"]
 
 
-class _Generic(InfiniteResources):
-    """Infinite resources the fused driver does not recognize."""
-
-
-def run_schedule(protocol_name, schedule, generic, capacity=None):
-    """Run a hand-built schedule on one step loop; return (summary, protocol)."""
+def run_schedule(
+    protocol_name,
+    schedule,
+    oracle=False,
+    capacity=shadow_pool.DEFAULT_POOL_CAPACITY,
+    servers=None,
+):
+    """Run a hand-built schedule; return (summary, the step loop or None)."""
     protocol = protocol_spec(protocol_name)()
-    resources = _Generic(cpu_time=0.001, io_time=0.005) if generic else None
-    system = burst_system(protocol, resources=resources)
-    if capacity is not None and not generic:
-        assert maybe_install_fast_path(protocol, system, capacity=capacity)
+    if oracle:
+        generic_oracle(protocol)
+    resources = (
+        FiniteResources(cpu_time=0.001, io_time=0.005, num_servers=servers)
+        if servers is not None
+        else None
+    )
+    with mock.patch.object(shadow_pool, "DEFAULT_POOL_CAPACITY", capacity):
+        system = burst_system(protocol, resources=resources)
     system.load_workload(build_burst_specs(schedule))
     system.run()
-    return dataclasses.asdict(system.metrics.summary()), protocol
+    return dataclasses.asdict(system.metrics.summary()), protocol._driver
 
 
-def assert_parity(protocol_name, schedule, capacity=None):
-    fused_summary, protocol = run_schedule(
-        protocol_name, schedule, generic=False, capacity=capacity
+def assert_parity(protocol_name, schedule, **options):
+    summary, driver = run_schedule(protocol_name, schedule, **options)
+    options.pop("capacity", None)
+    oracle_summary, oracle_driver = run_schedule(
+        protocol_name, schedule, oracle=True, **options
     )
-    generic_summary, oracle = run_schedule(protocol_name, schedule, generic=True)
-    # The sweep must exercise the vectorized path against the generic
-    # loop, not compare one loop with itself.
-    assert getattr(protocol, "fast_path", None) is not None
-    assert getattr(oracle, "fast_path", None) is None
-    assert fused_summary == generic_summary
-    return fused_summary, protocol
+    # The sweep must compare the step loop with the oracle, not one
+    # loop with itself.
+    assert driver is not None
+    assert oracle_driver is None
+    assert summary == oracle_summary
+    return summary, driver
 
 
 @pytest.mark.parametrize("protocol", available_protocols())
@@ -84,15 +91,15 @@ def test_every_protocol_bit_identical_on_same_instant_bursts(protocol):
 
 
 def test_burst_larger_than_pool_grows_and_stays_identical():
-    # 80 simultaneous arrivals against a pool re-installed at capacity 16:
+    # 80 simultaneous arrivals against a pool built at capacity 16:
     # every slot is claimed inside one bucket drain, the pool doubles
     # (16 -> 32 -> 64 -> 128) mid-drain, and results must not move.
     schedule = [
         (0.0, ((txn % BURST_PAGES, txn % 4 == 0), ((txn + 7) % BURST_PAGES, False)))
         for txn in range(80)
     ]
-    summary, protocol = assert_parity("scc-2s", schedule, capacity=16)
-    pool = protocol.fast_path.pool
+    summary, driver = assert_parity("scc-2s", schedule, capacity=16)
+    pool = driver.pool
     assert summary["committed"] == 80
     assert pool.grow_events >= 1
     assert pool.capacity >= 80
@@ -104,8 +111,8 @@ def test_burst_larger_than_pool_grows_and_stays_identical():
 
 
 def test_capacity_one_pool_grows_repeatedly_and_stays_identical():
-    _, protocol = assert_parity("scc-ks", ADVERSARIAL_BURST, capacity=1)
-    assert protocol.fast_path.pool.grow_events >= 3
+    _, driver = assert_parity("scc-ks", ADVERSARIAL_BURST, capacity=1)
+    assert driver.pool.grow_events >= 3
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +152,12 @@ def adversarial_schedules(draw):
 @given(
     schedule=adversarial_schedules(),
     protocol=st.sampled_from(["scc-2s", "scc-ks", "scc-vw"]),
+    servers=st.sampled_from([None, 1, 2, 4]),
 )
-def test_parity_holds_on_arbitrary_same_instant_schedules(schedule, protocol):
-    assert_parity(protocol, schedule)
+def test_parity_holds_on_arbitrary_same_instant_schedules(
+    schedule, protocol, servers
+):
+    assert_parity(protocol, schedule, servers=servers)
 
 
 @settings(max_examples=10, deadline=None)

@@ -223,6 +223,32 @@ def test_repeated_cells_are_one_error_line(tmp_path):
         assert "repeat" in message and "\n" not in message, argv
 
 
+@pytest.mark.parametrize(
+    "field", ['"arrival_rates": [60.0, -5.0]', '"arrival_rates": [1e309]',
+              '"seed": -3']
+)
+def test_axes_that_cannot_run_are_one_error_line(tmp_path, field):
+    # A rate that is not positive and finite, or a negative seed, is
+    # refused when the config is built, before any cell runs.
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"schema": 1, "protocols": ["scc-2s"], "num_transactions": 40, '
+        '"warmup_commits": 4, %s}' % field
+    )
+    good, _ = _write_smoke_spec(tmp_path)
+    for argv in (
+        ["run", str(bad)],
+        ["run", str(good), "--rates", "40,-5"],
+        ["fig13a", "--transactions", "60", "--rates", "40,0"],
+        ["fig13a", "--transactions", "60", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message.startswith("scc-experiments: error:"), argv
+        assert "\n" not in message, argv
+
+
 def test_run_with_store_reuses_cells(capsys, tmp_path):
     path, _ = _write_smoke_spec(
         tmp_path, store=str(tmp_path / "runs.jsonl")

@@ -288,6 +288,32 @@ class TestToConfig:
         assert config.num_pages == legacy.num_pages
 
 
+class TestAxesThatCannotRun:
+    """A rate or seed no cell can run is refused before any cell runs."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("arrival_rates", [60.0, -5.0], "positive finite"),
+            ("arrival_rates", [0], "positive finite"),
+            # JSON's 1e309 parses to inf.
+            ("arrival_rates", [json.loads("1e309")], "positive finite"),
+            ("seed", -1, "non-negative"),
+        ],
+    )
+    def test_from_dict_spec_refuses_to_build_a_config(self, key, value, message):
+        payload = {"schema": SPEC_SCHEMA, "protocols": ["scc-2s"], key: value}
+        spec = ExperimentSpec.from_dict(payload)
+        with pytest.raises(ConfigurationError, match=message):
+            spec.to_config()
+        with pytest.raises(ConfigurationError, match=message):
+            spec.run(num_transactions=40, warmup_commits=4)
+
+    def test_nan_rate_override_refused_by_run_sweep(self):
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            small_spec().run(arrival_rates=[float("nan")])
+
+
 class TestRunEquivalence:
     def test_spec_run_bit_identical_to_legacy_run_sweep(self):
         # The oracle is the pre-spec idiom: hand-built protocol classes,

@@ -109,6 +109,31 @@ class TestSubmit:
         assert app.list_experiments() == []
         assert len(app._store) == 0
 
+    def test_axes_that_cannot_run_are_a_400(self, make_app):
+        # A rate that is not positive and finite, or a negative seed,
+        # would fail every cell and trip the worker breaker; it is
+        # refused before anything is enqueued.
+        app = make_app()
+        breaker = app.breaker.snapshot()
+        for field in ('"arrival_rates": [-5]', '"arrival_rates": [1e309]',
+                      '"seed": -1'):
+            body = b'{"schema": 1, "protocols": ["scc-2s"], %s}' % field.encode()
+            response = dispatch(
+                app, Request(method="POST", path="/experiments", body=body)
+            )
+            assert response.status == 400, field
+        assert app.list_experiments() == []
+        assert app.breaker.snapshot() == breaker
+
+    def test_deeply_nested_body_is_a_400(self, make_app):
+        app = make_app()
+        response = dispatch(
+            app,
+            Request(method="POST", path="/experiments", body=b"[" * 100_000),
+        )
+        assert response.status == 400
+        assert "too deeply" in response.body["error"]
+
     def test_callable_protocol_entry_rejected(self, make_app):
         from repro.core.scc_2s import SCC2S
 
@@ -194,6 +219,38 @@ class TestQuotas:
         release.set()
         assert wait_done(app, running["id"]) == "done"
         assert wait_done(app, other["id"]) == "done"
+
+    @pytest.mark.parametrize("replications", [1_000_000, 10**20])
+    def test_hopeless_grid_refused_before_it_is_built(
+        self, make_app, replications
+    ):
+        # The cell count is arithmetic: a grid whose fresh cells must
+        # exceed the quota gets its 429 without building, fingerprinting
+        # or looking up a single cell, and changes nothing.
+        release = threading.Event()
+        app = make_app(fault_hook=lambda cell: release.wait(30))
+        app.submit(tiny_spec_dict(), client="alice")
+        before = (app.list_experiments(), app.quotas.snapshot(),
+                  dict(app._inflight), dict(app._cells))
+        started = time.monotonic()
+        with pytest.raises(QuotaExceeded, match="at least"):
+            app.submit(tiny_spec_dict(replications=replications), client="alice")
+        assert time.monotonic() - started < 1.0
+        after = (app.list_experiments(), app.quotas.snapshot(),
+                 dict(app._inflight), dict(app._cells))
+        assert after == before
+        response = dispatch(
+            app,
+            Request(
+                method="POST",
+                path="/experiments",
+                body=json.dumps(tiny_spec_dict(replications=replications)).encode(),
+                headers={"x-client": "bob"},
+            ),
+        )
+        assert response.status == 429
+        assert "bob" not in app.quotas.snapshot()
+        release.set()
 
     def test_experiment_slot_released_on_completion(self, make_app):
         app = make_app(quotas=ClientQuotas(max_experiments=1))

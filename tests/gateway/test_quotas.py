@@ -83,6 +83,21 @@ class TestClientQuotas:
         quotas.cell_finished("alice", count=6)
         quotas.admit("alice", 3)
 
+    def test_refuse_oversized_checks_the_cap_and_records_nothing(self):
+        quotas, _ = self.make(max_queued_cells=8)
+        quotas.refuse_oversized("alice", 8)
+        quotas.refuse_oversized("alice", -3)  # stored cells cover the grid
+        with pytest.raises(QuotaExceeded, match="at least 9"):
+            quotas.refuse_oversized("alice", 9)
+        assert quotas.snapshot() == {}
+        quotas.admit("alice", 6)
+        with pytest.raises(QuotaExceeded, match="on top of 6"):
+            quotas.refuse_oversized("alice", 10**20)
+        assert quotas.snapshot()["alice"] == {
+            "experiments": 1,
+            "queued_cells": 6,
+        }
+
     def test_rate_limit_sets_retry_after(self):
         quotas, clock = self.make(submit_burst=1.0, submit_rate=0.5)
         quotas.admit("alice", 0)

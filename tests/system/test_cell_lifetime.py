@@ -17,21 +17,13 @@ import pytest
 from repro.experiments.parallel import SweepCell, _execute_cell
 from repro.experiments.runner import run_instrumented
 from repro.protocols.registry import available_protocols, protocol_spec
-from repro.system.resources import FiniteResources, InfiniteResources
+from repro.system.resources import FiniteResources
 from repro.telemetry.tracer import MemoryTracer
 from repro.workloads.scenarios import available_scenarios, get_scenario
+from tests.engine.generic_scc import generic_oracle
 
 SCC_FAMILIES = ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-dc", "scc-vw"]
 RATE = 80.0
-
-
-class _Generic(InfiniteResources):
-    """Infinite resources the fused driver does not recognize.
-
-    The fused fast path installs only on exactly :class:`InfiniteResources`
-    (see ``tests/engine/test_engine_parity.py``), so this subclass keeps
-    the generic SCC step loop.
-    """
 
 
 class _FailingTracer(MemoryTracer):
@@ -54,13 +46,21 @@ def config(scenario="paper-baseline"):
     return get_scenario(scenario).to_config(num_transactions=150, warmup_commits=10)
 
 
-def cell_runner(protocol, scenario="paper-baseline", resources=None, tracer=None):
-    """A no-argument callable running one cell, building everything fresh."""
+def cell_runner(
+    protocol, scenario="paper-baseline", resources=None, tracer=None, oracle=False
+):
+    """A no-argument callable running one cell, building everything fresh.
+
+    ``oracle`` runs an SCC family on the test-side generic loop
+    (:mod:`tests.engine.generic_scc`) instead of the SCC step loop.
+    """
     cfg = config(scenario)
+    spec = protocol_spec(protocol)
+    factory = (lambda: generic_oracle(spec())) if oracle else spec
 
     def run():
         run_instrumented(
-            protocol_spec(protocol),
+            factory,
             cfg,
             arrival_rate=RATE,
             resources=resources,
@@ -99,33 +99,15 @@ def assert_freed(run):
 
 @pytest.mark.parametrize("protocol", available_protocols())
 def test_every_family_frees_its_cell(protocol):
-    cfg = config()
-    fused = []
-
-    def run():
-        built = []
-
-        def factory():
-            built.append(protocol_spec(protocol)())
-            return built[-1]
-
-        run_instrumented(factory, cfg, arrival_rate=RATE)
-        # Read and drop the protocol before collecting: holding it would
-        # keep a leaked graph reachable.
-        fused.append(getattr(built.pop(), "fast_path", None) is not None)
-
-    assert_freed(run)
-    # SCC families ran the fused driver, and it stays readable after close.
-    assert fused == [protocol.startswith("scc-")] * 2
+    assert_freed(cell_runner(protocol))
 
 
 @pytest.mark.parametrize("protocol", SCC_FAMILIES)
 def test_generic_scc_loop_frees_its_cell(protocol):
-    resources = lambda cfg: _Generic(cpu_time=cfg.cpu_time, io_time=cfg.io_time)
-    assert_freed(cell_runner(protocol, resources=resources))
+    assert_freed(cell_runner(protocol, oracle=True))
 
 
-@pytest.mark.parametrize("protocol", ["occ-bc", "2pl-pa"])
+@pytest.mark.parametrize("protocol", ["occ-bc", "2pl-pa", "scc-2s", "scc-vw"])
 def test_finite_resources_free_their_cell(protocol):
     resources = lambda cfg: FiniteResources(
         cpu_time=cfg.cpu_time, io_time=cfg.io_time, num_servers=4
