@@ -6,17 +6,16 @@ and the wasted-work fraction side by side — the paper's "rationing
 resources amongst competing transactions" trade made visible.
 """
 
-from repro.experiments.figures import run_ablation_k
 from repro.metrics.report import format_table
 
 
-def test_ablation_k_timeliness_vs_redundancy(benchmark, bench_config, bench_executor):
-    ks = (1, 2, 3, None)
+def test_ablation_k_timeliness_vs_redundancy(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("ablation-k")
     results = benchmark.pedantic(
-        lambda: run_ablation_k(bench_config, ks=ks, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1, iterations=1
     )
-    high = len(bench_config.arrival_rates) - 1
+    high = len(config.arrival_rates) - 1
     rows = []
     for name, sweep in results.items():
         summary = sweep.replications[high][0]
@@ -33,7 +32,7 @@ def test_ablation_k_timeliness_vs_redundancy(benchmark, bench_config, bench_exec
         format_table(
             ["protocol", "missed %", "shadow aborts", "wasted work %"],
             rows,
-            title=f"A1: k-budget at {bench_config.arrival_rates[high]:g} tps",
+            title=f"A1: k-budget at {config.arrival_rates[high]:g} tps",
         )
     )
     by_name = {row[0]: row for row in rows}

@@ -6,17 +6,17 @@ SCC-3S under LBFO, deadline-aware, and value-aware replacement on the same
 workloads.
 """
 
-from repro.experiments.figures import run_ablation_replacement
 from repro.metrics.report import format_series_table
 
 
-def test_ablation_replacement_policies(benchmark, bench_config, bench_executor):
+def test_ablation_replacement_policies(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("ablation-replacement")
     results = benchmark.pedantic(
-        lambda: run_ablation_replacement(bench_config, k=3, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1,
         iterations=1,
     )
-    rates = list(bench_config.arrival_rates)
+    rates = list(config.arrival_rates)
     series = {name: sweep.missed_ratio() for name, sweep in results.items()}
     print()
     print(

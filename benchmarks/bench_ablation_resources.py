@@ -6,20 +6,33 @@ wasted work of OCC restarts and SCC shadows queues everyone; blocking-based
 2PL conserves resources.  With abundant servers the advantage flips.
 """
 
-from repro.experiments.figures import run_ablation_resources
 from repro.metrics.report import format_table
 
+#: Server-pool sizes swept; ``None`` is infinite resources.
+SERVER_COUNTS = (4, 32, None)
 
-def test_ablation_resource_contention(benchmark, bench_config, bench_executor):
-    config = bench_config.scaled(num_transactions=300, warmup_commits=30)
-    results = benchmark.pedantic(
-        lambda: run_ablation_resources(
-            config, arrival_rate=70.0, server_counts=(4, 32, None),
-            executor=bench_executor,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+
+def test_ablation_resource_contention(benchmark, bench_spec, bench_executor):
+    # The spec fixes the rate (70 tps); the pool size is config data.
+    runs = {
+        count: bench_spec(
+            "ablation-resources", num_transactions=300, warmup_commits=30,
+            arrival_rates=None, num_servers=count,
+        )
+        for count in SERVER_COUNTS
+    }
+
+    def sweep():
+        results = {}
+        for count, (spec, config) in runs.items():
+            label = "servers=inf" if count is None else f"servers={count}"
+            for name, result in spec.run(
+                config=config, executor=bench_executor
+            ).items():
+                results[f"{name} {label}"] = result
+        return results
+
+    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = []
     table = {}
     for key, sweep in results.items():

@@ -6,19 +6,17 @@ no-wait reference.  The paper's observation to reproduce: some waiting
 helps at moderate load, but aggressive waiting backfires as load grows.
 """
 
-from repro.experiments.figures import run_ablation_wait_threshold
 from repro.metrics.report import format_series_table
 
 
-def test_ablation_wait_threshold(benchmark, bench_config, bench_executor):
+def test_ablation_wait_threshold(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("ablation-wait")
     results = benchmark.pedantic(
-        lambda: run_ablation_wait_threshold(
-            bench_config, thresholds=(0.25, 0.5, 1.0), executor=bench_executor
-        ),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1,
         iterations=1,
     )
-    rates = list(bench_config.arrival_rates)
+    rates = list(config.arrival_rates)
     series = {name: sweep.missed_ratio() for name, sweep in results.items()}
     print()
     print(
@@ -32,6 +30,6 @@ def test_ablation_wait_threshold(benchmark, bench_config, bench_executor):
     # Sanity: every variant commits everything and stays within bounds;
     # WAIT-50 does not trail the no-wait reference at the low-load anchor.
     low = 0
-    assert series["WAIT-50"][low] <= series["OCC-BC (no wait)"][low] + 1.0
+    assert series["WAIT-50"][low] <= series["OCC-BC"][low] + 1.0
     for name, values in series.items():
         assert all(0.0 <= v <= 100.0 for v in values), name

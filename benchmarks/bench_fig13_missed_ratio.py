@@ -5,16 +5,16 @@ load; 2PL-PA degrades first and hardest; WAIT-50 is competitive at low
 load but falls behind OCC-BC at high load.
 """
 
-from repro.experiments.figures import run_fig13
 from repro.metrics.report import format_series_table
 
 
-def test_fig13a_missed_ratio(benchmark, bench_config, bench_executor):
+def test_fig13a_missed_ratio(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("fig13")
     results = benchmark.pedantic(
-        lambda: run_fig13(bench_config, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1, iterations=1
     )
-    rates = bench_config.arrival_rates
+    rates = config.arrival_rates
     series = {name: sweep.missed_ratio() for name, sweep in results.items()}
     print()
     print(

@@ -4,16 +4,16 @@ Paper claims: SCC-2S's late transactions miss by considerably less than
 OCC-BC's at all loads; 2PL-PA's tardiness explodes at high load.
 """
 
-from repro.experiments.figures import run_fig13
 from repro.metrics.report import format_series_table
 
 
-def test_fig13b_average_tardiness(benchmark, bench_config, bench_executor):
+def test_fig13b_average_tardiness(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("fig13")
     results = benchmark.pedantic(
-        lambda: run_fig13(bench_config, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1, iterations=1
     )
-    rates = bench_config.arrival_rates
+    rates = config.arrival_rates
     series = {name: sweep.avg_tardiness() for name, sweep in results.items()}
     print()
     print(

@@ -6,16 +6,16 @@ two-class mix SCC-VW's value-cognizance pays off more clearly; both SCC
 variants dominate OCC-BC and WAIT-50 at high load.
 """
 
-from repro.experiments.figures import run_fig14a, run_fig14b
 from repro.metrics.report import format_series_table
 
 
-def test_fig14a_system_value_one_class(benchmark, bench_config, bench_executor):
+def test_fig14a_system_value_one_class(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("fig14a-fig15")
     results = benchmark.pedantic(
-        lambda: run_fig14a(bench_config, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1, iterations=1
     )
-    rates = bench_config.arrival_rates
+    rates = config.arrival_rates
     series = {name: sweep.system_value() for name, sweep in results.items()}
     print()
     print(
@@ -34,14 +34,13 @@ def test_fig14a_system_value_one_class(benchmark, bench_config, bench_executor):
     assert series["SCC-VW"][high] >= series["SCC-2S"][high] - 1.0
 
 
-def test_fig14b_system_value_two_classes(
-    benchmark, bench_two_class_config, bench_executor
-):
+def test_fig14b_system_value_two_classes(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("fig14b")
     results = benchmark.pedantic(
-        lambda: run_fig14b(bench_two_class_config, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1, iterations=1
     )
-    rates = bench_two_class_config.arrival_rates
+    rates = config.arrival_rates
     series = {name: sweep.system_value() for name, sweep in results.items()}
     print()
     print(

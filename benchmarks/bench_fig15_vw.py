@@ -5,16 +5,16 @@ expected value, not timeliness) but misses them by a *smaller margin*
 (lower Average Tardiness).
 """
 
-from repro.experiments.figures import run_fig15
 from repro.metrics.report import format_series_table
 
 
-def test_fig15_vw_missed_and_tardiness(benchmark, bench_config, bench_executor):
+def test_fig15_vw_missed_and_tardiness(benchmark, bench_spec, bench_executor):
+    spec, config = bench_spec("fig14a-fig15")
     results = benchmark.pedantic(
-        lambda: run_fig15(bench_config, executor=bench_executor),
+        lambda: spec.run(config=config, executor=bench_executor),
         rounds=1, iterations=1
     )
-    rates = list(bench_config.arrival_rates)
+    rates = list(config.arrival_rates)
     missed = {name: sweep.missed_ratio() for name, sweep in results.items()}
     tardiness = {name: sweep.avg_tardiness() for name, sweep in results.items()}
     print()

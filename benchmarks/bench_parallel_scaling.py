@@ -24,31 +24,30 @@ import time
 
 import pytest
 
-from repro.experiments.figures import fig13_protocols
 from repro.experiments.parallel import ProcessSweepExecutor, SerialSweepExecutor
-from repro.experiments.runner import run_sweep
 from repro.metrics.report import format_table
 
 SCALING_WORKERS = 4
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
 
 
-def _run(executor, config):
+def _run(executor, spec, config):
     started = time.perf_counter()
-    results = run_sweep(fig13_protocols(), config, executor=executor)
+    results = spec.run(config=config, executor=executor)
     return results, time.perf_counter() - started
 
 
-def test_parallel_scaling_and_determinism(benchmark, bench_config):
+def test_parallel_scaling_and_determinism(benchmark, bench_spec):
     cores = os.cpu_count() or 1
     if cores < SCALING_WORKERS:
         pytest.skip(
             f"{cores}-core host: scaling needs >= {SCALING_WORKERS} cores"
         )
-    serial_results, serial_s = _run(SerialSweepExecutor(), bench_config)
+    spec, config = bench_spec("fig13")
+    serial_results, serial_s = _run(SerialSweepExecutor(), spec, config)
     executor = ProcessSweepExecutor(workers=SCALING_WORKERS)
     parallel_results, parallel_s = benchmark.pedantic(
-        lambda: _run(executor, bench_config), rounds=1, iterations=1
+        lambda: _run(executor, spec, config), rounds=1, iterations=1
     )
 
     # Determinism: every protocol, rate, and replication — exact equality.

@@ -13,21 +13,18 @@ results double as a contention fingerprint per scenario.
 
 import pytest
 
-from repro.experiments.figures import run_scenario
+from repro.experiments.spec import Experiment
 from repro.metrics.report import format_series_table
 from repro.workloads.scenarios import available_scenarios
-
-PROTOCOLS = {"SCC-2S": "scc-2s", "OCC-BC": "occ-bc"}
 
 
 @pytest.mark.parametrize("name", available_scenarios())
 def test_scenario_sweep(benchmark, bench_config, bench_executor, name):
     rates = bench_config.arrival_rates
+    spec = Experiment.scenario(name).protocols("scc-2s", "occ-bc").build()
 
     def run():
-        return run_scenario(
-            name,
-            protocols=PROTOCOLS,
+        return spec.run(
             arrival_rates=rates,
             executor=bench_executor,
             num_transactions=bench_config.num_transactions,

@@ -3,9 +3,11 @@
 Benchmarks run *reduced-scale* versions of the paper's experiments (fewer
 transactions, fewer arrival-rate points, one replication) so the whole
 harness completes in minutes; the full-scale runs behind EXPERIMENTS.md go
-through ``scc-experiments`` (see README).  Each benchmark prints the same
-series its paper figure plots and asserts the figure's qualitative shape
-(who wins, where the crossover falls).
+through ``repro run specs/...`` (see README).  Each figure and ablation
+benchmark loads its committed spec file through the ``bench_spec``
+fixture, which changes only the scale, prints the same series its paper
+figure plots, and asserts the figure's qualitative shape (who wins,
+where the crossover falls).
 
 Scale and execution knobs (all env vars, used by the CI bench-smoke job):
 
@@ -28,11 +30,13 @@ from __future__ import annotations
 import os
 import platform
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import baseline_config, two_class_config
+from repro.experiments.config import baseline_config
 from repro.experiments.parallel import make_executor
+from repro.experiments.spec import ExperimentSpec
 from repro.results import write_json_atomic
 
 # Reduced-scale sweep: the low-contention anchor (40), the paper's "all
@@ -44,6 +48,9 @@ BENCH_RATES = tuple(
 )
 BENCH_TXNS = int(os.environ.get("REPRO_BENCH_TXNS", "600"))
 BENCH_WARMUP = int(os.environ.get("REPRO_BENCH_WARMUP", "60"))
+
+#: The committed experiment specs (one per paper figure and ablation).
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture(scope="session")
@@ -59,15 +66,33 @@ def bench_config():
 
 
 @pytest.fixture(scope="session")
-def bench_two_class_config():
-    """Two-class (Figure 14(b)) model at benchmark scale."""
-    return two_class_config(
-        num_transactions=BENCH_TXNS,
-        warmup_commits=BENCH_WARMUP,
-        replications=1,
-        arrival_rates=BENCH_RATES,
-        check_serializability=False,
-    )
+def bench_spec():
+    """Load ``specs/NAME.json`` and its config at benchmark scale.
+
+    Returns a function ``load(name, **overrides) -> (spec, config)``.
+    Only the scale changes — transactions, warmup, one replication, the
+    bench rate axis, no serializability check — so the roster and the
+    workload stay exactly those of the committed file.  ``overrides``
+    replace any of these config fields (or add ``num_servers``); an
+    override of ``None`` keeps the spec's own value.
+    """
+
+    def load(name, **overrides):
+        spec = ExperimentSpec.load(SPECS_DIR / f"{name}.json")
+        scale = dict(
+            num_transactions=BENCH_TXNS,
+            warmup_commits=BENCH_WARMUP,
+            replications=1,
+            arrival_rates=BENCH_RATES,
+            check_serializability=False,
+        )
+        scale.update(overrides)
+        config = spec.to_config(
+            **{key: value for key, value in scale.items() if value is not None}
+        )
+        return spec, config
+
+    return load
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ Run:  python examples/flash_sale.py [--rate TPS] [--transactions N]
 import argparse
 
 from repro import get_scenario
-from repro.experiments.figures import run_scenario
+from repro.experiments.spec import Experiment
 from repro.metrics.report import format_table
 
 SCENARIO = "flash-sale-hotspot"
@@ -45,19 +45,15 @@ def main() -> None:
         f"{hot_pages} of {scenario.num_pages} pages\n"
     )
 
-    results = run_scenario(
-        scenario,
-        protocols={
-            "SCC-2S": "scc-2s",
-            "OCC-BC": "occ-bc",
-            "WAIT-50": "wait-50",
-            "2PL-PA": "2pl-pa",
-        },
-        arrival_rates=[args.rate],
-        num_transactions=args.transactions,
-        warmup_commits=min(200, args.transactions // 10),
-        replications=1,
-        seed=7,
+    results = (
+        Experiment.scenario(scenario)
+        .protocols("scc-2s", "occ-bc", "wait-50", "2pl-pa")
+        .rates(args.rate)
+        .transactions(args.transactions)
+        .warmup(min(200, args.transactions // 10))
+        .replications(1)
+        .seed(7)
+        .run()
     )
 
     rows = []

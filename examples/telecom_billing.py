@@ -27,10 +27,13 @@ Run:  python examples/telecom_billing.py [--rate TPS] [--transactions N]
 import argparse
 
 from repro import get_scenario
-from repro.experiments.figures import run_scenario
+from repro.experiments.spec import Experiment
 from repro.metrics.report import format_table
 
 SCENARIO = "bursty-telecom"
+
+#: What each contender knows about transaction values.
+STANCE = {"SCC-2S": "value-oblivious", "SCC-VW": "value-cognizant"}
 
 
 def main() -> None:
@@ -42,17 +45,15 @@ def main() -> None:
     scenario = get_scenario(SCENARIO)
     print(f"scenario: {scenario.name} — {scenario.description}\n")
 
-    results = run_scenario(
-        scenario,
-        protocols={
-            "SCC-2S (value-oblivious)": "scc-2s",
-            "SCC-VW (value-cognizant)": "scc-vw?period=0.01",
-        },
-        arrival_rates=[args.rate],
-        num_transactions=args.transactions,
-        warmup_commits=min(200, args.transactions // 10),
-        replications=1,
-        seed=7,
+    results = (
+        Experiment.scenario(scenario)
+        .protocols("scc-2s", "scc-vw?period=0.01")
+        .rates(args.rate)
+        .transactions(args.transactions)
+        .warmup(min(200, args.transactions // 10))
+        .replications(1)
+        .seed(7)
+        .run()
     )
 
     rows = []
@@ -60,7 +61,7 @@ def main() -> None:
         summary = sweep.replications[0][0]
         rows.append(
             (
-                name,
+                f"{name} ({STANCE[name]})",
                 summary.system_value,
                 summary.per_class_value.get("fraud-check", 0.0),
                 summary.per_class_value.get("usage-update", 0.0),

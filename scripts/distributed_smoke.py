@@ -4,8 +4,9 @@ Exercises the distributed execution stack end to end, the way the unit
 suite can't — real multi-host scheduling, a real worker death, and the
 CLI merge path — and holds it to the determinism bar:
 
-1. **serial** — run a reduced Figure-13 sweep serially; keep summaries in
-   memory as the bit-exactness reference.
+1. **serial** — run a reduced Figure-13 sweep (the ``specs/fig13.json``
+   roster) serially; keep summaries in memory as the bit-exactness
+   reference.
 2. **distributed + kill** — run the same sweep with ``--executor
    distributed`` across two forked hosts into a SQLite store, with a
    fault hook that hard-kills the first host to claim a cell
@@ -39,9 +40,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.experiments.cli import main as cli_main  # noqa: E402
 from repro.experiments.config import baseline_config  # noqa: E402
 from repro.experiments.distributed import DistributedSweepExecutor  # noqa: E402
-from repro.experiments.figures import fig13_protocols  # noqa: E402
 from repro.experiments.runner import build_cells, run_sweep  # noqa: E402
+from repro.experiments.spec import ExperimentSpec  # noqa: E402
 from repro.results import open_store  # noqa: E402
+
+FIG13_SPEC = os.path.join(os.path.dirname(__file__), os.pardir, "specs",
+                          "fig13.json")
 
 
 def build_config(args: argparse.Namespace, rates=None):
@@ -94,7 +98,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     config = build_config(args)
-    protocols = fig13_protocols()
+    protocols = ExperimentSpec.load(FIG13_SPEC).protocol_mapping()
     rates = config.arrival_rates
     if len(rates) < 2:
         print("error: need at least two rates to split into shards",

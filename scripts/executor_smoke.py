@@ -1,9 +1,10 @@
 """CI smoke check: one small sweep through both executors, summaries diffed.
 
-Runs the Figure 13 protocol set over a reduced grid twice — once through
-the serial executor, once through the process pool — and fails unless the
-two paths produce *identical* summaries (the parallel subsystem's core
-guarantee: cell placement can never leak into results).
+Runs the Figure 13 roster (``specs/fig13.json``) over a reduced grid
+twice — once through the serial executor, once through the process pool
+— and fails unless the two paths produce *identical* summaries (the
+parallel subsystem's core guarantee: cell placement can never leak into
+results).
 
 Usage::
 
@@ -15,14 +16,20 @@ Exit codes: 0 identical, 1 mismatch.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 from repro.experiments.config import baseline_config
-from repro.experiments.figures import fig13_protocols
 from repro.experiments.parallel import ProcessSweepExecutor, SerialSweepExecutor
 from repro.experiments.runner import run_sweep
+from repro.experiments.spec import ExperimentSpec
 from repro.metrics.report import format_series_table
+
+FIG13_SPEC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "specs", "fig13.json",
+)
 
 
 def main(argv=None) -> int:
@@ -41,7 +48,7 @@ def main(argv=None) -> int:
         seed=args.seed,
         check_serializability=False,
     )
-    protocols = fig13_protocols()
+    protocols = ExperimentSpec.load(FIG13_SPEC).protocol_mapping()
 
     t0 = time.perf_counter()
     serial = run_sweep(protocols, config, executor=SerialSweepExecutor())

@@ -1,18 +1,21 @@
 """Full-scale experiment driver behind EXPERIMENTS.md.
 
-Runs every figure of the paper at (near-)paper scale — 4000 completed
-transactions per run, multiple replications, the 10-200 tps sweep — and
-writes one JSON blob plus printable tables under results/.  Each figure
-is declared through the fluent :class:`~repro.experiments.spec.Experiment`
-builder, so the driver, the CLI (``repro run spec.json``), and ad-hoc
-library runs all share one experiment representation (and therefore one
-run-store identity per cell).
+Runs the paper's figures and ablation A1 from their committed spec files
+(``specs/fig13.json``, ``specs/fig14a-fig15.json``, ``specs/fig14b.json``
+and ``specs/ablation-k.json``) exactly as committed — 4000 completed
+transactions per run, 3 replications, the 10-200 tps sweep — and writes
+one JSON blob plus printable tables under results/.  The spec files are
+the one definition of each roster and scale, shared with ``repro run``,
+the gateway and the benchmarks (and therefore one run-store identity per
+cell).  ``--quick`` overrides only the scale (1000 transactions, 50
+warmup commits, 1 replication).
 
 Usage:  python scripts/full_experiments.py [--quick] [--workers 4]
                                            [--executor serial|process]
                                            [--store results/runs]
 
-A full pass takes about 90 s with ``--workers 2`` on a 2-core host.
+A full pass at 2 replications took about 90 s with ``--workers 2`` on a
+2-core host; the committed files ask for 3.
 ``--store DIR`` makes the whole driver resumable: every
 completed (protocol, rate, replication) cell is appended to a run store
 under DIR as it finishes, and a re-run after an interruption recomputes
@@ -27,19 +30,41 @@ import os
 import time
 
 from repro.errors import ConfigurationError
-from repro.experiments.figures import run_ablation_k
 from repro.experiments.parallel import (
     ProgressReporter,
     available_executors,
     resolve_executor,
 )
-from repro.experiments.spec import Experiment
+from repro.experiments.spec import ExperimentSpec
 from repro.metrics.report import format_series_table
 from repro.results import write_json_atomic
 
-RATES = (10, 25, 50, 75, 100, 125, 150, 175, 200)
-FIG13_PROTOCOLS = ("scc-2s", "occ-bc", "wait-50", "2pl-pa")
-FIG14_PROTOCOLS = ("scc-vw", "scc-2s", "occ-bc", "wait-50")
+SPECS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "specs"
+)
+
+#: (blob key, heading, spec file, store file, [(table title, SweepResult
+#: metric method)]), in run order.
+EXPERIMENTS = (
+    ("fig13", "Figure 13 (baseline: missed ratio + tardiness)",
+     "fig13.json", "figures.jsonl",
+     [("Fig 13(a) Missed Ratio (%)", "missed_ratio"),
+      ("Fig 13(b) Avg Tardiness (s)", "avg_tardiness")]),
+    ("fig14a_fig15", "Figures 14(a)/15 (one-class value runs)",
+     "fig14a-fig15.json", "figures.jsonl",
+     [("Fig 14(a) System Value (%)", "system_value"),
+      ("Fig 15(a) Missed Ratio (%)", "missed_ratio"),
+      ("Fig 15(b) Avg Tardiness (s)", "avg_tardiness")]),
+    ("fig14b", "Figure 14(b) (two-class value runs)",
+     "fig14b.json", "figures.jsonl",
+     [("Fig 14(b) System Value (%)", "system_value")]),
+    ("ablation_k", "Ablation A1 (k sweep)",
+     "ablation-k.json", "ablation_k.jsonl",
+     [("A1 Missed Ratio (%) by k", "missed_ratio")]),
+)
+
+#: ``--quick`` scale: the only override of the committed files.
+QUICK = dict(num_transactions=1000, warmup_commits=50, replications=1)
 
 
 def sweep_to_dict(results):
@@ -74,68 +99,36 @@ def main():
         "interrupted driver resumes where it died",
     )
     args = parser.parse_args()
-    figures_store = os.path.join(args.store, "figures.jsonl") if args.store else None
-    ablation_store = os.path.join(args.store, "ablation_k.jsonl") if args.store else None
     try:
         executor = resolve_executor(args.executor, workers=args.workers)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    txns = 1000 if args.quick else 4000
-    warmup = 50 if args.quick else 200
-    reps = 1 if args.quick else 2
-
-    def experiment(protocols, scenario=None):
-        builder = (
-            Experiment.scenario(scenario) if scenario else Experiment.baseline()
-        )
-        return (
-            builder.protocols(*protocols)
-            .rates(*RATES)
-            .transactions(txns)
-            .warmup(warmup)
-            .replications(reps)
-        )
-
+    overrides = QUICK if args.quick else {}
     progress = ProgressReporter()
 
-    base = experiment(FIG13_PROTOCOLS).build().to_config()
-    blob = {"config": {"transactions": txns, "replications": reps,
-                       "rates": list(RATES), "step_ms": base.step_duration * 1e3}}
+    blob = {}
     t0 = time.time()
-
-    print("== Figure 13 (baseline: missed ratio + tardiness) ==", flush=True)
-    r13 = experiment(FIG13_PROTOCOLS).run(
-        on_event=progress, executor=executor, store=figures_store)
-    blob["fig13"] = sweep_to_dict(r13)
-    print(format_series_table("rate", list(RATES),
-          {n: s.missed_ratio() for n, s in r13.items()}, "Fig 13(a) Missed Ratio (%)"))
-    print(format_series_table("rate", list(RATES),
-          {n: s.avg_tardiness() for n, s in r13.items()}, "Fig 13(b) Avg Tardiness (s)"))
-
-    print("== Figures 14(a)/15 (one-class value runs) ==", flush=True)
-    r14a = experiment(FIG14_PROTOCOLS).run(
-        on_event=progress, executor=executor, store=figures_store)
-    blob["fig14a_fig15"] = sweep_to_dict(r14a)
-    print(format_series_table("rate", list(RATES),
-          {n: s.system_value() for n, s in r14a.items()}, "Fig 14(a) System Value (%)"))
-    print(format_series_table("rate", list(RATES),
-          {n: s.missed_ratio() for n, s in r14a.items()}, "Fig 15(a) Missed Ratio (%)"))
-    print(format_series_table("rate", list(RATES),
-          {n: s.avg_tardiness() for n, s in r14a.items()}, "Fig 15(b) Avg Tardiness (s)"))
-
-    print("== Figure 14(b) (two-class value runs) ==", flush=True)
-    r14b = experiment(FIG14_PROTOCOLS, scenario="paper-two-class").run(
-        on_event=progress, executor=executor, store=figures_store)
-    blob["fig14b"] = sweep_to_dict(r14b)
-    print(format_series_table("rate", list(RATES),
-          {n: s.system_value() for n, s in r14b.items()}, "Fig 14(b) System Value (%)"))
-
-    print("== Ablation A1 (k sweep) ==", flush=True)
-    rk = run_ablation_k(base.scaled(arrival_rates=[70, 150]), ks=(1, 2, 3, 5, None),
-                    executor=executor, store=ablation_store)
-    blob["ablation_k"] = sweep_to_dict(rk)
-    print(format_series_table("rate", [70, 150],
-          {n: s.missed_ratio() for n, s in rk.items()}, "A1 Missed Ratio (%) by k"))
+    for key, heading, spec_file, store_file, tables in EXPERIMENTS:
+        spec = ExperimentSpec.load(os.path.join(SPECS_DIR, spec_file))
+        config = spec.to_config(**overrides)
+        if "config" not in blob:
+            blob["config"] = {
+                "transactions": config.num_transactions,
+                "replications": config.replications,
+                "rates": list(config.arrival_rates),
+                "step_ms": config.step_duration * 1e3,
+            }
+        print(f"== {heading} ==", flush=True)
+        results = spec.run(
+            config=config, on_event=progress, executor=executor,
+            store=os.path.join(args.store, store_file) if args.store else None,
+        )
+        blob[key] = sweep_to_dict(results)
+        rates = list(config.arrival_rates)
+        for title, metric in tables:
+            print(format_series_table(
+                "rate", rates,
+                {n: getattr(s, metric)() for n, s in results.items()}, title))
 
     blob["elapsed_seconds"] = time.time() - t0
     os.makedirs("results", exist_ok=True)

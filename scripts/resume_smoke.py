@@ -2,8 +2,8 @@
 
 Proves the persistence layer's core promise end to end:
 
-1. **cold** — run a reduced Figure-13 sweep with no store; keep the
-   summaries in memory as the reference.
+1. **cold** — run a reduced Figure-13 sweep (the ``specs/fig13.json``
+   roster) with no store; keep the summaries in memory as the reference.
 2. **interrupted** — re-run the same sweep in a *subprocess* writing to a
    run store, and hard-kill it (``os._exit``) after half the grid's cells
    have completed — no cleanup, no atexit, exactly like a SIGKILL'd job.
@@ -36,9 +36,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.experiments.config import baseline_config  # noqa: E402
-from repro.experiments.figures import fig13_protocols  # noqa: E402
 from repro.experiments.runner import build_cells, run_sweep  # noqa: E402
+from repro.experiments.spec import ExperimentSpec  # noqa: E402
 from repro.results import STORE_BACKENDS, open_store  # noqa: E402
+
+FIG13_SPEC = os.path.join(os.path.dirname(__file__), os.pardir, "specs",
+                          "fig13.json")
 
 KILL_EXIT_CODE = 87  # distinctive: "I killed myself on purpose"
 
@@ -65,7 +68,7 @@ def build_config(args: argparse.Namespace):
 def run_interrupted(args: argparse.Namespace) -> int:
     """Subprocess body: run with a store, hard-kill at half the grid."""
     config = build_config(args)
-    protocols = fig13_protocols()
+    protocols = ExperimentSpec.load(FIG13_SPEC).protocol_mapping()
     total = len(build_cells(list(protocols), config.arrival_rates,
                             config.replications))
     kill_after = total // 2
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
     _remove_store_files(args.store)
 
     config = build_config(args)
-    protocols = fig13_protocols()
+    protocols = ExperimentSpec.load(FIG13_SPEC).protocol_mapping()
     total = len(build_cells(list(protocols), config.arrival_rates,
                             config.replications))
 

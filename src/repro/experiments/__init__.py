@@ -1,4 +1,8 @@
-"""Experiment harness: baseline configuration, sweeps, per-figure setups."""
+"""Experiment harness: configuration, sweeps, executors, specs and the CLI.
+
+The paper's figures and ablations are committed spec files under
+``specs/`` (run them with ``repro run specs/fig13.json``), not code.
+"""
 
 from repro._lazy import lazy_exports
 
@@ -14,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SweepExecutor": "repro.experiments.parallel",
     "available_executors": "repro.experiments.parallel",
     "make_executor": "repro.experiments.parallel",
-    "run_scenario": "repro.experiments.figures",
     "OnlineProfiler": "repro.experiments.profiling",
     "capture_profile": "repro.experiments.profiling",
     "profile_classes": "repro.experiments.profiling",

@@ -1,16 +1,14 @@
-"""Command-line entry point: figures, scenarios, and experiment specs.
+"""Command-line entry point: experiment specs, registries, stores, traces.
 
 Installed as both ``scc-experiments`` and ``repro``.  Usage::
 
-    scc-experiments fig13a [--transactions N] [--replications R]
-                           [--rates 10,50,100,150,200] [--seed S]
-                           [--executor serial|process] [--workers W]
-                           [--store runs.jsonl] [--format table|json|csv]
-    scc-experiments all --transactions 1000 --replications 2 --workers 4
-    scc-experiments --scenario bursty-telecom --rates 70,150
+    repro run specs/fig13.json [--transactions N] [--replications R]
+                               [--rates 10,50,100,150,200] [--seed S]
+                               [--executor serial|process] [--workers W]
+                               [--store runs.jsonl] [--format table|json|csv]
+    scc-experiments fig3                # analytic shadow-count table
     scc-experiments scenarios           # list the registered scenarios
     scc-experiments specs               # list the protocol registry
-    repro run experiment.json           # run a declarative ExperimentSpec
     scc-experiments results list --store runs.jsonl
     scc-experiments results export --store runs.jsonl --format csv
     scc-experiments results diff --store a.jsonl --against b.jsonl
@@ -18,26 +16,21 @@ Installed as both ``scc-experiments`` and ``repro``.  Usage::
     scc-experiments results compact --store runs.jsonl
     repro serve --store runs.sqlite --port 8642 --workers 4
 
-Each figure command prints the series the corresponding paper figure
-plots, as a fixed-width table (one row per arrival rate, one column per
-protocol).  ``fig3`` prints the analytic SCC-OB vs SCC-CB shadow-count
-table.
-
 ``repro run SPEC.json`` executes a serialized
 :class:`~repro.experiments.spec.ExperimentSpec` — scenario, protocol
-specs, grid axes, execution policy, and store in one artifact.  Flags
-given on the command line (``--rates``, ``--transactions``,
-``--replications``, ``--seed``, ``--executor``, ``--workers``,
-``--store``) override the spec for that invocation;
-everything omitted comes from the spec file.  ``specs`` lists the registered protocol
-families and their parameters (the vocabulary of ``protocols`` entries
-in spec files).
-
-``--scenario NAME`` swaps the workload for a registered scenario from
-:mod:`repro.workloads.scenarios` (classes, arrival process, access
-pattern, and deadline policy all come from the scenario; ``--scenario
-paper-baseline`` is bit-identical to the default path).  The command
-defaults to ``fig13a`` so ``scc-experiments --scenario NAME`` works bare.
+specs, grid axes, execution policy, and store in one artifact — and
+prints the Missed Ratio, Average Tardiness and System Value series as
+fixed-width tables (one row per arrival rate, one column per protocol).
+The paper's figures and ablations are the committed files under
+``specs/``: ``fig13.json`` (Figure 13(a)/(b)), ``fig14a-fig15.json``
+(Figures 14(a), 15(a) and 15(b)), ``fig14b.json`` (Figure 14(b)) and
+``ablation-*.json`` (A1-A4).  Flags given on the command line
+(``--rates``, ``--transactions``, ``--replications``, ``--seed``,
+``--executor``, ``--workers``, ``--store``) override the spec for that
+invocation; everything omitted comes from the spec file.  ``specs``
+lists the registered protocol families and their parameters (the
+vocabulary of ``protocols`` entries in spec files).  ``fig3`` prints the
+analytic SCC-OB vs SCC-CB shadow-count table.
 
 ``--store PATH`` makes the sweep persistent and resumable: cells already
 in the run store are served from it, fresh cells are appended as they
@@ -85,17 +78,10 @@ from __future__ import annotations
 import argparse
 import os
 import time
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.config import (
-    ExperimentConfig,
-    baseline_config,
-    two_class_config,
-)
-from repro.experiments.parallel import available_executors, resolve_executor
-from repro.experiments.runner import SweepResult
+from repro.experiments.parallel import available_executors
 from repro.metrics.report import format_series_table, format_table
 from repro.results import (
     STORE_BACKENDS,
@@ -114,50 +100,11 @@ from repro.telemetry.log import LOG_LEVELS, configure_logging, get_logger
 #: (tables / JSON / CSV).
 _log = get_logger("cli")
 
-_FIGURES = {
-    "fig13a": ("Figure 13(a): Missed Ratio (%), baseline model", "missed"),
-    "fig13b": ("Figure 13(b): Average Tardiness (s), baseline model", "tardiness"),
-    "fig14a": ("Figure 14(a): System Value (%), one class", "value"),
-    "fig14b": ("Figure 14(b): System Value (%), two classes", "value"),
-    "fig15a": ("Figure 15(a): Missed Ratio (%), SCC-VW", "missed"),
-    "fig15b": ("Figure 15(b): Average Tardiness (s), SCC-VW", "tardiness"),
-}
-
-# Command -> runner in repro.experiments.figures.  The figure module is
-# imported by the figure commands only, so `run` and `serve` never load it.
-_RUNNERS = {
-    "fig13a": "run_fig13",
-    "fig13b": "run_fig13",
-    "fig14a": "run_fig14a",
-    "fig14b": "run_fig14b",
-    "fig15a": "run_fig15",
-    "fig15b": "run_fig15",
-}
-
-# Command -> figures.FIGURE_PROTOCOLS key: exports resolve their roster
-# from the same table the run_fig* runners sweep, so the machine-readable
-# records always carry exactly the registry identities that were run.
-_FIGURE_KEYS = {
-    "fig13a": "fig13",
-    "fig13b": "fig13",
-    "fig14a": "fig14a",
-    "fig14b": "fig14b",
-    "fig15a": "fig15",
-    "fig15b": "fig15",
-}
-
 _METRIC_EXTRACTORS = {
     "missed": lambda result: result.missed_ratio(),
     "tardiness": lambda result: result.avg_tardiness(),
     "value": lambda result: result.system_value(),
 }
-
-# Default scale knobs when the flags are omitted — derived from the
-# ExperimentConfig dataclass so the CLI can never drift from the library.
-_CONFIG_FIELDS = ExperimentConfig.__dataclass_fields__
-_DEFAULT_TRANSACTIONS = _CONFIG_FIELDS["num_transactions"].default
-_DEFAULT_REPLICATIONS = _CONFIG_FIELDS["replications"].default
-_DEFAULT_SEED = _CONFIG_FIELDS["seed"].default
 
 
 def _parse_rates(text: Optional[str]) -> Optional[list[float]]:
@@ -167,43 +114,6 @@ def _parse_rates(text: Optional[str]) -> Optional[list[float]]:
         return [float(r) for r in text.split(",") if r.strip()]
     except ValueError as exc:
         raise SystemExit(f"invalid --rates value {text!r}: {exc}")
-
-
-def _build_config(args: argparse.Namespace, two_class: bool):
-    seed = args.seed if args.seed is not None else _DEFAULT_SEED
-    transactions = (
-        args.transactions
-        if args.transactions is not None
-        else _DEFAULT_TRANSACTIONS
-    )
-    replications = (
-        args.replications
-        if args.replications is not None
-        else _DEFAULT_REPLICATIONS
-    )
-    if args.scenario is not None:
-        # The scenario defines classes, workload axes, and database size;
-        # the figure command only picks the protocol set and metric.
-        scenario = _get_scenario_or_exit(args.scenario)
-        config = scenario.to_config(seed=seed)
-    else:
-        factory = two_class_config if two_class else baseline_config
-        config = factory(seed=seed)
-    return replace(
-        config,
-        num_transactions=transactions,
-        warmup_commits=min(config.warmup_commits, transactions // 10),
-        replications=replications,
-    )
-
-
-def _get_scenario_or_exit(name: str):
-    from repro.workloads.scenarios import get_scenario
-
-    try:
-        return get_scenario(name)
-    except ConfigurationError as exc:
-        raise SystemExit(f"scc-experiments: error: {exc}")
 
 
 def _list_scenarios() -> str:
@@ -250,84 +160,6 @@ def _log_sweep_event(event) -> None:
             event.payload["cell"]["protocol"], error["type"], error["message"],
         )
 
-
-def _resolve_executor_or_exit(args: argparse.Namespace):
-    try:
-        return resolve_executor(args.executor, workers=args.workers)
-    except ConfigurationError as exc:
-        raise SystemExit(f"scc-experiments: error: {exc}")
-
-
-def _run_figure(command: str, args: argparse.Namespace) -> str:
-    from repro.experiments import figures
-
-    title, metric = _FIGURES[command]
-    if args.scenario is not None:
-        title = f"{title} [scenario: {args.scenario}]"
-    try:
-        config = _build_config(args, two_class=(command == "fig14b"))
-    except ConfigurationError as exc:
-        raise SystemExit(f"scc-experiments: error: {exc}")
-    rates = _parse_rates(args.rates)
-    runner = getattr(figures, _RUNNERS[command])
-    executor = _resolve_executor_or_exit(args)
-    store = _open_store_or_exit(args.store, args.store_backend) if args.store else None
-    stored_before = len(store) if store is not None else 0
-    started = time.time()
-    try:
-        results: dict[str, SweepResult] = runner(
-            config, arrival_rates=rates, executor=executor, store=store,
-            scenario=args.scenario, on_event=_log_sweep_event,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(f"scc-experiments: error: {exc}")
-    elapsed = time.time() - started
-    some = next(iter(results.values()))
-    status = f"[{config.num_transactions} txns x {config.replications} reps, {elapsed:.1f}s]"
-    status += _store_status(store, args.store, stored_before, results, config)
-    if args.format != "table":
-        return _machine_records(
-            config, results, args.scenario,
-            figures.FIGURE_PROTOCOLS[_FIGURE_KEYS[command]](),
-            store, args.format, status,
-        )
-    extract = _METRIC_EXTRACTORS[metric]
-    table = format_series_table(
-        "arrival_rate",
-        list(some.arrival_rates),
-        {name: extract(result) for name, result in results.items()},
-        title=title,
-    )
-    return f"{table}\n{status}"
-
-
-def _store_status(store, store_path, stored_before, results, config) -> str:
-    """The ``[store: ... cells reused, N computed]`` status suffix."""
-    if store is None:
-        return ""
-    some = next(iter(results.values()))
-    total_cells = len(results) * len(some.arrival_rates) * config.replications
-    computed = len(store) - stored_before
-    return (
-        f" [store: {store_path} — {total_cells - computed}/{total_cells} "
-        f"cells reused, {computed} computed]"
-    )
-
-
-def _machine_records(
-    config, results, scenario, protocol_specs, store, fmt, status
-) -> str:
-    # Machine-readable output: the canonical RunRecord serialization of
-    # exactly this run's grid; human status goes to stderr.  With a
-    # store, serve the stored records (they carry the cells' real
-    # wall-clock) — records_from_results only fills the no-store path.
-    records = records_from_results(
-        config, results, protocol_specs, scenario=scenario
-    )
-    if store is not None:
-        records = [store.get(r.fingerprint) or r for r in records]
-    _log.info("%s", status)
-    return _render_records(records, fmt)
 
 
 def _render_records(records, fmt: str) -> str:
@@ -521,11 +353,6 @@ def _run_spec(args: argparse.Namespace) -> str:
             "scc-experiments: error: run needs a spec file "
             "(scc-experiments run experiment.json)"
         )
-    if args.scenario is not None:
-        raise SystemExit(
-            "scc-experiments: error: the spec file names its scenario; "
-            "--scenario does not apply to the run command"
-        )
     try:
         spec = ExperimentSpec.load(args.action)
     except ConfigurationError as exc:
@@ -554,8 +381,8 @@ def _run_spec(args: argparse.Namespace) -> str:
     started = time.time()
     try:
         if args.transactions is not None:
-            # Mirror the figure commands' warmup clamp so a reduced
-            # --transactions override cannot undercut the spec's warmup.
+            # Clamp the warmup to a tenth of a reduced --transactions
+            # override, so the spec's warmup cannot exceed the run.
             probe = spec.to_config()
             overrides["warmup_commits"] = min(
                 probe.warmup_commits, args.transactions // 10
@@ -591,12 +418,26 @@ def _run_spec(args: argparse.Namespace) -> str:
         f"{config.num_transactions} txns x {config.replications} reps, "
         f"{elapsed:.1f}s]"
     )
-    status += _store_status(store, store_path, stored_before, results, config)
-    if args.format != "table":
-        return _machine_records(
-            config, results, spec.scenario_name(), spec.protocol_mapping(),
-            store, args.format, status,
+    if store is not None:
+        total_cells = len(results) * len(some.arrival_rates) * config.replications
+        computed = len(store) - stored_before
+        status += (
+            f" [store: {store_path} — {total_cells - computed}/{total_cells} "
+            f"cells reused, {computed} computed]"
         )
+    if args.format != "table":
+        # Machine-readable output: the canonical RunRecord serialization
+        # of exactly this run's grid; human status goes to stderr.  With
+        # a store, serve the stored records (they carry the cells' real
+        # wall-clock) — records_from_results only fills the no-store path.
+        records = records_from_results(
+            config, results, spec.protocol_mapping(),
+            scenario=spec.scenario_name(),
+        )
+        if store is not None:
+            records = [store.get(r.fingerprint) or r for r in records]
+        _log.info("%s", status)
+        return _render_records(records, args.format)
     rate_axis = (
         list(rates) if rates is not None else list(some.arrival_rates)
     )
@@ -653,13 +494,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_fig3(args: argparse.Namespace) -> str:
     from repro.core.shadow_counts import figure3_table
 
-    if args.scenario is not None:
-        # fig3 is an analytic shadow-count table; no workload is simulated.
-        _log.warning(
-            "note: fig3 is workload-independent; --scenario %s does not "
-            "apply to it",
-            args.scenario,
-        )
     rows = figure3_table(max_n=args.max_n)
     return format_table(
         ["n", "SCC-OB shadows", "SCC-CB concurrent", "SCC-CB total"],
@@ -774,16 +608,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "command",
-        nargs="?",
-        default="fig13a",
-        choices=sorted(_FIGURES)
-        + ["fig3", "all", "scenarios", "specs", "run", "results", "trace",
-           "serve"],
-        help="which figure to regenerate, 'run' to execute a JSON "
-        "experiment spec, 'serve' to run the experiment gateway, "
+        choices=["run", "fig3", "scenarios", "specs", "results", "trace",
+                 "serve"],
+        help="'run' to execute a JSON experiment spec (the paper's "
+        "figures are the files under specs/), 'fig3' for the analytic "
+        "shadow-count table, 'serve' to run the experiment gateway, "
         "'scenarios'/'specs' to list the workload and "
         "protocol registries, 'results' to inspect a run store, or "
-        "'trace' to inspect a JSONL trace file (default: fig13a)",
+        "'trace' to inspect a JSONL trace file",
     )
     parser.add_argument(
         "action",
@@ -803,27 +635,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="for the trace command: the JSONL trace file to inspect",
     )
     parser.add_argument(
-        "--scenario", type=str, default=None,
-        help="run over a registered workload scenario instead of the "
-        "paper's baseline model (see 'scc-experiments scenarios')",
-    )
-    parser.add_argument(
         "--transactions", type=int, default=None,
-        help="completed transactions per run (default: the spec's value "
-        "for the run command, else the paper's 4000)",
+        help="run: completed transactions per run (default: the spec's "
+        "value)",
     )
     parser.add_argument(
         "--replications", type=int, default=None,
-        help="independent replications per point (default: the spec's "
-        "value for the run command, else 3)",
+        help="run: independent replications per point (default: the "
+        "spec's value)",
     )
     parser.add_argument(
         "--rates", type=str, default=None,
-        help="comma-separated arrival rates (tps), e.g. 10,50,100,150,200",
+        help="run: comma-separated arrival rates (tps), e.g. "
+        "10,50,100,150,200 (default: the spec's axis)",
     )
     parser.add_argument(
         "--seed", type=int, default=None,
-        help=f"root seed (default: {_DEFAULT_SEED})",
+        help="run: root seed (default: the spec's value)",
     )
     parser.add_argument(
         "--executor", choices=available_executors(), default=None,
@@ -933,7 +761,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flag = "--trace" if args.trace else "--profile"
         raise SystemExit(
             f"scc-experiments: error: {flag} only applies to the run "
-            "command (figure commands don't take it yet)"
+            "command"
         )
     if args.command == "results" and args.action not in (
         None, "list", "export", "diff", "merge", "compact",
@@ -950,14 +778,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "'results merge' command"
         )
     if args.format != "table" and args.command in (
-        "all", "fig3", "scenarios", "specs",
+        "fig3", "scenarios", "specs",
     ):
-        # 'all' would concatenate several JSON/CSV documents on stdout;
         # fig3/scenarios/specs produce no run records at all.
         raise SystemExit(
             f"scc-experiments: error: --format {args.format} is not "
-            f"supported by the '{args.command}' command; run one figure at "
-            "a time (or export from a --store via 'results export')"
+            f"supported by the '{args.command}' command; it applies to "
+            "'run' and 'results export'"
         )
     if (
         args.max_queued_cells is not None or args.max_experiments is not None
@@ -978,19 +805,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "trace":
         print(_run_trace(args))
         return 0
-
-    commands = sorted(_FIGURES) + ["fig3"] if args.command == "all" else [args.command]
-    for command in commands:
-        if command == "scenarios":
-            print(_list_scenarios())
-        elif command == "specs":
-            print(_list_protocol_specs())
-        elif command == "fig3":
-            print(_run_fig3(args))
-        else:
-            print(_run_figure(command, args))
-        if args.format == "table":
-            print()  # blank separator between tables; machine output stays clean
+    if args.command == "scenarios":
+        print(_list_scenarios())
+    elif args.command == "specs":
+        print(_list_protocol_specs())
+    else:
+        print(_run_fig3(args))
     return 0
 
 

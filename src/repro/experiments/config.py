@@ -31,6 +31,9 @@ class ExperimentConfig:
     """Everything needed to run one experiment sweep.
 
     Attributes mirror the paper's baseline model; see module docstring.
+    ``num_servers`` sizes a finite pool of identical CPU+disk servers
+    (:class:`~repro.system.resources.FiniteResources`, ablation A2);
+    ``None`` means infinite resources, the paper's model.
     """
 
     classes: tuple[TransactionClass, ...]
@@ -48,6 +51,7 @@ class ExperimentConfig:
     # None means the paper baseline — bit-identical to the seed generator.
     # Scenario-driven configs (repro.workloads.scenarios) set this.
     workload: Optional["WorkloadSpec"] = None
+    num_servers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.classes:
@@ -64,6 +68,15 @@ class ExperimentConfig:
                 f"seed must be a non-negative integer, got {self.seed}"
             )
         check_arrival_rates(self.arrival_rates)
+        if self.num_servers is not None and (
+            not isinstance(self.num_servers, int)
+            or isinstance(self.num_servers, bool)
+            or self.num_servers < 1
+        ):
+            raise ConfigurationError(
+                f"num_servers must be a positive integer or None (infinite "
+                f"resources), got {self.num_servers!r}"
+            )
 
     @property
     def step_duration(self) -> float:

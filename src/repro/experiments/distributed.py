@@ -58,7 +58,7 @@ import time
 from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.parallel import (
     CellError,
     CellOutcome,
@@ -113,6 +113,10 @@ class JobBoard:
             serves submissions and drains from different threads, with
             its own lock serializing access).  Per-worker connections
             keep the default single-thread check.
+
+    Raises:
+        ReproError: When ``path`` cannot be opened as a job board (not
+            a SQLite file, or unreadable); the message names the path.
     """
 
     def __init__(
@@ -122,17 +126,25 @@ class JobBoard:
         cross_thread: bool = False,
     ) -> None:
         self.path = os.fspath(path)
-        self._conn = sqlite3.connect(
-            self.path,
-            timeout=busy_timeout,
-            isolation_level=None,
-            check_same_thread=not cross_thread,
-        )
-        # The board is scratch state, rebuildable from the sweep grid:
-        # NORMAL sync keeps claims cheap without risking record data.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_BOARD_SCHEMA)
+        self._conn = None
+        try:
+            self._conn = sqlite3.connect(
+                self.path,
+                timeout=busy_timeout,
+                isolation_level=None,
+                check_same_thread=not cross_thread,
+            )
+            # The board is scratch state, rebuildable from the sweep grid:
+            # NORMAL sync keeps claims cheap without risking record data.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.executescript(_BOARD_SCHEMA)
+        except sqlite3.DatabaseError as exc:
+            if self._conn is not None:
+                self._conn.close()
+            raise ReproError(
+                f"cannot open {self.path} as a job board: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # population

@@ -52,7 +52,7 @@ def capture_profile(
 
     Args:
         fn: Zero-argument callable to profile (e.g. a closed-over
-            ``run_fig13(config)`` call).
+            ``spec.run()`` call).
         sort: ``pstats`` sort key (``"tottime"``, ``"cumulative"``, ...).
         limit: Number of rows to include in the report.
         dump_to: Optional path; when given, the raw ``pstats`` data is

@@ -44,7 +44,7 @@ from repro.results.record import RunRecord
 from repro.results.store import BaseRunStore
 from repro.protocols.base import CCProtocol
 from repro.system.model import RTDBSystem
-from repro.system.resources import InfiniteResources, ResourceManager
+from repro.system.resources import FiniteResources, InfiniteResources
 from repro.telemetry.bus import EventBus
 from repro.telemetry.counters import run_telemetry
 from repro.telemetry.tracer import JsonlTracer, Tracer
@@ -53,7 +53,6 @@ ProtocolFactory = Callable[[], CCProtocol]
 #: What a sweep roster entry may be: a registry ProtocolSpec, a compact
 #: spec string, or a spec dict.
 ProtocolLike = Union[ProtocolSpec, str, dict]
-ResourceFactory = Callable[[ExperimentConfig], ResourceManager]
 
 
 def normalize_protocols(
@@ -111,16 +110,11 @@ def normalize_protocols(
     return specs
 
 
-def _default_resources(config: ExperimentConfig) -> ResourceManager:
-    return InfiniteResources(cpu_time=config.cpu_time, io_time=config.io_time)
-
-
 def run_instrumented(
     protocol_factory: ProtocolFactory,
     config: ExperimentConfig,
     arrival_rate: float,
     replication: int = 0,
-    resources: Optional[ResourceFactory] = None,
     tracer: Optional[Tracer] = None,
 ) -> tuple[RunSummary, dict]:
     """Run one complete simulation; return its summary and telemetry block.
@@ -134,10 +128,10 @@ def run_instrumented(
 
     Args:
         protocol_factory: Zero-arg factory producing the protocol.
-        config: Experiment configuration.
+        config: Experiment configuration; ``config.num_servers`` picks
+            a finite server pool (``None``: infinite resources).
         arrival_rate: Mean arrival rate for this run.
         replication: Replication index (workload stream selector).
-        resources: Optional resource-manager factory.
         tracer: Optional :class:`~repro.telemetry.tracer.Tracer` sink
             receiving typed lifecycle events.  ``None`` disables tracing
             (the zero-cost default).  Tracing never affects results.
@@ -147,11 +141,16 @@ def run_instrumented(
             (when ``config.check_serializability`` is set) — a protocol
             bug, never a workload property.
     """
-    resource_factory = resources or _default_resources
+    if config.num_servers is None:
+        resources = InfiniteResources(config.cpu_time, config.io_time)
+    else:
+        resources = FiniteResources(
+            config.cpu_time, config.io_time, num_servers=config.num_servers
+        )
     system = RTDBSystem(
         protocol=protocol_factory(),
         num_pages=config.num_pages,
-        resources=resource_factory(config),
+        resources=resources,
         metrics=MetricsCollector(warmup_commits=config.warmup_commits),
         record_history=config.check_serializability,
         tracer=tracer,
@@ -180,7 +179,6 @@ def run_once(
     config: ExperimentConfig,
     arrival_rate: float,
     replication: int = 0,
-    resources: Optional[ResourceFactory] = None,
     tracer: Optional[Tracer] = None,
 ) -> RunSummary:
     """Run one complete simulation and return its summary.
@@ -193,7 +191,6 @@ def run_once(
         config,
         arrival_rate,
         replication=replication,
-        resources=resources,
         tracer=tracer,
     )
     return summary
@@ -305,7 +302,6 @@ def run_sweep(
     protocols: "Mapping[str, ProtocolLike] | Sequence[ProtocolLike]",
     config: ExperimentConfig,
     arrival_rates: Optional[Sequence[float]] = None,
-    resources: Optional[ResourceFactory] = None,
     executor: "SweepExecutor | str | None" = None,
     workers: Optional[int] = None,
     store: Union[BaseRunStore, str, os.PathLike, None] = None,
@@ -336,12 +332,9 @@ def run_sweep(
             string, or spec dict.  Cells are fingerprinted by the full
             ``family + params`` identity, so two parameterizations can
             never share a cached cell.
-        config: Experiment configuration.
+        config: Experiment configuration, resource model included
+            (``config.num_servers``).
         arrival_rates: Overrides ``config.arrival_rates`` when given.
-        resources: Optional resource-manager factory (infinite by default).
-            Mutually exclusive with ``store``: resource managers are not
-            fingerprinted, so caching across resource models would serve
-            wrong results.
         executor: A :class:`SweepExecutor` instance, a registry name
             (``"serial"``/``"process"``/``"distributed"``), or ``None``
             for the default (serial, unless ``workers`` > 1 implies the
@@ -358,7 +351,8 @@ def run_sweep(
             backend for a path-given ``store``; only meaningful with a
             path.
         scenario: Scenario name recorded as metadata on stored records
-            (:func:`~repro.experiments.figures.run_scenario` supplies it).
+            (:meth:`~repro.experiments.spec.ExperimentSpec.run` supplies
+            it).
         on_event: Optional subscriber for the sweep event stream
             (:class:`~repro.telemetry.bus.SweepEvent`): ``cell_started``
             (serial executor only) and ``cell_completed`` progress ticks
@@ -387,13 +381,6 @@ def run_sweep(
             and all error records are reported together.  Failed cells are
             never persisted, so a store-backed rerun retries exactly them.
     """
-    if store is not None and resources is not None:
-        raise ConfigurationError(
-            "run_sweep cannot combine store= with a custom resources= "
-            "factory: resource managers are not part of the cell "
-            "fingerprint, so cached cells from a different resource model "
-            "would be served silently"
-        )
     if store_backend is not None and store is None:
         raise ConfigurationError(
             "run_sweep(store_backend=...) needs store= (a path to open "
@@ -445,7 +432,6 @@ def run_sweep(
             config,
             arrival_rate=cell.arrival_rate,
             replication=cell.replication,
-            resources=resources,
             tracer=tracer,
         )
 

@@ -23,9 +23,10 @@ The :class:`Experiment` builder is the fluent front door::
     )
 
 Everything downstream — :func:`~repro.experiments.runner.run_sweep`, the
-figure runners, the CLI, and the scripts — consumes the spec's pieces
-through the same normalization, so a JSON spec run via the CLI is
-bit-identical to the equivalent direct ``run_sweep`` call.
+CLI, the gateway, the benchmarks and the scripts — consumes the spec's
+pieces through the same normalization, so a JSON spec run via the CLI is
+bit-identical to the equivalent direct ``run_sweep`` call.  The paper's
+figures and ablations are committed spec files under ``specs/``.
 """
 
 from __future__ import annotations

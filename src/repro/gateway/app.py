@@ -569,18 +569,27 @@ class GatewayApp:
         ``GET /experiments`` and executed exactly like fresh work.
         Recovered experiments are not charged against quotas (the
         instance that accepted them already admitted them).  A payload
-        that cannot be rebuilt — schema drift, a pre-recovery board
-        format without the spec — is marked ``failed`` with a log line
-        rather than retried forever.
+        that cannot be rebuilt — undecodable JSON, a row that is not an
+        object, schema drift, a pre-recovery board format without the
+        spec — is marked ``failed`` with a log line rather than retried
+        forever (or stopping the gateway from starting); the other
+        orphans are still adopted.
         """
         for index in sorted(self._board.indexes_in_state("claimed")):
             self._board.requeue(index)
         grouped: Dict[str, List[Tuple[int, dict]]] = {}
         for index in sorted(self._board.indexes_in_state("pending")):
-            payload = self._board.payload(index)
-            if payload is not None:
+            try:
+                payload = self._board.payload(index)
                 experiment_id = str(payload.get("experiment"))
-                grouped.setdefault(experiment_id, []).append((index, payload))
+            except (ValueError, AttributeError) as exc:
+                self._board.fail(index)
+                _log.warning(
+                    "dropping orphaned cell %d: board payload cannot be "
+                    "decoded (%s)", index, exc,
+                )
+                continue
+            grouped.setdefault(experiment_id, []).append((index, payload))
         for experiment_id, entries in grouped.items():
             try:
                 first = entries[0][1]

@@ -19,8 +19,11 @@ What is — and is not — hashed
 -----------------------------
 The config payload covers everything that changes a single cell's result:
 transaction classes, database size, service times, transaction/warmup
-counts, root seed, serializability checking, and the full workload spec
-(arrival process, access pattern, deadline policy).  It deliberately
+counts, root seed, serializability checking, the full workload spec
+(arrival process, access pattern, deadline policy), and the server count
+of a finite resource pool.  ``num_servers`` enters only when set, so
+every infinite-resource cell keeps the fingerprint it had before the
+field existed.  It deliberately
 *excludes* ``arrival_rates``, ``replications``, and ``confidence_level``:
 those shape the grid and its post-processing, not any one cell — so
 extending a sweep axis or adding replications reuses every cell already
@@ -79,12 +82,13 @@ def config_payload(config: "ExperimentConfig") -> dict:
     ``config.workload is None`` (the paper baseline) and an explicitly
     constructed default :class:`~repro.workloads.generator.WorkloadSpec`
     produce the same payload — they generate bit-identical workloads, so
-    they must fingerprint alike.
+    they must fingerprint alike.  ``num_servers`` appears only for a
+    finite resource pool.
     """
     from repro.workloads.generator import WorkloadSpec
 
     spec = config.workload if config.workload is not None else WorkloadSpec()
-    return {
+    payload = {
         "classes": [cls.to_dict() for cls in config.classes],
         "num_pages": config.num_pages,
         "cpu_time": config.cpu_time,
@@ -95,6 +99,9 @@ def config_payload(config: "ExperimentConfig") -> dict:
         "check_serializability": config.check_serializability,
         "workload": spec.to_dict(),
     }
+    if config.num_servers is not None:
+        payload["num_servers"] = config.num_servers
+    return payload
 
 
 def config_fingerprint(config: "ExperimentConfig") -> str:

@@ -14,7 +14,7 @@ a cold run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ConfigurationError
 from repro.metrics.stats import RunSummary
@@ -71,6 +71,28 @@ _KEYS_BY_SCHEMA = {
     2: _COMMON_KEYS | {"protocol_spec"},
     3: _COMMON_KEYS | {"protocol_spec", "telemetry"},
 }
+
+#: JSON type each field must carry: ``(types, name for errors, None
+#: allowed)``.  A row that parses as JSON but holds, say, a list for its
+#: fingerprint or a string for its rate is damage, not a record.
+_FIELD_TYPES: dict[str, tuple[Any, str, bool]] = {
+    "fingerprint": (str, "a string", False),
+    "config_fingerprint": (str, "a string", False),
+    "scenario": (str, "a string", True),
+    "protocol": (str, "a string", False),
+    "protocol_spec": (dict, "a dict", True),
+    "arrival_rate": ((int, float), "a number", False),
+    "replication": (int, "an integer", False),
+    "seed": (int, "an integer", False),
+    "elapsed": ((int, float), "a number", False),
+    "summary": (dict, "a dict", False),
+    "telemetry": (dict, "a dict", True),
+}
+
+
+def _is_a(value: Any, types: Any) -> bool:
+    # JSON true/false are Python ints, but never a count, seed or rate.
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -135,15 +157,16 @@ class RunRecord:
 
         Raises:
             ConfigurationError: On a wrong schema version, missing or
-                unknown keys, or a malformed summary — the corruption
-                signal the store's tolerant loader keys off.
+                unknown keys, a field of the wrong JSON type, or a
+                malformed summary — the corruption signal the store's
+                tolerant loader keys off.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"run record payload must be a dict, got {type(payload).__name__}"
             )
         schema = payload.get("schema")
-        if schema not in _KEYS_BY_SCHEMA:
+        if not _is_a(schema, int) or schema not in _KEYS_BY_SCHEMA:
             raise ConfigurationError(
                 f"unsupported run-record schema {schema!r} "
                 f"(this library reads schemas "
@@ -157,6 +180,14 @@ class RunRecord:
                 f"run record payload mismatch: missing {sorted(missing)}, "
                 f"unknown {sorted(unknown)}"
             )
+        for key in sorted(required - {"schema"}):
+            types, expected, optional = _FIELD_TYPES[key]
+            value = payload[key]
+            if not (value is None and optional) and not _is_a(value, types):
+                raise ConfigurationError(
+                    f"run record {key!r} must be {expected}, "
+                    f"got {type(value).__name__}"
+                )
         try:
             summary = RunSummary.from_dict(payload["summary"])
         except Exception as exc:

@@ -4,7 +4,8 @@ A :class:`Scenario` binds the three workload axes (arrival process, access
 pattern, deadline policy) to a transaction-class mix and database size —
 everything `run_sweep` needs besides the protocol set and scale knobs.
 Scenarios are frozen and serializable to plain dicts (JSON/YAML-style), so
-they can live in code, config files, or the CLI (``--scenario NAME``).
+they can live in code, config files, or a spec file's ``"scenario"`` key
+(``repro run spec.json``).
 
 Registered scenarios (see SCENARIOS.md for the full catalogue):
 
@@ -70,7 +71,7 @@ class Scenario:
     """A named workload: the full recipe minus protocols and scale.
 
     Attributes:
-        name: Registry key (``--scenario`` argument).
+        name: Registry key (a spec file's ``"scenario"`` value).
         description: One-paragraph story of the modelled regime.
         arrivals: Arrival-process family (rate supplied per sweep point).
         access: Page-selection pattern.

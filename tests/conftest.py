@@ -10,6 +10,7 @@ exact schedules — the paper's figures become executable.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -21,6 +22,9 @@ from repro.system.resources import InfiniteResources, ResourceManager
 from repro.workloads.generator import fixed_workload
 from repro.txn.spec import Step
 from repro.values.classes import TransactionClass
+
+#: The committed experiment specs: one per paper figure and ablation.
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def make_class(

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import run_once
 from repro.protocols.registry import available_protocols, protocol_spec
-from repro.system.resources import FiniteResources
 from repro.workloads.scenarios import available_scenarios
 from tests.engine.generic_scc import GenericSCCLoop, generic_oracle
 from tests.golden.golden_common import (
@@ -65,28 +64,17 @@ def test_hotspot_contention_bit_identical_under_twopl():
 def run_on_loop(protocol, rate, replication, oracle, scenario="paper-baseline",
                 servers=None):
     """One cell on the step loop or the oracle; returns (summary, protocol)."""
-    config = cell_config("summaries", scenario)
+    config = dataclasses.replace(
+        cell_config("summaries", scenario), num_servers=servers
+    )
     built = []
 
     def factory():
         built.append(protocol_spec(protocol)())
         return generic_oracle(built[-1]) if oracle else built[-1]
 
-    resources = (
-        (
-            lambda cfg: FiniteResources(
-                cpu_time=cfg.cpu_time, io_time=cfg.io_time, num_servers=servers
-            )
-        )
-        if servers is not None
-        else None
-    )
     summary = run_once(
-        factory,
-        config,
-        arrival_rate=rate,
-        replication=replication,
-        resources=resources,
+        factory, config, arrival_rate=rate, replication=replication
     )
     return dataclasses.asdict(summary), built[0]
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.experiments.cli import main
+from tests.conftest import SPECS_DIR
+
+FIG13 = str(SPECS_DIR / "fig13.json")
 
 
 def test_fig3_prints_table(capsys):
@@ -17,7 +20,7 @@ def test_fig3_prints_table(capsys):
 def test_fig13a_reduced_scale(capsys):
     code = main(
         [
-            "fig13a",
+            "run", FIG13,
             "--transactions", "120",
             "--replications", "1",
             "--rates", "60,120",
@@ -34,7 +37,7 @@ def test_fig13a_reduced_scale(capsys):
 def test_fig14a_reduced_scale(capsys):
     code = main(
         [
-            "fig14a",
+            "run", str(SPECS_DIR / "fig14a-fig15.json"),
             "--transactions", "120",
             "--replications", "1",
             "--rates", "80",
@@ -49,7 +52,7 @@ def test_fig14a_reduced_scale(capsys):
 def test_fig13a_parallel_executor(capsys):
     code = main(
         [
-            "fig13a",
+            "run", FIG13,
             "--transactions", "120",
             "--replications", "1",
             "--rates", "60",
@@ -64,7 +67,7 @@ def test_fig13a_parallel_executor(capsys):
 
 
 def test_executor_and_workers_agree_with_serial(capsys):
-    argv = ["fig13a", "--transactions", "120", "--replications", "1",
+    argv = ["run", FIG13, "--transactions", "120", "--replications", "1",
             "--rates", "60,120"]
     assert main(argv) == 0
     serial_out = capsys.readouterr().out
@@ -89,55 +92,43 @@ def test_scenarios_command_lists_registry(capsys):
         assert name in out
 
 
-def test_scenario_flag_swaps_workload(capsys):
-    code = main(
-        [
-            "fig13a",
-            "--scenario", "flash-sale-hotspot",
-            "--transactions", "120",
-            "--replications", "1",
-            "--rates", "100",
-        ]
+def test_unknown_scenario_rejected(tmp_path):
+    path = tmp_path / "experiment.json"
+    path.write_text(
+        '{"schema": 1, "protocols": ["scc-2s"], "scenario": "does-not-exist"}'
     )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "scenario: flash-sale-hotspot" in out
-
-
-def test_scenario_paper_baseline_matches_default_path(capsys):
-    # The acceptance criterion: `scc-experiments --scenario paper-baseline`
-    # (command defaults to fig13a) is bit-identical to the default path.
-    argv = ["--transactions", "120", "--replications", "1", "--rates", "60,120"]
-    assert main(["fig13a"] + argv) == 0
-    default_out = capsys.readouterr().out
-    assert main(argv + ["--scenario", "paper-baseline"]) == 0
-    scenario_out = capsys.readouterr().out
-    strip = lambda text: [
-        line.replace(" [scenario: paper-baseline]", "")
-        for line in text.splitlines()
-        if not line.startswith("[")  # trailing wall-clock line
-    ]
-    assert strip(default_out) == strip(scenario_out)
-
-
-def test_unknown_scenario_rejected():
     with pytest.raises(SystemExit, match="unknown scenario"):
-        main(["fig13a", "--scenario", "does-not-exist"])
+        main(["run", str(path)])
 
 
 def test_invalid_workers_rejected():
     with pytest.raises(SystemExit):
-        main(["fig13a", "--workers", "two"])
+        main(["run", FIG13, "--workers", "two"])
 
 
 def test_invalid_rates_rejected():
     with pytest.raises(SystemExit):
-        main(["fig13a", "--rates", "ten,twenty"])
+        main(["run", FIG13, "--rates", "ten,twenty"])
 
 
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+def test_figure_commands_are_spec_files(capsys):
+    # The figures are spec files run by `run`: the figure commands, the
+    # bare default and the --scenario flag are gone.
+    for argv in (["fig13a"], ["fig15b"], ["all"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([])
+    assert "required: command" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", FIG13, "--scenario", "paper-baseline"])
+    assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +205,7 @@ def test_repeated_cells_are_one_error_line(tmp_path):
     path, _ = _write_smoke_spec(tmp_path, arrival_rates=(60.0, 60.0))
     for argv in (
         ["run", str(path)],
-        ["fig13a", "--transactions", "60", "--rates", "40,40"],
+        ["run", FIG13, "--transactions", "60", "--rates", "40,40"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -239,8 +230,8 @@ def test_axes_that_cannot_run_are_one_error_line(tmp_path, field):
     for argv in (
         ["run", str(bad)],
         ["run", str(good), "--rates", "40,-5"],
-        ["fig13a", "--transactions", "60", "--rates", "40,0"],
-        ["fig13a", "--transactions", "60", "--seed", "-1"],
+        ["run", FIG13, "--transactions", "60", "--rates", "40,0"],
+        ["run", FIG13, "--transactions", "60", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -285,15 +276,9 @@ def test_run_with_missing_file_rejected(tmp_path):
         main(["run", str(tmp_path / "absent.json")])
 
 
-def test_run_rejects_scenario_flag(tmp_path):
-    path, _ = _write_smoke_spec(tmp_path)
-    with pytest.raises(SystemExit, match="names its scenario"):
-        main(["run", str(path), "--scenario", "paper-baseline"])
-
-
 def test_action_only_for_results_and_run():
     with pytest.raises(SystemExit, match="only applies"):
-        main(["fig13a", "list"])
+        main(["fig3", "list"])
 
 
 def test_unknown_results_action_rejected():

@@ -9,7 +9,9 @@ import pytest
 from repro.experiments.cli import main
 from repro.results import RunStore, SQLiteRunStore, open_store
 from repro.results.record import RunRecord
+from tests.conftest import SPECS_DIR
 
+FIG13 = str(SPECS_DIR / "fig13.json")
 REDUCED = ["--transactions", "120", "--replications", "1", "--rates", "60,120"]
 
 
@@ -21,7 +23,7 @@ def run_cli(argv, capsys):
 
 def test_store_flag_persists_and_resumes(tmp_path, capsys):
     store_path = str(tmp_path / "runs.jsonl")
-    argv = ["fig13a", *REDUCED, "--store", store_path]
+    argv = ["run", FIG13, *REDUCED, "--store", store_path]
     code, cold_out = run_cli(argv, capsys)
     assert code == 0
     assert "0/8 cells reused, 8 computed" in cold_out
@@ -36,7 +38,7 @@ def test_store_flag_persists_and_resumes(tmp_path, capsys):
 
 def test_format_json_emits_canonical_records(capsys):
     code, out = run_cli(
-        ["fig13a", "--transactions", "120", "--replications", "1",
+        ["run", FIG13, "--transactions", "120", "--replications", "1",
          "--rates", "60", "--format", "json"],
         capsys,
     )
@@ -52,7 +54,7 @@ def test_format_json_emits_canonical_records(capsys):
 
 def test_format_csv_emits_flat_rows(capsys):
     code, out = run_cli(
-        ["fig13a", "--transactions", "120", "--replications", "1",
+        ["run", FIG13, "--transactions", "120", "--replications", "1",
          "--rates", "60", "--format", "csv"],
         capsys,
     )
@@ -64,7 +66,7 @@ def test_format_csv_emits_flat_rows(capsys):
 
 def test_results_list_renders_store(tmp_path, capsys):
     store_path = str(tmp_path / "runs.jsonl")
-    run_cli(["fig13a", *REDUCED, "--store", store_path], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--store", store_path], capsys)
     code, out = run_cli(["results", "list", "--store", store_path], capsys)
     assert code == 0
     assert "8 record(s)" in out
@@ -73,7 +75,7 @@ def test_results_list_renders_store(tmp_path, capsys):
 
 def test_results_export_csv(tmp_path, capsys):
     store_path = str(tmp_path / "runs.jsonl")
-    run_cli(["fig13a", *REDUCED, "--store", store_path], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--store", store_path], capsys)
     code, out = run_cli(
         ["results", "export", "--store", store_path, "--format", "csv"], capsys
     )
@@ -84,7 +86,7 @@ def test_results_export_csv(tmp_path, capsys):
 
 def test_results_diff_clean_and_drifted(tmp_path, capsys):
     store_a = str(tmp_path / "a.jsonl")
-    run_cli(["fig13a", *REDUCED, "--store", store_a], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--store", store_a], capsys)
     store_b = str(tmp_path / "b.jsonl")
     records = RunStore(store_a).records()
     with RunStore(store_b) as store:
@@ -120,7 +122,7 @@ def test_results_diff_clean_and_drifted(tmp_path, capsys):
 
 def test_format_json_with_store_serves_stored_records(tmp_path, capsys):
     store_path = str(tmp_path / "runs.jsonl")
-    argv = ["fig13a", "--transactions", "120", "--replications", "1",
+    argv = ["run", FIG13, "--transactions", "120", "--replications", "1",
             "--rates", "60", "--store", store_path, "--format", "json"]
     code, out = run_cli(argv, capsys)
     assert code == 0
@@ -134,28 +136,15 @@ def test_format_json_with_store_serves_stored_records(tmp_path, capsys):
     assert json.loads(warm_out) == json.loads(out)
 
 
-def test_scenario_flag_stamps_stored_records(tmp_path, capsys):
-    store_path = str(tmp_path / "runs.jsonl")
-    code, _ = run_cli(
-        ["fig14a", "--scenario", "flash-sale-hotspot", "--transactions", "120",
-         "--replications", "1", "--rates", "100", "--store", store_path],
-        capsys,
-    )
-    assert code == 0
-    records = RunStore(store_path).records()
-    assert records
-    assert all(r.scenario == "flash-sale-hotspot" for r in records)
-
-
 def test_machine_formats_rejected_for_multi_document_commands():
-    for command in ("all", "fig3", "scenarios"):
+    for command in ("fig3", "scenarios", "specs"):
         with pytest.raises(SystemExit, match="not\\s+supported"):
             main([command, "--format", "json"])
 
 
 def test_csv_output_has_unix_line_endings(capsys):
     code, out = run_cli(
-        ["fig13a", "--transactions", "120", "--replications", "1",
+        ["run", FIG13, "--transactions", "120", "--replications", "1",
          "--rates", "60", "--format", "csv"],
         capsys,
     )
@@ -170,7 +159,7 @@ def test_results_without_store_errors():
 
 def test_action_on_non_results_command_errors():
     with pytest.raises(SystemExit, match="only applies"):
-        main(["fig13a", "list"])
+        main(["fig3", "list"])
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +169,7 @@ def test_action_on_non_results_command_errors():
 
 def test_store_backend_flag_forces_sqlite(tmp_path, capsys):
     store_path = str(tmp_path / "runs.data")  # no telling extension
-    argv = ["fig13a", *REDUCED, "--store", store_path,
+    argv = ["run", FIG13, *REDUCED, "--store", store_path,
             "--store-backend", "sqlite"]
     code, _ = run_cli(argv, capsys)
     assert code == 0
@@ -196,7 +185,7 @@ def test_store_backend_flag_forces_sqlite(tmp_path, capsys):
 
 def test_results_commands_work_on_sqlite_stores(tmp_path, capsys):
     store_path = str(tmp_path / "runs.sqlite")
-    run_cli(["fig13a", *REDUCED, "--store", store_path], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--store", store_path], capsys)
     code, out = run_cli(["results", "list", "--store", store_path], capsys)
     assert code == 0
     assert "8 record(s)" in out
@@ -212,9 +201,9 @@ def test_results_merge_combines_shards(tmp_path, capsys):
     shard_a = str(tmp_path / "a.jsonl")
     shard_b = str(tmp_path / "b.sqlite")
     reference = str(tmp_path / "all.jsonl")
-    run_cli(["fig13a", *REDUCED, "--rates", "60", "--store", shard_a], capsys)
-    run_cli(["fig13a", *REDUCED, "--rates", "120", "--store", shard_b], capsys)
-    run_cli(["fig13a", *REDUCED, "--store", reference], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--rates", "60", "--store", shard_a], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--rates", "120", "--store", shard_b], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--store", reference], capsys)
     merged = str(tmp_path / "merged.jsonl")
     code, out = run_cli(
         ["results", "merge", "--store", merged,
@@ -253,7 +242,7 @@ def test_from_flag_only_applies_to_merge(tmp_path):
 
 def test_results_compact_reports_dropped_rows(tmp_path, capsys):
     store_path = str(tmp_path / "runs.jsonl")
-    run_cli(["fig13a", *REDUCED, "--store", store_path], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--store", store_path], capsys)
     with RunStore(store_path) as store:
         store.append(store.records()[0])  # superseded generation
     code, out = run_cli(["results", "compact", "--store", store_path], capsys)
@@ -307,7 +296,7 @@ def test_diff_against_missing_store_fails(tmp_path, capsys, suffix):
     # A mistyped --against must not read as an empty store: a CI drift
     # gate would pass on "identical cells: 0".
     store_path = str(tmp_path / "runs.jsonl")
-    run_cli(["fig13a", *REDUCED, "--rates", "60", "--store", store_path], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--rates", "60", "--store", store_path], capsys)
     missing = tmp_path / f"typo{suffix}"
     message = _fails_cleanly(
         ["results", "diff", "--store", store_path, "--against", str(missing)]
@@ -318,7 +307,7 @@ def test_diff_against_missing_store_fails(tmp_path, capsys, suffix):
 
 def test_merge_from_missing_shard_fails_and_creates_nothing(tmp_path, capsys):
     shard = str(tmp_path / "a.jsonl")
-    run_cli(["fig13a", *REDUCED, "--rates", "60", "--store", shard], capsys)
+    run_cli(["run", FIG13, *REDUCED, "--rates", "60", "--store", shard], capsys)
     missing = tmp_path / "b.sqlite"
     merged = tmp_path / "merged.jsonl"
     message = _fails_cleanly(

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.experiments.cli import main
+from tests.conftest import SPECS_DIR
+
+FIG13 = str(SPECS_DIR / "fig13.json")
 
 
 def write_spec(tmp_path, **overrides):
@@ -75,9 +78,9 @@ def test_trace_command_argument_errors(tmp_path):
 
 def test_trace_and_profile_flags_restricted_to_run(tmp_path):
     with pytest.raises(SystemExit, match="--trace only applies"):
-        main(["fig13a", "--trace", str(tmp_path / "t.jsonl")])
+        main(["fig3", "--trace", str(tmp_path / "t.jsonl")])
     with pytest.raises(SystemExit, match="--profile only applies"):
-        main(["fig13a", "--profile", str(tmp_path / "p.pstats")])
+        main(["fig3", "--profile", str(tmp_path / "p.pstats")])
 
 
 def test_path_positional_restricted_to_trace():
@@ -97,7 +100,7 @@ def test_run_profile_flag_dumps_pstats(tmp_path, capsys):
 
 
 def test_log_level_debug_shows_progress_and_quiet_silences(tmp_path, capsys):
-    args = ["fig13a", "--transactions", "80", "--replications", "1",
+    args = ["run", FIG13, "--transactions", "80", "--replications", "1",
             "--rates", "60"]
     assert main(args + ["--log-level", "info"]) == 0
     err = capsys.readouterr().err
@@ -109,7 +112,7 @@ def test_log_level_debug_shows_progress_and_quiet_silences(tmp_path, capsys):
 
 
 def test_machine_format_status_goes_through_the_logger(capsys):
-    args = ["fig13a", "--transactions", "80", "--replications", "1",
+    args = ["run", FIG13, "--transactions", "80", "--replications", "1",
             "--rates", "60", "--format", "json"]
     assert main(args) == 0
     captured = capsys.readouterr()

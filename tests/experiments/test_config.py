@@ -72,3 +72,6 @@ def test_validation():
         baseline_config(replications=0)
     with pytest.raises(ConfigurationError):
         baseline_config(arrival_rates=())
+    for servers in (0, -1, True, 2.0):
+        with pytest.raises(ConfigurationError, match="num_servers"):
+            baseline_config(num_servers=servers)

@@ -112,9 +112,9 @@ def test_run_refuses_an_object_engine_spec_in_one_line(tmp_path):
 
 def test_cli_rejects_unknown_engine(capsys):
     # The --engine flag went with the choice: any value is an
-    # unrecognized argument, on figure commands and on ``run`` alike.
+    # unrecognized argument, on ``fig3`` and on ``run`` alike.
     for args in (
-        ["fig13a", "--engine", "vector"],
+        ["fig3", "--engine", "vector"],
         ["run", str(CI_SMOKE), "--engine", "array"],
     ):
         with pytest.raises(SystemExit):

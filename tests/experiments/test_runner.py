@@ -5,8 +5,8 @@ import pytest
 from repro.core.scc_2s import SCC2S
 from repro.errors import ConfigurationError
 from repro.experiments.config import baseline_config
-from repro.experiments.figures import run_scenario
 from repro.experiments.runner import run_once, run_sweep
+from repro.experiments.spec import Experiment
 from repro.protocols.occ_bc import OCCBroadcastCommit
 
 
@@ -89,8 +89,8 @@ def test_callable_roster_entries_rejected_before_any_cell(tmp_path):
         for sweep in (
             lambda: run_sweep({"P": entry}, SMALL, store=path,
                               on_event=events.append),
-            lambda: run_scenario("paper-baseline", protocols={"P": entry},
-                                 store=path, on_event=events.append),
+            lambda: Experiment.scenario("paper-baseline").protocols(entry)
+            .store(path).run(on_event=events.append),
         ):
             with pytest.raises(ConfigurationError) as excinfo:
                 sweep()

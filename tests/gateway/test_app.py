@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.gateway import (
     CircuitBreaker,
     ClientQuotas,
@@ -469,6 +469,54 @@ class TestRecovery:
             assert counts["pending"] == 0 and counts["claimed"] == 0
         finally:
             app.close()
+
+    @pytest.mark.parametrize("bad_payload", ["{not json", '["a", "list"]'])
+    def test_one_damaged_orphan_row_fails_alone(self, tmp_path, bad_payload):
+        import sqlite3
+
+        from repro.experiments.distributed import JobBoard
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        board = JobBoard(workdir / "board.sqlite")
+        board.add(0, {"experiment": "cafef00d", "client": "alice",
+                      "fingerprint": "ee" * 16,
+                      "cell": {"index": 0, "protocol": "SCC-2S",
+                               "rate_index": 0, "arrival_rate": 60.0,
+                               "replication": 0},
+                      "spec": tiny_spec_dict()})
+        board.close()
+        conn = sqlite3.connect(workdir / "board.sqlite")
+        conn.execute("INSERT INTO cells (idx, payload) VALUES (1, ?)",
+                     (bad_payload,))
+        conn.commit()
+        conn.close()
+        app = GatewayApp(
+            store=str(tmp_path / "store.jsonl"), workers=1,
+            workdir=str(workdir),
+        )
+        try:
+            assert app.status("cafef00d")["client"] == "alice"
+            assert wait_done(app, "cafef00d") == "done"
+            with app._lock:
+                counts = app._board.counts()
+            assert counts["failed"] == 1
+            assert counts["pending"] == 0 and counts["claimed"] == 0
+        finally:
+            app.close()
+
+    def test_garbage_board_file_is_one_typed_error(self, tmp_path):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        board_path = workdir / "board.sqlite"
+        board_path.write_bytes(b"this is not a database" * 64)
+        with pytest.raises(ReproError) as excinfo:
+            GatewayApp(
+                store=str(tmp_path / "store.jsonl"), workers=1,
+                workdir=str(workdir),
+            )
+        assert str(board_path) in str(excinfo.value)
+        assert "job board" in str(excinfo.value)
 
     def test_undecodable_orphan_payloads_are_failed_not_spun(self, tmp_path):
         from repro.experiments.distributed import JobBoard

@@ -281,12 +281,6 @@ def test_registry_defaults_match_constructor_defaults():
             assert ctor_default == param.default, (family_name, param.name)
 
 
-def test_figures_vw_period_is_the_registry_default():
-    from repro.experiments.figures import VW_PERIOD
-
-    assert VW_PERIOD == get_protocol_family("scc-vw").param("period").default
-
-
 def test_param_spec_rejects_unknown_kind():
     with pytest.raises(ConfigurationError, match="unknown kind"):
         ParamSpec("x", "complex", default=None, optional=True).coerce(1)

@@ -58,6 +58,25 @@ def test_none_workload_equals_explicit_default_spec():
     )
 
 
+def test_server_count_enters_the_fingerprint_only_when_set():
+    # Infinite resources (num_servers=None) keep the payload, and so
+    # every stored cell, as it was before the field existed: these are
+    # the digests of the paper configs from before it.  Each pool size
+    # is a cell identity of its own.
+    assert "num_servers" not in config_payload(baseline_config())
+    assert config_fingerprint(baseline_config()) == (
+        "8a28e85f9e94ecbd06273d9cd092ec44"
+    )
+    assert config_fingerprint(two_class_config()) == (
+        "7cb195ac3e46890d866d594f9b655ee0"
+    )
+    fingerprints = {
+        config_fingerprint(baseline_config(num_servers=servers))
+        for servers in (None, 1, 2, 4)
+    }
+    assert len(fingerprints) == 4
+
+
 def test_cell_fingerprint_covers_coordinates():
     config = baseline_config()
     scc, occ = parse_protocol_spec("scc-2s"), parse_protocol_spec("occ-bc")

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import SweepExecutionError
 from repro.experiments.config import baseline_config
-from repro.experiments.figures import run_scenario
 from repro.experiments.parallel import CellError, CellOutcome
 from repro.experiments.runner import assemble_results, build_cells, run_sweep
+from repro.experiments.spec import Experiment
 from repro.protocols.occ_bc import OCCBroadcastCommit
 from repro.results import RunStore
 from tests.conftest import computed_cells, explode, register_family
@@ -108,29 +108,44 @@ def test_failed_cells_are_not_persisted_and_retry_on_rerun(
     assert set(fixed) == {"SCC-2S", "BAD"}
 
 
-def test_store_refuses_custom_resource_factories(tmp_path):
-    # Resource managers are not fingerprinted; caching across resource
-    # models must be an error, never silently-wrong cached results.
-    from repro.errors import ConfigurationError
-    from repro.system.resources import FiniteResources
+def test_store_keeps_finite_and_infinite_resource_cells_apart(tmp_path):
+    # The server count is fingerprinted config data, so one store holds
+    # a 2-server sweep and an infinite-resource sweep side by side and
+    # serves each only its own cells.
+    from dataclasses import replace
 
-    factory = lambda cfg: FiniteResources(cfg.cpu_time, cfg.io_time, num_servers=2)
-    with pytest.raises(ConfigurationError, match="resources"):
-        run_sweep({"SCC-2S": "scc-2s"}, SMALL, resources=factory,
-                  store=tmp_path / "runs.jsonl")
+    path = tmp_path / "runs.jsonl"
+    finite = replace(SMALL, num_servers=2)
+    infinite_cold = run_sweep(PROTOCOLS, SMALL)
+    finite_cold = run_sweep(PROTOCOLS, finite, store=path)
+    events = []
+    infinite_run = run_sweep(PROTOCOLS, SMALL, store=path,
+                             on_event=events.append)
+    assert len(computed_cells(events)) == 8  # nothing served across models
+    assert len(RunStore(path)) == 16
+    events = []
+    finite_warm = run_sweep(PROTOCOLS, finite, store=path,
+                            on_event=events.append)
+    assert computed_cells(events) == []
+    for name in PROTOCOLS:
+        assert infinite_run[name].replications == infinite_cold[name].replications
+        assert finite_warm[name].replications == finite_cold[name].replications
+        assert finite_cold[name].replications != infinite_cold[name].replications
 
 
 def test_scenario_name_is_recorded_as_metadata(tmp_path):
     path = tmp_path / "runs.jsonl"
-    run_scenario(
-        "flash-sale-hotspot",
-        protocols={"SCC-2S": "scc-2s"},
-        arrival_rates=[60.0],
-        store=path,
-        num_transactions=80,
-        warmup_commits=8,
-        replications=1,
-        check_serializability=False,
+    (
+        Experiment.scenario("flash-sale-hotspot")
+        .protocols("scc-2s")
+        .rates(60.0)
+        .store(path)
+        .run(
+            num_transactions=80,
+            warmup_commits=8,
+            replications=1,
+            check_serializability=False,
+        )
     )
     records = RunStore(path).records()
     assert records and all(r.scenario == "flash-sale-hotspot" for r in records)

@@ -174,6 +174,57 @@ def test_schema3_record_round_trips_bit_identically(make_store):
     reopened.close()
 
 
+def _write_raw_rows(backend, path, payloads):
+    """Put JSON rows straight into a store file, bypassing ``append``."""
+    rows = [json.dumps(payload) for payload in payloads]
+    if backend == "jsonl":
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.writelines(row + "\n" for row in rows)
+        return
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    conn.executemany(
+        "INSERT INTO run_records (fingerprint, payload) VALUES (?, ?)",
+        [("ff" * 16, row) for row in rows],
+    )
+    conn.commit()
+    conn.close()
+
+
+_GOOD = make_record().to_dict()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"schema": []},
+        {**_GOOD, "schema": True},
+        {**_GOOD, "fingerprint": ["ff" * 16]},
+        {**_GOOD, "fingerprint": "ff" * 16, "arrival_rate": "fast"},
+        {**_GOOD, "fingerprint": "ff" * 16, "replication": "one"},
+        {**_GOOD, "fingerprint": "ff" * 16, "seed": None},
+        {**_GOOD, "fingerprint": "ff" * 16, "protocol_spec": ["scc-2s"]},
+        {**_GOOD, "fingerprint": "ff" * 16, "summary": []},
+    ],
+    ids=["schema-list", "schema-bool", "fingerprint-list", "rate-string",
+         "replication-string", "seed-null", "spec-list", "summary-list"],
+)
+def test_row_with_a_wrong_field_type_is_counted_not_loaded(
+    backend, make_store, tmp_path, row
+):
+    # A row that parses as JSON but carries the wrong type in one field
+    # is damage: the store opens, keeps its good record, and counts the
+    # row, instead of raising or listing a rate of "fast".
+    with make_store("shared") as store:
+        store.append(make_record())
+    _write_raw_rows(backend, tmp_path / ("shared" + _SUFFIX[backend]), [row])
+    reopened = make_store("shared")
+    assert reopened.corrupt_lines == 1
+    assert list(reopened) == [make_record()]
+    reopened.close()
+
+
 def test_merge_stores_is_idempotent_and_last_shard_wins(make_store):
     shard_a = make_store()
     shard_b = make_store()

@@ -17,7 +17,6 @@ import pytest
 from repro.experiments.parallel import SweepCell, _execute_cell
 from repro.experiments.runner import run_instrumented
 from repro.protocols.registry import available_protocols, protocol_spec
-from repro.system.resources import FiniteResources
 from repro.telemetry.tracer import MemoryTracer
 from repro.workloads.scenarios import available_scenarios, get_scenario
 from tests.engine.generic_scc import generic_oracle
@@ -42,19 +41,22 @@ class _FailingTracer(MemoryTracer):
         super().emit(*args, **kwargs)
 
 
-def config(scenario="paper-baseline"):
-    return get_scenario(scenario).to_config(num_transactions=150, warmup_commits=10)
+def config(scenario="paper-baseline", num_servers=None):
+    return get_scenario(scenario).to_config(
+        num_transactions=150, warmup_commits=10, num_servers=num_servers
+    )
 
 
 def cell_runner(
-    protocol, scenario="paper-baseline", resources=None, tracer=None, oracle=False
+    protocol, scenario="paper-baseline", num_servers=None, tracer=None,
+    oracle=False,
 ):
     """A no-argument callable running one cell, building everything fresh.
 
     ``oracle`` runs an SCC family on the test-side generic loop
     (:mod:`tests.engine.generic_scc`) instead of the SCC step loop.
     """
-    cfg = config(scenario)
+    cfg = config(scenario, num_servers)
     spec = protocol_spec(protocol)
     factory = (lambda: generic_oracle(spec())) if oracle else spec
 
@@ -63,7 +65,6 @@ def cell_runner(
             factory,
             cfg,
             arrival_rate=RATE,
-            resources=resources,
             tracer=tracer() if tracer is not None else None,
         )
 
@@ -109,10 +110,7 @@ def test_generic_scc_loop_frees_its_cell(protocol):
 
 @pytest.mark.parametrize("protocol", ["occ-bc", "2pl-pa", "scc-2s", "scc-vw"])
 def test_finite_resources_free_their_cell(protocol):
-    resources = lambda cfg: FiniteResources(
-        cpu_time=cfg.cpu_time, io_time=cfg.io_time, num_servers=4
-    )
-    assert_freed(cell_runner(protocol, resources=resources))
+    assert_freed(cell_runner(protocol, num_servers=4))
 
 
 @pytest.mark.parametrize("protocol", ["scc-2s", "occ-bc"])

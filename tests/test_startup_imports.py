@@ -3,9 +3,9 @@
 scipy alone roughly triples the time before ``repro run`` / ``repro
 serve`` is ready, so the run path must not import it; nor networkx.
 Beyond those, a serial sweep into a JSONL store must not load the
-gateway, the figure runners, the distributed and process executors, the
-profiler, the timeline renderer or the SQLite backend, and the gateway
-must not load the figure or profiling code.  Package roots resolve their
+gateway, the distributed and process executors, the profiler, the
+timeline renderer or the SQLite backend, and the gateway must not load
+the profiling code.  Package roots resolve their
 names on first access (``repro._lazy``), so each of these stays out
 unless a command reaches for it.  The checks need a fresh interpreter:
 the test process itself holds all of these through other tests.
@@ -56,7 +56,6 @@ print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))
 SKIPPED_BY_BOTH = [
     "scipy",
     "networkx",
-    "repro.experiments.figures",
     "repro.experiments.profiling",
     "repro.analysis.timeline",
     "repro.core.shadow_counts",
@@ -100,5 +99,5 @@ def test_run_path_skips_scipy_and_networkx():
     assert _loaded(RUN_CHILD, SKIPPED_BY_BOTH + SKIPPED_BY_RUN) == []
 
 
-def test_serve_path_skips_figures_profiling_and_client():
+def test_serve_path_skips_profiling_and_client():
     assert _loaded(SERVE_CHILD, SKIPPED_BY_BOTH) == []

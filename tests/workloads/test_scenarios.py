@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import baseline_config
-from repro.experiments.figures import run_scenario
 from repro.experiments.runner import run_sweep
+from repro.experiments.spec import Experiment
 from repro.workloads.scenarios import (
     Scenario,
     all_scenarios,
@@ -112,9 +112,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("name", BUILTIN)
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_scenario_runs_through_executor(self, name, executor):
-        results = run_scenario(
-            name,
-            protocols={"SCC-2S": "scc-2s"},
+        results = Experiment.scenario(name).protocols("scc-2s").run(
             arrival_rates=[110.0],
             executor=executor,
             workers=2 if executor == "process" else None,
@@ -128,7 +126,7 @@ class TestEndToEnd:
         assert 0.0 <= summary.missed_ratio <= 100.0
 
     def test_paper_baseline_bit_identical_to_default_path(self):
-        """The acceptance criterion: --scenario paper-baseline == seed path."""
+        """The acceptance criterion: paper-baseline == the seed path."""
         kwargs = dict(
             num_transactions=150,
             warmup_commits=15,
@@ -149,18 +147,16 @@ class TestEndToEnd:
         assert legacy["SCC-2S"].replications == scenario["SCC-2S"].replications
 
     def test_serial_and_process_agree_on_a_scenario(self):
+        spec = Experiment.scenario("bursty-telecom").protocols("scc-2s").build()
         kwargs = dict(
-            protocols={"SCC-2S": "scc-2s"},
             arrival_rates=[120.0],
             num_transactions=120,
             warmup_commits=12,
             replications=2,
             check_serializability=False,
         )
-        serial = run_scenario("bursty-telecom", executor="serial", **kwargs)
-        process = run_scenario(
-            "bursty-telecom", executor="process", workers=2, **kwargs
-        )
+        serial = spec.run(executor="serial", **kwargs)
+        process = spec.run(executor="process", workers=2, **kwargs)
         assert (
             serial["SCC-2S"].replications == process["SCC-2S"].replications
         )
