@@ -109,7 +109,7 @@ def _scc_workload() -> tuple:
         config = _scc_config()
         streams = RandomStreams(config.seed)
         tensors = WorkloadTensors.from_config(config, SCC_ARRIVAL_RATE, streams)
-        _SCC_WORKLOAD_CACHE.append(tuple(tensors.materialize()))
+        _SCC_WORKLOAD_CACHE.append(tuple(tensors))
     return _SCC_WORKLOAD_CACHE[0]
 
 

@@ -5,12 +5,18 @@ versions its committing execution read and the versions its writes
 installed.  That is exactly the information needed to reconstruct all three
 kinds of conflict edges (write-read, write-write, read-write) for the
 serializability oracle, without retaining the full operation trace.
+
+Recording also keeps a *commit-order witness*: whether every commit so far
+read the last installed version of each page it read and installed the
+next version of each page it wrote.  While it holds, every precedence edge
+points forward in commit order, so commit order itself serializes the
+history and the oracle need not build the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,13 @@ class History:
         # (page, installed_version) -> writer txn id; version 0 is the
         # initial database load (writer None).
         self._installer: dict[tuple[int, int], int] = {}
+        self._duplicate: Optional[tuple[int, int]] = None
+        # The commit-order witness: each page's last installed version,
+        # and the ids committed so far (a repeated id is one graph node
+        # at two commit positions, which the witness cannot vouch for).
+        self._last_version: dict[int, int] = {}
+        self._ids: set[int] = set()
+        self._in_commit_order = True
 
     def __len__(self) -> int:
         return len(self._committed)
@@ -50,6 +63,22 @@ class History:
     def transactions(self) -> list[CommittedTransaction]:
         """Committed transactions in commit order."""
         return list(self._committed)
+
+    @property
+    def in_commit_order(self) -> bool:
+        """Whether the commit-order witness holds for every commit so far.
+
+        True when no transaction id committed twice, and every commit read
+        the last installed version of each page it read and installed the
+        next version of each page it wrote.  Every precedence edge then
+        points forward in commit order, so the history is serializable.
+        """
+        return self._in_commit_order
+
+    @property
+    def duplicate_install(self) -> Optional[tuple[int, int]]:
+        """The first ``(page, version)`` two commits installed, if any."""
+        return self._duplicate
 
     def record(
         self,
@@ -66,9 +95,24 @@ class History:
             writes=dict(writes),
         )
         self._committed.append(record)
+        last = self._last_version
+        in_order = (
+            self._in_commit_order
+            and txn_id not in self._ids
+            and all(last.get(page, 0) == v for page, v in record.reads.items())
+        )
+        self._ids.add(txn_id)
         for page, version in record.writes.items():
-            self._installer[(page, version)] = txn_id
+            key = (page, version)
+            if key not in self._installer:
+                self._installer[key] = txn_id
+            elif self._duplicate is None:
+                self._duplicate = key
+            if version != last.get(page, 0) + 1:
+                in_order = False
+            last[page] = version
+        self._in_commit_order = in_order
 
     def installer_of(self, page: int, version: int) -> int | None:
-        """Transaction that installed ``(page, version)``; ``None`` for v0."""
+        """Transaction that first installed ``(page, version)``; ``None`` for v0."""
         return self._installer.get((page, version))

@@ -13,7 +13,9 @@ pages carrying monotone version counters:
 
 Every protocol in the library must produce acyclic graphs on every
 workload; the test suite checks this property with randomized and
-hypothesis-generated workloads.
+hypothesis-generated workloads.  A run's history answers the check from
+its commit-order witness (every edge then points forward in commit
+order); the graph serves every other history.
 """
 
 from __future__ import annotations
@@ -31,45 +33,39 @@ def precedence_graph(history: History) -> dict[int, set[int]]:
     Returns:
         Adjacency ``{txn_id: successor txn_ids}`` with one key per
         committed transaction (an empty set when it precedes no one).
-    """
-    graph: dict[int, set[int]] = {}
-    # Collect, per page, the installed versions and their writers, plus the
-    # readers of each version.
-    writers_by_page_version: dict[tuple[int, int], int] = {}
-    readers_by_page_version: dict[tuple[int, int], list[int]] = {}
-    for txn in history:
-        graph.setdefault(txn.txn_id, set())
-        for page, version in txn.writes.items():
-            key = (page, version)
-            if key in writers_by_page_version:
-                raise InvariantViolation(
-                    f"two transactions installed version {version} of page {page}"
-                )
-            writers_by_page_version[key] = txn.txn_id
-        for page, version in txn.reads.items():
-            readers_by_page_version.setdefault((page, version), []).append(txn.txn_id)
 
-    # write-read and read-write edges.
-    for (page, version), readers in readers_by_page_version.items():
-        writer = writers_by_page_version.get((page, version))
-        next_writer = writers_by_page_version.get((page, version + 1))
-        for reader in readers:
+    Raises:
+        InvariantViolation: If two commits installed one page version, or
+            a commit read a version no committed transaction installed.
+    """
+    if history.duplicate_install is not None:
+        page, version = history.duplicate_install
+        raise InvariantViolation(
+            f"two transactions installed version {version} of page {page}"
+        )
+    installer = history.installer_of
+    graph: dict[int, set[int]] = {txn.txn_id: set() for txn in history}
+    for txn in history:
+        txn_id = txn.txn_id
+        # write-read and read-write edges.
+        for page, version in txn.reads.items():
             if version > 0:
+                writer = installer(page, version)
                 if writer is None:
                     raise InvariantViolation(
-                        f"T{reader} read version {version} of page {page}, "
+                        f"T{txn_id} read version {version} of page {page}, "
                         f"which no committed transaction installed"
                     )
-                if writer != reader:
-                    graph[writer].add(reader)
-            if next_writer is not None and next_writer != reader:
-                graph[reader].add(next_writer)
-
-    # write-write edges between consecutive versions.
-    for (page, version), writer in writers_by_page_version.items():
-        next_writer = writers_by_page_version.get((page, version + 1))
-        if next_writer is not None and next_writer != writer:
-            graph[writer].add(next_writer)
+                if writer != txn_id:
+                    graph[writer].add(txn_id)
+            next_writer = installer(page, version + 1)
+            if next_writer is not None and next_writer != txn_id:
+                graph[txn_id].add(next_writer)
+        # write-write edges between consecutive versions.
+        for page, version in txn.writes.items():
+            next_writer = installer(page, version + 1)
+            if next_writer is not None and next_writer != txn_id:
+                graph[txn_id].add(next_writer)
     return graph
 
 
@@ -93,7 +89,15 @@ def _topological_order(graph: dict[int, set[int]]) -> Optional[list[int]]:
 
 
 def check_serializable(history: History) -> bool:
-    """Whether the committed history is conflict-serializable."""
+    """Whether the committed history is conflict-serializable.
+
+    A history whose commit-order witness holds
+    (:attr:`~repro.analysis.history.History.in_commit_order`) is
+    serializable in commit order; any other history builds the
+    precedence graph.
+    """
+    if history.in_commit_order:
+        return True
     return _topological_order(precedence_graph(history)) is not None
 
 

@@ -16,7 +16,8 @@ run reproducible bit for bit from its seed:
   loading O(1) per transaction.
 * :class:`WorkloadTensors` — the per-replication workload precomputed as
   numpy tensors (arrival vector, class vector, flat page matrix, write
-  flags) using *batched* draws that are bit-identical to the
+  flags), a sequence that builds each transaction's spec on demand,
+  using *batched* draws that are bit-identical to the
   transaction generator's sequential draws: the named streams of
   :class:`~repro.engine.rng.RandomStreams` are independent, and within
   each stream a batched draw (``exponential(size=n)``, ``cumsum``,
@@ -26,8 +27,10 @@ run reproducible bit for bit from its seed:
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -572,8 +575,12 @@ class ArraySimulator:
         return True
 
 
-class WorkloadTensors:
+class WorkloadTensors(Sequence):
     """One sweep cell's workload, precomputed as struct-of-arrays tensors.
+
+    The tensors are a sequence of transactions: item ``i`` builds
+    transaction ``i``'s :class:`~repro.txn.spec.TransactionSpec` on
+    demand, so ``list(tensors)`` is the generator's workload.
 
     The transaction generator
     (:class:`~repro.workloads.generator.TransactionGenerator`) samples
@@ -644,6 +651,41 @@ class WorkloadTensors:
         """Number of transactions in the workload."""
         return int(self.arrivals.shape[0])
 
+    def __getitem__(self, index: int) -> TransactionSpec:
+        """Build transaction ``index``, bit-identical to the generator's.
+
+        Replays :meth:`TransactionGenerator._make
+        <repro.workloads.generator.TransactionGenerator>` for one
+        transaction minus the (already-consumed) randomness: same ``Step``
+        values, same deadline-policy call, same
+        :meth:`~repro.txn.spec.TransactionSpec.build` derivations.  Each
+        call returns a fresh spec, so one tensor set can feed many
+        protocol runs, and a run loaded with the tensors builds each spec
+        only when its arrival fires.
+        """
+        txn_id = range(len(self))[operator.index(index)]
+        lo = self.step_offsets.item(txn_id)
+        hi = self.step_offsets.item(txn_id + 1)
+        steps = [
+            Step(page, flag)
+            for page, flag in zip(
+                self.pages[lo:hi].tolist(), self.write_flags[lo:hi].tolist()
+            )
+        ]
+        txn_class = self._classes[self.class_indices.item(txn_id)]
+        arrival = self.arrivals.item(txn_id)
+        step_duration = self._step_duration
+        estimated = len(steps) * step_duration
+        deadline = self._deadlines.deadline_for(arrival, estimated, txn_class)
+        return TransactionSpec.build(
+            txn_id=txn_id,
+            arrival=arrival,
+            steps=steps,
+            txn_class=txn_class,
+            step_duration=step_duration,
+            deadline=deadline,
+        )
+
     @property
     def num_steps(self) -> np.ndarray:
         """Per-transaction program length, shape ``(n,)``."""
@@ -660,8 +702,8 @@ class WorkloadTensors:
 
         Consumes ``streams`` exactly as
         :func:`~repro.workloads.generator.build_generator` +
-        ``generate(config.num_transactions)`` would, so
-        :meth:`materialize` yields bit-identical transactions.
+        ``generate(config.num_transactions)`` would, so the tensors'
+        items are bit-identical transactions.
 
         Parameters
         ----------
@@ -760,46 +802,3 @@ class WorkloadTensors:
             step_duration,
             deadlines,
         )
-
-    def materialize(self) -> list[TransactionSpec]:
-        """Build the transaction list, bit-identical to the generator's.
-
-        Replays :meth:`TransactionGenerator._make
-        <repro.workloads.generator.TransactionGenerator>` per transaction
-        minus the (already-consumed) randomness: same ``Step`` values,
-        same deadline-policy call, same
-        :meth:`~repro.txn.spec.TransactionSpec.build` derivations.  Each
-        call returns fresh spec objects, so one tensor set can feed many
-        protocol runs.
-        """
-        arrivals = self.arrivals.tolist()
-        class_indices = self.class_indices.tolist()
-        offsets = self.step_offsets.tolist()
-        pages = self.pages.tolist()
-        flags = self.write_flags.tolist()
-        classes = self._classes
-        step_duration = self._step_duration
-        policy = self._deadlines
-        specs: list[TransactionSpec] = []
-        for txn_id in range(len(arrivals)):
-            txn_class = classes[class_indices[txn_id]]
-            lo = offsets[txn_id]
-            hi = offsets[txn_id + 1]
-            steps = [
-                Step(page, flag)
-                for page, flag in zip(pages[lo:hi], flags[lo:hi])
-            ]
-            arrival = arrivals[txn_id]
-            estimated = len(steps) * step_duration
-            deadline = policy.deadline_for(arrival, estimated, txn_class)
-            specs.append(
-                TransactionSpec.build(
-                    txn_id=txn_id,
-                    arrival=arrival,
-                    steps=steps,
-                    txn_class=txn_class,
-                    step_duration=step_duration,
-                    deadline=deadline,
-                )
-            )
-        return specs

@@ -55,8 +55,9 @@ import sqlite3
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.parallel import (
@@ -116,7 +117,8 @@ class JobBoard:
 
     Raises:
         ReproError: When ``path`` cannot be opened as a job board (not
-            a SQLite file, or unreadable); the message names the path.
+            a SQLite file, or unreadable), or when any later query finds
+            it damaged; the message names the path.
     """
 
     def __init__(
@@ -146,16 +148,40 @@ class JobBoard:
                 f"cannot open {self.path} as a job board: {exc}"
             ) from exc
 
+    def _query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
+        """Run one statement and fetch its rows.
+
+        Every board statement runs here.  A board whose schema page is
+        intact but whose data pages are damaged opens cleanly and fails
+        only when queried; this turns that into a :class:`ReproError`
+        naming the path.
+        """
+        try:
+            return self._conn.execute(sql, params).fetchall()
+        except sqlite3.DatabaseError as exc:
+            raise ReproError(f"job board {self.path} is damaged: {exc}") from exc
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE`` transaction, rolled back on any error."""
+        self._query("BEGIN IMMEDIATE")
+        try:
+            yield
+            self._query("COMMIT")
+        except BaseException:
+            if self._conn.in_transaction:
+                self._query("ROLLBACK")
+            raise
+
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
 
     def populate(self, cells: Sequence[SweepCell]) -> None:
         """Insert cells as pending; already-present indexes are kept."""
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO cells (idx, payload) VALUES (?, ?)",
-            [(cell.index, json.dumps(asdict(cell), sort_keys=True)) for cell in cells],
-        )
+        with self._transaction():
+            for cell in cells:
+                self.add(cell.index, asdict(cell))
 
     def add(self, index: int, payload: Dict[str, Any]) -> None:
         """Insert one pending cell with an arbitrary JSON payload.
@@ -165,7 +191,7 @@ class JobBoard:
         (cell + owning experiment + fingerprint) and reads them back via
         :meth:`claim_payload`.
         """
-        self._conn.execute(
+        self._query(
             "INSERT OR IGNORE INTO cells (idx, payload) VALUES (?, ?)",
             (index, json.dumps(payload, sort_keys=True)),
         )
@@ -176,7 +202,7 @@ class JobBoard:
         The gateway allocates board-global indexes across experiments by
         continuing from here when reopening a persisted board.
         """
-        (value,) = self._conn.execute("SELECT MAX(idx) FROM cells").fetchone()
+        [(value,)] = self._query("SELECT MAX(idx) FROM cells")
         return -1 if value is None else int(value)
 
     # ------------------------------------------------------------------
@@ -211,27 +237,21 @@ class JobBoard:
             are not bare :class:`SweepCell` dicts (the gateway).
         """
         now = time.time()
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = self._conn.execute(
+        with self._transaction():
+            rows = self._query(
                 "SELECT idx, payload, attempts FROM cells "
                 "WHERE state = 'pending' AND not_before <= ? "
                 "ORDER BY idx LIMIT 1",
                 (now,),
-            ).fetchone()
-            if row is None:
-                self._conn.execute("COMMIT")
+            )
+            if not rows:
                 return None
-            idx, payload, attempts = row
-            self._conn.execute(
+            [(idx, payload, attempts)] = rows
+            self._query(
                 "UPDATE cells SET state = 'claimed', worker = ?, "
                 "lease_expiry = ?, attempts = ? WHERE idx = ?",
                 (worker, now + lease_seconds, attempts + 1, idx),
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
         return idx, json.loads(payload), attempts + 1
 
     def heartbeat(self, worker: str, index: int, lease_seconds: float) -> bool:
@@ -242,28 +262,24 @@ class JobBoard:
             was reassigned (the lease had already lapsed), a signal the
             worker's result may be superseded.
         """
-        cursor = self._conn.execute(
+        self._query(
             "UPDATE cells SET lease_expiry = ? "
             "WHERE idx = ? AND worker = ? AND state = 'claimed'",
             (time.time() + lease_seconds, index, worker),
         )
-        return cursor.rowcount == 1
+        return self._query("SELECT changes()") == [(1,)]
 
     def complete(self, index: int) -> None:
         """Mark a cell done (terminal; idempotent across duplicate runs)."""
-        self._conn.execute(
-            "UPDATE cells SET state = 'done' WHERE idx = ?", (index,)
-        )
+        self._query("UPDATE cells SET state = 'done' WHERE idx = ?", (index,))
 
     def fail(self, index: int) -> None:
         """Mark a cell failed — a *deterministic* error, never retried."""
-        self._conn.execute(
-            "UPDATE cells SET state = 'failed' WHERE idx = ?", (index,)
-        )
+        self._query("UPDATE cells SET state = 'failed' WHERE idx = ?", (index,))
 
     def requeue(self, index: int, not_before: float = 0.0) -> None:
         """Force a cell back to pending (the corruption-recovery path)."""
-        self._conn.execute(
+        self._query(
             "UPDATE cells SET state = 'pending', worker = NULL, "
             "lease_expiry = NULL, not_before = ? WHERE idx = ?",
             (not_before, index),
@@ -285,31 +301,19 @@ class JobBoard:
         now = time.time()
         retried: list[tuple[int, int]] = []
         exhausted: list[tuple[int, int]] = []
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            rows = self._conn.execute(
+        with self._transaction():
+            rows = self._query(
                 "SELECT idx, attempts FROM cells "
                 "WHERE state = 'claimed' AND lease_expiry < ?",
                 (now,),
-            ).fetchall()
+            )
             for idx, attempts in rows:
                 if attempts >= max_attempts:
-                    self._conn.execute(
-                        "UPDATE cells SET state = 'failed' WHERE idx = ?",
-                        (idx,),
-                    )
+                    self.fail(idx)
                     exhausted.append((idx, attempts))
                 else:
-                    self._conn.execute(
-                        "UPDATE cells SET state = 'pending', worker = NULL, "
-                        "lease_expiry = NULL, not_before = ? WHERE idx = ?",
-                        (now + attempts * backoff_seconds, idx),
-                    )
+                    self.requeue(idx, not_before=now + attempts * backoff_seconds)
                     retried.append((idx, attempts))
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
         return retried, exhausted
 
     # ------------------------------------------------------------------
@@ -319,7 +323,7 @@ class JobBoard:
     def counts(self) -> Dict[str, int]:
         """Cell count per state (every state present, zero-filled)."""
         result = {state: 0 for state in CELL_STATES}
-        for state, count in self._conn.execute(
+        for state, count in self._query(
             "SELECT state, COUNT(*) FROM cells GROUP BY state"
         ):
             result[state] = count
@@ -327,9 +331,9 @@ class JobBoard:
 
     def unfinished(self) -> int:
         """Cells not yet terminal (pending — including backoff — or claimed)."""
-        (count,) = self._conn.execute(
+        [(count,)] = self._query(
             "SELECT COUNT(*) FROM cells WHERE state IN ('pending', 'claimed')"
-        ).fetchone()
+        )
         return count
 
     def indexes_in_state(self, state: str) -> set[int]:
@@ -340,7 +344,7 @@ class JobBoard:
             )
         return {
             idx
-            for (idx,) in self._conn.execute(
+            for (idx,) in self._query(
                 "SELECT idx FROM cells WHERE state = ?", (state,)
             )
         }
@@ -351,19 +355,15 @@ class JobBoard:
         The experiment gateway reads orphaned cells back through this
         when it adopts a persisted board from a previous instance.
         """
-        row = self._conn.execute(
-            "SELECT payload FROM cells WHERE idx = ?", (index,)
-        ).fetchone()
-        return None if row is None else json.loads(row[0])
+        rows = self._query("SELECT payload FROM cells WHERE idx = ?", (index,))
+        return json.loads(rows[0][0]) if rows else None
 
     def attempts(self, index: int) -> int:
         """How many times the cell has been claimed."""
-        row = self._conn.execute(
-            "SELECT attempts FROM cells WHERE idx = ?", (index,)
-        ).fetchone()
-        if row is None:
+        rows = self._query("SELECT attempts FROM cells WHERE idx = ?", (index,))
+        if not rows:
             raise ConfigurationError(f"no cell {index} on the job board")
-        return row[0]
+        return rows[0][0]
 
     def close(self) -> None:
         """Close this participant's connection (the board file persists)."""

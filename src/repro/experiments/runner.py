@@ -159,7 +159,7 @@ def run_instrumented(
         started = time.perf_counter()
         streams = RandomStreams(config.seed).spawn(replication)
         tensors = WorkloadTensors.from_config(config, arrival_rate, streams)
-        system.load_workload(tensors.materialize())
+        system.load_workload(tensors)
         system.run()
         wall_clock = time.perf_counter() - started
         if config.check_serializability and system.history is not None:

@@ -15,11 +15,14 @@ the serializability footprint.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import functools
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.history import History
 from repro.db.database import Database
-from repro.engine.array import ArraySimulator
+from repro.engine.array import ArraySimulator, WorkloadTensors
 from repro.errors import InvariantViolation, ProtocolError
 from repro.metrics.stats import MetricsCollector
 from repro.protocols.base import CCProtocol, Execution
@@ -74,7 +77,6 @@ class RTDBSystem:
         self.history: Optional[History] = History() if record_history else None
         self.protocol = protocol
         protocol.bind(self)
-        self._submitted = 0
         self._committed_ids: set[int] = set()
         self._active: dict[int, TransactionSpec] = {}
 
@@ -85,30 +87,30 @@ class RTDBSystem:
     def load_workload(self, specs: Iterable[TransactionSpec]) -> int:
         """Schedule the arrival of every spec.  Returns the count loaded.
 
-        A workload already sorted by arrival time is loaded as one bulk
-        arrival track (:meth:`~repro.engine.array.ArraySimulator.schedule_batch`)
-        instead of per-spec schedules; the firing order is identical
-        either way.
+        The workload enters the engine as one arrival track
+        (:meth:`~repro.engine.array.ArraySimulator.schedule_batch`) whose
+        payload is each transaction's index into it.  Transaction ``i``
+        is looked up only when its arrival fires, so a
+        :class:`~repro.engine.array.WorkloadTensors` workload builds each
+        spec as it arrives and the Transaction Pool holds no specs.
+        Arrivals fire in (time, list position) order, as if each spec
+        were scheduled in turn.
         """
-        spec_list = list(specs)
-        times = [spec.arrival for spec in spec_list]
-        if all(a <= b for a, b in zip(times, times[1:])):
-            count = self.sim.schedule_batch(
-                times,
-                self._arrive,
-                [(spec,) for spec in spec_list],
-                priority=_ARRIVAL_PRIORITY,
-            )
-            self._submitted += count
-            return count
-        count = 0
-        for spec in spec_list:
-            self.sim.schedule_at(
-                spec.arrival, self._arrive, spec, priority=_ARRIVAL_PRIORITY
-            )
-            count += 1
-            self._submitted += 1
-        return count
+        if isinstance(specs, WorkloadTensors):
+            workload, times = specs, specs.arrivals
+        else:
+            workload = list(specs)
+            times = np.array([spec.arrival for spec in workload], dtype=float)
+        order = np.argsort(times, kind="stable")
+        return self.sim.schedule_batch(
+            times[order],
+            functools.partial(self._arrive_from, workload),
+            [(index,) for index in order.tolist()],
+            priority=_ARRIVAL_PRIORITY,
+        )
+
+    def _arrive_from(self, workload: Sequence[TransactionSpec], index: int) -> None:
+        self._arrive(workload[index])
 
     def _arrive(self, spec: TransactionSpec) -> None:
         if spec.txn_id in self._active or spec.txn_id in self._committed_ids:

@@ -2,7 +2,8 @@
 
 networkx is not a dependency of the library; it serves here only as an
 independent reference for the cycle check and the tie-broken
-topological order.
+topological order.  Histories recorded in commit order, with at most one
+version perturbed, check the commit-order witness against the graph.
 """
 
 import pytest
@@ -59,6 +60,78 @@ def histories(draw):
     return history
 
 
+@st.composite
+def ordered_histories(draw):
+    """Histories recorded in commit order, with at most one perturbation.
+
+    Unperturbed, each commit reads the last installed version of its pages
+    and installs the next one, as a run records them.  A perturbation
+    makes one read stale, one read a version a later commit installs, or
+    swaps which of two commits installed consecutive versions of a page;
+    each leaves at least one precedence edge pointing backward in commit
+    order.
+
+    Returns ``(history, txn_ids in commit order)``.
+    """
+    txn_ids = draw(
+        st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)
+    )
+    last = dict.fromkeys(range(NUM_PAGES), 0)
+    commits = []  # (txn, reads, writes) in commit order
+    for txn in txn_ids:
+        pages = st.lists(st.integers(0, NUM_PAGES - 1), unique=True, max_size=3)
+        reads = {page: last[page] for page in draw(pages)}
+        writes = {}
+        for page in draw(pages):
+            last[page] += 1
+            writes[page] = last[page]
+        commits.append((txn, reads, writes))
+    installer = {
+        (page, version): position
+        for position, (_, _, writes) in enumerate(commits)
+        for page, version in writes.items()
+    }
+    stale = [
+        (position, page)
+        for position, (_, reads, _) in enumerate(commits)
+        for page, version in reads.items()
+        if version > 0
+    ]
+    future = [
+        (position, page)
+        for position, (_, reads, _) in enumerate(commits)
+        for page, version in reads.items()
+        if installer.get((page, version + 1), position) > position
+    ]
+    swaps = [
+        (page, version)
+        for page, version in installer
+        if (page, version + 1) in installer
+    ]
+    kinds = ["none"] + [
+        kind
+        for kind, sites in (("stale", stale), ("future", future), ("swap", swaps))
+        if sites
+    ]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "stale":
+        position, page = draw(st.sampled_from(stale))
+        reads = commits[position][1]
+        reads[page] = draw(st.integers(0, reads[page] - 1))
+    elif kind == "future":
+        position, page = draw(st.sampled_from(future))
+        commits[position][1][page] += 1
+    elif kind == "swap":
+        page, version = draw(st.sampled_from(swaps))
+        first = commits[installer[(page, version)]][2]
+        second = commits[installer[(page, version + 1)]][2]
+        first[page], second[page] = version + 1, version
+    history = History()
+    for position, (txn, reads, writes) in enumerate(commits):
+        history.record(txn, float(position), reads=reads, writes=writes)
+    return history, txn_ids
+
+
 def reference_graph(graph):
     reference = nx.DiGraph()
     reference.add_nodes_from(graph)
@@ -82,6 +155,32 @@ def test_oracle_matches_networkx(history):
         list(nx.lexicographical_topological_sort(reference)) if acyclic else None
     )
     assert serialization_order(history) == expected
+
+
+@given(case=ordered_histories())
+@settings(max_examples=300, deadline=None)
+def test_witness_holds_exactly_when_edges_point_forward(case):
+    history, commit_order = case
+    reference = reference_graph(precedence_graph(history))
+    position = {txn: index for index, txn in enumerate(commit_order)}
+    forward = all(position[u] < position[v] for u, v in reference.edges)
+    assert history.in_commit_order == forward
+    assert check_serializable(history) == nx.is_directed_acyclic_graph(reference)
+
+
+def test_ordered_generator_reaches_every_verdict():
+    # Both witness outcomes, and perturbed histories of both verdicts, so
+    # the fast path and the graph are each compared above.
+    seen = set()
+
+    @given(case=ordered_histories())
+    @settings(max_examples=300, deadline=None)
+    def collect(case):
+        history, _ = case
+        seen.add((history.in_commit_order, check_serializable(history)))
+
+    collect()
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_generator_reaches_cyclic_histories():

@@ -42,7 +42,7 @@ def check_at_every_slice(scenario, spec, resources):
     try:
         streams = RandomStreams(config.seed).spawn(0)
         tensors = WorkloadTensors.from_config(config, RATE, streams)
-        system.load_workload(tensors.materialize())
+        system.load_workload(list(tensors))
         checkpoints = 0
         while system.committed_count < TRANSACTIONS:
             checkpoints += 1

@@ -1,11 +1,14 @@
 """Tests for the SQLite job board: the claim/lease/retry protocol."""
 
 import multiprocessing
+import os
+import sqlite3
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+from repro.experiments.cli import main
 from repro.experiments.distributed import CELL_STATES, JobBoard
 from repro.experiments.runner import build_cells
 
@@ -198,3 +201,55 @@ def test_concurrent_hosts_claim_disjoint_cells(tmp_path):
     assert sorted(claimed) == [cell.index for cell in cells]
     assert len(set(claimed)) == len(cells)
     board.close()
+
+
+def damage(path):
+    """Persist a board, then overwrite every page after the schema page."""
+    board = JobBoard(path)
+    for index in range(64):
+        board.add(index, {"pad": "x" * 256})
+    board.close()
+    with sqlite3.connect(path) as conn:
+        [(page_size,)] = conn.execute("PRAGMA page_size").fetchall()
+    conn.close()
+    size = os.path.getsize(path)
+    assert size > page_size
+    with open(path, "r+b") as fh:
+        fh.seek(page_size)
+        fh.write(b"\xff" * (size - page_size))
+
+
+def test_damaged_board_queries_raise_one_typed_error(tmp_path):
+    path = tmp_path / "board.sqlite"
+    damage(path)
+    board = JobBoard(path)  # the schema page is intact, so it opens
+    try:
+        queries = [
+            board.counts,
+            board.unfinished,
+            board.max_index,
+            lambda: board.claim_payload("host-0", 30.0),
+            lambda: board.indexes_in_state("pending"),
+            lambda: board.populate(build_cells(["P"], [10.0], 1)),
+        ]
+        for query in queries:
+            with pytest.raises(ReproError, match="damaged") as excinfo:
+                query()
+            assert str(path) in str(excinfo.value)
+    finally:
+        board.close()
+
+
+def test_serve_on_a_damaged_board_exits_with_one_error_line(tmp_path):
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    damage(workdir / "board.sqlite")
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "serve", "--store", str(tmp_path / "store.jsonl"),
+            "--workdir", str(workdir), "--port", "0",
+        ])
+    message = str(excinfo.value)
+    assert message.startswith("scc-experiments: error: job board ")
+    assert str(workdir / "board.sqlite") in message
+    assert "\n" not in message

@@ -226,10 +226,19 @@ class TestQuotas:
     ):
         # The cell count is arithmetic: a grid whose fresh cells must
         # exceed the quota gets its 429 without building, fingerprinting
-        # or looking up a single cell, and changes nothing.
+        # or looking up a single cell, and changes nothing.  One worker
+        # holds the first cell inside its hook, so no cell starts (and
+        # publishes an event) between the two snapshots.
         release = threading.Event()
-        app = make_app(fault_hook=lambda cell: release.wait(30))
+        held = threading.Event()
+
+        def hold(cell):
+            held.set()
+            release.wait(30)
+
+        app = make_app(workers=1, fault_hook=hold)
         app.submit(tiny_spec_dict(), client="alice")
+        assert held.wait(30), "no worker claimed the first cell"
         before = (app.list_experiments(), app.quotas.snapshot(),
                   dict(app._inflight), dict(app._cells))
         started = time.monotonic()

@@ -6,7 +6,8 @@ run at once instead of leaving it for a full garbage collection.  Each
 case runs a cell with the cyclic collector disabled, then asks the
 collector what it would have had to reclaim: a ``repro`` object in that
 garbage is a back-reference that ``close``/``unbind`` missed, and the
-failure names its type.
+failure names its type.  While a cell runs, it holds the specs of the
+transactions that have arrived and not committed, not its workload.
 """
 
 import collections
@@ -14,10 +15,15 @@ import gc
 
 import pytest
 
+from repro.engine.array import WorkloadTensors
+from repro.engine.rng import RandomStreams
 from repro.experiments.parallel import SweepCell, _execute_cell
 from repro.experiments.runner import run_instrumented
+from repro.metrics.stats import MetricsCollector
 from repro.protocols.registry import available_protocols, protocol_spec
+from repro.system.model import RTDBSystem
 from repro.telemetry.tracer import MemoryTracer
+from repro.txn.spec import TransactionSpec
 from repro.workloads.scenarios import available_scenarios, get_scenario
 from tests.engine.generic_scc import generic_oracle
 
@@ -146,3 +152,50 @@ def test_cell_that_raises_mid_run_frees_itself(protocol):
     assert_freed(run)
     assert [error.exc_type for error in errors] == ["RuntimeError"] * 2
     assert "tracer failed mid-run" in errors[0].message
+
+
+def specs_alive():
+    """Reachable specs: a collection first frees killed shadows' cycles."""
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) is TransactionSpec]
+
+
+@pytest.mark.parametrize("protocol", ["scc-2s", "occ-bc"])
+def test_cell_holds_only_its_live_transactions(protocol):
+    # Each spec is built as its arrival fires and dropped once it commits.
+    # A committed spec outlives its commit only while an event of one of
+    # its killed shadows is still queued (at most one step), never from
+    # one 0.2 s sample to the next.
+    cfg = config()
+    system = RTDBSystem(
+        protocol=protocol_spec(protocol)(),
+        num_pages=cfg.num_pages,
+        metrics=MetricsCollector(warmup_commits=cfg.warmup_commits),
+    )
+    elsewhere = specs_alive()
+    others = {id(spec) for spec in elsewhere}
+
+    def cell_specs():
+        return {spec.txn_id for spec in specs_alive() if id(spec) not in others}
+
+    peak = 0
+    try:
+        streams = RandomStreams(cfg.seed).spawn(0)
+        system.load_workload(WorkloadTensors.from_config(cfg, RATE, streams))
+        assert cell_specs() == set()
+        lingering = set()
+        instant = 0.0
+        while system.committed_count < cfg.num_transactions:
+            instant += 0.2
+            system.sim.run(until=instant)
+            alive = cell_specs()
+            committed = alive - {spec.txn_id for spec in system.active_transactions}
+            assert committed <= system._committed_ids
+            assert not committed & lingering, "a committed spec stayed alive"
+            lingering = committed
+            peak = max(peak, len(alive))
+        system.run()
+    finally:
+        system.close()
+    assert 0 < peak < cfg.num_transactions / 4
+    assert cell_specs() == set()
