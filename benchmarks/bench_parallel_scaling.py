@@ -3,8 +3,9 @@
 Two properties of the ``repro.experiments.parallel`` subsystem are gated
 here:
 
-1. **Determinism** — the process-pool executor must produce summaries
-   *bit-identical* to the serial path (workload streams depend only on
+1. **Determinism** — a ``workers=4`` sweep (hosts claiming cells from
+   the job board) must produce summaries *bit-identical* to the serial
+   path (workload streams depend only on
    ``(seed, replication)``, so cell placement cannot leak into results).
    This is asserted unconditionally, on every machine.
 2. **Scaling** — fanning the grid out over 4 workers must cut
@@ -14,7 +15,7 @@ here:
 The benchmark skips on hosts with fewer cores than workers: there is
 nothing to scale onto, and a speedup measured there is no number to
 record.  Executor determinism is also gated by the tier-1 executor tests
-and CI's executor-smoke job, which run on every host.
+and CI's distributed-smoke job, which run on every host.
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ import time
 
 import pytest
 
-from repro.experiments.parallel import ProcessSweepExecutor, SerialSweepExecutor
 from repro.metrics.report import format_table
 
 SCALING_WORKERS = 4
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
 
 
-def _run(executor, spec, config):
+def _run(spec, config, workers):
     started = time.perf_counter()
-    results = spec.run(config=config, executor=executor)
+    results = spec.run(config=config, workers=workers)
     return results, time.perf_counter() - started
 
 
@@ -44,10 +44,9 @@ def test_parallel_scaling_and_determinism(benchmark, bench_spec):
             f"{cores}-core host: scaling needs >= {SCALING_WORKERS} cores"
         )
     spec, config = bench_spec("fig13")
-    serial_results, serial_s = _run(SerialSweepExecutor(), spec, config)
-    executor = ProcessSweepExecutor(workers=SCALING_WORKERS)
+    serial_results, serial_s = _run(spec, config, 1)
     parallel_results, parallel_s = benchmark.pedantic(
-        lambda: _run(executor, spec, config), rounds=1, iterations=1
+        lambda: _run(spec, config, SCALING_WORKERS), rounds=1, iterations=1
     )
 
     # Determinism: every protocol, rate, and replication — exact equality.
@@ -70,7 +69,7 @@ def test_parallel_scaling_and_determinism(benchmark, bench_spec):
             ["executor", "wall-clock (s)", "speedup"],
             [
                 ("serial", serial_s, 1.0),
-                (f"process x{SCALING_WORKERS}", parallel_s, speedup),
+                (f"{SCALING_WORKERS} workers", parallel_s, speedup),
             ],
             title=f"Parallel sweep scaling ({cores}-core host)",
         )

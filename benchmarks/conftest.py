@@ -15,7 +15,8 @@ Scale and execution knobs (all env vars, used by the CI bench-smoke job):
   warmup counts (defaults 600 / 60).
 * ``REPRO_BENCH_RATES`` — comma-separated arrival rates.
 * ``REPRO_BENCH_EXECUTOR`` / ``REPRO_BENCH_WORKERS`` — sweep executor
-  (``serial``/``process``) and worker count for the sweep-shaped benches.
+  (``serial``/``distributed``) and worker count for the sweep-shaped
+  benches.
 * ``REPRO_BENCH_JSON`` — where to write the machine-readable results
   (default ``BENCH_results.json`` in the rootdir; empty string disables).
 
@@ -100,7 +101,8 @@ def bench_executor():
     """The sweep executor benchmarks route their grids through.
 
     Defaults to serial so timings stay comparable with the checked-in
-    baseline; CI's scaling job sets ``REPRO_BENCH_EXECUTOR=process``.
+    baseline; ``REPRO_BENCH_EXECUTOR=distributed`` with
+    ``REPRO_BENCH_WORKERS=N`` runs them on N job-board hosts.
     """
     name = os.environ.get("REPRO_BENCH_EXECUTOR", "serial")
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or None

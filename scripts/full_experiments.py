@@ -11,8 +11,12 @@ cell).  ``--quick`` overrides only the scale (1000 transactions, 50
 warmup commits, 1 replication).
 
 Usage:  python scripts/full_experiments.py [--quick] [--workers 4]
-                                           [--executor serial|process]
+                                           [--executor serial|distributed]
                                            [--store results/runs]
+
+``--workers N`` (N > 1) runs every sweep on N hosts claiming cells from
+the job board (the ``distributed`` executor); without it every sweep
+runs serially.
 
 A full pass at 2 replications took about 90 s with ``--workers 2`` on a
 2-core host; the committed files ask for 3.
@@ -87,11 +91,13 @@ def main():
     parser.add_argument("--quick", action="store_true")
     parser.add_argument(
         "--executor", choices=available_executors(), default=None,
-        help="sweep executor (default: serial, or process when --workers > 1)",
+        help="sweep executor (default: serial, or distributed when "
+        "--workers > 1)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the process executor (default: all cores)",
+        help="worker processes claiming cells from the job board "
+        "(default: serial; one per core with --executor distributed)",
     )
     parser.add_argument(
         "--store", type=str, default=None, metavar="DIR",

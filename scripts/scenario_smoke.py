@@ -1,8 +1,9 @@
 """CI smoke check: every registered scenario sweeps end to end.
 
-Runs each scenario in the registry for a tiny sweep through the
-``ProcessSweepExecutor`` (the serial path is covered per-scenario by the
-tier-1 suite), prints one summary row per scenario, and additionally
+Runs each scenario in the registry for a tiny sweep with ``workers=N``
+(hosts claiming cells from the job board; the serial path is covered
+per-scenario by the tier-1 suite), prints one summary row per scenario,
+and additionally
 asserts the subsystem's compatibility guarantee: the ``paper-baseline``
 scenario produces summaries bit-identical to the pre-subsystem default
 config under the same seed.
@@ -21,7 +22,6 @@ import sys
 import time
 
 from repro.experiments.config import baseline_config
-from repro.experiments.parallel import ProcessSweepExecutor
 from repro.experiments.runner import run_sweep
 from repro.metrics.report import format_table
 from repro.workloads.scenarios import all_scenarios, get_scenario
@@ -37,7 +37,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=90_1995)
     args = parser.parse_args(argv)
 
-    executor = ProcessSweepExecutor(workers=args.workers)
     overrides = dict(
         num_transactions=args.transactions,
         warmup_commits=min(50, args.transactions // 10),
@@ -51,7 +50,7 @@ def main(argv=None) -> int:
     for scenario in all_scenarios():
         config = scenario.to_config(**overrides)
         results = run_sweep(
-            PROTOCOLS, config, arrival_rates=[args.rate], executor=executor
+            PROTOCOLS, config, arrival_rates=[args.rate], workers=args.workers
         )
         row = [scenario.name]
         for name in PROTOCOLS:
@@ -65,7 +64,7 @@ def main(argv=None) -> int:
             ["scenario"] + [f"{name} missed %" for name in PROTOCOLS],
             rows,
             title=f"Scenario smoke at {args.rate:g} txn/s "
-            f"({args.transactions} txns, process x{args.workers}, "
+            f"({args.transactions} txns, {args.workers} workers, "
             f"{elapsed:.1f}s)",
         )
     )
@@ -75,13 +74,13 @@ def main(argv=None) -> int:
         PROTOCOLS,
         baseline_config(**overrides),
         arrival_rates=[args.rate],
-        executor=executor,
+        workers=args.workers,
     )
     scenario = run_sweep(
         PROTOCOLS,
         get_scenario("paper-baseline").to_config(**overrides),
         arrival_rates=[args.rate],
-        executor=executor,
+        workers=args.workers,
     )
     for name in PROTOCOLS:
         if legacy[name].replications != scenario[name].replications:

@@ -11,7 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "baseline_config": "repro.experiments.config",
     "two_class_config": "repro.experiments.config",
     "CellOutcome": "repro.experiments.parallel",
-    "ProcessSweepExecutor": "repro.experiments.parallel",
     "ProgressReporter": "repro.experiments.parallel",
     "SerialSweepExecutor": "repro.experiments.parallel",
     "SweepCell": "repro.experiments.parallel",

@@ -4,7 +4,7 @@ Installed as both ``scc-experiments`` and ``repro``.  Usage::
 
     repro run specs/fig13.json [--transactions N] [--replications R]
                                [--rates 10,50,100,150,200] [--seed S]
-                               [--executor serial|process] [--workers W]
+                               [--executor serial|distributed] [--workers W]
                                [--store runs.jsonl] [--format table|json|csv]
     scc-experiments fig3                # analytic shadow-count table
     scc-experiments scenarios           # list the registered scenarios
@@ -39,9 +39,10 @@ complete, and an interrupted invocation picks up where it died.
 existing file is sniffed by content and a path with no content decided
 by extension (``.sqlite``/``.sqlite3``/``.db`` mean SQLite,
 ``.jsonl``/``.json``/``.ndjson`` mean JSONL; any other extension is an
-error asking for the flag).  ``--executor
-distributed --workers N`` fans the sweep out to N worker "hosts" over a
-shared job board (see docs/ARCHITECTURE.md, "Distributed execution").
+error asking for the flag).  ``--workers N`` (N > 1) fans the sweep
+out to N worker "hosts" claiming cells from a shared job board, the
+``distributed`` executor (see docs/ARCHITECTURE.md, "Distributed
+execution"); without it the sweep runs serially, in process.
 ``--format json|csv`` replaces the table with the canonical
 :class:`~repro.results.record.RunRecord` serialization (machine-readable;
 status lines go to stderr).  The ``results`` subcommand lists, exports,
@@ -655,12 +656,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--executor", choices=available_executors(), default=None,
-        help="sweep executor (default: serial, or process when --workers > 1)",
+        help="sweep executor (default: serial, or distributed when "
+        "--workers > 1)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the process and distributed executors "
-        "(default: all cores)",
+        help="run: worker processes claiming cells from the job board "
+        "(default: serial; one per core with --executor distributed); "
+        "serve: worker threads (default: 2)",
     )
     parser.add_argument(
         "--max-n", dest="max_n", type=int, default=8,

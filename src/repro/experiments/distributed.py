@@ -14,8 +14,8 @@ The moving parts:
   claim/lease protocol.  A worker ``claim()`` atomically takes the
   lowest pending cell and stamps a lease expiry; a heartbeat thread
   extends the lease while the cell computes.  If the worker dies, the
-  lease lapses and the parent requeues the cell with backoff, bounded
-  by ``max_attempts``.
+  lease lapses and the parent requeues the cell, bounded by
+  ``max_attempts``.
 * **Shard files** — each worker appends outcomes as fsync'd JSON lines
   to its own ``outcomes-<host>.jsonl``.  The parent tails every shard
   incrementally; a torn tail is retried on the next poll, and a
@@ -28,18 +28,21 @@ The moving parts:
   budget, and emit worker lifecycle events (``worker_started``,
   ``worker_stopped``, ``worker_lost``, ``cell_retried``) through
   :attr:`~DistributedSweepExecutor.lifecycle_hook` onto the sweep
-  telemetry bus.
+  telemetry bus.  It is the only multi-process executor:
+  ``run_sweep(workers=N)`` and ``repro run --workers N`` reach it.
 
-Workers are forked, so the cell runner (a closure over protocol
-factories) is inherited, never pickled — the same constraint as
-:class:`~repro.experiments.parallel.ProcessSweepExecutor`, with the same
-degrade-to-serial fallback where fork is unavailable.
+Workers are forked, so the cell runner (a closure over the sweep's
+config and roster) is inherited, never pickled, and so is the protocol
+registry, including families registered at run time.  Where fork is
+unavailable the executor degrades to the serial path, preserving
+results exactly.  A host stops claiming once its parent is gone, so a
+killed sweep does not leave hosts draining the grid for nobody.
 
 Failure semantics mirror the rest of the stack: a runner that raises a
 *deterministic* exception produces an error outcome exactly once (no
 retry — rerunning deterministic code cannot help), while worker *death*
 (kill, OOM, a fault hook calling ``os._exit``) triggers lease-expiry
-retry with backoff.  A cell whose retry budget is exhausted yields a
+retry.  A cell whose retry budget is exhausted yields a
 synthetic ``WorkerLost`` error outcome, which
 :func:`~repro.experiments.runner.assemble_results` surfaces as a
 :class:`~repro.errors.SweepExecutionError`.
@@ -48,7 +51,6 @@ synthetic ``WorkerLost`` error outcome, which
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import shutil
 import sqlite3
@@ -77,10 +79,10 @@ from repro.metrics.stats import RunSummary
 
 __all__ = ["CELL_STATES", "DistributedSweepExecutor", "JobBoard"]
 
-#: Lifecycle of one board cell.  ``pending`` (claimable, possibly in
-#: retry backoff) -> ``claimed`` (leased to a worker) -> ``done`` /
-#: ``failed``; lease expiry moves ``claimed`` back to ``pending`` until
-#: the attempt budget runs out.
+#: Lifecycle of one board cell.  ``pending`` (claimable once its
+#: ``not_before`` time has passed) -> ``claimed`` (leased to a worker)
+#: -> ``done`` / ``failed``; lease expiry moves ``claimed`` back to
+#: ``pending`` until the attempt budget runs out.
 CELL_STATES = ("pending", "claimed", "done", "failed")
 
 _BOARD_SCHEMA = """
@@ -217,8 +219,8 @@ class JobBoard:
         Returns:
             ``(cell, attempt)`` — attempt counts this claim, starting at
             1 — or ``None`` when nothing is claimable right now (empty
-            board, every cell leased/finished, or retries still in
-            backoff).
+            board, every cell leased/finished, or requeued cells not yet
+            due).
         """
         claimed = self.claim_payload(worker, lease_seconds)
         if claimed is None:
@@ -286,14 +288,13 @@ class JobBoard:
         )
 
     def expire_leases(
-        self, max_attempts: int, backoff_seconds: float
+        self, max_attempts: int
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Reap lapsed leases: requeue with backoff, or exhaust.
+        """Reap lapsed leases: requeue, or exhaust.
 
         A claimed cell whose lease expired was held by a dead (or
-        wedged) worker.  Cells with attempts left go back to pending
-        with linear backoff (``attempts * backoff_seconds``); cells at
-        the ``max_attempts`` ceiling become failed.
+        wedged) worker.  Cells with attempts left go back to pending at
+        once; cells at the ``max_attempts`` ceiling become failed.
 
         Returns:
             ``(retried, exhausted)`` lists of ``(index, attempts)``.
@@ -312,7 +313,7 @@ class JobBoard:
                     self.fail(idx)
                     exhausted.append((idx, attempts))
                 else:
-                    self.requeue(idx, not_before=now + attempts * backoff_seconds)
+                    self.requeue(idx)
                     retried.append((idx, attempts))
         return retried, exhausted
 
@@ -330,7 +331,7 @@ class JobBoard:
         return result
 
     def unfinished(self) -> int:
-        """Cells not yet terminal (pending — including backoff — or claimed)."""
+        """Cells not yet terminal (pending, due or not, or claimed)."""
         [(count,)] = self._query(
             "SELECT COUNT(*) FROM cells WHERE state IN ('pending', 'claimed')"
         )
@@ -411,12 +412,12 @@ def _heartbeat_loop(
     worker_id: str,
     index: int,
     lease_seconds: float,
-    heartbeat_seconds: float,
     stop: threading.Event,
 ) -> None:
+    # Three beats per lease: one late beat never lets a live claim lapse.
     board = JobBoard(board_path)
     try:
-        while not stop.wait(heartbeat_seconds):
+        while not stop.wait(lease_seconds / 3.0):
             board.heartbeat(worker_id, index, lease_seconds)
     finally:
         board.close()
@@ -428,20 +429,22 @@ def _worker_main(
     worker_id: str,
     runner: CellRunner,
     lease_seconds: float,
-    heartbeat_seconds: float,
     poll_seconds: float,
     fault_hook: Optional[Callable[[SweepCell, int], None]],
+    parent_pid: int,
 ) -> None:
     """One host: claim cells, compute, write the shard, mark the board.
 
     The outcome line is fsync'd *before* the board marks the cell
     done/failed — the ordering the parent's corruption detection relies
-    on.  Exits cleanly once the board has no unfinished cells.
+    on.  Exits cleanly once the board has no unfinished cells, or before
+    its next claim once ``parent_pid`` is no longer its parent (the
+    sweep was killed; nobody would read what it computes).
     """
     board = JobBoard(board_path)
     writer = _ShardWriter(shard_path)
     try:
-        while True:
+        while os.getppid() == parent_pid:
             claimed = board.claim(worker_id, lease_seconds)
             if claimed is None:
                 if board.unfinished() == 0:
@@ -456,14 +459,7 @@ def _worker_main(
             stop = threading.Event()
             beat = threading.Thread(
                 target=_heartbeat_loop,
-                args=(
-                    board_path,
-                    worker_id,
-                    cell.index,
-                    lease_seconds,
-                    heartbeat_seconds,
-                    stop,
-                ),
+                args=(board_path, worker_id, cell.index, lease_seconds, stop),
                 daemon=True,
             )
             beat.start()
@@ -560,31 +556,27 @@ def _lost_outcome(cell: SweepCell, attempts: int) -> CellOutcome:
 class DistributedSweepExecutor(SweepExecutor):
     """Fan cells out to N forked "hosts" via a shared SQLite job board.
 
-    Registered as ``"distributed"``; reach it through
-    ``run_sweep(executor="distributed", workers=N)`` or the CLI's
-    ``--executor distributed --workers N``.  Outcomes are reassembled in
-    cell order and are bit-identical to the serial executor — including
-    under worker crashes, which the lease/retry protocol absorbs.
+    Registered as ``"distributed"``; ``run_sweep(workers=N)`` with N > 1
+    selects it, as do ``executor="distributed"`` and the CLI's
+    ``--workers N``.  Hosts claim one cell at a time, so a crash loses at
+    most the cell in hand.  Outcomes are reassembled in cell order and
+    are bit-identical to the serial executor — including under worker
+    crashes, which the lease/retry protocol absorbs.  A lease is extended
+    every third of ``lease_seconds``, and dead hosts are replaced up to
+    ``workers * max_attempts`` times.
 
     Args:
         workers: Host count; ``None`` means ``os.cpu_count()``, clamped
             to the cell count.
-        chunk_size: Rejected — the board hands out single cells (work
-            stealing makes chunking pointless and would widen the loss
-            window on a crash).
         lease_seconds: How long a claim stays valid without a heartbeat.
-        heartbeat_seconds: Lease-extension period; defaults to a third
-            of the lease.
         poll_seconds: Parent/worker poll interval for shard tails and
             idle claims.
         max_attempts: Claim ceiling per cell before it is declared lost.
-        backoff_seconds: Linear requeue backoff (``attempts * backoff``).
-        max_worker_restarts: Replacement-host budget after worker deaths;
-            defaults to ``workers * max_attempts``.
         workdir: Directory for the board and shards; ``None`` uses a
             temp dir removed after the run.  A caller-supplied workdir
-            is kept (and its pre-existing board/shard state honored,
-            which is what the corruption-injection tests exploit).
+            must be absent or empty when a run starts (another sweep's
+            board and shards would answer for this one's cells) and is
+            kept after the run for post-mortems.
         fault_hook: Test seam, called in the *worker* process as
             ``hook(cell, attempt)`` right after each claim.  Raising or
             ``os._exit``-ing simulates a host fault.
@@ -595,24 +587,15 @@ class DistributedSweepExecutor(SweepExecutor):
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         lease_seconds: float = 30.0,
-        heartbeat_seconds: Optional[float] = None,
         poll_seconds: float = 0.05,
         max_attempts: int = 3,
-        backoff_seconds: float = 0.0,
-        max_worker_restarts: Optional[int] = None,
         workdir: "str | os.PathLike | None" = None,
         fault_hook: Optional[Callable[[SweepCell, int], None]] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(
                 f"DistributedSweepExecutor needs workers >= 1, got {workers}"
-            )
-        if chunk_size is not None:
-            raise ConfigurationError(
-                "the distributed executor schedules single cells; "
-                "chunk_size does not apply"
             )
         if lease_seconds <= 0:
             raise ConfigurationError(
@@ -622,23 +605,14 @@ class DistributedSweepExecutor(SweepExecutor):
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
-        if backoff_seconds < 0:
-            raise ConfigurationError(
-                f"backoff_seconds must be >= 0, got {backoff_seconds}"
-            )
         if poll_seconds <= 0:
             raise ConfigurationError(
                 f"poll_seconds must be > 0, got {poll_seconds}"
             )
         self.workers = workers
         self.lease_seconds = lease_seconds
-        self.heartbeat_seconds = (
-            heartbeat_seconds if heartbeat_seconds is not None else lease_seconds / 3.0
-        )
         self.poll_seconds = poll_seconds
         self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
-        self.max_worker_restarts = max_worker_restarts
         self.workdir = os.fspath(workdir) if workdir is not None else None
         self.fault_hook = fault_hook
         #: Parent-side lifecycle sink, ``hook(kind, payload)``;
@@ -658,23 +632,29 @@ class DistributedSweepExecutor(SweepExecutor):
     ) -> list[CellOutcome]:
         if not cells:
             return []
+        kept = self.workdir
+        if kept is not None and os.path.isdir(kept) and os.listdir(kept):
+            raise ConfigurationError(
+                f"workdir {kept} is not empty: a sweep needs a fresh board "
+                "and shard files (remove it or pick another directory)"
+            )
+        # Imported here so a sweep served wholly from its store never
+        # loads the process machinery.
+        import multiprocessing
+
         if "fork" not in multiprocessing.get_all_start_methods():
             # No fork: the runner closure cannot reach hosts unpickled.
             return SerialSweepExecutor().run(cells, runner, on_progress, on_outcome)
         context = multiprocessing.get_context("fork")
         workers = max(1, min(self.workers or os.cpu_count() or 1, len(cells)))
-        workdir = self.workdir or tempfile.mkdtemp(prefix="repro-distributed-")
-        owns_workdir = self.workdir is None
+        workdir = kept or tempfile.mkdtemp(prefix="repro-distributed-")
+        owns_workdir = kept is None
         os.makedirs(workdir, exist_ok=True)
         board = JobBoard(os.path.join(workdir, "board.sqlite"))
         board.populate(cells)
         cells_by_index = {cell.index: cell for cell in cells}
         total = len(cells)
-        restarts_left = (
-            self.max_worker_restarts
-            if self.max_worker_restarts is not None
-            else workers * self.max_attempts
-        )
+        restarts_left = workers * self.max_attempts
         delivered: Dict[int, CellOutcome] = {}
         readers: Dict[str, _ShardReader] = {}
         procs: Dict[str, Any] = {}
@@ -686,6 +666,7 @@ class DistributedSweepExecutor(SweepExecutor):
             worker_id = f"host-{next_host}"
             next_host += 1
             shard = os.path.join(workdir, f"outcomes-{worker_id}.jsonl")
+            readers[worker_id] = _ShardReader(shard, cells_by_index)
             proc = context.Process(
                 target=_worker_main,
                 args=(
@@ -694,9 +675,9 @@ class DistributedSweepExecutor(SweepExecutor):
                     worker_id,
                     runner,
                     self.lease_seconds,
-                    self.heartbeat_seconds,
                     self.poll_seconds,
                     self.fault_hook,
+                    os.getpid(),
                 ),
                 daemon=True,
             )
@@ -704,21 +685,7 @@ class DistributedSweepExecutor(SweepExecutor):
             procs[worker_id] = proc
             self._emit("worker_started", {"worker": worker_id, "pid": proc.pid})
 
-        def discover_shards() -> None:
-            # Pick up shards the parent did not spawn (pre-seeded test
-            # fixtures, a previous interrupted run in a kept workdir).
-            for name in sorted(os.listdir(workdir)):
-                if (
-                    name.startswith("outcomes-")
-                    and name.endswith(".jsonl")
-                    and name not in readers
-                ):
-                    readers[name] = _ShardReader(
-                        os.path.join(workdir, name), cells_by_index
-                    )
-
         def drain_shards() -> None:
-            discover_shards()
             for reader in readers.values():
                 for outcome in reader.poll():
                     deliver(outcome)
@@ -751,9 +718,7 @@ class DistributedSweepExecutor(SweepExecutor):
         try:
             while len(delivered) < total:
                 drain_shards()
-                retried, exhausted = board.expire_leases(
-                    self.max_attempts, self.backoff_seconds
-                )
+                retried, exhausted = board.expire_leases(self.max_attempts)
                 for idx, attempts in retried:
                     self._emit(
                         "cell_retried", {"index": idx, "attempts": attempts}

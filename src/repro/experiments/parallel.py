@@ -1,4 +1,4 @@
-"""Parallel sweep execution: fan the experiment grid out across processes.
+"""Sweep execution: the cell types, the executor registry, and serial runs.
 
 Every sweep cell — one ``(protocol, arrival rate, replication)`` triple —
 is fully independent by construction: the workload stream is derived from
@@ -7,29 +7,23 @@ and still produce bit-identical summaries.  This module provides:
 
 * :class:`SweepCell` / :class:`CellOutcome` — the unit of work and its
   result (a :class:`~repro.metrics.stats.RunSummary` or an error record).
-* :class:`SerialSweepExecutor` — the in-process reference executor.
-* :class:`ProcessSweepExecutor` — a ``ProcessPoolExecutor`` fan-out with
-  chunked scheduling, deterministic reassembly (outcomes are returned in
-  cell order regardless of completion order), and per-cell fault isolation
-  (a crashed cell yields an error record instead of killing the sweep).
+* :class:`SerialSweepExecutor` — the in-process reference executor, with
+  per-cell fault isolation (a crashed cell yields an error record
+  instead of killing the sweep).
 * :class:`ProgressReporter` — a sweep event subscriber
   (``run_sweep(on_event=...)``) that prints progress/ETA lines on stderr;
   ``run_sweep`` publishes the executors' :class:`ProgressEvent` ticks on
   that stream.
-
-The process executor prefers the ``fork`` start method so the cell runner
-(a closure over the sweep's config, roster and optional resource-manager
-factory, which may be a lambda and hence unpicklable) is inherited by
-workers rather than serialized.  So is the protocol registry, including
-families registered at run time.  Where fork is unavailable the executor
-degrades to the serial path, preserving results exactly.
+* :func:`make_executor` / :func:`resolve_executor` — the two registered
+  executors, ``serial`` and ``distributed``.  A worker count above one
+  selects :class:`~repro.experiments.distributed.DistributedSweepExecutor`,
+  whose forked hosts claim cells from a SQLite job board; it is the only
+  multi-process path.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import os
 import sys
 import time
 import traceback
@@ -48,7 +42,6 @@ __all__ = [
     "CellOutcome",
     "CellRunner",
     "OutcomeCallback",
-    "ProcessSweepExecutor",
     "ProgressEvent",
     "ProgressReporter",
     "SerialSweepExecutor",
@@ -84,7 +77,7 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CellError:
-    """A crashed cell, captured as plain strings so it survives pickling."""
+    """A crashed cell, captured as plain strings so it survives a shard file."""
 
     exc_type: str
     message: str
@@ -148,7 +141,7 @@ ProgressCallback = Callable[[ProgressEvent], None]
 #: order, not cell order).  This is the persistence seam: the run-record
 #: store appends each completed cell here, so a killed sweep keeps every
 #: cell that finished before the kill.  Always invoked in the parent
-#: process, never in pool workers.
+#: process, never in worker hosts.
 OutcomeCallback = Callable[[CellOutcome], None]
 
 
@@ -250,128 +243,6 @@ class SerialSweepExecutor(SweepExecutor):
         return outcomes
 
 
-# ----------------------------------------------------------------------
-# process-pool executor
-# ----------------------------------------------------------------------
-
-# Worker-side cell runner, installed by the pool initializer.  Under the
-# fork start method the closure (with its lambdas) is inherited, never
-# pickled; the work items that cross the queue are plain SweepCells.
-_WORKER_RUNNER: Optional[CellRunner] = None
-
-
-def _init_worker(runner: CellRunner) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
-
-
-def _run_chunk(cells: Sequence[SweepCell]) -> list[CellOutcome]:
-    assert _WORKER_RUNNER is not None, "worker pool initializer did not run"
-    return [_execute_cell(cell, _WORKER_RUNNER) for cell in cells]
-
-
-class ProcessSweepExecutor(SweepExecutor):
-    """Fan cells out over a process pool, reassembling in cell order.
-
-    Args:
-        workers: Worker process count; ``None`` means ``os.cpu_count()``.
-            Must be >= 1 when given.
-        chunk_size: Cells per submitted work item; ``None`` sizes chunks to
-            roughly four work items per worker, which amortizes IPC while
-            keeping the pool load-balanced.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(
-                f"ProcessSweepExecutor needs workers >= 1, got {workers}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"ProcessSweepExecutor needs chunk_size >= 1, got {chunk_size}"
-            )
-        self.workers = workers
-        self.chunk_size = chunk_size
-
-    def _effective_workers(self, num_cells: int) -> int:
-        requested = self.workers or os.cpu_count() or 1
-        return max(1, min(requested, num_cells))
-
-    def _chunks(
-        self, cells: Sequence[SweepCell], workers: int
-    ) -> list[list[SweepCell]]:
-        size = self.chunk_size or max(1, math.ceil(len(cells) / (workers * 4)))
-        return [list(cells[i : i + size]) for i in range(0, len(cells), size)]
-
-    def run(
-        self,
-        cells: Sequence[SweepCell],
-        runner: CellRunner,
-        on_progress: Optional[ProgressCallback] = None,
-        on_outcome: Optional[OutcomeCallback] = None,
-    ) -> list[CellOutcome]:
-        if not cells:
-            return []
-        # Imported here so a serial run never loads the process machinery.
-        import multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # No fork: the runner closure cannot reach workers unpickled.
-            # Degrade to the serial path — results are identical.
-            return SerialSweepExecutor().run(cells, runner, on_progress, on_outcome)
-        workers = self._effective_workers(len(cells))
-        chunks = self._chunks(cells, workers)
-        context = multiprocessing.get_context("fork")
-        by_index: dict[int, CellOutcome] = {}
-        total = len(cells)
-        completed = 0
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(runner,),
-        ) as pool:
-            pending = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = pending.pop(future)
-                    try:
-                        outcomes = future.result()
-                    except Exception as exc:  # noqa: BLE001 - e.g. broken pool
-                        error = CellError.from_exception(exc)
-                        outcomes = [
-                            CellOutcome(cell, None, error, 0.0) for cell in chunk
-                        ]
-                    for outcome in outcomes:
-                        completed += 1
-                        by_index[outcome.cell.index] = outcome
-                        if on_outcome is not None:
-                            on_outcome(outcome)
-                        if on_progress is not None:
-                            elapsed = time.perf_counter() - t0
-                            on_progress(
-                                ProgressEvent(
-                                    kind="completed",
-                                    cell=outcome.cell,
-                                    completed=completed,
-                                    total=total,
-                                    elapsed=elapsed,
-                                    eta=_eta(completed, total, elapsed),
-                                    ok=outcome.ok,
-                                )
-                            )
-        return [by_index[cell.index] for cell in cells]
-
-
 class ProgressReporter:
     """Formats a sweep's event stream into status/ETA lines.
 
@@ -427,45 +298,36 @@ class ProgressReporter:
 # executor registry
 # ----------------------------------------------------------------------
 
-def _make_serial(
-    workers: Optional[int] = None, chunk_size: Optional[int] = None
-) -> SerialSweepExecutor:
-    # Refuse rather than silently run a multi-hour sweep on one core.
+def _make_serial(workers: Optional[int] = None) -> SerialSweepExecutor:
+    # Refuse rather than silently run the whole grid on one core.
     if workers is not None and workers > 1:
         raise ConfigurationError(
             f"the serial executor cannot use workers={workers}; "
-            "drop --workers or pick the process executor"
+            "drop --workers or pick the distributed executor"
         )
     return SerialSweepExecutor()
 
 
-def _make_distributed(
-    workers: Optional[int] = None, chunk_size: Optional[int] = None
-) -> SweepExecutor:
+def _make_distributed(workers: Optional[int] = None) -> SweepExecutor:
     # Imported lazily: distributed.py imports this module for the cell
     # and executor types.
     from repro.experiments.distributed import DistributedSweepExecutor
 
-    return DistributedSweepExecutor(workers=workers, chunk_size=chunk_size)
+    return DistributedSweepExecutor(workers=workers)
 
 
 _EXECUTORS: dict[str, Callable[..., SweepExecutor]] = {
     "serial": _make_serial,
-    "process": ProcessSweepExecutor,
     "distributed": _make_distributed,
 }
 
 
 def available_executors() -> tuple[str, ...]:
-    """The registered executor names (``distributed``, ``process``, ``serial``)."""
+    """The registered executor names (``distributed``, ``serial``)."""
     return tuple(sorted(_EXECUTORS))
 
 
-def make_executor(
-    name: str,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> SweepExecutor:
+def make_executor(name: str, workers: Optional[int] = None) -> SweepExecutor:
     """Construct an executor by registry name."""
     try:
         factory = _EXECUTORS[name]
@@ -473,7 +335,7 @@ def make_executor(
         raise ConfigurationError(
             f"unknown executor {name!r}; choose from {available_executors()}"
         ) from None
-    return factory(workers=workers, chunk_size=chunk_size)
+    return factory(workers=workers)
 
 
 def resolve_executor(
@@ -483,15 +345,14 @@ def resolve_executor(
     """Normalize the executor argument accepted by ``run_sweep``.
 
     ``None`` selects serial — unless a worker count > 1 is requested, which
-    implies the process executor.  Strings go through :func:`make_executor`;
-    instances pass through unchanged.
+    selects the distributed executor (hosts claiming cells from the job
+    board).  Strings go through :func:`make_executor`; instances pass
+    through unchanged.
     """
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if isinstance(executor, SweepExecutor):
         return executor
     if executor is None:
-        if workers is not None and workers > 1:
-            return ProcessSweepExecutor(workers=workers)
-        return SerialSweepExecutor()
+        executor = "distributed" if workers is not None and workers > 1 else "serial"
     return make_executor(executor, workers=workers)

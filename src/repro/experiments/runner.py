@@ -314,7 +314,8 @@ def run_sweep(
 
     The grid is executed through a :class:`SweepExecutor`.  Because every
     cell's workload stream depends only on ``(seed, replication)``, the
-    parallel executor produces summaries bit-identical to the serial path.
+    distributed executor produces summaries bit-identical to the serial
+    path.
 
     With ``store`` set, the sweep becomes *persistent and resumable*:
     cells whose fingerprint (config + workload spec + cell coordinates,
@@ -336,11 +337,11 @@ def run_sweep(
             (``config.num_servers``).
         arrival_rates: Overrides ``config.arrival_rates`` when given.
         executor: A :class:`SweepExecutor` instance, a registry name
-            (``"serial"``/``"process"``/``"distributed"``), or ``None``
-            for the default (serial, unless ``workers`` > 1 implies the
-            process pool).
-        workers: Worker-process count for the process and distributed
-            executors.
+            (``"serial"``/``"distributed"``), or ``None`` for the default
+            (serial, unless ``workers`` > 1 selects the distributed
+            executor).
+        workers: Worker-process count for the distributed executor
+            (hosts claiming cells from its job board).
         store: An open store (:class:`~repro.results.store.RunStore` or
             :class:`~repro.results.sqlite_store.SQLiteRunStore`) or a
             path, opened via :func:`~repro.results.backends.open_store`
@@ -367,7 +368,7 @@ def run_sweep(
             events are appended to this JSONL trace file, with a
             ``cell_start`` marker line (and a lane-numbering reset)
             between cells.  Requires the serial executor — a single
-            trace file cannot be shared across pool workers.
+            trace file cannot be shared across worker hosts.
 
     Returns:
         name -> :class:`SweepResult`.
@@ -399,7 +400,7 @@ def run_sweep(
         if not isinstance(chosen, SerialSweepExecutor):
             raise ConfigurationError(
                 "run_sweep(trace=...) requires the serial executor: one "
-                "JSONL trace file cannot be shared across pool workers"
+                "JSONL trace file cannot be shared across worker hosts"
             )
         tracer = JsonlTracer(trace)
 

@@ -19,7 +19,7 @@ The :class:`Experiment` builder is the fluent front door::
         .rates(20, 120, step=20)
         .replications(10)
         .store("runs.jsonl")
-        .run(executor="process")
+        .run(workers=4)
     )
 
 Everything downstream — :func:`~repro.experiments.runner.run_sweep`, the
@@ -125,9 +125,9 @@ class ExperimentSpec:
         warmup_commits: Commits excluded from metrics at run start.
         seed: Root RNG seed.
         executor: Default executor registry name (``"serial"`` /
-            ``"process"`` / ``"distributed"``).
-        workers: Default worker count for the process and distributed
-            executors.
+            ``"distributed"``).
+        workers: Default worker count; more than one selects the
+            distributed executor.
         store: Default run-store path.
         store_backend: Default store backend
             (:data:`~repro.results.backends.STORE_BACKENDS` name) for a
@@ -646,7 +646,7 @@ class Experiment:
         return self
 
     def workers(self, count: int) -> "Experiment":
-        """Set the default worker count for the process executor."""
+        """Set the default worker count (> 1 claims cells from the job board)."""
         self._fields["workers"] = count
         return self
 

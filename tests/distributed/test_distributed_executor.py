@@ -3,8 +3,8 @@
 Fault injection (worker kills, dropped leases, corrupted shards) lives
 in ``tests/distributed/test_fault_injection.py``; here we pin the happy
 path: registry wiring, constructor validation, bit-identical reassembly
-vs the serial executor, store persistence + resume, and the worker
-lifecycle events on the telemetry bus.
+vs the serial executor, the kept-workdir contract, store persistence +
+resume, and the worker lifecycle events on the telemetry bus.
 """
 
 import multiprocessing
@@ -42,7 +42,7 @@ FAST = dict(lease_seconds=5.0, poll_seconds=0.01)
 
 
 def test_distributed_is_registered():
-    assert available_executors() == ("distributed", "process", "serial")
+    assert available_executors() == ("distributed", "serial")
     executor = make_executor("distributed", workers=2)
     assert isinstance(executor, DistributedSweepExecutor)
     assert executor.workers == 2
@@ -55,22 +55,12 @@ def test_worker_count_validation():
         DistributedSweepExecutor(workers=-2)
 
 
-def test_chunk_size_is_rejected():
-    # The board hands out single cells; chunking would only widen the
-    # loss window on a crash.
-    with pytest.raises(ConfigurationError, match="chunk_size"):
-        DistributedSweepExecutor(workers=2, chunk_size=4)
-    with pytest.raises(ConfigurationError):
-        make_executor("distributed", workers=2, chunk_size=4)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(lease_seconds=0.0),
         dict(lease_seconds=-1.0),
         dict(max_attempts=0),
-        dict(backoff_seconds=-0.1),
         dict(poll_seconds=0.0),
     ],
 )
@@ -128,6 +118,39 @@ def test_more_workers_than_cells_is_fine():
     executor = DistributedSweepExecutor(workers=8, **FAST)
     outcomes = executor.run(cells, lambda cell: 42)
     assert len(outcomes) == 1 and outcomes[0].ok
+
+
+# ----------------------------------------------------------------------
+# a caller-supplied workdir
+# ----------------------------------------------------------------------
+
+
+@needs_fork
+def test_kept_workdir_is_refused_for_a_second_sweep(tmp_path):
+    # An empty workdir is fine, and the first sweep leaves its board and
+    # shards there for post-mortems. A second sweep on them would be
+    # answered by the first one's outcomes (cells and shard lines are
+    # matched by index), so it is refused before any host is forked.
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    first = DistributedSweepExecutor(workers=1, workdir=workdir, **FAST)
+    outcomes = first.run(build_cells(["P"], [10.0, 20.0], 1),
+                         lambda cell: cell.arrival_rate * 2)
+    assert [outcome.summary for outcome in outcomes] == [20.0, 40.0]
+    assert (workdir / "board.sqlite").exists()
+    kept = sorted(path.name for path in workdir.iterdir())
+
+    second = DistributedSweepExecutor(workers=1, workdir=workdir, **FAST)
+    with pytest.raises(ConfigurationError, match="not empty") as excinfo:
+        second.run(build_cells(["Q"], [30.0, 40.0], 1),
+                   lambda cell: cell.arrival_rate * 3)
+    assert str(workdir) in str(excinfo.value)
+    assert sorted(path.name for path in workdir.iterdir()) == kept
+    # A fresh directory serves the same executor settings correctly.
+    second.workdir = str(tmp_path / "fresh")
+    outcomes = second.run(build_cells(["Q"], [30.0, 40.0], 1),
+                          lambda cell: cell.arrival_rate * 3)
+    assert [outcome.summary for outcome in outcomes] == [90.0, 120.0]
 
 
 # ----------------------------------------------------------------------

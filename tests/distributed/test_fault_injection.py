@@ -6,14 +6,15 @@ board said "done" — and asserts the same recovery contract: the sweep
 still completes, retries stay within ``max_attempts``, and the results
 are bit-identical to a cold serial run.
 
-The injection seams are the ones the executor exposes on purpose:
-``fault_hook(cell, attempt)`` runs in the worker right after a claim,
-and a caller-supplied ``workdir`` lets a test pre-seed board/shard state
-before the executor ever spawns a host.
+The injection seam is the one the executor exposes on purpose:
+``fault_hook(cell, attempt)`` runs in the worker right after a claim.
+With a caller-supplied (kept) ``workdir`` a hook can also damage the
+host's own shard file and board row before it dies.
 """
 
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -176,22 +177,34 @@ def test_deterministic_runner_errors_are_never_retried(tmp_path):
         assert fh.read() == "x\n"
 
 
+def _corrupt_and_die(workdir, line):
+    """A hook that fakes a damaged outcome for cell 0, then kills its host.
+
+    On the first claim of cell 0 (by ``host-0``) it writes ``line`` into
+    that host's shard and marks the cell done, as if the real outcome
+    line had been torn or bit-rotted after the board was told; then it
+    exits without cleanup.
+    """
+
+    def hook(cell, attempt):
+        if cell.index != 0 or attempt != 1:
+            return
+        with open(os.path.join(workdir, "outcomes-host-0.jsonl"), "a") as fh:
+            fh.write(line)
+        board = JobBoard(os.path.join(workdir, "board.sqlite"))
+        board.complete(cell.index)
+        board.close()
+        os._exit(13)
+
+    return hook
+
+
 def test_corrupt_shard_line_is_requeued_and_recomputed(tmp_path):
     # Worst-case corruption: the board says "done" but the only shard
     # line for the cell is garbage. The parent must notice the outcome
     # is unreadable, requeue the cell, and recompute it.
     workdir = tmp_path / "work"
-    workdir.mkdir()
     cells = build_cells(["P"], [10.0, 20.0, 30.0], 1)
-    board = JobBoard(workdir / "board.sqlite")
-    board.populate(cells)
-    claimed, attempt = board.claim("host-dead", lease_seconds=30.0)
-    assert claimed.index == 0 and attempt == 1
-    board.complete(0)
-    board.close()
-    with open(workdir / "outcomes-host-dead.jsonl", "w") as fh:
-        fh.write('{"index": 0, "attempt": 1, "ok": true, "summa\n')  # torn flush
-
     events = []
     executor = DistributedSweepExecutor(
         workers=1,
@@ -199,6 +212,10 @@ def test_corrupt_shard_line_is_requeued_and_recomputed(tmp_path):
         poll_seconds=0.01,
         max_attempts=3,
         workdir=workdir,
+        # A torn flush: the line ends, its JSON does not.
+        fault_hook=_corrupt_and_die(
+            str(workdir), '{"index": 0, "attempt": 1, "ok": true, "summa\n'
+        ),
     )
     executor.lifecycle_hook = lambda kind, payload: events.append((kind, payload))
     outcomes = executor.run(cells, lambda cell: cell.arrival_rate * 2)
@@ -210,33 +227,77 @@ def test_corrupt_shard_line_is_requeued_and_recomputed(tmp_path):
 
 
 def test_corrupt_shard_with_no_attempts_left_is_lost(tmp_path):
-    # Same corruption, but the cell already burned its whole claim
-    # budget: recovery must give up with a WorkerLost outcome rather
-    # than loop.
+    # Same corruption, but on the cell's last allowed claim: recovery
+    # must give up with a WorkerLost outcome rather than loop.
     workdir = tmp_path / "work"
-    workdir.mkdir()
     cells = build_cells(["P"], [10.0, 20.0], 1)
-    board = JobBoard(workdir / "board.sqlite")
-    board.populate(cells)
-    for _ in range(2):  # burn the budget: claim, expire, reclaim
-        claimed, _ = board.claim("host-dead", lease_seconds=0.01)
-        assert claimed.index == 0
-        time.sleep(0.02)
-        board.requeue(0)
-    board.claim("host-dead", lease_seconds=30.0)
-    board.complete(0)
-    board.close()
-    with open(workdir / "outcomes-host-dead.jsonl", "w") as fh:
-        fh.write("garbage\n")
-
     executor = DistributedSweepExecutor(
         workers=1,
         lease_seconds=5.0,
         poll_seconds=0.01,
-        max_attempts=3,
+        max_attempts=1,
         workdir=workdir,
+        fault_hook=_corrupt_and_die(str(workdir), "garbage\n"),
     )
     outcomes = executor.run(cells, lambda cell: cell.arrival_rate)
     assert not outcomes[0].ok
     assert outcomes[0].error.exc_type == "WorkerLost"
     assert outcomes[1].ok and outcomes[1].summary == 20.0
+
+
+def _claims_logged(log_path):
+    """Claims recorded so far by :func:`_slow_sweep`'s hook."""
+    try:
+        with open(log_path) as fh:
+            return len(fh.readlines())
+    except FileNotFoundError:
+        return 0
+
+
+def _slow_sweep(workdir, log_path):
+    """Child body: a sweep of slow cells whose parent is about to die.
+
+    Its fault hook logs every claim as it lands (the hook runs in the
+    host right after each claim).
+    """
+
+    def log_claim(cell, attempt):
+        with open(log_path, "a") as fh:
+            fh.write(f"{cell.index}\n")
+
+    def slow(cell):
+        time.sleep(0.05)
+        return cell.arrival_rate
+
+    executor = DistributedSweepExecutor(
+        workers=2, lease_seconds=5.0, poll_seconds=0.01, workdir=workdir,
+        fault_hook=log_claim,
+    )
+    executor.run(build_cells(["P"], [float(rate) for rate in range(1, 201)], 1),
+                 slow)
+    os._exit(0)
+
+
+def test_hosts_stop_claiming_once_the_parent_is_killed(tmp_path):
+    # 200 cells of 50 ms on two hosts take ~5 s. Killing the sweep's
+    # parent must stop the hosts within a cell, not leave them draining
+    # the grid (and the board) for nobody.
+    log_path = str(tmp_path / "claims.log")
+    parent = multiprocessing.get_context("fork").Process(
+        target=_slow_sweep, args=(str(tmp_path / "work"), log_path)
+    )
+    parent.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while _claims_logged(log_path) < 2:
+            if time.monotonic() > deadline:
+                pytest.fail("the sweep never started claiming")
+            time.sleep(0.02)
+    finally:
+        os.kill(parent.pid, signal.SIGKILL)
+        parent.join()
+    time.sleep(1.0)  # hosts finish the cell in hand and notice
+    settled = _claims_logged(log_path)
+    time.sleep(1.0)
+    assert _claims_logged(log_path) == settled
+    assert settled < 200

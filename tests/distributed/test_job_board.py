@@ -80,7 +80,7 @@ def test_heartbeat_extends_only_the_holders_lease(board):
     # The extension actually stuck: the original 0.2 s lease would have
     # lapsed by now, but the cell stays claimed.
     time.sleep(0.25)
-    retried, exhausted = board.expire_leases(max_attempts=3, backoff_seconds=0.0)
+    retried, exhausted = board.expire_leases(max_attempts=3)
     assert retried == [] and exhausted == []
     assert board.indexes_in_state("claimed") == {cells[0].index}
 
@@ -89,7 +89,7 @@ def test_expired_lease_requeues_with_attempt_count(board):
     cells = _populate(board, n=1)
     board.claim("host-0", lease_seconds=0.01)
     time.sleep(0.05)
-    retried, exhausted = board.expire_leases(max_attempts=3, backoff_seconds=0.0)
+    retried, exhausted = board.expire_leases(max_attempts=3)
     assert retried == [(cells[0].index, 1)]
     assert exhausted == []
     # The retry claims with attempt=2.
@@ -99,13 +99,13 @@ def test_expired_lease_requeues_with_attempt_count(board):
     assert board.attempts(cell.index) == 2
 
 
-def test_backoff_delays_the_retry(board):
+def test_requeue_not_before_defers_the_claim(board):
+    # The gateway requeues a cell it cannot serve yet with a not_before
+    # time, so a miss never busy-spins the board.
     cells = _populate(board, n=1)
-    board.claim("host-0", lease_seconds=0.01)
-    time.sleep(0.05)
-    retried, _ = board.expire_leases(max_attempts=3, backoff_seconds=0.3)
-    assert retried == [(cells[0].index, 1)]
-    # Still inside the backoff window: not claimable, but also not done.
+    board.claim("host-0", lease_seconds=30.0)
+    board.requeue(cells[0].index, not_before=time.time() + 0.3)
+    # Not yet due: not claimable, but also not done.
     assert board.claim("host-1", lease_seconds=30.0) is None
     assert board.unfinished() == 1
     time.sleep(0.35)
@@ -118,7 +118,7 @@ def test_attempt_ceiling_exhausts_the_cell(board):
         cell, got = board.claim(f"host-{attempt}", lease_seconds=0.01)
         assert got == attempt
         time.sleep(0.05)
-        retried, exhausted = board.expire_leases(max_attempts=2, backoff_seconds=0.0)
+        retried, exhausted = board.expire_leases(max_attempts=2)
         if attempt < 2:
             assert retried == [(cells[0].index, attempt)]
         else:

@@ -56,7 +56,7 @@ def test_fig13a_parallel_executor(capsys):
             "--transactions", "120",
             "--replications", "1",
             "--rates", "60",
-            "--executor", "process",
+            "--executor", "distributed",
             "--workers", "2",
         ]
     )

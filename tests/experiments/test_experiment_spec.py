@@ -84,7 +84,7 @@ class TestSerialization:
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_json_round_trip_through_disk(self, tmp_path):
-        spec = small_spec(executor="process", workers=2, seed=7)
+        spec = small_spec(executor="distributed", workers=2, seed=7)
         path = tmp_path / "spec.json"
         spec.save(path)
         assert ExperimentSpec.load(path) == spec
@@ -249,10 +249,10 @@ class TestBuilder:
         spec = (
             Experiment.baseline()
             .protocols("occ")
-            .executor("process", workers=4)
+            .executor("distributed", workers=4)
             .build()
         )
-        assert spec.executor == "process"
+        assert spec.executor == "distributed"
         assert spec.workers == 4
 
     def test_from_spec_round_trips_through_builder(self):

@@ -1,17 +1,20 @@
-"""Tests for the parallel sweep execution subsystem.
+"""Tests for sweep execution through the executor registry.
 
-Covers the satellite checklist: worker-count edge cases (0/1/N), per-cell
-exception isolation, deterministic reassembly, and serial/parallel result
-equality under fixed seeds.
+Covers worker-count edge cases (0/1/N), per-cell exception isolation,
+deterministic reassembly, and serial/parallel result equality under
+fixed seeds.  A worker count above one runs the distributed executor
+(hosts claiming cells from a job board); its fault handling is pinned in
+``tests/distributed/``.
 """
 
 import pytest
 
 from repro.errors import ConfigurationError, SweepExecutionError
+from repro.experiments.cli import main
 from repro.experiments.config import baseline_config
+from repro.experiments.distributed import DistributedSweepExecutor
 from repro.experiments.parallel import (
     CellError,
-    ProcessSweepExecutor,
     ProgressReporter,
     SerialSweepExecutor,
     SweepCell,
@@ -20,6 +23,7 @@ from repro.experiments.parallel import (
     resolve_executor,
 )
 from repro.experiments.runner import build_cells, run_sweep
+from repro.experiments.spec import ExperimentSpec
 from tests.conftest import explode, register_family
 
 SMALL = baseline_config(
@@ -47,25 +51,47 @@ def _square(cell):
 
 def test_worker_count_zero_rejected():
     with pytest.raises(ConfigurationError):
-        ProcessSweepExecutor(workers=0)
+        make_executor("distributed", workers=0)
 
 
 def test_negative_workers_rejected():
     with pytest.raises(ConfigurationError):
-        ProcessSweepExecutor(workers=-3)
-
-
-def test_zero_chunk_size_rejected():
-    with pytest.raises(ConfigurationError):
-        ProcessSweepExecutor(chunk_size=0)
+        make_executor("distributed", workers=-3)
 
 
 def test_registry_names():
-    assert available_executors() == ("distributed", "process", "serial")
+    assert available_executors() == ("distributed", "serial")
     assert isinstance(make_executor("serial"), SerialSweepExecutor)
-    assert isinstance(make_executor("process", workers=2), ProcessSweepExecutor)
+    assert isinstance(
+        make_executor("distributed", workers=2), DistributedSweepExecutor
+    )
     with pytest.raises(ConfigurationError):
         make_executor("threads")
+
+
+def test_process_executor_name_is_refused(tmp_path, capsys):
+    # The fork pool is gone with no alias: each way of naming it gets the
+    # unknown-executor error listing both executors that remain.
+    choices = ("'distributed'", "'serial'")
+    with pytest.raises(ConfigurationError, match="unknown executor") as excinfo:
+        make_executor("process", workers=2)
+    assert all(name in str(excinfo.value) for name in choices)
+
+    spec = tmp_path / "spec.json"
+    ExperimentSpec.create(["scc-2s"], arrival_rates=[40.0]).save(spec)
+    with pytest.raises(SystemExit):
+        main(["run", str(spec), "--executor", "process", "--workers", "2"])
+    flag_error = capsys.readouterr().err
+    assert "invalid choice: 'process'" in flag_error
+    assert all(name in flag_error for name in choices)
+
+    ExperimentSpec.create(
+        ["scc-2s"], arrival_rates=[40.0], executor="process", workers=2
+    ).save(spec)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", str(spec), "--transactions", "40"])
+    assert "unknown executor 'process'" in str(excinfo.value)
+    assert all(name in str(excinfo.value) for name in choices)
 
 
 def test_serial_executor_refuses_worker_count():
@@ -87,14 +113,14 @@ def test_resolve_rejects_nonpositive_workers():
 
 def test_resolve_executor_defaults():
     assert isinstance(resolve_executor(None), SerialSweepExecutor)
-    # workers > 1 implies the process pool...
+    # workers > 1 implies the job-board executor...
     resolved = resolve_executor(None, workers=3)
-    assert isinstance(resolved, ProcessSweepExecutor)
+    assert isinstance(resolved, DistributedSweepExecutor)
     assert resolved.workers == 3
     # ...workers == 1 stays serial.
     assert isinstance(resolve_executor(None, workers=1), SerialSweepExecutor)
     # Instances pass through unchanged.
-    executor = ProcessSweepExecutor(workers=2)
+    executor = DistributedSweepExecutor(workers=2)
     assert resolve_executor(executor) is executor
 
 
@@ -104,24 +130,24 @@ def test_resolve_executor_defaults():
 
 
 def test_empty_grid():
-    assert ProcessSweepExecutor(workers=2).run([], _square) == []
+    assert make_executor("distributed", workers=2).run([], _square) == []
     assert SerialSweepExecutor().run([], _square) == []
 
 
 def test_one_worker_degenerate_pool():
-    outcomes = ProcessSweepExecutor(workers=1).run(_cells(5), _square)
+    outcomes = make_executor("distributed", workers=1).run(_cells(5), _square)
     assert [o.summary for o in outcomes] == [100.0, 400.0, 900.0, 1600.0, 2500.0]
 
 
 def test_more_workers_than_cells():
-    outcomes = ProcessSweepExecutor(workers=16).run(_cells(3), _square)
+    outcomes = make_executor("distributed", workers=16).run(_cells(3), _square)
     assert [o.summary for o in outcomes] == [100.0, 400.0, 900.0]
 
 
 def test_deterministic_cell_ordering():
-    # Tiny chunks maximize out-of-order completion; reassembly must still
-    # return outcomes in cell-index order.
-    executor = ProcessSweepExecutor(workers=4, chunk_size=1)
+    # Hosts claim single cells, so completions interleave; reassembly
+    # must still return outcomes in cell-index order.
+    executor = make_executor("distributed", workers=4)
     outcomes = executor.run(_cells(12), _square)
     assert [o.cell.index for o in outcomes] == list(range(12))
 
@@ -133,7 +159,7 @@ def test_per_cell_exception_isolation():
         return cell.arrival_rate
 
     # run() completes every cell; only the crashed one carries an error.
-    for executor in (SerialSweepExecutor(), ProcessSweepExecutor(workers=2)):
+    for executor in (SerialSweepExecutor(), make_executor("distributed", workers=2)):
         outcomes = executor.run(_cells(4), flaky)
         assert [o.ok for o in outcomes] == [True, True, False, True]
         failed = outcomes[2]
@@ -158,7 +184,7 @@ def test_progress_reporter_formats_lines(capsys):
 
     config = SMALL.scaled(num_transactions=40, warmup_commits=2,
                           replications=1, arrival_rates=[30.0, 60.0])
-    for executor, workers in (("serial", None), ("process", 2)):
+    for executor, workers in (("serial", None), (None, 2)):
         run_sweep(
             {"SCC-2S": "scc-2s"}, config, executor=executor, workers=workers,
             on_event=ProgressReporter(stream=sys.stderr),
@@ -178,7 +204,7 @@ def test_progress_reporter_formats_lines(capsys):
 
 def test_parallel_sweep_equals_serial():
     serial = run_sweep(PROTOCOLS, SMALL, executor="serial")
-    parallel = run_sweep(PROTOCOLS, SMALL, executor="process", workers=4)
+    parallel = run_sweep(PROTOCOLS, SMALL, executor="distributed", workers=4)
     assert set(serial) == set(parallel)
     for name in serial:
         # RunSummary is a plain dataclass: == compares every metric field,
@@ -188,6 +214,7 @@ def test_parallel_sweep_equals_serial():
 
 
 def test_workers_kwarg_alone_selects_process_pool():
+    # The multi-process path is the job board: workers=2 alone reaches it.
     via_workers = run_sweep(PROTOCOLS, SMALL, workers=2)
     serial = run_sweep(PROTOCOLS, SMALL)
     for name in PROTOCOLS:
@@ -201,7 +228,7 @@ def test_sweep_failures_aggregate(monkeypatch):
     config = SMALL.scaled(num_transactions=60, warmup_commits=5,
                           replications=1, arrival_rates=[40.0])
     with pytest.raises(SweepExecutionError) as excinfo:
-        run_sweep(protocols, config, executor="process", workers=2)
+        run_sweep(protocols, config, workers=2)
     failures = excinfo.value.failures
     # The good protocol's cell ran to completion; only BAD's cell failed.
     assert [f.cell.protocol for f in failures] == ["BAD"]
@@ -209,14 +236,13 @@ def test_sweep_failures_aggregate(monkeypatch):
 
 
 def test_cell_completed_events_fire_in_parallel():
-    # Worker-side starts are not observable: the process executor
+    # Worker-side starts are not observable: the job-board executor
     # reports only completions.
     events = []
     run_sweep(
         {"SCC-2S": "scc-2s"},
         SMALL.scaled(num_transactions=40, warmup_commits=2, replications=1,
                      arrival_rates=[30.0, 60.0]),
-        executor="process",
         workers=2,
         on_event=events.append,
     )

@@ -111,7 +111,7 @@ def test_trace_requires_the_serial_executor(tmp_path):
     with pytest.raises(ConfigurationError, match="serial"):
         run_sweep(
             {"SCC-2S": "scc-2s"}, smoke_config(),
-            trace=tmp_path / "trace.jsonl", executor="process", workers=2,
+            trace=tmp_path / "trace.jsonl", workers=2,
         )
 
 

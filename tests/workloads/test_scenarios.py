@@ -110,12 +110,12 @@ class TestEndToEnd:
     """Every registered scenario sweeps through BOTH executors."""
 
     @pytest.mark.parametrize("name", BUILTIN)
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "distributed"])
     def test_scenario_runs_through_executor(self, name, executor):
         results = Experiment.scenario(name).protocols("scc-2s").run(
             arrival_rates=[110.0],
             executor=executor,
-            workers=2 if executor == "process" else None,
+            workers=2 if executor == "distributed" else None,
             num_transactions=100,
             warmup_commits=10,
             replications=1,
@@ -156,7 +156,7 @@ class TestEndToEnd:
             check_serializability=False,
         )
         serial = spec.run(executor="serial", **kwargs)
-        process = spec.run(executor="process", workers=2, **kwargs)
+        parallel = spec.run(workers=2, **kwargs)
         assert (
-            serial["SCC-2S"].replications == process["SCC-2S"].replications
+            serial["SCC-2S"].replications == parallel["SCC-2S"].replications
         )
