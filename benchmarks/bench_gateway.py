@@ -2,10 +2,10 @@
 
 The gateway's promise is that simulation-as-a-service costs service
 overhead, not simulation — a cached grid must come back at HTTP
-round-trip speed.  Both benchmarks run a real server (asyncio, real
-sockets) against a store pre-seeded with the whole grid, so the numbers
-isolate the gateway hot path: spec validation, fingerprint dedup, event
-fan-out, and chunked NDJSON streaming.
+round-trip speed.  Both benchmarks run a real server (a thread per
+connection, real sockets) against a store pre-seeded with the whole
+grid, so the numbers isolate the gateway hot path: spec validation,
+fingerprint dedup, event fan-out, and chunked NDJSON streaming.
 
 * ``submit_to_first_event`` — wall-clock from ``POST /experiments`` to
   the first event off the stream, the interactive feel of a notebook
@@ -16,7 +16,6 @@ fan-out, and chunked NDJSON streaming.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from contextlib import contextmanager
 
@@ -46,33 +45,13 @@ GRID_CELLS = 36
 @contextmanager
 def _running_server(app):
     server = GatewayServer(app, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run():
-        asyncio.set_event_loop(loop)
-
-        async def main():
-            await server.start()
-            started.set()
-            await server.run()
-
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
+    server.start()
+    thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
-    assert started.wait(10), "gateway server failed to start"
     try:
         yield server
     finally:
-        if not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(server.request_shutdown)
-            except RuntimeError:
-                pass
+        server.request_shutdown()
         thread.join(30)
 
 

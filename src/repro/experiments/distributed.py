@@ -33,10 +33,12 @@ The moving parts:
 
 Workers are forked, so the cell runner (a closure over the sweep's
 config and roster) is inherited, never pickled, and so is the protocol
-registry, including families registered at run time.  Where fork is
-unavailable the executor degrades to the serial path, preserving
-results exactly.  A host stops claiming once its parent is gone, so a
-killed sweep does not leave hosts draining the grid for nobody.
+registry, including families registered at run time.  The parent
+closes its board connection around each fork, so every host opens its
+own.  Where fork is unavailable the executor degrades to the serial
+path, preserving results exactly.  A host stops claiming once its
+parent is gone, so a killed sweep does not leave hosts draining the
+grid for nobody, and it removes the sweep's temp workdir on the way out.
 
 Failure semantics mirror the rest of the stack: a runner that raises a
 *deterministic* exception produces an error outcome exactly once (no
@@ -432,6 +434,7 @@ def _worker_main(
     poll_seconds: float,
     fault_hook: Optional[Callable[[SweepCell, int], None]],
     parent_pid: int,
+    temp_workdir: Optional[str],
 ) -> None:
     """One host: claim cells, compute, write the shard, mark the board.
 
@@ -439,7 +442,9 @@ def _worker_main(
     done/failed — the ordering the parent's corruption detection relies
     on.  Exits cleanly once the board has no unfinished cells, or before
     its next claim once ``parent_pid`` is no longer its parent (the
-    sweep was killed; nobody would read what it computes).
+    sweep was killed; nobody would read what it computes).  An orphaned
+    host then removes ``temp_workdir``, the temp dir the dead parent
+    would have removed (``None`` for a caller's kept workdir).
     """
     board = JobBoard(board_path)
     writer = _ShardWriter(shard_path)
@@ -448,7 +453,7 @@ def _worker_main(
             claimed = board.claim(worker_id, lease_seconds)
             if claimed is None:
                 if board.unfinished() == 0:
-                    return
+                    break
                 time.sleep(poll_seconds)
                 continue
             cell, attempt = claimed
@@ -476,6 +481,9 @@ def _worker_main(
     finally:
         writer.close()
         board.close()
+    if temp_workdir is not None and os.getppid() != parent_pid:
+        # A sibling host may get here too; removing twice is harmless.
+        shutil.rmtree(temp_workdir, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------
@@ -650,7 +658,8 @@ class DistributedSweepExecutor(SweepExecutor):
         workdir = kept or tempfile.mkdtemp(prefix="repro-distributed-")
         owns_workdir = kept is None
         os.makedirs(workdir, exist_ok=True)
-        board = JobBoard(os.path.join(workdir, "board.sqlite"))
+        board_path = os.path.join(workdir, "board.sqlite")
+        board = JobBoard(board_path)
         board.populate(cells)
         cells_by_index = {cell.index: cell for cell in cells}
         total = len(cells)
@@ -661,29 +670,38 @@ class DistributedSweepExecutor(SweepExecutor):
         next_host = 0
         t0 = time.perf_counter()
 
-        def spawn() -> None:
-            nonlocal next_host
-            worker_id = f"host-{next_host}"
-            next_host += 1
-            shard = os.path.join(workdir, f"outcomes-{worker_id}.jsonl")
-            readers[worker_id] = _ShardReader(shard, cells_by_index)
-            proc = context.Process(
-                target=_worker_main,
-                args=(
-                    board.path,
-                    shard,
-                    worker_id,
-                    runner,
-                    self.lease_seconds,
-                    self.poll_seconds,
-                    self.fault_hook,
-                    os.getpid(),
-                ),
-                daemon=True,
-            )
-            proc.start()
-            procs[worker_id] = proc
-            self._emit("worker_started", {"worker": worker_id, "pid": proc.pid})
+        def spawn(count: int) -> None:
+            # Fork with the parent's board connection closed: a host that
+            # inherited it would share SQLite's per-process lock state
+            # for the board with the parent.
+            nonlocal board, next_host
+            board.close()
+            for _ in range(count):
+                worker_id = f"host-{next_host}"
+                next_host += 1
+                shard = os.path.join(workdir, f"outcomes-{worker_id}.jsonl")
+                readers[worker_id] = _ShardReader(shard, cells_by_index)
+                proc = context.Process(
+                    target=_worker_main,
+                    args=(
+                        board_path,
+                        shard,
+                        worker_id,
+                        runner,
+                        self.lease_seconds,
+                        self.poll_seconds,
+                        self.fault_hook,
+                        os.getpid(),
+                        workdir if owns_workdir else None,
+                    ),
+                    daemon=True,
+                )
+                proc.start()
+                procs[worker_id] = proc
+                self._emit(
+                    "worker_started", {"worker": worker_id, "pid": proc.pid}
+                )
+            board = JobBoard(board_path)
 
         def drain_shards() -> None:
             for reader in readers.values():
@@ -713,8 +731,7 @@ class DistributedSweepExecutor(SweepExecutor):
                     )
                 )
 
-        for _ in range(workers):
-            spawn()
+        spawn(workers)
         try:
             while len(delivered) < total:
                 drain_shards()
@@ -739,7 +756,7 @@ class DistributedSweepExecutor(SweepExecutor):
                     )
                     if kind == "worker_lost" and restarts_left > 0:
                         restarts_left -= 1
-                        spawn()
+                        spawn(1)
                 if len(delivered) >= total:
                     break
                 if not procs:
@@ -748,7 +765,7 @@ class DistributedSweepExecutor(SweepExecutor):
                         break
                     if board.unfinished() > 0 and restarts_left > 0:
                         restarts_left -= 1
-                        spawn()
+                        spawn(1)
                     elif board.unfinished() > 0:
                         # Fleet gone, restart budget spent: declare the
                         # remaining cells lost rather than spin forever.

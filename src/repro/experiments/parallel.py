@@ -327,15 +327,18 @@ def available_executors() -> tuple[str, ...]:
     return tuple(sorted(_EXECUTORS))
 
 
-def make_executor(name: str, workers: Optional[int] = None) -> SweepExecutor:
-    """Construct an executor by registry name."""
+def _factory(name: str) -> Callable[..., SweepExecutor]:
     try:
-        factory = _EXECUTORS[name]
+        return _EXECUTORS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown executor {name!r}; choose from {available_executors()}"
         ) from None
-    return factory(workers=workers)
+
+
+def make_executor(name: str, workers: Optional[int] = None) -> SweepExecutor:
+    """Construct an executor by registry name."""
+    return _factory(name)(workers=workers)
 
 
 def resolve_executor(
@@ -349,10 +352,27 @@ def resolve_executor(
     board).  Strings go through :func:`make_executor`; instances pass
     through unchanged.
     """
+    return _executor_builder(executor, workers)()
+
+
+def _executor_builder(
+    executor: "SweepExecutor | str | None",
+    workers: Optional[int] = None,
+) -> Callable[[], SweepExecutor]:
+    """Check :func:`resolve_executor`'s arguments now; build on call.
+
+    Every argument error raises here, so ``run_sweep`` can put off
+    building the executor (and importing the distributed one) until a
+    cell misses its store.
+    """
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if isinstance(executor, SweepExecutor):
-        return executor
+        return lambda: executor
     if executor is None:
         executor = "distributed" if workers is not None and workers > 1 else "serial"
-    return make_executor(executor, workers=workers)
+    factory = _factory(executor)
+    if executor == "serial":
+        serial = factory(workers=workers)  # refuses workers > 1 now
+        return lambda: serial
+    return lambda: factory(workers=workers)

@@ -30,10 +30,11 @@ from repro.errors import (
 from repro.experiments.config import ExperimentConfig, check_arrival_rates
 from repro.experiments.parallel import (
     CellOutcome,
+    OutcomeCallback,
     SerialSweepExecutor,
     SweepCell,
     SweepExecutor,
-    resolve_executor,
+    _executor_builder,
 )
 from repro.metrics.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.metrics.stats import MetricsCollector, RunSummary
@@ -390,14 +391,16 @@ def run_sweep(
     if arrival_rates is not None:
         check_arrival_rates(arrival_rates)
     rates = tuple(arrival_rates if arrival_rates is not None else config.arrival_rates)
-    chosen = resolve_executor(executor, workers=workers)
+    # Built only once a cell misses the store: a cached rerun never
+    # loads the distributed executor.  Argument errors raise here.
+    build_executor = _executor_builder(executor, workers=workers)
     specs = normalize_protocols(protocols)
     names = list(specs)
     cells = build_cells(names, rates, config.replications)
 
     tracer: Optional[JsonlTracer] = None
     if trace is not None:
-        if not isinstance(chosen, SerialSweepExecutor):
+        if not isinstance(build_executor(), SerialSweepExecutor):
             raise ConfigurationError(
                 "run_sweep(trace=...) requires the serial executor: one "
                 "JSONL trace file cannot be shared across worker hosts"
@@ -408,10 +411,6 @@ def run_sweep(
     if on_event is not None:
         bus = EventBus()
         bus.subscribe(on_event)
-        if hasattr(chosen, "lifecycle_hook"):
-            # The distributed executor reports its worker fleet
-            # (spawn/stop/loss, lease-expiry retries) through this seam.
-            chosen.lifecycle_hook = bus.publish_lifecycle
     on_progress = bus.publish_progress if bus is not None else None
 
     def run_cell(cell: SweepCell) -> tuple[RunSummary, dict]:
@@ -436,13 +435,22 @@ def run_sweep(
             tracer=tracer,
         )
 
+    def execute(
+        todo: list[SweepCell], on_outcome: Optional[OutcomeCallback]
+    ) -> list[CellOutcome]:
+        chosen = build_executor()
+        if bus is not None and hasattr(chosen, "lifecycle_hook"):
+            # The distributed executor reports its worker fleet
+            # (spawn/stop/loss, lease-expiry retries) through this seam.
+            chosen.lifecycle_hook = bus.publish_lifecycle
+        return chosen.run(
+            todo, run_cell, on_progress=on_progress, on_outcome=on_outcome
+        )
+
     if store is None:
         try:
-            outcomes = chosen.run(
-                cells,
-                run_cell,
-                on_progress=on_progress,
-                on_outcome=bus.publish_outcome if bus is not None else None,
+            outcomes = execute(
+                cells, bus.publish_outcome if bus is not None else None
             )
         finally:
             if tracer is not None:
@@ -497,9 +505,7 @@ def run_sweep(
     fresh: dict[int, CellOutcome] = {}
     try:
         if missing:
-            for outcome in chosen.run(
-                missing, run_cell, on_progress=on_progress, on_outcome=persist
-            ):
+            for outcome in execute(missing, persist):
                 fresh[outcome.cell.index] = outcome
     finally:
         if tracer is not None:

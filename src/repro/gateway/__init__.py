@@ -17,7 +17,7 @@ The pieces:
 * :mod:`repro.gateway.breaker` — the worker :class:`CircuitBreaker`
   (park repeat offenders, degrade to partial results);
 * :mod:`repro.gateway.routes` / :mod:`repro.gateway.server` — the
-  transport (route table + asyncio HTTP server with SIGTERM drain);
+  transport (route table + threaded HTTP server with SIGTERM drain);
 * :mod:`repro.gateway.client` — a stdlib :class:`GatewayClient`.
 
 See ``docs/ARCHITECTURE.md`` ("Experiment gateway") for the request

@@ -41,8 +41,8 @@ the existing platform pieces into one long-running service:
   framed by gateway markers (``experiment_accepted`` /
   ``experiment_done`` / ``experiment_interrupted``).
 
-Threading model: HTTP handlers (the asyncio event-loop thread) call
-``submit``/``status``/``events_since``; worker threads complete cells.
+Threading model: HTTP handlers (one server thread per connection) call
+``submit``/``status``/``wait_events``; worker threads complete cells.
 The registry lock serializes both sides; per-experiment conditions let
 streams block without holding the registry.
 """
@@ -865,22 +865,16 @@ class GatewayApp:
             experiments = list(self._experiments.values())
         return [exp.describe() for exp in experiments]
 
-    def events_since(self, experiment_id: str, cursor: int) -> Tuple[List[dict], bool]:
+    def wait_events(
+        self, experiment_id: str, cursor: int, timeout: Optional[float]
+    ) -> Tuple[List[dict], bool]:
         """Events past ``cursor`` plus whether the stream is complete.
 
-        ``done=True`` means no further events will ever arrive: the
-        experiment is terminal, or the gateway has closed.
+        With nothing past ``cursor`` on a running experiment, waits up
+        to ``timeout`` seconds (``None``: no limit; ``0``: not at all)
+        for news.  ``done=True`` means no further events will ever
+        arrive: the experiment is terminal, or the gateway has closed.
         """
-        exp = self._get(experiment_id)
-        with exp.cond:
-            events = list(exp.events[cursor:])
-            done = exp.status != "running" or self._closed
-        return events, done
-
-    def wait_events(
-        self, experiment_id: str, cursor: int, timeout: float = 0.5
-    ) -> Tuple[List[dict], bool]:
-        """Like :meth:`events_since` but blocks up to ``timeout`` for news."""
         exp = self._get(experiment_id)
         with exp.cond:
             if cursor >= len(exp.events) and exp.status == "running":

@@ -1,28 +1,38 @@
-"""The asyncio HTTP server wrapping :class:`~repro.gateway.app.GatewayApp`.
+"""The threaded HTTP server wrapping :class:`~repro.gateway.app.GatewayApp`.
 
-Stdlib only: a hand-rolled HTTP/1.1 loop over ``asyncio.start_server``.
+Stdlib only: a hand-rolled HTTP/1.1 server on a plain listening socket.
 The gateway's API is small and JSON-shaped, so the server supports
 exactly what it needs — ``GET``/``POST``, ``Content-Length`` bodies,
 ``Connection: close`` responses, and ``Transfer-Encoding: chunked`` for
 the event stream (one JSON line per chunk, so ``curl -N`` and the stdlib
 client both see events the moment they happen).
 
-Blocking application calls (SQLite board writes, store lookups) run in
-the default executor via :func:`asyncio.to_thread`, keeping the event
-loop responsive while worker threads grind through cells.
+An accept thread gives every connection its own daemon thread, which
+parses the request, calls :func:`~repro.gateway.routes.dispatch`
+directly and writes the response; blocking application calls (SQLite
+board writes, store lookups) hold up only their own connection.  An
+event stream blocks on its experiment's condition
+(:meth:`~repro.gateway.app.GatewayApp.wait_events`) and writes each
+event as it lands.  A client gets :data:`READ_TIMEOUT_SECONDS` per read
+while sending its request, so a stalled one cannot hold its thread
+forever.
 
 Shutdown is the gateway's graceful drain: ``SIGTERM``/``SIGINT`` (or
-:meth:`GatewayServer.request_shutdown`) stops accepting connections,
-drains the app — leased cells finish, the board file persists, late
-submissions get 503 — and :meth:`GatewayServer.run` returns.
+:meth:`GatewayServer.request_shutdown`) drains the app with the listener
+still up — leased cells finish, the board file persists, late
+submissions get 503 — then gives open handlers five seconds in total to
+finish, closes the listener, and :meth:`GatewayServer.run` returns.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import queue
 import signal
-from typing import Optional
+import socket
+import threading
+import time
+from typing import BinaryIO, Optional
 
 from repro.gateway.app import GatewayApp, UnknownExperiment
 from repro.gateway.routes import EventStream, Request, Response, dispatch
@@ -37,8 +47,10 @@ _log = get_logger("gateway")
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 1024 * 1024
 
-#: How often the event stream polls the app for news (seconds).
-STREAM_POLL_SECONDS = 0.02
+#: How long one read may wait while a client sends its request
+#: (seconds); a client that stalls longer loses its connection.  Event
+#: streams and responses, which only write, are exempt.
+READ_TIMEOUT_SECONDS = 10.0
 
 
 class GatewayServer:
@@ -57,149 +69,120 @@ class GatewayServer:
         self.app = app
         self.host = host
         self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown: Optional[asyncio.Event] = None
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        self._closing = threading.Event()
+        # A SimpleQueue, not an Event: its put() is reentrant, so the
+        # signal handler may call it while the main thread waits in get().
+        self._shutdown: "queue.SimpleQueue[None]" = queue.SimpleQueue()
         self._handlers: set = set()
+        self._handlers_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind and start accepting connections."""
-        self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family
         )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        self.port = self._listener.getsockname()[1]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="gateway-accept", daemon=True
+        )
+        self._acceptor.start()
         _log.info("gateway listening on http://%s:%d", self.host, self.port)
 
-    def install_signal_handlers(self) -> None:
-        """Drain on SIGTERM/SIGINT where the platform allows it."""
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                # Non-main thread or platform without loop signals (the
-                # in-process test servers): rely on request_shutdown().
-                return
-
     def request_shutdown(self) -> None:
-        """Begin the graceful drain (threadsafe; idempotent)."""
-        if self._shutdown is None or self._shutdown.is_set():
-            return
-        _log.info("gateway shutdown requested; draining")
-        self._shutdown.set()
+        """Begin the graceful drain (safe from any thread; idempotent)."""
+        self._shutdown.put(None)
 
-    async def run(self) -> None:
-        """Serve until a shutdown is requested, then drain and return."""
-        if self._server is None:
-            await self.start()
-        self.install_signal_handlers()
-        assert self._shutdown is not None
-        await self._shutdown.wait()
-        # Drain with the listener still up: late submissions get an
-        # honest 503 (not a connection refusal) while leased cells
-        # finish and open event streams run to their terminal marker.
-        await asyncio.to_thread(self.app.drain)
-        pending = [task for task in self._handlers if not task.done()]
-        if pending:
-            # Open streams end within one poll once the drain marks
-            # their experiments interrupted; give them that moment.
-            await asyncio.wait(pending, timeout=5.0)
-        self._server.close()
-        await self._server.wait_closed()
-        _log.info("gateway stopped")
+    def run(self) -> None:
+        """Serve until a shutdown is requested, then drain and return.
+
+        On the main thread, SIGTERM and SIGINT request the shutdown; the
+        previous handlers come back when this returns.
+        """
+        if self._listener is None:
+            self.start()
+        previous = {}
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                previous[signum] = signal.signal(
+                    signum, lambda *_: self.request_shutdown()
+                )
+        try:
+            self._shutdown.get()
+            _log.info("gateway shutdown requested; draining")
+            # Drain with the listener still up: late submissions get an
+            # honest 503 (not a connection refusal) while leased cells
+            # finish and open event streams run to their terminal marker.
+            self.app.drain()
+            with self._handlers_lock:
+                pending = list(self._handlers)
+            deadline = time.monotonic() + 5.0
+            for handler in pending:
+                handler.join(max(0.0, deadline - time.monotonic()))
+            # shutdown() wakes the acceptor out of accept(); close only
+            # once it has left, so its descriptor cannot be reused under it.
+            self._closing.set()
+            self._listener.shutdown(socket.SHUT_RDWR)
+            self._acceptor.join()
+            self._listener.close()
+            _log.info("gateway stopped")
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _addr = self._listener.accept()
+            except OSError as exc:
+                if self._closing.is_set():
+                    return  # run() shut the listener down
+                # Out of descriptors, say: back off, then accept again.
+                _log.error("gateway accept failed: %s", exc)
+                self._closing.wait(1.0)
+                continue
+            handler = threading.Thread(
+                target=self._handle_connection, args=(conn,), daemon=True
+            )
+            # Started under the lock, so run() never joins an unstarted
+            # thread and the handler's own discard comes after this add.
+            with self._handlers_lock:
+                self._handlers.add(handler)
+                handler.start()
+
+    def _handle_connection(self, conn: socket.socket) -> None:
         try:
-            request = await self._read_request(reader)
+            conn.settimeout(READ_TIMEOUT_SECONDS)
+            with conn.makefile("rb") as rfile:
+                request = _read_request(rfile)
             if request is None:
                 return
-            result = await asyncio.to_thread(dispatch, self.app, request)
+            conn.settimeout(None)
+            result = dispatch(self.app, request)
             if isinstance(result, EventStream):
-                await self._write_event_stream(writer, result.experiment_id)
+                self._write_event_stream(conn, result.experiment_id)
             else:
-                await self._write_response(writer, result)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange
-        except Exception as exc:  # noqa: BLE001 - keep the acceptor alive
+                conn.sendall(_encode_response(result))
+        except OSError:
+            pass  # the client stalled or went away mid-exchange
+        except Exception as exc:  # noqa: BLE001 - keep serving the rest
             _log.error("connection handler failed: %s", exc)
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - already torn down
-                pass
+            conn.close()
+            with self._handlers_lock:
+                self._handlers.discard(threading.current_thread())
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Request]:
-        try:
-            header_block = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            return None
-        except asyncio.IncompleteReadError:
-            return None
-        if len(header_block) > MAX_HEADER_BYTES:
-            return None
-        lines = header_block.decode("latin-1").split("\r\n")
-        request_line = lines[0].split()
-        if len(request_line) != 3:
-            return None
-        method, path, _version = request_line
-        headers = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip(" \t")
-        # 1*DIGIT only: int() also takes "1_0" and padding, raises on the
-        # rest, and refuses strings of over 4300 digits.
-        declared = headers.get("content-length", "0")
-        if not (declared.isascii() and declared.isdigit()) or len(declared) > 16:
-            return None
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            return None
-        try:
-            body = await reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError:
-            return None  # the client closed before sending the whole body
-        return Request(
-            method=method.upper(), path=path, headers=headers, body=body
-        )
-
-    async def _write_response(
-        self, writer: asyncio.StreamWriter, response: Response
-    ) -> None:
-        body = response.encode_body()
-        head = [
-            f"HTTP/1.1 {response.status} {response.reason}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
-        for name, value in response.headers.items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-
-    async def _write_event_stream(
-        self, writer: asyncio.StreamWriter, experiment_id: str
-    ) -> None:
+    def _write_event_stream(self, conn: socket.socket, experiment_id: str) -> None:
         """Stream the experiment's events as chunked JSON lines.
 
         Each event is one chunk holding one ``json\\n`` line — the
@@ -207,37 +190,82 @@ class GatewayServer:
         gateway's ``experiment_*`` markers.  The stream ends (zero
         chunk) when the experiment reaches a terminal state.
         """
-        writer.write(
+        conn.sendall(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Transfer-Encoding: chunked\r\n"
             b"Connection: close\r\n\r\n"
         )
-        await writer.drain()
         cursor = 0
-        while True:
+        done = False
+        while not done:
             try:
-                events, done = await asyncio.to_thread(
-                    self.app.events_since, experiment_id, cursor
-                )
+                events, done = self.app.wait_events(experiment_id, cursor, None)
             except UnknownExperiment:
                 break
             cursor += len(events)
+            chunks = []
             for event in events:
                 line = (json.dumps(event, sort_keys=True) + "\n").encode()
-                writer.write(f"{len(line):X}\r\n".encode() + line + b"\r\n")
-            if events:
-                await writer.drain()
-            if done:
-                break
-            await asyncio.sleep(STREAM_POLL_SECONDS)
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+                chunks.append(f"{len(line):X}\r\n".encode() + line + b"\r\n")
+            if chunks:
+                conn.sendall(b"".join(chunks))
+        conn.sendall(b"0\r\n\r\n")
+
+
+def _read_request(rfile: BinaryIO) -> Optional[Request]:
+    """Parse one request from a binary file; ``None`` when it is malformed.
+
+    ``None`` also covers a client that closes early: before the end of
+    the header block, or before the whole declared body arrived.
+    """
+    header_block = b""
+    while not header_block.endswith(b"\r\n\r\n"):
+        line = rfile.readline(MAX_HEADER_BYTES + 1 - len(header_block))
+        if not line:
+            return None
+        header_block += line
+        if len(header_block) > MAX_HEADER_BYTES:
+            return None
+    lines = header_block.decode("latin-1").split("\r\n")
+    request_line = lines[0].split()
+    if len(request_line) != 3:
+        return None
+    method, path, _version = request_line
+    headers = {}
+    for line in lines[1:]:
+        if ":" in line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip(" \t")
+    # 1*DIGIT only: int() also takes "1_0" and padding, raises on the
+    # rest, and refuses strings of over 4300 digits.
+    declared = headers.get("content-length", "0")
+    if not (declared.isascii() and declared.isdigit()) or len(declared) > 16:
+        return None
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        return None
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        return None  # the client closed before sending the whole body
+    return Request(method=method.upper(), path=path, headers=headers, body=body)
+
+
+def _encode_response(response: Response) -> bytes:
+    body = response.encode_body()
+    head = [
+        f"HTTP/1.1 {response.status} {response.reason}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: close",
+    ]
+    for name, value in response.headers.items():
+        head.append(f"{name}: {value}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
 def serve(
     app: GatewayApp, host: str = "127.0.0.1", port: int = 8642
 ) -> None:
     """Run a gateway server on the current thread until drained."""
-    server = GatewayServer(app, host=host, port=port)
-    asyncio.run(server.run())
+    GatewayServer(app, host=host, port=port).run()

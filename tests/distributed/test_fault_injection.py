@@ -12,9 +12,11 @@ With a caller-supplied (kept) ``workdir`` a hook can also damage the
 host's own shard file and board row before it dies.
 """
 
+import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 
 import pytest
@@ -278,13 +280,10 @@ def _slow_sweep(workdir, log_path):
     os._exit(0)
 
 
-def test_hosts_stop_claiming_once_the_parent_is_killed(tmp_path):
-    # 200 cells of 50 ms on two hosts take ~5 s. Killing the sweep's
-    # parent must stop the hosts within a cell, not leave them draining
-    # the grid (and the board) for nobody.
-    log_path = str(tmp_path / "claims.log")
+def _kill_after_two_claims(workdir, log_path):
+    """Run :func:`_slow_sweep` in a forked child; SIGKILL it once hosts claim."""
     parent = multiprocessing.get_context("fork").Process(
-        target=_slow_sweep, args=(str(tmp_path / "work"), log_path)
+        target=_slow_sweep, args=(workdir, log_path)
     )
     parent.start()
     try:
@@ -296,8 +295,70 @@ def test_hosts_stop_claiming_once_the_parent_is_killed(tmp_path):
     finally:
         os.kill(parent.pid, signal.SIGKILL)
         parent.join()
+
+
+def test_hosts_stop_claiming_once_the_parent_is_killed(tmp_path):
+    # 200 cells of 50 ms on two hosts take ~5 s. Killing the sweep's
+    # parent must stop the hosts within a cell, not leave them draining
+    # the grid (and the board) for nobody.
+    log_path = str(tmp_path / "claims.log")
+    _kill_after_two_claims(str(tmp_path / "work"), log_path)
     time.sleep(1.0)  # hosts finish the cell in hand and notice
     settled = _claims_logged(log_path)
     time.sleep(1.0)
     assert _claims_logged(log_path) == settled
     assert settled < 200
+    # A caller's workdir is kept for post-mortems, parent killed or not.
+    assert (tmp_path / "work" / "board.sqlite").is_file()
+
+
+def test_killed_sweep_leaves_no_temp_workdir(tmp_path, monkeypatch):
+    # With no workdir given the executor makes a temp dir, which only
+    # the parent's cleanup used to remove: the orphaned hosts remove it.
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))  # forked along
+    _kill_after_two_claims(None, str(tmp_path / "claims.log"))
+    deadline = time.monotonic() + 5.0
+    while list(temp_root.glob("repro-distributed-*")):
+        if time.monotonic() > deadline:
+            pytest.fail("the killed sweep's temp workdir is still there")
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc to list descriptors"
+)
+def test_each_host_holds_one_descriptor_per_board_file(tmp_path):
+    # A host forked while the parent's board connection is open inherits
+    # the parent's descriptors on the board and its WAL besides its own.
+    log_path = tmp_path / "descriptors.jsonl"
+
+    def count_board_descriptors(cell, attempt):
+        counts = {}
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                name = os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:
+                continue  # the descriptor listdir itself used
+            if name.startswith("board.sqlite"):
+                counts[name] = counts.get(name, 0) + 1
+        with open(log_path, "a") as fh:
+            fh.write(json.dumps({"pid": os.getpid(), "counts": counts}) + "\n")
+
+    def slow(cell):
+        time.sleep(0.02)
+        return cell.arrival_rate
+
+    executor = DistributedSweepExecutor(
+        workers=2, lease_seconds=5.0, poll_seconds=0.01,
+        workdir=tmp_path / "work", fault_hook=count_board_descriptors,
+    )
+    executor.run(build_cells(["P"], [float(rate) for rate in range(1, 9)], 1), slow)
+    first_claims = {}
+    for line in log_path.read_text().splitlines():
+        entry = json.loads(line)
+        first_claims.setdefault(entry["pid"], entry["counts"])
+    assert first_claims
+    one_each = {"board.sqlite": 1, "board.sqlite-wal": 1, "board.sqlite-shm": 1}
+    assert all(counts == one_each for counts in first_claims.values()), first_claims

@@ -124,6 +124,29 @@ def test_resolve_executor_defaults():
     assert resolve_executor(executor) is executor
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"executor": "threads"},
+        {"workers": 0},
+        {"executor": "serial", "workers": 2},
+        {"workers": 2, "trace": "trace.jsonl"},
+    ],
+    ids=["unknown-name", "zero-workers", "serial-with-workers", "trace-with-workers"],
+)
+def test_cached_rerun_still_refuses_bad_executor_arguments(tmp_path, kwargs):
+    # run_sweep builds its executor only when a cell misses the store;
+    # a bad executor argument is refused even when none does.
+    config = baseline_config(num_transactions=40, warmup_commits=0, replications=1)
+    store = tmp_path / "runs.jsonl"
+    run_sweep(["scc-2s"], config, arrival_rates=[40.0], store=store)
+    if "trace" in kwargs:
+        kwargs = {**kwargs, "trace": tmp_path / kwargs["trace"]}
+    with pytest.raises(ConfigurationError):
+        run_sweep(["scc-2s"], config, arrival_rates=[40.0], store=store, **kwargs)
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
 # ----------------------------------------------------------------------
 # cell execution semantics
 # ----------------------------------------------------------------------

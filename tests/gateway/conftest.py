@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from contextlib import contextmanager
 
@@ -51,34 +50,16 @@ def make_app(tmp_path):
 def running_server(app: GatewayApp):
     """Serve ``app`` on a background thread; yields the bound server.
 
-    Shuts the server down (draining the app) on exit.
+    Shuts the server down (draining the app) on exit, and fails the test
+    if its thread is still running afterwards.
     """
     server = GatewayServer(app, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            await server.start()
-            started.set()
-            await server.run()
-
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
+    server.start()
+    thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
-    assert started.wait(10), "gateway server failed to start"
     try:
         yield server
     finally:
-        if not loop.is_closed():  # a test may have shut the server down
-            try:
-                loop.call_soon_threadsafe(server.request_shutdown)
-            except RuntimeError:
-                pass
+        server.request_shutdown()  # idempotent: a test may have shut it down
         thread.join(30)
+        assert not thread.is_alive(), "gateway server did not stop"

@@ -42,7 +42,7 @@ class TestSubmit:
         app = make_app()
         status = app.submit(tiny_spec_dict(), client="alice")
         wait_done(app, status["id"])
-        events, done = app.events_since(status["id"], 0)
+        events, done = app.wait_events(status["id"], 0, 0)
         assert done
         kinds = [event["kind"] for event in events]
         assert kinds[0] == "experiment_accepted"
@@ -58,8 +58,8 @@ class TestSubmit:
         app = make_app()
         status = app.submit(tiny_spec_dict(), client="alice")
         wait_done(app, status["id"])
-        head, _ = app.events_since(status["id"], 0)
-        tail, done = app.events_since(status["id"], len(head) - 1)
+        head, _ = app.wait_events(status["id"], 0, 0)
+        tail, done = app.wait_events(status["id"], len(head) - 1, 0)
         assert done
         assert tail == head[-1:]
 
@@ -158,7 +158,7 @@ class TestSubmit:
         with pytest.raises(UnknownExperiment):
             app.status("missing")
         with pytest.raises(UnknownExperiment):
-            app.events_since("missing", 0)
+            app.wait_events("missing", 0, 0)
 
 
 class TestDedup:
@@ -172,7 +172,7 @@ class TestDedup:
         assert second["status"] == "done"
         assert second["cached_cells"] == 2
         assert second["enqueued_cells"] == 0
-        events, _ = app.events_since(second["id"], 0)
+        events, _ = app.wait_events(second["id"], 0, 0)
         outcomes = [e for e in events if e["kind"] == "cell_outcome"]
         assert len(outcomes) == 2 and all(e["cached"] for e in outcomes)
         assert len(app.results(second["id"])) == stored
@@ -191,7 +191,7 @@ class TestDedup:
         # One record per cell, not one per client.
         with app._store_lock:
             assert len(app._store) == 2
-        events, _ = app.events_since(second["id"], 0)
+        events, _ = app.wait_events(second["id"], 0, 0)
         outcomes = [e for e in events if e["kind"] == "cell_outcome"]
         assert len(outcomes) == 2 and all(e["cached"] for e in outcomes)
 
@@ -290,7 +290,7 @@ class TestBreaker:
         assert final["completed"] == final["total_cells"] == 6
         assert len(final["failed"]) == 6
         assert len(app.results(status["id"])) == 0
-        events, _ = app.events_since(status["id"], 0)
+        events, _ = app.wait_events(status["id"], 0, 0)
         kinds = [event["kind"] for event in events]
         assert "worker_lost" in kinds
         degraded = [
@@ -369,7 +369,7 @@ class TestDrain:
         assert final["status"] == "interrupted"
         assert 1 <= final["completed"] < final["total_cells"]
         assert len(app.results(status["id"])) == final["completed"]
-        events, done = app.events_since(status["id"], 0)
+        events, done = app.wait_events(status["id"], 0, 0)
         assert done
         assert events[-1]["kind"] == "experiment_interrupted"
 
@@ -432,7 +432,7 @@ class TestRecovery:
             assert recovered["total_cells"] == orphans
             assert recovered["enqueued_cells"] == orphans
             assert wait_done(second, status["id"]) == "done"
-            events, done = second.events_since(status["id"], 0)
+            events, done = second.wait_events(status["id"], 0, 0)
             assert done
             assert events[0]["kind"] == "experiment_recovered"
             assert events[-1]["kind"] == "experiment_done"

@@ -13,12 +13,15 @@ any body is read.
 import json
 import logging
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.experiments.spec import ExperimentSpec
 from repro.gateway import ClientQuotas, GatewayClient, GatewayError
+from repro.gateway import server as server_module
 from repro.gateway.server import MAX_BODY_BYTES
 from repro.results import diff_records, open_store
 
@@ -242,3 +245,58 @@ class TestRequestLimits:
         with running_server(make_app()) as server:
             reply = raw_exchange(server.port, submit_head(str(len(body))) + body)
         assert reply.startswith(b"HTTP/1.1 202 ")
+
+
+class TestStalledClient:
+    def test_stalled_client_delays_no_one_and_is_cut_off(
+        self, make_app, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 1.0)
+        with running_server(make_app()) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as stalled:
+                stalled.sendall(b"GET /heal")  # half a request line
+                opened = time.monotonic()
+                client = GatewayClient(port=server.port)
+                assert client.health()["status"] == "ok"
+                # Served while the stalled connection was still open.
+                stalled.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    stalled.recv(1)
+                stalled.settimeout(10)
+                # The server closes it, with no reply, once a read has
+                # waited out the timeout.
+                assert stalled.recv(1) == b""
+                assert time.monotonic() - opened >= 0.9
+
+
+class TestConcurrentConnections:
+    def test_many_clients_are_served_and_leave_no_handler_behind(self, make_app):
+        # More client threads than cores, with frequent thread switches:
+        # every request is answered, and every handler thread takes itself
+        # off the server's set once its connection closes.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_server(make_app()) as server:
+                statuses = []
+
+                def probe() -> None:
+                    client = GatewayClient(port=server.port)
+                    for _ in range(25):
+                        statuses.append(client.health()["status"])
+
+                threads = [threading.Thread(target=probe) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert statuses == ["ok"] * 200
+                deadline = time.monotonic() + 5.0
+                while server._handlers and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not server._handlers
+        finally:
+            sys.setswitchinterval(previous)

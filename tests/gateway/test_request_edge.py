@@ -1,6 +1,6 @@
 """Fuzz the gateway's request edge: any byte stream, parsed then routed.
 
-``GatewayServer._read_request`` parses whatever a client sends, and
+``repro.gateway.server._read_request`` parses whatever a client sends, and
 :func:`~repro.gateway.routes.dispatch` routes what it parses.  For every
 input the parser must return a :class:`~repro.gateway.routes.Request` or
 a clean ``None`` (the server then closes the connection), and no parsed
@@ -8,14 +8,19 @@ request may be answered with a 500: malformed input is the client's
 error, a 4xx.
 """
 
-import asyncio
+import io
+import json
+import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gateway import GatewayApp, GatewayServer
+from repro.gateway import GatewayApp
 from repro.gateway.routes import EventStream, Request, dispatch
+from repro.gateway.server import _read_request
+
+from tests.gateway.conftest import running_server, tiny_spec_dict
 
 METHODS = [b"GET", b"POST", b"PUT", b"get", b"DELETE"]
 PATHS = [
@@ -69,13 +74,6 @@ def http_requests(draw):
     return head + b"\r\n\r\n" + body
 
 
-async def parse(server: GatewayServer, data: bytes):
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return await server._read_request(reader)
-
-
 @pytest.fixture(scope="module")
 def app(tmp_path_factory):
     def refuse(cell):
@@ -95,10 +93,28 @@ def app(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(st.binary(max_size=300), http_requests()))
 def test_any_byte_stream_parses_cleanly_and_never_500s(app, data):
-    request = asyncio.run(parse(GatewayServer(app), data))
+    request = _read_request(io.BytesIO(data))
     if request is None:
         return
     assert isinstance(request, Request)
     result = dispatch(app, request)
     if not isinstance(result, EventStream):
         assert result.status != 500, result.body
+
+
+def test_request_sent_one_byte_per_write_is_served(make_app):
+    body = json.dumps(tiny_spec_dict()).encode()
+    request = (
+        "POST /experiments HTTP/1.1\r\nHost: localhost\r\n"
+        f"X-Client: alice\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1") + body
+    with running_server(make_app()) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in request:
+                sock.sendall(bytes([byte]))
+            reply = sock.makefile("rb").read()
+    assert reply.startswith(b"HTTP/1.1 202 ")
+    accepted = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+    assert accepted["client"] == "alice"
+    assert accepted["total_cells"] == 2

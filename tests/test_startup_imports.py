@@ -5,7 +5,8 @@ serve`` is ready, so the run path must not import it; nor networkx.
 Beyond those, a serial sweep into a JSONL store must not load the
 gateway, the distributed executor, the profiler, the timeline renderer
 or the SQLite backend, and the gateway must not load the profiling
-code; a ``--workers`` rerun served wholly from its store must not load
+code or an event loop (``asyncio``); a ``--workers`` rerun served wholly
+from its store must load neither the job-board executor nor
 ``multiprocessing``.  Package roots resolve their
 names on first access (``repro._lazy``), so each of these stays out
 unless a command reaches for it.  The checks need a fresh interpreter:
@@ -68,7 +69,8 @@ import repro.gateway.server
 print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))
 """
 
-#: Loaded neither by a serial run into a JSONL store nor by the gateway.
+#: Loaded neither by a serial run into a JSONL store nor by the gateway,
+#: which serves on threads, not an event loop.
 SKIPPED_BY_BOTH = [
     "scipy",
     "networkx",
@@ -78,19 +80,19 @@ SKIPPED_BY_BOTH = [
     "http.client",
     "cProfile",
     "pstats",
+    "asyncio",
+    "ssl",
+    "concurrent.futures",
 ]
 
-#: Loaded by ``serve``, the other executors or the SQLite backend, never
-#: by a serial run into a JSONL store.
+#: Loaded by ``serve``, the distributed executor or the SQLite backend,
+#: never by a serial run into a JSONL store.
 SKIPPED_BY_RUN = [
     "repro.gateway",
     "repro.experiments.distributed",
     "repro.results.sqlite_store",
-    "asyncio",
-    "ssl",
     "sqlite3",
     "multiprocessing",
-    "concurrent.futures",
 ]
 
 
@@ -119,18 +121,20 @@ def test_run_path_skips_scipy_and_networkx():
 
 
 def test_cached_parallel_rerun_skips_multiprocessing(tmp_path):
-    # Every cell is in the store, so no host is forked: the process
-    # machinery must stay unloaded even though --workers 2 selects the
-    # job-board executor.
+    # Every cell is in the store, so no host is forked: the job-board
+    # executor is never built, and neither it nor the process machinery
+    # is loaded even though --workers 2 selects it.
     from repro.experiments.config import baseline_config
     from repro.experiments.runner import run_sweep
 
     store = tmp_path / "runs.jsonl"
     config = baseline_config(num_transactions=40, warmup_commits=0, replications=1)
     run_sweep(["scc-2s"], config, arrival_rates=[40.0], store=store)
-    modules = ["multiprocessing", "concurrent.futures"]
+    modules = [
+        "repro.experiments.distributed", "multiprocessing", "concurrent.futures",
+    ]
     assert _loaded(CACHED_PARALLEL_CHILD, modules, (str(store),)) == []
 
 
-def test_serve_path_skips_profiling_and_client():
+def test_serve_path_loads_no_event_loop_profiling_or_client():
     assert _loaded(SERVE_CHILD, SKIPPED_BY_BOTH) == []
