@@ -103,11 +103,11 @@ CREATE TABLE IF NOT EXISTS cells (
 class JobBoard:
     """The shared cell queue: claim/lease/complete over one SQLite file.
 
-    Every participant — parent and each worker host, including worker
-    heartbeat threads — opens its *own* ``JobBoard`` on the same path;
-    WAL mode plus ``BEGIN IMMEDIATE`` claim transactions make the
-    hand-off race-free (a cell is leased to exactly one worker at a
-    time).
+    Every participant — the parent and each worker host — opens its
+    *own* ``JobBoard`` on the same path (a host's heartbeat thread
+    shares the host's connection); WAL mode plus ``BEGIN IMMEDIATE``
+    claim transactions make the hand-off race-free (a cell is leased to
+    exactly one worker at a time).
 
     Args:
         path: The SQLite file backing the board.
@@ -116,8 +116,8 @@ class JobBoard:
         cross_thread: Allow this connection to be used from threads other
             than the opener (the experiment gateway's parent connection
             serves submissions and drains from different threads, with
-            its own lock serializing access).  Per-worker connections
-            keep the default single-thread check.
+            its own lock serializing access; a sweep host lends its
+            connection to its heartbeat thread while a cell runs).
 
     Raises:
         ReproError: When ``path`` cannot be opened as a job board (not
@@ -410,19 +410,15 @@ class _ShardWriter:
 
 
 def _heartbeat_loop(
-    board_path: str,
+    board: JobBoard,
     worker_id: str,
     index: int,
     lease_seconds: float,
     stop: threading.Event,
 ) -> None:
     # Three beats per lease: one late beat never lets a live claim lapse.
-    board = JobBoard(board_path)
-    try:
-        while not stop.wait(lease_seconds / 3.0):
-            board.heartbeat(worker_id, index, lease_seconds)
-    finally:
-        board.close()
+    while not stop.wait(lease_seconds / 3.0):
+        board.heartbeat(worker_id, index, lease_seconds)
 
 
 def _worker_main(
@@ -445,8 +441,11 @@ def _worker_main(
     sweep was killed; nobody would read what it computes).  An orphaned
     host then removes ``temp_workdir``, the temp dir the dead parent
     would have removed (``None`` for a caller's kept workdir).
+
+    The host opens one board connection.  Its heartbeat thread uses it
+    while a cell runs, the only time the host thread leaves it alone.
     """
-    board = JobBoard(board_path)
+    board = JobBoard(board_path, cross_thread=True)
     writer = _ShardWriter(shard_path)
     try:
         while os.getppid() == parent_pid:
@@ -464,7 +463,7 @@ def _worker_main(
             stop = threading.Event()
             beat = threading.Thread(
                 target=_heartbeat_loop,
-                args=(board_path, worker_id, cell.index, lease_seconds, stop),
+                args=(board, worker_id, cell.index, lease_seconds, stop),
                 daemon=True,
             )
             beat.start()

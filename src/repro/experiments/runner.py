@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.analysis.serializability import check_serializable
-from repro.engine.array import WorkloadTensors
-from repro.engine.rng import RandomStreams
 from repro.errors import (
     ConfigurationError,
     InvariantViolation,
@@ -37,15 +35,13 @@ from repro.experiments.parallel import (
     _executor_builder,
 )
 from repro.metrics.confidence import ConfidenceInterval, mean_confidence_interval
-from repro.metrics.stats import MetricsCollector, RunSummary
+from repro.metrics.stats import RunSummary
 from repro.protocols.registry import ProtocolSpec, protocol_spec
 from repro.results.backends import open_store
 from repro.results.fingerprint import cell_fingerprint, config_payload
 from repro.results.record import RunRecord
 from repro.results.store import BaseRunStore
 from repro.protocols.base import CCProtocol
-from repro.system.model import RTDBSystem
-from repro.system.resources import FiniteResources, InfiniteResources
 from repro.telemetry.bus import EventBus
 from repro.telemetry.counters import run_telemetry
 from repro.telemetry.tracer import JsonlTracer, Tracer
@@ -142,6 +138,15 @@ def run_instrumented(
             (when ``config.check_serializability`` is set) — a protocol
             bug, never a workload property.
     """
+    # The simulation layer (numpy, the engine, the system model) loads
+    # with a process's first cell, so a process that only coordinates
+    # cells or serves them from a store never imports it.
+    from repro.engine.array import WorkloadTensors
+    from repro.engine.rng import RandomStreams
+    from repro.metrics.stats import MetricsCollector
+    from repro.system.model import RTDBSystem
+    from repro.system.resources import FiniteResources, InfiniteResources
+
     if config.num_servers is None:
         resources = InfiniteResources(config.cpu_time, config.io_time)
     else:

@@ -54,8 +54,9 @@ import tempfile
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.distributed import JobBoard
@@ -104,6 +105,11 @@ GATEWAY_MARKERS = (
     "experiment_interrupted",
     "experiment_recovered",
 )
+
+#: Terminal experiments the registry keeps.  Past this, the one that
+#: finished earliest is forgotten and its id answers like an unknown
+#: one (404); running experiments are never evicted.
+MAX_FINISHED_EXPERIMENTS = 1024
 
 
 class GatewayDraining(ReproError):
@@ -382,6 +388,8 @@ class GatewayApp:
         self._fault_hook = fault_hook
         self._lock = threading.RLock()
         self._experiments: Dict[str, ExperimentState] = {}
+        #: terminal experiment ids, earliest finished first
+        self._finished: Deque[str] = deque()
         #: board idx -> (experiment, cell, fingerprint) for queued/running cells
         self._cells: Dict[int, Tuple[ExperimentState, SweepCell, str]] = {}
         #: fingerprint -> waiting (experiment, cell) pairs for in-flight dedup
@@ -544,7 +552,7 @@ class GatewayApp:
                 with exp.cond:
                     if exp.status == "running":
                         exp._finalize()
-                self.quotas.experiment_finished(client)
+                self._experiment_finished(exp)
         _log.info(
             "experiment %s accepted from %s: %d cell(s) "
             "(%d cached, %d shared, %d enqueued)",
@@ -758,7 +766,7 @@ class GatewayApp:
             exp, cell, fingerprint = entry
             waiters = self._inflight.pop(fingerprint, [])
         if exp.deliver(outcome, cached=False):
-            self.quotas.experiment_finished(exp.client)
+            self._experiment_finished(exp)
         self.quotas.cell_finished(exp.client)
         for waiter_exp, waiter_cell in waiters:
             waiter_outcome = CellOutcome(
@@ -771,7 +779,19 @@ class GatewayApp:
             # A successful shared cell is a dedup hit (cached=true on the
             # waiter's stream); a failed one is just a failure.
             if waiter_exp.deliver(waiter_outcome, cached=outcome.ok):
-                self.quotas.experiment_finished(waiter_exp.client)
+                self._experiment_finished(waiter_exp)
+
+    def _experiment_finished(self, exp: ExperimentState) -> None:
+        """Release a terminal experiment's quota slot; bound the registry.
+
+        Keeps the last :data:`MAX_FINISHED_EXPERIMENTS` terminal
+        experiments and forgets the one that finished earliest.
+        """
+        self.quotas.experiment_finished(exp.client)
+        with self._lock:
+            self._finished.append(exp.id)
+            while len(self._finished) > MAX_FINISHED_EXPERIMENTS:
+                del self._experiments[self._finished.popleft()]
 
     def _broadcast_lifecycle(self, kind: str, payload: dict) -> None:
         """Publish one worker-fleet event onto every running experiment."""
@@ -860,7 +880,11 @@ class GatewayApp:
         return self._get(experiment_id).describe()
 
     def list_experiments(self) -> List[dict]:
-        """Status dicts of every experiment, oldest first."""
+        """Status dicts of every registered experiment, oldest first.
+
+        That is every running experiment plus the last
+        :data:`MAX_FINISHED_EXPERIMENTS` that finished.
+        """
         with self._lock:
             experiments = list(self._experiments.values())
         return [exp.describe() for exp in experiments]
@@ -973,7 +997,7 @@ class GatewayApp:
             ]
         for exp in running:
             if exp.interrupt():
-                self.quotas.experiment_finished(exp.client)
+                self._experiment_finished(exp)
         with self._lock:
             self._closed = True
             self._board.close()

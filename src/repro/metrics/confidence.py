@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 
@@ -55,6 +53,8 @@ def mean_confidence_interval(
         raise ConfigurationError("confidence interval over zero samples")
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must be in (0, 1), got {level}")
+    import numpy as np
+
     n = len(samples)
     mean = float(np.mean(samples))
     if n == 1:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.txn.spec import TransactionSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -192,6 +194,8 @@ class MetricsCollector:
 
     def _columns(self) -> np.ndarray:
         """The rows of every chunk, concatenated in commit order."""
+        import numpy as np
+
         parts = list(self._chunks)
         if self._tail or not parts:
             parts.append(
@@ -231,6 +235,8 @@ class MetricsCollector:
             return
         tail = self._tail
         if len(tail) == _CHUNK_ROWS:
+            import numpy as np
+
             self._chunks.append(np.array(tail, dtype=np.float64))
             del tail[:]
         value_function = txn.value_function
@@ -261,6 +267,8 @@ class MetricsCollector:
         golden gate pins the summation order of the original
         record-at-a-time collector.
         """
+        import numpy as np
+
         n = len(self._class_names)
         if n == 0:
             raise ProtocolError("no committed transactions recorded after warmup")
@@ -299,6 +307,8 @@ class MetricsCollector:
         return by_class
 
     def _per_class_missed(self, late_mask: np.ndarray) -> dict[str, float]:
+        import numpy as np
+
         return {
             name: 100.0 * int(np.count_nonzero(late_mask[rows])) / len(rows)
             for name, rows in self._per_class_groups().items()

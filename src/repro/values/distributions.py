@@ -24,8 +24,6 @@ import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 
@@ -189,6 +187,8 @@ class EmpiricalExecution(ExecutionDistribution):
     """
 
     def __init__(self, samples: Sequence[float]) -> None:
+        import numpy as np
+
         cleaned = sorted(float(s) for s in samples if s > 0)
         if not cleaned:
             raise ConfigurationError("empirical distribution needs at least one sample")
@@ -207,6 +207,8 @@ class EmpiricalExecution(ExecutionDistribution):
 
     def observe(self, sample: float) -> None:
         """Fold one more observed execution time into the estimate."""
+        import numpy as np
+
         if sample <= 0:
             raise ConfigurationError(f"samples must be positive, got {sample}")
         bisect.insort(self._samples, float(sample))

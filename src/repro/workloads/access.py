@@ -18,11 +18,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AccessPattern",
@@ -102,6 +104,8 @@ class UniformAccess(AccessPattern):
 @lru_cache(maxsize=64)
 def _zipf_probabilities(theta: float, num_pages: int) -> np.ndarray:
     """P(page i) ∝ 1 / (i+1)^θ — page 0 is the hottest."""
+    import numpy as np
+
     ranks = np.arange(1, num_pages + 1, dtype=float)
     weights = ranks ** -theta
     probs = weights / weights.sum()
@@ -144,6 +148,8 @@ class ZipfianAccess(AccessPattern):
 def _hotspot_probabilities(
     hot_count: int, hot_access_fraction: float, num_pages: int
 ) -> np.ndarray:
+    import numpy as np
+
     probs = np.empty(num_pages, dtype=float)
     probs[:hot_count] = hot_access_fraction / hot_count
     probs[hot_count:] = (1.0 - hot_access_fraction) / (num_pages - hot_count)

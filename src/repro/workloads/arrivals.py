@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ArrivalProcess",

@@ -24,9 +24,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
-
-from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step, TransactionSpec
 from repro.values.classes import TransactionClass
@@ -34,6 +31,7 @@ from repro.workloads.access import AccessPattern, UniformAccess
 from repro.workloads.arrivals import ArrivalProcess, ArrivalSpec, PoissonSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.rng import RandomStreams
     from repro.experiments.config import ExperimentConfig
 
 __all__ = [
@@ -190,6 +188,8 @@ class TransactionGenerator:
         self._step_duration = step_duration
         self._streams = streams
         self._arrivals = arrivals
+        import numpy as np
+
         weights = np.array([cls.weight for cls in classes], dtype=float)
         self._class_probs = weights / weights.sum()
         self._next_id = 0

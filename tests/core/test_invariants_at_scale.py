@@ -1,13 +1,14 @@
 """SCC invariants checked mid-run on registered scenarios (paper Figs 3, 6).
 
 The unit tests call ``check_invariants`` on hand-built schedules of a few
-transactions.  Here every speculating family steps a contended scenario
-cell in short ``sim.run(until=...)`` slices and checks after each one:
-the per-transaction shadow budget, each speculative shadow waiting only
-on writers in its conflict table, the step loop's mirrored state (pool
-bitsets, dispatch cohorts, the version list), and the rest of
-:meth:`~repro.core.scc_base.SCCProtocolBase.check_invariants` — under
-infinite resources and under a two-server pool, where requests queue.
+transactions.  Here every speculating family steps a cell of every
+registered scenario in short ``sim.run(until=...)`` slices and checks
+after each one: the per-transaction shadow budget, each speculative
+shadow waiting only on writers in its conflict table, the step loop's
+mirrored state (pool bitsets, dispatch cohorts, the version list), and
+the rest of :meth:`~repro.core.scc_base.SCCProtocolBase.check_invariants`
+— under infinite resources and under a two-server pool, where requests
+queue.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.metrics.stats import MetricsCollector
 from repro.protocols.registry import protocol_spec
 from repro.system.model import RTDBSystem
 from repro.system.resources import FiniteResources, InfiniteResources
-from repro.workloads.scenarios import get_scenario
+from repro.workloads.scenarios import available_scenarios, get_scenario
 
 TRANSACTIONS = 150
 RATE = 120.0
@@ -56,7 +57,7 @@ def check_at_every_slice(scenario, spec, resources):
         system.close()
 
 
-@pytest.mark.parametrize("scenario", ["flash-sale-hotspot", "diurnal-oltp"])
+@pytest.mark.parametrize("scenario", available_scenarios())
 @pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
 def test_invariants_hold_at_every_checkpoint(scenario, spec):
     check_at_every_slice(
@@ -68,7 +69,7 @@ def test_invariants_hold_at_every_checkpoint(scenario, spec):
     )
 
 
-@pytest.mark.parametrize("scenario", ["flash-sale-hotspot", "diurnal-oltp"])
+@pytest.mark.parametrize("scenario", available_scenarios())
 @pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
 def test_invariants_hold_under_finite_resources(scenario, spec):
     check_at_every_slice(

@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sqlite3
 import tempfile
 import time
 
@@ -362,3 +363,40 @@ def test_each_host_holds_one_descriptor_per_board_file(tmp_path):
     assert first_claims
     one_each = {"board.sqlite": 1, "board.sqlite-wal": 1, "board.sqlite-shm": 1}
     assert all(counts == one_each for counts in first_claims.values()), first_claims
+
+
+def test_each_host_opens_one_board_connection(tmp_path, monkeypatch):
+    # The heartbeat thread shares its host's connection instead of
+    # opening one per claimed cell.  The counting connect is inherited
+    # across fork; each host reads its own count from the fault hook.
+    opened = []
+    connect = sqlite3.connect
+
+    def counting_connect(database, *args, **kwargs):
+        opened.append((os.getpid(), os.path.basename(database)))
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    log_path = tmp_path / "connections.jsonl"
+
+    def count_board_connections(cell, attempt):
+        mine = opened.count((os.getpid(), "board.sqlite"))
+        with open(log_path, "a") as fh:
+            fh.write(json.dumps({"pid": os.getpid(), "opened": mine}) + "\n")
+
+    def slow(cell):
+        time.sleep(0.02)
+        return cell.arrival_rate
+
+    executor = DistributedSweepExecutor(
+        workers=2, lease_seconds=5.0, poll_seconds=0.01,
+        workdir=tmp_path / "work", fault_hook=count_board_connections,
+    )
+    executor.run(build_cells(["P"], [float(rate) for rate in range(1, 9)], 1), slow)
+    claims = {}
+    for line in log_path.read_text().splitlines():
+        entry = json.loads(line)
+        claims.setdefault(entry["pid"], []).append(entry["opened"])
+    # 8 cells on 2 hosts: one of them claimed at least 4.
+    assert max(len(counts) for counts in claims.values()) >= 3, claims
+    assert all(counts == [1] * len(counts) for counts in claims.values()), claims

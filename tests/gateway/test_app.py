@@ -1,11 +1,13 @@
 """GatewayApp behavior: submit, dedup, quotas, breaker degradation, drain."""
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.gateway.app as gateway_app
 from repro.errors import ConfigurationError, ReproError
 from repro.gateway import (
     CircuitBreaker,
@@ -386,6 +388,83 @@ class TestDrain:
         assert health["status"] == "draining"
         assert health["store"] is None
         assert health["board"] is None
+
+
+class TestRetention:
+    def test_earliest_finished_experiments_are_forgotten(
+        self, make_app, monkeypatch
+    ):
+        monkeypatch.setattr(gateway_app, "MAX_FINISHED_EXPERIMENTS", 2)
+        release = threading.Event()
+        app = make_app(
+            workers=1,
+            fault_hook=lambda cell: cell.arrival_rate == 61.0 and release.wait(30),
+        )
+        first = app.submit(tiny_spec_dict(), client="alice")["id"]
+        wait_done(app, first)
+        running = app.submit(tiny_spec_dict(arrival_rates=[61.0]))["id"]
+        # Served wholly from the store, so each is done on return.
+        cached = [app.submit(tiny_spec_dict())["id"] for _ in range(4)]
+        assert [app.status(i)["status"] for i in cached[2:]] == ["done"] * 2
+
+        assert [exp["id"] for exp in app.list_experiments()] == [
+            running, *cached[2:]
+        ]
+        for gone in (first, *cached[:2]):
+            with pytest.raises(UnknownExperiment):
+                app.status(gone)
+            with pytest.raises(UnknownExperiment):
+                app.results(gone)
+            for path in (f"/experiments/{gone}", f"/experiments/{gone}/events",
+                         f"/experiments/{gone}/results"):
+                response = dispatch(app, Request(method="GET", path=path))
+                assert response.body == {
+                    "error": f"unknown experiment {gone!r}", "status": 404
+                }, path
+        counts = app.health()["experiments"]
+        assert (counts["running"], counts["done"]) == (1, 2)
+
+        # The running one was never evicted; finishing evicts the
+        # earliest finished in its place.
+        release.set()
+        assert wait_done(app, running) == "done"
+        assert [exp["id"] for exp in app.list_experiments()] == [
+            running, cached[3]
+        ]
+
+    def test_concurrent_finishes_keep_the_bound(self, make_app, monkeypatch):
+        # Experiments finish on many threads at once; a lost update to
+        # the finish order would leave the registry off its bound.
+        monkeypatch.setattr(gateway_app, "MAX_FINISHED_EXPERIMENTS", 5)
+        app = make_app()
+        wait_done(app, app.submit(tiny_spec_dict())["id"])
+        errors = []
+
+        def submit_cached(thread):
+            try:
+                for i in range(15):
+                    status = app.submit(tiny_spec_dict(), client=f"c{thread}-{i}")
+                    assert status["status"] == "done"
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=submit_cached, args=(t,)) for t in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(app._finished) == 5
+        assert set(app._finished) == {e["id"] for e in app.list_experiments()}
+        assert app.health()["experiments"]["done"] == 5
 
 
 class TestRecovery:
