@@ -11,17 +11,16 @@ workload-scenario sweeps of the ``repro.workloads`` registry.)
 from repro.core.scc_2s import SCC2S
 from repro.core.scc_vw import SCCVW
 from repro.metrics.report import format_table
+from repro.metrics.stats import MetricsCollector
 from repro.protocols.occ import BasicOCC
 from repro.protocols.occ_bc import OCCBroadcastCommit
+from repro.system.model import RTDBSystem
+from repro.system.resources import InfiniteResources
 from repro.txn.spec import Step, TransactionSpec
 from repro.values.classes import TransactionClass
 
 
 def _run(protocol, specs):
-    from repro.metrics.stats import MetricsCollector
-    from repro.system.model import RTDBSystem
-    from repro.system.resources import InfiniteResources
-
     system = RTDBSystem(
         protocol=protocol,
         num_pages=64,

@@ -4,7 +4,9 @@ This package is the substrate every experiment runs on: the simulation
 engine and its workload tensors (:mod:`repro.engine.array`) and named
 reproducible random streams (:mod:`repro.engine.rng`).  It knows
 nothing of the layers above it: no module here imports
-:mod:`repro.core`, :mod:`repro.protocols` or :mod:`repro.system`.
+:mod:`repro.workloads`, :mod:`repro.core`, :mod:`repro.protocols` or
+:mod:`repro.system` at module scope (``WorkloadTensors.from_config``
+imports the workload generator when called).
 
 Events fire in the deterministic ``(time, priority, sequence)`` total
 order, so a run is reproducible bit for bit from its seed.

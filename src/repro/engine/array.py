@@ -14,15 +14,12 @@ run reproducible bit for bit from its seed:
   workload enters the queue as one struct-of-arrays track (sorted times +
   payloads + cursor) instead of N heap pushes, making bulk workload
   loading O(1) per transaction.
-* :class:`WorkloadTensors` — the per-replication workload precomputed as
-  numpy tensors (arrival vector, class vector, flat page matrix, write
-  flags), a sequence that builds each transaction's spec on demand,
-  using *batched* draws that are bit-identical to the
-  transaction generator's sequential draws: the named streams of
-  :class:`~repro.engine.rng.RandomStreams` are independent, and within
-  each stream a batched draw (``exponential(size=n)``, ``cumsum``,
-  ``random(total)``, ``choice(size=n)``) consumes the generator exactly
-  as n sequential draws do.
+* :class:`WorkloadTensors` — the per-replication workload as numpy
+  tensors (arrival vector, class vector, flat page and write-flag
+  arrays), a sequence that builds each transaction's spec on demand.
+  :class:`~repro.workloads.generator.TransactionGenerator` draws them;
+  this module imports no workload code at module scope (nor
+  :mod:`repro.core`, :mod:`repro.protocols` or :mod:`repro.system`).
 """
 
 from __future__ import annotations
@@ -37,12 +34,10 @@ import numpy as np
 from repro.engine.rng import RandomStreams
 from repro.errors import SimulationError
 from repro.txn.spec import Step, TransactionSpec
-from repro.workloads.access import AccessPattern
-from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.generator import WorkloadSpec, build_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
+    from repro.workloads.generator import DeadlinePolicy
 
 __all__ = ["ArraySimulator", "WorkloadTensors"]
 
@@ -580,26 +575,11 @@ class WorkloadTensors(Sequence):
 
     The tensors are a sequence of transactions: item ``i`` builds
     transaction ``i``'s :class:`~repro.txn.spec.TransactionSpec` on
-    demand, so ``list(tensors)`` is the generator's workload.
-
-    The transaction generator
-    (:class:`~repro.workloads.generator.TransactionGenerator`) samples
-    each transaction's randomness one scalar draw at a time.
-    This class draws the same randomness in *batches* per named stream —
-    one ``exponential(size=n)`` + ``cumsum`` for every arrival instant,
-    one ``choice(size=n)`` for every class pick, one ``random(total)``
-    for every write coin-flip — which is bit-identical because the named
-    streams are independent generators and, within a stream, a batched
-    draw consumes the generator state exactly as the equivalent sequence
-    of scalar draws does.  Page selection stays a per-transaction
-    ``choice(..., replace=False)`` call on the pages stream (sampling
-    without replacement is a per-call algorithm), still in C.
-
-    Workloads whose axes cannot be batched — non-Poisson arrival
-    processes, or access patterns overriding
-    :meth:`~repro.workloads.access.AccessPattern.sample_steps` — fall
-    back to the transaction generator and are decomposed into the same
-    tensor layout, so downstream consumers never branch.
+    demand, so ``list(tensors)`` is the whole workload.
+    :meth:`TransactionGenerator.generate
+    <repro.workloads.generator.TransactionGenerator.generate>` draws
+    them, one axis at a time, for every arrival process and access
+    pattern.
 
     Attributes
     ----------
@@ -636,7 +616,7 @@ class WorkloadTensors(Sequence):
         write_flags: np.ndarray,
         classes: list,
         step_duration: float,
-        deadlines,
+        deadlines: DeadlinePolicy,
     ) -> None:
         self.arrivals = arrivals
         self.class_indices = class_indices
@@ -652,14 +632,12 @@ class WorkloadTensors(Sequence):
         return int(self.arrivals.shape[0])
 
     def __getitem__(self, index: int) -> TransactionSpec:
-        """Build transaction ``index``, bit-identical to the generator's.
+        """Build transaction ``index`` from its slice of the tensors.
 
-        Replays :meth:`TransactionGenerator._make
-        <repro.workloads.generator.TransactionGenerator>` for one
-        transaction minus the (already-consumed) randomness: same ``Step``
-        values, same deadline-policy call, same
-        :meth:`~repro.txn.spec.TransactionSpec.build` derivations.  Each
-        call returns a fresh spec, so one tensor set can feed many
+        The deadline policy maps the arrival, the execution estimate
+        (steps × step duration) and the class to the deadline, and
+        :meth:`~repro.txn.spec.TransactionSpec.build` derives the rest.
+        Each call returns a fresh spec, so one tensor set can feed many
         protocol runs, and a run loaded with the tensors builds each spec
         only when its arrival fires.
         """
@@ -698,12 +676,11 @@ class WorkloadTensors(Sequence):
         arrival_rate: float,
         streams: RandomStreams,
     ) -> "WorkloadTensors":
-        """Precompute the workload one sweep cell runs on.
+        """Draw the workload one sweep cell runs on.
 
-        Consumes ``streams`` exactly as
-        :func:`~repro.workloads.generator.build_generator` +
-        ``generate(config.num_transactions)`` would, so the tensors'
-        items are bit-identical transactions.
+        The cell's generator (:func:`~repro.workloads.generator.build_generator`)
+        checks every axis against the config, then draws
+        ``config.num_transactions`` transactions.
 
         Parameters
         ----------
@@ -714,91 +691,7 @@ class WorkloadTensors(Sequence):
         streams : RandomStreams
             The cell's named random streams (seed × replication).
         """
-        # The generator performs all axis validation at construction time
-        # (and construction consumes no randomness), so building it keeps
-        # error behaviour identical to the generator's for every workload.
+        from repro.workloads.generator import build_generator
+
         generator = build_generator(config, arrival_rate, streams)
-        workload = config.workload if config.workload is not None else WorkloadSpec()
-        classes = list(config.classes)
-        count = config.num_transactions
-        fast = (
-            type(generator.arrivals) is PoissonArrivals
-            and type(generator.access).sample_steps is AccessPattern.sample_steps
-        )
-        if not fast:
-            specs = list(generator.generate(count))
-            return cls._from_specs(
-                specs, classes, config.step_duration, workload.deadlines
-            )
-
-        inter = streams["arrivals"].exponential(1.0 / arrival_rate, size=count)
-        arrivals = np.cumsum(inter)
-        if len(classes) == 1:
-            class_indices = np.zeros(count, dtype=np.intp)
-        else:
-            weights = np.array([c.weight for c in classes], dtype=float)
-            probs = weights / weights.sum()
-            class_indices = np.asarray(
-                streams["classes"].choice(len(classes), size=count, p=probs),
-                dtype=np.intp,
-            )
-        steps_per_class = np.array([c.num_steps for c in classes], dtype=np.intp)
-        num_steps = steps_per_class[class_indices]
-        step_offsets = np.zeros(count + 1, dtype=np.intp)
-        np.cumsum(num_steps, out=step_offsets[1:])
-        total = int(step_offsets[-1])
-
-        pages = np.empty(total, dtype=np.intp)
-        pages_rng = streams["pages"]
-        select_pages = generator.access.select_pages
-        num_pages = config.num_pages
-        offsets = step_offsets.tolist()
-        for k in range(count):
-            lo = offsets[k]
-            hi = offsets[k + 1]
-            pages[lo:hi] = select_pages(pages_rng, num_pages, hi - lo)
-
-        write_prob_per_class = np.array(
-            [c.write_probability for c in classes], dtype=float
-        )
-        uniform = streams["writes"].random(total)
-        write_flags = uniform < np.repeat(
-            write_prob_per_class[class_indices], num_steps
-        )
-        return cls(
-            arrivals,
-            class_indices,
-            step_offsets,
-            pages,
-            write_flags,
-            classes,
-            config.step_duration,
-            workload.deadlines,
-        )
-
-    @classmethod
-    def _from_specs(cls, specs, classes, step_duration, deadlines):
-        index_of = {id(c): i for i, c in enumerate(classes)}
-        class_indices = np.array(
-            [index_of[id(spec.txn_class)] for spec in specs], dtype=np.intp
-        )
-        arrivals = np.array([spec.arrival for spec in specs], dtype=float)
-        num_steps = np.array([len(spec.steps) for spec in specs], dtype=np.intp)
-        step_offsets = np.zeros(len(specs) + 1, dtype=np.intp)
-        np.cumsum(num_steps, out=step_offsets[1:])
-        pages = np.array(
-            [step.page for spec in specs for step in spec.steps], dtype=np.intp
-        )
-        write_flags = np.array(
-            [step.is_write for spec in specs for step in spec.steps], dtype=bool
-        )
-        return cls(
-            arrivals,
-            class_indices,
-            step_offsets,
-            pages,
-            write_flags,
-            classes,
-            step_duration,
-            deadlines,
-        )
+        return generator.generate(config.num_transactions)

@@ -18,8 +18,12 @@ changes, which the HTTP layer maps to ``429 Too Many Requests`` with a
 ``Retry-After`` hint — one greedy client is rejected atomically and
 every other client's experiments proceed undisturbed.
 
-All methods are thread-safe: the event-loop thread admits submissions
-while worker threads release cells as they complete.
+A client whose state equals a new one's (nothing running or queued, a
+full bucket) is forgotten, so one-off clients leave no entry behind once
+their bucket has refilled.
+
+All methods are thread-safe: connection threads admit submissions while
+worker threads release cells as they complete.
 """
 
 from __future__ import annotations
@@ -99,6 +103,11 @@ class TokenBucket:
         deficit = tokens - self._tokens
         return max(0.0, deficit / self.rate)
 
+    def is_full(self) -> bool:
+        """Whether the bucket holds its whole capacity again."""
+        self._refill()
+        return self._tokens >= self.capacity
+
 
 class _ClientState:
     """Mutable per-client accounting (bucket + live counters)."""
@@ -109,6 +118,14 @@ class _ClientState:
         self.bucket = bucket
         self.experiments = 0
         self.queued_cells = 0
+
+    def is_fresh(self) -> bool:
+        """Whether this state equals a new client's."""
+        return (
+            self.experiments == 0
+            and self.queued_cells == 0
+            and self.bucket.is_full()
+        )
 
 
 class ClientQuotas:
@@ -146,16 +163,36 @@ class ClientQuotas:
         self.submit_rate = submit_rate
         self._clock = clock
         self._clients: Dict[str, _ClientState] = {}
+        # A new client sweeps out fresh states once the table has doubled
+        # since the last sweep, so admission stays amortized O(1).
+        self._sweep_at = 0
         self._lock = threading.Lock()
 
     def _state(self, client: str) -> _ClientState:
         state = self._clients.get(client)
         if state is None:
+            if len(self._clients) >= self._sweep_at:
+                self._forget_fresh()
+                self._sweep_at = 2 * len(self._clients)
             state = _ClientState(
                 TokenBucket(self.submit_burst, self.submit_rate, self._clock)
             )
             self._clients[client] = state
         return state
+
+    def _forget_fresh(self) -> None:
+        for client in [c for c, state in self._clients.items() if state.is_fresh()]:
+            del self._clients[client]
+
+    def _release(self, client: str, experiments: int, cells: int) -> None:
+        with self._lock:
+            state = self._clients.get(client)
+            if state is None:
+                return  # nothing was charged: a recovered experiment
+            state.experiments = max(0, state.experiments - experiments)
+            state.queued_cells = max(0, state.queued_cells - cells)
+            if state.is_fresh():
+                del self._clients[client]
 
     def admit(self, client: str, fresh_cells: int) -> None:
         """Charge one submission enqueueing ``fresh_cells`` cells.
@@ -214,19 +251,19 @@ class ClientQuotas:
 
     def cell_finished(self, client: str, count: int = 1) -> None:
         """Release ``count`` queued-cell charges as cells reach a terminal state."""
-        with self._lock:
-            state = self._state(client)
-            state.queued_cells = max(0, state.queued_cells - count)
+        self._release(client, 0, count)
 
     def experiment_finished(self, client: str) -> None:
         """Release one concurrent-experiment charge."""
-        with self._lock:
-            state = self._state(client)
-            state.experiments = max(0, state.experiments - 1)
+        self._release(client, 1, 0)
 
     def snapshot(self) -> dict:
-        """JSON-ready per-client usage (for the health endpoint)."""
+        """JSON-ready per-client usage (for the health endpoint).
+
+        Clients whose state equals a new client's are forgotten first.
+        """
         with self._lock:
+            self._forget_fresh()
             return {
                 client: {
                     "experiments": state.experiments,

@@ -8,9 +8,11 @@ concentrate conflicts in ways uniform selection never produces.
 
 Patterns are frozen, stateless dataclasses so the scenario registry can
 store, compare, and pickle them; per-database probability vectors are
-memoized at module level.  All randomness comes from the two generators a
-pattern is handed (the ``"pages"`` and ``"writes"`` streams), never from
-the arrival stream — swapping patterns must not move arrival times.
+memoized at module level.  A pattern draws one transaction's pages from
+the generator it is handed (the ``"pages"`` stream), given the
+transaction's write flags (drawn beforehand from the ``"writes"``
+stream), and never touches the arrival stream — swapping patterns must
+not move arrival times.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.txn.spec import Step
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,9 +42,13 @@ class AccessPattern(ABC):
 
     @abstractmethod
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, count: int
+        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
     ) -> np.ndarray:
-        """Draw ``count`` distinct page ids from ``[0, num_pages)``."""
+        """Draw one transaction's pages from ``[0, num_pages)``.
+
+        Returns ``len(write_flags)`` distinct page ids; page ``i`` is the
+        one step ``i`` accesses, a write where ``write_flags[i]`` is set.
+        """
 
     @property
     @abstractmethod
@@ -59,29 +64,6 @@ class AccessPattern(ABC):
                 f"only has {num_pages}"
             )
 
-    def sample_steps(
-        self,
-        pages_rng: np.random.Generator,
-        writes_rng: np.random.Generator,
-        num_pages: int,
-        num_steps: int,
-        write_probability: float,
-    ) -> list[Step]:
-        """Draw a full access program: pages first, then write coin-flips.
-
-        This consumption order (pages stream, then writes stream) matches
-        the seed generator exactly, which is what keeps ``paper-baseline``
-        bit-identical to the pre-subsystem path.
-        """
-        pages = self.select_pages(pages_rng, num_pages, num_steps)
-        write_flags = writes_rng.random(num_steps) < write_probability
-        # tolist() converts the whole array to Python scalars in C — much
-        # cheaper than per-element int()/bool() casts in the comprehension.
-        return [
-            Step(page, flag)
-            for page, flag in zip(pages.tolist(), write_flags.tolist())
-        ]
-
     def to_dict(self) -> dict:
         """Plain-dict form, invertible by :func:`access_pattern_from_dict`."""
         return {"kind": self.kind, **asdict(self)}
@@ -96,9 +78,9 @@ class UniformAccess(AccessPattern):
         return "uniform"
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, count: int
+        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
     ) -> np.ndarray:
-        return rng.choice(num_pages, size=count, replace=False)
+        return rng.choice(num_pages, size=len(write_flags), replace=False)
 
 
 @lru_cache(maxsize=64)
@@ -137,11 +119,11 @@ class ZipfianAccess(AccessPattern):
         return _zipf_probabilities(self.theta, num_pages)
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, count: int
+        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
     ) -> np.ndarray:
-        return rng.choice(
-            num_pages, size=count, replace=False, p=self.probabilities(num_pages)
-        )
+        size = len(write_flags)
+        p = self.probabilities(num_pages)
+        return rng.choice(num_pages, size=size, replace=False, p=p)
 
 
 @lru_cache(maxsize=64)
@@ -192,11 +174,11 @@ class HotspotAccess(AccessPattern):
         )
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, count: int
+        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
     ) -> np.ndarray:
-        return rng.choice(
-            num_pages, size=count, replace=False, p=self.probabilities(num_pages)
-        )
+        size = len(write_flags)
+        p = self.probabilities(num_pages)
+        return rng.choice(num_pages, size=size, replace=False, p=p)
 
 
 @dataclass(frozen=True)
@@ -241,41 +223,20 @@ class PartitionedAccess(AccessPattern):
             )
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, count: int
+        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
     ) -> np.ndarray:
-        # Only exercised via sample_steps in practice; without write flags
-        # the best stand-in is the write-hot region.
-        return rng.choice(self.split(num_pages), size=count, replace=False)
+        import numpy as np
 
-    def sample_steps(
-        self,
-        pages_rng: np.random.Generator,
-        writes_rng: np.random.Generator,
-        num_pages: int,
-        num_steps: int,
-        write_probability: float,
-    ) -> list[Step]:
-        # Write flags decide the region, so they are drawn first; both
-        # draws still consume only their own named streams.
-        write_flags = writes_rng.random(num_steps) < write_probability
         split = self.split(num_pages)
         num_writes = int(write_flags.sum())
-        write_pages = iter(
-            pages_rng.choice(split, size=num_writes, replace=False)
+        pages = np.empty(len(write_flags), dtype=np.intp)
+        # Write pages, then read pages: the pages stream's order for this
+        # pattern since it was added, so partitioned workloads stay the same.
+        pages[write_flags] = rng.choice(split, size=num_writes, replace=False)
+        pages[~write_flags] = split + rng.choice(
+            num_pages - split, size=len(write_flags) - num_writes, replace=False
         )
-        read_pages = iter(
-            split
-            + pages_rng.choice(
-                num_pages - split, size=num_steps - num_writes, replace=False
-            )
-        )
-        return [
-            Step(
-                page=int(next(write_pages) if flag else next(read_pages)),
-                is_write=bool(flag),
-            )
-            for flag in write_flags
-        ]
+        return pages
 
 
 _PATTERN_KINDS: dict[str, type[AccessPattern]] = {

@@ -5,7 +5,9 @@ systems rarely do: telecom front-ends see on/off bursts, OLTP load follows
 the day, and production incidents are replayed from recorded traces.  Each
 class here models one such regime behind a single interface —
 :meth:`ArrivalProcess.next_arrival` advances an internal clock and returns
-the next absolute arrival instant.
+the next absolute arrival instant, and
+:meth:`ArrivalProcess.arrival_times` returns the next ``count`` of them
+as one array (Poisson draws them in one batch).
 
 Every process draws all of its randomness from the single generator it is
 handed (the ``"arrivals"`` stream of :class:`~repro.engine.rng.RandomStreams`),
@@ -57,6 +59,17 @@ class ArrivalProcess(ABC):
     def next_arrival(self, rng: np.random.Generator) -> float:
         """Advance the clock and return the next absolute arrival time."""
 
+    def arrival_times(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The next ``count`` arrival times, shape ``(count,)``.
+
+        Consumes ``rng`` exactly as ``count`` calls of
+        :meth:`next_arrival` do; a process with a batched formulation
+        overrides this with one that draws the same values.
+        """
+        import numpy as np
+
+        return np.array([self.next_arrival(rng) for _ in range(count)], dtype=float)
+
     @property
     @abstractmethod
     def rate(self) -> float:
@@ -83,6 +96,16 @@ class PoissonArrivals(ArrivalProcess):
     def next_arrival(self, rng: np.random.Generator) -> float:
         self._clock += rng.exponential(1.0 / self._rate)
         return self._clock
+
+    def arrival_times(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        # One exponential(size=count) draws what count scalar draws do,
+        # and cumsum adds left to right, as next_arrival's clock does.
+        times = rng.exponential(1.0 / self._rate, size=count)
+        if count:
+            times[0] += self._clock
+            times.cumsum(out=times)
+            self._clock = times.item(-1)
+        return times
 
 
 class MMPPArrivals(ArrivalProcess):

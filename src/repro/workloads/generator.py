@@ -1,15 +1,19 @@
 """Workload assembly: arrival process × access pattern × class mix.
 
-The sampling pipeline is arrival instant → class pick → page selection →
-update coin-flips → deadline, with each axis pluggable.  Randomness
+A transaction is an arrival instant, a class pick, update coin-flips,
+page selection and a deadline, with each axis pluggable.  Randomness
 stays split across the named streams of
 :class:`~repro.engine.rng.RandomStreams`:
 
 * ``"arrivals"`` — consumed only by the :class:`ArrivalProcess`;
 * ``"classes"`` — class-mix picks (only when the mix has >1 class);
-* ``"pages"`` / ``"writes"`` — consumed only by the :class:`AccessPattern`.
+* ``"writes"`` — update coin-flips, one per step;
+* ``"pages"`` — consumed only by the :class:`AccessPattern`.
 
-Because each axis owns its streams, changing one axis can never perturb
+Because each axis owns its stream, :meth:`TransactionGenerator.generate`
+draws the workload one axis at a time (every arrival, then every class
+pick, every coin-flip, every transaction's pages), and the draws equal a
+transaction-by-transaction loop's.  Changing one axis can never perturb
 another — protocols are still compared "on the same workload", and with
 the default axes (Poisson + uniform + class slack deadlines) the output is
 bit-identical to the seed generator.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step, TransactionSpec
@@ -31,6 +35,7 @@ from repro.workloads.access import AccessPattern, UniformAccess
 from repro.workloads.arrivals import ArrivalProcess, ArrivalSpec, PoissonSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.array import WorkloadTensors
     from repro.engine.rng import RandomStreams
     from repro.experiments.config import ExperimentConfig
 
@@ -143,11 +148,13 @@ def deadline_policy_from_dict(payload: dict) -> DeadlinePolicy:
 
 
 class TransactionGenerator:
-    """Generates a stream of :class:`TransactionSpec` objects.
+    """Draws one run's workload as :class:`~repro.engine.array.WorkloadTensors`.
 
     The composition point of the subsystem: an arrival process decides
     *when*, the class mix decides *what kind*, the access pattern decides
-    *which pages*, and the deadline policy decides *by when*.
+    *which pages*, and the deadline policy decides *by when*.  Like its
+    arrival process, a generator is single-use: call :meth:`generate`
+    once.
 
     Args:
         classes: Transaction classes to mix; selection probability is each
@@ -188,11 +195,6 @@ class TransactionGenerator:
         self._step_duration = step_duration
         self._streams = streams
         self._arrivals = arrivals
-        import numpy as np
-
-        weights = np.array([cls.weight for cls in classes], dtype=float)
-        self._class_probs = weights / weights.sum()
-        self._next_id = 0
 
     @property
     def arrival_rate(self) -> float:
@@ -214,47 +216,56 @@ class TransactionGenerator:
         """The arrival process in use."""
         return self._arrivals
 
-    def next_transaction(self) -> TransactionSpec:
-        """Sample the next transaction, advancing the arrival clock."""
-        arrival = self._arrivals.next_arrival(self._streams["arrivals"])
-        return self._make(arrival)
+    def generate(self, count: int) -> WorkloadTensors:
+        """Draw ``count`` transactions, ids ``0..count-1`` in arrival order.
 
-    def generate(self, count: int) -> Iterator[TransactionSpec]:
-        """Yield ``count`` transactions in arrival order."""
+        Each axis is drawn whole from its own stream: every arrival, every
+        class pick, every write coin-flip, then each transaction's pages
+        given its coin-flips.  Within a stream a batched draw consumes the
+        generator as the same scalar draws one at a time do, so the
+        workload equals a transaction-by-transaction loop's.
+        """
+        import numpy as np
+
+        from repro.engine.array import WorkloadTensors
+
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
-        for _ in range(count):
-            yield self.next_transaction()
-
-    def _make(self, arrival: float) -> TransactionSpec:
-        txn_class = self._pick_class()
-        steps = self._access.sample_steps(
-            self._streams["pages"],
-            self._streams["writes"],
-            self._num_pages,
-            txn_class.num_steps,
-            txn_class.write_probability,
+        streams = self._streams
+        classes = self._classes
+        arrivals = self._arrivals.arrival_times(streams["arrivals"], count)
+        if len(classes) == 1:
+            class_indices = np.zeros(count, dtype=np.intp)
+        else:
+            weights = np.array([c.weight for c in classes], dtype=float)
+            class_indices = streams["classes"].choice(
+                len(classes), size=count, p=weights / weights.sum()
+            )
+        num_steps = np.array([c.num_steps for c in classes])[class_indices]
+        step_offsets = np.zeros(count + 1, dtype=np.intp)
+        np.cumsum(num_steps, out=step_offsets[1:])
+        total = int(step_offsets[-1])
+        write_probability = np.array([c.write_probability for c in classes])
+        write_flags = streams["writes"].random(total) < np.repeat(
+            write_probability[class_indices], num_steps
         )
-        estimated = len(steps) * self._step_duration
-        deadline = self._deadlines.deadline_for(arrival, estimated, txn_class)
-        spec = TransactionSpec.build(
-            txn_id=self._next_id,
-            arrival=arrival,
-            steps=steps,
-            txn_class=txn_class,
-            step_duration=self._step_duration,
-            deadline=deadline,
+        pages = np.empty(total, dtype=np.intp)
+        pages_rng = streams["pages"]
+        select_pages = self._access.select_pages
+        num_pages = self._num_pages
+        offsets = step_offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            pages[lo:hi] = select_pages(pages_rng, num_pages, write_flags[lo:hi])
+        return WorkloadTensors(
+            arrivals,
+            class_indices,
+            step_offsets,
+            pages,
+            write_flags,
+            classes,
+            self._step_duration,
+            self._deadlines,
         )
-        self._next_id += 1
-        return spec
-
-    def _pick_class(self) -> TransactionClass:
-        if len(self._classes) == 1:
-            return self._classes[0]
-        index = self._streams["classes"].choice(
-            len(self._classes), p=self._class_probs
-        )
-        return self._classes[int(index)]
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,36 @@ class TestClientQuotas:
             quotas.admit("alice", 0)
         assert info.value.retry_after is None
 
+    def test_one_off_clients_are_forgotten_once_their_bucket_refills(self):
+        # Each client spends one token of two; at 1 token/s its bucket is
+        # full again 1 s later, so about 100 clients (one per 10 ms) are
+        # still refilling at any time and the rest hold no entry.
+        quotas, clock = self.make(submit_burst=2.0, submit_rate=1.0)
+        largest = 0
+        for i in range(2000):
+            quotas.admit(f"client-{i}", 0)
+            quotas.experiment_finished(f"client-{i}")
+            largest = max(largest, len(quotas._clients))
+            clock.advance(0.01)
+        assert largest <= 2 * 101 + 1
+        clock.advance(1.0)
+        assert quotas.snapshot() == {}
+        assert quotas._clients == {}
+
+    def test_spent_burst_still_throttles_after_experiments_finish(self):
+        quotas, _ = self.make(submit_burst=2.0, submit_rate=0.5)
+        quotas.admit("alice", 1)
+        quotas.admit("alice", 1)
+        quotas.cell_finished("alice", count=2)
+        quotas.experiment_finished("alice")
+        quotas.experiment_finished("alice")
+        for i in range(50):  # new clients sweep the table as it grows
+            quotas.admit(f"other-{i}", 0)
+        assert quotas.snapshot()["alice"] == {"experiments": 0, "queued_cells": 0}
+        with pytest.raises(QuotaExceeded) as info:
+            quotas.admit("alice", 0)
+        assert info.value.retry_after == pytest.approx(2.0)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ClientQuotas(max_queued_cells=0)

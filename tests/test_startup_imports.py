@@ -11,10 +11,12 @@ from its store must load neither the job-board executor nor
 process that runs a cell, when it runs its first one: not in the
 ``results``/``specs`` commands, a rerun served from its store, the
 parent of a ``--workers`` sweep (its hosts run the cells), or a gateway
-that has computed nothing.  Package roots resolve their
-names on first access (``repro._lazy``), so each of these stays out
-unless a command reaches for it.  The checks need a fresh interpreter:
-the test process itself holds all of these through other tests.
+that has computed nothing.  The engine is the bottom layer: importing
+it loads no workload, protocol or system module.  Package roots resolve
+their names on first access (``repro._lazy``), so each of these stays
+out unless a command reaches for it.  The checks need a fresh
+interpreter: the test process itself holds all of these through other
+tests.
 """
 
 import json
@@ -114,6 +116,19 @@ with tempfile.TemporaryDirectory() as workdir:
     finally:
         app.close()
 print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
+"""
+
+#: Imports the module ``argv[1]`` and names every loaded module in a
+#: package listed in ``argv[2:]``.
+LAYER_CHILD = """
+import importlib, json, sys
+
+importlib.import_module(sys.argv[1])
+packages = sys.argv[2:]
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if any(name == p or name.startswith(p + ".") for p in packages)
+)))
 """
 
 #: The simulation layer: loaded with a process's first cell.
@@ -229,3 +244,10 @@ def test_gateway_skips_numpy_until_it_computes_a_cell(tmp_path):
     ExperimentSpec.from_dict(spec).run(store=store)
     args = (str(store), json.dumps(spec))
     assert _loaded(CACHED_GATEWAY_CHILD, SIMULATION, args) == []
+
+
+def test_engine_loads_no_layer_above_it():
+    # The workload builder, the protocols and the system all import the
+    # engine; the engine imports none of them.
+    above = ["repro.workloads", "repro.core", "repro.protocols", "repro.system"]
+    assert _loaded(LAYER_CHILD, above, ("repro.engine.array",)) == []

@@ -58,7 +58,7 @@ def test_write_probability_respected():
 
 def test_deadline_uses_slack_factor():
     generator = make_generator()
-    spec = generator.next_transaction()
+    spec = generator.generate(1)[0]
     expected = spec.arrival + 2.0 * 16 * 0.006
     assert spec.deadline == pytest.approx(expected)
 

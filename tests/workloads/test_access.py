@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
+from repro.txn.spec import Step
 from repro.workloads.access import (
     HotspotAccess,
     PartitionedAccess,
@@ -23,22 +24,25 @@ def page_histogram(pattern, draws=30_000, count=1, num_pages=NUM_PAGES, seed=13)
     are directly comparable to the closed-form probabilities.
     """
     rng = RandomStreams(seed)["pages"]
+    reads = np.zeros(count, dtype=bool)
     counts = np.zeros(num_pages)
     for _ in range(draws):
-        for page in pattern.select_pages(rng, num_pages, count):
+        for page in pattern.select_pages(rng, num_pages, reads):
             counts[page] += 1
     return counts / counts.sum()
 
 
 def sample(pattern, num_steps=16, write_probability=0.25, seed=13, txns=200):
+    """Programs drawn as the generator draws them: coin-flips, then pages."""
     streams = RandomStreams(seed)
-    return [
-        pattern.sample_steps(
-            streams["pages"], streams["writes"], NUM_PAGES, num_steps,
-            write_probability,
+    programs = []
+    for _ in range(txns):
+        flags = streams["writes"].random(num_steps) < write_probability
+        pages = pattern.select_pages(streams["pages"], NUM_PAGES, flags)
+        programs.append(
+            [Step(page, flag) for page, flag in zip(pages.tolist(), flags.tolist())]
         )
-        for _ in range(txns)
-    ]
+    return programs
 
 
 @pytest.mark.parametrize(

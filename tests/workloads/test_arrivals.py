@@ -173,6 +173,21 @@ class TestSpecs:
     def test_dict_round_trip(self, spec):
         assert arrival_spec_from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize(
+        "spec", [PoissonSpec(), MMPPSpec(), DiurnalSpec(), TraceSpec(times=(0.5, 2.0))]
+    )
+    def test_arrival_times_equal_next_arrival_bit_for_bit(self, spec):
+        # Mid-stream too: a batch starts from the clock next_arrival left,
+        # and leaves it at its last arrival.
+        scalar, batched = spec.build(70.0), spec.build(70.0)
+        rng, batched_rng = RandomStreams(11)["arrivals"], RandomStreams(11)["arrivals"]
+        expected = [scalar.next_arrival(rng) for _ in range(41)]
+        got = [batched.next_arrival(batched_rng) for _ in range(3)]
+        got += batched.arrival_times(batched_rng, 37).tolist()
+        got += batched.arrival_times(batched_rng, 0).tolist()
+        got.append(batched.next_arrival(batched_rng))
+        assert got == expected
+
     def test_build_targets_requested_rate(self):
         for spec in (PoissonSpec(), MMPPSpec(), DiurnalSpec()):
             assert spec.build(70.0).rate == pytest.approx(70.0)

@@ -2,21 +2,23 @@
 
 Two properties anchor the subsystem:
 
-1. *Stream independence* — each axis owns its named random streams, so
+1. *Stream independence* — each axis owns its named random stream, so
    swapping the access pattern (or deadline policy, or class mix) leaves
    the arrival-time sequence bit-identical.
-2. *Baseline compatibility* — the default axes reproduce the seed
-   generator's algorithm spec-for-spec under the same seed, so every
-   pre-subsystem result stays reproducible.
+2. *Scalar compatibility* — the generator draws one axis at a time, yet
+   reproduces the per-transaction algorithm (:func:`reference_specs`)
+   spec-for-spec under the same seed on every axis and every registered
+   scenario, so every earlier result stays reproducible.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine.array import WorkloadTensors
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step
-from repro.workloads.access import UniformAccess, ZipfianAccess
+from repro.workloads.access import PartitionedAccess, UniformAccess, ZipfianAccess
 from repro.workloads.arrivals import MMPPArrivals, PoissonArrivals
 from repro.workloads.generator import (
     FixedOffsetDeadlines,
@@ -25,9 +27,66 @@ from repro.workloads.generator import (
     WorkloadSpec,
     deadline_policy_from_dict,
 )
+from repro.workloads.scenarios import available_scenarios, get_scenario
 from tests.conftest import make_class
 
 SEED = 42
+
+
+def reference_specs(count, classes, num_pages, rate, step, streams,
+                    workload=WorkloadSpec()):
+    """The per-transaction algorithm, reimplemented against raw streams.
+
+    For each transaction: one ``next_arrival``, a scalar class
+    ``choice``, then the pages followed by the write coin-flips.
+    Partitioned access draws the coin-flips first, then the write-region
+    and the read-region pages.
+    """
+    arrivals = workload.arrivals.build(rate)
+    access = workload.access
+    weights = np.array([c.weight for c in classes], dtype=float)
+    probs = weights / weights.sum()
+    out = []
+    for txn_id in range(count):
+        arrival = arrivals.next_arrival(streams["arrivals"])
+        if len(classes) == 1:
+            cls = classes[0]
+        else:
+            cls = classes[int(streams["classes"].choice(len(classes), p=probs))]
+        size = cls.num_steps
+        if isinstance(access, PartitionedAccess):
+            flags = streams["writes"].random(size) < cls.write_probability
+            split = access.split(num_pages)
+            writes = int(flags.sum())
+            write_pages = iter(
+                streams["pages"].choice(split, size=writes, replace=False)
+            )
+            read_pages = iter(split + streams["pages"].choice(
+                num_pages - split, size=size - writes, replace=False
+            ))
+            pages = [next(write_pages) if f else next(read_pages) for f in flags]
+        else:
+            # Uniform access has no probability vector: choice(p=None).
+            page_probs = getattr(access, "probabilities", lambda n: None)(num_pages)
+            pages = streams["pages"].choice(
+                num_pages, size=size, replace=False, p=page_probs
+            )
+            flags = streams["writes"].random(size) < cls.write_probability
+        steps = tuple(Step(int(page), bool(flag)) for page, flag in zip(pages, flags))
+        estimated = size * step
+        deadline = workload.deadlines.deadline_for(arrival, estimated, cls)
+        if deadline is None:
+            deadline = arrival + cls.slack_factor * estimated
+        out.append((txn_id, arrival, steps, deadline, estimated, cls))
+    return out
+
+
+def as_tuples(specs):
+    return [
+        (s.txn_id, s.arrival, s.steps, s.deadline, s.estimated_duration,
+         s.txn_class)
+        for s in specs
+    ]
 
 
 def make_generator(arrivals=None, access=None, deadlines=None, classes=None,
@@ -80,37 +139,7 @@ class TestStreamIndependence:
 
 
 class TestSeedCompatibility:
-    """paper-baseline must equal the seed generator output spec-for-spec."""
-
-    def reference_specs(self, count, classes, num_pages, rate, step, seed):
-        """The seed algorithm, reimplemented verbatim against raw streams."""
-        streams = RandomStreams(seed)
-        weights = np.array([c.weight for c in classes], dtype=float)
-        probs = weights / weights.sum()
-        clock, out = 0.0, []
-        for txn_id in range(count):
-            clock += streams["arrivals"].exponential(1.0 / rate)
-            if len(classes) == 1:
-                cls = classes[0]
-            else:
-                cls = classes[int(streams["classes"].choice(len(classes), p=probs))]
-            pages = streams["pages"].choice(
-                num_pages, size=cls.num_steps, replace=False
-            )
-            flags = streams["writes"].random(cls.num_steps) < cls.write_probability
-            steps = tuple(
-                Step(page=int(p), is_write=bool(f))
-                for p, f in zip(pages, flags)
-            )
-            deadline = clock + cls.slack_factor * cls.num_steps * step
-            out.append((txn_id, clock, steps, deadline, cls.name))
-        return out
-
-    def as_tuples(self, specs):
-        return [
-            (s.txn_id, s.arrival, s.steps, s.deadline, s.txn_class.name)
-            for s in specs
-        ]
+    """Every workload equals the per-transaction algorithm spec-for-spec."""
 
     @pytest.mark.parametrize("num_classes", [1, 2])
     def test_default_axes_match_seed_algorithm(self, num_classes):
@@ -121,10 +150,31 @@ class TestSeedCompatibility:
                 make_class(name="short", num_steps=8, weight=0.8),
             ]
         generator = make_generator(classes=classes)
-        expected = self.reference_specs(
-            60, classes, num_pages=500, rate=80.0, step=0.008, seed=SEED
+        expected = reference_specs(
+            60, classes, num_pages=500, rate=80.0, step=0.008,
+            streams=RandomStreams(SEED),
         )
-        assert self.as_tuples(generator.generate(60)) == expected
+        assert as_tuples(generator.generate(60)) == expected
+
+    @pytest.mark.parametrize("rate", [10.0, 200.0])
+    @pytest.mark.parametrize("replication", [0, 1])
+    @pytest.mark.parametrize("scenario", available_scenarios())
+    def test_every_scenario_matches_the_scalar_reference(
+        self, scenario, replication, rate
+    ):
+        config = get_scenario(scenario).to_config(
+            num_transactions=300, warmup_commits=0
+        )
+        streams = RandomStreams(config.seed).spawn(replication)
+        tensors = WorkloadTensors.from_config(config, rate, streams)
+        expected = reference_specs(
+            300, list(config.classes), config.num_pages, rate,
+            config.step_duration, RandomStreams(config.seed).spawn(replication),
+            config.workload,
+        )
+        assert len(tensors) == 300
+        for got, want in zip(as_tuples(tensors), expected):
+            assert got == want, f"transaction {got[0]}"
 
     def test_default_workload_spec_is_the_baseline(self):
         spec = WorkloadSpec()
@@ -146,19 +196,19 @@ class TestSeedCompatibility:
 
 class TestDeadlinePolicies:
     def test_class_slack_is_the_default(self):
-        spec = next(make_generator().generate(1))
+        spec = make_generator().generate(1)[0]
         assert spec.deadline == pytest.approx(
             spec.arrival + 2.0 * 16 * 0.008
         )
 
     def test_slack_override_applies_to_every_class(self):
         generator = make_generator(deadlines=SlackDeadlines(factor=3.0))
-        spec = next(generator.generate(1))
+        spec = generator.generate(1)[0]
         assert spec.deadline == pytest.approx(spec.arrival + 3.0 * 16 * 0.008)
 
     def test_fixed_offset(self):
         generator = make_generator(deadlines=FixedOffsetDeadlines(offset=0.7))
-        spec = next(generator.generate(1))
+        spec = generator.generate(1)[0]
         assert spec.deadline == pytest.approx(spec.arrival + 0.7)
 
     def test_dict_round_trip(self):
@@ -195,4 +245,4 @@ class TestValidation:
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            list(make_generator().generate(-1))
+            make_generator().generate(-1)
