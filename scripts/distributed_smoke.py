@@ -13,7 +13,9 @@ CLI merge path — and holds it to the determinism bar:
    (``os._exit``, no cleanup).  The lease/retry protocol must absorb the
    death: results bit-identical to serial, one ``worker_lost`` and at
    least one ``cell_retried`` on the telemetry bus, plus a replacement
-   ``worker_started``.
+   ``worker_started``.  Afterwards no host is left unreaped (read from
+   ``/proc``; skipped where it is missing), and this process has not
+   loaded ``multiprocessing`` (hosts are forked and reaped directly).
 3. **shard merge** — run the two halves of the rate grid into separate
    per-host shard stores (one JSONL, one SQLite), combine them with the
    CLI's ``results merge``, and verify the merged store's records carry
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import os
 import sys
 import tempfile
@@ -74,6 +77,18 @@ def kill_once_hook(marker_path: str):
         os._exit(13)
 
     return hook
+
+
+def child_pids():
+    """PIDs of this process's unreaped children, or ``None`` without /proc."""
+    paths = glob.glob("/proc/self/task/*/children")
+    if not paths:
+        return None
+    pids = set()
+    for path in paths:
+        with open(path) as fh:
+            pids.update(int(pid) for pid in fh.read().split())
+    return pids
 
 
 def grids_match(reference, candidate, protocols) -> bool:
@@ -142,6 +157,16 @@ def main(argv=None) -> int:
                   f"(backend {store.backend})", file=sys.stderr)
             return 1
     print(f"      results bit-identical to serial; store kept {total} cells")
+    left = child_pids()
+    if left:
+        print(f"error: hosts left unreaped: {sorted(left)}", file=sys.stderr)
+        return 1
+    if "multiprocessing" in sys.modules:
+        print("error: the sweep loaded multiprocessing", file=sys.stderr)
+        return 1
+    print("      no host left unreaped"
+          + (" (no /proc to check)" if left is None else "")
+          + "; multiprocessing never loaded")
 
     print("[3/3] two half-grid shards merged via the CLI...")
     half = len(rates) // 2

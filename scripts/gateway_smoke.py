@@ -12,7 +12,9 @@ SIGTERM — and holds it to the determinism bar:
    finish ``done``, every fingerprint must be enqueued exactly once
    across the pair (the overlap served cached or shared, visible as
    ``cached=true`` on the follower's event stream), and the gateway
-   store must be bit-identical to the direct run.
+   store must be bit-identical to the direct run.  Re-read once the
+   follower has finished, the leader's event stream and ``/results``
+   must equal what its client read when the leader finished.
 3. **quota rejection** — a greedy client submitting a grid larger than
    ``--max-queued-cells`` gets HTTP 429 and charges nothing.
 4. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
@@ -116,10 +118,13 @@ def main(argv=None) -> int:
 
         print("[2/4] two clients submit the same grid concurrently...")
         finals: dict = {}
+        reads: dict = {}
 
         def submit_and_wait(client: GatewayClient) -> None:
             accepted = client.submit(spec_dict)
-            finals[client.client_id] = client.wait(accepted["id"])
+            events = list(client.events(accepted["id"]))
+            finals[client.client_id] = client.status(accepted["id"])
+            reads[accepted["id"]] = (events, client.results(accepted["id"]))
 
         threads = [threading.Thread(target=submit_and_wait, args=(c,))
                    for c in (alice, bob)]
@@ -144,6 +149,11 @@ def main(argv=None) -> int:
         if len(outcomes) != total or not all(e["cached"] for e in outcomes):
             return fail("follower stream did not replay every cell as "
                         "cached=true")
+        leader = max(finals.values(), key=lambda f: f["enqueued_cells"])
+        again = (list(bob.events(leader["id"])), bob.results(leader["id"]))
+        if again != reads[leader["id"]]:
+            return fail("the finished leader's events or results changed "
+                        "between reads")
         with open_store(gateway_path) as gw_store, \
                 open_store(reference_path) as ref_store:
             if len(gw_store) != total:

@@ -31,14 +31,17 @@ The moving parts:
   telemetry bus.  It is the only multi-process executor:
   ``run_sweep(workers=N)`` and ``repro run --workers N`` reach it.
 
-Workers are forked, so the cell runner (a closure over the sweep's
-config and roster) is inherited, never pickled, and so is the protocol
-registry, including families registered at run time.  The parent
-closes its board connection around each fork, so every host opens its
-own.  Where fork is unavailable the executor degrades to the serial
-path, preserving results exactly.  A host stops claiming once its
-parent is gone, so a killed sweep does not leave hosts draining the
-grid for nobody, and it removes the sweep's temp workdir on the way out.
+Hosts are started with ``os.fork`` and reaped by the parent with
+``os.waitpid`` (:class:`_Host`), so the cell runner (a closure over the
+sweep's config and roster) is inherited, never pickled, and so is the
+protocol registry, including families registered at run time.  A host
+leaves through ``os._exit``, never through the parent's stack or its
+exit handlers.  The parent closes its board connection around each
+fork, so every host opens its own.  Where fork is unavailable the
+executor degrades to the serial path, preserving results exactly.  A
+host stops claiming once its parent is gone, so a killed sweep does not
+leave hosts draining the grid for nobody, and it removes the sweep's
+temp workdir on the way out.
 
 Failure semantics mirror the rest of the stack: a runner that raises a
 *deterministic* exception produces an error outcome exactly once (no
@@ -56,11 +59,14 @@ import json
 import os
 import shutil
 import sqlite3
+import sys
 import tempfile
 import threading
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
@@ -560,6 +566,70 @@ def _lost_outcome(cell: SweepCell, attempts: int) -> CellOutcome:
     return CellOutcome(cell=cell, summary=None, error=error, elapsed=0.0)
 
 
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass  # no stream, or a closed one
+
+
+class _Host:
+    """One forked host process, as the parent loop sees it.
+
+    The constructor forks; the child runs ``target()`` and leaves
+    through ``os._exit`` — 0 when ``target`` returns, 1 after printing
+    the traceback of anything it raised — so it never unwinds into the
+    parent's stack or runs the parent's exit handlers.  The parent reaps
+    the child with ``os.waitpid``: :attr:`exitcode` stays ``None`` until
+    then, and reads ``-N`` for a child killed by signal ``N``.
+    """
+
+    def __init__(self, target: Callable[[], None]) -> None:
+        # Buffered output would otherwise be written by both processes.
+        _flush_std_streams()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                try:
+                    target()
+                    code = 0
+                except BaseException:  # noqa: BLE001 - report, then exit 1
+                    traceback.print_exc()
+                _flush_std_streams()
+            finally:
+                os._exit(code)
+        self.pid = pid
+        self._exitcode: Optional[int] = None
+
+    @property
+    def exitcode(self) -> Optional[int]:
+        """The exit code once the host is reaped (``None`` while it runs)."""
+        if self._exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self._exitcode = os.waitstatus_to_exitcode(status)
+        return self._exitcode
+
+    def is_alive(self) -> bool:
+        """Whether the host still runs (reaps it once it has exited)."""
+        return self.exitcode is None
+
+    def join(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for the host to exit."""
+        deadline = time.monotonic() + timeout
+        while self.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.002)
+
+    def terminate(self) -> None:
+        """Send the host SIGTERM (nothing once it has been reaped)."""
+        import signal  # only a host that outstays the final join needs it
+
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGTERM)
+
+
 class DistributedSweepExecutor(SweepExecutor):
     """Fan cells out to N forked "hosts" via a shared SQLite job board.
 
@@ -645,14 +715,9 @@ class DistributedSweepExecutor(SweepExecutor):
                 f"workdir {kept} is not empty: a sweep needs a fresh board "
                 "and shard files (remove it or pick another directory)"
             )
-        # Imported here so a sweep served wholly from its store never
-        # loads the process machinery.
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if not hasattr(os, "fork"):
             # No fork: the runner closure cannot reach hosts unpickled.
             return SerialSweepExecutor().run(cells, runner, on_progress, on_outcome)
-        context = multiprocessing.get_context("fork")
         workers = max(1, min(self.workers or os.cpu_count() or 1, len(cells)))
         workdir = kept or tempfile.mkdtemp(prefix="repro-distributed-")
         owns_workdir = kept is None
@@ -665,7 +730,7 @@ class DistributedSweepExecutor(SweepExecutor):
         restarts_left = workers * self.max_attempts
         delivered: Dict[int, CellOutcome] = {}
         readers: Dict[str, _ShardReader] = {}
-        procs: Dict[str, Any] = {}
+        procs: Dict[str, _Host] = {}
         next_host = 0
         t0 = time.perf_counter()
 
@@ -680,9 +745,9 @@ class DistributedSweepExecutor(SweepExecutor):
                 next_host += 1
                 shard = os.path.join(workdir, f"outcomes-{worker_id}.jsonl")
                 readers[worker_id] = _ShardReader(shard, cells_by_index)
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(
+                proc = _Host(
+                    partial(
+                        _worker_main,
                         board_path,
                         shard,
                         worker_id,
@@ -692,10 +757,8 @@ class DistributedSweepExecutor(SweepExecutor):
                         self.fault_hook,
                         os.getpid(),
                         workdir if owns_workdir else None,
-                    ),
-                    daemon=True,
+                    )
                 )
-                proc.start()
                 procs[worker_id] = proc
                 self._emit(
                     "worker_started", {"worker": worker_id, "pid": proc.pid}

@@ -33,22 +33,30 @@ the existing platform pieces into one long-running service:
   failed cells degrade their experiments to ``partial`` status instead
   of failing the sweep.
 * **Quotas** — :class:`~repro.gateway.quotas.ClientQuotas` admission
-  control per ``X-Client``.
-* **Events** — every experiment owns a
+  control per ``X-Client``.  Only what a submission charged is
+  released; experiments adopted from a persisted board were charged by
+  the instance that accepted them.
+* **Events** — every running experiment owns a
   :class:`~repro.telemetry.bus.EventBus` whose
   ``cell_started``/``cell_completed``/``cell_outcome`` payloads are
   byte-for-byte the stream ``run_sweep(on_event=...)`` publishes,
   framed by gateway markers (``experiment_accepted`` /
-  ``experiment_done`` / ``experiment_interrupted``).
+  ``experiment_done`` / ``experiment_interrupted``).  Each event is
+  stored once, encoded as its NDJSON line when it is published.
 
 Threading model: HTTP handlers (one server thread per connection) call
 ``submit``/``status``/``wait_events``; worker threads complete cells.
 The registry lock serializes both sides; per-experiment conditions let
-streams block without holding the registry.
+streams block without holding the registry.  An experiment that ends
+``done`` or ``partial`` drops its config, protocol specs and bus and
+keeps what its status, event lines and results read; an
+``interrupted`` one keeps everything, since a worker that outlives the
+drain may still complete its cell.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import threading
@@ -139,31 +147,45 @@ class _Worker:
 class ExperimentState:
     """Bookkeeping for one submitted experiment.
 
-    Holds the resolved grid, per-cell fingerprints, the event log, and
-    completion counters.  All mutation happens under ``cond`` (an RLock
-    condition, so bus subscribers re-entering is safe); the event stream
-    endpoint waits on ``cond`` for new events.
+    Holds the per-cell fingerprints in cell order, the event stream as
+    encoded NDJSON lines, and completion counters.  While it runs it
+    also holds what its cells run on (the config, the
+    :class:`~repro.protocols.registry.ProtocolSpec` of each label, the
+    event bus); a ``done`` or ``partial`` experiment drops them.  All
+    mutation happens under ``cond`` (an RLock condition, so bus
+    subscribers re-entering is safe); the event stream endpoint waits on
+    ``cond`` for new lines.
+
+    Args:
+        experiment_id: The experiment's id.
+        client: The submitting client (the quota key).
+        scenario: The spec's scenario name (``None`` for none).
+        config: The resolved experiment config.
+        specs: Protocol label -> spec, in roster order.
+        fingerprints: Each cell's fingerprint, in cell order.
+        charged: Whether the client's quota was charged for it
+            (recovered experiments are not).
     """
 
     def __init__(
         self,
         experiment_id: str,
         client: str,
-        spec: ExperimentSpec,
+        scenario: Optional[str],
         config,
         specs: Dict[str, ProtocolSpec],
-        cells: List[SweepCell],
-        fingerprints: Dict[int, str],
+        fingerprints: List[str],
+        charged: bool,
     ) -> None:
         self.id = experiment_id
         self.client = client
-        self.spec = spec
         self.config = config
-        self.scenario = spec.scenario_name()
-        self.specs = specs
-        self.cells = cells
+        self.scenario = scenario
+        self.specs: Optional[Dict[str, ProtocolSpec]] = specs
+        self.protocols = tuple(specs)
         self.fingerprints = fingerprints
-        self.total = len(cells)
+        self.charged = charged
+        self.total = len(fingerprints)
         self.done = 0
         self.failed: List[dict] = []
         self.cached = 0
@@ -172,27 +194,33 @@ class ExperimentState:
         self.status = "running"
         self.created_unix = time.time()
         self.started = time.monotonic()
-        self.events: List[dict] = []
+        #: the event stream, each event encoded once as it is published
+        self.lines: List[bytes] = []
         self.cond = threading.Condition(threading.RLock())
-        self.bus = EventBus()
+        self.bus: Optional[EventBus] = EventBus()
         self.bus.subscribe(self._collect)
 
     # -- event publication ---------------------------------------------
 
     def _collect(self, event) -> None:
         # Bus subscriber: publishers below already hold ``cond`` (RLock).
-        self.events.append(event.to_dict())
+        self._append(event.to_dict())
+
+    def _append(self, payload: dict) -> None:
+        # Caller holds ``cond``.
+        self.lines.append((json.dumps(payload, sort_keys=True) + "\n").encode())
         self.cond.notify_all()
 
     def publish_marker(self, payload: dict) -> None:
         """Append one gateway marker line to the event stream."""
         with self.cond:
-            self.events.append(payload)
-            self.cond.notify_all()
+            self._append(payload)
 
     def publish_started(self, cell: SweepCell) -> None:
         """Publish the ``cell_started`` tick for a cell a worker claimed."""
         with self.cond:
+            if self.status != "running":
+                return
             self.bus.publish_progress(
                 ProgressEvent(
                     kind="started",
@@ -207,6 +235,8 @@ class ExperimentState:
     def publish_lifecycle(self, kind: str, payload: dict) -> None:
         """Publish one worker-fleet lifecycle event onto this stream."""
         with self.cond:
+            if self.status != "running":
+                return
             self.bus.publish_lifecycle(kind, payload)
 
     def deliver(self, outcome: CellOutcome, cached: bool) -> bool:
@@ -254,7 +284,7 @@ class ExperimentState:
     def _finalize(self) -> None:
         # Caller holds ``cond``.
         self.status = "partial" if self.failed else "done"
-        self.events.append(
+        self._append(
             {
                 "kind": "experiment_done",
                 "experiment": self.id,
@@ -264,7 +294,10 @@ class ExperimentState:
                 "failed": len(self.failed),
             }
         )
-        self.cond.notify_all()
+        # Every cell has landed: nothing will run on these again.  An
+        # interrupted experiment keeps them, since a worker that outlives
+        # the drain may still complete its cell.
+        self.config = self.specs = self.bus = None
 
     def interrupt(self) -> bool:
         """Mark a still-running experiment interrupted (gateway drain)."""
@@ -272,7 +305,7 @@ class ExperimentState:
             if self.status != "running":
                 return False
             self.status = "interrupted"
-            self.events.append(
+            self._append(
                 {
                     "kind": "experiment_interrupted",
                     "experiment": self.id,
@@ -281,7 +314,6 @@ class ExperimentState:
                     "failed": len(self.failed),
                 }
             )
-            self.cond.notify_all()
             return True
 
     # -- introspection --------------------------------------------------
@@ -294,7 +326,7 @@ class ExperimentState:
                 "client": self.client,
                 "status": self.status,
                 "scenario": self.scenario,
-                "protocols": list(self.specs),
+                "protocols": list(self.protocols),
                 "total_cells": self.total,
                 "completed": self.done,
                 "failed": list(self.failed),
@@ -302,7 +334,7 @@ class ExperimentState:
                 "shared_cells": self.shared,
                 "enqueued_cells": self.enqueued,
                 "created_unix": self.created_unix,
-                "events": len(self.events),
+                "events": len(self.lines),
             }
 
     def wait(self, timeout: Optional[float] = None) -> str:
@@ -457,23 +489,23 @@ class GatewayApp:
             list(specs), tuple(config.arrival_rates), config.replications
         )
         cfg_payload = config_payload(config)
-        fingerprints = {
-            cell.index: cell_fingerprint(
+        fingerprints = [
+            cell_fingerprint(
                 cfg_payload,
                 specs[cell.protocol],
                 cell.arrival_rate,
                 cell.replication,
             )
             for cell in cells
-        }
+        ]
         exp = ExperimentState(
             experiment_id=uuid.uuid4().hex[:12],
             client=client,
-            spec=spec,
+            scenario=spec.scenario_name(),
             config=config,
             specs=specs,
-            cells=cells,
             fingerprints=fingerprints,
+            charged=True,
         )
         with self._lock:
             if self._draining or self._closed:
@@ -481,18 +513,17 @@ class GatewayApp:
                     "gateway is draining; resubmit to the replacement instance"
                 )
             cached: Dict[int, RunRecord] = {}
-            shared: List[SweepCell] = []
-            fresh: List[SweepCell] = []
-            for cell in cells:
-                fingerprint = fingerprints[cell.index]
+            shared: List[Tuple[SweepCell, str]] = []
+            fresh: List[Tuple[SweepCell, str]] = []
+            for cell, fingerprint in zip(cells, fingerprints):
                 with self._store_lock:
                     record = self._store.get(fingerprint)
                 if record is not None:
                     cached[cell.index] = record
                 elif fingerprint in self._inflight:
-                    shared.append(cell)
+                    shared.append((cell, fingerprint))
                 else:
-                    fresh.append(cell)
+                    fresh.append((cell, fingerprint))
             # Admission: all gates checked before any state changes, so a
             # 429 leaves the gateway exactly as it was.
             self.quotas.admit(client, len(fresh))
@@ -511,12 +542,11 @@ class GatewayApp:
                     "enqueued": exp.enqueued,
                 }
             )
-            for cell in shared:
-                self._inflight[fingerprints[cell.index]].append((exp, cell))
-            for cell in fresh:
+            for cell, fingerprint in shared:
+                self._inflight[fingerprint].append((exp, cell))
+            for cell, fingerprint in fresh:
                 index = self._next_index
                 self._next_index += 1
-                fingerprint = fingerprints[cell.index]
                 self._cells[index] = (exp, cell, fingerprint)
                 self._inflight[fingerprint] = []
                 # client + spec make the payload self-contained: a
@@ -608,10 +638,9 @@ class GatewayApp:
                 cells = [
                     SweepCell(**payload["cell"]) for _, payload in entries
                 ]
-                fingerprints = {
-                    cell.index: str(payload["fingerprint"])
-                    for cell, (_, payload) in zip(cells, entries)
-                }
+                fingerprints = [
+                    str(payload["fingerprint"]) for _, payload in entries
+                ]
             except Exception as exc:  # noqa: BLE001 - damaged payloads: drop
                 for index, _payload in entries:
                     self._board.fail(index)
@@ -624,16 +653,17 @@ class GatewayApp:
             exp = ExperimentState(
                 experiment_id=experiment_id,
                 client=client,
-                spec=spec,
+                scenario=spec.scenario_name(),
                 config=config,
                 specs=specs,
-                cells=cells,
                 fingerprints=fingerprints,
+                charged=False,
             )
             exp.enqueued = exp.total
             self._experiments[exp.id] = exp
-            for (index, _payload), cell in zip(entries, cells):
-                fingerprint = fingerprints[cell.index]
+            for (index, _payload), cell, fingerprint in zip(
+                entries, cells, fingerprints
+            ):
                 self._cells[index] = (exp, cell, fingerprint)
                 self._inflight[fingerprint] = []
             exp.publish_marker(
@@ -767,7 +797,8 @@ class GatewayApp:
             waiters = self._inflight.pop(fingerprint, [])
         if exp.deliver(outcome, cached=False):
             self._experiment_finished(exp)
-        self.quotas.cell_finished(exp.client)
+        if exp.charged:
+            self.quotas.cell_finished(exp.client)
         for waiter_exp, waiter_cell in waiters:
             waiter_outcome = CellOutcome(
                 cell=waiter_cell,
@@ -784,10 +815,13 @@ class GatewayApp:
     def _experiment_finished(self, exp: ExperimentState) -> None:
         """Release a terminal experiment's quota slot; bound the registry.
 
-        Keeps the last :data:`MAX_FINISHED_EXPERIMENTS` terminal
-        experiments and forgets the one that finished earliest.
+        Only a charged experiment releases one: a recovered experiment
+        was charged by the instance that accepted it.  Keeps the last
+        :data:`MAX_FINISHED_EXPERIMENTS` terminal experiments and forgets
+        the one that finished earliest.
         """
-        self.quotas.experiment_finished(exp.client)
+        if exp.charged:
+            self.quotas.experiment_finished(exp.client)
         with self._lock:
             self._finished.append(exp.id)
             while len(self._finished) > MAX_FINISHED_EXPERIMENTS:
@@ -891,29 +925,32 @@ class GatewayApp:
 
     def wait_events(
         self, experiment_id: str, cursor: int, timeout: Optional[float]
-    ) -> Tuple[List[dict], bool]:
-        """Events past ``cursor`` plus whether the stream is complete.
+    ) -> Tuple[List[bytes], bool]:
+        """Event lines past ``cursor`` plus whether the stream is complete.
 
-        With nothing past ``cursor`` on a running experiment, waits up
-        to ``timeout`` seconds (``None``: no limit; ``0``: not at all)
-        for news.  ``done=True`` means no further events will ever
-        arrive: the experiment is terminal, or the gateway has closed.
+        Each event is one NDJSON line (``json.dumps(event,
+        sort_keys=True) + "\\n"``, UTF-8), encoded once when it was
+        published.  With nothing past ``cursor`` on a running experiment,
+        waits up to ``timeout`` seconds (``None``: no limit; ``0``: not
+        at all) for news.  ``done=True`` means no further events will
+        ever arrive: the experiment is terminal, or the gateway has
+        closed.
         """
         exp = self._get(experiment_id)
         with exp.cond:
-            if cursor >= len(exp.events) and exp.status == "running":
+            if cursor >= len(exp.lines) and exp.status == "running":
                 exp.cond.wait(timeout)
-            events = list(exp.events[cursor:])
+            lines = exp.lines[cursor:]
             done = exp.status != "running" or self._closed
-        return events, done
+        return lines, done
 
     def results(self, experiment_id: str) -> List[dict]:
         """Stored run-record dicts for the experiment's cells, in cell order."""
         exp = self._get(experiment_id)
         records = []
-        for cell in exp.cells:
+        for fingerprint in exp.fingerprints:
             with self._store_lock:
-                record = self._store.get(exp.fingerprints[cell.index])
+                record = self._store.get(fingerprint)
             if record is not None:
                 records.append(record.to_dict())
         return records

@@ -188,7 +188,7 @@ class ClientQuotas:
         with self._lock:
             state = self._clients.get(client)
             if state is None:
-                return  # nothing was charged: a recovered experiment
+                return  # nothing is charged to this client
             state.experiments = max(0, state.experiments - experiments)
             state.queued_cells = max(0, state.queued_cells - cells)
             if state.is_fresh():

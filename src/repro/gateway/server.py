@@ -26,7 +26,6 @@ finish, closes the listener, and :meth:`GatewayServer.run` returns.
 
 from __future__ import annotations
 
-import json
 import queue
 import signal
 import socket
@@ -187,8 +186,9 @@ class GatewayServer:
 
         Each event is one chunk holding one ``json\\n`` line — the
         sweep-event payloads of :mod:`repro.telemetry.bus` plus the
-        gateway's ``experiment_*`` markers.  The stream ends (zero
-        chunk) when the experiment reaches a terminal state.
+        gateway's ``experiment_*`` markers — written as the app stored
+        it, with no re-encoding.  The stream ends (zero chunk) when the
+        experiment reaches a terminal state.
         """
         conn.sendall(
             b"HTTP/1.1 200 OK\r\n"
@@ -200,14 +200,13 @@ class GatewayServer:
         done = False
         while not done:
             try:
-                events, done = self.app.wait_events(experiment_id, cursor, None)
+                lines, done = self.app.wait_events(experiment_id, cursor, None)
             except UnknownExperiment:
                 break
-            cursor += len(events)
-            chunks = []
-            for event in events:
-                line = (json.dumps(event, sort_keys=True) + "\n").encode()
-                chunks.append(f"{len(line):X}\r\n".encode() + line + b"\r\n")
+            cursor += len(lines)
+            chunks = [
+                f"{len(line):X}\r\n".encode() + line + b"\r\n" for line in lines
+            ]
             if chunks:
                 conn.sendall(b"".join(chunks))
         conn.sendall(b"0\r\n\r\n")

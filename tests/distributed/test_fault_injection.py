@@ -12,6 +12,7 @@ With a caller-supplied (kept) ``workdir`` a hook can also damage the
 host's own shard file and board row before it dies.
 """
 
+import glob
 import json
 import multiprocessing
 import os
@@ -78,6 +79,88 @@ def test_hard_killed_worker_is_bit_identical_to_serial(tmp_path):
     assert lost.payload["exitcode"] == 13
     retried = next(e for e in events if e.kind == "cell_retried")
     assert retried.payload["attempts"] == 1
+
+
+def _child_pids():
+    """PIDs of this process's unreaped children (zombies included)."""
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as fh:
+            pids.update(int(pid) for pid in fh.read().split())
+    return pids
+
+
+@pytest.mark.skipif(
+    not glob.glob("/proc/self/task/*/children"),
+    reason="needs /proc to list child processes",
+)
+@pytest.mark.parametrize("killed", [False, True], ids=["clean", "host-killed"])
+def test_run_reaps_every_host_and_reports_each_exit_once(tmp_path, killed):
+    before = _child_pids()
+    events = []
+    executor = DistributedSweepExecutor(
+        workers=2,
+        lease_seconds=0.4,
+        poll_seconds=0.01,
+        max_attempts=3,
+        fault_hook=_kill_once(str(tmp_path / "killed")) if killed else None,
+    )
+    executor.lifecycle_hook = lambda kind, payload: events.append((kind, payload))
+    cells = build_cells(["P"], [10.0, 20.0, 30.0, 40.0], 1)
+    outcomes = executor.run(cells, lambda cell: cell.arrival_rate)
+    assert [outcome.summary for outcome in outcomes] == [10.0, 20.0, 30.0, 40.0]
+    started = {p["worker"]: p["pid"] for kind, p in events if kind == "worker_started"}
+    assert _child_pids() - before == set()
+    assert not set(started.values()) & _child_pids()
+    ends = [
+        (kind, p["worker"], p["exitcode"])
+        for kind, p in events
+        if kind in ("worker_stopped", "worker_lost")
+    ]
+    assert sorted(worker for _, worker, _ in ends) == sorted(started)
+    assert all((kind == "worker_stopped") == (code == 0) for kind, _, code in ends)
+    codes = sorted(code for _, _, code in ends)
+    assert codes == ([0] * (len(started) - 1) + [13] if killed else [0, 0])
+
+
+def test_keyboard_interrupt_in_a_host_exits_it_and_retries_its_cell(tmp_path):
+    # The host prints the traceback and exits 1; it must never unwind out
+    # of the fork into this test, whose code after run() runs only here.
+    marker = str(tmp_path / "interrupted")
+    after_run = tmp_path / "after-run"
+    test_pid = os.getpid()
+
+    def interrupt_once(cell, attempt):
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+        except FileExistsError:
+            return
+        os.close(fd)
+        raise KeyboardInterrupt
+
+    events = []
+    executor = DistributedSweepExecutor(
+        workers=2,
+        lease_seconds=0.4,
+        poll_seconds=0.01,
+        max_attempts=3,
+        fault_hook=interrupt_once,
+    )
+    executor.lifecycle_hook = lambda kind, payload: events.append((kind, payload))
+    cells = build_cells(["P"], [10.0, 20.0, 30.0], 1)
+    try:
+        outcomes = executor.run(cells, lambda cell: cell.arrival_rate * 2)
+        with open(after_run, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+    finally:
+        if os.getpid() != test_pid:
+            os._exit(0)  # a host that escaped its fork ends here
+    assert after_run.read_text() == f"{test_pid}\n"
+    assert [outcome.summary for outcome in outcomes] == [20.0, 40.0, 60.0]
+    lost = [p for kind, p in events if kind == "worker_lost"]
+    assert [p["exitcode"] for p in lost] == [1]
+    retried = [p for kind, p in events if kind == "cell_retried"]
+    assert [p["attempts"] for p in retried] == [1]
 
 
 def test_dropped_lease_is_reclaimed_by_another_host(tmp_path):

@@ -1,14 +1,18 @@
 """GatewayApp behavior: submit, dedup, quotas, breaker degradation, drain."""
 
+import gc
 import json
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
 import repro.gateway.app as gateway_app
 from repro.errors import ConfigurationError, ReproError
+from repro.experiments.runner import build_cells, normalize_protocols
+from repro.experiments.spec import ExperimentSpec
 from repro.gateway import (
     CircuitBreaker,
     ClientQuotas,
@@ -18,6 +22,7 @@ from repro.gateway import (
     UnknownExperiment,
 )
 from repro.gateway.routes import Request, dispatch
+from repro.results.fingerprint import cell_fingerprint, config_payload
 
 from tests.gateway.conftest import tiny_spec_dict
 
@@ -26,6 +31,12 @@ def wait_done(app: GatewayApp, experiment_id: str, timeout: float = 60.0) -> str
     status = app._get(experiment_id).wait(timeout=timeout)
     assert status != "running", "experiment did not finish in time"
     return status
+
+
+def events_of(app: GatewayApp, experiment_id: str) -> tuple:
+    """The experiment's events so far, decoded, and whether they are all."""
+    lines, done = app.wait_events(experiment_id, 0, 0)
+    return [json.loads(line) for line in lines], done
 
 
 class TestSubmit:
@@ -44,7 +55,7 @@ class TestSubmit:
         app = make_app()
         status = app.submit(tiny_spec_dict(), client="alice")
         wait_done(app, status["id"])
-        events, done = app.wait_events(status["id"], 0, 0)
+        events, done = events_of(app, status["id"])
         assert done
         kinds = [event["kind"] for event in events]
         assert kinds[0] == "experiment_accepted"
@@ -174,7 +185,7 @@ class TestDedup:
         assert second["status"] == "done"
         assert second["cached_cells"] == 2
         assert second["enqueued_cells"] == 0
-        events, _ = app.wait_events(second["id"], 0, 0)
+        events, _ = events_of(app, second["id"])
         outcomes = [e for e in events if e["kind"] == "cell_outcome"]
         assert len(outcomes) == 2 and all(e["cached"] for e in outcomes)
         assert len(app.results(second["id"])) == stored
@@ -193,7 +204,7 @@ class TestDedup:
         # One record per cell, not one per client.
         with app._store_lock:
             assert len(app._store) == 2
-        events, _ = app.wait_events(second["id"], 0, 0)
+        events, _ = events_of(app, second["id"])
         outcomes = [e for e in events if e["kind"] == "cell_outcome"]
         assert len(outcomes) == 2 and all(e["cached"] for e in outcomes)
 
@@ -292,7 +303,7 @@ class TestBreaker:
         assert final["completed"] == final["total_cells"] == 6
         assert len(final["failed"]) == 6
         assert len(app.results(status["id"])) == 0
-        events, _ = app.wait_events(status["id"], 0, 0)
+        events, _ = events_of(app, status["id"])
         kinds = [event["kind"] for event in events]
         assert "worker_lost" in kinds
         degraded = [
@@ -371,9 +382,33 @@ class TestDrain:
         assert final["status"] == "interrupted"
         assert 1 <= final["completed"] < final["total_cells"]
         assert len(app.results(status["id"])) == final["completed"]
-        events, done = app.wait_events(status["id"], 0, 0)
+        events, done = events_of(app, status["id"])
         assert done
         assert events[-1]["kind"] == "experiment_interrupted"
+
+    def test_cell_in_flight_past_the_drain_still_lands_in_the_store(
+        self, make_app
+    ):
+        # The drain gives up on the held worker and interrupts the
+        # experiment; the worker then completes its cell, which reads
+        # the interrupted experiment's config.
+        started = threading.Event()
+        release = threading.Event()
+
+        def hold(cell):
+            started.set()
+            release.wait(30)
+
+        app = make_app(workers=1, fault_hook=hold)
+        status = app.submit(tiny_spec_dict(), client="alice")
+        assert started.wait(10)
+        app.drain(timeout=0.1)
+        assert app.status(status["id"])["status"] == "interrupted"
+        release.set()
+        app._workers[0].thread.join(30)
+        records = app.results(status["id"])
+        assert len(records) == 1
+        assert records[0]["fingerprint"] == app._get(status["id"]).fingerprints[0]
 
     def test_drain_is_idempotent(self, make_app):
         app = make_app()
@@ -388,6 +423,65 @@ class TestDrain:
         assert health["status"] == "draining"
         assert health["store"] is None
         assert health["board"] is None
+
+
+class TestFinishedExperiments:
+    def test_every_stored_line_re_encodes_to_itself(self, make_app):
+        app = make_app()
+        status = app.submit(tiny_spec_dict(), client="alice")
+        assert wait_done(app, status["id"]) == "done"
+        lines, done = app.wait_events(status["id"], 0, 0)
+        assert done and len(lines) == app.status(status["id"])["events"]
+        for line in lines:
+            event = json.loads(line)
+            assert line == (json.dumps(event, sort_keys=True) + "\n").encode()
+
+    def test_finished_experiment_lets_its_config_go(self, make_app):
+        release = threading.Event()
+        app = make_app(fault_hook=lambda cell: release.wait(30))
+        status = app.submit(tiny_spec_dict(), client="alice")
+        config = weakref.ref(app._get(status["id"]).config)
+        release.set()
+        assert wait_done(app, status["id"]) == "done"
+        gc.collect()
+        assert config() is None
+
+    def test_finished_experiment_reads_the_same(self, make_app):
+        # Status, events and results come from what a finished
+        # experiment keeps: labels, counters and fingerprints.
+        spec_dict = tiny_spec_dict()
+        spec = ExperimentSpec.from_dict(spec_dict)
+        config = spec.to_config()
+        specs = normalize_protocols(spec.protocols)
+        cells = build_cells(list(specs), tuple(config.arrival_rates), 1)
+        fingerprints = [
+            cell_fingerprint(
+                config_payload(config), specs[cell.protocol],
+                cell.arrival_rate, cell.replication,
+            )
+            for cell in cells
+        ]
+        app = make_app()
+        for cached in (False, True):
+            status = app.submit(spec_dict, client="alice")
+            assert wait_done(app, status["id"]) == "done"
+            final = app.status(status["id"])
+            assert final["protocols"] == ["SCC-2S", "OCC-BC"]
+            assert final["scenario"] is None
+            assert (final["total_cells"], final["completed"]) == (2, 2)
+            assert final["cached_cells"] == (2 if cached else 0)
+            assert final["failed"] == []
+            events, done = events_of(app, status["id"])
+            assert done and final["events"] == len(events)
+            outcomes = [e for e in events if e["kind"] == "cell_outcome"]
+            assert [e["cached"] for e in outcomes] == [cached, cached]
+            assert events[-1] == {
+                "kind": "experiment_done", "experiment": status["id"],
+                "status": "done", "total": 2, "completed": 2, "failed": 0,
+            }
+            results = app.results(status["id"])
+            assert [r["fingerprint"] for r in results] == fingerprints
+            assert [r["protocol"] for r in results] == ["SCC-2S", "OCC-BC"]
 
 
 class TestRetention:
@@ -511,7 +605,7 @@ class TestRecovery:
             assert recovered["total_cells"] == orphans
             assert recovered["enqueued_cells"] == orphans
             assert wait_done(second, status["id"]) == "done"
-            events, done = second.wait_events(status["id"], 0, 0)
+            events, done = events_of(second, status["id"])
             assert done
             assert events[0]["kind"] == "experiment_recovered"
             assert events[-1]["kind"] == "experiment_done"
@@ -528,6 +622,53 @@ class TestRecovery:
             assert counts["pending"] == 0 and counts["claimed"] == 0
         finally:
             second.close()
+
+    def test_finished_orphan_releases_no_quota_of_its_client(self, tmp_path):
+        # The instance that accepted the orphan charged for it; this one
+        # did not, so the orphan finishing frees none of alice's charges
+        # for her new experiment.
+        from repro.experiments.distributed import JobBoard
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        board = JobBoard(workdir / "board.sqlite")
+        board.add(0, {"experiment": "cafef00d", "client": "alice",
+                      "fingerprint": "ee" * 16,
+                      "cell": {"index": 0, "protocol": "SCC-2S",
+                               "rate_index": 0, "arrival_rate": 60.0,
+                               "replication": 0},
+                      "spec": tiny_spec_dict()})
+        board.close()
+        release_orphan = threading.Event()
+        release_new = threading.Event()
+
+        def hold(cell):
+            (release_orphan if cell.arrival_rate == 60.0 else release_new).wait(30)
+
+        app = GatewayApp(
+            store=str(tmp_path / "store.jsonl"), workers=1,
+            workdir=str(workdir), quotas=ClientQuotas(max_experiments=1),
+            fault_hook=hold,
+        )
+        try:
+            new = app.submit(
+                tiny_spec_dict(arrival_rates=[61.0]), client="alice"
+            )
+            charged = app.quotas.snapshot()["alice"]
+            assert charged == {"experiments": 1, "queued_cells": 2}
+            release_orphan.set()
+            assert wait_done(app, "cafef00d") == "done"
+            assert app.status(new["id"])["status"] == "running"
+            assert app.quotas.snapshot()["alice"] == charged
+            with pytest.raises(QuotaExceeded):
+                app.submit(tiny_spec_dict(seed=99), client="alice")
+            release_new.set()
+            assert wait_done(app, new["id"]) == "done"
+            assert app.quotas.snapshot().get("alice", {}).get("experiments", 0) == 0
+        finally:
+            release_orphan.set()
+            release_new.set()
+            app.close()
 
     def test_orphan_spec_with_engine_null_is_adopted(self, tmp_path):
         from repro.experiments.distributed import JobBoard

@@ -7,11 +7,13 @@ gateway, the distributed executor, the profiler, the timeline renderer
 or the SQLite backend, and the gateway must not load the profiling
 code or an event loop (``asyncio``); a ``--workers`` rerun served wholly
 from its store must load neither the job-board executor nor
-``multiprocessing``.  numpy and the simulation layer load only in a
-process that runs a cell, when it runs its first one: not in the
-``results``/``specs`` commands, a rerun served from its store, the
-parent of a ``--workers`` sweep (its hosts run the cells), or a gateway
-that has computed nothing.  The engine is the bottom layer: importing
+``multiprocessing``, and a cold ``--workers`` sweep, whose executor
+forks and reaps its hosts itself, never loads ``multiprocessing``
+either.  numpy and the simulation layer load only in a process that
+runs a cell, when it runs its first one: not in the ``results``/
+``specs`` commands, a rerun served from its store, the parent of a
+``--workers`` sweep (its hosts run the cells), or a gateway that has
+computed nothing.  The engine is the bottom layer: importing
 it loads no workload, protocol or system module.  Package roots resolve
 their names on first access (``repro._lazy``), so each of these stays
 out unless a command reaches for it.  The checks need a fresh
@@ -111,8 +113,8 @@ with tempfile.TemporaryDirectory() as workdir:
                      f"/experiments/{experiment}/results", "/healthz"):
             response = dispatch(app, Request(method="GET", path=path))
             assert response.status == 200, (path, response.body)
-        events, done = app.wait_events(experiment, 0, 0)
-        assert done and events[-1]["kind"] == "experiment_done"
+        lines, done = app.wait_events(experiment, 0, 0)
+        assert done and json.loads(lines[-1])["kind"] == "experiment_done"
     finally:
         app.close()
 print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
@@ -216,9 +218,12 @@ def test_cached_serial_rerun_skips_numpy(tmp_path):
 
 def test_workers_parent_leaves_numpy_to_its_hosts(tmp_path):
     # The hosts compute every cell after the fork; the parent only
-    # coordinates, so it never imports the simulation layer.
+    # coordinates, so it never imports the simulation layer.  It forks
+    # and reaps the hosts with os.fork/os.waitpid, so a cold --workers
+    # sweep never loads multiprocessing either.
     store = tmp_path / "runs.jsonl"
-    assert _loaded(SWEEP_CHILD, SIMULATION, (str(store), "2")) == []
+    modules = [*SIMULATION, "multiprocessing"]
+    assert _loaded(SWEEP_CHILD, modules, (str(store), "2")) == []
     assert store.stat().st_size > 0
 
 
