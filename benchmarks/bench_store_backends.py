@@ -5,9 +5,10 @@ backend registry, so the relative cost of the two persistence mediums is
 tracked from commit to commit.  ``cold`` measures a sweep that computes
 every cell and durably appends each record (per-line fsync for JSONL,
 ``synchronous=FULL`` transactions for SQLite); ``warm`` measures the
-same grid served entirely from the store.  The distributed executor
-leans on the SQLite backend for multi-writer shards, so a regression
-here is a regression in distributed sweep throughput.
+same grid served entirely from the store.  Every sweep and the gateway
+append through one of these backends, from one process (a ``--workers``
+sweep's parent; its hosts report to the job board), so a regression here
+is a regression in sweep throughput.
 """
 
 import os

@@ -13,9 +13,10 @@ CLI merge path — and holds it to the determinism bar:
    (``os._exit``, no cleanup).  The lease/retry protocol must absorb the
    death: results bit-identical to serial, one ``worker_lost`` and at
    least one ``cell_retried`` on the telemetry bus, plus a replacement
-   ``worker_started``.  Afterwards no host is left unreaped (read from
-   ``/proc``; skipped where it is missing), and this process has not
-   loaded ``multiprocessing`` (hosts are forked and reaped directly).
+   ``worker_started``.  Afterwards the sweep's kept workdir holds only
+   ``board.sqlite``, no host is left unreaped (read from ``/proc``;
+   skipped where it is missing), and this process has not loaded
+   ``multiprocessing`` (hosts are forked and reaped directly).
 3. **shard merge** — run the two halves of the rate grid into separate
    per-host shard stores (one JSONL, one SQLite), combine them with the
    CLI's ``results merge``, and verify the merged store's records carry
@@ -35,6 +36,7 @@ import argparse
 import dataclasses
 import glob
 import os
+import shutil
 import sys
 import tempfile
 
@@ -111,7 +113,14 @@ def main(argv=None) -> int:
     parser.add_argument("--rates", type=str, default="60,140")
     parser.add_argument("--seed", type=int, default=90_1995)
     args = parser.parse_args(argv)
+    workdir = tempfile.mkdtemp(prefix="repro-distributed-smoke-")
+    try:
+        return smoke(args, workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
+
+def smoke(args: argparse.Namespace, workdir: str) -> int:
     config = build_config(args)
     protocols = ExperimentSpec.load(FIG13_SPEC).protocol_mapping()
     rates = config.arrival_rates
@@ -120,18 +129,19 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     total = len(build_cells(list(protocols), rates, config.replications))
-    workdir = tempfile.mkdtemp(prefix="repro-distributed-smoke-")
 
     print(f"[1/3] serial reference sweep ({total} cells)...")
     serial = run_sweep(protocols, config, executor="serial")
 
     print("[2/3] distributed sweep, 2 hosts, first claimant hard-killed...")
     events = []
+    sweep_workdir = os.path.join(workdir, "sweep")
     executor = DistributedSweepExecutor(
         workers=2,
         lease_seconds=1.0,
         poll_seconds=0.02,
         max_attempts=3,
+        workdir=sweep_workdir,
         fault_hook=kill_once_hook(os.path.join(workdir, "killed")),
     )
     store_path = os.path.join(workdir, "runs.sqlite")
@@ -157,6 +167,12 @@ def main(argv=None) -> int:
                   f"(backend {store.backend})", file=sys.stderr)
             return 1
     print(f"      results bit-identical to serial; store kept {total} cells")
+    kept = sorted(os.listdir(sweep_workdir))
+    if kept != ["board.sqlite"]:
+        print(f"error: the sweep's workdir holds {kept}, not only "
+              "board.sqlite", file=sys.stderr)
+        return 1
+    print("      the kept workdir holds only board.sqlite")
     left = child_pids()
     if left:
         print(f"error: hosts left unreaped: {sorted(left)}", file=sys.stderr)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -98,9 +99,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with open(args.spec, encoding="utf-8") as fh:
         spec_dict = json.load(fh)
+    workdir = tempfile.mkdtemp(prefix="repro-gateway-smoke-")
+    try:
+        return smoke(spec_dict, workdir)
+    finally:
+        # smoke() returns only once the server process has exited.
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def smoke(spec_dict: dict, workdir: str) -> int:
     spec = ExperimentSpec.from_dict(spec_dict)
     total = len(spec.protocols) * len(spec.arrival_rates) * spec.replications
-    workdir = tempfile.mkdtemp(prefix="repro-gateway-smoke-")
     reference_path = os.path.join(workdir, "reference.jsonl")
     gateway_path = os.path.join(workdir, "gateway.sqlite")
 
@@ -242,6 +251,7 @@ def main(argv=None) -> int:
     finally:
         if server.poll() is None:
             server.kill()
+        server.wait()
         out = (server.stdout.read() or "") if server.stdout else ""
         errors = [line for line in out.splitlines()
                   if "Traceback" in line or "ERROR" in line]

@@ -1,12 +1,13 @@
 """Distributed sweep execution: a SQLite job board and worker "hosts".
 
 The executor models a small fleet: N worker processes (the "hosts") pull
-fingerprinted cells from one shared job board, compute them, and stream
-outcomes into per-worker shard files; the parent reassembles outcomes in
-cell order, bit-identical to the serial executor.  Because every cell is
-deterministic in ``(seed, replication)`` alone, at-least-once execution
-is free — a crashed worker's cell is simply recomputed, and last-wins
-resolution makes duplicates harmless.
+fingerprinted cells from one shared job board, compute them, and write
+each outcome back into its cell's row; the parent reads the finished rows
+and reassembles outcomes in cell order, bit-identical to the serial
+executor.  Because every cell is deterministic in ``(seed, replication)``
+alone, at-least-once execution is free — a crashed worker's cell is
+simply recomputed, and the parent keeps the first outcome of a cell, so
+duplicates are harmless.
 
 The moving parts:
 
@@ -15,18 +16,15 @@ The moving parts:
   lowest pending cell and stamps a lease expiry; a heartbeat thread
   extends the lease while the cell computes.  If the worker dies, the
   lease lapses and the parent requeues the cell, bounded by
-  ``max_attempts``.
-* **Shard files** — each worker appends outcomes as fsync'd JSON lines
-  to its own ``outcomes-<host>.jsonl``.  The parent tails every shard
-  incrementally; a torn tail is retried on the next poll, and a
-  complete-but-undecodable line counts as corruption.  Workers mark a
-  cell done only *after* its outcome line is durable, so "done on the
-  board but unreadable in every shard" is a corruption signal the
-  parent answers by requeueing the cell.
+  ``max_attempts``.  A worker reports the cell with ``complete()`` or
+  ``fail()``, which set its state, its encoded outcome and a finish
+  stamp in one statement.
 * :class:`DistributedSweepExecutor` — the parent loop: spawn workers,
-  tail shards, expire leases, respawn dead hosts within a restart
-  budget, and emit worker lifecycle events (``worker_started``,
-  ``worker_stopped``, ``worker_lost``, ``cell_retried``) through
+  read the rows finished since its previous poll (one query a poll),
+  requeue a row whose outcome does not decode, expire leases, respawn
+  dead hosts within a restart budget, and emit worker lifecycle events
+  (``worker_started``, ``worker_stopped``, ``worker_lost``,
+  ``cell_retried``) through
   :attr:`~DistributedSweepExecutor.lifecycle_hook` onto the sweep
   telemetry bus.  It is the only multi-process executor:
   ``run_sweep(workers=N)`` and ``repro run --workers N`` reach it.
@@ -93,6 +91,7 @@ __all__ = ["CELL_STATES", "DistributedSweepExecutor", "JobBoard"]
 #: ``pending`` until the attempt budget runs out.
 CELL_STATES = ("pending", "claimed", "done", "failed")
 
+#: The ``cells`` table as first released.
 _BOARD_SCHEMA = """
 CREATE TABLE IF NOT EXISTS cells (
     idx INTEGER PRIMARY KEY,
@@ -102,8 +101,14 @@ CREATE TABLE IF NOT EXISTS cells (
     worker TEXT,
     lease_expiry REAL,
     not_before REAL NOT NULL DEFAULT 0
-);
+)
 """
+
+#: Columns added since, which opening a board adds when its file lacks
+#: them: a finished cell's encoded outcome and its finish stamp.  The
+#: first opener adds them (a sweep's parent, or the gateway before its
+#: workers start), so no two processes race to.
+_ADDED_COLUMNS = {"outcome": "TEXT", "finished": "INTEGER"}
 
 
 class JobBoard:
@@ -147,10 +152,17 @@ class JobBoard:
                 check_same_thread=not cross_thread,
             )
             # The board is scratch state, rebuildable from the sweep grid:
-            # NORMAL sync keeps claims cheap without risking record data.
+            # NORMAL sync keeps claims cheap without risking record data,
+            # and a committed row still survives a killed host.
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.executescript(_BOARD_SCHEMA)
+            self._conn.execute(_BOARD_SCHEMA)
+            present = {
+                row[1] for row in self._conn.execute("PRAGMA table_info(cells)")
+            }
+            for name, kind in _ADDED_COLUMNS.items():
+                if name not in present:
+                    self._conn.execute(f"ALTER TABLE cells ADD COLUMN {name} {kind}")
         except sqlite3.DatabaseError as exc:
             if self._conn is not None:
                 self._conn.close()
@@ -279,20 +291,55 @@ class JobBoard:
         )
         return self._query("SELECT changes()") == [(1,)]
 
-    def complete(self, index: int) -> None:
-        """Mark a cell done (terminal; idempotent across duplicate runs)."""
-        self._query("UPDATE cells SET state = 'done' WHERE idx = ?", (index,))
+    def complete(self, index: int, outcome: Optional[str] = None) -> None:
+        """Mark a cell done (terminal; idempotent across duplicate runs).
 
-    def fail(self, index: int) -> None:
+        ``outcome`` is the encoded result, stored in the cell's row with
+        the state; :meth:`finished_since` reads it back.
+        """
+        self._finish(index, "done", outcome)
+
+    def fail(self, index: int, outcome: Optional[str] = None) -> None:
         """Mark a cell failed — a *deterministic* error, never retried."""
-        self._query("UPDATE cells SET state = 'failed' WHERE idx = ?", (index,))
+        self._finish(index, "failed", outcome)
+
+    def _finish(self, index: int, state: str, outcome: Optional[str]) -> None:
+        # The stamp exceeds every stamp on the board, requeued rows' stale
+        # ones included, so it grows with each finish in commit order.
+        self._query(
+            "UPDATE cells SET state = ?, outcome = ?, "
+            "finished = (SELECT IFNULL(MAX(finished), 0) + 1 FROM cells) "
+            "WHERE idx = ?",
+            (state, outcome, index),
+        )
 
     def requeue(self, index: int, not_before: float = 0.0) -> None:
-        """Force a cell back to pending (the corruption-recovery path)."""
+        """Force a cell back to pending, dropping any outcome it holds.
+
+        Its finish stamp stays, so the next stamp handed out still
+        exceeds every one a :meth:`finished_since` reader has seen.
+        """
         self._query(
             "UPDATE cells SET state = 'pending', worker = NULL, "
-            "lease_expiry = NULL, not_before = ? WHERE idx = ?",
+            "lease_expiry = NULL, outcome = NULL, not_before = ? "
+            "WHERE idx = ?",
             (not_before, index),
+        )
+
+    def finished_since(self, stamp: int) -> list[tuple[int, int, int, Optional[str]]]:
+        """The cells finished after finish stamp ``stamp``, in finish order.
+
+        Returns:
+            ``(stamp, index, attempts, outcome)`` rows of done and failed
+            cells.  A reader that passes back the last stamp it got
+            (``0`` at first) sees every finish exactly once, including
+            a cell that finishes again after a requeue.
+        """
+        return self._query(
+            "SELECT finished, idx, attempts, outcome FROM cells "
+            "WHERE finished > ? AND state IN ('done', 'failed') "
+            "ORDER BY finished",
+            (stamp,),
         )
 
     def expire_leases(
@@ -384,35 +431,22 @@ class JobBoard:
 # ----------------------------------------------------------------------
 
 
-class _ShardWriter:
-    """Appends one worker's outcomes as durable JSON lines."""
-
-    def __init__(self, path: str) -> None:
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def append(self, outcome: CellOutcome, attempt: int) -> None:
-        # Real sweeps produce RunSummary results; ad-hoc runners may
-        # return any JSON-serializable value, so tag which one this is.
-        if isinstance(outcome.summary, RunSummary):
-            summary_kind, summary = "run_summary", outcome.summary.to_dict()
-        else:
-            summary_kind, summary = "raw", outcome.summary
-        payload: Dict[str, Any] = {
-            "index": outcome.cell.index,
-            "attempt": attempt,
-            "ok": outcome.ok,
-            "elapsed": outcome.elapsed,
-            "summary": summary,
-            "summary_kind": summary_kind,
-            "telemetry": outcome.telemetry,
-            "error": asdict(outcome.error) if outcome.error is not None else None,
-        }
-        self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        self._fh.close()
+def _encode_outcome(outcome: CellOutcome) -> str:
+    """A host's outcome as the JSON text its board row carries."""
+    # Real sweeps produce RunSummary results; ad-hoc runners may
+    # return any JSON-serializable value, so tag which one this is.
+    if isinstance(outcome.summary, RunSummary):
+        summary_kind, summary = "run_summary", outcome.summary.to_dict()
+    else:
+        summary_kind, summary = "raw", outcome.summary
+    payload: Dict[str, Any] = {
+        "elapsed": outcome.elapsed,
+        "summary": summary,
+        "summary_kind": summary_kind,
+        "telemetry": outcome.telemetry,
+        "error": asdict(outcome.error) if outcome.error is not None else None,
+    }
+    return json.dumps(payload, sort_keys=True)
 
 
 def _heartbeat_loop(
@@ -429,7 +463,6 @@ def _heartbeat_loop(
 
 def _worker_main(
     board_path: str,
-    shard_path: str,
     worker_id: str,
     runner: CellRunner,
     lease_seconds: float,
@@ -438,21 +471,19 @@ def _worker_main(
     parent_pid: int,
     temp_workdir: Optional[str],
 ) -> None:
-    """One host: claim cells, compute, write the shard, mark the board.
+    """One host: claim cells, compute, report each outcome on the board.
 
-    The outcome line is fsync'd *before* the board marks the cell
-    done/failed — the ordering the parent's corruption detection relies
-    on.  Exits cleanly once the board has no unfinished cells, or before
-    its next claim once ``parent_pid`` is no longer its parent (the
-    sweep was killed; nobody would read what it computes).  An orphaned
-    host then removes ``temp_workdir``, the temp dir the dead parent
-    would have removed (``None`` for a caller's kept workdir).
+    The outcome goes into the cell's row in the same statement that marks
+    it done/failed.  Exits cleanly once the board has no unfinished
+    cells, or before its next claim once ``parent_pid`` is no longer its
+    parent (the sweep was killed; nobody would read what it computes).
+    An orphaned host then removes ``temp_workdir``, the temp dir the dead
+    parent would have removed (``None`` for a caller's kept workdir).
 
     The host opens one board connection.  Its heartbeat thread uses it
     while a cell runs, the only time the host thread leaves it alone.
     """
     board = JobBoard(board_path, cross_thread=True)
-    writer = _ShardWriter(shard_path)
     try:
         while os.getppid() == parent_pid:
             claimed = board.claim(worker_id, lease_seconds)
@@ -478,13 +509,9 @@ def _worker_main(
             finally:
                 stop.set()
                 beat.join()
-            writer.append(outcome, attempt)
-            if outcome.ok:
-                board.complete(cell.index)
-            else:
-                board.fail(cell.index)
+            finish = board.complete if outcome.ok else board.fail
+            finish(cell.index, _encode_outcome(outcome))
     finally:
-        writer.close()
         board.close()
     if temp_workdir is not None and os.getppid() != parent_pid:
         # A sibling host may get here too; removing twice is harmless.
@@ -496,61 +523,22 @@ def _worker_main(
 # ----------------------------------------------------------------------
 
 
-class _ShardReader:
-    """Incrementally tails one shard file from the parent.
-
-    Only complete (newline-terminated) lines are consumed; a torn tail —
-    a worker killed mid-append — stays unread until the retry completes
-    it or supersedes it.  Complete lines that fail to decode count as
-    corruption and are skipped (the board-side "done without an
-    outcome" check requeues the affected cell).
-    """
-
-    def __init__(self, path: str, cells_by_index: Dict[int, SweepCell]) -> None:
-        self.path = path
-        self._cells_by_index = cells_by_index
-        self._offset = 0
-        self.corrupt_lines = 0
-
-    def poll(self) -> list[CellOutcome]:
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                data = fh.read()
-        except FileNotFoundError:
-            return []
-        if not data:
-            return []
-        lines = data.split(b"\n")
-        tail = lines.pop()  # b"" when data ends in a newline
-        self._offset += len(data) - len(tail)
-        outcomes: list[CellOutcome] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                outcomes.append(self._decode(json.loads(line)))
-            except Exception:  # noqa: BLE001 - any damage means corrupt
-                self.corrupt_lines += 1
-        return outcomes
-
-    def _decode(self, payload: dict) -> CellOutcome:
-        cell = self._cells_by_index[payload["index"]]
-        summary = payload["summary"]
-        if payload["summary_kind"] == "run_summary":
-            summary = RunSummary.from_dict(summary)
-        error = (
-            CellError(**payload["error"]) if payload["error"] is not None else None
-        )
-        if error is None and summary is None:
-            raise ValueError("outcome carries neither summary nor error")
-        return CellOutcome(
-            cell=cell,
-            summary=summary,
-            error=error,
-            elapsed=payload["elapsed"],
-            telemetry=payload["telemetry"],
-        )
+def _decode_outcome(cell: SweepCell, encoded: Optional[str]) -> CellOutcome:
+    """Rebuild ``cell``'s outcome from its board row; any damage raises."""
+    payload = json.loads(encoded)
+    summary = payload["summary"]
+    if payload["summary_kind"] == "run_summary":
+        summary = RunSummary.from_dict(summary)
+    error = CellError(**payload["error"]) if payload["error"] is not None else None
+    if error is None and summary is None:
+        raise ValueError("outcome carries neither summary nor error")
+    return CellOutcome(
+        cell=cell,
+        summary=summary,
+        error=error,
+        elapsed=payload["elapsed"],
+        telemetry=payload["telemetry"],
+    )
 
 
 def _lost_outcome(cell: SweepCell, attempts: int) -> CellOutcome:
@@ -558,8 +546,8 @@ def _lost_outcome(cell: SweepCell, attempts: int) -> CellOutcome:
         exc_type="WorkerLost",
         message=(
             f"cell {cell.describe()} was claimed {attempts} time(s) but no "
-            "worker delivered a readable outcome (worker death or corrupted "
-            "shard output); retry budget exhausted"
+            "worker delivered a readable outcome (worker death or a damaged "
+            "outcome on the board); retry budget exhausted"
         ),
         traceback="",
     )
@@ -646,14 +634,15 @@ class DistributedSweepExecutor(SweepExecutor):
         workers: Host count; ``None`` means ``os.cpu_count()``, clamped
             to the cell count.
         lease_seconds: How long a claim stays valid without a heartbeat.
-        poll_seconds: Parent/worker poll interval for shard tails and
-            idle claims.
+        poll_seconds: How often the parent reads finished cells and
+            reaps hosts, and how long an idle host waits between claims.
         max_attempts: Claim ceiling per cell before it is declared lost.
-        workdir: Directory for the board and shards; ``None`` uses a
-            temp dir removed after the run.  A caller-supplied workdir
-            must be absent or empty when a run starts (another sweep's
-            board and shards would answer for this one's cells) and is
-            kept after the run for post-mortems.
+        workdir: Directory for the board (``board.sqlite``, the only
+            file a run leaves there); ``None`` uses a temp dir removed
+            after the run.  A caller-supplied workdir must be absent or
+            empty when a run starts (another sweep's board would answer
+            for this one's cells) and is kept after the run for
+            post-mortems.
         fault_hook: Test seam, called in the *worker* process as
             ``hook(cell, attempt)`` right after each claim.  Raising or
             ``os._exit``-ing simulates a host fault.
@@ -713,7 +702,7 @@ class DistributedSweepExecutor(SweepExecutor):
         if kept is not None and os.path.isdir(kept) and os.listdir(kept):
             raise ConfigurationError(
                 f"workdir {kept} is not empty: a sweep needs a fresh board "
-                "and shard files (remove it or pick another directory)"
+                "(remove it or pick another directory)"
             )
         if not hasattr(os, "fork"):
             # No fork: the runner closure cannot reach hosts unpickled.
@@ -729,7 +718,6 @@ class DistributedSweepExecutor(SweepExecutor):
         total = len(cells)
         restarts_left = workers * self.max_attempts
         delivered: Dict[int, CellOutcome] = {}
-        readers: Dict[str, _ShardReader] = {}
         procs: Dict[str, _Host] = {}
         next_host = 0
         t0 = time.perf_counter()
@@ -743,13 +731,10 @@ class DistributedSweepExecutor(SweepExecutor):
             for _ in range(count):
                 worker_id = f"host-{next_host}"
                 next_host += 1
-                shard = os.path.join(workdir, f"outcomes-{worker_id}.jsonl")
-                readers[worker_id] = _ShardReader(shard, cells_by_index)
                 proc = _Host(
                     partial(
                         _worker_main,
                         board_path,
-                        shard,
                         worker_id,
                         runner,
                         self.lease_seconds,
@@ -764,11 +749,6 @@ class DistributedSweepExecutor(SweepExecutor):
                     "worker_started", {"worker": worker_id, "pid": proc.pid}
                 )
             board = JobBoard(board_path)
-
-        def drain_shards() -> None:
-            for reader in readers.values():
-                for outcome in reader.poll():
-                    deliver(outcome)
 
         def deliver(outcome: CellOutcome) -> None:
             index = outcome.cell.index
@@ -794,20 +774,11 @@ class DistributedSweepExecutor(SweepExecutor):
                 )
 
         spawn(workers)
+        last_stamp = 0  # the finish stamp of the last board row read
         try:
             while len(delivered) < total:
-                drain_shards()
-                retried, exhausted = board.expire_leases(self.max_attempts)
-                for idx, attempts in retried:
-                    self._emit(
-                        "cell_retried", {"index": idx, "attempts": attempts}
-                    )
-                for idx, attempts in exhausted:
-                    if idx not in delivered:
-                        deliver(_lost_outcome(cells_by_index[idx], attempts))
-                self._recover_corrupted(board, delivered, drain_shards, deliver,
-                                        cells_by_index)
-                # Reap dead hosts; replace them while claimable work remains.
+                # Reap dead hosts before reading the board, so the read
+                # sees every cell they finished; replace lost ones.
                 for worker_id, proc in list(procs.items()):
                     if proc.is_alive():
                         continue
@@ -819,18 +790,43 @@ class DistributedSweepExecutor(SweepExecutor):
                     if kind == "worker_lost" and restarts_left > 0:
                         restarts_left -= 1
                         spawn(1)
+                for last_stamp, idx, attempts, encoded in board.finished_since(
+                    last_stamp
+                ):
+                    if idx in delivered:
+                        continue  # a duplicate, or a cell already lost
+                    try:
+                        outcome = _decode_outcome(cells_by_index[idx], encoded)
+                    except Exception:  # noqa: BLE001 - any damage: recompute
+                        if attempts >= self.max_attempts:
+                            deliver(_lost_outcome(cells_by_index[idx], attempts))
+                        else:
+                            board.requeue(idx)
+                            self._emit(
+                                "cell_retried",
+                                {"index": idx, "attempts": attempts, "corrupt": True},
+                            )
+                        continue
+                    deliver(outcome)
+                retried, exhausted = board.expire_leases(self.max_attempts)
+                for idx, attempts in retried:
+                    self._emit(
+                        "cell_retried", {"index": idx, "attempts": attempts}
+                    )
+                for idx, attempts in exhausted:
+                    if idx not in delivered:
+                        deliver(_lost_outcome(cells_by_index[idx], attempts))
                 if len(delivered) >= total:
                     break
                 if not procs:
-                    drain_shards()
-                    if len(delivered) >= total:
-                        break
-                    if board.unfinished() > 0 and restarts_left > 0:
+                    # Every host is gone and all they finished is read:
+                    # the cells left are pending or leased to a dead host.
+                    if restarts_left > 0:
                         restarts_left -= 1
                         spawn(1)
-                    elif board.unfinished() > 0:
-                        # Fleet gone, restart budget spent: declare the
-                        # remaining cells lost rather than spin forever.
+                    else:
+                        # Restart budget spent: declare the remaining
+                        # cells lost rather than spin forever.
                         for cell in cells:
                             if cell.index not in delivered:
                                 deliver(
@@ -839,8 +835,6 @@ class DistributedSweepExecutor(SweepExecutor):
                                     )
                                 )
                         break
-                    # unfinished == 0 with undelivered cells: the
-                    # corruption path above requeues them next pass.
                 time.sleep(self.poll_seconds)
         finally:
             # Workers drain the board and exit on their own once nothing
@@ -856,37 +850,3 @@ class DistributedSweepExecutor(SweepExecutor):
             if owns_workdir:
                 shutil.rmtree(workdir, ignore_errors=True)
         return [delivered[cell.index] for cell in cells]
-
-    def _recover_corrupted(
-        self,
-        board: JobBoard,
-        delivered: Dict[int, CellOutcome],
-        drain_shards: Callable[[], None],
-        deliver: Callable[[CellOutcome], None],
-        cells_by_index: Dict[int, SweepCell],
-    ) -> None:
-        """Requeue cells the board calls finished but no shard backs up.
-
-        A worker fsyncs the outcome line before marking the board, so a
-        terminal cell with no readable outcome means the shard line was
-        damaged.  One extra drain closes the mark-then-read race; cells
-        still missing are recomputed (or declared lost at the attempt
-        ceiling).
-        """
-        finished = board.indexes_in_state("done") | board.indexes_in_state("failed")
-        missing = [idx for idx in finished if idx not in delivered]
-        if not missing:
-            return
-        drain_shards()
-        for idx in missing:
-            if idx in delivered:
-                continue
-            attempts = board.attempts(idx)
-            if attempts >= self.max_attempts:
-                deliver(_lost_outcome(cells_by_index[idx], attempts))
-            else:
-                board.requeue(idx)
-                self._emit(
-                    "cell_retried",
-                    {"index": idx, "attempts": attempts, "corrupt": True},
-                )

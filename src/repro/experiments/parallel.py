@@ -77,7 +77,7 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CellError:
-    """A crashed cell, captured as plain strings so it survives a shard file."""
+    """A crashed cell, captured as plain strings so it survives a board row."""
 
     exc_type: str
     message: str

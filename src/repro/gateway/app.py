@@ -775,6 +775,7 @@ class GatewayApp:
             )
             with self._store_lock:
                 self._store.append(record)
+            # The store holds the outcome; nothing reads one off this board.
             board.complete(index)
             self.breaker.record_success(worker.id)
         else:

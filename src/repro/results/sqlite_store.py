@@ -5,10 +5,12 @@ semantics — last-wins fingerprint index, first-appended iteration order,
 canonical-JSON record payloads, corruption-tolerant loads — over a single
 SQLite file instead of JSONL.  What SQLite buys:
 
-* **Concurrent writers.**  The database runs in WAL mode, so N worker
-  processes (distributed sweep shards, parallel resumes) can append into
-  one store while readers load a consistent snapshot.  SQLite serializes
-  the writes; ``busy_timeout`` absorbs lock contention.
+* **Concurrent writers.**  The database runs in WAL mode, so several
+  processes can append into one store while readers load a consistent
+  snapshot.  SQLite serializes the writes; ``busy_timeout`` absorbs lock
+  contention.  No sweep needs this of its own store: a ``--workers``
+  sweep appends from its parent only (its hosts report to the job
+  board), and the gateway appends from its own process.
 * **Transactional appends.**  Each append is one committed transaction
   with ``synchronous=FULL`` — the durability contract matches the JSONL
   store's per-line fsync, and a killed writer can never leave a torn

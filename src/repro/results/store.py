@@ -17,10 +17,11 @@ Design:
 The JSONL store is deliberately *not* a database: a sweep grid tops out at
 thousands of cells, each record is ~1 KB, and the whole index fits in
 memory.  JSONL keeps every record greppable, diffable, and recoverable
-with a text editor.  Sweeps that need many concurrent writer processes
-use :class:`~repro.results.sqlite_store.SQLiteRunStore`, which shares the
-:class:`BaseRunStore` index semantics over a WAL-mode SQLite file; both
-sit behind :func:`~repro.results.backends.open_store`.
+with a text editor.  :class:`~repro.results.sqlite_store.SQLiteRunStore`
+shares the :class:`BaseRunStore` index semantics over a WAL-mode SQLite
+file; both sit behind :func:`~repro.results.backends.open_store`.  Only
+the sweep parent and the gateway process append to a store: a
+``--workers`` host reports its outcomes to the job board.
 """
 
 from __future__ import annotations

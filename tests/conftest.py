@@ -10,6 +10,9 @@ exact schedules — the paper's figures become executable.
 
 from __future__ import annotations
 
+import json
+import sqlite3
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -158,3 +161,38 @@ def computed_cells(events) -> list[tuple]:
         for event in events
         if event.kind == "cell_outcome" and not event.payload["cached"]
     )
+
+
+#: The job board's ``cells`` table as written before it stored outcomes.
+BOARD_WITHOUT_OUTCOMES = """
+CREATE TABLE IF NOT EXISTS cells (
+    idx INTEGER PRIMARY KEY,
+    payload TEXT NOT NULL,
+    state TEXT NOT NULL DEFAULT 'pending',
+    attempts INTEGER NOT NULL DEFAULT 0,
+    worker TEXT,
+    lease_expiry REAL,
+    not_before REAL NOT NULL DEFAULT 0
+);
+"""
+
+
+def write_board_without_outcomes(path, payloads, claimed=()) -> None:
+    """Write a job board file in the format that predates stored outcomes.
+
+    ``payloads[i]`` becomes cell ``i``: pending, or, for ``i`` in
+    ``claimed``, leased for an hour to a host that died holding it.
+    """
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.executescript(BOARD_WITHOUT_OUTCOMES)
+        conn.executemany(
+            "INSERT INTO cells (idx, payload) VALUES (?, ?)",
+            [(i, json.dumps(payload)) for i, payload in enumerate(payloads)],
+        )
+        conn.executemany(
+            "UPDATE cells SET state = 'claimed', worker = 'gone', "
+            "attempts = 1, lease_expiry = ? WHERE idx = ?",
+            [(time.time() + 3600.0, i) for i in claimed],
+        )
+    conn.close()

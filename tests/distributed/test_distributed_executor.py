@@ -1,6 +1,6 @@
 """Tests for the distributed sweep executor under fault-free conditions.
 
-Fault injection (worker kills, dropped leases, corrupted shards) lives
+Fault injection (worker kills, dropped leases, damaged outcomes) lives
 in ``tests/distributed/test_fault_injection.py``; here we pin the happy
 path: registry wiring, constructor validation, bit-identical reassembly
 vs the serial executor, the kept-workdir contract, store persistence +
@@ -127,18 +127,18 @@ def test_more_workers_than_cells_is_fine():
 
 @needs_fork
 def test_kept_workdir_is_refused_for_a_second_sweep(tmp_path):
-    # An empty workdir is fine, and the first sweep leaves its board and
-    # shards there for post-mortems. A second sweep on them would be
-    # answered by the first one's outcomes (cells and shard lines are
-    # matched by index), so it is refused before any host is forked.
+    # An empty workdir is fine, and the first sweep leaves its board there
+    # for post-mortems, and nothing else. A second sweep on it would be
+    # answered by the first one's outcomes (board rows are matched by
+    # cell index), so it is refused before any host is forked.
     workdir = tmp_path / "work"
     workdir.mkdir()
     first = DistributedSweepExecutor(workers=1, workdir=workdir, **FAST)
     outcomes = first.run(build_cells(["P"], [10.0, 20.0], 1),
                          lambda cell: cell.arrival_rate * 2)
     assert [outcome.summary for outcome in outcomes] == [20.0, 40.0]
-    assert (workdir / "board.sqlite").exists()
     kept = sorted(path.name for path in workdir.iterdir())
+    assert kept == ["board.sqlite"]
 
     second = DistributedSweepExecutor(workers=1, workdir=workdir, **FAST)
     with pytest.raises(ConfigurationError, match="not empty") as excinfo:

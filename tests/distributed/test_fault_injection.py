@@ -1,15 +1,15 @@
 """Fault-injection harness for the distributed executor.
 
 Each test wounds the run somewhere specific — a host hard-killed
-mid-cell, a lease silently dropped, a shard line corrupted after the
-board said "done" — and asserts the same recovery contract: the sweep
-still completes, retries stay within ``max_attempts``, and the results
-are bit-identical to a cold serial run.
+mid-cell, a lease silently dropped, a cell marked "done" with a damaged
+outcome in its board row — and asserts the same recovery contract: the
+sweep still completes, retries stay within ``max_attempts``, and the
+results are bit-identical to a cold serial run.
 
 The injection seam is the one the executor exposes on purpose:
 ``fault_hook(cell, attempt)`` runs in the worker right after a claim.
-With a caller-supplied (kept) ``workdir`` a hook can also damage the
-host's own shard file and board row before it dies.
+With a caller-supplied (kept) ``workdir`` a hook can also open the board
+and finish its cell with a damaged outcome before it dies.
 """
 
 import glob
@@ -263,32 +263,29 @@ def test_deterministic_runner_errors_are_never_retried(tmp_path):
         assert fh.read() == "x\n"
 
 
-def _corrupt_and_die(workdir, line):
+def _corrupt_and_die(workdir, outcome):
     """A hook that fakes a damaged outcome for cell 0, then kills its host.
 
-    On the first claim of cell 0 (by ``host-0``) it writes ``line`` into
-    that host's shard and marks the cell done, as if the real outcome
-    line had been torn or bit-rotted after the board was told; then it
-    exits without cleanup.
+    On the first claim of cell 0 it marks the cell done on the board
+    with ``outcome`` as its encoded result, as if the real one had been
+    torn or bit-rotted; then it exits without cleanup.
     """
 
     def hook(cell, attempt):
         if cell.index != 0 or attempt != 1:
             return
-        with open(os.path.join(workdir, "outcomes-host-0.jsonl"), "a") as fh:
-            fh.write(line)
         board = JobBoard(os.path.join(workdir, "board.sqlite"))
-        board.complete(cell.index)
+        board.complete(cell.index, outcome)
         board.close()
         os._exit(13)
 
     return hook
 
 
-def test_corrupt_shard_line_is_requeued_and_recomputed(tmp_path):
-    # Worst-case corruption: the board says "done" but the only shard
-    # line for the cell is garbage. The parent must notice the outcome
-    # is unreadable, requeue the cell, and recompute it.
+def test_corrupt_outcome_row_is_requeued_and_recomputed(tmp_path):
+    # Worst-case corruption: the board says "done" but the cell's only
+    # outcome is garbage. The parent must notice the outcome is
+    # unreadable, requeue the cell, and recompute it.
     workdir = tmp_path / "work"
     cells = build_cells(["P"], [10.0, 20.0, 30.0], 1)
     events = []
@@ -298,9 +295,9 @@ def test_corrupt_shard_line_is_requeued_and_recomputed(tmp_path):
         poll_seconds=0.01,
         max_attempts=3,
         workdir=workdir,
-        # A torn flush: the line ends, its JSON does not.
+        # A torn write: the JSON stops mid-key.
         fault_hook=_corrupt_and_die(
-            str(workdir), '{"index": 0, "attempt": 1, "ok": true, "summa\n'
+            str(workdir), '{"elapsed": 0.1, "error": null, "summa'
         ),
     )
     executor.lifecycle_hook = lambda kind, payload: events.append((kind, payload))
@@ -312,7 +309,7 @@ def test_corrupt_shard_line_is_requeued_and_recomputed(tmp_path):
     assert (workdir / "board.sqlite").exists()
 
 
-def test_corrupt_shard_with_no_attempts_left_is_lost(tmp_path):
+def test_corrupt_outcome_row_with_no_attempts_left_is_lost(tmp_path):
     # Same corruption, but on the cell's last allowed claim: recovery
     # must give up with a WorkerLost outcome rather than loop.
     workdir = tmp_path / "work"
@@ -323,12 +320,19 @@ def test_corrupt_shard_with_no_attempts_left_is_lost(tmp_path):
         poll_seconds=0.01,
         max_attempts=1,
         workdir=workdir,
-        fault_hook=_corrupt_and_die(str(workdir), "garbage\n"),
+        fault_hook=_corrupt_and_die(str(workdir), "garbage"),
     )
-    outcomes = executor.run(cells, lambda cell: cell.arrival_rate)
+    delivered = []
+    outcomes = executor.run(
+        cells, lambda cell: cell.arrival_rate,
+        on_outcome=lambda outcome: delivered.append(outcome.cell.index),
+    )
     assert not outcomes[0].ok
     assert outcomes[0].error.exc_type == "WorkerLost"
     assert outcomes[1].ok and outcomes[1].summary == 20.0
+    # Cell 0 is given up as soon as its damaged row is read (it finished
+    # first), not only once the replacement host has drained the board.
+    assert delivered == [0, 1]
 
 
 def _claims_logged(log_path):

@@ -1,5 +1,6 @@
 """Tests for the SQLite job board: the claim/lease/retry protocol."""
 
+import dataclasses
 import multiprocessing
 import os
 import sqlite3
@@ -11,6 +12,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments.cli import main
 from repro.experiments.distributed import CELL_STATES, JobBoard
 from repro.experiments.runner import build_cells
+from tests.conftest import write_board_without_outcomes
 
 
 @pytest.fixture
@@ -128,16 +130,103 @@ def test_attempt_ceiling_exhausts_the_cell(board):
     assert board.unfinished() == 0
 
 
+def _rows(board):
+    """Every cell's ``(idx, state, outcome)``, read past the board API."""
+    with sqlite3.connect(board.path) as conn:
+        rows = conn.execute(
+            "SELECT idx, state, outcome FROM cells ORDER BY idx"
+        ).fetchall()
+    conn.close()
+    return rows
+
+
 def test_requeue_forces_a_finished_cell_back_to_pending(board):
     cells = _populate(board, n=1)
     board.claim("host-0", lease_seconds=30.0)
-    board.complete(cells[0].index)
+    board.complete(cells[0].index, "garbage")
     assert board.unfinished() == 0
     board.requeue(cells[0].index)  # the corruption-recovery path
     assert board.unfinished() == 1
+    # The damaged outcome goes with the finish.
+    assert _rows(board) == [(cells[0].index, "pending", None)]
+    assert board.finished_since(0) == []
     cell, attempt = board.claim("host-1", lease_seconds=30.0)
     assert cell == cells[0]
     assert attempt == 2  # the original claim still counts
+
+
+def test_complete_and_fail_store_the_outcome_with_the_state(board):
+    cells = _populate(board, n=3)
+    for _ in cells:
+        board.claim("host-0", lease_seconds=30.0)
+    board.complete(cells[0].index, '{"summary": 1}')
+    board.fail(cells[1].index, '{"error": "x"}')
+    assert _rows(board) == [
+        (cells[0].index, "done", '{"summary": 1}'),
+        (cells[1].index, "failed", '{"error": "x"}'),
+        (cells[2].index, "claimed", None),
+    ]
+    assert board.finished_since(0) == [
+        (1, cells[0].index, 1, '{"summary": 1}'),
+        (2, cells[1].index, 1, '{"error": "x"}'),
+    ]
+
+
+def test_a_reader_sees_each_finish_exactly_once(board):
+    cells = _populate(board, n=3)
+    for _ in cells:
+        board.claim("host-0", lease_seconds=30.0)
+    read = []
+    stamp = 0
+
+    def poll():
+        nonlocal stamp
+        for stamp, index, _attempts, outcome in board.finished_since(stamp):
+            read.append((index, outcome))
+
+    board.complete(cells[0].index, "a")
+    board.complete(cells[1].index, "b")
+    poll()
+    poll()
+    assert read == [(cells[0].index, "a"), (cells[1].index, "b")]
+    # The most recently finished cell is requeued, as the parent does
+    # with a damaged outcome, and finishes again: its stamp must still
+    # move past everything already read.
+    board.requeue(cells[1].index)
+    poll()
+    claimed, attempt = board.claim("host-1", lease_seconds=30.0)
+    assert (claimed, attempt) == (cells[1], 2)
+    board.complete(cells[1].index, "b2")
+    board.fail(cells[2].index, "c")
+    poll()
+    poll()
+    assert read == [
+        (cells[0].index, "a"),
+        (cells[1].index, "b"),
+        (cells[1].index, "b2"),
+        (cells[2].index, "c"),
+    ]
+
+
+def test_a_board_without_outcome_columns_gains_them_on_open(tmp_path):
+    path = tmp_path / "board.sqlite"
+    cells = build_cells(["P"], [10.0, 20.0, 30.0], 1)
+    write_board_without_outcomes(path, [dataclasses.asdict(c) for c in cells])
+    board = JobBoard(path)
+    try:
+        for _ in cells:
+            board.claim("host-0", lease_seconds=30.0)
+        board.complete(cells[0].index, "a")
+        board.fail(cells[1].index, "b")
+        board.requeue(cells[2].index)
+        assert [row[1:] for row in board.finished_since(0)] == [
+            (cells[0].index, 1, "a"),
+            (cells[1].index, 1, "b"),
+        ]
+        assert board.counts()["pending"] == 1
+    finally:
+        board.close()
+    JobBoard(path).close()  # a migrated board reopens without adding them again
 
 
 def test_indexes_in_state_rejects_unknown_states(board):

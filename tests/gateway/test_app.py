@@ -24,6 +24,7 @@ from repro.gateway import (
 from repro.gateway.routes import Request, dispatch
 from repro.results.fingerprint import cell_fingerprint, config_payload
 
+from tests.conftest import write_board_without_outcomes
 from tests.gateway.conftest import tiny_spec_dict
 
 
@@ -696,6 +697,47 @@ class TestRecovery:
                 counts = app._board.counts()
             assert counts["failed"] == 0
             assert counts["pending"] == 0 and counts["claimed"] == 0
+        finally:
+            app.close()
+
+    def test_orphans_on_a_board_without_outcome_columns_are_adopted(
+        self, tmp_path
+    ):
+        # A board persisted before cells stored their outcomes: opening it
+        # adds the columns, so requeueing the claimed orphan and finishing
+        # both cells work as on a fresh board.
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        write_board_without_outcomes(
+            workdir / "board.sqlite",
+            [
+                {"experiment": "cafef00d", "client": "alice",
+                 "fingerprint": fingerprint,
+                 "cell": {"index": index, "protocol": protocol,
+                          "rate_index": 0, "arrival_rate": 60.0,
+                          "replication": 0},
+                 "spec": tiny_spec_dict()}
+                for index, (protocol, fingerprint) in enumerate(
+                    [("SCC-2S", "ee" * 16), ("OCC-BC", "ef" * 16)]
+                )
+            ],
+            claimed=[1],
+        )
+        app = GatewayApp(
+            store=str(tmp_path / "store.jsonl"), workers=1,
+            workdir=str(workdir),
+        )
+        try:
+            recovered = app.status("cafef00d")
+            assert recovered["client"] == "alice"
+            assert recovered["enqueued_cells"] == 2
+            assert wait_done(app, "cafef00d") == "done"
+            events, _done = events_of(app, "cafef00d")
+            outcomes = [e for e in events if e["kind"] == "cell_outcome"]
+            assert len(outcomes) == 2 and all(e["ok"] for e in outcomes)
+            with app._lock:
+                counts = app._board.counts()
+            assert counts == {"pending": 0, "claimed": 0, "done": 2, "failed": 0}
         finally:
             app.close()
 
