@@ -26,7 +26,7 @@ from repro.experiments.runner import run_sweep
 from repro.metrics.report import format_table
 from repro.workloads.scenarios import all_scenarios, get_scenario
 
-PROTOCOLS = {"SCC-2S": "scc-2s", "OCC-BC": "occ-bc"}
+PROTOCOLS = {"SCC-2S": "scc-2s", "OCC-BC": "occ-bc", "SCC-DC": "scc-dc"}
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,10 @@
-"""Probabilistic machinery for SCC-DC (paper §3.2, Definitions 4-7).
+"""Probabilistic machinery for SCC-DC (paper §3.2, Definitions 3-7).
 
 * **Shadow finish probability** (Def. 4): the conditional probability that
   a shadow which has already executed ε time units finishes by wall time
-  ``x``, computed from the class survival function
-  ``(F(ε) - F(ε + x - now)) / F(ε)``; a speculative shadow is assumed to
-  resume immediately (the paper's footnote 6).
+  ``x``, ``(F(ε) - F(ε + x - now)) / F(ε)`` for the class survival
+  function ``F`` (Def. 3); a speculative shadow is assumed to resume
+  immediately (the paper's footnote 6).
 * **Shadow adoption probability** (Def. 5): the value-weighted recursive
   formula for how likely each shadow is to end up committing on behalf of
   its transaction.  The formula is mutually recursive across conflicting
@@ -13,7 +13,27 @@
   probability purposes (a tardy transaction with negative value has no
   pull on serialization-order likelihoods).
 * **Expected finish / expected value** (Defs. 6-7) evaluated at the Δ-tick
-  grid the Termination Rule uses.
+  grid the Termination Rule uses, in closed form (below).
+
+Closed form.  A transaction's execution time is its deterministic
+``spec.estimated_duration`` ``d``, so Def. 3's survival function is the
+step ``F(x) = 1`` for ``x < d`` and ``0`` from ``d`` on.  For a shadow
+with elapsed time ``ε < d``, Def. 4 at tick ``now + kΔ`` is then ``0``
+until ``ε + kΔ ≥ d`` and ``1`` from there: the finish probability jumps
+once.  The ``l_j`` horizon that truncates the paper's infinite sums (the
+least execution time whose conditional finish probability reaches
+``1 - ε_DC``, for any cutoff ``ε_DC`` in ``(0, 1)``) is ``d`` itself, so
+Def. 6's expectation has one term: the shadow commits at the first tick
+``k = ceil((d - ε)/Δ)`` and Def. 7's expected value is ``V(now + kΔ)``.
+A shadow with ``ε ≥ d`` has outlived its duration and finishes by the
+first tick (``k = 1``).  The cutoff ``ε_DC`` therefore has no effect.
+In floats, ``k`` is the first tick where ``ε + (tick - now) ≥ d`` or
+``tick ≥ now + max(d - ε, 0)`` holds for ``tick = now + k*Δ``, capped at
+:data:`_MAX_TICKS`; both tests are monotone in ``k``, and the quotient
+can miss that tick by one (or more, where ``now`` is large enough for
+ticks to round), so :func:`expected_commit_value` starts from the
+quotient and steps to it.  ``tests/core/dc_tick_oracle.py`` keeps the
+tick-by-tick sum as an oracle and matches it call for call.
 
 Faithfulness note: the paper's ``V_now``/``V_later`` write the *same*
 ``Σ_i Σ_k EV_i`` term on both sides, and sum ``EV`` (built from the
@@ -32,12 +52,12 @@ transactions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.protocols.base import ExecutionState
-from repro.values.distributions import DeterministicExecution, ExecutionDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.scc_base import SCCProtocolBase, SCCTxnRuntime
@@ -46,26 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Fixed-point iterations for the mutually recursive adoption formula; the
 # mapping is a contraction in practice and converges in a handful of steps.
 _ADOPTION_ITERATIONS = 8
-# Hard cap on Δ-ticks summed per component (safety valve for tiny Δ).
+# Hard cap on the Δ-tick a component commits at (safety valve for tiny Δ).
 _MAX_TICKS = 2_000
-
-
-def execution_distribution(runtime: "SCCTxnRuntime") -> ExecutionDistribution:
-    """The class execution-time distribution, defaulting to deterministic."""
-    dist = runtime.spec.txn_class.execution
-    if dist is not None:
-        return dist
-    return DeterministicExecution(runtime.spec.estimated_duration)
-
-
-def mean_execution_time(runtime: "SCCTxnRuntime") -> float:
-    """The paper's ``E_C``: the class's average execution time."""
-    dist = runtime.spec.txn_class.execution
-    if dist is not None:
-        return dist.mean()
-    # Equivalent to DeterministicExecution(estimated_duration).mean()
-    # without allocating a distribution per query (this runs per vote).
-    return runtime.spec.estimated_duration
 
 
 def elapsed_execution(
@@ -85,15 +87,6 @@ def elapsed_execution(
     ):
         base += min(max(now - shadow.step_started_at, 0.0), step_time)
     return base
-
-
-def shadow_finish_probability(
-    dist: ExecutionDistribution, elapsed: float, now: float, wall: float
-) -> float:
-    """Definition 4: probability of finishing by wall time ``wall``."""
-    if wall < now:
-        return 0.0
-    return dist.conditional_finish_by(elapsed + (wall - now), elapsed)
 
 
 @dataclass
@@ -191,20 +184,17 @@ class ShadowComponent:
 
 def expected_commit_value(
     value_function,
-    dist: ExecutionDistribution,
+    duration: float,
     components: list[ShadowComponent],
     now: float,
     delta: float,
-    epsilon: float = 0.01,
 ) -> float:
     """E[V(commit time)] over a mixture of shadows on the Δ-tick grid.
 
-    Each unfinished component contributes
-    ``Σ_k V(now + kΔ) * (F_j(now + kΔ) - F_j(now + (k-1)Δ)) * P_j`` with the
-    sum truncated at the paper's ``l_j`` horizon (conditional finish
-    probability ≥ 1-ε); the residual tail mass is assigned to the last tick
-    so the mixture stays a proper distribution.  A finished component
-    commits at the first tick.
+    Each component is one shadow of a transaction whose execution takes
+    ``duration``; it contributes its adoption probability times the value
+    at the tick it finishes by (see the module docstring for the closed
+    form).  A finished component commits at the first tick.
     """
     if delta <= 0:
         raise ConfigurationError(f"delta must be positive, got {delta}")
@@ -215,29 +205,31 @@ def expected_commit_value(
         if component.elapsed is None:
             total += component.probability * value_function(now + delta)
             continue
-        elapsed = component.elapsed
-        horizon_exec = dist.horizon(elapsed, epsilon)
-        horizon_wall = now + max(horizon_exec - elapsed, 0.0)
-        expected = 0.0
-        mass = 0.0
-        prev_f = 0.0
-        k = 0
-        while k < _MAX_TICKS:
-            k += 1
-            tick = now + k * delta
-            f_k = shadow_finish_probability(dist, elapsed, now, tick)
-            increment = max(f_k - prev_f, 0.0)
-            if increment > 0.0:
-                expected += value_function(tick) * increment
-                mass += increment
-            prev_f = f_k
-            if tick >= horizon_wall:
-                break
-        if mass < 1.0:
-            # Residual tail (the paper's "arbitrarily small error" ε).
-            expected += value_function(now + k * delta) * (1.0 - mass)
-        total += component.probability * expected
+        k = _finish_tick(duration, component.elapsed, now, delta)
+        total += component.probability * value_function(now + k * delta)
     return total
+
+
+def _finish_tick(duration: float, elapsed: float, now: float, delta: float) -> int:
+    """First tick ``k`` (at most :data:`_MAX_TICKS`) a shadow finishes by.
+
+    The tick where ``elapsed + (tick - now) >= duration`` first holds, or
+    where ``tick`` reaches the horizon ``now + max(duration - elapsed,
+    0)``, whichever comes first: the float tests of the paper's Δ-tick
+    sum, both monotone in ``k``.
+    """
+    horizon = now + max(duration - elapsed, 0.0)
+
+    def finished(k: int) -> bool:
+        tick = now + k * delta
+        return elapsed + (tick - now) >= duration or tick >= horizon
+
+    k = math.ceil(min(max((duration - elapsed) / delta, 1.0), _MAX_TICKS))
+    while k > 1 and finished(k - 1):
+        k -= 1
+    while k < _MAX_TICKS and not finished(k):
+        k += 1
+    return k
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,12 @@ ticks every Δ seconds; at each tick, every finished optimistic shadow
   partner's expected commit value *without* the commit.
 
 See :mod:`repro.core.probability` for the exact treatment (including the
-documented correction of the paper's literal formulas).  The infinite sums
-are truncated at the ``l_i`` horizons where the conditional finish
-probability reaches ``1 - ε``.
+documented correction of the paper's literal formulas).  A transaction's
+execution time is its deterministic estimated duration, so each shadow's
+finish probability jumps once and its expected commit value is the value
+at one tick, found in closed form; the paper truncates its infinite sums
+at ``l_i`` horizons where the conditional finish probability reaches
+``1 - ε``, and under a deterministic duration that bound has no effect.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.core.probability import (
     adoption_profiles,
     components_after_commit,
     components_current,
-    execution_distribution,
     expected_commit_value,
 )
 from repro.core.replacement import ReplacementPolicy
@@ -39,7 +41,13 @@ from repro.errors import ConfigurationError
 
 
 class DCTermination(DeferredTermination):
-    """The §3.2 Termination Rule (periodic, probability-driven)."""
+    """The §3.2 Termination Rule (periodic, probability-driven).
+
+    ``epsilon`` is the paper's ``l_i`` truncation bound.  Under the
+    deterministic execution times every run uses it has no effect on a
+    decision; it is validated and kept because it is part of a stored
+    SCC-DC cell's protocol identity.
+    """
 
     def __init__(
         self,
@@ -75,11 +83,10 @@ class DCTermination(DeferredTermination):
             return True
         v_later = expected_commit_value(
             runtime.spec.value_function,
-            execution_distribution(runtime),
+            runtime.spec.estimated_duration,
             components_current(protocol, runtime, self_profile, step_time, now),
             now,
             self.period,
-            self.epsilon,
         )
         v_now = value_now
         if partners:
@@ -87,7 +94,7 @@ class DCTermination(DeferredTermination):
                 protocol, now, exclude=runtime.txn_id
             )
             for partner in partners:
-                dist = execution_distribution(partner)
+                duration = partner.spec.estimated_duration
                 vf = partner.spec.value_function
                 commit_profile = profiles_commit.get(partner.txn_id)
                 defer_profile = profiles_defer.get(partner.txn_id)
@@ -95,21 +102,19 @@ class DCTermination(DeferredTermination):
                     continue
                 v_now += expected_commit_value(
                     vf,
-                    dist,
+                    duration,
                     components_after_commit(
                         protocol, partner, runtime, commit_profile, step_time, now
                     ),
                     now,
                     self.period,
-                    self.epsilon,
                 )
                 v_later += expected_commit_value(
                     vf,
-                    dist,
+                    duration,
                     components_current(protocol, partner, defer_profile, step_time, now),
                     now,
                     self.period,
-                    self.epsilon,
                 )
         return v_now >= v_later
 
@@ -146,7 +151,9 @@ class SCCDC(SCCkS):
     period : float
         The Δ of the termination clock, in seconds.
     epsilon : float
-        Truncation error bound for the ``l_i`` horizons.
+        The paper's truncation bound for the ``l_i`` horizons.  It has no
+        effect under deterministic execution times (the horizon is the
+        duration itself) and is kept as part of the protocol's identity.
     max_deferral : float, optional
         Hard cap on deferral time (safety valve).
     replacement : ReplacementPolicy, optional

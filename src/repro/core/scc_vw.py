@@ -17,9 +17,11 @@ When an optimistic shadow ``T_o_u`` finishes, every *executing* transaction
   and adopts ``T_i_u``, ``V_later = V_i(later) + V_u(later + E_Cu -
   ε_i_u)``.
 
-``T_i`` votes to commit iff ``V_now ≥ V_later``.  Votes are weighed by the
-transactions' relative current values (Definition 9) into the commit
-indicator ``CI_u`` (Definition 10); ``T_o_u`` commits iff ``CI_u > 50%``.
+``E_C`` is a transaction's execution time, its deterministic
+``spec.estimated_duration``.  ``T_i`` votes to commit iff ``V_now ≥
+V_later``.  Votes are weighed by the transactions' relative current values
+(Definition 9) into the commit indicator ``CI_u`` (Definition 10);
+``T_o_u`` commits iff ``CI_u > 50%``.
 
 Votes are re-evaluated whenever a shadow finishes and after every commit,
 plus on the periodic Δ backstop (votes are time-dependent through the
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.deferral import DeferredTermination
-from repro.core.probability import elapsed_execution, mean_execution_time
+from repro.core.probability import elapsed_execution
 from repro.core.replacement import ReplacementPolicy
 from repro.core.scc_base import SCCTxnRuntime
 from repro.core.scc_ks import SCCkS
@@ -94,7 +96,7 @@ class VWTermination(DeferredTermination):
         protocol = self.protocol
         step_time = protocol.system.resources.step_service_time
         v_u = runtime.spec.value_function
-        mean_u = mean_execution_time(runtime)
+        mean_u = runtime.spec.estimated_duration
         indicator = 0.0
         for voter, weight in weighted:
             if self._commit_vote(
@@ -124,7 +126,7 @@ class VWTermination(DeferredTermination):
         electorate on every finish/commit/tick.
         """
         v_i = voter.spec.value_function
-        mean_i = mean_execution_time(voter)
+        mean_i = voter.spec.estimated_duration
         eps_opt_i = elapsed_execution(voter.optimistic, step_time, now)
 
         # --- V_now: commit the finished shadow at t ---------------------

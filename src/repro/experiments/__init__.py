@@ -17,9 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SweepExecutor": "repro.experiments.parallel",
     "available_executors": "repro.experiments.parallel",
     "make_executor": "repro.experiments.parallel",
-    "OnlineProfiler": "repro.experiments.profiling",
     "capture_profile": "repro.experiments.profiling",
-    "profile_classes": "repro.experiments.profiling",
     "SweepResult": "repro.experiments.runner",
     "normalize_protocols": "repro.experiments.runner",
     "run_once": "repro.experiments.runner",

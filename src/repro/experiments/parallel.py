@@ -152,10 +152,21 @@ def _eta(completed: int, total: int, elapsed: float) -> Optional[float]:
 
 
 def _execute_cell(cell: SweepCell, runner: CellRunner) -> CellOutcome:
-    """Run one cell with fault isolation: exceptions become error records."""
+    """Run one cell with fault isolation: exceptions become error records.
+
+    A runner that returns no summary is an error too, so every executor
+    reports it alike (a job-board row with neither a summary nor an error
+    reads as damage).
+    """
     started = time.perf_counter()
     try:
         result = runner(cell)
+        if isinstance(result, tuple):
+            summary, telemetry = result
+        else:
+            summary, telemetry = result, None
+        if summary is None:
+            raise TypeError(f"cell runner returned no summary for {cell.describe()}")
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return CellOutcome(
             cell=cell,
@@ -163,10 +174,6 @@ def _execute_cell(cell: SweepCell, runner: CellRunner) -> CellOutcome:
             error=CellError.from_exception(exc),
             elapsed=time.perf_counter() - started,
         )
-    if isinstance(result, tuple):
-        summary, telemetry = result
-    else:
-        summary, telemetry = result, None
     return CellOutcome(
         cell=cell,
         summary=summary,

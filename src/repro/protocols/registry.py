@@ -636,7 +636,8 @@ register_protocol(
             ),
             ParamSpec(
                 "epsilon", "float", default=0.01,
-                doc="deferral value-gain cutoff",
+                doc="l_i truncation bound (no effect under deterministic "
+                "execution times; kept as spec identity)",
             ),
             ParamSpec(
                 "max_deferral", "float", default=None, optional=True,

@@ -2,19 +2,15 @@
 
 Value functions capture the worth of a transaction as a function of its
 commit time (Jensen/Locke/Tokuda-style step functions with a linear penalty
-gradient past the deadline).  Execution-time distributions provide the
-survival functions that SCC-DC's probabilistic commit deferral relies on.
+gradient past the deadline).  Transaction classes hold the parameters the
+workload generator draws transactions from; a transaction's execution time
+is deterministic (its step count times the per-step service time), which
+is what SCC-DC's commit deferral and SCC-VW's votes read.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "TransactionClass": "repro.values.classes",
-    "DeterministicExecution": "repro.values.distributions",
-    "EmpiricalExecution": "repro.values.distributions",
-    "ExecutionDistribution": "repro.values.distributions",
-    "ExponentialExecution": "repro.values.distributions",
-    "NormalExecution": "repro.values.distributions",
-    "UniformExecution": "repro.values.distributions",
     "ValueFunction": "repro.values.value_function",
 })

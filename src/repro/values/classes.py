@@ -5,17 +5,18 @@ The paper classifies transactions by run-time characteristics: each class
 probability (survival) function :math:`F_u`, and — in the two-class System
 Value experiment of Figure 14(b) — its own value magnitude and penalty
 gradient.  A :class:`TransactionClass` bundles the *parameters* from which
-the workload generator samples concrete transactions.
+the workload generator samples concrete transactions.  Execution time is
+deterministic: a transaction takes its step count times the per-step
+service time (``TransactionSpec.estimated_duration``), so :math:`E_{C_u}`
+is that duration and :math:`F_u` steps from 1 to 0 there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.values.distributions import ExecutionDistribution
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,6 @@ class TransactionClass:
             :math:`\\tan\\alpha` (paper baseline for value experiments: 45°).
         weight: Relative frequency of the class in the workload mix
             (normalized across classes by the generator).
-        execution: Optional execution-time distribution used by SCC-DC/VW.
-            When ``None``, the system model derives a distribution from the
-            class's step count and the configured per-step service time.
     """
 
     name: str
@@ -46,7 +44,6 @@ class TransactionClass:
     value: float = 1.0
     alpha_degrees: float = 45.0
     weight: float = 1.0
-    execution: Optional[ExecutionDistribution] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_steps <= 0:
@@ -78,10 +75,8 @@ class TransactionClass:
     def to_dict(self) -> dict:
         """Plain-dict form of the class parameters.
 
-        ``execution`` is omitted: it is derived state (``compare=False``,
-        excluded from equality) that the system model reconstructs from the
-        step count and service time, so serialized classes round-trip
-        through ``TransactionClass(**payload)``.
+        Every field is included, so serialized classes round-trip through
+        ``TransactionClass(**payload)``.
         """
         return {
             "name": self.name,
@@ -92,16 +87,3 @@ class TransactionClass:
             "alpha_degrees": self.alpha_degrees,
             "weight": self.weight,
         }
-
-    def with_execution(self, execution: ExecutionDistribution) -> "TransactionClass":
-        """Return a copy of this class with the execution distribution set."""
-        return TransactionClass(
-            name=self.name,
-            num_steps=self.num_steps,
-            write_probability=self.write_probability,
-            slack_factor=self.slack_factor,
-            value=self.value,
-            alpha_degrees=self.alpha_degrees,
-            weight=self.weight,
-            execution=execution,
-        )

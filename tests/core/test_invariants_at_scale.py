@@ -58,7 +58,7 @@ def check_at_every_slice(scenario, spec, resources):
 
 
 @pytest.mark.parametrize("scenario", available_scenarios())
-@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
+@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw", "scc-dc"])
 def test_invariants_hold_at_every_checkpoint(scenario, spec):
     check_at_every_slice(
         scenario,
@@ -70,7 +70,7 @@ def test_invariants_hold_at_every_checkpoint(scenario, spec):
 
 
 @pytest.mark.parametrize("scenario", available_scenarios())
-@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw"])
+@pytest.mark.parametrize("spec", ["scc-2s", "scc-ks?k=3", "scc-cb", "scc-vw", "scc-dc"])
 def test_invariants_hold_under_finite_resources(scenario, spec):
     check_at_every_slice(
         scenario,

@@ -14,7 +14,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import baseline_config
 from repro.experiments.distributed import DistributedSweepExecutor
-from repro.experiments.parallel import available_executors, make_executor
+from repro.experiments.parallel import (
+    SerialSweepExecutor,
+    available_executors,
+    make_executor,
+)
 from repro.experiments.runner import build_cells, run_sweep
 from repro.results import open_store
 
@@ -118,6 +122,22 @@ def test_more_workers_than_cells_is_fine():
     executor = DistributedSweepExecutor(workers=8, **FAST)
     outcomes = executor.run(cells, lambda cell: 42)
     assert len(outcomes) == 1 and outcomes[0].ok
+
+
+@needs_fork
+def test_a_runner_returning_none_fails_alike_on_both_executors():
+    # No summary is an error outcome wherever the cell runs, not a board
+    # row the parent reads as damage and retries until the cell is lost.
+    cells = build_cells(["P"], [10.0, 20.0], 1)
+    serial = SerialSweepExecutor().run(cells, lambda cell: None)
+    executor = DistributedSweepExecutor(workers=1, **FAST)
+    events = []
+    executor.lifecycle_hook = lambda kind, payload: events.append(kind)
+    distributed = executor.run(cells, lambda cell: None)
+    for outcomes in (serial, distributed):
+        assert [(o.ok, o.error.exc_type) for o in outcomes] == [(False, "TypeError")] * 2
+        assert all("returned no summary" in o.error.message for o in outcomes)
+    assert "cell_retried" not in events
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.gateway import (
 )
 from repro.gateway.routes import Request, dispatch
 from repro.results.fingerprint import cell_fingerprint, config_payload
+from repro.workloads.scenarios import get_scenario
 
 from tests.conftest import write_board_without_outcomes
 from tests.gateway.conftest import tiny_spec_dict
@@ -103,6 +104,18 @@ class TestSubmit:
             )
             assert response.status == 400, fields
             assert f"{named!r} must be" in response.body["error"], fields
+        assert app.list_experiments() == []
+
+    def test_class_with_an_execution_key_is_a_400(self, make_app):
+        app = make_app()
+        inline = get_scenario("paper-baseline").to_dict()
+        inline["classes"][0]["execution"] = "not-a-distribution"
+        body = json.dumps(tiny_spec_dict(scenario_def=inline)).encode()
+        response = dispatch(
+            app, Request(method="POST", path="/experiments", body=body)
+        )
+        assert response.status == 400
+        assert "bad class parameters" in response.body["error"]
         assert app.list_experiments() == []
 
     def test_repeated_cells_are_a_400(self, make_app):

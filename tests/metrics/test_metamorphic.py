@@ -19,7 +19,8 @@ knowing the right answer:
   SCC-DC is left out: a finished transaction with no executing partners
   compares ``V_later`` with ``V_now``, and at ``c = 10`` float rounding
   makes ``V_later`` exceed ``V_now`` by one ulp, so it defers one Δ it
-  does not defer at ``c = 1`` (see ROADMAP item 8).
+  does not defer at ``c = 1`` (the no-partner tie fix of ROADMAP item 3,
+  step 3).
 """
 
 import math

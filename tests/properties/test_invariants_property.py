@@ -21,10 +21,6 @@ from repro.core.shadow_counts import (
 from repro.metrics.confidence import mean_confidence_interval
 from repro.workloads.generator import fixed_workload
 from repro.txn.spec import Step
-from repro.values.distributions import (
-    ExponentialExecution,
-    UniformExecution,
-)
 from repro.values.value_function import ValueFunction
 from tests.conftest import build_system, make_class
 
@@ -57,46 +53,6 @@ def test_breakeven_is_the_zero_crossing(value, deadline, gradient):
     t0 = vf.breakeven_time()
     assert vf(t0) == abs(vf(t0)) or math.isclose(vf(t0), 0.0, abs_tol=1e-6)
     assert vf(t0 * 1.001 + 1e-6) <= 0.0
-
-
-# ----------------------------------------------------------------------
-# execution-time distributions
-# ----------------------------------------------------------------------
-
-
-@given(
-    mean=st.floats(min_value=0.01, max_value=100.0),
-    x1=st.floats(min_value=0.0, max_value=500.0),
-    x2=st.floats(min_value=0.0, max_value=500.0),
-)
-def test_survival_monotone_exponential(mean, x1, x2):
-    dist = ExponentialExecution(mean)
-    lo, hi = min(x1, x2), max(x1, x2)
-    assert dist.survival(lo) >= dist.survival(hi)
-
-
-@given(
-    low=st.floats(min_value=0.0, max_value=10.0),
-    span=st.floats(min_value=0.01, max_value=10.0),
-    elapsed=st.floats(min_value=0.0, max_value=25.0),
-    x=st.floats(min_value=0.0, max_value=50.0),
-)
-def test_conditional_finish_is_a_probability(low, span, elapsed, x):
-    dist = UniformExecution(low, low + span)
-    p = dist.conditional_finish_by(x, elapsed)
-    assert 0.0 <= p <= 1.0
-
-
-@given(
-    mean=st.floats(min_value=0.05, max_value=50.0),
-    elapsed=st.floats(min_value=0.0, max_value=100.0),
-    epsilon=st.floats(min_value=0.001, max_value=0.2),
-)
-def test_horizon_meets_target(mean, elapsed, epsilon):
-    dist = ExponentialExecution(mean)
-    horizon = dist.horizon(elapsed, epsilon)
-    assert horizon >= elapsed
-    assert dist.conditional_finish_by(horizon, elapsed) >= 1.0 - epsilon - 1e-9
 
 
 # ----------------------------------------------------------------------

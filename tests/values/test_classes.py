@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.values.classes import TransactionClass
-from repro.values.distributions import DeterministicExecution
 
 
 def make(**kwargs):
@@ -21,16 +20,6 @@ def test_penalty_gradient_from_angle():
     assert make(alpha_degrees=45.0).penalty_gradient == pytest.approx(1.0)
     assert make(alpha_degrees=0.0).penalty_gradient == 0.0
     assert math.isinf(make(alpha_degrees=90.0).penalty_gradient)
-
-
-def test_with_execution_preserves_fields():
-    base = make(value=5.0, weight=0.3)
-    dist = DeterministicExecution(1.0)
-    updated = base.with_execution(dist)
-    assert updated.execution is dist
-    assert updated.value == 5.0
-    assert updated.weight == 0.3
-    assert base.execution is None
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import baseline_config
 from repro.experiments.runner import run_sweep
-from repro.experiments.spec import Experiment
+from repro.experiments.spec import Experiment, ExperimentSpec
 from repro.workloads.scenarios import (
     Scenario,
     all_scenarios,
@@ -81,6 +81,18 @@ class TestSerialization:
             scenario_from_dict(
                 {"name": "x", "description": "y", "turbo": True}
             )
+
+    def test_class_with_an_execution_key_rejected(self):
+        # A class's execution time is its step count times the per-step
+        # service time; a class dict cannot carry a distribution, so the
+        # key is refused when the spec loads rather than failing in a cell.
+        payload = get_scenario("paper-two-class").to_dict()
+        payload["classes"][0]["execution"] = "not-a-distribution"
+        with pytest.raises(ConfigurationError, match="bad class parameters"):
+            scenario_from_dict(payload)
+        spec = {"schema": 1, "protocols": ["scc-vw"], "scenario_def": payload}
+        with pytest.raises(ConfigurationError, match="bad class parameters"):
+            ExperimentSpec.from_dict(spec)
 
 
 class TestToConfig:
