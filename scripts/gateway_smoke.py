@@ -210,8 +210,18 @@ def smoke(spec_dict: dict, workdir: str) -> int:
         else:
             return fail("no cell started within 60s")
         server.send_signal(signal.SIGTERM)
-        got_503 = False
+        # The server's main thread handles the signal asynchronously, so a
+        # probe sent right away can reach admission first (and meet the
+        # queue limit): wait until the server reports the drain, then
+        # every submission must get 503.
         end = time.monotonic() + 30
+        try:
+            while (time.monotonic() < end
+                   and alice.health()["status"] != "draining"):
+                time.sleep(0.02)
+        except OSError:
+            return fail("connection refused before the drain was reported")
+        got_503 = False
         while time.monotonic() < end and not got_503:
             probe = dict(spec_dict)
             probe["seed"] = (spec_dict.get("seed") or 0) + 3

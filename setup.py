@@ -25,7 +25,8 @@ setup(
     author="paper-repo-growth",
     license="MIT",
     python_requires=">=3.10",
-    # scipy is imported only when a confidence interval is computed.
+    # numpy and scipy are imported only when a confidence interval is
+    # computed (mean_confidence_interval); no run path loads them.
     install_requires=["numpy", "scipy"],
     package_dir={"": "src"},
     packages=find_packages(where="src"),

@@ -49,8 +49,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.scc_base import SCCTxnRuntime
 from repro.core.shadow import Shadow, ShadowMode
 from repro.errors import ConfigurationError, InvariantViolation, ProtocolError
@@ -86,15 +84,15 @@ class ShadowPool:
     Each *active* transaction owns one slot for the duration of its
     residency (arrival to commit).  A slot carries:
 
-    * its transaction id in the numpy slot table :attr:`txn_ids`
+    * its transaction id in the slot table :attr:`txn_ids`, a list
       (``-1`` marks a free slot), and
     * two packed page bitsets — :attr:`read_masks` and
       :attr:`write_masks` — mirroring the transaction-level read/write
       page membership of the :class:`~repro.core.conflict_table.AccessIndex`
       (bit ``p`` set iff the index records page ``p``).  The bitsets are
       arbitrary-precision ints: for the page-set sizes this simulation
-      uses, CPython's bignum AND/shift outperforms per-element numpy
-      operations while staying a genuine packed bit vector.
+      uses, CPython's bignum AND/shift is the fastest packed bit vector
+      at hand.
 
     Capacity grows by doubling on exhaustion (:attr:`grow_events` counts
     the growths, for tests exercising the exhaustion path).  Slot
@@ -128,7 +126,7 @@ class ShadowPool:
                 f"shadow pool capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        self.txn_ids = np.full(capacity, -1, dtype=np.int64)
+        self.txn_ids: list[int] = [-1] * capacity
         self.read_masks: list[int] = [0] * capacity
         self.write_masks: list[int] = [0] * capacity
         self.slot_of: dict[int, int] = {}
@@ -194,17 +192,15 @@ class ShadowPool:
         self.write_masks[slot] = 0
         self._free.append(slot)
 
-    def live_slots(self) -> np.ndarray:
-        """Indices of occupied slots, ascending (a boolean-mask reduction)."""
-        return np.flatnonzero(self.txn_ids[: self.capacity] >= 0)
+    def live_slots(self) -> list[int]:
+        """Indices of occupied slots, ascending."""
+        return [slot for slot, txn_id in enumerate(self.txn_ids) if txn_id >= 0]
 
     def _grow(self) -> None:
         """Double the capacity, preserving every occupied slot in place."""
         old = self.capacity
         new = old * 2
-        table = np.full(new, -1, dtype=np.int64)
-        table[:old] = self.txn_ids
-        self.txn_ids = table
+        self.txn_ids.extend([-1] * old)
         self.read_masks.extend([0] * old)
         self.write_masks.extend([0] * old)
         # New slots stacked so pop() keeps yielding ascending ids.
@@ -733,7 +729,7 @@ class FusedSCCStepDriver:
                 f"dispatch cohorts exist for {sorted(self._cohorts)}, but "
                 f"the active transactions are {active}"
             )
-        if pool.live_slots().tolist() != sorted(pool.slot_of.values()):
+        if pool.live_slots() != sorted(pool.slot_of.values()):
             raise InvariantViolation(
                 "the pool's slot table disagrees with its slot map"
             )
@@ -746,7 +742,7 @@ class FusedSCCStepDriver:
                 self._cohorts[txn_id]
             )
             if (
-                int(pool.txn_ids[slot]) != txn_id
+                pool.txn_ids[slot] != txn_id
                 or cohort_slot != slot
                 or cohort_runtime is not runtime
                 or reads is not self._txn_reads.get(txn_id)

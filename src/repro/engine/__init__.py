@@ -2,7 +2,9 @@
 
 This package is the substrate every experiment runs on: the simulation
 engine and its workload tensors (:mod:`repro.engine.array`) and named
-reproducible random streams (:mod:`repro.engine.rng`).  It knows
+reproducible random streams (:mod:`repro.engine.rng`), pure-Python
+PCG64 generators that draw exactly what numpy's ``Generator`` draws, so
+no module here imports numpy.  It knows
 nothing of the layers above it: no module here imports
 :mod:`repro.workloads`, :mod:`repro.core`, :mod:`repro.protocols` or
 :mod:`repro.system` at module scope (``WorkloadTensors.from_config``

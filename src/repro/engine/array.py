@@ -14,9 +14,10 @@ run reproducible bit for bit from its seed:
   workload enters the queue as one struct-of-arrays track (sorted times +
   payloads + cursor) instead of N heap pushes, making bulk workload
   loading O(1) per transaction.
-* :class:`WorkloadTensors` — the per-replication workload as numpy
-  tensors (arrival vector, class vector, flat page and write-flag
-  arrays), a sequence that builds each transaction's spec on demand.
+* :class:`WorkloadTensors` — the per-replication workload as flat
+  struct-of-arrays lists (arrival vector, class vector, flat page and
+  write-flag arrays), a sequence that builds each transaction's spec on
+  demand.
   :class:`~repro.workloads.generator.TransactionGenerator` draws them;
   this module imports no workload code at module scope (nor
   :mod:`repro.core`, :mod:`repro.protocols` or :mod:`repro.system`).
@@ -24,12 +25,12 @@ run reproducible bit for bit from its seed:
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from heapq import heappop, heappush
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Optional
-
-import numpy as np
 
 from repro.engine.rng import RandomStreams
 from repro.errors import SimulationError
@@ -269,7 +270,7 @@ class ArraySimulator:
 
         The batch is stored as one struct-of-arrays *track* (times +
         payloads + cursor) and merged lazily into the run loop, so loading
-        N events costs O(N) array work instead of N heap pushes.  Each
+        N events costs O(N) list work instead of N heap pushes.  Each
         entry receives a real sequence number from the simulator-wide
         counter (the whole batch claims a contiguous range), so batch
         entries interleave with individually scheduled events exactly as
@@ -296,25 +297,34 @@ class ArraySimulator:
         ------
         SimulationError
             If called while the simulator is running, if the times are
-            not sorted, or if the batch starts in the past.
+            not finite floats in non-decreasing order, or if the batch
+            starts in the past.
         """
         if self._running:
             raise SimulationError("schedule_batch is not allowed mid-run")
-        arr = np.asarray(times, dtype=float)
-        if arr.ndim != 1:
-            raise SimulationError("schedule_batch needs a flat times sequence")
-        count = int(arr.shape[0])
+        try:
+            times = list(map(float, times))
+        except (TypeError, ValueError):
+            raise SimulationError(
+                "schedule_batch needs a flat times sequence"
+            ) from None
+        count = len(times)
         if count != len(payloads):
             raise SimulationError(
                 f"schedule_batch got {count} times but {len(payloads)} payloads"
             )
         if count == 0:
             return 0
-        if not np.all(np.isfinite(arr)):
+        # One C-level pass.  ``<=`` is false against NaN, so a batch that
+        # passes holds no NaN (unless it is a single entry) and an
+        # infinity can only sit at either end.
+        if not all(map(operator.le, times, islice(times, 1, None))):
+            raise SimulationError(
+                "schedule_batch times must be non-decreasing (and not NaN)"
+            )
+        first = times[0]
+        if not (math.isfinite(first) and math.isfinite(times[-1])):
             raise SimulationError("schedule_batch times must be finite")
-        if np.any(np.diff(arr) < 0.0):
-            raise SimulationError("schedule_batch times must be non-decreasing")
-        first = float(arr[0])
         if not (first >= self.now):
             raise SimulationError(
                 f"cannot schedule at t={first!r}, which precedes now={self.now!r}"
@@ -322,7 +332,7 @@ class ArraySimulator:
         base = self._sequence
         self._sequence = base + count
         self._tracks.append(
-            _ArrivalTrack(arr.tolist(), list(payloads), callback, priority, base)
+            _ArrivalTrack(times, list(payloads), callback, priority, base)
         )
         self._live += count
         return count
@@ -581,19 +591,22 @@ class WorkloadTensors(Sequence):
     them, one axis at a time, for every arrival process and access
     pattern.
 
+    The tensors are plain lists of Python numbers, so building a spec
+    reads them without conversion and no numpy is needed to simulate.
+
     Attributes
     ----------
-    arrivals : numpy.ndarray
-        Arrival instant per transaction, shape ``(n,)``.
-    class_indices : numpy.ndarray
-        Index into ``classes`` per transaction, shape ``(n,)``.
-    step_offsets : numpy.ndarray
+    arrivals : list of float
+        Arrival instant per transaction, ``n`` entries.
+    class_indices : list of int
+        Index into ``classes`` per transaction, ``n`` entries.
+    step_offsets : list of int
         Prefix sums delimiting each transaction's slice of the flat step
-        arrays, shape ``(n + 1,)``.
-    pages : numpy.ndarray
-        Flat page ids of every step, shape ``(total_steps,)``.
-    write_flags : numpy.ndarray
-        Flat write flags of every step, shape ``(total_steps,)``.
+        lists, ``n + 1`` entries.
+    pages : list of int
+        Flat page ids of every step, one per step.
+    write_flags : list of bool
+        Flat write flags of every step, one per step.
     """
 
     __slots__ = (
@@ -609,11 +622,11 @@ class WorkloadTensors(Sequence):
 
     def __init__(
         self,
-        arrivals: np.ndarray,
-        class_indices: np.ndarray,
-        step_offsets: np.ndarray,
-        pages: np.ndarray,
-        write_flags: np.ndarray,
+        arrivals: list[float],
+        class_indices: list[int],
+        step_offsets: list[int],
+        pages: list[int],
+        write_flags: list[bool],
         classes: list,
         step_duration: float,
         deadlines: DeadlinePolicy,
@@ -629,7 +642,7 @@ class WorkloadTensors(Sequence):
 
     def __len__(self) -> int:
         """Number of transactions in the workload."""
-        return int(self.arrivals.shape[0])
+        return len(self.arrivals)
 
     def __getitem__(self, index: int) -> TransactionSpec:
         """Build transaction ``index`` from its slice of the tensors.
@@ -642,16 +655,14 @@ class WorkloadTensors(Sequence):
         only when its arrival fires.
         """
         txn_id = range(len(self))[operator.index(index)]
-        lo = self.step_offsets.item(txn_id)
-        hi = self.step_offsets.item(txn_id + 1)
+        lo = self.step_offsets[txn_id]
+        hi = self.step_offsets[txn_id + 1]
         steps = [
             Step(page, flag)
-            for page, flag in zip(
-                self.pages[lo:hi].tolist(), self.write_flags[lo:hi].tolist()
-            )
+            for page, flag in zip(self.pages[lo:hi], self.write_flags[lo:hi])
         ]
-        txn_class = self._classes[self.class_indices.item(txn_id)]
-        arrival = self.arrivals.item(txn_id)
+        txn_class = self._classes[self.class_indices[txn_id]]
+        arrival = self.arrivals[txn_id]
         step_duration = self._step_duration
         estimated = len(steps) * step_duration
         deadline = self._deadlines.deadline_for(arrival, estimated, txn_class)
@@ -663,11 +674,6 @@ class WorkloadTensors(Sequence):
             step_duration=step_duration,
             deadline=deadline,
         )
-
-    @property
-    def num_steps(self) -> np.ndarray:
-        """Per-transaction program length, shape ``(n,)``."""
-        return np.diff(self.step_offsets)
 
     @classmethod
     def from_config(

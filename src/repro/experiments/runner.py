@@ -138,9 +138,9 @@ def run_instrumented(
             (when ``config.check_serializability`` is set) — a protocol
             bug, never a workload property.
     """
-    # The simulation layer (numpy, the engine, the system model) loads
-    # with a process's first cell, so a process that only coordinates
-    # cells or serves them from a store never imports it.
+    # The simulation layer (the engine, its random streams, the system
+    # model) loads with a process's first cell, so a process that only
+    # coordinates cells or serves them from a store never imports it.
     from repro.engine.array import WorkloadTensors
     from repro.engine.rng import RandomStreams
     from repro.metrics.stats import MetricsCollector

@@ -21,13 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 from repro.errors import ProtocolError
 from repro.txn.spec import TransactionSpec
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -117,21 +112,14 @@ class RunSummary:
         return cls(**data)
 
 
-#: Rows per columnar commit chunk.  The tail row buffer is bounded at
-#: this size; each time it fills it is converted to one float64 chunk in
-#: a single C-level pass.
-_CHUNK_ROWS = 1024
-
-#: Column order of a commit chunk (all float64; ids/restart counts are
-#: integer-valued and exact well past any simulated transaction count).
-_COL_TXN_ID = 0
-_COL_ARRIVAL = 1
-_COL_DEADLINE = 2
-_COL_COMMIT = 3
-_COL_VALUE = 4
-_COL_VALUE_MAX = 5
-_COL_RESTARTS = 6
-_NUM_COLS = 7
+# Field positions in a commit row, which is laid out as the fields of
+# :class:`CommitRecord`.
+_CLASS = 1
+_ARRIVAL = 2
+_DEADLINE = 3
+_COMMIT = 4
+_VALUE = 5
+_VALUE_MAX = 6
 
 
 class MetricsCollector:
@@ -141,14 +129,11 @@ class MetricsCollector:
     for progress but excluded from the summary statistics, the standard
     transient-removal discipline.
 
-    Storage is columnar: commit outcomes land in float64 chunks (plus a
-    class-name column) instead of per-commit :class:`CommitRecord`
-    objects — rows accumulate in a bounded buffer that is converted to a
-    chunk in one C-level pass each time it fills — and :meth:`summary`
-    aggregates over the concatenated columns.  The reductions deliberately run left-to-right
-    over Python floats in record order — the float-summation order is part
-    of the golden-gated result, so the columnar layout must reproduce the
-    exact bits the record-at-a-time collector produced.  The old
+    Each post-warmup commit is one row tuple laid out as the fields of
+    :class:`CommitRecord` (no record object is built while the run
+    goes), and :meth:`summary` aggregates over the rows.  Every
+    reduction runs left to right over Python floats in commit order: the
+    float-summation order is part of the golden-gated result.  The
     record-object view survives as the :attr:`records` property for
     diagnostics.
     """
@@ -162,48 +147,16 @@ class MetricsCollector:
         self.useful_work = 0.0
         self.deferred_commits = 0
         self._restart_counts: dict[int, int] = {}
-        self._chunks: list[np.ndarray] = []
-        self._tail: list[tuple] = []
-        self._class_names: list[str] = []
-
-    # ------------------------------------------------------------------
-    # columnar storage
-    # ------------------------------------------------------------------
+        self._rows: list[tuple] = []
 
     @property
     def records(self) -> list[CommitRecord]:
         """Post-warmup commits as :class:`CommitRecord` objects.
 
-        A diagnostics/compatibility view materialized on demand from the
-        columnar buffers; the hot recording path never builds it.
+        A diagnostics view built on demand from the commit rows; the hot
+        recording path never builds it.
         """
-        columns = self._columns()
-        return [
-            CommitRecord(
-                txn_id=int(columns[i, _COL_TXN_ID]),
-                class_name=self._class_names[i],
-                arrival=float(columns[i, _COL_ARRIVAL]),
-                deadline=float(columns[i, _COL_DEADLINE]),
-                commit_time=float(columns[i, _COL_COMMIT]),
-                value_attained=float(columns[i, _COL_VALUE]),
-                value_max=float(columns[i, _COL_VALUE_MAX]),
-                restarts=int(columns[i, _COL_RESTARTS]),
-            )
-            for i in range(len(self._class_names))
-        ]
-
-    def _columns(self) -> np.ndarray:
-        """The rows of every chunk, concatenated in commit order."""
-        import numpy as np
-
-        parts = list(self._chunks)
-        if self._tail or not parts:
-            parts.append(
-                np.array(self._tail, dtype=np.float64).reshape(-1, _NUM_COLS)
-            )
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts, axis=0)
+        return [CommitRecord(*row) for row in self._rows]
 
     # ------------------------------------------------------------------
     # recording
@@ -233,16 +186,11 @@ class MetricsCollector:
         self.useful_work += work
         if self.total_committed <= self.warmup_commits:
             return
-        tail = self._tail
-        if len(tail) == _CHUNK_ROWS:
-            import numpy as np
-
-            self._chunks.append(np.array(tail, dtype=np.float64))
-            del tail[:]
         value_function = txn.value_function
-        tail.append(
+        self._rows.append(
             (
                 txn.txn_id,
+                txn.txn_class.name,
                 txn.arrival,
                 txn.deadline,
                 commit_time,
@@ -251,7 +199,6 @@ class MetricsCollector:
                 self._restart_counts.get(txn.txn_id, 0),
             )
         )
-        self._class_names.append(txn.txn_class.name)
 
     # ------------------------------------------------------------------
     # aggregation
@@ -260,27 +207,31 @@ class MetricsCollector:
     def summary(self) -> RunSummary:
         """Aggregate the recorded commits into a :class:`RunSummary`.
 
-        Elementwise terms (tardiness, response time) are computed as
-        float64 column operations — bitwise equal to the per-record
-        arithmetic they replace — while every *reduction* runs as a
-        left-to-right Python-float ``sum`` in commit order, because the
-        golden gate pins the summation order of the original
-        record-at-a-time collector.
+        Every reduction is a left-to-right Python-float ``sum`` in commit
+        order, because the golden gate pins the summation order of the
+        original record-at-a-time collector.
         """
-        import numpy as np
-
-        n = len(self._class_names)
+        rows = self._rows
+        n = len(rows)
         if n == 0:
             raise ProtocolError("no committed transactions recorded after warmup")
-        columns = self._columns()
-        deadline = columns[:, _COL_DEADLINE]
-        commit = columns[:, _COL_COMMIT]
-        late_mask = commit > deadline
-        late_count = int(np.count_nonzero(late_mask))
-        total_tardiness = sum((commit[late_mask] - deadline[late_mask]).tolist())
-        value_attained = sum(columns[:, _COL_VALUE].tolist())
-        value_max = sum(columns[:, _COL_VALUE_MAX].tolist())
-        response_total = sum((commit - columns[:, _COL_ARRIVAL]).tolist())
+        late = [row for row in rows if row[_COMMIT] > row[_DEADLINE]]
+        late_count = len(late)
+        total_tardiness = sum([row[_COMMIT] - row[_DEADLINE] for row in late])
+        value_attained = sum([row[_VALUE] for row in rows])
+        value_max = sum([row[_VALUE_MAX] for row in rows])
+        response_total = sum([row[_COMMIT] - row[_ARRIVAL] for row in rows])
+        per_class_missed = {}
+        per_class_value = {}
+        for name, class_rows in self._per_class_rows().items():
+            class_late = sum(1 for row in class_rows if row[_COMMIT] > row[_DEADLINE])
+            per_class_missed[name] = 100.0 * class_late / len(class_rows)
+            vmax = sum([row[_VALUE_MAX] for row in class_rows])
+            per_class_value[name] = (
+                100.0 * sum([row[_VALUE] for row in class_rows]) / vmax
+                if vmax > 0
+                else 0.0
+            )
         return RunSummary(
             committed=n,
             missed_ratio=100.0 * late_count / n,
@@ -293,34 +244,15 @@ class MetricsCollector:
             wasted_work=self.wasted_work,
             useful_work=self.useful_work,
             deferred_commits=self.deferred_commits,
-            per_class_missed=self._per_class_missed(late_mask),
-            per_class_value=self._per_class_value(columns),
+            per_class_missed=per_class_missed,
+            per_class_value=per_class_value,
         )
 
-    def _per_class_groups(self) -> dict[str, list[int]]:
-        # Buckets appear in first-commit order and hold row indices in
-        # commit order — both orders are part of the summary's identity
-        # (dict iteration and per-class summation order).
-        by_class: dict[str, list[int]] = {}
-        for i, name in enumerate(self._class_names):
-            by_class.setdefault(name, []).append(i)
+    def _per_class_rows(self) -> dict[str, list[tuple]]:
+        # Buckets appear in first-commit order and hold rows in commit
+        # order — both orders are part of the summary's identity (dict
+        # iteration and per-class summation order).
+        by_class: dict[str, list[tuple]] = {}
+        for row in self._rows:
+            by_class.setdefault(row[_CLASS], []).append(row)
         return by_class
-
-    def _per_class_missed(self, late_mask: np.ndarray) -> dict[str, float]:
-        import numpy as np
-
-        return {
-            name: 100.0 * int(np.count_nonzero(late_mask[rows])) / len(rows)
-            for name, rows in self._per_class_groups().items()
-        }
-
-    def _per_class_value(self, columns: np.ndarray) -> dict[str, float]:
-        result = {}
-        for name, rows in self._per_class_groups().items():
-            vmax = sum(columns[rows, _COL_VALUE_MAX].tolist())
-            result[name] = (
-                100.0 * sum(columns[rows, _COL_VALUE].tolist()) / vmax
-                if vmax > 0
-                else 0.0
-            )
-        return result

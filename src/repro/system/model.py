@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.history import History
 from repro.db.database import Database
 from repro.engine.array import ArraySimulator, WorkloadTensors
@@ -100,12 +98,13 @@ class RTDBSystem:
             workload, times = specs, specs.arrivals
         else:
             workload = list(specs)
-            times = np.array([spec.arrival for spec in workload], dtype=float)
-        order = np.argsort(times, kind="stable")
+            times = [float(spec.arrival) for spec in workload]
+        # A stable sort: equal arrival times keep their list order.
+        order = sorted(range(len(times)), key=times.__getitem__)
         return self.sim.schedule_batch(
-            times[order],
+            [times[index] for index in order],
             functools.partial(self._arrive_from, workload),
-            [(index,) for index in order.tolist()],
+            [(index,) for index in order],
             priority=_ARRIVAL_PRIORITY,
         )
 

@@ -9,10 +9,13 @@ concentrate conflicts in ways uniform selection never produces.
 Patterns are frozen, stateless dataclasses so the scenario registry can
 store, compare, and pickle them; per-database probability vectors are
 memoized at module level.  A pattern draws one transaction's pages from
-the generator it is handed (the ``"pages"`` stream), given the
+the stream it is handed (the ``"pages"`` stream), given the
 transaction's write flags (drawn beforehand from the ``"writes"``
 stream), and never touches the arrival stream — swapping patterns must
-not move arrival times.
+not move arrival times.  Probability vectors are tuples of floats,
+computed with Python arithmetic and normalized by numpy's pairwise sum
+(:func:`~repro.engine.rng.pairwise_sum`), so they do not depend on the
+host CPU.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.engine.rng import PCG64Stream
 
 __all__ = [
     "AccessPattern",
@@ -42,8 +45,8 @@ class AccessPattern(ABC):
 
     @abstractmethod
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
-    ) -> np.ndarray:
+        self, rng: PCG64Stream, num_pages: int, write_flags: Sequence[bool]
+    ) -> list[int]:
         """Draw one transaction's pages from ``[0, num_pages)``.
 
         Returns ``len(write_flags)`` distinct page ids; page ``i`` is the
@@ -78,21 +81,24 @@ class UniformAccess(AccessPattern):
         return "uniform"
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
-    ) -> np.ndarray:
+        self, rng: PCG64Stream, num_pages: int, write_flags: Sequence[bool]
+    ) -> list[int]:
         return rng.choice(num_pages, size=len(write_flags), replace=False)
 
 
 @lru_cache(maxsize=64)
-def _zipf_probabilities(theta: float, num_pages: int) -> np.ndarray:
-    """P(page i) ∝ 1 / (i+1)^θ — page 0 is the hottest."""
-    import numpy as np
+def _zipf_probabilities(theta: float, num_pages: int) -> tuple[float, ...]:
+    """P(page i) ∝ 1 / (i+1)^θ — page 0 is the hottest.
 
-    ranks = np.arange(1, num_pages + 1, dtype=float)
-    weights = ranks ** -theta
-    probs = weights / weights.sum()
-    probs.setflags(write=False)
-    return probs
+    Each weight is Python's ``**`` (libm ``pow``) and the sum runs in
+    numpy's pairwise order, so the vector is the one numpy builds on a
+    host whose ``power`` is libm's, on every host.
+    """
+    from repro.engine.rng import pairwise_sum
+
+    weights = [float(rank) ** -theta for rank in range(1, num_pages + 1)]
+    total = pairwise_sum(weights)
+    return tuple(weight / total for weight in weights)
 
 
 @dataclass(frozen=True)
@@ -114,13 +120,13 @@ class ZipfianAccess(AccessPattern):
     def kind(self) -> str:
         return "zipfian"
 
-    def probabilities(self, num_pages: int) -> np.ndarray:
+    def probabilities(self, num_pages: int) -> tuple[float, ...]:
         """The per-page selection probabilities (closed form, memoized)."""
         return _zipf_probabilities(self.theta, num_pages)
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
-    ) -> np.ndarray:
+        self, rng: PCG64Stream, num_pages: int, write_flags: Sequence[bool]
+    ) -> list[int]:
         size = len(write_flags)
         p = self.probabilities(num_pages)
         return rng.choice(num_pages, size=size, replace=False, p=p)
@@ -129,14 +135,11 @@ class ZipfianAccess(AccessPattern):
 @lru_cache(maxsize=64)
 def _hotspot_probabilities(
     hot_count: int, hot_access_fraction: float, num_pages: int
-) -> np.ndarray:
-    import numpy as np
-
-    probs = np.empty(num_pages, dtype=float)
-    probs[:hot_count] = hot_access_fraction / hot_count
-    probs[hot_count:] = (1.0 - hot_access_fraction) / (num_pages - hot_count)
-    probs.setflags(write=False)
-    return probs
+) -> tuple[float, ...]:
+    cold_count = num_pages - hot_count
+    return (hot_access_fraction / hot_count,) * hot_count + (
+        (1.0 - hot_access_fraction) / cold_count,
+    ) * cold_count
 
 
 @dataclass(frozen=True)
@@ -167,15 +170,15 @@ class HotspotAccess(AccessPattern):
         hot = max(1, int(round(self.hot_page_fraction * num_pages)))
         return min(hot, num_pages - 1)
 
-    def probabilities(self, num_pages: int) -> np.ndarray:
+    def probabilities(self, num_pages: int) -> tuple[float, ...]:
         """The per-page selection probabilities (closed form, memoized)."""
         return _hotspot_probabilities(
             self.hot_pages(num_pages), self.hot_access_fraction, num_pages
         )
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
-    ) -> np.ndarray:
+        self, rng: PCG64Stream, num_pages: int, write_flags: Sequence[bool]
+    ) -> list[int]:
         size = len(write_flags)
         p = self.probabilities(num_pages)
         return rng.choice(num_pages, size=size, replace=False, p=p)
@@ -223,20 +226,19 @@ class PartitionedAccess(AccessPattern):
             )
 
     def select_pages(
-        self, rng: np.random.Generator, num_pages: int, write_flags: np.ndarray
-    ) -> np.ndarray:
-        import numpy as np
-
+        self, rng: PCG64Stream, num_pages: int, write_flags: Sequence[bool]
+    ) -> list[int]:
         split = self.split(num_pages)
-        num_writes = int(write_flags.sum())
-        pages = np.empty(len(write_flags), dtype=np.intp)
+        num_writes = sum(write_flags)
         # Write pages, then read pages: the pages stream's order for this
         # pattern since it was added, so partitioned workloads stay the same.
-        pages[write_flags] = rng.choice(split, size=num_writes, replace=False)
-        pages[~write_flags] = split + rng.choice(
-            num_pages - split, size=len(write_flags) - num_writes, replace=False
+        writes = iter(rng.choice(split, size=num_writes, replace=False))
+        reads = iter(
+            rng.choice(
+                num_pages - split, size=len(write_flags) - num_writes, replace=False
+            )
         )
-        return pages
+        return [next(writes) if flag else split + next(reads) for flag in write_flags]
 
 
 _PATTERN_KINDS: dict[str, type[AccessPattern]] = {

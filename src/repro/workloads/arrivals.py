@@ -7,9 +7,9 @@ class here models one such regime behind a single interface —
 :meth:`ArrivalProcess.next_arrival` advances an internal clock and returns
 the next absolute arrival instant, and
 :meth:`ArrivalProcess.arrival_times` returns the next ``count`` of them
-as one array (Poisson draws them in one batch).
+as one list (Poisson draws them in one batch).
 
-Every process draws all of its randomness from the single generator it is
+Every process draws all of its randomness from the single stream it is
 handed (the ``"arrivals"`` stream of :class:`~repro.engine.rng.RandomStreams`),
 so swapping the access pattern, class mix, or deadline policy can never
 perturb arrival times — the variance-reduction discipline the runner's
@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.engine.rng import PCG64Stream
 
 __all__ = [
     "ArrivalProcess",
@@ -56,19 +57,17 @@ class ArrivalProcess(ABC):
     """
 
     @abstractmethod
-    def next_arrival(self, rng: np.random.Generator) -> float:
+    def next_arrival(self, rng: PCG64Stream) -> float:
         """Advance the clock and return the next absolute arrival time."""
 
-    def arrival_times(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The next ``count`` arrival times, shape ``(count,)``.
+    def arrival_times(self, rng: PCG64Stream, count: int) -> list[float]:
+        """The next ``count`` arrival times, in order.
 
         Consumes ``rng`` exactly as ``count`` calls of
         :meth:`next_arrival` do; a process with a batched formulation
         overrides this with one that draws the same values.
         """
-        import numpy as np
-
-        return np.array([self.next_arrival(rng) for _ in range(count)], dtype=float)
+        return [self.next_arrival(rng) for _ in range(count)]
 
     @property
     @abstractmethod
@@ -93,18 +92,20 @@ class PoissonArrivals(ArrivalProcess):
     def rate(self) -> float:
         return self._rate
 
-    def next_arrival(self, rng: np.random.Generator) -> float:
+    def next_arrival(self, rng: PCG64Stream) -> float:
         self._clock += rng.exponential(1.0 / self._rate)
         return self._clock
 
-    def arrival_times(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def arrival_times(self, rng: PCG64Stream, count: int) -> list[float]:
         # One exponential(size=count) draws what count scalar draws do,
-        # and cumsum adds left to right, as next_arrival's clock does.
-        times = rng.exponential(1.0 / self._rate, size=count)
-        if count:
-            times[0] += self._clock
-            times.cumsum(out=times)
-            self._clock = times.item(-1)
+        # and the running sum adds left to right, as next_arrival's clock
+        # does.
+        gaps = rng.exponential(1.0 / self._rate, size=count)
+        if not count:
+            return []
+        gaps[0] += self._clock
+        times = list(accumulate(gaps))
+        self._clock = times[-1]
         return times
 
 
@@ -160,11 +161,11 @@ class MMPPArrivals(ArrivalProcess):
     def rate(self) -> float:
         return self._rate
 
-    def _enter_state(self, state: int, rng: np.random.Generator) -> None:
+    def _enter_state(self, state: int, rng: PCG64Stream) -> None:
         self._state = state
         self._state_end = self._clock + rng.exponential(self._dwell_means[state])
 
-    def next_arrival(self, rng: np.random.Generator) -> float:
+    def next_arrival(self, rng: PCG64Stream) -> float:
         if self._state is None:
             # Stationary start: begin in the on state with its long-run
             # probability so short draws are not biased toward one phase.
@@ -216,7 +217,7 @@ class DiurnalArrivals(ArrivalProcess):
     def rate(self) -> float:
         return self._rate
 
-    def next_arrival(self, rng: np.random.Generator) -> float:
+    def next_arrival(self, rng: PCG64Stream) -> float:
         lam_max = self._rate * (1.0 + self._amplitude)
         while True:
             self._clock += rng.exponential(1.0 / lam_max)
@@ -283,7 +284,7 @@ class TraceArrivals(ArrivalProcess):
     def rate(self) -> float:
         return len(self._times) / self._span
 
-    def next_arrival(self, rng: np.random.Generator) -> float:
+    def next_arrival(self, rng: PCG64Stream) -> float:
         if self._index >= len(self._times):
             if not self._cycle:
                 raise ConfigurationError(

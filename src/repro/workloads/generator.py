@@ -24,8 +24,10 @@ paper-figure vignettes instead (explicit programs and arrival times).
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -225,9 +227,8 @@ class TransactionGenerator:
         generator as the same scalar draws one at a time do, so the
         workload equals a transaction-by-transaction loop's.
         """
-        import numpy as np
-
         from repro.engine.array import WorkloadTensors
+        from repro.engine.rng import pairwise_sum
 
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
@@ -235,27 +236,30 @@ class TransactionGenerator:
         classes = self._classes
         arrivals = self._arrivals.arrival_times(streams["arrivals"], count)
         if len(classes) == 1:
-            class_indices = np.zeros(count, dtype=np.intp)
+            class_indices = [0] * count
         else:
-            weights = np.array([c.weight for c in classes], dtype=float)
+            weights = [float(c.weight) for c in classes]
+            total = pairwise_sum(weights)
             class_indices = streams["classes"].choice(
-                len(classes), size=count, p=weights / weights.sum()
+                len(classes), size=count, p=tuple(w / total for w in weights)
             )
-        num_steps = np.array([c.num_steps for c in classes])[class_indices]
-        step_offsets = np.zeros(count + 1, dtype=np.intp)
-        np.cumsum(num_steps, out=step_offsets[1:])
-        total = int(step_offsets[-1])
-        write_probability = np.array([c.write_probability for c in classes])
-        write_flags = streams["writes"].random(total) < np.repeat(
-            write_probability[class_indices], num_steps
+        num_steps = [c.num_steps for c in classes]
+        step_offsets = [0, *accumulate(num_steps[c] for c in class_indices)]
+        # One coin-flip per step, against its class's write probability.
+        thresholds = [[c.write_probability] * c.num_steps for c in classes]
+        write_flags = list(
+            map(
+                operator.lt,
+                streams["writes"].random(step_offsets[-1]),
+                chain.from_iterable(thresholds[c] for c in class_indices),
+            )
         )
-        pages = np.empty(total, dtype=np.intp)
+        pages: list[int] = []
         pages_rng = streams["pages"]
         select_pages = self._access.select_pages
         num_pages = self._num_pages
-        offsets = step_offsets.tolist()
-        for lo, hi in zip(offsets, offsets[1:]):
-            pages[lo:hi] = select_pages(pages_rng, num_pages, write_flags[lo:hi])
+        for lo, hi in zip(step_offsets, step_offsets[1:]):
+            pages += select_pages(pages_rng, num_pages, write_flags[lo:hi])
         return WorkloadTensors(
             arrivals,
             class_indices,

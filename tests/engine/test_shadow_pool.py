@@ -9,7 +9,6 @@ page access of such a run is serviced through the loop.  Behavioural
 parity of the loop lives in ``test_shadow_pool_parity.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.scc_2s import SCC2S
@@ -52,7 +51,7 @@ def test_slots_are_assigned_lowest_first():
     pool = ShadowPool(4)
     assert [pool.acquire(txn) for txn in (10, 11, 12)] == [0, 1, 2]
     assert pool.slot_of == {10: 0, 11: 1, 12: 2}
-    assert pool.txn_ids[:3].tolist() == [10, 11, 12]
+    assert pool.txn_ids[:3] == [10, 11, 12]
     assert len(pool) == 3
     assert pool.free_slots == 1
 
@@ -93,7 +92,7 @@ def test_growth_doubles_and_preserves_occupied_slots():
     assert pool.capacity == 4
     assert len(pool.read_masks) == len(pool.write_masks) == 4
     # Occupied slots (ids and masks) survive the growth in place.
-    assert pool.txn_ids[:3].tolist() == [0, 1, 2]
+    assert pool.txn_ids[:3] == [0, 1, 2]
     assert pool.read_masks[0] == 0b101
     assert pool.write_masks[1] == 0b010
     # Growth keeps handing out ascending slots.
@@ -117,7 +116,7 @@ def test_live_slots_reduction():
     for txn in (5, 6, 7):
         pool.acquire(txn)
     pool.release(6)
-    assert np.array_equal(pool.live_slots(), np.array([0, 2]))
+    assert pool.live_slots() == [0, 2]
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,14 @@ code or an event loop (``asyncio``); a ``--workers`` rerun served wholly
 from its store must load neither the job-board executor nor
 ``multiprocessing``, and a cold ``--workers`` sweep, whose executor
 forks and reaps its hosts itself, never loads ``multiprocessing``
-either.  numpy and the simulation layer load only in a process that
-runs a cell, when it runs its first one: not in the ``results``/
-``specs`` commands, a rerun served from its store, the parent of a
-``--workers`` sweep (its hosts run the cells), or a gateway that has
-computed nothing.  The engine is the bottom layer: importing
+either.  The simulation layer loads only in a process that runs a
+cell, when it runs its first one: not in the ``results``/``specs``
+commands, a rerun served from its store, the parent of a ``--workers``
+sweep (its hosts run the cells), or a gateway that has computed
+nothing.  No program process loads numpy at all: a cold serial ``repro
+run``, a ``--workers`` host and a gateway that has computed a cell draw
+their workloads from repro's own streams.  The engine is the bottom
+layer: importing
 it loads no workload, protocol or system module.  Package roots resolve
 their names on first access (``repro._lazy``), so each of these stays
 out unless a command reaches for it.  The checks need a fresh
@@ -117,6 +120,33 @@ with tempfile.TemporaryDirectory() as workdir:
 print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
 """
 
+#: A gateway started on the empty store at ``argv[1]`` that computes the
+#: grid ``argv[2]`` on its worker threads.
+COMPUTING_GATEWAY_CHILD = """
+import json, sys, tempfile
+
+from repro.gateway.app import GatewayApp
+from repro.gateway.routes import Request, dispatch
+
+spec = json.loads(sys.argv[2])
+with tempfile.TemporaryDirectory() as workdir:
+    app = GatewayApp(store=sys.argv[1], workdir=workdir)
+    try:
+        body = json.dumps(spec).encode()
+        response = dispatch(
+            app, Request(method="POST", path="/experiments", body=body)
+        )
+        assert response.status == 202, response.body
+        experiment, events, done = response.body["id"], [], False
+        while not done:
+            lines, done = app.wait_events(experiment, len(events), 60)
+            events += lines
+        assert json.loads(events[-1])["kind"] == "experiment_done", events[-1]
+    finally:
+        app.close()
+print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
+"""
+
 #: Imports the module ``argv[1]`` and names every loaded module in a
 #: package listed in ``argv[2:]``.
 LAYER_CHILD = """
@@ -131,7 +161,42 @@ print(json.dumps(sorted(
 """
 
 #: The simulation layer: loaded with a process's first cell.
-SIMULATION = ["numpy", "repro.engine.array", "repro.system.model"]
+SIMULATION = ["repro.engine.array", "repro.engine.rng", "repro.system.model"]
+
+#: A spec of one small cell, for the CLI and the gateway.
+ONE_CELL = {
+    "schema": 1, "protocols": ["scc-2s"], "arrival_rates": [40.0],
+    "replications": 1, "num_transactions": 40, "warmup_commits": 4,
+}
+
+#: Cells run on two forked hosts; each cell's runner simulates it and
+#: reports which modules of ``argv[1:]`` its host has loaded by then.
+HOST_CHILD = """
+import json, sys
+
+from repro.experiments.config import baseline_config
+from repro.experiments.distributed import DistributedSweepExecutor
+from repro.experiments.runner import build_cells, run_once
+from repro.protocols.registry import protocol_spec
+
+config = baseline_config(num_transactions=40, warmup_commits=0, replications=1)
+
+
+def runner(cell):
+    summary = run_once(
+        protocol_spec("scc-2s"), config, cell.arrival_rate, cell.replication
+    )
+    assert summary.committed > 0
+    return sorted(set(sys.argv[1:]) & set(sys.modules))
+
+
+cells = build_cells(["P"], [40.0, 70.0], 1)
+loaded = set()
+for outcome in DistributedSweepExecutor(workers=2).run(cells, runner):
+    assert outcome.error is None, outcome.error
+    loaded.update(outcome.summary)
+print(json.dumps(sorted(loaded)))
+"""
 
 #: Loaded neither by a serial run into a JSONL store nor by the gateway,
 #: which serves on threads, not an event loop.
@@ -182,6 +247,22 @@ def _loaded(child: str, modules: list, args: tuple = ()) -> list:
 def test_run_path_skips_scipy_and_networkx():
     # Not only scipy and networkx: nothing in either list.
     assert _loaded(RUN_CHILD, SKIPPED_BY_BOTH + SKIPPED_BY_RUN) == []
+
+
+def test_cold_serial_run_computes_cells_without_numpy(tmp_path):
+    # The cell is simulated in this process (the system model loads),
+    # from workloads drawn by repro's own streams.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ONE_CELL))
+    commands = [["run", str(spec), "--store", str(tmp_path / "runs.jsonl")]]
+    modules = ["numpy", "repro.system.model"]
+    loaded = _loaded(CLI_CHILD, modules, (json.dumps(commands),))
+    assert loaded == ["repro.system.model"]
+
+
+def test_workers_hosts_compute_cells_without_numpy():
+    loaded = _loaded(HOST_CHILD, ["numpy", "repro.system.model"])
+    assert loaded == ["repro.system.model"]
 
 
 def _stored_grid(tmp_path) -> Path:
@@ -239,13 +320,18 @@ def test_gateway_skips_numpy_until_it_computes_a_cell(tmp_path):
 
     assert _loaded(SERVE_CHILD, SIMULATION) == []
     store = tmp_path / "runs.jsonl"
-    spec = {
-        "schema": 1, "protocols": ["scc-2s"], "arrival_rates": [40.0],
-        "replications": 1, "num_transactions": 40, "warmup_commits": 4,
-    }
-    ExperimentSpec.from_dict(spec).run(store=store)
-    args = (str(store), json.dumps(spec))
+    ExperimentSpec.from_dict(ONE_CELL).run(store=store)
+    args = (str(store), json.dumps(ONE_CELL))
     assert _loaded(CACHED_GATEWAY_CHILD, SIMULATION, args) == []
+
+
+def test_gateway_computes_a_cell_without_numpy(tmp_path):
+    # A fresh store: the gateway's worker computes the cell itself.
+    store = tmp_path / "runs.jsonl"
+    args = (str(store), json.dumps(ONE_CELL))
+    loaded = _loaded(COMPUTING_GATEWAY_CHILD, ["numpy", "repro.system.model"], args)
+    assert loaded == ["repro.system.model"]
+    assert store.stat().st_size > 0
 
 
 def test_engine_loads_no_layer_above_it():

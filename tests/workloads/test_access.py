@@ -1,5 +1,7 @@
 """Access patterns: skew histograms vs closed form, distinctness, regions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def page_histogram(pattern, draws=30_000, count=1, num_pages=NUM_PAGES, seed=13)
     are directly comparable to the closed-form probabilities.
     """
     rng = RandomStreams(seed)["pages"]
-    reads = np.zeros(count, dtype=bool)
+    reads = [False] * count
     counts = np.zeros(num_pages)
     for _ in range(draws):
         for page in pattern.select_pages(rng, num_pages, reads):
@@ -37,11 +39,9 @@ def sample(pattern, num_steps=16, write_probability=0.25, seed=13, txns=200):
     streams = RandomStreams(seed)
     programs = []
     for _ in range(txns):
-        flags = streams["writes"].random(num_steps) < write_probability
+        flags = [u < write_probability for u in streams["writes"].random(num_steps)]
         pages = pattern.select_pages(streams["pages"], NUM_PAGES, flags)
-        programs.append(
-            [Step(page, flag) for page, flag in zip(pages.tolist(), flags.tolist())]
-        )
+        programs.append([Step(page, flag) for page, flag in zip(pages, flags)])
     return programs
 
 
@@ -91,7 +91,7 @@ class TestZipfian:
         for page in range(5):
             assert freqs[page] == pytest.approx(expected[page], rel=0.1)
         # Aggregate head/tail split matches closed form too.
-        head = expected[:20].sum()
+        head = sum(expected[:20])
         assert freqs[:20].sum() == pytest.approx(head, rel=0.05)
 
     def test_theta_zero_degenerates_to_uniform(self):
@@ -106,6 +106,50 @@ class TestZipfian:
     def test_negative_theta_rejected(self):
         with pytest.raises(ConfigurationError):
             ZipfianAccess(theta=-0.1)
+
+    @pytest.mark.parametrize("theta, num_pages", [(0.8, 1000), (0.95, 200), (1.2, 37)])
+    def test_weights_do_not_depend_on_the_host_cpu(self, theta, num_pages):
+        """The vector is libm ``pow`` summed in numpy's pairwise order.
+
+        numpy's SIMD ``power`` (used where the CPU has AVX-512) differs
+        from libm ``pow`` in the last bit of some weights, so a vector
+        built with it depends on the host.  A last-bit difference moves a
+        sampled page only when a uniform draw lands within an ulp of a
+        cdf boundary, which is why no workload was seen to change, but
+        the workload must not rest on that.  The reference here is pure
+        Python: ``math.pow`` per rank and its own pairwise sum, whose
+        order numpy's ``ndarray.sum`` confirms.
+        """
+
+        def pairwise(values):
+            if len(values) < 8:
+                total = 0.0
+                for value in values:
+                    total += value
+                return total
+            if len(values) <= 128:
+                lanes = [values[k::8] for k in range(8)]
+                whole = len(values) // 8
+                acc = []
+                for lane in lanes:
+                    total = lane[0]
+                    for value in lane[1:whole]:
+                        total += value
+                    acc.append(total)
+                total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+                    (acc[4] + acc[5]) + (acc[6] + acc[7])
+                )
+                for value in values[8 * whole:]:
+                    total += value
+                return total
+            half = len(values) // 2 // 8 * 8
+            return pairwise(values[:half]) + pairwise(values[half:])
+
+        weights = [math.pow(rank, -theta) for rank in range(1, num_pages + 1)]
+        total = pairwise(weights)
+        assert total == float(np.array(weights).sum())
+        expected = tuple(weight / total for weight in weights)
+        assert ZipfianAccess(theta=theta).probabilities(num_pages) == expected
 
 
 class TestHotspot:

@@ -111,9 +111,9 @@ class TestTrace:
 
     def test_consumes_no_randomness(self):
         rng = RandomStreams(3)["arrivals"]
-        before = rng.bit_generator.state
+        before = rng.state
         TraceArrivals([1.0, 2.0]).next_arrival(rng)
-        assert rng.bit_generator.state == before
+        assert rng.state == before
 
     def test_cycle_wraps_and_stays_increasing(self):
         trace = TraceArrivals([1.0, 2.0, 3.0, 4.0], cycle=True)
@@ -183,8 +183,8 @@ class TestSpecs:
         rng, batched_rng = RandomStreams(11)["arrivals"], RandomStreams(11)["arrivals"]
         expected = [scalar.next_arrival(rng) for _ in range(41)]
         got = [batched.next_arrival(batched_rng) for _ in range(3)]
-        got += batched.arrival_times(batched_rng, 37).tolist()
-        got += batched.arrival_times(batched_rng, 0).tolist()
+        got += batched.arrival_times(batched_rng, 37)
+        got += batched.arrival_times(batched_rng, 0)
         got.append(batched.next_arrival(batched_rng))
         assert got == expected
 

@@ -20,6 +20,7 @@ BUILTIN = (
     "diurnal-oltp",
     "flash-sale-hotspot",
     "paper-baseline",
+    "paper-two-class",
     "trace-replay",
 )
 
@@ -51,7 +52,7 @@ class TestRegistry:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("name", BUILTIN)
+    @pytest.mark.parametrize("name", available_scenarios())
     def test_dict_round_trip(self, name):
         scenario = get_scenario(name)
         rebuilt = scenario_from_dict(scenario.to_dict())
@@ -121,7 +122,7 @@ class TestToConfig:
 class TestEndToEnd:
     """Every registered scenario sweeps through BOTH executors."""
 
-    @pytest.mark.parametrize("name", BUILTIN)
+    @pytest.mark.parametrize("name", available_scenarios())
     @pytest.mark.parametrize("executor", ["serial", "distributed"])
     def test_scenario_runs_through_executor(self, name, executor):
         results = Experiment.scenario(name).protocols("scc-2s").run(

@@ -8,7 +8,10 @@ Two properties anchor the subsystem:
 2. *Scalar compatibility* — the generator draws one axis at a time, yet
    reproduces the per-transaction algorithm (:func:`reference_specs`)
    spec-for-spec under the same seed on every axis and every registered
-   scenario, so every earlier result stays reproducible.
+   scenario, so every earlier result stays reproducible.  The reference
+   draws from numpy Generators seeded as :class:`RandomStreams` seeds its
+   streams (:class:`NumpyStreams`), so numpy is an independent oracle for
+   the pure-Python streams the builder draws from.
 """
 
 import numpy as np
@@ -33,9 +36,29 @@ from tests.conftest import make_class
 SEED = 42
 
 
+class NumpyStreams:
+    """numpy's ``Generator(PCG64(SeedSequence([seed, *map(ord, name)])))``
+    per name: the streams :class:`RandomStreams` reproduces."""
+
+    def __init__(self, seed):
+        self._seed = seed
+        self._streams = {}
+
+    def __getitem__(self, name):
+        if name not in self._streams:
+            entropy = [self._seed, *map(ord, name)]
+            self._streams[name] = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy))
+            )
+        return self._streams[name]
+
+    def spawn(self, index):
+        return NumpyStreams(self._seed * 1_000_003 + index + 1)
+
+
 def reference_specs(count, classes, num_pages, rate, step, streams,
                     workload=WorkloadSpec()):
-    """The per-transaction algorithm, reimplemented against raw streams.
+    """The per-transaction algorithm, reimplemented against numpy streams.
 
     For each transaction: one ``next_arrival``, a scalar class
     ``choice``, then the pages followed by the write coin-flips.
@@ -152,7 +175,7 @@ class TestSeedCompatibility:
         generator = make_generator(classes=classes)
         expected = reference_specs(
             60, classes, num_pages=500, rate=80.0, step=0.008,
-            streams=RandomStreams(SEED),
+            streams=NumpyStreams(SEED),
         )
         assert as_tuples(generator.generate(60)) == expected
 
@@ -169,7 +192,7 @@ class TestSeedCompatibility:
         tensors = WorkloadTensors.from_config(config, rate, streams)
         expected = reference_specs(
             300, list(config.classes), config.num_pages, rate,
-            config.step_duration, RandomStreams(config.seed).spawn(replication),
+            config.step_duration, NumpyStreams(config.seed).spawn(replication),
             config.workload,
         )
         assert len(tensors) == 300
