@@ -14,7 +14,11 @@ SIGTERM — and holds it to the determinism bar:
    ``cached=true`` on the follower's event stream), and the gateway
    store must be bit-identical to the direct run.  Re-read once the
    follower has finished, the leader's event stream and ``/results``
-   must equal what its client read when the leader finished.
+   must equal what its client read when the leader finished.  The
+   server, having computed that grid, must map no OpenSSL library
+   (``libcrypto``/``libssl`` in ``/proc/<pid>/maps``; skipped where
+   there is no ``/proc``): fingerprints use the interpreter's built-in
+   SHA-256 and experiment ids ``os.urandom``.
 3. **quota rejection** — a greedy client submitting a grid larger than
    ``--max-queued-cells`` gets HTTP 429 and charges nothing.
 4. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
@@ -76,6 +80,15 @@ def start_server(workdir: str, store_path: str, port: int,
              ) + os.pathsep + os.environ.get("PYTHONPATH", "")},
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
+
+
+def mapped_openssl(pid: int) -> list:
+    """The OpenSSL libraries mapped into process ``pid``."""
+    with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+        return sorted({
+            line.split()[-1] for line in maps
+            if "libcrypto" in line or "libssl" in line
+        })
 
 
 def wait_healthy(client: GatewayClient, deadline: float = 30.0) -> bool:
@@ -177,6 +190,13 @@ def smoke(spec_dict: dict, workdir: str) -> int:
                         "exclusive")
         print(f"      {enqueued} enqueued once, {shared} deduped, all "
               f"{total} records bit-identical to the direct run")
+        if os.path.isdir("/proc"):
+            openssl = mapped_openssl(server.pid)
+            if openssl:
+                return fail(f"the server maps OpenSSL: {', '.join(openssl)}")
+            print("      the server maps no OpenSSL library")
+        else:
+            print("      no /proc: OpenSSL map check skipped")
 
         print("[3/4] greedy client over --max-queued-cells gets 429...")
         greedy_spec = dict(spec_dict)

@@ -61,7 +61,6 @@ import os
 import tempfile
 import threading
 import time
-import uuid
 from collections import deque
 from dataclasses import asdict
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -499,7 +498,9 @@ class GatewayApp:
             for cell in cells
         ]
         exp = ExperimentState(
-            experiment_id=uuid.uuid4().hex[:12],
+            # The 48 random bits uuid4().hex[:12] would keep, without
+            # loading uuid (and platform, libuuid) to get them.
+            experiment_id=os.urandom(6).hex(),
             client=client,
             scenario=spec.scenario_name(),
             config=config,

@@ -13,7 +13,17 @@ Canonical form
 Fingerprints hash the *canonical JSON* rendering of a plain-dict payload:
 keys sorted, no whitespace, ``allow_nan=False``.  Python's shortest-repr
 float serialization is deterministic and injective, so two configs hash
-alike iff their payloads are equal.
+alike iff their payloads are equal.  The hash is SHA-256 of the UTF-8
+bytes, its hex digest cut to :data:`FINGERPRINT_HEX_CHARS`.
+
+It is computed by the interpreter's built-in SHA-256 (``_sha2`` on
+CPython 3.12 and later, ``_sha256`` before), not ``hashlib``: the
+digests are the same, and importing ``hashlib`` would map OpenSSL's
+``libcrypto`` into every process that fingerprints a cell (on CPython
+3.11, x86-64 Linux: 3.5 MB more peak RSS for a serial ``repro run``
+and about 4.5 ms more import time).
+``hashlib.sha256`` is the fallback, used only on an interpreter built
+without either module.
 
 What is — and is not — hashed
 -----------------------------
@@ -41,9 +51,16 @@ them.  Display labels are never hashed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING
+
+try:  # CPython >= 3.12
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:  # CPython 3.10-3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256 as _sha256
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
@@ -73,7 +90,7 @@ def canonical_dumps(payload) -> str:
 def digest(payload) -> str:
     """Stable hex fingerprint of a JSON-serializable payload."""
     encoded = canonical_dumps(payload).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()[:FINGERPRINT_HEX_CHARS]
+    return _sha256(encoded).hexdigest()[:FINGERPRINT_HEX_CHARS]
 
 
 def config_payload(config: "ExperimentConfig") -> dict:

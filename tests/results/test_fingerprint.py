@@ -1,11 +1,16 @@
 """Tests for cell/config fingerprints: stability, sensitivity, reuse."""
 
+import hashlib
+import importlib.util
 import math
+import sys
 
 import pytest
 
+import repro.results.fingerprint as fingerprint_module
 from repro.experiments.config import baseline_config, two_class_config
 from repro.results.fingerprint import (
+    FINGERPRINT_HEX_CHARS,
     canonical_dumps,
     cell_fingerprint,
     config_fingerprint,
@@ -14,7 +19,7 @@ from repro.results.fingerprint import (
 )
 from repro.protocols.registry import parse_protocol_spec
 from repro.workloads.generator import WorkloadSpec
-from repro.workloads.scenarios import get_scenario
+from repro.workloads.scenarios import available_scenarios, get_scenario
 
 
 def test_canonical_dumps_is_key_order_independent():
@@ -148,3 +153,100 @@ def test_cell_fingerprint_hashes_the_spec_payload():
     assert cell_fingerprint(payload, spec, 50.0, 0) == _cell_digest(
         payload, spec.fingerprint_payload()
     )
+
+
+# ----------------------------------------------------------------------
+# the hash itself: the built-in SHA-256 against hashlib, on every path
+# ----------------------------------------------------------------------
+
+#: The interpreter's own SHA-256 modules, newest name first.
+BUILTIN_SHA256 = ("_sha2", "_sha256")
+
+
+def _oracle(payload) -> str:
+    """The fingerprint of ``payload`` as ``hashlib`` computes it."""
+    encoded = canonical_dumps(payload).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()[:FINGERPRINT_HEX_CHARS]
+
+
+def _sized(length: int, text: str):
+    """A payload whose canonical JSON is ``length`` bytes long.
+
+    ``text`` padded with ``x``; length 1 is the bare number ``7``.
+    """
+    if length == 1:
+        return 7
+    pad = length - len(canonical_dumps({"s": text}).encode("utf-8"))
+    payload = {"s": text + "x" * pad}
+    assert len(canonical_dumps(payload).encode("utf-8")) == length
+    return payload
+
+
+#: SHA-256 pads a message with one 0x80 byte and its 8-byte length into
+#: 64-byte blocks, so 55 bytes is the longest one-block message, 56-64
+#: need a second block, and 119/120 sit on the same edge one block on.
+EDGE_LENGTHS = (1, 55, 56, 63, 64, 65, 119, 120, 4000)
+
+#: Canonical JSON escapes non-ASCII as ``\uXXXX`` (a surrogate pair
+#: above the BMP), so both payload kinds hash ASCII bytes.
+EDGE_PAYLOADS = [
+    _sized(length, text)
+    for length in EDGE_LENGTHS
+    for text in ("", "d\u00e9j\u00e0 \u6f22\u5b57 \U0001f680")
+]
+
+
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS)
+def test_digest_equals_hashlib_at_the_block_edges(payload):
+    assert digest(payload) == _oracle(payload)
+
+
+def _scenario_cell(name: str):
+    """One cell of scenario ``name``: its fingerprint and ``hashlib``'s."""
+    config = get_scenario(name).to_config()
+    spec = parse_protocol_spec("scc-2s")
+    rate = config.arrival_rates[0]
+    payload = {
+        "config": config_payload(config),
+        "protocol": spec.fingerprint_payload(),
+        "arrival_rate": float(rate),
+        "replication": 0,
+    }
+    return cell_fingerprint(config, spec, rate, 0), _oracle(payload)
+
+
+@pytest.mark.parametrize("name", available_scenarios())
+def test_cell_fingerprint_equals_hashlib_on_every_scenario(name):
+    fingerprint, expected = _scenario_cell(name)
+    assert fingerprint == expected
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in BUILTIN_SHA256),
+    reason="this interpreter has no built-in SHA-256",
+)
+def test_fingerprints_use_the_builtin_sha256():
+    # hashlib would map OpenSSL's libcrypto into every process that
+    # fingerprints a cell; the built-in module computes the same digest.
+    assert fingerprint_module._sha256.__module__ in BUILTIN_SHA256
+
+
+def test_fallback_to_hashlib_keeps_every_digest(monkeypatch):
+    # An interpreter built without the built-in modules: both imports
+    # fail, and the module hashes through hashlib instead.
+    for name in BUILTIN_SHA256:
+        monkeypatch.setitem(sys.modules, name, None)
+    try:
+        importlib.reload(fingerprint_module)
+        assert fingerprint_module._sha256 is hashlib.sha256
+        for payload in EDGE_PAYLOADS:
+            assert fingerprint_module.digest(payload) == _oracle(payload)
+        for name in available_scenarios():
+            fingerprint, expected = _scenario_cell(name)
+            assert fingerprint == expected, name
+        assert fingerprint_module.config_fingerprint(baseline_config()) == (
+            "8a28e85f9e94ecbd06273d9cd092ec44"
+        )
+    finally:
+        monkeypatch.undo()
+        importlib.reload(fingerprint_module)

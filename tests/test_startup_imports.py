@@ -15,7 +15,13 @@ commands, a rerun served from its store, the parent of a ``--workers``
 sweep (its hosts run the cells), or a gateway that has computed
 nothing.  No program process loads numpy at all: a cold serial ``repro
 run``, a ``--workers`` host and a gateway that has computed a cell draw
-their workloads from repro's own streams.  The engine is the bottom
+their workloads from repro's own streams.  Nor does any program process
+load ``hashlib`` or map OpenSSL's ``libcrypto``: cell fingerprints use
+the interpreter's built-in SHA-256 (checked in each of those processes,
+a gateway serving cached cells and the ``results`` commands; skipped on
+an interpreter without one, where ``hashlib`` is the fallback), and
+``serve`` makes experiment ids from ``os.urandom``, so it loads no
+``uuid``, ``platform`` or ``libuuid``.  The engine is the bottom
 layer: importing
 it loads no workload, protocol or system module.  Package roots resolve
 their names on first access (``repro._lazy``), so each of these stays
@@ -24,6 +30,7 @@ interpreter: the test process itself holds all of these through other
 tests.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,6 +38,28 @@ import sys
 from pathlib import Path
 
 import repro
+
+#: Put ahead of every child.  ``loaded(names)`` lists which of ``names``
+#: the child has loaded: a module in ``sys.modules``, or a shared library
+#: mapped into the process, named without its directory and its ``.so``
+#: suffix (``libcrypto`` for ``/usr/lib/libcrypto.so.3``).  Libraries are
+#: read from ``/proc/self/maps``; where there is no ``/proc``, none is
+#: ever reported, so that half of a check is skipped.
+LOADED = """
+import sys
+
+
+def loaded(names):
+    try:
+        with open("/proc/self/maps") as maps:
+            libraries = {
+                line.split()[-1].rpartition("/")[2].partition(".so")[0]
+                for line in maps
+            }
+    except OSError:
+        libraries = set()
+    return sorted(n for n in set(names) if n in sys.modules or n in libraries)
+"""
 
 RUN_CHILD = """
 import json, sys, tempfile
@@ -50,7 +79,7 @@ with tempfile.TemporaryDirectory() as tmp:
     results = run_sweep(["scc-2s"], config, arrival_rates=[40.0], store=store)
     assert results["SCC-2S"].replications[0][0].committed > 0
     assert store.stat().st_size > 0
-print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))
+print(json.dumps(loaded(sys.argv[1:])))
 """
 
 #: A sweep with ``workers=int(argv[2])`` into the store at ``argv[1]``.
@@ -66,7 +95,7 @@ results = run_sweep(
     workers=int(sys.argv[2]),
 )
 assert results["SCC-2S"].replications[0][0].committed > 0
-print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
+print(json.dumps(loaded(sys.argv[3:])))
 """
 
 #: The CLI run once for each argument list in the JSON list ``argv[1]``.
@@ -77,7 +106,7 @@ from repro.experiments.cli import main
 
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(set(sys.argv[2:]) & set(sys.modules))))
+print(json.dumps(loaded(sys.argv[2:])))
 """
 
 SERVE_CHILD = """
@@ -86,7 +115,7 @@ import json, sys
 import repro.gateway.app
 import repro.gateway.server
 
-print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))
+print(json.dumps(loaded(sys.argv[1:])))
 """
 
 #: A gateway started on the store at ``argv[1]``, asked for a grid the
@@ -117,7 +146,7 @@ with tempfile.TemporaryDirectory() as workdir:
         assert done and json.loads(lines[-1])["kind"] == "experiment_done"
     finally:
         app.close()
-print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
+print(json.dumps(loaded(sys.argv[3:])))
 """
 
 #: A gateway started on the empty store at ``argv[1]`` that computes the
@@ -144,7 +173,7 @@ with tempfile.TemporaryDirectory() as workdir:
         assert json.loads(events[-1])["kind"] == "experiment_done", events[-1]
     finally:
         app.close()
-print(json.dumps(sorted(set(sys.argv[3:]) & set(sys.modules))))
+print(json.dumps(loaded(sys.argv[3:])))
 """
 
 #: Imports the module ``argv[1]`` and names every loaded module in a
@@ -187,15 +216,15 @@ def runner(cell):
         protocol_spec("scc-2s"), config, cell.arrival_rate, cell.replication
     )
     assert summary.committed > 0
-    return sorted(set(sys.argv[1:]) & set(sys.modules))
+    return loaded(sys.argv[1:])
 
 
 cells = build_cells(["P"], [40.0, 70.0], 1)
-loaded = set()
+seen = set()
 for outcome in DistributedSweepExecutor(workers=2).run(cells, runner):
     assert outcome.error is None, outcome.error
-    loaded.update(outcome.summary)
-print(json.dumps(sorted(loaded)))
+    seen.update(outcome.summary)
+print(json.dumps(sorted(seen)))
 """
 
 #: Loaded neither by a serial run into a JSONL store nor by the gateway,
@@ -224,17 +253,32 @@ SKIPPED_BY_RUN = [
     "multiprocessing",
 ]
 
+#: OpenSSL as a fingerprint through ``hashlib`` would load it: the
+#: module, its ``_hashlib`` binding and the library that maps.  Checked
+#: only on an interpreter with a built-in SHA-256 (``_sha2`` from 3.12,
+#: ``_sha256`` before); without one, ``hashlib`` is the fallback.
+OPENSSL = (
+    ["hashlib", "_hashlib", "libcrypto"]
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    else []
+)
+
+#: What ``uuid.uuid4`` would load; gateway experiment ids come from
+#: ``os.urandom`` instead.
+UUID = ["uuid", "_uuid", "platform", "libuuid"]
+
 
 def _loaded(child: str, modules: list, args: tuple = ()) -> list:
     """The ``modules`` a fresh interpreter running ``child`` has loaded.
 
-    ``args`` come first on the child's command line, then ``modules``.
+    ``args`` come first on the child's command line, then ``modules``;
+    a module may also be a shared library (see :data:`LOADED`).
     """
     # Let the child import the same checkout whatever the working directory.
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", child, *args, *modules],
+        [sys.executable, "-c", LOADED + child, *args, *modules],
         capture_output=True,
         text=True,
         timeout=120,
@@ -251,17 +295,18 @@ def test_run_path_skips_scipy_and_networkx():
 
 def test_cold_serial_run_computes_cells_without_numpy(tmp_path):
     # The cell is simulated in this process (the system model loads),
-    # from workloads drawn by repro's own streams.
+    # from workloads drawn by repro's own streams, and fingerprinted
+    # with the built-in SHA-256.
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(ONE_CELL))
     commands = [["run", str(spec), "--store", str(tmp_path / "runs.jsonl")]]
-    modules = ["numpy", "repro.system.model"]
+    modules = ["numpy", *OPENSSL, "repro.system.model"]
     loaded = _loaded(CLI_CHILD, modules, (json.dumps(commands),))
     assert loaded == ["repro.system.model"]
 
 
 def test_workers_hosts_compute_cells_without_numpy():
-    loaded = _loaded(HOST_CHILD, ["numpy", "repro.system.model"])
+    loaded = _loaded(HOST_CHILD, ["numpy", *OPENSSL, "repro.system.model"])
     assert loaded == ["repro.system.model"]
 
 
@@ -308,7 +353,8 @@ def test_workers_parent_leaves_numpy_to_its_hosts(tmp_path):
 def test_results_and_specs_commands_skip_numpy(tmp_path):
     store = str(_stored_grid(tmp_path))
     commands = [["results", "list", "--store", store], ["specs"]]
-    assert _loaded(CLI_CHILD, SIMULATION, (json.dumps(commands),)) == []
+    modules = [*SIMULATION, *OPENSSL]
+    assert _loaded(CLI_CHILD, modules, (json.dumps(commands),)) == []
 
 
 def test_serve_path_loads_no_event_loop_profiling_or_client():
@@ -322,14 +368,16 @@ def test_gateway_skips_numpy_until_it_computes_a_cell(tmp_path):
     store = tmp_path / "runs.jsonl"
     ExperimentSpec.from_dict(ONE_CELL).run(store=store)
     args = (str(store), json.dumps(ONE_CELL))
-    assert _loaded(CACHED_GATEWAY_CHILD, SIMULATION, args) == []
+    modules = [*SIMULATION, *OPENSSL, *UUID]
+    assert _loaded(CACHED_GATEWAY_CHILD, modules, args) == []
 
 
 def test_gateway_computes_a_cell_without_numpy(tmp_path):
     # A fresh store: the gateway's worker computes the cell itself.
     store = tmp_path / "runs.jsonl"
     args = (str(store), json.dumps(ONE_CELL))
-    loaded = _loaded(COMPUTING_GATEWAY_CHILD, ["numpy", "repro.system.model"], args)
+    modules = ["numpy", *OPENSSL, *UUID, "repro.system.model"]
+    loaded = _loaded(COMPUTING_GATEWAY_CHILD, modules, args)
     assert loaded == ["repro.system.model"]
     assert store.stat().st_size > 0
 
