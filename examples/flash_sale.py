@@ -9,7 +9,7 @@ transaction classes race —
 * **browse** (80%): read-mostly catalogue scans, cheap.
 
 Every user has the same flat 0.4 s patience window
-(:class:`~repro.workloads.generator.FixedOffsetDeadlines`) regardless of
+(:class:`~repro.workloads.extensions.FixedOffsetDeadlines`) regardless of
 transaction length — patience is a property of people, not of programs.
 
 The example sweeps the blocking, restart-based, and speculative protocol

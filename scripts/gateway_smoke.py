@@ -19,9 +19,15 @@ SIGTERM — and holds it to the determinism bar:
    (``libcrypto``/``libssl`` in ``/proc/<pid>/maps``; skipped where
    there is no ``/proc``): fingerprints use the interpreter's built-in
    SHA-256 and experiment ids ``os.urandom``.
-3. **quota rejection** — a greedy client submitting a grid larger than
+3. **no stall** — one client submits a spec that validates but whose
+   every cell raises (rate 1e-308: the mean inter-arrival time
+   overflows), then a second client submits a valid one-cell spec.  The
+   valid experiment must end ``done`` within a bounded wait, the failing
+   one ``partial``, and ``/healthz`` must carry no ``breaker`` field: a
+   failing cell fails only itself, never a worker.
+4. **quota rejection** — a greedy client submitting a grid larger than
    ``--max-queued-cells`` gets HTTP 429 and charges nothing.
-4. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
+5. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
    server: submissions during the drain get an honest 503, the open
    event stream terminates cleanly at ``experiment_interrupted``,
    leased cells persist to the store, and the process exits 0.
@@ -91,6 +97,17 @@ def mapped_openssl(pid: int) -> list:
         })
 
 
+def wait_finished(client: GatewayClient, experiment: str,
+                  deadline: float = 60.0) -> dict:
+    """The experiment's status once it leaves ``running``, or at the deadline."""
+    end = time.monotonic() + deadline
+    status = client.status(experiment)
+    while status["status"] == "running" and time.monotonic() < end:
+        time.sleep(0.1)
+        status = client.status(experiment)
+    return status
+
+
 def wait_healthy(client: GatewayClient, deadline: float = 30.0) -> bool:
     end = time.monotonic() + deadline
     while time.monotonic() < end:
@@ -126,7 +143,7 @@ def smoke(spec_dict: dict, workdir: str) -> int:
     reference_path = os.path.join(workdir, "reference.jsonl")
     gateway_path = os.path.join(workdir, "gateway.sqlite")
 
-    print(f"[1/4] direct reference run ({total} cells, no gateway)...")
+    print(f"[1/5] direct reference run ({total} cells, no gateway)...")
     spec.run(store=reference_path)
 
     port = free_port()
@@ -138,7 +155,7 @@ def smoke(spec_dict: dict, workdir: str) -> int:
         if not wait_healthy(alice):
             return fail("gateway never became healthy")
 
-        print("[2/4] two clients submit the same grid concurrently...")
+        print("[2/5] two clients submit the same grid concurrently...")
         finals: dict = {}
         reads: dict = {}
 
@@ -198,7 +215,33 @@ def smoke(spec_dict: dict, workdir: str) -> int:
         else:
             print("      no /proc: OpenSSL map check skipped")
 
-        print("[3/4] greedy client over --max-queued-cells gets 429...")
+        print("[3/5] one client's failing cells stall no other client...")
+        failing_spec = {
+            "schema": 1, "protocols": ["scc-2s", "occ-bc", "wait-50"],
+            "arrival_rates": [1e-308], "replications": 2,
+            "num_transactions": 40, "warmup_commits": 4,
+        }
+        valid_spec = {
+            "schema": 1, "protocols": ["scc-2s"], "arrival_rates": [60.0],
+            "replications": 1, "num_transactions": 40, "warmup_commits": 4,
+        }
+        mallory = GatewayClient(port=port, client_id="mallory")
+        failing = mallory.submit(failing_spec)
+        valid = bob.submit(valid_spec)
+        final = wait_finished(bob, valid["id"])
+        if final["status"] != "done":
+            return fail(f"a valid experiment behind failing cells ended "
+                        f"{final['status']!r}, not 'done'")
+        final = wait_finished(mallory, failing["id"])
+        if final["status"] != "partial" or len(final["failed"]) != 6:
+            return fail(f"the failing experiment ended {final['status']!r} "
+                        f"with {len(final['failed'])}/6 cells failed")
+        if "breaker" in alice.health():
+            return fail("/healthz still reports a circuit breaker")
+        print("      6 failing cells ended partial; the other client's "
+              "cell ran to done")
+
+        print("[4/5] greedy client over --max-queued-cells gets 429...")
         greedy_spec = dict(spec_dict)
         greedy_spec["seed"] = (spec_dict.get("seed") or 0) + 1  # all-fresh grid
         greedy_spec["replications"] = spec_dict.get("replications", 1) + 1
@@ -210,7 +253,7 @@ def smoke(spec_dict: dict, workdir: str) -> int:
                 return fail(f"expected 429, got {exc.status}")
         print("      429 as expected; other clients were undisturbed")
 
-        print("[4/4] SIGTERM drain with an experiment mid-flight...")
+        print("[5/5] SIGTERM drain with an experiment mid-flight...")
         slow_spec = dict(spec_dict)
         slow_spec["seed"] = (spec_dict.get("seed") or 0) + 2  # fresh cells
         slow_spec["num_transactions"] = 4000
@@ -289,7 +332,8 @@ def smoke(spec_dict: dict, workdir: str) -> int:
             print("server log errors:", *errors, sep="\n  ", file=sys.stderr)
             return 1
 
-    print("OK: deduped, bit-identical, quota-limited, drained cleanly")
+    print("OK: deduped, bit-identical, never stalled, quota-limited, "
+          "drained cleanly")
     return 0
 
 

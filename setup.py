@@ -25,9 +25,10 @@ setup(
     author="paper-repo-growth",
     license="MIT",
     python_requires=">=3.10",
-    # numpy and scipy are imported only when a confidence interval is
-    # computed (mean_confidence_interval); no run path loads them.
-    install_requires=["numpy", "scipy"],
+    # No runtime dependency: workloads draw from repro's own PCG64
+    # streams and confidence intervals are pure Python.  numpy and scipy
+    # are test oracles only.
+    install_requires=[],
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={

@@ -78,14 +78,14 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "TransactionSpec": "repro.txn.spec",
     "TransactionClass": "repro.values.classes",
     "ValueFunction": "repro.values.value_function",
-    "HotspotAccess": "repro.workloads.access",
-    "PartitionedAccess": "repro.workloads.access",
+    "HotspotAccess": "repro.workloads.extensions",
+    "PartitionedAccess": "repro.workloads.extensions",
     "UniformAccess": "repro.workloads.access",
-    "ZipfianAccess": "repro.workloads.access",
-    "DiurnalArrivals": "repro.workloads.arrivals",
-    "MMPPArrivals": "repro.workloads.arrivals",
+    "ZipfianAccess": "repro.workloads.extensions",
+    "DiurnalArrivals": "repro.workloads.extensions",
+    "MMPPArrivals": "repro.workloads.extensions",
     "PoissonArrivals": "repro.workloads.arrivals",
-    "TraceArrivals": "repro.workloads.arrivals",
+    "TraceArrivals": "repro.workloads.extensions",
     "TransactionGenerator": "repro.workloads.generator",
     "WorkloadSpec": "repro.workloads.generator",
     "Scenario": "repro.workloads.scenarios",
@@ -106,7 +106,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "NullTracer": "repro.telemetry.tracer",
     "Tracer": "repro.telemetry.tracer",
     "GatewayApp": "repro.gateway.app",
-    "CircuitBreaker": "repro.gateway.breaker",
     "GatewayClient": "repro.gateway.client",
     "GatewayError": "repro.gateway.client",
     "ClientQuotas": "repro.gateway.quotas",

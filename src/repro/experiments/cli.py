@@ -83,17 +83,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.parallel import available_executors
-from repro.metrics.report import format_series_table, format_table
-from repro.results import (
-    STORE_BACKENDS,
-    BaseRunStore,
-    diff_records,
-    merge_stores,
-    open_store,
-    records_from_results,
-    records_to_json,
-    write_csv,
-)
+from repro.results import STORE_BACKENDS, BaseRunStore, merge_stores, open_store
 from repro.telemetry.log import LOG_LEVELS, configure_logging, get_logger
 
 #: All CLI diagnostics (progress, status notes, warnings) flow through
@@ -118,6 +108,7 @@ def _parse_rates(text: Optional[str]) -> Optional[list[float]]:
 
 
 def _list_scenarios() -> str:
+    from repro.metrics.report import format_table
     from repro.workloads.scenarios import all_scenarios
 
     rows = []
@@ -164,6 +155,8 @@ def _log_sweep_event(event) -> None:
 
 
 def _render_records(records, fmt: str) -> str:
+    from repro.results.export import records_to_json, write_csv
+
     if fmt == "json":
         return records_to_json(records)
     import io
@@ -208,6 +201,8 @@ def _load_store_or_exit(
 
 
 def _results_list(store: BaseRunStore) -> str:
+    from repro.metrics.report import format_table
+
     rows = []
     for record in store.records():
         rows.append(
@@ -233,6 +228,9 @@ def _results_list(store: BaseRunStore) -> str:
 
 
 def _results_diff(store: BaseRunStore, against: Optional[str]) -> tuple[str, int]:
+    from repro.metrics.report import format_table
+    from repro.results.export import diff_records
+
     if not against:
         raise SystemExit(
             "scc-experiments: error: results diff needs --against OTHER_STORE"
@@ -315,6 +313,7 @@ def _run_results(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _list_protocol_specs() -> str:
+    from repro.metrics.report import format_table
     from repro.protocols.registry import ProtocolSpec, all_protocol_families
 
     rows = []
@@ -348,6 +347,7 @@ def _format_param_default(value) -> str:
 
 def _run_spec(args: argparse.Namespace) -> str:
     from repro.experiments.spec import ExperimentSpec
+    from repro.results.export import records_from_results
 
     if not args.action:
         raise SystemExit(
@@ -439,6 +439,8 @@ def _run_spec(args: argparse.Namespace) -> str:
             records = [store.get(r.fingerprint) or r for r in records]
         _log.info("%s", status)
         return _render_records(records, args.format)
+    from repro.metrics.report import format_series_table
+
     rate_axis = (
         list(rates) if rates is not None else list(some.arrival_rates)
     )
@@ -494,6 +496,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_fig3(args: argparse.Namespace) -> str:
     from repro.core.shadow_counts import figure3_table
+    from repro.metrics.report import format_table
 
     rows = figure3_table(max_n=args.max_n)
     return format_table(
@@ -536,6 +539,7 @@ def _trace_cells(path):
 
 def _trace_summarize(path) -> str:
     """The ``repro trace summarize`` report: per-kind counts and extent."""
+    from repro.metrics.report import format_table
     from repro.telemetry.events import EVENT_KINDS
 
     cells, markers = _trace_cells(path)

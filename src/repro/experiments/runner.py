@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from repro.analysis.serializability import check_serializable
 from repro.errors import (
@@ -34,7 +34,6 @@ from repro.experiments.parallel import (
     SweepExecutor,
     _executor_builder,
 )
-from repro.metrics.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.metrics.stats import RunSummary
 from repro.protocols.registry import ProtocolSpec, protocol_spec
 from repro.results.backends import open_store
@@ -44,7 +43,10 @@ from repro.results.store import BaseRunStore
 from repro.protocols.base import CCProtocol
 from repro.telemetry.bus import EventBus
 from repro.telemetry.counters import run_telemetry
-from repro.telemetry.tracer import JsonlTracer, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: loaded where used
+    from repro.metrics.confidence import ConfidenceInterval
+    from repro.telemetry.tracer import JsonlTracer, Tracer
 
 ProtocolFactory = Callable[[], CCProtocol]
 #: What a sweep roster entry may be: a registry ProtocolSpec, a compact
@@ -221,6 +223,8 @@ class SweepResult:
         self, extract: Callable[[RunSummary], float], level: float = 0.90
     ) -> list[ConfidenceInterval]:
         """Per-rate confidence intervals of one metric."""
+        from repro.metrics.confidence import mean_confidence_interval
+
         return [
             mean_confidence_interval([extract(s) for s in summaries], level)
             for summaries in self.replications
@@ -410,6 +414,8 @@ def run_sweep(
                 "run_sweep(trace=...) requires the serial executor: one "
                 "JSONL trace file cannot be shared across worker hosts"
             )
+        from repro.telemetry.tracer import JsonlTracer
+
         tracer = JsonlTracer(trace)
 
     bus: Optional[EventBus] = None

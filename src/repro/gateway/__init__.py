@@ -14,8 +14,6 @@ The pieces:
   (validation, dedup, board, workers, drain);
 * :mod:`repro.gateway.quotas` — per-client token-bucket admission
   control (:class:`ClientQuotas`);
-* :mod:`repro.gateway.breaker` — the worker :class:`CircuitBreaker`
-  (park repeat offenders, degrade to partial results);
 * :mod:`repro.gateway.routes` / :mod:`repro.gateway.server` — the
   transport (route table + threaded HTTP server with SIGTERM drain);
 * :mod:`repro.gateway.client` — a stdlib :class:`GatewayClient`.
@@ -31,8 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "GatewayApp": "repro.gateway.app",
     "GatewayDraining": "repro.gateway.app",
     "UnknownExperiment": "repro.gateway.app",
-    "BREAKER_STATES": "repro.gateway.breaker",
-    "CircuitBreaker": "repro.gateway.breaker",
     "GatewayClient": "repro.gateway.client",
     "GatewayError": "repro.gateway.client",
     "ClientQuotas": "repro.gateway.quotas",

@@ -26,12 +26,10 @@ the existing platform pieces into one long-running service:
   distributed executor's host loop (claim from the board, compute via
   the executor layer's cell primitive
   :func:`~repro.experiments.parallel._execute_cell`, mark the board)
-  against the shared store.  Worker failures feed the
-  :class:`~repro.gateway.breaker.CircuitBreaker`, which parks a
-  repeatedly failing worker — permanently by default, or until the
-  breaker's half-open probe when built with ``cooldown_seconds``;
-  failed cells degrade their experiments to ``partial`` status instead
-  of failing the sweep.
+  against the shared store.  A cell that raises fails only itself: its
+  experiment ends ``partial`` instead of failing the sweep, and the
+  worker goes on to the next cell, so one client's failing cells never
+  stall another client's experiment.
 * **Quotas** — :class:`~repro.gateway.quotas.ClientQuotas` admission
   control per ``X-Client``.  Only what a submission charged is
   released; experiments adopted from a persisted board were charged by
@@ -68,7 +66,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.experiments.distributed import JobBoard
 from repro.experiments.parallel import (
-    CellError,
     CellOutcome,
     ProgressEvent,
     SweepCell,
@@ -81,7 +78,6 @@ from repro.experiments.runner import (
     run_instrumented,
 )
 from repro.experiments.spec import ExperimentSpec
-from repro.gateway.breaker import CircuitBreaker
 from repro.gateway.quotas import ClientQuotas
 from repro.protocols.registry import ProtocolSpec
 from repro.results.backends import open_store
@@ -100,8 +96,8 @@ __all__ = [
 _log = get_logger("gateway")
 
 #: Lifecycle of one gateway experiment.  ``running`` -> ``done`` (every
-#: cell ok) / ``partial`` (some cells failed; the breaker's degraded
-#: mode) / ``interrupted`` (the gateway drained before completion).
+#: cell ok) / ``partial`` (some cells failed) / ``interrupted`` (the
+#: gateway drained before completion).
 EXPERIMENT_STATES = ("running", "done", "partial", "interrupted")
 
 #: Event stream markers the gateway adds around the run_sweep-shaped
@@ -138,7 +134,7 @@ class _Worker:
 
     def __init__(self, worker_id: str) -> None:
         self.id = worker_id
-        self.state = "idle"  # idle | busy | parked | stopped
+        self.state = "idle"  # idle | busy | stopped
         self.cell: Optional[str] = None
         self.thread: Optional[threading.Thread] = None
 
@@ -230,13 +226,6 @@ class ExperimentState:
                     eta=None,
                 )
             )
-
-    def publish_lifecycle(self, kind: str, payload: dict) -> None:
-        """Publish one worker-fleet lifecycle event onto this stream."""
-        with self.cond:
-            if self.status != "running":
-                return
-            self.bus.publish_lifecycle(kind, payload)
 
     def deliver(self, outcome: CellOutcome, cached: bool) -> bool:
         """Record one materialized outcome; returns whether this finished it.
@@ -370,11 +359,6 @@ class GatewayApp:
             under their original experiment ids and execute normally).
         quotas: Admission control; defaults to a permissive
             :class:`~repro.gateway.quotas.ClientQuotas`.
-        breaker: Worker circuit breaker; defaults to parking a worker
-            after 3 consecutive failures, permanently.  A breaker built
-            with ``cooldown_seconds`` parks *temporarily* instead: the
-            parked worker keeps polling and wakes for the breaker's
-            half-open probe claim once the cooldown elapses.
         poll_seconds: Worker idle-claim poll interval.
         lease_seconds: Board lease stamped on claims.  Gateway workers
             are threads (they cannot vanish silently), so leases exist
@@ -390,7 +374,6 @@ class GatewayApp:
         workers: int = 2,
         workdir: "str | os.PathLike | None" = None,
         quotas: Optional[ClientQuotas] = None,
-        breaker: Optional[CircuitBreaker] = None,
         poll_seconds: float = 0.05,
         lease_seconds: float = 300.0,
         fault_hook: Optional[Callable[[SweepCell], None]] = None,
@@ -413,7 +396,6 @@ class GatewayApp:
         self._board = JobBoard(self.board_path, cross_thread=True)
         self._next_index = self._board.max_index() + 1
         self.quotas = quotas if quotas is not None else ClientQuotas()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.poll_seconds = poll_seconds
         self.lease_seconds = lease_seconds
         self._fault_hook = fault_hook
@@ -706,31 +688,6 @@ class GatewayApp:
                 if self._stop.is_set():
                     worker.state = "stopped"
                     return
-                if not self.breaker.allow(worker.id):
-                    if self.breaker.cooldown_seconds is None:
-                        # No recovery configured: park permanently.
-                        self._park(worker)
-                        return
-                    # A cooldown breaker half-opens on its own, so park
-                    # in place and keep polling: allow() grants the
-                    # probe claim once the cooldown elapses.
-                    if worker.state != "parked":
-                        self._park(worker)
-                    if self._stop.wait(self.poll_seconds):
-                        worker.state = "stopped"
-                        return
-                    continue
-                if worker.state == "parked":
-                    worker.state = "idle"
-                    _log.info(
-                        "worker %s unparked for a half-open probe", worker.id
-                    )
-                    # Same kind the distributed executor emits when a
-                    # replacement host spawns: the fleet regained a worker.
-                    self._broadcast_lifecycle(
-                        "worker_started",
-                        {"worker": worker.id, "recovered": True},
-                    )
                 claimed = board.claim_payload(worker.id, self.lease_seconds)
                 if claimed is None:
                     time.sleep(self.poll_seconds)
@@ -752,14 +709,14 @@ class GatewayApp:
                 worker.cell = cell.describe()
                 exp.publish_started(cell)
                 outcome = _execute_cell(cell, self._runner(exp))
-                self._complete_cell(board, worker, index, outcome)
+                self._complete_cell(board, index, outcome)
                 worker.state = "idle"
                 worker.cell = None
         finally:
             board.close()
 
     def _complete_cell(
-        self, board: JobBoard, worker: _Worker, index: int, outcome: CellOutcome
+        self, board: JobBoard, index: int, outcome: CellOutcome
     ) -> None:
         with self._lock:
             entry = self._cells.get(index)
@@ -778,15 +735,8 @@ class GatewayApp:
                 self._store.append(record)
             # The store holds the outcome; nothing reads one off this board.
             board.complete(index)
-            self.breaker.record_success(worker.id)
         else:
             board.fail(index)
-            if self.breaker.record_failure(worker.id):
-                _log.warning(
-                    "worker %s tripped the circuit breaker "
-                    "(%d consecutive failures)",
-                    worker.id, self.breaker.failure_threshold,
-                )
         self._resolve(index, outcome)
 
     def _resolve(self, index: int, outcome: CellOutcome) -> None:
@@ -828,77 +778,6 @@ class GatewayApp:
             self._finished.append(exp.id)
             while len(self._finished) > MAX_FINISHED_EXPERIMENTS:
                 del self._experiments[self._finished.popleft()]
-
-    def _broadcast_lifecycle(self, kind: str, payload: dict) -> None:
-        """Publish one worker-fleet event onto every running experiment."""
-        with self._lock:
-            running = [
-                exp
-                for exp in self._experiments.values()
-                if exp.status == "running"
-            ]
-        for exp in running:
-            exp.publish_lifecycle(kind, payload)
-
-    def _park(self, worker: _Worker) -> None:
-        worker.state = "parked"
-        worker.cell = None
-        permanent = self.breaker.cooldown_seconds is None
-        _log.warning(
-            "worker %s parked by the circuit breaker%s",
-            worker.id,
-            "" if permanent else (
-                f" (half-open probe after "
-                f"{self.breaker.cooldown_seconds:g}s)"
-            ),
-        )
-        payload = {"worker": worker.id, "parked": True}
-        if not permanent:
-            payload["cooldown_seconds"] = self.breaker.cooldown_seconds
-        self._broadcast_lifecycle("worker_lost", payload)
-        # A cooldown breaker recovers on its own, so queued cells keep
-        # waiting; only a permanent park can strand the queue for good.
-        if permanent:
-            self._degrade_if_dead()
-
-    def _degrade_if_dead(self) -> None:
-        """Fail every queued cell once no worker can ever run it again.
-
-        Called when a worker parks: if the whole pool is parked (or
-        stopped) the queue would otherwise hang forever, so each pending
-        cell resolves to a synthetic error outcome and its experiments
-        finalize as ``partial`` — degraded, never hung.
-        """
-        with self._lock:
-            if self._draining:
-                return
-            if any(w.state in ("idle", "busy") for w in self._workers):
-                return
-            pending = list(self._cells.keys())
-        for index in pending:
-            with self._lock:
-                entry = self._cells.get(index)
-                if entry is not None:
-                    self._board.fail(index)
-            if entry is None:
-                continue
-            _exp, cell, _fingerprint = entry
-            self._resolve(
-                index,
-                CellOutcome(
-                    cell=cell,
-                    summary=None,
-                    error=CellError(
-                        exc_type="GatewayDegraded",
-                        message=(
-                            "every gateway worker is parked by the circuit "
-                            "breaker; cell abandoned"
-                        ),
-                        traceback="",
-                    ),
-                    elapsed=0.0,
-                ),
-            )
 
     # ------------------------------------------------------------------
     # introspection
@@ -958,7 +837,7 @@ class GatewayApp:
         return records
 
     def health(self) -> dict:
-        """JSON-ready service health: workers, breaker, quotas, board, store."""
+        """JSON-ready service health: workers, quotas, board, store."""
         with self._lock:
             payload = {
                 "status": "draining" if self._draining else "ok",
@@ -975,7 +854,6 @@ class GatewayApp:
                     for worker in self._workers
                 },
                 "board": self._board.counts() if not self._closed else None,
-                "breaker": self.breaker.snapshot(),
                 "quotas": self.quotas.snapshot(),
             }
             # Same guard as the board: after drain() the listener keeps
@@ -1026,8 +904,7 @@ class GatewayApp:
         for worker in self._workers:
             if worker.thread is not None:
                 worker.thread.join(timeout)
-            if worker.state not in ("parked",):
-                worker.state = "stopped"
+            worker.state = "stopped"
         with self._lock:
             running = [
                 exp

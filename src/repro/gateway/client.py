@@ -122,7 +122,7 @@ class GatewayClient:
     # ------------------------------------------------------------------
 
     def health(self) -> dict:
-        """``GET /healthz``: service status, workers, breaker, quotas."""
+        """``GET /healthz``: service status, workers, quotas, board, store."""
         return self._request("GET", "/healthz")
 
     def submit(self, spec: dict) -> dict:

@@ -44,7 +44,6 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.errors import InvariantViolation, ProtocolError
-from repro.telemetry.events import execution_mode
 from repro.txn.spec import Step, TransactionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -238,6 +237,26 @@ class Execution:
             f"Execution(T{self.txn.txn_id}, pos={self.pos}/{self.num_steps}, "
             f"{self.state.value})"
         )
+
+
+def execution_mode(execution: Execution) -> Optional[str]:
+    """The shadow mode name a trace event records for an execution.
+
+    Parameters
+    ----------
+    execution : Execution
+        Any execution; SCC shadows carry a ``mode`` enum, plain
+        executions (OCC/2PL/serial) do not.
+
+    Returns
+    -------
+    str or None
+        The mode's value for a shadow, ``None`` for a plain execution.
+        Called only where a tracer is installed, so an untraced run
+        never asks.
+    """
+    mode = getattr(execution, "mode", None)
+    return mode.value if mode is not None else None
 
 
 class CCProtocol(ABC):

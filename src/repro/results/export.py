@@ -7,7 +7,6 @@ or scripts (``RunStore(path).records()`` feeds straight in).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from typing import IO, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
@@ -117,6 +116,8 @@ def write_csv(records: Iterable[RunRecord], stream: IO[str]) -> int:
     row stays flat without exploding the header per class name.  Returns
     the number of data rows written.
     """
+    import csv
+
     # Explicit \n terminator: csv defaults to \r\n, which text-mode streams
     # on Windows would double-translate and Unix tooling chokes on.
     writer = csv.writer(stream, lineterminator="\n")

@@ -16,19 +16,20 @@ the serializability footprint.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.analysis.history import History
 from repro.db.database import Database
 from repro.engine.array import ArraySimulator, WorkloadTensors
 from repro.errors import InvariantViolation, ProtocolError
 from repro.metrics.stats import MetricsCollector
-from repro.protocols.base import CCProtocol, Execution
+from repro.protocols.base import CCProtocol, Execution, execution_mode
 from repro.system.resources import InfiniteResources, ResourceManager
 from repro.telemetry.counters import CounterRegistry
-from repro.telemetry.events import execution_mode
-from repro.telemetry.tracer import Tracer
 from repro.txn.spec import TransactionSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: whoever builds a tracer loads it
+    from repro.telemetry.tracer import Tracer
 
 # Arrivals fire after same-instant commit processing (commits use priority
 # 0); this keeps "commit then immediately arrive" deterministic.

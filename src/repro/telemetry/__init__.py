@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "run_telemetry": "repro.telemetry.counters",
     "EVENT_KINDS": "repro.telemetry.events",
     "TraceEvent": "repro.telemetry.events",
-    "execution_mode": "repro.telemetry.events",
+    "execution_mode": "repro.protocols.base",
     "is_marker": "repro.telemetry.events",
     "iter_trace": "repro.telemetry.events",
     "read_trace": "repro.telemetry.events",

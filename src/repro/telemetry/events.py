@@ -36,7 +36,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "EVENT_KINDS",
     "TraceEvent",
-    "execution_mode",
     "is_marker",
     "iter_trace",
     "read_trace",
@@ -71,19 +70,6 @@ _EVENT_KEYS = frozenset({"time", "kind", "txn", "lane", "mode", "pos", "data"})
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 encode_payload = _ENCODER.encode
-
-
-def execution_mode(execution: Any) -> Optional[str]:
-    """The shadow mode name of an execution, or ``None`` for plain ones.
-
-    Parameters
-    ----------
-    execution : Execution
-        Any execution; SCC shadows carry a ``mode`` enum, plain
-        executions (OCC/2PL/serial) do not.
-    """
-    mode = getattr(execution, "mode", None)
-    return mode.value if mode is not None else None
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DeadlinePolicy",
-    "FixedOffsetDeadlines",
     "SlackDeadlines",
     "TransactionGenerator",
     "WorkloadSpec",
@@ -104,45 +103,21 @@ class SlackDeadlines(DeadlinePolicy):
         return arrival + self.factor * estimated
 
 
-@dataclass(frozen=True)
-class FixedOffsetDeadlines(DeadlinePolicy):
-    """A flat patience window: ``deadline = arrival + offset`` seconds,
-    independent of transaction length (e.g. a user-facing SLA)."""
-
-    offset: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.offset <= 0:
-            raise ConfigurationError(
-                f"deadline offset must be positive, got {self.offset}"
-            )
-
-    @property
-    def kind(self) -> str:
-        return "fixed-offset"
-
-    def deadline_for(
-        self, arrival: float, estimated: float, txn_class: TransactionClass
-    ) -> Optional[float]:
-        return arrival + self.offset
-
-
-_POLICY_KINDS: dict[str, type[DeadlinePolicy]] = {
-    "slack": SlackDeadlines,
-    "fixed-offset": FixedOffsetDeadlines,
-}
-
-
 def deadline_policy_from_dict(payload: dict) -> DeadlinePolicy:
     """Rebuild a :class:`DeadlinePolicy` from its dict form, e.g.
-    ``{"kind": "slack", "factor": 1.5}``."""
+    ``{"kind": "slack", "factor": 1.5}``.
+
+    Every kind but ``slack`` lives in :mod:`repro.workloads.extensions`,
+    imported here when the payload names one.
+    """
     data = dict(payload)
     kind = data.pop("kind", None)
-    policy_cls = _POLICY_KINDS.get(kind)
-    if policy_cls is None:
-        raise ConfigurationError(
-            f"unknown deadline kind {kind!r}; choose from {sorted(_POLICY_KINDS)}"
-        )
+    if kind == "slack":
+        policy_cls: type[DeadlinePolicy] = SlackDeadlines
+    else:
+        from repro.workloads.extensions import extension_kind
+
+        policy_cls = extension_kind("deadline", kind)
     try:
         return policy_cls(**data)
     except TypeError as exc:

@@ -15,12 +15,16 @@ Registered scenarios (see SCENARIOS.md for the full catalogue):
 * ``flash-sale-hotspot`` — 80% of accesses on 10% of pages, flat deadlines.
 * ``diurnal-oltp``       — sinusoidal load envelope over a Zipfian tail.
 * ``trace-replay``       — recorded bursty trace, split read/write regions.
+
+The last four use kinds beyond each axis's paper default, so each is
+built, and :mod:`repro.workloads.extensions` loaded, on its first
+lookup; a process running only the paper's scenarios never loads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
@@ -31,23 +35,16 @@ from repro.experiments.config import (
 from repro.values.classes import TransactionClass
 from repro.workloads.access import (
     AccessPattern,
-    HotspotAccess,
-    PartitionedAccess,
     UniformAccess,
-    ZipfianAccess,
     access_pattern_from_dict,
 )
 from repro.workloads.arrivals import (
     ArrivalSpec,
-    DiurnalSpec,
-    MMPPSpec,
     PoissonSpec,
-    TraceSpec,
     arrival_spec_from_dict,
 )
 from repro.workloads.generator import (
     DeadlinePolicy,
-    FixedOffsetDeadlines,
     SlackDeadlines,
     WorkloadSpec,
     deadline_policy_from_dict,
@@ -226,15 +223,22 @@ def scenario_from_dict(payload: dict) -> Scenario:
 
 _REGISTRY: dict[str, Scenario] = {}
 
+#: Built-in scenarios that use a kind beyond an axis's default, by name:
+#: each is built (and :mod:`repro.workloads.extensions` loaded) on its
+#: first lookup, unless a registration replaced it first.
+_ON_LOOKUP: dict[str, Callable[[], Scenario]] = {}
+
 
 def register_scenario(scenario: Scenario, replace: bool = False) -> Scenario:
     """Add a scenario to the registry (``replace=True`` to overwrite)."""
-    if scenario.name in _REGISTRY and not replace:
+    name = scenario.name
+    if not replace and (name in _REGISTRY or name in _ON_LOOKUP):
         raise ConfigurationError(
-            f"scenario {scenario.name!r} is already registered "
+            f"scenario {name!r} is already registered "
             "(pass replace=True to overwrite)"
         )
-    _REGISTRY[scenario.name] = scenario
+    _REGISTRY[name] = scenario
+    _ON_LOOKUP.pop(name, None)
     return scenario
 
 
@@ -244,24 +248,28 @@ def get_scenario(name: str) -> Scenario:
     Raises:
         ConfigurationError: Unknown name (the message lists the registry).
     """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered: "
-            f"{', '.join(available_scenarios())}"
-        ) from None
+    scenario = _REGISTRY.get(name)
+    if scenario is None:
+        build = _ON_LOOKUP.get(name)
+        if build is None:
+            raise ConfigurationError(
+                f"unknown scenario {name!r}; registered: "
+                f"{', '.join(available_scenarios())}"
+            )
+        # Two threads may both build it; the first one stored wins.
+        scenario = _REGISTRY.setdefault(name, build())
+    return scenario
 
 
 def available_scenarios() -> tuple[str, ...]:
     """Registered scenario names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted({*_REGISTRY, *_ON_LOOKUP}))
 
 
 def all_scenarios() -> Iterator[Scenario]:
     """Iterate registered scenarios in name order."""
     for name in available_scenarios():
-        yield _REGISTRY[name]
+        yield get_scenario(name)
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +367,11 @@ register_scenario(
     )
 )
 
-register_scenario(
-    Scenario(
+
+def _bursty_telecom() -> Scenario:
+    from repro.workloads.extensions import MMPPSpec
+
+    return Scenario(
         name="bursty-telecom",
         description=(
             "Telecom billing under on/off call storms: a two-state MMPP "
@@ -375,10 +386,12 @@ register_scenario(
             "protect fraud-checks through the storms."
         ),
     )
-)
 
-register_scenario(
-    Scenario(
+
+def _flash_sale_hotspot() -> Scenario:
+    from repro.workloads.extensions import FixedOffsetDeadlines, HotspotAccess
+
+    return Scenario(
         name="flash-sale-hotspot",
         description=(
             "A retail flash sale: 80% of accesses hammer the 10% of pages "
@@ -395,10 +408,12 @@ register_scenario(
             "priority waits (WAIT-50) are the contenders."
         ),
     )
-)
 
-register_scenario(
-    Scenario(
+
+def _diurnal_oltp() -> Scenario:
+    from repro.workloads.extensions import DiurnalSpec, ZipfianAccess
+
+    return Scenario(
         name="diurnal-oltp",
         description=(
             "An OLTP day compressed to a 60 s sinusoidal cycle (peak load "
@@ -414,10 +429,12 @@ register_scenario(
             "the trough."
         ),
     )
-)
 
-register_scenario(
-    Scenario(
+
+def _trace_replay() -> Scenario:
+    from repro.workloads.extensions import PartitionedAccess, TraceSpec
+
+    return Scenario(
         name="trace-replay",
         description=(
             "Replays a recorded bursty arrival trace (4x-rate spikes, 20 s "
@@ -434,4 +451,11 @@ register_scenario(
             "variance."
         ),
     )
-)
+
+
+_ON_LOOKUP.update({
+    "bursty-telecom": _bursty_telecom,
+    "flash-sale-hotspot": _flash_sale_hotspot,
+    "diurnal-oltp": _diurnal_oltp,
+    "trace-replay": _trace_replay,
+})

@@ -1,4 +1,4 @@
-"""GatewayApp behavior: submit, dedup, quotas, breaker degradation, drain."""
+"""GatewayApp behavior: submit, dedup, quotas, failing cells, drain."""
 
 import gc
 import json
@@ -14,7 +14,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments.runner import build_cells, normalize_protocols
 from repro.experiments.spec import ExperimentSpec
 from repro.gateway import (
-    CircuitBreaker,
     ClientQuotas,
     GatewayApp,
     GatewayDraining,
@@ -138,10 +137,9 @@ class TestSubmit:
 
     def test_axes_that_cannot_run_are_a_400(self, make_app):
         # A rate that is not positive and finite, or a negative seed,
-        # would fail every cell and trip the worker breaker; it is
-        # refused before anything is enqueued.
+        # would fail every cell; it is refused before anything is
+        # enqueued.
         app = make_app()
-        breaker = app.breaker.snapshot()
         for field in ('"arrival_rates": [-5]', '"arrival_rates": [1e309]',
                       '"seed": -1'):
             body = b'{"schema": 1, "protocols": ["scc-2s"], %s}' % field.encode()
@@ -150,7 +148,6 @@ class TestSubmit:
             )
             assert response.status == 400, field
         assert app.list_experiments() == []
-        assert app.breaker.snapshot() == breaker
 
     def test_deeply_nested_body_is_a_400(self, make_app):
         app = make_app()
@@ -296,74 +293,59 @@ class TestQuotas:
         assert wait_done(app, second["id"]) == "done"
 
 
-class TestBreaker:
-    def test_failing_worker_parks_and_experiment_degrades(self, make_app):
-        def explode(cell):
-            raise RuntimeError("poisoned cell")
+#: Specs that validate but whose every cell raises: the mean
+#: inter-arrival time of rate 1e-308 overflows to inf, and the
+#: constructors refuse k=0 and wait_threshold=0.  6 cells each.
+FAILING_SPECS = (
+    tiny_spec_dict(
+        protocols=["scc-2s", "occ-bc", "wait-50"], arrival_rates=[1e-308],
+        replications=2,
+    ),
+    tiny_spec_dict(
+        protocols=["scc-ks?k=0", "wait-50?wait_threshold=0"], replications=3,
+    ),
+)
 
-        app = make_app(
-            workers=1,
-            breaker=CircuitBreaker(failure_threshold=2),
-            fault_hook=explode,
-        )
+
+class TestFailingCells:
+    def test_a_failing_cell_fails_only_itself(self, make_app):
+        def explode(cell):
+            if cell.protocol == "WAIT-50":
+                raise RuntimeError("poisoned cell")
+
+        app = make_app(workers=1, fault_hook=explode)
         spec = tiny_spec_dict(
             protocols=["scc-2s", "occ-bc", "wait-50"], replications=2
         )
         status = app.submit(spec, client="alice")
         assert wait_done(app, status["id"]) == "partial"
         final = app.status(status["id"])
-        # 2 real failures trip the breaker; the rest degrade without
-        # running.  Every cell is accounted for, none computed.
         assert final["completed"] == final["total_cells"] == 6
-        assert len(final["failed"]) == 6
-        assert len(app.results(status["id"])) == 0
-        events, _ = events_of(app, status["id"])
-        kinds = [event["kind"] for event in events]
-        assert "worker_lost" in kinds
-        degraded = [
-            e for e in events
-            if e["kind"] == "cell_outcome"
-            and e.get("error", {}).get("type") == "GatewayDegraded"
-        ]
-        assert len(degraded) == 4
-        health = app.health()
-        assert health["workers"]["gw-0"]["state"] == "parked"
-        assert health["breaker"]["gw-0"]["state"] == "open"
-
-    def test_success_keeps_the_circuit_closed(self, make_app):
-        app = make_app(workers=1, breaker=CircuitBreaker(failure_threshold=2))
-        status = app.submit(tiny_spec_dict(), client="alice")
-        assert wait_done(app, status["id"]) == "done"
-        assert app.health()["workers"]["gw-0"]["state"] in ("idle", "busy")
-
-    def test_cooldown_breaker_half_opens_and_recovers(self, make_app):
-        failing = threading.Event()
-        failing.set()
-
-        def flaky(cell):
-            if failing.is_set():
-                raise RuntimeError("transient poison")
-
-        app = make_app(
-            workers=1,
-            breaker=CircuitBreaker(failure_threshold=1, cooldown_seconds=0.1),
-            fault_hook=flaky,
+        assert [f["protocol"] for f in final["failed"]] == ["WAIT-50"] * 2
+        assert all(
+            f["error"]["message"] == "poisoned cell" for f in final["failed"]
         )
-        first = app.submit(tiny_spec_dict(protocols=["scc-2s"]), client="alice")
-        assert wait_done(app, first["id"]) == "partial"
-        deadline = time.monotonic() + 10
-        while app.health()["workers"]["gw-0"]["state"] != "parked":
-            assert time.monotonic() < deadline, "worker never parked"
-            time.sleep(0.01)
-        # The park is temporary: new work waits for the half-open probe
-        # instead of degrading to synthetic failures.
-        failing.clear()
-        second = app.submit(tiny_spec_dict(seed=11), client="alice")
-        assert wait_done(app, second["id"]) == "done"
+        assert len(app.results(status["id"])) == 4
         health = app.health()
-        assert health["breaker"]["gw-0"]["state"] == "closed"
         assert health["workers"]["gw-0"]["state"] in ("idle", "busy")
-        assert app.status(second["id"])["failed"] == []
+        assert "breaker" not in health
+
+    def test_one_clients_failing_cells_do_not_stall_another(self, make_app):
+        # Two workers, as `repro serve` runs by default.  Every cell of
+        # alice's experiments raises; bob's experiment must still run.
+        app = make_app(workers=2)
+        failing = [
+            app.submit(spec, client="alice")["id"] for spec in FAILING_SPECS
+        ]
+        bob = app.submit(tiny_spec_dict(protocols=["scc-2s"]), client="bob")
+        assert wait_done(app, bob["id"], timeout=30) == "done"
+        assert app.status(bob["id"])["failed"] == []
+        for experiment in failing:
+            assert wait_done(app, experiment, timeout=30) == "partial"
+            final = app.status(experiment)
+            assert len(final["failed"]) == final["total_cells"] == 6
+        workers = app.health()["workers"]
+        assert all(w["state"] in ("idle", "busy") for w in workers.values())
 
 
 class TestDrain:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.confidence import mean_confidence_interval
+from repro.metrics.confidence import mean_confidence_interval, t_quantile
+
+#: How closely t_quantile must match scipy's Student-t quantile
+#: (relative), fixed before the comparison was first run.
+QUANTILE_REL_TOL = 1e-9
 
 
 def test_single_sample_degenerate():
@@ -64,3 +68,46 @@ def test_invalid_inputs_rejected():
         mean_confidence_interval([])
     with pytest.raises(ConfigurationError):
         mean_confidence_interval([1.0], level=1.5)
+
+
+def test_t_quantile_matches_scipy():
+    # scipy is a test oracle only; the package itself never imports it.
+    stats = pytest.importorskip("scipy.stats")
+    for df in range(1, 201):
+        for level in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99):
+            p = 0.5 + level / 2.0
+            expected = float(stats.t.ppf(p, df))
+            assert t_quantile(p, df) == pytest.approx(
+                expected, rel=QUANTILE_REL_TOL
+            ), (df, level)
+
+
+def test_interval_matches_numpy_and_scipy():
+    # The interval the package computed with numpy moments and scipy's
+    # quantile, now from math.fsum, statistics and t_quantile.
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5, 10, 30, 101):
+        samples = list(rng.normal(10.0, 2.0, size=n))
+        for level in (0.5, 0.9, 0.95, 0.99):
+            ci = mean_confidence_interval(samples, level=level)
+            sem = np.std(samples, ddof=1) / np.sqrt(n)
+            expected = float(stats.t.ppf(0.5 + level / 2.0, n - 1) * sem)
+            assert ci.n == n
+            assert ci.mean == pytest.approx(
+                float(np.mean(samples)), rel=QUANTILE_REL_TOL
+            )
+            assert ci.half_width == pytest.approx(
+                expected, rel=QUANTILE_REL_TOL
+            ), (n, level)
+
+
+def test_t_quantile_edges():
+    assert t_quantile(0.5, 3) == 0.0
+    # df = 1 is the Cauchy distribution: tan(pi * (p - 1/2)).
+    assert t_quantile(0.999, 1) == pytest.approx(
+        np.tan(np.pi * 0.499), rel=QUANTILE_REL_TOL
+    )
+    for p, df in ((0.4, 3), (1.0, 3), (0.9, 0)):
+        with pytest.raises(ConfigurationError):
+            t_quantile(p, df)

@@ -21,8 +21,13 @@ the interpreter's built-in SHA-256 (checked in each of those processes,
 a gateway serving cached cells and the ``results`` commands; skipped on
 an interpreter without one, where ``hashlib`` is the fallback), and
 ``serve`` makes experiment ids from ``os.urandom``, so it loads no
-``uuid``, ``platform`` or ``libuuid``.  The engine is the bottom
-layer: importing
+``uuid``, ``platform`` or ``libuuid``.  Nor, in its whole life, does a
+paper-baseline process load what it never runs (a cold serial run, the
+``--workers`` hosts and a computing gateway): the tracer and its event
+types, confidence intervals, tables, ``csv`` and the workload kinds
+beyond each axis's default; a traced run loads the tracer and a
+diurnal-oltp run the extension kinds, and a confidence interval loads
+no numerical library.  The engine is the bottom layer: importing
 it loads no workload, protocol or system module.  Package roots resolve
 their names on first access (``repro._lazy``), so each of these stays
 out unless a command reaches for it.  The checks need a fresh
@@ -176,6 +181,16 @@ with tempfile.TemporaryDirectory() as workdir:
 print(json.dumps(loaded(sys.argv[3:])))
 """
 
+#: A Student-t interval over three samples.
+INTERVAL_CHILD = """
+import json, sys
+
+from repro.metrics.confidence import mean_confidence_interval
+
+assert mean_confidence_interval([1.0, 2.0, 4.0]).half_width > 0
+print(json.dumps(loaded(sys.argv[1:])))
+"""
+
 #: Imports the module ``argv[1]`` and names every loaded module in a
 #: package listed in ``argv[2:]``.
 LAYER_CHILD = """
@@ -267,6 +282,18 @@ OPENSSL = (
 #: ``os.urandom`` instead.
 UUID = ["uuid", "_uuid", "platform", "libuuid"]
 
+#: What a paper-baseline process never runs, so never loads in its whole
+#: life: the tracer and its event types, confidence intervals, tables,
+#: CSV, and the workload kinds beyond each axis's default.
+UNUSED_BY_PAPER_BASELINE = [
+    "repro.telemetry.tracer",
+    "repro.telemetry.events",
+    "repro.metrics.confidence",
+    "repro.metrics.report",
+    "csv",
+    "repro.workloads.extensions",
+]
+
 
 def _loaded(child: str, modules: list, args: tuple = ()) -> list:
     """The ``modules`` a fresh interpreter running ``child`` has loaded.
@@ -353,7 +380,8 @@ def test_workers_parent_leaves_numpy_to_its_hosts(tmp_path):
 def test_results_and_specs_commands_skip_numpy(tmp_path):
     store = str(_stored_grid(tmp_path))
     commands = [["results", "list", "--store", store], ["specs"]]
-    modules = [*SIMULATION, *OPENSSL]
+    # Nor the export module: listing a store renders no JSON or CSV.
+    modules = [*SIMULATION, *OPENSSL, "repro.results.export"]
     assert _loaded(CLI_CHILD, modules, (json.dumps(commands),)) == []
 
 
@@ -387,3 +415,50 @@ def test_engine_loads_no_layer_above_it():
     # engine; the engine imports none of them.
     above = ["repro.workloads", "repro.core", "repro.protocols", "repro.system"]
     assert _loaded(LAYER_CHILD, above, ("repro.engine.array",)) == []
+
+
+def _cli_run(tmp_path, spec: dict, *flags: str) -> list:
+    """A ``run`` of ``spec`` into a fresh store, as a CLI argument list."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    store = tmp_path / "runs.jsonl"
+    return ["run", str(path), "--store", str(store), *flags]
+
+
+def test_cold_serial_paper_run_loads_nothing_it_never_runs(tmp_path):
+    # --format json, as the e2e benchmark runs it: the table renderer
+    # is for --format table only.
+    commands = [_cli_run(tmp_path, ONE_CELL, "--format", "json")]
+    modules = [*UNUSED_BY_PAPER_BASELINE, "repro.system.model"]
+    loaded = _loaded(CLI_CHILD, modules, (json.dumps(commands),))
+    assert loaded == ["repro.system.model"]
+
+
+def test_workers_hosts_load_nothing_a_paper_cell_never_runs():
+    modules = [*UNUSED_BY_PAPER_BASELINE, "repro.system.model"]
+    assert _loaded(HOST_CHILD, modules) == ["repro.system.model"]
+
+
+def test_computing_gateway_loads_nothing_a_paper_cell_never_runs(tmp_path):
+    args = (str(tmp_path / "runs.jsonl"), json.dumps(ONE_CELL))
+    modules = [*UNUSED_BY_PAPER_BASELINE, "repro.system.model"]
+    loaded = _loaded(COMPUTING_GATEWAY_CHILD, modules, args)
+    assert loaded == ["repro.system.model"]
+
+
+def test_traced_run_loads_the_tracer(tmp_path):
+    trace = str(tmp_path / "run.trace.jsonl")
+    commands = [_cli_run(tmp_path, ONE_CELL, "--trace", trace)]
+    modules = ["repro.telemetry.events", "repro.telemetry.tracer"]
+    assert _loaded(CLI_CHILD, modules, (json.dumps(commands),)) == modules
+
+
+def test_diurnal_run_loads_the_extension_kinds(tmp_path):
+    spec = {**ONE_CELL, "scenario": "diurnal-oltp"}
+    commands = [_cli_run(tmp_path, spec, "--format", "json")]
+    modules = ["repro.workloads.extensions"]
+    assert _loaded(CLI_CHILD, modules, (json.dumps(commands),)) == modules
+
+
+def test_intervals_load_no_numerical_library():
+    assert _loaded(INTERVAL_CHILD, ["numpy", "scipy"]) == []

@@ -8,7 +8,7 @@ import pytest
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step
-from repro.workloads.access import (
+from repro.workloads import (
     HotspotAccess,
     PartitionedAccess,
     UniformAccess,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
-from repro.workloads.arrivals import (
+from repro.workloads import (
     DiurnalArrivals,
     DiurnalSpec,
     MMPPArrivals,

@@ -25,6 +25,29 @@ BUILTIN = (
 )
 
 
+@pytest.fixture
+def on_lookup():
+    """Registers a scenario built on first lookup, as the built-in ones
+    that use an extension kind are; returns the list of builds."""
+    from repro.workloads import scenarios
+
+    names, built = [], []
+
+    def register(name: str) -> list:
+        def build() -> Scenario:
+            built.append(Scenario(name=name, description="on lookup"))
+            return built[-1]
+
+        names.append(name)
+        scenarios._ON_LOOKUP[name] = build
+        return built
+
+    yield register
+    for name in names:
+        scenarios._ON_LOOKUP.pop(name, None)
+        scenarios._REGISTRY.pop(name, None)
+
+
 class TestRegistry:
     def test_builtin_catalogue_is_registered(self):
         for name in BUILTIN:
@@ -40,6 +63,26 @@ class TestRegistry:
             register_scenario(scenario)
         # replace=True is idempotent for the same object.
         assert register_scenario(scenario, replace=True) is scenario
+
+    def test_scenario_built_on_lookup_is_registered_before_it_is_built(
+        self, on_lookup
+    ):
+        built = on_lookup("built-on-lookup")
+        assert "built-on-lookup" in available_scenarios()
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register_scenario(Scenario(name="built-on-lookup", description="x"))
+        assert built == []
+        first = get_scenario("built-on-lookup")
+        assert get_scenario("built-on-lookup") is first
+        assert built == [first]
+
+    def test_replacing_a_scenario_before_its_first_lookup(self, on_lookup):
+        built = on_lookup("built-on-lookup")
+        replacement = Scenario(name="built-on-lookup", description="mine")
+        assert register_scenario(replacement, replace=True) is replacement
+        assert get_scenario("built-on-lookup") is replacement
+        assert [s.name for s in all_scenarios()].count("built-on-lookup") == 1
+        assert built == []
 
     def test_all_scenarios_sorted_by_name(self):
         names = [s.name for s in all_scenarios()]

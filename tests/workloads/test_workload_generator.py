@@ -21,13 +21,16 @@ from repro.engine.array import WorkloadTensors
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step
-from repro.workloads.access import PartitionedAccess, UniformAccess, ZipfianAccess
-from repro.workloads.arrivals import MMPPArrivals, PoissonArrivals
-from repro.workloads.generator import (
+from repro.workloads import (
     FixedOffsetDeadlines,
+    MMPPArrivals,
+    PartitionedAccess,
+    PoissonArrivals,
     SlackDeadlines,
     TransactionGenerator,
+    UniformAccess,
     WorkloadSpec,
+    ZipfianAccess,
     deadline_policy_from_dict,
 )
 from repro.workloads.scenarios import available_scenarios, get_scenario
