@@ -54,7 +54,7 @@ def test_parallel_scaling_and_determinism(benchmark, bench_spec):
     for name, serial_sweep in serial_results.items():
         parallel_sweep = parallel_results[name]
         assert serial_sweep.arrival_rates == parallel_sweep.arrival_rates
-        # RunSummary dataclass equality covers every metric field.
+        # RunSummary equality covers every metric field.
         assert serial_sweep.replications == parallel_sweep.replications, name
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")

@@ -33,7 +33,6 @@ Exit codes: 0 OK, 1 mismatch/failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import os
 import shutil
@@ -95,9 +94,9 @@ def child_pids():
 
 def grids_match(reference, candidate, protocols) -> bool:
     for name in protocols:
-        ref = [[dataclasses.asdict(s) for s in per_rate]
+        ref = [[s.to_dict() for s in per_rate]
                for per_rate in reference[name].replications]
-        got = [[dataclasses.asdict(s) for s in per_rate]
+        got = [[s.to_dict() for s in per_rate]
                for per_rate in candidate[name].replications]
         if ref != got:
             print(f"error: {name} summaries are not bit-identical to the "

@@ -28,7 +28,6 @@ Exit codes: 0 OK, 1 mismatch/failure.  (Also used internally with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import subprocess
 import sys
@@ -156,9 +155,9 @@ def main(argv=None) -> int:
         return 1
 
     for name in protocols:
-        cold_grid = [[dataclasses.asdict(s) for s in per_rate]
+        cold_grid = [[s.to_dict() for s in per_rate]
                      for per_rate in cold[name].replications]
-        resumed_grid = [[dataclasses.asdict(s) for s in per_rate]
+        resumed_grid = [[s.to_dict() for s in per_rate]
                         for per_rate in resumed[name].replications]
         if cold_grid != resumed_grid:
             print(f"error: resumed summaries for {name} are not "

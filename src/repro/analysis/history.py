@@ -15,12 +15,12 @@ history and the oracle need not build the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
+from repro._record import FrozenRecord
 
-@dataclass(frozen=True)
-class CommittedTransaction:
+
+class CommittedTransaction(FrozenRecord):
     """Read/write version footprint of one committed transaction.
 
     Attributes:
@@ -31,10 +31,19 @@ class CommittedTransaction:
             for pages it both read and wrote, by construction).
     """
 
-    txn_id: int
-    commit_time: float
-    reads: Mapping[int, int]
-    writes: Mapping[int, int]
+    __slots__ = ("txn_id", "commit_time", "reads", "writes")
+
+    def __init__(
+        self,
+        txn_id: int,
+        commit_time: float,
+        reads: Mapping[int, int],
+        writes: Mapping[int, int],
+    ) -> None:
+        object.__setattr__(self, "txn_id", txn_id)
+        object.__setattr__(self, "commit_time", commit_time)
+        object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "writes", writes)
 
 
 class History:

@@ -35,9 +35,9 @@ CLI's ``repro trace timeline`` consumes the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro._record import FrozenRecord, Record
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,20 +45,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.shadow import Shadow
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One observed shadow-lifecycle event."""
+class TimelineEvent(FrozenRecord):
+    """One observed shadow-lifecycle event (``lane`` is the shadow serial)."""
 
-    time: float
-    kind: str
-    txn_id: int
-    lane: int  # shadow serial number
-    mode: str
-    position: int
+    __slots__ = ("time", "kind", "txn_id", "lane", "mode", "position")
+
+    def __init__(
+        self, time: float, kind: str, txn_id: int, lane: int, mode: str, position: int
+    ) -> None:
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "txn_id", txn_id)
+        object.__setattr__(self, "lane", lane)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class TimelineRow:
+class TimelineRow(FrozenRecord):
     """One rendered timeline lane, in structured form.
 
     Attributes:
@@ -72,21 +75,41 @@ class TimelineRow:
             right-trimmed.
     """
 
-    txn_id: int
-    serial: int
-    mode: str
-    promoted: bool
-    label: str
-    track: str
+    __slots__ = ("txn_id", "serial", "mode", "promoted", "label", "track")
+
+    def __init__(
+        self,
+        txn_id: int,
+        serial: int,
+        mode: str,
+        promoted: bool,
+        label: str,
+        track: str,
+    ) -> None:
+        object.__setattr__(self, "txn_id", txn_id)
+        object.__setattr__(self, "serial", serial)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "promoted", promoted)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "track", track)
 
 
-@dataclass
-class _Lane:
-    txn_id: int
-    serial: int
-    mode: str
-    promoted: bool = False
-    events: list[TimelineEvent] = field(default_factory=list)
+class _Lane(Record):
+    __slots__ = ("txn_id", "serial", "mode", "promoted", "events")
+
+    def __init__(
+        self,
+        txn_id: int,
+        serial: int,
+        mode: str,
+        promoted: bool = False,
+        events: Optional[list[TimelineEvent]] = None,
+    ) -> None:
+        self.txn_id = txn_id
+        self.serial = serial
+        self.mode = mode
+        self.promoted = promoted
+        self.events = [] if events is None else events
 
 
 class TimelineRecorder:

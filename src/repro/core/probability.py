@@ -53,9 +53,9 @@ transactions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro._record import FrozenRecord, Record
 from repro.errors import ConfigurationError
 from repro.protocols.base import ExecutionState
 
@@ -89,8 +89,7 @@ def elapsed_execution(
     return base
 
 
-@dataclass
-class AdoptionProfile:
+class AdoptionProfile(Record):
     """Adoption probabilities of one transaction's shadows (Def. 5).
 
     ``p_optimistic + Σ p_writer.values() == 1`` by construction; writers
@@ -98,8 +97,13 @@ class AdoptionProfile:
     (it corresponds to the from-scratch fallback the Commit Rule uses).
     """
 
-    p_optimistic: float
-    p_writer: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("p_optimistic", "p_writer")
+
+    def __init__(
+        self, p_optimistic: float, p_writer: Optional[dict[int, float]] = None
+    ) -> None:
+        self.p_optimistic = p_optimistic
+        self.p_writer = {} if p_writer is None else p_writer
 
     def total(self) -> float:
         """Total probability mass (should be 1)."""
@@ -165,8 +169,7 @@ def adoption_profiles(
     return profiles
 
 
-@dataclass(frozen=True)
-class ShadowComponent:
+class ShadowComponent(FrozenRecord):
     """One term of Definition 6's expected-finish sum.
 
     Attributes
@@ -178,8 +181,11 @@ class ShadowComponent:
         has *finished* executing (it commits at the next tick).
     """
 
-    probability: float
-    elapsed: Optional[float]
+    __slots__ = ("probability", "elapsed")
+
+    def __init__(self, probability: float, elapsed: Optional[float]) -> None:
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "elapsed", elapsed)
 
 
 def expected_commit_value(

@@ -37,9 +37,9 @@ and termination, never the per-access rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
 
+from repro._record import Record
 from repro.core.conflict_table import AccessIndex, ConflictTable
 from repro.core.deferral import ImmediateCommit, TerminationPolicy
 from repro.core.shadow import Shadow, ShadowMode
@@ -88,8 +88,7 @@ def select_replacement(
     return max(survivors, key=rank)
 
 
-@dataclass
-class SCCTxnRuntime:
+class SCCTxnRuntime(Record):
     """Per-transaction SCC state.
 
     Attributes
@@ -107,20 +106,37 @@ class SCCTxnRuntime:
         Times the transaction lost all shadows and started over.
     deferred : bool
         Whether a finished shadow's commitment was ever deferred.
+    txn_id : int
+        The transaction's id, denormalized from ``spec`` (read on every
+        step of every shadow, so a plain attribute, not a property).
     """
 
-    spec: TransactionSpec
-    optimistic: Shadow
-    speculatives: dict[int, Shadow] = field(default_factory=dict)
-    conflicts: ConflictTable = field(default_factory=ConflictTable)
-    restarts: int = 0
-    deferred: bool = False
-    #: The transaction's id (denormalized from ``spec`` — read on every
-    #: step of every shadow, so a plain attribute, not a property).
-    txn_id: int = field(init=False)
+    __slots__ = (
+        "spec",
+        "optimistic",
+        "speculatives",
+        "conflicts",
+        "restarts",
+        "deferred",
+        "txn_id",
+    )
 
-    def __post_init__(self) -> None:
-        self.txn_id = self.spec.txn_id
+    def __init__(
+        self,
+        spec: TransactionSpec,
+        optimistic: Shadow,
+        speculatives: Optional[dict[int, Shadow]] = None,
+        conflicts: Optional[ConflictTable] = None,
+        restarts: int = 0,
+        deferred: bool = False,
+    ) -> None:
+        self.spec = spec
+        self.optimistic = optimistic
+        self.speculatives = {} if speculatives is None else speculatives
+        self.conflicts = ConflictTable() if conflicts is None else conflicts
+        self.restarts = restarts
+        self.deferred = deferred
+        self.txn_id = spec.txn_id
 
     def live_shadows(self) -> list[Shadow]:
         """The optimistic shadow plus all live speculative shadows."""

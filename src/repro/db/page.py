@@ -9,11 +9,10 @@ serializability oracle uses to validate read-from relationships.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro._record import Record
 
 
-@dataclass
-class Page:
+class Page(Record):
     """A single page of the shared database.
 
     Attributes:
@@ -24,10 +23,19 @@ class Page:
             for the initial load.  Used by the serializability oracle.
     """
 
-    page_id: int
-    version: int = 0
-    value: int = 0
-    last_writer: int | None = field(default=None)
+    __slots__ = ("page_id", "version", "value", "last_writer")
+
+    def __init__(
+        self,
+        page_id: int,
+        version: int = 0,
+        value: int = 0,
+        last_writer: int | None = None,
+    ) -> None:
+        self.page_id = page_id
+        self.version = version
+        self.value = value
+        self.last_writer = last_writer
 
     def install(self, value: int, writer: int) -> None:
         """Install a committed write, bumping the version."""

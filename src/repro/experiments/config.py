@@ -16,9 +16,9 @@ EXPERIMENTS.md records the shape agreement point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro._record import FrozenRecord, replace
 from repro.errors import ConfigurationError
 from repro.values.classes import TransactionClass
 
@@ -26,57 +26,95 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.workloads.generator import WorkloadSpec
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+#: The default arrival-rate sweep axis (tps), shared by scenarios.
+DEFAULT_ARRIVAL_RATES = (10, 25, 50, 75, 100, 125, 150, 175, 200)
+
+
+class ExperimentConfig(FrozenRecord):
     """Everything needed to run one experiment sweep.
 
     Attributes mirror the paper's baseline model; see module docstring.
-    ``num_servers`` sizes a finite pool of identical CPU+disk servers
+    ``workload`` is the workload shape (arrival process, access pattern,
+    deadline policy); ``None`` means the paper baseline, bit-identical to
+    the seed generator, and scenario-driven configs
+    (:mod:`repro.workloads.scenarios`) set it.  ``num_servers`` sizes a
+    finite pool of identical CPU+disk servers
     (:class:`~repro.system.resources.FiniteResources`, ablation A2);
     ``None`` means infinite resources, the paper's model.
     """
 
-    classes: tuple[TransactionClass, ...]
-    num_pages: int = 1000
-    cpu_time: float = 0.001
-    io_time: float = 0.007
-    num_transactions: int = 4000
-    warmup_commits: int = 200
-    replications: int = 3
-    seed: int = 90_1995
-    arrival_rates: tuple[float, ...] = (10, 25, 50, 75, 100, 125, 150, 175, 200)
-    check_serializability: bool = True
-    confidence_level: float = 0.90
-    # Workload shape (arrival process / access pattern / deadline policy).
-    # None means the paper baseline — bit-identical to the seed generator.
-    # Scenario-driven configs (repro.workloads.scenarios) set this.
-    workload: Optional["WorkloadSpec"] = None
-    num_servers: Optional[int] = None
+    __slots__ = (
+        "classes",
+        "num_pages",
+        "cpu_time",
+        "io_time",
+        "num_transactions",
+        "warmup_commits",
+        "replications",
+        "seed",
+        "arrival_rates",
+        "check_serializability",
+        "confidence_level",
+        "workload",
+        "num_servers",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.classes:
+    def __init__(
+        self,
+        classes: tuple[TransactionClass, ...],
+        num_pages: int = 1000,
+        cpu_time: float = 0.001,
+        io_time: float = 0.007,
+        num_transactions: int = 4000,
+        warmup_commits: int = 200,
+        replications: int = 3,
+        seed: int = 90_1995,
+        arrival_rates: tuple[float, ...] = DEFAULT_ARRIVAL_RATES,
+        check_serializability: bool = True,
+        confidence_level: float = 0.90,
+        workload: Optional["WorkloadSpec"] = None,
+        num_servers: Optional[int] = None,
+    ) -> None:
+        if not classes:
             raise ConfigurationError("config needs at least one transaction class")
-        if self.num_transactions <= self.warmup_commits:
+        if warmup_commits < 0:
             raise ConfigurationError(
-                f"num_transactions ({self.num_transactions}) must exceed "
-                f"warmup_commits ({self.warmup_commits})"
+                f"warmup_commits must be a non-negative integer, got {warmup_commits}"
             )
-        if self.replications < 1:
+        if num_transactions <= warmup_commits:
+            raise ConfigurationError(
+                f"num_transactions ({num_transactions}) must exceed "
+                f"warmup_commits ({warmup_commits})"
+            )
+        if replications < 1:
             raise ConfigurationError("need at least one replication")
-        if self.seed < 0:
+        if seed < 0:
             raise ConfigurationError(
-                f"seed must be a non-negative integer, got {self.seed}"
+                f"seed must be a non-negative integer, got {seed}"
             )
-        check_arrival_rates(self.arrival_rates)
-        if self.num_servers is not None and (
-            not isinstance(self.num_servers, int)
-            or isinstance(self.num_servers, bool)
-            or self.num_servers < 1
+        check_arrival_rates(arrival_rates)
+        if num_servers is not None and (
+            not isinstance(num_servers, int)
+            or isinstance(num_servers, bool)
+            or num_servers < 1
         ):
             raise ConfigurationError(
                 f"num_servers must be a positive integer or None (infinite "
-                f"resources), got {self.num_servers!r}"
+                f"resources), got {num_servers!r}"
             )
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "num_pages", num_pages)
+        object.__setattr__(self, "cpu_time", cpu_time)
+        object.__setattr__(self, "io_time", io_time)
+        object.__setattr__(self, "num_transactions", num_transactions)
+        object.__setattr__(self, "warmup_commits", warmup_commits)
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "arrival_rates", arrival_rates)
+        object.__setattr__(self, "check_serializability", check_serializability)
+        object.__setattr__(self, "confidence_level", confidence_level)
+        object.__setattr__(self, "workload", workload)
+        object.__setattr__(self, "num_servers", num_servers)
 
     @property
     def step_duration(self) -> float:

@@ -28,9 +28,9 @@ import sys
 import time
 import traceback
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 from repro.metrics.stats import RunSummary
 
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(FrozenRecord):
     """One grid point of a sweep, addressable by a stable ``index``.
 
     ``index`` encodes the serial execution order (protocol-major, then
@@ -62,11 +61,21 @@ class SweepCell:
     deterministic.
     """
 
-    index: int
-    protocol: str
-    rate_index: int
-    arrival_rate: float
-    replication: int
+    __slots__ = ("index", "protocol", "rate_index", "arrival_rate", "replication")
+
+    def __init__(
+        self,
+        index: int,
+        protocol: str,
+        rate_index: int,
+        arrival_rate: float,
+        replication: int,
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "rate_index", rate_index)
+        object.__setattr__(self, "arrival_rate", arrival_rate)
+        object.__setattr__(self, "replication", replication)
 
     def describe(self) -> str:
         return (
@@ -75,13 +84,15 @@ class SweepCell:
         )
 
 
-@dataclass(frozen=True)
-class CellError:
+class CellError(FrozenRecord):
     """A crashed cell, captured as plain strings so it survives a board row."""
 
-    exc_type: str
-    message: str
-    traceback: str
+    __slots__ = ("exc_type", "message", "traceback")
+
+    def __init__(self, exc_type: str, message: str, traceback: str) -> None:
+        object.__setattr__(self, "exc_type", exc_type)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "traceback", traceback)
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "CellError":
@@ -94,8 +105,7 @@ class CellError:
         )
 
 
-@dataclass(frozen=True)
-class CellOutcome:
+class CellOutcome(FrozenRecord):
     """The result of running one cell: a summary or an error record.
 
     ``telemetry`` is the run's JSON-ready counter/gauge block (see
@@ -103,19 +113,28 @@ class CellOutcome:
     produced one; ``None`` for error outcomes and legacy runners.
     """
 
-    cell: SweepCell
-    summary: Optional[RunSummary]
-    error: Optional[CellError]
-    elapsed: float
-    telemetry: Optional[dict] = None
+    __slots__ = ("cell", "summary", "error", "elapsed", "telemetry")
+
+    def __init__(
+        self,
+        cell: SweepCell,
+        summary: Optional[RunSummary],
+        error: Optional[CellError],
+        elapsed: float,
+        telemetry: Optional[dict] = None,
+    ) -> None:
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "telemetry", telemetry)
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-@dataclass(frozen=True)
-class ProgressEvent:
+class ProgressEvent(FrozenRecord):
     """One structured progress tick.
 
     ``kind`` is ``"started"`` (serial executor only — the parent cannot
@@ -124,13 +143,25 @@ class ProgressEvent:
     completed.
     """
 
-    kind: str
-    cell: SweepCell
-    completed: int
-    total: int
-    elapsed: float
-    eta: Optional[float]
-    ok: bool = True
+    __slots__ = ("kind", "cell", "completed", "total", "elapsed", "eta", "ok")
+
+    def __init__(
+        self,
+        kind: str,
+        cell: SweepCell,
+        completed: int,
+        total: int,
+        elapsed: float,
+        eta: Optional[float],
+        ok: bool = True,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "completed", completed)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "ok", ok)
 
 
 #: Cell runners return either a bare RunSummary (legacy) or a

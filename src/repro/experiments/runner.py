@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
+from repro._record import Record
 from repro.analysis.serializability import check_serializable
 from repro.errors import (
     ConfigurationError,
@@ -204,13 +204,20 @@ def run_once(
     return summary
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Record):
     """Results of one protocol sweep over arrival rates."""
 
-    protocol: str
-    arrival_rates: tuple[float, ...]
-    replications: list[list[RunSummary]]  # [rate index][replication]
+    __slots__ = ("protocol", "arrival_rates", "replications")
+
+    def __init__(
+        self,
+        protocol: str,
+        arrival_rates: tuple[float, ...],
+        replications: list[list[RunSummary]],  # [rate index][replication]
+    ) -> None:
+        self.protocol = protocol
+        self.arrival_rates = arrival_rates
+        self.replications = replications
 
     def metric(self, extract: Callable[[RunSummary], float]) -> list[float]:
         """Per-rate replication means of one metric."""

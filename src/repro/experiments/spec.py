@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, baseline_config
 from repro.experiments.runner import (
@@ -103,8 +103,7 @@ def _is_a(value: Any, types: Any) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(FrozenRecord):
     """One complete, serializable experiment description.
 
     ``None`` fields mean "use the scenario's/config's default", so a
@@ -141,42 +140,59 @@ class ExperimentSpec:
             fingerprint.
     """
 
-    protocols: tuple[ProtocolSpec, ...]
-    scenario: Optional[str] = None
-    scenario_def: Optional[Scenario] = None
-    arrival_rates: Optional[tuple[float, ...]] = None
-    replications: Optional[int] = None
-    num_transactions: Optional[int] = None
-    warmup_commits: Optional[int] = None
-    seed: Optional[int] = None
-    executor: Optional[str] = None
-    workers: Optional[int] = None
-    store: Optional[str] = None
-    store_backend: Optional[str] = None
-    telemetry: Optional[dict] = None
+    __slots__ = (
+        "protocols",
+        "scenario",
+        "scenario_def",
+        "arrival_rates",
+        "replications",
+        "num_transactions",
+        "warmup_commits",
+        "seed",
+        "executor",
+        "workers",
+        "store",
+        "store_backend",
+        "telemetry",
+    )
 
-    def __post_init__(self) -> None:
-        if self.store_backend is not None:
+    def __init__(
+        self,
+        protocols: tuple[ProtocolSpec, ...],
+        scenario: Optional[str] = None,
+        scenario_def: Optional[Scenario] = None,
+        arrival_rates: Optional[tuple[float, ...]] = None,
+        replications: Optional[int] = None,
+        num_transactions: Optional[int] = None,
+        warmup_commits: Optional[int] = None,
+        seed: Optional[int] = None,
+        executor: Optional[str] = None,
+        workers: Optional[int] = None,
+        store: Optional[str] = None,
+        store_backend: Optional[str] = None,
+        telemetry: Optional[dict] = None,
+    ) -> None:
+        if store_backend is not None:
             from repro.results.backends import STORE_BACKENDS
 
-            if self.store_backend not in STORE_BACKENDS:
+            if store_backend not in STORE_BACKENDS:
                 raise ConfigurationError(
-                    f"unknown store backend {self.store_backend!r}; "
+                    f"unknown store backend {store_backend!r}; "
                     f"choose from {list(STORE_BACKENDS)}"
                 )
-        if self.telemetry is not None:
-            if not isinstance(self.telemetry, dict):
+        if telemetry is not None:
+            if not isinstance(telemetry, dict):
                 raise ConfigurationError(
                     f"spec telemetry must be a dict, "
-                    f"got {type(self.telemetry).__name__}"
+                    f"got {type(telemetry).__name__}"
                 )
-            unknown = set(self.telemetry) - _TELEMETRY_KEYS
+            unknown = set(telemetry) - _TELEMETRY_KEYS
             if unknown:
                 raise ConfigurationError(
                     f"unknown telemetry keys: {sorted(unknown)} "
                     f"(choose from {sorted(_TELEMETRY_KEYS)})"
                 )
-            level = self.telemetry.get("log_level")
+            level = telemetry.get("log_level")
             if level is not None:
                 from repro.telemetry.log import LOG_LEVELS
 
@@ -185,11 +201,11 @@ class ExperimentSpec:
                         f"unknown telemetry log_level {level!r}; choose "
                         f"from {list(LOG_LEVELS)}"
                     )
-        if not self.protocols:
+        if not protocols:
             raise ConfigurationError(
                 "experiment spec needs at least one protocol"
             )
-        for entry in self.protocols:
+        for entry in protocols:
             if not isinstance(entry, ProtocolSpec):
                 raise ConfigurationError(
                     f"experiment spec protocols must be ProtocolSpec "
@@ -198,11 +214,24 @@ class ExperimentSpec:
                     "as 'scc-ks?k=3' or dicts, and register a protocol "
                     "built outside the registry with register_protocol)"
                 )
-        if self.scenario is not None and self.scenario_def is not None:
+        if scenario is not None and scenario_def is not None:
             raise ConfigurationError(
                 "experiment spec takes either a scenario name or an "
                 "inline scenario_def, not both"
             )
+        object.__setattr__(self, "protocols", protocols)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "scenario_def", scenario_def)
+        object.__setattr__(self, "arrival_rates", arrival_rates)
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "num_transactions", num_transactions)
+        object.__setattr__(self, "warmup_commits", warmup_commits)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "executor", executor)
+        object.__setattr__(self, "workers", workers)
+        object.__setattr__(self, "store", store)
+        object.__setattr__(self, "store_backend", store_backend)
+        object.__setattr__(self, "telemetry", telemetry)
 
     @classmethod
     def create(

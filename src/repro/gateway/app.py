@@ -8,8 +8,8 @@ the existing platform pieces into one long-running service:
   spec layer itself (`from_dict` / `to_config` /
   :func:`~repro.experiments.runner.normalize_protocols`), so the wire
   format is exactly the artifact ``repro run`` executes.
-* **Job board** — every fresh cell is enqueued onto the PR 8 SQLite
-  :class:`~repro.experiments.distributed.JobBoard` (one board per
+* **Job board** — every fresh cell is enqueued onto the SQLite
+  :class:`~repro.experiments.board.JobBoard` (one board per
   gateway, in ``workdir``), giving claims, leases, and durable queue
   state that survives a drain.  Each board payload carries the
   submitting client and the full experiment spec, so a replacement
@@ -60,11 +60,11 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import asdict
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro._record import asdict
 from repro.errors import ReproError
-from repro.experiments.distributed import JobBoard
+from repro.experiments.board import JobBoard
 from repro.experiments.parallel import (
     CellOutcome,
     ProgressEvent,

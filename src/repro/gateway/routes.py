@@ -28,9 +28,9 @@ they send no hint).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
+from repro._record import Record
 from repro.errors import ReproError
 from repro.gateway.app import GatewayApp, GatewayDraining, UnknownExperiment
 from repro.gateway.quotas import QuotaExceeded
@@ -56,14 +56,22 @@ STATUS_REASONS = {
 CLIENT_HEADER = "x-client"
 
 
-@dataclass
-class Request:
+class Request(Record):
     """One parsed HTTP request (header names lower-cased by the parser)."""
 
-    method: str
-    path: str
-    headers: Dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
+    __slots__ = ("method", "path", "headers", "body")
+
+    def __init__(
+        self,
+        method: str,
+        path: str,
+        headers: Optional[Dict[str, str]] = None,
+        body: bytes = b"",
+    ) -> None:
+        self.method = method
+        self.path = path
+        self.headers = {} if headers is None else headers
+        self.body = body
 
     @property
     def client(self) -> str:
@@ -90,13 +98,17 @@ class Request:
             ) from None
 
 
-@dataclass
-class Response:
+class Response(Record):
     """One JSON response: status plus a JSON-ready body."""
 
-    status: int
-    body: Any
-    headers: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("status", "body", "headers")
+
+    def __init__(
+        self, status: int, body: Any, headers: Optional[Dict[str, str]] = None
+    ) -> None:
+        self.status = status
+        self.body = body
+        self.headers = {} if headers is None else headers
 
     @property
     def reason(self) -> str:
@@ -106,11 +118,13 @@ class Response:
         return (json.dumps(self.body, sort_keys=True) + "\n").encode("utf-8")
 
 
-@dataclass
-class EventStream:
+class EventStream(Record):
     """Marker telling the server to stream an experiment's events chunked."""
 
-    experiment_id: str
+    __slots__ = ("experiment_id",)
+
+    def __init__(self, experiment_id: str) -> None:
+        self.experiment_id = experiment_id
 
 
 def _error(status: int, message: str, **extra: Any) -> Response:

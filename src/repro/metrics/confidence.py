@@ -14,20 +14,22 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Sequence
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(FrozenRecord):
     """A mean with a symmetric confidence half-width."""
 
-    mean: float
-    half_width: float
-    level: float
-    n: int
+    __slots__ = ("mean", "half_width", "level", "n")
+
+    def __init__(self, mean: float, half_width: float, level: float, n: int) -> None:
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "half_width", half_width)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "n", n)
 
     @property
     def low(self) -> float:

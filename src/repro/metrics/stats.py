@@ -19,24 +19,46 @@ explaining protocol behaviour.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from typing import Optional
+
+from repro._record import Record, asdict, fields
 from repro.errors import ProtocolError
 from repro.txn.spec import TransactionSpec
 
 
-@dataclass
-class CommitRecord:
+class CommitRecord(Record):
     """Outcome of one committed transaction."""
 
-    txn_id: int
-    class_name: str
-    arrival: float
-    deadline: float
-    commit_time: float
-    value_attained: float
-    value_max: float
-    restarts: int
+    __slots__ = (
+        "txn_id",
+        "class_name",
+        "arrival",
+        "deadline",
+        "commit_time",
+        "value_attained",
+        "value_max",
+        "restarts",
+    )
+
+    def __init__(
+        self,
+        txn_id: int,
+        class_name: str,
+        arrival: float,
+        deadline: float,
+        commit_time: float,
+        value_attained: float,
+        value_max: float,
+        restarts: int,
+    ) -> None:
+        self.txn_id = txn_id
+        self.class_name = class_name
+        self.arrival = arrival
+        self.deadline = deadline
+        self.commit_time = commit_time
+        self.value_attained = value_attained
+        self.value_max = value_max
+        self.restarts = restarts
 
     @property
     def tardiness(self) -> float:
@@ -54,23 +76,54 @@ class CommitRecord:
         return self.commit_time - self.arrival
 
 
-@dataclass
-class RunSummary:
+class RunSummary(Record):
     """Aggregated measures of one simulation run."""
 
-    committed: int
-    missed_ratio: float  # percent
-    avg_tardiness_late: float  # seconds, mean over late transactions
-    avg_tardiness_all: float  # seconds, mean over all transactions
-    system_value: float  # percent of maximum attainable value
-    avg_response_time: float
-    restarts: int
-    shadow_aborts: int
-    wasted_work: float  # seconds of aborted service time
-    useful_work: float  # seconds of committed service time
-    deferred_commits: int
-    per_class_missed: dict[str, float] = field(default_factory=dict)
-    per_class_value: dict[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "committed",
+        "missed_ratio",
+        "avg_tardiness_late",
+        "avg_tardiness_all",
+        "system_value",
+        "avg_response_time",
+        "restarts",
+        "shadow_aborts",
+        "wasted_work",
+        "useful_work",
+        "deferred_commits",
+        "per_class_missed",
+        "per_class_value",
+    )
+
+    def __init__(
+        self,
+        committed: int,
+        missed_ratio: float,  # percent
+        avg_tardiness_late: float,  # seconds, mean over late transactions
+        avg_tardiness_all: float,  # seconds, mean over all transactions
+        system_value: float,  # percent of maximum attainable value
+        avg_response_time: float,
+        restarts: int,
+        shadow_aborts: int,
+        wasted_work: float,  # seconds of aborted service time
+        useful_work: float,  # seconds of committed service time
+        deferred_commits: int,
+        per_class_missed: Optional[dict[str, float]] = None,
+        per_class_value: Optional[dict[str, float]] = None,
+    ) -> None:
+        self.committed = committed
+        self.missed_ratio = missed_ratio
+        self.avg_tardiness_late = avg_tardiness_late
+        self.avg_tardiness_all = avg_tardiness_all
+        self.system_value = system_value
+        self.avg_response_time = avg_response_time
+        self.restarts = restarts
+        self.shadow_aborts = shadow_aborts
+        self.wasted_work = wasted_work
+        self.useful_work = useful_work
+        self.deferred_commits = deferred_commits
+        self.per_class_missed = {} if per_class_missed is None else per_class_missed
+        self.per_class_value = {} if per_class_value is None else per_class_value
 
     @property
     def wasted_fraction(self) -> float:
@@ -87,7 +140,10 @@ class RunSummary:
         *bit-identical* to the original summary.  This is the property the
         persistent run store (:mod:`repro.results`) builds on.
         """
-        return dataclasses.asdict(self)
+        payload = asdict(self)
+        payload["per_class_missed"] = dict(self.per_class_missed)
+        payload["per_class_value"] = dict(self.per_class_value)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunSummary":
@@ -98,7 +154,7 @@ class RunSummary:
                 unknown ones (a schema mismatch, e.g. a store written by a
                 different library version).
         """
-        field_names = {f.name for f in dataclasses.fields(cls)}
+        field_names = set(fields(cls))
         data = dict(payload)
         unknown = set(data) - field_names
         missing = field_names - set(data)

@@ -10,9 +10,9 @@ about.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro._record import Record
 from repro.errors import ProtocolError
 
 
@@ -28,8 +28,7 @@ def compatible(a: LockMode, b: LockMode) -> bool:
     return a is LockMode.READ and b is LockMode.READ
 
 
-@dataclass(slots=True)
-class LockRequest:
+class LockRequest(Record):
     """A queued lock request.
 
     Attributes
@@ -44,16 +43,27 @@ class LockRequest:
         Cleared when the requester aborts or is granted.
     """
 
-    txn_id: int
-    mode: LockMode
-    key: tuple
-    alive: bool = True
+    __slots__ = ("txn_id", "mode", "key", "alive")
+
+    def __init__(
+        self, txn_id: int, mode: LockMode, key: tuple, alive: bool = True
+    ) -> None:
+        self.txn_id = txn_id
+        self.mode = mode
+        self.key = key
+        self.alive = alive
 
 
-@dataclass(slots=True)
-class _LockEntry:
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    queue: list[LockRequest] = field(default_factory=list)
+class _LockEntry(Record):
+    __slots__ = ("holders", "queue")
+
+    def __init__(
+        self,
+        holders: Optional[dict[int, LockMode]] = None,
+        queue: Optional[list[LockRequest]] = None,
+    ) -> None:
+        self.holders = {} if holders is None else holders
+        self.queue = [] if queue is None else queue
 
 
 class LockTable:

@@ -11,17 +11,20 @@ weakness OCC-BC and SCC address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import Record
 from repro.protocols.base import CCProtocol, Execution
 from repro.txn.spec import TransactionSpec
 
 
-@dataclass
-class _TxnRuntime:
-    spec: TransactionSpec
-    execution: Execution
-    restarts: int = 0
+class _TxnRuntime(Record):
+    __slots__ = ("spec", "execution", "restarts")
+
+    def __init__(
+        self, spec: TransactionSpec, execution: Execution, restarts: int = 0
+    ) -> None:
+        self.spec = spec
+        self.execution = execution
+        self.restarts = restarts
 
 
 class BasicOCC(CCProtocol):

@@ -33,9 +33,9 @@ The registry is open: :func:`register_protocol` accepts new families
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -71,8 +71,7 @@ def _replacement_policy(name: str):
     return policies[name]()
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(FrozenRecord):
     """One declared parameter of a protocol family.
 
     Parameters
@@ -92,12 +91,23 @@ class ParamSpec:
         One-line description shown by the CLI ``specs`` listing.
     """
 
-    name: str
-    kind: str
-    default: Any
-    optional: bool = False
-    choices: Optional[tuple] = None
-    doc: str = ""
+    __slots__ = ("name", "kind", "default", "optional", "choices", "doc")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        default: Any,
+        optional: bool = False,
+        choices: Optional[tuple] = None,
+        doc: str = "",
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "optional", optional)
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "doc", doc)
 
     def coerce(self, value: Any) -> Any:
         """Normalize ``value`` (JSON value or spec-string token) to type.
@@ -164,8 +174,7 @@ class ParamSpec:
         )
 
 
-@dataclass(frozen=True)
-class ProtocolFamily:
+class ProtocolFamily(FrozenRecord):
     """One registered protocol family: builder, parameters, labelling.
 
     Parameters
@@ -189,12 +198,23 @@ class ProtocolFamily:
         The parameters the label callable already encodes.
     """
 
-    name: str
-    builder: Callable[..., Any]
-    params: tuple[ParamSpec, ...] = ()
-    description: str = ""
-    label: Union[str, Callable[[Mapping[str, Any]], str]] = ""
-    label_params: frozenset = field(default_factory=frozenset)
+    __slots__ = ("name", "builder", "params", "description", "label", "label_params")
+
+    def __init__(
+        self,
+        name: str,
+        builder: Callable[..., Any],
+        params: tuple[ParamSpec, ...] = (),
+        description: str = "",
+        label: Union[str, Callable[[Mapping[str, Any]], str]] = "",
+        label_params: frozenset = frozenset(),
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "builder", builder)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "label_params", label_params)
 
     def param(self, name: str) -> ParamSpec:
         """Look one declared parameter up by name.
@@ -224,8 +244,7 @@ class ProtocolFamily:
         return self.label or self.name.upper()
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(FrozenRecord):
     """A fully-parameterized member of a registered protocol family.
 
     Instances are frozen, hashable, and *normalized*: every declared
@@ -239,8 +258,11 @@ class ProtocolSpec:
     a factory (:func:`~repro.experiments.runner.run_once`).
     """
 
-    family: str
-    items: tuple = ()
+    __slots__ = ("family", "items")
+
+    def __init__(self, family: str, items: tuple = ()) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def create(cls, family: str, **params: Any) -> "ProtocolSpec":

@@ -22,22 +22,29 @@ serializable — the test suite checks this with the precedence-graph oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import Record
 from repro.errors import ProtocolError
 from repro.protocols.base import CCProtocol, Execution, ExecutionState
 from repro.protocols.locks import LockMode, LockRequest, LockTable
 from repro.txn.spec import Step, TransactionSpec
 
 
-@dataclass
-class _TxnRuntime:
+class _TxnRuntime(Record):
     """Per-transaction state: the current execution attempt."""
 
-    spec: TransactionSpec
-    execution: Execution
-    restarts: int = 0
-    generation: int = 0
+    __slots__ = ("spec", "execution", "restarts", "generation")
+
+    def __init__(
+        self,
+        spec: TransactionSpec,
+        execution: Execution,
+        restarts: int = 0,
+        generation: int = 0,
+    ) -> None:
+        self.spec = spec
+        self.execution = execution
+        self.restarts = restarts
+        self.generation = generation
 
 
 class TwoPhaseLockingPA(CCProtocol):

@@ -24,8 +24,7 @@ transactions faster than it saves urgent ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import Record
 from repro.protocols.base import CCProtocol, Execution
 from repro.txn.spec import TransactionSpec
 
@@ -34,12 +33,20 @@ from repro.txn.spec import TransactionSpec
 _MAX_FIXPOINT_ROUNDS = 1_000_000
 
 
-@dataclass
-class _TxnRuntime:
-    spec: TransactionSpec
-    execution: Execution
-    restarts: int = 0
-    deferred_once: bool = False
+class _TxnRuntime(Record):
+    __slots__ = ("spec", "execution", "restarts", "deferred_once")
+
+    def __init__(
+        self,
+        spec: TransactionSpec,
+        execution: Execution,
+        restarts: int = 0,
+        deferred_once: bool = False,
+    ) -> None:
+        self.spec = spec
+        self.execution = execution
+        self.restarts = restarts
+        self.deferred_once = deferred_once
 
 
 class Wait50(CCProtocol):

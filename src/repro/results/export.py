@@ -7,10 +7,10 @@ or scripts (``RunStore(path).records()`` feeds straight in).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import IO, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
+from repro._record import fields
 from repro.metrics.stats import RunSummary
 from repro.results.fingerprint import cell_fingerprint, config_payload, digest
 from repro.results.record import RunRecord
@@ -42,9 +42,9 @@ _RECORD_COLUMNS = (
 )
 
 _SUMMARY_SCALARS = tuple(
-    f.name
-    for f in dataclasses.fields(RunSummary)
-    if f.name not in ("per_class_missed", "per_class_value")
+    name
+    for name in fields(RunSummary)
+    if name not in ("per_class_missed", "per_class_value")
 )
 
 #: Flat CSV header: record coordinates, then every scalar summary metric,
@@ -57,7 +57,7 @@ CSV_COLUMNS = _RECORD_COLUMNS + _SUMMARY_SCALARS + (
 #: Fields the ``results diff`` report compares cell by cell: *every*
 #: summary field (scalars and per-class breakdowns) — the round-trip is
 #: bit-exact by design, so any drift at all must surface.
-DIFF_METRICS = tuple(f.name for f in dataclasses.fields(RunSummary))
+DIFF_METRICS = fields(RunSummary)
 
 
 def records_from_results(

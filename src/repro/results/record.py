@@ -13,9 +13,9 @@ a cold run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 from repro.metrics.stats import RunSummary
 from repro.results.fingerprint import cell_fingerprint, config_payload, digest
@@ -95,8 +95,7 @@ def _is_a(value: Any, types: Any) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(FrozenRecord):
     """One persisted experiment cell: coordinates, fingerprints, metrics.
 
     Attributes:
@@ -122,17 +121,45 @@ class RunRecord:
             cells.  Metadata only — never fingerprinted.
     """
 
-    fingerprint: str
-    config_fingerprint: str
-    protocol: str
-    arrival_rate: float
-    replication: int
-    seed: int
-    summary: RunSummary
-    scenario: Optional[str] = None
-    elapsed: float = 0.0
-    protocol_spec: Optional[dict] = None
-    telemetry: Optional[dict] = None
+    __slots__ = (
+        "fingerprint",
+        "config_fingerprint",
+        "protocol",
+        "arrival_rate",
+        "replication",
+        "seed",
+        "summary",
+        "scenario",
+        "elapsed",
+        "protocol_spec",
+        "telemetry",
+    )
+
+    def __init__(
+        self,
+        fingerprint: str,
+        config_fingerprint: str,
+        protocol: str,
+        arrival_rate: float,
+        replication: int,
+        seed: int,
+        summary: RunSummary,
+        scenario: Optional[str] = None,
+        elapsed: float = 0.0,
+        protocol_spec: Optional[dict] = None,
+        telemetry: Optional[dict] = None,
+    ) -> None:
+        object.__setattr__(self, "fingerprint", fingerprint)
+        object.__setattr__(self, "config_fingerprint", config_fingerprint)
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "arrival_rate", arrival_rate)
+        object.__setattr__(self, "replication", replication)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "protocol_spec", protocol_spec)
+        object.__setattr__(self, "telemetry", telemetry)
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form, invertible by :meth:`from_dict`."""

@@ -19,8 +19,9 @@ not mutate payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List
+
+from repro._record import FrozenRecord
 
 if TYPE_CHECKING:  # import-light: only for annotations
     from repro.experiments.parallel import CellOutcome, ProgressEvent, SweepCell
@@ -42,8 +43,7 @@ SWEEP_EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepEvent:
+class SweepEvent(FrozenRecord):
     """One structured sweep lifecycle event.
 
     Attributes
@@ -55,8 +55,11 @@ class SweepEvent:
         fields; see the ``publish_*`` methods for shapes).
     """
 
-    kind: str
-    payload: Dict[str, Any]
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: Dict[str, Any]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
     def to_dict(self) -> dict:
         """The event as one JSON-ready dict (``kind`` + payload fields)."""

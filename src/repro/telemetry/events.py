@@ -28,9 +28,9 @@ them, :func:`iter_trace` yields every line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional, Union
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -72,8 +72,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 encode_payload = _ENCODER.encode
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(FrozenRecord):
     """One typed lifecycle observation.
 
     Attributes
@@ -98,13 +97,25 @@ class TraceEvent:
         ``step_complete``, ``tardiness`` on ``deadline_miss``).
     """
 
-    time: float
-    kind: str
-    txn: int
-    lane: Optional[int] = None
-    mode: Optional[str] = None
-    pos: Optional[int] = None
-    data: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "kind", "txn", "lane", "mode", "pos", "data")
+
+    def __init__(
+        self,
+        time: float,
+        kind: str,
+        txn: int,
+        lane: Optional[int] = None,
+        mode: Optional[str] = None,
+        pos: Optional[int] = None,
+        data: Optional[Mapping[str, Any]] = None,
+    ) -> None:
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "txn", txn)
+        object.__setattr__(self, "lane", lane)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "data", {} if data is None else data)
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form (full key set), invertible by :meth:`from_dict`."""

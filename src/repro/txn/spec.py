@@ -11,16 +11,15 @@ performed from step ``p`` onward (reading fresher committed values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from repro._record import FrozenRecord, Record
 from repro.errors import ConfigurationError
 from repro.values.classes import TransactionClass
 from repro.values.value_function import ValueFunction
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(FrozenRecord):
     """One page access.
 
     Slotted: one ``Step`` exists per program position, but its ``page`` /
@@ -33,16 +32,18 @@ class Step:
             read and write sets), ``False`` for a pure read.
     """
 
-    page: int
-    is_write: bool
+    __slots__ = ("page", "is_write")
+
+    def __init__(self, page: int, is_write: bool) -> None:
+        object.__setattr__(self, "page", page)
+        object.__setattr__(self, "is_write", is_write)
 
     def __repr__(self) -> str:
         kind = "W" if self.is_write else "R"
         return f"{kind}({self.page})"
 
 
-@dataclass
-class TransactionSpec:
+class TransactionSpec(Record):
     """A transaction: program, timing envelope, and value function.
 
     Attributes:
@@ -57,25 +58,44 @@ class TransactionSpec:
             deadline assignment and by WAIT-50/SCC-VW (``E_C`` in §3.3).
     """
 
-    txn_id: int
-    arrival: float
-    deadline: float
-    steps: tuple[Step, ...]
-    value_function: ValueFunction
-    txn_class: TransactionClass
-    estimated_duration: float
+    __slots__ = (
+        "txn_id",
+        "arrival",
+        "deadline",
+        "steps",
+        "value_function",
+        "txn_class",
+        "estimated_duration",
+        "_columns",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ConfigurationError(f"transaction {self.txn_id} has no steps")
-        if self.deadline < self.arrival:
+    def __init__(
+        self,
+        txn_id: int,
+        arrival: float,
+        deadline: float,
+        steps: tuple[Step, ...],
+        value_function: ValueFunction,
+        txn_class: TransactionClass,
+        estimated_duration: float,
+    ) -> None:
+        if not steps:
+            raise ConfigurationError(f"transaction {txn_id} has no steps")
+        if deadline < arrival:
             raise ConfigurationError(
-                f"transaction {self.txn_id}: deadline precedes arrival"
+                f"transaction {txn_id}: deadline precedes arrival"
             )
-        if self.estimated_duration <= 0:
+        if estimated_duration <= 0:
             raise ConfigurationError(
-                f"transaction {self.txn_id}: non-positive estimated duration"
+                f"transaction {txn_id}: non-positive estimated duration"
             )
+        self.txn_id = txn_id
+        self.arrival = arrival
+        self.deadline = deadline
+        self.steps = steps
+        self.value_function = value_function
+        self.txn_class = txn_class
+        self.estimated_duration = estimated_duration
 
     def __hash__(self) -> int:
         return self.txn_id

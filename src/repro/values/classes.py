@@ -14,13 +14,12 @@ is that duration and :math:`F_u` steps from 1 to 0 there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class TransactionClass:
+class TransactionClass(FrozenRecord):
     """Static description of one class of transactions.
 
     Attributes:
@@ -37,33 +36,51 @@ class TransactionClass:
             (normalized across classes by the generator).
     """
 
-    name: str
-    num_steps: int
-    write_probability: float
-    slack_factor: float
-    value: float = 1.0
-    alpha_degrees: float = 45.0
-    weight: float = 1.0
+    __slots__ = (
+        "name",
+        "num_steps",
+        "write_probability",
+        "slack_factor",
+        "value",
+        "alpha_degrees",
+        "weight",
+    )
 
-    def __post_init__(self) -> None:
-        if self.num_steps <= 0:
-            raise ConfigurationError(f"num_steps must be positive, got {self.num_steps}")
-        if not 0.0 <= self.write_probability <= 1.0:
+    def __init__(
+        self,
+        name: str,
+        num_steps: int,
+        write_probability: float,
+        slack_factor: float,
+        value: float = 1.0,
+        alpha_degrees: float = 45.0,
+        weight: float = 1.0,
+    ) -> None:
+        if num_steps <= 0:
+            raise ConfigurationError(f"num_steps must be positive, got {num_steps}")
+        if not 0.0 <= write_probability <= 1.0:
             raise ConfigurationError(
-                f"write_probability must be in [0, 1], got {self.write_probability}"
+                f"write_probability must be in [0, 1], got {write_probability}"
             )
-        if self.slack_factor < 1.0:
+        if slack_factor < 1.0:
             raise ConfigurationError(
-                f"slack_factor must be >= 1, got {self.slack_factor}"
+                f"slack_factor must be >= 1, got {slack_factor}"
             )
-        if self.value < 0:
-            raise ConfigurationError(f"value must be >= 0, got {self.value}")
-        if not 0.0 <= self.alpha_degrees <= 90.0:
+        if value < 0:
+            raise ConfigurationError(f"value must be >= 0, got {value}")
+        if not 0.0 <= alpha_degrees <= 90.0:
             raise ConfigurationError(
-                f"alpha_degrees must be in [0, 90], got {self.alpha_degrees}"
+                f"alpha_degrees must be in [0, 90], got {alpha_degrees}"
             )
-        if self.weight <= 0:
-            raise ConfigurationError(f"weight must be positive, got {self.weight}")
+        if weight <= 0:
+            raise ConfigurationError(f"weight must be positive, got {weight}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "num_steps", num_steps)
+        object.__setattr__(self, "write_probability", write_probability)
+        object.__setattr__(self, "slack_factor", slack_factor)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "alpha_degrees", alpha_degrees)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def penalty_gradient(self) -> float:

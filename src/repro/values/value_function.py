@@ -21,13 +21,12 @@ high value, and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True, slots=True)
-class ValueFunction:
+class ValueFunction(FrozenRecord):
     """The paper's step-plus-gradient value function.
 
     Attributes:
@@ -40,22 +39,29 @@ class ValueFunction:
             configuration error caught eagerly.
     """
 
-    value: float
-    deadline: float
-    penalty_gradient: float
-    arrival: float = 0.0
+    __slots__ = ("value", "deadline", "penalty_gradient", "arrival")
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ConfigurationError(f"value must be >= 0, got {self.value}")
-        if self.penalty_gradient < 0:
+    def __init__(
+        self,
+        value: float,
+        deadline: float,
+        penalty_gradient: float,
+        arrival: float = 0.0,
+    ) -> None:
+        if value < 0:
+            raise ConfigurationError(f"value must be >= 0, got {value}")
+        if penalty_gradient < 0:
             raise ConfigurationError(
-                f"penalty gradient must be >= 0, got {self.penalty_gradient}"
+                f"penalty gradient must be >= 0, got {penalty_gradient}"
             )
-        if self.deadline < self.arrival:
+        if deadline < arrival:
             raise ConfigurationError(
-                f"deadline {self.deadline} precedes arrival {self.arrival}"
+                f"deadline {deadline} precedes arrival {arrival}"
             )
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "deadline", deadline)
+        object.__setattr__(self, "penalty_gradient", penalty_gradient)
+        object.__setattr__(self, "arrival", arrival)
 
     @classmethod
     def from_angle(

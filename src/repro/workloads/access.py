@@ -9,7 +9,7 @@ module holds the interface and the uniform default; the Zipfian, hotspot
 and partitioned patterns live in :mod:`repro.workloads.extensions`,
 loaded when a scenario or payload names one.
 
-Patterns are frozen, stateless dataclasses so the scenario registry can
+Patterns are frozen, stateless records so the scenario registry can
 store, compare, and pickle them; the skewed patterns memoize their
 per-database probability vectors.  A pattern draws one transaction's
 pages from the stream it is handed (the ``"pages"`` stream), given the
@@ -24,9 +24,9 @@ host CPU.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro._record import FrozenRecord, asdict
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -39,8 +39,10 @@ __all__ = [
 ]
 
 
-class AccessPattern(ABC):
+class AccessPattern(FrozenRecord, ABC):
     """Strategy for drawing one transaction's page accesses."""
+
+    __slots__ = ()
 
     @abstractmethod
     def select_pages(
@@ -71,9 +73,10 @@ class AccessPattern(ABC):
         return {"kind": self.kind, **asdict(self)}
 
 
-@dataclass(frozen=True)
 class UniformAccess(AccessPattern):
     """Uniform selection without replacement — the paper baseline."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:

@@ -27,10 +27,10 @@ instantiates per swept arrival rate via :meth:`ArrivalSpec.build`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
+from repro._record import FrozenRecord, asdict
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -110,13 +110,16 @@ class PoissonArrivals(ArrivalProcess):
 # ----------------------------------------------------------------------
 
 
-class ArrivalSpec(ABC):
+class ArrivalSpec(FrozenRecord, ABC):
     """Frozen, serializable description of an arrival process family.
 
     A spec is rate-free: the sweep's arrival-rate axis is supplied at
     :meth:`build` time, so one scenario works across the whole sweep.
-    Concrete specs are frozen dataclasses.
+    Concrete specs are frozen records (:mod:`repro._record`) whose
+    fields are their parameters.
     """
+
+    __slots__ = ()
 
     @abstractmethod
     def build(self, rate: float) -> ArrivalProcess:
@@ -133,9 +136,10 @@ class ArrivalSpec(ABC):
         return {"kind": self.kind, **asdict(self)}
 
 
-@dataclass(frozen=True)
 class PoissonSpec(ArrivalSpec):
     """Homogeneous Poisson arrivals (the paper baseline)."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:

@@ -22,7 +22,6 @@ name here stays importable from :mod:`repro.workloads`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -70,7 +69,6 @@ def _zipf_probabilities(theta: float, num_pages: int) -> tuple[float, ...]:
     return tuple(weight / total for weight in weights)
 
 
-@dataclass(frozen=True)
 class ZipfianAccess(AccessPattern):
     """Zipfian page popularity with skew ``theta``.
 
@@ -79,11 +77,12 @@ class ZipfianAccess(AccessPattern):
     keeps closed-form frequencies checkable in tests.
     """
 
-    theta: float = 0.8
+    __slots__ = ("theta",)
 
-    def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ConfigurationError(f"theta must be >= 0, got {self.theta}")
+    def __init__(self, theta: float = 0.8) -> None:
+        if theta < 0:
+            raise ConfigurationError(f"theta must be >= 0, got {theta}")
+        object.__setattr__(self, "theta", theta)
 
     @property
     def kind(self) -> str:
@@ -111,24 +110,26 @@ def _hotspot_probabilities(
     ) * cold_count
 
 
-@dataclass(frozen=True)
 class HotspotAccess(AccessPattern):
     """The b-c rule: ``hot_access_fraction`` of accesses hit the first
     ``hot_page_fraction`` of pages (e.g. 80% of traffic on 10% of data)."""
 
-    hot_page_fraction: float = 0.1
-    hot_access_fraction: float = 0.8
+    __slots__ = ("hot_page_fraction", "hot_access_fraction")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.hot_page_fraction < 1.0:
+    def __init__(
+        self, hot_page_fraction: float = 0.1, hot_access_fraction: float = 0.8
+    ) -> None:
+        if not 0.0 < hot_page_fraction < 1.0:
             raise ConfigurationError(
-                f"hot_page_fraction must be in (0, 1), got {self.hot_page_fraction}"
+                f"hot_page_fraction must be in (0, 1), got {hot_page_fraction}"
             )
-        if not 0.0 < self.hot_access_fraction < 1.0:
+        if not 0.0 < hot_access_fraction < 1.0:
             raise ConfigurationError(
                 f"hot_access_fraction must be in (0, 1), got "
-                f"{self.hot_access_fraction}"
+                f"{hot_access_fraction}"
             )
+        object.__setattr__(self, "hot_page_fraction", hot_page_fraction)
+        object.__setattr__(self, "hot_access_fraction", hot_access_fraction)
 
     @property
     def kind(self) -> str:
@@ -153,7 +154,6 @@ class HotspotAccess(AccessPattern):
         return rng.choice(num_pages, size=size, replace=False, p=p)
 
 
-@dataclass(frozen=True)
 class PartitionedAccess(AccessPattern):
     """Disjoint write-hot and read-hot page regions.
 
@@ -165,14 +165,15 @@ class PartitionedAccess(AccessPattern):
     fight each other.
     """
 
-    write_region_fraction: float = 0.25
+    __slots__ = ("write_region_fraction",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.write_region_fraction < 1.0:
+    def __init__(self, write_region_fraction: float = 0.25) -> None:
+        if not 0.0 < write_region_fraction < 1.0:
             raise ConfigurationError(
                 f"write_region_fraction must be in (0, 1), got "
-                f"{self.write_region_fraction}"
+                f"{write_region_fraction}"
             )
+        object.__setattr__(self, "write_region_fraction", write_region_fraction)
 
     @property
     def kind(self) -> str:
@@ -404,13 +405,20 @@ class TraceArrivals(ArrivalProcess):
         return arrival
 
 
-@dataclass(frozen=True)
 class MMPPSpec(ArrivalSpec):
     """On/off Markov-modulated Poisson arrivals (bursty traffic)."""
 
-    burst_factor: float = 8.0
-    on_fraction: float = 0.25
-    mean_cycle: float = 10.0
+    __slots__ = ("burst_factor", "on_fraction", "mean_cycle")
+
+    def __init__(
+        self,
+        burst_factor: float = 8.0,
+        on_fraction: float = 0.25,
+        mean_cycle: float = 10.0,
+    ) -> None:
+        object.__setattr__(self, "burst_factor", burst_factor)
+        object.__setattr__(self, "on_fraction", on_fraction)
+        object.__setattr__(self, "mean_cycle", mean_cycle)
 
     @property
     def kind(self) -> str:
@@ -425,12 +433,14 @@ class MMPPSpec(ArrivalSpec):
         )
 
 
-@dataclass(frozen=True)
 class DiurnalSpec(ArrivalSpec):
     """Sinusoidally modulated Poisson arrivals (compressed day/night)."""
 
-    amplitude: float = 0.7
-    period: float = 60.0
+    __slots__ = ("amplitude", "period")
+
+    def __init__(self, amplitude: float = 0.7, period: float = 60.0) -> None:
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "period", period)
 
     @property
     def kind(self) -> str:
@@ -440,7 +450,6 @@ class DiurnalSpec(ArrivalSpec):
         return DiurnalArrivals(rate, amplitude=self.amplitude, period=self.period)
 
 
-@dataclass(frozen=True)
 class TraceSpec(ArrivalSpec):
     """Trace replay, rescaled to the swept rate.
 
@@ -449,12 +458,13 @@ class TraceSpec(ArrivalSpec):
     point while preserving the trace's burst *shape*.
     """
 
-    times: tuple[float, ...] = ()
-    cycle: bool = True
+    __slots__ = ("times", "cycle")
 
-    def __post_init__(self) -> None:
+    def __init__(self, times: tuple[float, ...] = (), cycle: bool = True) -> None:
         # Validate eagerly so registry construction fails fast.
-        TraceArrivals(self.times, cycle=self.cycle)
+        TraceArrivals(times, cycle=cycle)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "cycle", cycle)
 
     @property
     def kind(self) -> str:
@@ -485,18 +495,16 @@ class TraceSpec(ArrivalSpec):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FixedOffsetDeadlines(DeadlinePolicy):
     """A flat patience window: ``deadline = arrival + offset`` seconds,
     independent of transaction length (e.g. a user-facing SLA)."""
 
-    offset: float = 0.5
+    __slots__ = ("offset",)
 
-    def __post_init__(self) -> None:
-        if self.offset <= 0:
-            raise ConfigurationError(
-                f"deadline offset must be positive, got {self.offset}"
-            )
+    def __init__(self, offset: float = 0.5) -> None:
+        if offset <= 0:
+            raise ConfigurationError(f"deadline offset must be positive, got {offset}")
+        object.__setattr__(self, "offset", offset)
 
     @property
     def kind(self) -> str:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro._record import FrozenRecord, asdict
 from repro.errors import ConfigurationError
 from repro.txn.spec import Step, TransactionSpec
 from repro.values.classes import TransactionClass
@@ -52,8 +52,10 @@ __all__ = [
 ]
 
 
-class DeadlinePolicy(ABC):
+class DeadlinePolicy(FrozenRecord, ABC):
     """Maps (arrival, execution estimate, class) to a deadline."""
+
+    __slots__ = ()
 
     @abstractmethod
     def deadline_for(
@@ -69,12 +71,9 @@ class DeadlinePolicy(ABC):
 
     def to_dict(self) -> dict:
         """Plain-dict form, invertible by :func:`deadline_policy_from_dict`."""
-        from dataclasses import asdict
-
         return {"kind": self.kind, **asdict(self)}
 
 
-@dataclass(frozen=True)
 class SlackDeadlines(DeadlinePolicy):
     """The paper's rule: ``deadline = arrival + slack * estimate``.
 
@@ -83,13 +82,12 @@ class SlackDeadlines(DeadlinePolicy):
     class, tightening or loosening a whole scenario at once.
     """
 
-    factor: Optional[float] = None
+    __slots__ = ("factor",)
 
-    def __post_init__(self) -> None:
-        if self.factor is not None and self.factor < 1.0:
-            raise ConfigurationError(
-                f"slack factor must be >= 1, got {self.factor}"
-            )
+    def __init__(self, factor: Optional[float] = None) -> None:
+        if factor is not None and factor < 1.0:
+            raise ConfigurationError(f"slack factor must be >= 1, got {factor}")
+        object.__setattr__(self, "factor", factor)
 
     @property
     def kind(self) -> str:
@@ -247,8 +245,7 @@ class TransactionGenerator:
         )
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(FrozenRecord):
     """Declarative workload shape: the three pluggable axes, rate-free.
 
     Stored on :class:`~repro.experiments.config.ExperimentConfig` (and by
@@ -256,9 +253,17 @@ class WorkloadSpec:
     The default spec reproduces the paper's §4 baseline exactly.
     """
 
-    arrivals: ArrivalSpec = PoissonSpec()
-    access: AccessPattern = UniformAccess()
-    deadlines: DeadlinePolicy = SlackDeadlines()
+    __slots__ = ("arrivals", "access", "deadlines")
+
+    def __init__(
+        self,
+        arrivals: ArrivalSpec = PoissonSpec(),
+        access: AccessPattern = UniformAccess(),
+        deadlines: DeadlinePolicy = SlackDeadlines(),
+    ) -> None:
+        object.__setattr__(self, "arrivals", arrivals)
+        object.__setattr__(self, "access", access)
+        object.__setattr__(self, "deadlines", deadlines)
 
     def to_dict(self) -> dict:
         """Nested plain-dict form of all three axes."""

@@ -23,11 +23,12 @@ lookup; a process running only the paper's scenarios never loads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
+from repro._record import FrozenRecord, replace
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
+    DEFAULT_ARRIVAL_RATES,
     ExperimentConfig,
     baseline_class,
     two_class_config,
@@ -59,12 +60,8 @@ __all__ = [
     "scenario_from_dict",
 ]
 
-# Single source of truth: the ExperimentConfig default sweep axis.
-_DEFAULT_RATES = ExperimentConfig.__dataclass_fields__["arrival_rates"].default
 
-
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenRecord):
     """A named workload: the full recipe minus protocols and scale.
 
     Attributes:
@@ -80,27 +77,47 @@ class Scenario:
             stress — documentation surfaced by the CLI listing.
     """
 
-    name: str
-    description: str
-    arrivals: ArrivalSpec = PoissonSpec()
-    access: AccessPattern = UniformAccess()
-    classes: tuple[TransactionClass, ...] = field(
-        default_factory=lambda: (baseline_class(),)
+    __slots__ = (
+        "name",
+        "description",
+        "arrivals",
+        "access",
+        "classes",
+        "deadlines",
+        "num_pages",
+        "arrival_rates",
+        "stresses",
     )
-    deadlines: DeadlinePolicy = SlackDeadlines()
-    num_pages: int = 1000
-    arrival_rates: tuple[float, ...] = _DEFAULT_RATES
-    stresses: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        arrivals: ArrivalSpec = PoissonSpec(),
+        access: AccessPattern = UniformAccess(),
+        classes: tuple[TransactionClass, ...] = (baseline_class(),),
+        deadlines: DeadlinePolicy = SlackDeadlines(),
+        num_pages: int = 1000,
+        arrival_rates: tuple[float, ...] = DEFAULT_ARRIVAL_RATES,
+        stresses: str = "",
+    ) -> None:
+        if not name:
             raise ConfigurationError("scenario needs a name")
-        if not self.classes:
+        if not classes:
             raise ConfigurationError(
-                f"scenario {self.name!r} needs at least one transaction class"
+                f"scenario {name!r} needs at least one transaction class"
             )
-        for cls in self.classes:
-            self.access.validate(self.num_pages, cls.num_steps)
+        for cls in classes:
+            access.validate(num_pages, cls.num_steps)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "arrivals", arrivals)
+        object.__setattr__(self, "access", access)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "deadlines", deadlines)
+        object.__setattr__(self, "num_pages", num_pages)
+        object.__setattr__(self, "arrival_rates", arrival_rates)
+        object.__setattr__(self, "stresses", stresses)
 
     def workload_spec(self) -> WorkloadSpec:
         """The three pluggable axes as an :class:`WorkloadSpec`."""
@@ -284,8 +301,6 @@ def _telecom_classes() -> tuple[TransactionClass, ...]:
     from the figure's parameters: critical-long -> fraud-check,
     routine-short -> usage-update.
     """
-    from dataclasses import replace
-
     critical_long, routine_short = two_class_config().classes
     return (
         replace(critical_long, name="fraud-check"),

@@ -90,7 +90,7 @@ def test_distributed_matches_serial_bit_for_bit():
     distributed = run_sweep(PROTOCOLS, SMALL, executor=executor)
     assert serial.keys() == distributed.keys()
     for name in serial:
-        # RunSummary is a plain dataclass: == is field-exact, no tolerance.
+        # RunSummary is a plain record: == is field-exact, no tolerance.
         assert serial[name].replications == distributed[name].replications
 
 

@@ -1,6 +1,5 @@
 """Tests for the SQLite job board: the claim/lease/retry protocol."""
 
-import dataclasses
 import multiprocessing
 import os
 import sqlite3
@@ -8,6 +7,7 @@ import time
 
 import pytest
 
+from repro._record import asdict
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.cli import main
 from repro.experiments.distributed import CELL_STATES, JobBoard
@@ -211,7 +211,7 @@ def test_a_reader_sees_each_finish_exactly_once(board):
 def test_a_board_without_outcome_columns_gains_them_on_open(tmp_path):
     path = tmp_path / "board.sqlite"
     cells = build_cells(["P"], [10.0, 20.0, 30.0], 1)
-    write_board_without_outcomes(path, [dataclasses.asdict(c) for c in cells])
+    write_board_without_outcomes(path, [asdict(c) for c in cells])
     board = JobBoard(path)
     try:
         for _ in cells:

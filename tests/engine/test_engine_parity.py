@@ -3,7 +3,7 @@
 ``tests/golden/engine_reference.json`` holds single-cell summaries that
 the original object engine produced before it was removed.  Every
 :class:`~repro.metrics.stats.RunSummary` field must equal the recorded
-one *exactly* (``==`` on the dataclass dict, no tolerances).  The cells
+one *exactly* (``==`` on the summary's dict, no tolerances).  The cells
 cover every registered protocol on the paper baseline and every
 registered scenario (each arrival process and access pattern, including
 the tensor fallback paths for MMPP/diurnal/trace arrivals) on SCC-2S.
@@ -16,12 +16,11 @@ loop must match the oracle on registered scenarios at 1, 2 and 4
 servers.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._record import replace
 from repro.experiments.runner import run_once
 from repro.protocols.registry import available_protocols, protocol_spec
 from repro.workloads.scenarios import available_scenarios
@@ -64,7 +63,7 @@ def test_hotspot_contention_bit_identical_under_twopl():
 def run_on_loop(protocol, rate, replication, oracle, scenario="paper-baseline",
                 servers=None):
     """One cell on the step loop or the oracle; returns (summary, protocol)."""
-    config = dataclasses.replace(
+    config = replace(
         cell_config("summaries", scenario), num_servers=servers
     )
     built = []
@@ -76,7 +75,7 @@ def run_on_loop(protocol, rate, replication, oracle, scenario="paper-baseline",
     summary = run_once(
         factory, config, arrival_rate=rate, replication=replication
     )
-    return dataclasses.asdict(summary), built[0]
+    return summary.to_dict(), built[0]
 
 
 def assert_matches_oracle(protocol, rate, replication, **cell):

@@ -22,7 +22,6 @@ oracle.  The fixed burst is also held against the frozen engine
 reference for every registered protocol.
 """
 
-import dataclasses
 from unittest import mock
 
 import pytest
@@ -66,7 +65,7 @@ def run_schedule(
         system = burst_system(protocol, resources=resources)
     system.load_workload(build_burst_specs(schedule))
     system.run()
-    return dataclasses.asdict(system.metrics.summary()), protocol._driver
+    return system.metrics.summary().to_dict(), protocol._driver
 
 
 def assert_parity(protocol_name, schedule, **options):

@@ -11,8 +11,6 @@ gauges.  The suite also pins lane numbering and the golden determinism
 invariant (tracing must not perturb results).
 """
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.runner import run_instrumented, run_once
@@ -87,6 +85,6 @@ def test_tracing_never_perturbs_results():
     plain = run_once(spec, config, arrival_rate=140.0)
     with_null = run_once(spec, config, arrival_rate=140.0, tracer=NullTracer())
     traced_summary, _, _ = traced_run("paper-baseline", "scc-2s", rate=140.0)
-    assert dataclasses.asdict(plain) == dataclasses.asdict(with_null)
+    assert plain.to_dict() == with_null.to_dict()
     # traced_run uses rate=140 here to compare against the same cell.
-    assert dataclasses.asdict(plain) == dataclasses.asdict(traced_summary)
+    assert plain.to_dict() == traced_summary.to_dict()

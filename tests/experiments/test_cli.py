@@ -240,6 +240,20 @@ def test_axes_that_cannot_run_are_one_error_line(tmp_path, field):
         assert "\n" not in message, argv
 
 
+def test_negative_warmup_is_one_error_line(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"schema": 1, "protocols": ["scc-2s"], "num_transactions": 40, '
+        '"warmup_commits": -5}'
+    )
+    for argv in (["run", str(bad)], ["run", str(bad), "--transactions", "60"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message.startswith("scc-experiments: error:"), argv
+        assert "warmup_commits" in message and "\n" not in message, argv
+
+
 def test_run_with_store_reuses_cells(capsys, tmp_path):
     path, _ = _write_smoke_spec(
         tmp_path, store=str(tmp_path / "runs.jsonl")

@@ -104,11 +104,10 @@ def test_results_diff_clean_and_drifted(tmp_path, capsys):
     assert code == 0
     assert "identical cells : 8" in out
     # Now corrupt one metric in B: diff must flag it and exit nonzero.
-    import dataclasses
+    from repro._record import replace
 
-    drifted = dataclasses.replace(
-        records[-1],
-        summary=dataclasses.replace(records[-1].summary, missed_ratio=99.0),
+    drifted = replace(
+        records[-1], summary=replace(records[-1].summary, missed_ratio=99.0)
     )
     with RunStore(store_b) as store:
         store.append(drifted)

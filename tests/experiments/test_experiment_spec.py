@@ -309,6 +309,19 @@ class TestAxesThatCannotRun:
         with pytest.raises(ConfigurationError, match=message):
             spec.run(num_transactions=40, warmup_commits=4)
 
+    @pytest.mark.parametrize("warmup", [-1, -5, -1000])
+    def test_negative_warmup_refuses_to_build_a_config(self, warmup):
+        # It would run exactly as a warmup of 0 does, under a fingerprint
+        # of its own: one experiment stored under several identities.
+        payload = {
+            "schema": SPEC_SCHEMA, "protocols": ["scc-2s"], "warmup_commits": warmup,
+        }
+        spec = ExperimentSpec.from_dict(payload)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            spec.to_config()
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            spec.run(num_transactions=40)
+
     def test_nan_rate_override_refused_by_run_sweep(self):
         with pytest.raises(ConfigurationError, match="positive finite"):
             small_spec().run(arrival_rates=[float("nan")])

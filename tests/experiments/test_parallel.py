@@ -230,7 +230,7 @@ def test_parallel_sweep_equals_serial():
     parallel = run_sweep(PROTOCOLS, SMALL, executor="distributed", workers=4)
     assert set(serial) == set(parallel)
     for name in serial:
-        # RunSummary is a plain dataclass: == compares every metric field,
+        # RunSummary is a plain record: == compares every metric field,
         # so this asserts bit-identical summaries, not approximate ones.
         assert serial[name].replications == parallel[name].replications
         assert serial[name].arrival_rates == parallel[name].arrival_rates

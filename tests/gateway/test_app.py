@@ -137,11 +137,12 @@ class TestSubmit:
 
     def test_axes_that_cannot_run_are_a_400(self, make_app):
         # A rate that is not positive and finite, or a negative seed,
-        # would fail every cell; it is refused before anything is
+        # would fail every cell, and a negative warmup would run as 0
+        # under another fingerprint; each is refused before anything is
         # enqueued.
         app = make_app()
         for field in ('"arrival_rates": [-5]', '"arrival_rates": [1e309]',
-                      '"seed": -1'):
+                      '"seed": -1', '"warmup_commits": -5'):
             body = b'{"schema": 1, "protocols": ["scc-2s"], %s}' % field.encode()
             response = dispatch(
                 app, Request(method="POST", path="/experiments", body=body)

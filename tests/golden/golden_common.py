@@ -24,7 +24,6 @@ number here changed what the simulation computes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -99,7 +98,7 @@ def compute_golden_payload(trace=None) -> dict:
         results = run_sweep(golden_protocols(), config, trace=trace)
         summaries = {
             protocol: [
-                [dataclasses.asdict(summary) for summary in per_rate]
+                [summary.to_dict() for summary in per_rate]
                 for per_rate in sweep.replications
             ]
             for protocol, sweep in results.items()
@@ -194,7 +193,7 @@ def run_cell_summary(
         arrival_rate=rate,
         replication=replication,
     )
-    return json.loads(json.dumps(dataclasses.asdict(summary)))
+    return json.loads(json.dumps(summary.to_dict()))
 
 
 def trace_digest(stream: list[dict]) -> str:
@@ -277,7 +276,7 @@ def run_burst_summary(protocol_name: str) -> dict:
     system = burst_system(protocol_spec(protocol_name)())
     system.load_workload(build_burst_specs(ADVERSARIAL_BURST))
     system.run()
-    return json.loads(json.dumps(dataclasses.asdict(system.metrics.summary())))
+    return json.loads(json.dumps(system.metrics.summary().to_dict()))
 
 
 def compute_engine_reference() -> dict:

@@ -24,10 +24,10 @@ knowing the right answer:
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
+from repro._record import replace
 from repro.experiments.runner import run_once
 from repro.protocols.registry import (
     ProtocolSpec,

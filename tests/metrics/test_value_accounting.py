@@ -6,10 +6,9 @@ protocol must miss nothing and earn 100% of the attainable system value,
 however much it restarts, blocks or speculates under load.
 """
 
-from dataclasses import replace
-
 import pytest
 
+from repro._record import replace
 from repro.experiments.config import baseline_class, baseline_config
 from repro.experiments.runner import run_once
 from repro.protocols.registry import ProtocolSpec, available_protocols

@@ -1,10 +1,10 @@
 """Tests for record export (JSON/CSV) and store diffing."""
 
 import csv
-import dataclasses
 import io
 import json
 
+from repro._record import replace
 from repro.experiments.config import baseline_config
 from repro.experiments.runner import run_sweep
 from repro.results.export import (
@@ -91,11 +91,11 @@ def test_diff_records_covers_every_summary_field():
     # Drift in a secondary measure (restarts) must be caught — the diff
     # gate has no metric blind spots.
     record_a = make_record()
-    drifted = dataclasses.replace(record_a, summary=make_summary(restarts=999))
+    drifted = replace(record_a, summary=make_summary(restarts=999))
     report = diff_records([record_a], [drifted])
     ((_, _, deltas),) = report["changed"]
     assert deltas == {"restarts": (record_a.summary.restarts, 999)}
-    per_class = dataclasses.replace(
+    per_class = replace(
         record_a, summary=make_summary(per_class_value={"baseline": 1.0})
     )
     report = diff_records([record_a], [per_class])
@@ -112,7 +112,7 @@ def test_diff_records_identical_sets():
 
 def test_diff_records_flags_metric_drift_on_shared_cells():
     record_a = make_record()
-    drifted = dataclasses.replace(
+    drifted = replace(
         record_a, summary=make_summary(missed_ratio=50.0)
     )
     only_a = make_record(fingerprint="11" * 16)

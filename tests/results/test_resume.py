@@ -112,7 +112,7 @@ def test_store_keeps_finite_and_infinite_resource_cells_apart(tmp_path):
     # The server count is fingerprinted config data, so one store holds
     # a 2-server sweep and an infinite-resource sweep side by side and
     # serves each only its own cells.
-    from dataclasses import replace
+    from repro._record import replace
 
     path = tmp_path / "runs.jsonl"
     finite = replace(SMALL, num_servers=2)

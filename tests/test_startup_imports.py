@@ -27,14 +27,21 @@ paper-baseline process load what it never runs (a cold serial run, the
 types, confidence intervals, tables, ``csv`` and the workload kinds
 beyond each axis's default; a traced run loads the tracer and a
 diurnal-oltp run the extension kinds, and a confidence interval loads
-no numerical library.  The engine is the bottom layer: importing
-it loads no workload, protocol or system module.  Package roots resolve
+no numerical library.  No program process loads ``dataclasses`` (nor
+the ``inspect``, ``ast`` and ``dis`` it pulls in) in its whole life:
+records are slotted classes on :mod:`repro._record`, and no module
+under ``src/repro`` imports ``dataclasses``.  ``serve`` loads the job
+board from :mod:`repro.experiments.board`, never the ``--workers``
+executor, while it listens and after it computes.  The engine is the
+bottom layer: importing it loads no workload, protocol or system
+module.  Package roots resolve
 their names on first access (``repro._lazy``), so each of these stays
 out unless a command reaches for it.  The checks need a fresh
 interpreter: the test process itself holds all of these through other
 tests.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -181,6 +188,36 @@ with tempfile.TemporaryDirectory() as workdir:
 print(json.dumps(loaded(sys.argv[3:])))
 """
 
+#: A gateway on the empty store at ``argv[1]``, listening on a real
+#: socket, that computes the grid ``argv[2]``; prints which modules of
+#: ``argv[3:]`` it had loaded while listening and once it had computed.
+LISTENING_GATEWAY_CHILD = """
+import json, sys, tempfile
+
+from repro.gateway.app import GatewayApp
+from repro.gateway.routes import Request, dispatch
+from repro.gateway.server import GatewayServer
+
+spec = json.loads(sys.argv[2])
+with tempfile.TemporaryDirectory() as workdir:
+    app = GatewayApp(store=sys.argv[1], workdir=workdir)
+    server = GatewayServer(app, port=0)
+    server.start()
+    listening = loaded(sys.argv[3:])
+    body = json.dumps(spec).encode()
+    response = dispatch(app, Request(method="POST", path="/experiments", body=body))
+    assert response.status == 202, response.body
+    experiment, events, done = response.body["id"], [], False
+    while not done:
+        lines, done = app.wait_events(experiment, len(events), 60)
+        events += lines
+    assert json.loads(events[-1])["kind"] == "experiment_done", events[-1]
+    computed = loaded(sys.argv[3:])
+    server.request_shutdown()
+    server.run()
+print(json.dumps([listening, computed]))
+"""
+
 #: A Student-t interval over three samples.
 INTERVAL_CHILD = """
 import json, sys
@@ -293,6 +330,11 @@ UNUSED_BY_PAPER_BASELINE = [
     "csv",
     "repro.workloads.extensions",
 ]
+
+
+#: What building records as standard-library data classes loads: the
+#: package's records are built on :mod:`repro._record` instead.
+DATACLASS_MACHINERY = ["dataclasses", "inspect", "ast", "dis"]
 
 
 def _loaded(child: str, modules: list, args: tuple = ()) -> list:
@@ -462,3 +504,64 @@ def test_diurnal_run_loads_the_extension_kinds(tmp_path):
 
 def test_intervals_load_no_numerical_library():
     assert _loaded(INTERVAL_CHILD, ["numpy", "scipy"]) == []
+
+
+def test_cold_serial_runs_never_load_dataclasses(tmp_path):
+    # Both output formats: the table renderer builds records too.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ONE_CELL))
+    commands = [
+        ["run", str(spec), "--store", str(tmp_path / "a.jsonl"), "--format", "json"],
+        ["run", str(spec), "--store", str(tmp_path / "b.jsonl")],
+    ]
+    modules = [*DATACLASS_MACHINERY, "repro.system.model"]
+    loaded = _loaded(CLI_CHILD, modules, (json.dumps(commands),))
+    assert loaded == ["repro.system.model"]
+
+
+def test_workers_parent_and_hosts_never_load_dataclasses(tmp_path):
+    store = str(tmp_path / "runs.jsonl")
+    assert _loaded(SWEEP_CHILD, DATACLASS_MACHINERY, (store, "2")) == []
+    modules = [*DATACLASS_MACHINERY, "repro.system.model"]
+    assert _loaded(HOST_CHILD, modules) == ["repro.system.model"]
+
+
+def test_serving_gateway_never_loads_dataclasses_or_the_sweep_executor(tmp_path):
+    # The board comes from repro.experiments.board; the --workers
+    # executor beside it is never compiled, listening or computing.
+    args = (str(tmp_path / "runs.jsonl"), json.dumps(ONE_CELL))
+    modules = [
+        *DATACLASS_MACHINERY, "repro.experiments.distributed",
+        "repro.experiments.board", "repro.system.model",
+    ]
+    listening, computed = _loaded(LISTENING_GATEWAY_CHILD, modules, args)
+    assert listening == ["repro.experiments.board"]
+    assert computed == ["repro.experiments.board", "repro.system.model"]
+
+
+def test_results_and_specs_commands_never_load_dataclasses(tmp_path):
+    store = str(_stored_grid(tmp_path))
+    commands = [
+        ["results", "list", "--store", store],
+        ["results", "export", "--store", store, "--format", "csv"],
+        ["specs"],
+    ]
+    assert _loaded(CLI_CHILD, DATACLASS_MACHINERY, (json.dumps(commands),)) == []
+
+
+def test_no_module_imports_dataclasses():
+    # Static, so it also covers modules no guarded process loads (the
+    # timeline, intervals, trace events, extension workload kinds).
+    package = Path(repro.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.relative_to(package.parent)}:{node.lineno}")
+    assert offenders == []

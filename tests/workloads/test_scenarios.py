@@ -150,7 +150,7 @@ class TestToConfig:
     def test_paper_baseline_config_matches_baseline_config(self):
         # Same classes, pages, rates — only the (equivalent) workload
         # spec is attached.  run_once treats both paths identically.
-        from dataclasses import replace
+        from repro._record import replace
 
         scenario_config = get_scenario("paper-baseline").to_config()
         assert replace(scenario_config, workload=None) == baseline_config()
@@ -199,7 +199,7 @@ class TestEndToEnd:
             get_scenario("paper-baseline").to_config(**kwargs),
             arrival_rates=[70.0, 150.0],
         )
-        # RunSummary dataclass equality covers every metric field.
+        # RunSummary equality covers every metric field.
         assert legacy["SCC-2S"].replications == scenario["SCC-2S"].replications
 
     def test_serial_and_process_agree_on_a_scenario(self):
