@@ -19,18 +19,25 @@ SIGTERM — and holds it to the determinism bar:
    (``libcrypto``/``libssl`` in ``/proc/<pid>/maps``; skipped where
    there is no ``/proc``): fingerprints use the interpreter's built-in
    SHA-256 and experiment ids ``os.urandom``.
-3. **no stall** — one client submits a spec that validates but whose
-   every cell raises (rate 1e-308: the mean inter-arrival time
-   overflows), then a second client submits a valid one-cell spec.  The
-   valid experiment must end ``done`` within a bounded wait, the failing
-   one ``partial``, and ``/healthz`` must carry no ``breaker`` field: a
-   failing cell fails only itself, never a worker.
-4. **quota rejection** — a greedy client submitting a grid larger than
+3. **no stall** — a spec whose cells could never run (rate 1e-308) is
+   refused with 400 at submit.  Then one client submits a spec that
+   validates but whose every cell raises in its host (the server
+   registers a ``smoke-fails`` protocol family at start-up, which the
+   hosts inherit through fork), and a second client submits a valid
+   one-cell spec.  The valid experiment must end ``done`` within a
+   bounded wait, the failing one ``partial``, and ``/healthz`` must
+   carry no ``breaker`` field: a failing cell fails only itself, never
+   a host.
+4. **host killed mid-cell** — SIGKILL the board host ``/healthz``
+   shows holding a slow cell: the cell is recomputed on a replacement
+   host and its experiment ends ``done``.
+5. **quota rejection** — a greedy client submitting a grid larger than
    ``--max-queued-cells`` gets HTTP 429 and charges nothing.
-5. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
+6. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
    server: submissions during the drain get an honest 503, the open
    event stream terminates cleanly at ``experiment_interrupted``,
-   leased cells persist to the store, and the process exits 0.
+   leased cells persist to the store, and the process exits 0 with no
+   process of its group (its keeper and board hosts) left behind.
 
 Usage::
 
@@ -71,11 +78,38 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
+#: ``repro serve`` with one more protocol family, ``smoke-fails``: it
+#: builds, so a spec naming it validates, but every cell it runs raises
+#: (in the board host that computes it).
+SERVER = """
+import sys
+
+from repro.experiments.cli import main
+from repro.protocols.registry import ProtocolFamily, register_protocol
+
+
+def _build():
+    from repro.protocols.occ_bc import OCCBroadcastCommit
+
+    class FailsEveryCell(OCCBroadcastCommit):
+        def on_arrival(self, txn):
+            raise RuntimeError("smoke-fails: this protocol fails every cell")
+
+    return FailsEveryCell()
+
+
+register_protocol(ProtocolFamily(name="smoke-fails", builder=_build))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def start_server(workdir: str, store_path: str, port: int,
                  max_queued_cells: int) -> subprocess.Popen:
+    # Its own process group, so the final check can find any process of
+    # the server's (keeper, hosts) that outlives it.
     return subprocess.Popen(
         [
-            sys.executable, "-m", "repro.experiments.cli", "serve",
+            sys.executable, "-c", SERVER, "serve",
             "--store", store_path, "--port", str(port), "--workers", "2",
             "--workdir", os.path.join(workdir, "gw-work"),
             "--max-queued-cells", str(max_queued_cells),
@@ -85,7 +119,17 @@ def start_server(workdir: str, store_path: str, port: int,
                  os.path.dirname(__file__), os.pardir, "src"
              ) + os.pathsep + os.environ.get("PYTHONPATH", "")},
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
     )
+
+
+def group_alive(pgid: int) -> bool:
+    """Whether any process of the process group ``pgid`` still exists."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def mapped_openssl(pid: int) -> list:
@@ -143,7 +187,7 @@ def smoke(spec_dict: dict, workdir: str) -> int:
     reference_path = os.path.join(workdir, "reference.jsonl")
     gateway_path = os.path.join(workdir, "gateway.sqlite")
 
-    print(f"[1/5] direct reference run ({total} cells, no gateway)...")
+    print(f"[1/6] direct reference run ({total} cells, no gateway)...")
     spec.run(store=reference_path)
 
     port = free_port()
@@ -155,7 +199,7 @@ def smoke(spec_dict: dict, workdir: str) -> int:
         if not wait_healthy(alice):
             return fail("gateway never became healthy")
 
-        print("[2/5] two clients submit the same grid concurrently...")
+        print("[2/6] two clients submit the same grid concurrently...")
         finals: dict = {}
         reads: dict = {}
 
@@ -215,10 +259,20 @@ def smoke(spec_dict: dict, workdir: str) -> int:
         else:
             print("      no /proc: OpenSSL map check skipped")
 
-        print("[3/5] one client's failing cells stall no other client...")
+        print("[3/6] one client's failing cells stall no other client...")
+        unrunnable = {
+            "schema": 1, "protocols": ["scc-2s"], "arrival_rates": [1e-308],
+            "num_transactions": 40, "warmup_commits": 4,
+        }
+        try:
+            GatewayClient(port=port, client_id="mallory").submit(unrunnable)
+            return fail("a spec whose cells cannot run was admitted")
+        except GatewayError as exc:
+            if exc.status != 400:
+                return fail(f"expected 400 for rate 1e-308, got {exc.status}")
         failing_spec = {
-            "schema": 1, "protocols": ["scc-2s", "occ-bc", "wait-50"],
-            "arrival_rates": [1e-308], "replications": 2,
+            "schema": 1, "protocols": ["smoke-fails"],
+            "arrival_rates": [60.0, 70.0, 80.0], "replications": 2,
             "num_transactions": 40, "warmup_commits": 4,
         }
         valid_spec = {
@@ -238,10 +292,35 @@ def smoke(spec_dict: dict, workdir: str) -> int:
                         f"with {len(final['failed'])}/6 cells failed")
         if "breaker" in alice.health():
             return fail("/healthz still reports a circuit breaker")
-        print("      6 failing cells ended partial; the other client's "
-              "cell ran to done")
+        print("      rate 1e-308 refused with 400; 6 failing cells ended "
+              "partial; the other client's cell ran to done")
 
-        print("[4/5] greedy client over --max-queued-cells gets 429...")
+        print("[4/6] a board host SIGKILLed mid-cell is replaced...")
+        slow_cell = dict(valid_spec, seed=(spec_dict.get("seed") or 0) + 4,
+                         num_transactions=3000)
+        accepted = bob.submit(slow_cell)
+        end = time.monotonic() + 60
+        victim = None
+        while victim is None and time.monotonic() < end:
+            busy = [h for h in alice.health()["hosts"].values() if h["cell"]]
+            if busy:
+                victim = busy[0]["pid"]
+            else:
+                time.sleep(0.02)
+        if victim is None:
+            return fail("no host held the slow cell within 60s")
+        os.kill(victim, signal.SIGKILL)
+        final = wait_finished(bob, accepted["id"], deadline=120.0)
+        if final["status"] != "done" or final["failed"]:
+            return fail(f"the killed host's experiment ended "
+                        f"{final['status']!r} with {final['failed']}")
+        pids = [h["pid"] for h in alice.health()["hosts"].values()]
+        if victim in pids or len(pids) != 2:
+            return fail(f"the killed host was not replaced: hosts {pids}")
+        print(f"      host {victim} killed mid-cell; its cell was "
+              "recomputed on a replacement and the experiment ended done")
+
+        print("[5/6] greedy client over --max-queued-cells gets 429...")
         greedy_spec = dict(spec_dict)
         greedy_spec["seed"] = (spec_dict.get("seed") or 0) + 1  # all-fresh grid
         greedy_spec["replications"] = spec_dict.get("replications", 1) + 1
@@ -253,7 +332,7 @@ def smoke(spec_dict: dict, workdir: str) -> int:
                 return fail(f"expected 429, got {exc.status}")
         print("      429 as expected; other clients were undisturbed")
 
-        print("[5/5] SIGTERM drain with an experiment mid-flight...")
+        print("[6/6] SIGTERM drain with an experiment mid-flight...")
         slow_spec = dict(spec_dict)
         slow_spec["seed"] = (spec_dict.get("seed") or 0) + 2  # fresh cells
         slow_spec["num_transactions"] = 4000
@@ -310,6 +389,12 @@ def smoke(spec_dict: dict, workdir: str) -> int:
         code = server.wait(timeout=120)
         if code != 0:
             return fail(f"server exited {code} after SIGTERM")
+        end = time.monotonic() + 5
+        while group_alive(server.pid) and time.monotonic() < end:
+            time.sleep(0.05)
+        if group_alive(server.pid):
+            return fail("a process of the server's group (its keeper or a "
+                        "board host) outlived the server")
         completed = sum(
             1 for e in stream_events if e["kind"] == "cell_outcome"
         )
@@ -320,10 +405,11 @@ def smoke(spec_dict: dict, workdir: str) -> int:
                         f"{total}-cell grid plus {completed} leased cells "
                         "finished during the drain")
         print(f"      503 during drain, {completed} leased cells persisted, "
-              "stream closed at experiment_interrupted, exit 0")
+              "stream closed at experiment_interrupted, exit 0, no "
+              "process of its group left")
     finally:
-        if server.poll() is None:
-            server.kill()
+        if group_alive(server.pid):
+            os.killpg(server.pid, signal.SIGKILL)
         server.wait()
         out = (server.stdout.read() or "") if server.stdout else ""
         errors = [line for line in out.splitlines()
@@ -332,8 +418,8 @@ def smoke(spec_dict: dict, workdir: str) -> int:
             print("server log errors:", *errors, sep="\n  ", file=sys.stderr)
             return 1
 
-    print("OK: deduped, bit-identical, never stalled, quota-limited, "
-          "drained cleanly")
+    print("OK: deduped, bit-identical, never stalled, survived a killed "
+          "host, quota-limited, drained cleanly")
     return 0
 
 

@@ -21,7 +21,8 @@ import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
+from repro.protocols.ranges import check_max_deferral, check_period
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.scc_base import SCCProtocolBase, SCCTxnRuntime
@@ -99,12 +100,8 @@ class DeferredTermination(TerminationPolicy):
         max_deferral: Optional[float] = None,
     ) -> None:
         super().__init__()
-        if period <= 0:
-            raise ConfigurationError(f"period must be positive, got {period}")
-        if max_deferral is not None and max_deferral < 0:
-            raise ConfigurationError(
-                f"max_deferral must be >= 0, got {max_deferral}"
-            )
+        check_period(period)
+        check_max_deferral(max_deferral)
         self.period = period
         self.max_deferral = max_deferral
         self._evaluate_eagerly = evaluate_eagerly
@@ -269,6 +266,10 @@ class DeferredTermination(TerminationPolicy):
             # Guard against floating-point alignment producing a tick at
             # the current instant (which would loop without advancing time).
             next_tick += self.period
+        if not sim.now < next_tick < math.inf:
+            # So late in a run that a period no longer moves the clock
+            # (or a multiple of it overflows): tick at the next instant.
+            next_tick = math.nextafter(sim.now, math.inf)
         self._tick_pending = True
         sim.schedule_at(next_tick, self._on_tick, priority=2)
 

@@ -37,7 +37,7 @@ from repro.core.probability import (
 from repro.core.replacement import ReplacementPolicy
 from repro.core.scc_base import SCCTxnRuntime
 from repro.core.scc_ks import SCCkS
-from repro.errors import ConfigurationError
+from repro.protocols.ranges import check_epsilon
 
 
 class DCTermination(DeferredTermination):
@@ -58,8 +58,7 @@ class DCTermination(DeferredTermination):
         super().__init__(
             period=period, evaluate_eagerly=False, max_deferral=max_deferral
         )
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
+        check_epsilon(epsilon)
         self.epsilon = epsilon
 
     def should_commit(self, runtime: SCCTxnRuntime, now: float) -> bool:

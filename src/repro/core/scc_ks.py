@@ -21,6 +21,7 @@ from repro.core.deferral import TerminationPolicy
 from repro.core.replacement import LatestBlockedFirstOut, ReplacementPolicy
 from repro.core.scc_base import SCCProtocolBase, SCCTxnRuntime
 from repro.errors import ConfigurationError
+from repro.protocols.ranges import check_shadow_budget
 from repro.txn.spec import TransactionSpec
 
 
@@ -51,8 +52,7 @@ class SCCkS(SCCProtocolBase):
         k_for: Optional[Callable[[TransactionSpec], Optional[int]]] = None,
     ) -> None:
         super().__init__(termination=termination)
-        if k is not None and k < 1:
-            raise ConfigurationError(f"k must be >= 1 (got {k})")
+        check_shadow_budget(k)
         self.k = k
         self.replacement = replacement or LatestBlockedFirstOut()
         self._coverage_time_invariant = getattr(

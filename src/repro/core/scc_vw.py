@@ -37,6 +37,7 @@ from repro.core.probability import elapsed_execution
 from repro.core.replacement import ReplacementPolicy
 from repro.core.scc_base import SCCTxnRuntime
 from repro.core.scc_ks import SCCkS
+from repro.protocols.ranges import check_commit_threshold
 
 
 class VWTermination(DeferredTermination):
@@ -51,10 +52,7 @@ class VWTermination(DeferredTermination):
         super().__init__(
             period=period, evaluate_eagerly=True, max_deferral=max_deferral
         )
-        if not 0.0 <= commit_threshold < 1.0:
-            raise ValueError(
-                f"commit_threshold must be in [0, 1), got {commit_threshold}"
-            )
+        check_commit_threshold(commit_threshold)
         self.commit_threshold = commit_threshold
 
     def should_commit(self, runtime: SCCTxnRuntime, now: float) -> bool:

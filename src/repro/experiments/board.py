@@ -1,16 +1,21 @@
 """The job board: a SQLite table of sweep cells with a claim/lease protocol.
 
-One WAL-mode SQLite file holds a row per cell.  A worker takes the
-lowest pending cell atomically with ``claim()``, which stamps a lease
+One WAL-mode SQLite file holds a row per cell.  A host takes the lowest
+pending cell atomically with ``claim_payload()``, which stamps a lease
 expiry, extends the lease with ``heartbeat()`` while the cell computes,
 and reports it with ``complete()`` or ``fail()``, which set the row's
-state, its encoded outcome and a finish stamp in one statement; a
-reader takes the finished rows with ``finished_since()``.  A lapsed
-lease goes back to pending, bounded by an attempt budget
-(``expire_leases()``).
+state, its encoded outcome (:func:`encode_outcome`) and a finish stamp
+in one statement; a reader takes the finished rows with
+``finished_since()`` and decodes them with :func:`decode_outcome`.  A
+lapsed lease (``expire_leases()``), or the lease of a host found dead
+(``release()``), goes back to pending, bounded by an attempt budget; a
+cell at the ceiling is failed with a ``WorkerLost`` outcome in its row,
+so every reader decodes it like any other.  A second table lists the
+live hosts, for health checks.
 
-Both users of the board import it from here: the ``--workers`` sweep
-executor (:mod:`repro.experiments.distributed`, which re-exports
+Everything that runs cells on the board imports it from here: the hosts
+and their supervision (:mod:`repro.experiments.hosts`), the ``--workers``
+sweep executor (:mod:`repro.experiments.distributed`, which re-exports
 :class:`JobBoard`) and the experiment gateway, which never loads that
 executor.
 """
@@ -26,17 +31,33 @@ from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro._record import asdict
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.parallel import SweepCell
+from repro.experiments.parallel import CellError, CellOutcome, SweepCell
+from repro.metrics.stats import RunSummary
 
-__all__ = ["CELL_STATES", "JobBoard"]
+__all__ = [
+    "CELL_STATES",
+    "LEASE_SECONDS",
+    "MAX_ATTEMPTS",
+    "JobBoard",
+    "decode_outcome",
+    "encode_outcome",
+    "lost_outcome",
+]
 
-#: Lifecycle of one board cell.  ``pending`` (claimable once its
-#: ``not_before`` time has passed) -> ``claimed`` (leased to a worker)
-#: -> ``done`` / ``failed``; lease expiry moves ``claimed`` back to
-#: ``pending`` until the attempt budget runs out.
+#: How long a claim stays valid without a heartbeat (seconds).
+LEASE_SECONDS = 30.0
+
+#: Claims of one cell before it is declared lost (``WorkerLost``).
+MAX_ATTEMPTS = 3
+
+#: Lifecycle of one board cell.  ``pending`` -> ``claimed`` (leased to a
+#: host) -> ``done`` / ``failed``; a lapsed lease, or a dead holder,
+#: moves ``claimed`` back to ``pending`` until the attempt budget runs
+#: out.
 CELL_STATES = ("pending", "claimed", "done", "failed")
 
-#: The ``cells`` table as first released.
+#: The ``cells`` table as first released.  ``not_before`` is no longer
+#: read or written; boards keep the column.
 _BOARD_SCHEMA = """
 CREATE TABLE IF NOT EXISTS cells (
     idx INTEGER PRIMARY KEY,
@@ -49,11 +70,69 @@ CREATE TABLE IF NOT EXISTS cells (
 )
 """
 
+#: The live hosts: one row from a host's fork to its reaping.
+_HOSTS_SCHEMA = """
+CREATE TABLE IF NOT EXISTS hosts (
+    worker TEXT PRIMARY KEY,
+    pid INTEGER NOT NULL
+)
+"""
+
 #: Columns added since, which opening a board adds when its file lacks
 #: them: a finished cell's encoded outcome and its finish stamp.  The
 #: first opener adds them (a sweep's parent, or the gateway before its
 #: workers start), so no two processes race to.
 _ADDED_COLUMNS = {"outcome": "TEXT", "finished": "INTEGER"}
+
+
+def encode_outcome(outcome: CellOutcome) -> str:
+    """A cell's outcome as the JSON text its board row carries."""
+    # Real sweeps produce RunSummary results; ad-hoc runners may
+    # return any JSON-serializable value, so tag which one this is.
+    if isinstance(outcome.summary, RunSummary):
+        summary_kind, summary = "run_summary", outcome.summary.to_dict()
+    else:
+        summary_kind, summary = "raw", outcome.summary
+    payload: Dict[str, Any] = {
+        "elapsed": outcome.elapsed,
+        "summary": summary,
+        "summary_kind": summary_kind,
+        "telemetry": outcome.telemetry,
+        "error": asdict(outcome.error) if outcome.error is not None else None,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def decode_outcome(cell: SweepCell, encoded: Optional[str]) -> CellOutcome:
+    """Rebuild ``cell``'s outcome from its board row; any damage raises."""
+    payload = json.loads(encoded)
+    summary = payload["summary"]
+    if payload["summary_kind"] == "run_summary":
+        summary = RunSummary.from_dict(summary)
+    error = CellError(**payload["error"]) if payload["error"] is not None else None
+    if error is None and summary is None:
+        raise ValueError("outcome carries neither summary nor error")
+    return CellOutcome(
+        cell=cell,
+        summary=summary,
+        error=error,
+        elapsed=payload["elapsed"],
+        telemetry=payload["telemetry"],
+    )
+
+
+def lost_outcome(cell: Optional[SweepCell], attempts: int) -> CellOutcome:
+    """The ``WorkerLost`` outcome of a cell whose retry budget ran out."""
+    error = CellError(
+        exc_type="WorkerLost",
+        message=(
+            f"the cell was claimed {attempts} time(s) but no host delivered "
+            "a readable outcome (host death or a damaged outcome on the "
+            "board); retry budget exhausted"
+        ),
+        traceback="",
+    )
+    return CellOutcome(cell=cell, summary=None, error=error, elapsed=0.0)
 
 
 class JobBoard:
@@ -102,6 +181,7 @@ class JobBoard:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(_BOARD_SCHEMA)
+            self._conn.execute(_HOSTS_SCHEMA)
             present = {
                 row[1] for row in self._conn.execute("PRAGMA table_info(cells)")
             }
@@ -153,10 +233,10 @@ class JobBoard:
     def add(self, index: int, payload: Dict[str, Any]) -> None:
         """Insert one pending cell with an arbitrary JSON payload.
 
-        The sweep executors store bare :class:`SweepCell` dicts (see
+        The sweep executor stores bare :class:`SweepCell` dicts (see
         :meth:`populate`); the experiment gateway stores richer payloads
-        (cell + owning experiment + fingerprint) and reads them back via
-        :meth:`claim_payload`.
+        (cell + owning experiment + fingerprint + spec).  A host hands
+        the payload :meth:`claim_payload` returns to its own decoder.
         """
         self._query(
             "INSERT OR IGNORE INTO cells (idx, payload) VALUES (?, ?)",
@@ -176,40 +256,22 @@ class JobBoard:
     # the claim/lease protocol
     # ------------------------------------------------------------------
 
-    def claim(
-        self, worker: str, lease_seconds: float
-    ) -> Optional[tuple[SweepCell, int]]:
-        """Atomically lease the lowest claimable cell to ``worker``.
-
-        Returns:
-            ``(cell, attempt)`` — attempt counts this claim, starting at
-            1 — or ``None`` when nothing is claimable right now (empty
-            board, every cell leased/finished, or requeued cells not yet
-            due).
-        """
-        claimed = self.claim_payload(worker, lease_seconds)
-        if claimed is None:
-            return None
-        _index, payload, attempt = claimed
-        return SweepCell(**payload), attempt
-
     def claim_payload(
         self, worker: str, lease_seconds: float
     ) -> Optional[tuple[int, Dict[str, Any], int]]:
-        """Like :meth:`claim`, but return the raw JSON payload.
+        """Atomically lease the lowest pending cell to ``worker``.
 
         Returns:
-            ``(index, payload, attempt)`` or ``None`` when nothing is
-            claimable.  This is the primitive for boards whose payloads
-            are not bare :class:`SweepCell` dicts (the gateway).
+            ``(index, payload, attempt)`` — the cell's JSON payload, and
+            the attempt this claim counts, starting at 1 — or ``None``
+            when nothing is pending (empty board, or every cell leased
+            or finished).
         """
         now = time.time()
         with self._transaction():
             rows = self._query(
                 "SELECT idx, payload, attempts FROM cells "
-                "WHERE state = 'pending' AND not_before <= ? "
-                "ORDER BY idx LIMIT 1",
-                (now,),
+                "WHERE state = 'pending' ORDER BY idx LIMIT 1"
             )
             if not rows:
                 return None
@@ -258,7 +320,7 @@ class JobBoard:
             (state, outcome, index),
         )
 
-    def requeue(self, index: int, not_before: float = 0.0) -> None:
+    def requeue(self, index: int) -> None:
         """Force a cell back to pending, dropping any outcome it holds.
 
         Its finish stamp stays, so the next stamp handed out still
@@ -266,9 +328,8 @@ class JobBoard:
         """
         self._query(
             "UPDATE cells SET state = 'pending', worker = NULL, "
-            "lease_expiry = NULL, outcome = NULL, not_before = ? "
-            "WHERE idx = ?",
-            (not_before, index),
+            "lease_expiry = NULL, outcome = NULL WHERE idx = ?",
+            (index,),
         )
 
     def finished_since(self, stamp: int) -> list[tuple[int, int, int, Optional[str]]]:
@@ -290,32 +351,98 @@ class JobBoard:
     def expire_leases(
         self, max_attempts: int
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Reap lapsed leases: requeue, or exhaust.
+        """Take back lapsed leases: requeue, or exhaust.
 
         A claimed cell whose lease expired was held by a dead (or
-        wedged) worker.  Cells with attempts left go back to pending at
-        once; cells at the ``max_attempts`` ceiling become failed.
+        wedged) host.  See :meth:`_take_back`.
 
         Returns:
             ``(retried, exhausted)`` lists of ``(index, attempts)``.
         """
-        now = time.time()
+        return self._take_back(
+            "lease_expiry < ?", (time.time(),), max_attempts
+        )
+
+    def release(
+        self, worker: str, max_attempts: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Take back every cell ``worker`` holds (its host was reaped).
+
+        A dead host's lease need not lapse first: nobody will extend or
+        finish it.  See :meth:`_take_back`.
+
+        Returns:
+            ``(retried, exhausted)`` lists of ``(index, attempts)``.
+        """
+        return self._take_back("worker = ?", (worker,), max_attempts)
+
+    def _take_back(
+        self, where: str, params: Sequence[Any], max_attempts: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        # Cells with attempts left go back to pending at once; cells at
+        # the ceiling fail with a WorkerLost outcome in their row.
         retried: list[tuple[int, int]] = []
         exhausted: list[tuple[int, int]] = []
         with self._transaction():
             rows = self._query(
-                "SELECT idx, attempts FROM cells "
-                "WHERE state = 'claimed' AND lease_expiry < ?",
-                (now,),
+                f"SELECT idx, attempts FROM cells "
+                f"WHERE state = 'claimed' AND {where}",
+                params,
             )
             for idx, attempts in rows:
                 if attempts >= max_attempts:
-                    self.fail(idx)
+                    self.fail(idx, encode_outcome(lost_outcome(None, attempts)))
                     exhausted.append((idx, attempts))
                 else:
                     self.requeue(idx)
                     retried.append((idx, attempts))
         return retried, exhausted
+
+    def lose_unfinished(self) -> None:
+        """Fail every pending or claimed cell with a ``WorkerLost`` outcome.
+
+        For a board no host will ever serve again (the restart budget is
+        spent): its cells end as failures instead of waiting forever.
+        """
+        with self._transaction():
+            for idx, attempts in self._query(
+                "SELECT idx, attempts FROM cells "
+                "WHERE state IN ('pending', 'claimed')"
+            ):
+                self.fail(idx, encode_outcome(lost_outcome(None, attempts)))
+
+    # ------------------------------------------------------------------
+    # hosts
+    # ------------------------------------------------------------------
+
+    def host_started(self, worker: str, pid: int) -> None:
+        """Record a forked host (its supervisor calls this)."""
+        self._query(
+            "INSERT OR REPLACE INTO hosts (worker, pid) VALUES (?, ?)",
+            (worker, pid),
+        )
+
+    def host_stopped(self, worker: str) -> None:
+        """Forget a host once its supervisor has reaped it."""
+        self._query("DELETE FROM hosts WHERE worker = ?", (worker,))
+
+    def forget_hosts(self) -> None:
+        """Forget every host (a new supervisor starts on a reused board)."""
+        self._query("DELETE FROM hosts")
+
+    def hosts(self) -> list[tuple[str, int, Optional[int], Optional[float]]]:
+        """The live hosts, with the cell each holds.
+
+        Returns:
+            ``(worker, pid, index, lease_expiry)`` rows in worker order;
+            ``index`` and ``lease_expiry`` are ``None`` for an idle host.
+        """
+        return self._query(
+            "SELECT hosts.worker, hosts.pid, cells.idx, cells.lease_expiry "
+            "FROM hosts LEFT JOIN cells "
+            "ON cells.worker = hosts.worker AND cells.state = 'claimed' "
+            "ORDER BY hosts.worker, cells.idx"
+        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -359,12 +486,13 @@ class JobBoard:
         rows = self._query("SELECT payload FROM cells WHERE idx = ?", (index,))
         return json.loads(rows[0][0]) if rows else None
 
-    def attempts(self, index: int) -> int:
-        """How many times the cell has been claimed."""
-        rows = self._query("SELECT attempts FROM cells WHERE idx = ?", (index,))
-        if not rows:
-            raise ConfigurationError(f"no cell {index} on the job board")
-        return rows[0][0]
+    def last_stamp(self) -> int:
+        """The newest finish stamp on the board (``0`` when none).
+
+        A reader that starts here sees only cells finished from now on.
+        """
+        [(value,)] = self._query("SELECT IFNULL(MAX(finished), 0) FROM cells")
+        return value
 
     def close(self) -> None:
         """Close this participant's connection (the board file persists)."""

@@ -53,9 +53,11 @@ without re-simulating anything.
 long-running HTTP service accepting ``ExperimentSpec`` JSON on
 ``POST /experiments``, deduplicating cells by fingerprint against the
 shared ``--store``, and streaming sweep events per experiment on
-``GET /experiments/{id}/events``.  ``--workers`` sizes the worker-thread
-pool, ``--max-queued-cells`` / ``--max-experiments`` set the per-client
-quotas, and ``--workdir`` persists the job board across restarts.
+``GET /experiments/{id}/events``.  ``--workers`` is the number of board
+hosts computing cells (forked processes running the ``--workers``
+sweep's host loop), ``--max-queued-cells`` / ``--max-experiments`` set
+the per-client quotas, and ``--workdir`` persists the job board across
+restarts.
 SIGTERM drains gracefully (see docs/ARCHITECTURE.md, "Experiment
 gateway").
 
@@ -471,7 +473,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             "scc-experiments: error: serve needs --store PATH "
             "(the shared run store every experiment reads and appends)"
         )
-    store = _open_store_or_exit(args.store, args.store_backend)
     quota_kwargs = {}
     if args.max_queued_cells is not None:
         quota_kwargs["max_queued_cells"] = args.max_queued_cells
@@ -479,8 +480,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         quota_kwargs["max_experiments"] = args.max_experiments
     try:
         quotas = ClientQuotas(**quota_kwargs)
+        # The app opens the store itself, after forking its keeper, so
+        # no store connection crosses that fork.
         app = GatewayApp(
-            store=store,
+            store=args.store,
+            store_backend=args.store_backend,
             workers=args.workers if args.workers is not None else 2,
             workdir=args.workdir,
             quotas=quotas,
@@ -667,7 +671,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workers", type=int, default=None,
         help="run: worker processes claiming cells from the job board "
         "(default: serial; one per core with --executor distributed); "
-        "serve: worker threads (default: 2)",
+        "serve: board hosts, forked processes computing the gateway's "
+        "cells (default: 2)",
     )
     parser.add_argument(
         "--max-n", dest="max_n", type=int, default=8,

@@ -141,14 +141,24 @@ class ExperimentConfig(FrozenRecord):
         return replace(self, **updates)
 
 
+#: How far past its mean an arrival clock can run: one exponential
+#: inter-arrival draw reaches at most ~745 means (minus the log of the
+#: smallest positive double), over up to 2**32 arrivals.
+_ARRIVAL_CLOCK_SPAN = 746.0 * 2.0**32
+
+
 def check_arrival_rates(rates: Sequence[float]) -> None:
-    """Refuse a rate axis no cell can run: empty, or a rate not finite and > 0.
+    """Refuse a rate axis no cell can run.
+
+    Refused: an empty axis, a rate that is not a positive finite number,
+    and a rate so small that its arrival clock can overflow (the mean
+    inter-arrival time times :data:`_ARRIVAL_CLOCK_SPAN` is not finite;
+    a rate of 1e-308 tps draws infinite gaps).
 
     Raises
     ------
     ConfigurationError
-        On an empty axis or a rate (tps) that is not a positive finite
-        number.
+        On an empty axis or a rate (tps) that no cell can run.
     """
     if not rates:
         raise ConfigurationError("need at least one arrival rate")
@@ -161,6 +171,11 @@ def check_arrival_rates(rates: Sequence[float]) -> None:
             raise ConfigurationError(
                 f"arrival rates must be positive finite numbers (tps), "
                 f"got {rate!r}"
+            )
+        if not math.isfinite(_ARRIVAL_CLOCK_SPAN / rate):
+            raise ConfigurationError(
+                f"arrival rate {rate!r} tps is too small: its inter-arrival "
+                "times overflow the simulation clock"
             )
 
 

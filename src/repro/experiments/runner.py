@@ -66,12 +66,18 @@ def normalize_protocols(
     spec string, or a spec dict; the spec both builds the cell's protocol
     and is its store identity.
 
+    A parameter out of its range was refused when its entry was parsed
+    (:class:`~repro.protocols.registry.ParamSpec` runs the check its
+    protocol's constructor runs, from :mod:`repro.protocols.ranges`),
+    so every spec this returns builds.
+
     Raises:
         ConfigurationError: On an entry that is not a spec (a protocol
             class or other callable included: register its family with
             :func:`~repro.protocols.registry.register_protocol`), on a
-            duplicate label, on two labels naming one spec (their cells
-            would share fingerprints), or on an empty roster.
+            parameter out of its range, on a duplicate label, on two
+            labels naming one spec (their cells would share
+            fingerprints), or on an empty roster.
     """
     if isinstance(protocols, (str, ProtocolSpec)) or (
         isinstance(protocols, Mapping) and "family" in protocols

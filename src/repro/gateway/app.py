@@ -22,14 +22,25 @@ the existing platform pieces into one long-running service:
   event stream), and a cell another experiment is *currently computing*
   is never enqueued twice: the second experiment subscribes to the
   in-flight cell and receives the same outcome when it lands.
-* **Workers** — a small pool of in-process worker threads mirrors the
-  distributed executor's host loop (claim from the board, compute via
-  the executor layer's cell primitive
-  :func:`~repro.experiments.parallel._execute_cell`, mark the board)
-  against the shared store.  A cell that raises fails only itself: its
-  experiment ends ``partial`` instead of failing the sweep, and the
-  worker goes on to the next cell, so one client's failing cells never
-  stall another client's experiment.
+* **Hosts** — every fresh cell is computed on a forked board host
+  running the ``--workers`` sweep's host loop
+  (:func:`~repro.experiments.hosts.host_loop`): claim a row, compute it
+  under a heartbeat, write the encoded outcome into the row.  A host
+  builds a cell's config and protocol from the spec its row carries
+  (once per experiment).  A *keeper* process, forked when the app is
+  built, forks the hosts, reaps them and replaces lost ones
+  (:func:`~repro.experiments.hosts.keep_hosts`), with the sweep's
+  attempt ceiling and restart budget.  A cell that raises fails only
+  itself: its experiment ends ``partial``, and the host goes on to the
+  next cell, so one client's failing cells never stall another
+  client's experiment.  A host that dies mid-cell has its cell
+  recomputed on a replacement, or, after the attempt ceiling, failed as
+  ``WorkerLost``.
+* **The collector** — one thread of the app reads the rows the hosts
+  finish, publishes each computed cell's ``cell_started`` /
+  ``cell_completed`` / ``cell_outcome``, appends its record to the
+  shared store (the app is the store's only writer) and resolves every
+  experiment waiting on the cell.
 * **Quotas** — :class:`~repro.gateway.quotas.ClientQuotas` admission
   control per ``X-Client``.  Only what a submission charged is
   released; experiments adopted from a persisted board were charged by
@@ -42,35 +53,50 @@ the existing platform pieces into one long-running service:
   ``experiment_done`` / ``experiment_interrupted``).  Each event is
   stored once, encoded as its NDJSON line when it is published.
 
-Threading model: HTTP handlers (one server thread per connection) call
-``submit``/``status``/``wait_events``; worker threads complete cells.
-The registry lock serializes both sides; per-experiment conditions let
-streams block without holding the registry.  An experiment that ends
-``done`` or ``partial`` drops its config, protocol specs and bus and
-keeps what its status, event lines and results read; an
-``interrupted`` one keeps everything, since a worker that outlives the
-drain may still complete its cell.
+Process and threading model: the app forks its keeper in its
+constructor, while the process still has one thread and no SQLite
+connection open; no thread of the app's process ever forks, and no cell
+runs in it, so no cell holds its interpreter lock and it never imports
+the simulation layer.  HTTP handlers (one server thread per connection)
+call ``submit``/``status``/``wait_events``; the collector thread
+completes cells.  The registry lock serializes both sides;
+per-experiment conditions let streams block without holding the
+registry.  The app holds the write end of a *lifeline* pipe that the
+keeper and the hosts watch: a drain closes it, and so does the app's
+death, so hosts never outlive their gateway by more than the cell in
+hand.  An experiment that ends ``done`` or ``partial`` drops its config,
+protocol specs and bus and keeps what its status, event lines and
+results read; an ``interrupted`` one keeps everything, since a host that
+outlives the drain may still complete its cell.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import select
 import tempfile
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro._record import asdict
 from repro.errors import ReproError
-from repro.experiments.board import JobBoard
+from repro.experiments.board import (
+    LEASE_SECONDS,
+    MAX_ATTEMPTS,
+    JobBoard,
+    decode_outcome,
+    lost_outcome,
+)
+from repro.experiments.forked import Forked
 from repro.experiments.parallel import (
     CellOutcome,
     ProgressEvent,
     SweepCell,
     _eta,
-    _execute_cell,
 )
 from repro.experiments.runner import (
     build_cells,
@@ -127,16 +153,96 @@ class UnknownExperiment(ReproError):
         self.experiment_id = experiment_id
 
 
-class _Worker:
-    """One worker thread's observable state."""
+#: How many experiments' configs and protocol specs a host keeps built.
+HOST_BUILT_EXPERIMENTS = 8
 
-    __slots__ = ("id", "state", "cell", "thread")
+#: Lifeline write ends this process holds, one per live app.
+_LIFELINES: set = set()
 
-    def __init__(self, worker_id: str) -> None:
-        self.id = worker_id
-        self.state = "idle"  # idle | busy | stopped
-        self.cell: Optional[str] = None
-        self.thread: Optional[threading.Thread] = None
+
+def _drop_lifelines() -> None:
+    # A forked child must not hold any app's lifeline open: that app's
+    # hosts would never see it cut.
+    for fd in _LIFELINES:
+        os.close(fd)
+    _LIFELINES.clear()
+
+
+os.register_at_fork(after_in_child=_drop_lifelines)
+
+
+def _keeper(
+    board_path: str,
+    cells: "_BoardCells",
+    workers: int,
+    lease_seconds: float,
+    poll_seconds: float,
+    lifeline: int,
+    doorbell: int,
+) -> None:
+    """The keeper process: hold ``workers`` board hosts on the board.
+
+    It waits for the app's one byte on the lifeline (the app is ready),
+    so nothing it does competes with the app's own start-up, and returns
+    if the lifeline is cut first.  The host machinery is imported here,
+    after the fork, so the serving process never compiles it.
+    """
+    if not os.read(lifeline, 1):
+        return
+    from repro.experiments.hosts import host_loop, keep_hosts
+
+    host = partial(
+        host_loop,
+        board_path,
+        cells,
+        lease_seconds,
+        poll_seconds,
+        until_empty=False,
+        lifeline=lifeline,
+        doorbell=doorbell,
+    )
+    keep_hosts(board_path, host, workers, MAX_ATTEMPTS, lifeline, poll_seconds)
+
+
+class _BoardCells:
+    """What a host makes of a gateway row: its cell, and how to run it.
+
+    A row carries the cell, its experiment id and the experiment's full
+    spec; the host builds the config and protocol specs from the spec
+    the first time it meets the experiment, and keeps the last
+    :data:`HOST_BUILT_EXPERIMENTS` built.  ``fault_hook(cell)`` runs
+    first, inside the cell's fault isolation.
+    """
+
+    __slots__ = ("_fault_hook", "_built")
+
+    def __init__(self, fault_hook: Optional[Callable[[SweepCell], None]]) -> None:
+        self._fault_hook = fault_hook
+        self._built: Dict[str, tuple] = {}
+
+    def __call__(self, payload: Dict[str, Any]):
+        return SweepCell(**payload["cell"]), partial(self._run, payload)
+
+    def _run(self, payload: Dict[str, Any], cell: SweepCell):
+        if self._fault_hook is not None:
+            self._fault_hook(cell)
+        config, specs = self._build(payload["experiment"], payload["spec"])
+        return run_instrumented(
+            specs[cell.protocol],
+            config,
+            arrival_rate=cell.arrival_rate,
+            replication=cell.replication,
+        )
+
+    def _build(self, experiment_id: str, spec_dict: dict) -> tuple:
+        built = self._built.pop(experiment_id, None)
+        if built is None:
+            spec = ExperimentSpec.from_dict(spec_dict)
+            built = (spec.to_config(), normalize_protocols(spec.protocols))
+        self._built[experiment_id] = built  # the newest last
+        while len(self._built) > HOST_BUILT_EXPERIMENTS:
+            del self._built[next(iter(self._built))]
+        return built
 
 
 class ExperimentState:
@@ -212,7 +318,7 @@ class ExperimentState:
             self._append(payload)
 
     def publish_started(self, cell: SweepCell) -> None:
-        """Publish the ``cell_started`` tick for a cell a worker claimed."""
+        """Publish the ``cell_started`` tick of a cell a host computed."""
         with self.cond:
             if self.status != "running":
                 return
@@ -283,7 +389,7 @@ class ExperimentState:
             }
         )
         # Every cell has landed: nothing will run on these again.  An
-        # interrupted experiment keeps them, since a worker that outlives
+        # interrupted experiment keeps them, since a host that outlives
         # the drain may still complete its cell.
         self.config = self.specs = self.bus = None
 
@@ -346,11 +452,12 @@ class GatewayApp:
         store: Shared run store path (or an open
             :class:`~repro.results.store.BaseRunStore`); every completed
             cell is appended here exactly once, whichever client asked
-            for it.
+            for it.  Its connection is closed while the keeper is
+            forked and reopens on the first append.
         store_backend: Optional backend name forcing how a path-given
             ``store`` opens (see
             :func:`~repro.results.backends.open_store`).
-        workers: Worker-thread pool size.
+        workers: How many board hosts compute cells.
         workdir: Directory for the gateway's job board; ``None`` creates
             a private temp dir (removed by :meth:`close`).  A
             caller-supplied workdir is kept, so the board's queue state
@@ -359,12 +466,17 @@ class GatewayApp:
             under their original experiment ids and execute normally).
         quotas: Admission control; defaults to a permissive
             :class:`~repro.gateway.quotas.ClientQuotas`.
-        poll_seconds: Worker idle-claim poll interval.
-        lease_seconds: Board lease stamped on claims.  Gateway workers
-            are threads (they cannot vanish silently), so leases exist
-            for board-state introspection rather than failover.
-        fault_hook: Test seam called in the worker as ``hook(cell)``
-            right before a cell runs; raising fails the cell.
+        poll_seconds: How often an idle host claims, the keeper reaps,
+            and the collector reads the board without being woken.
+        lease_seconds: Board lease stamped on claims; a host that stops
+            heartbeating (wedged) loses its cell after this long.  A
+            host that dies loses it as soon as the keeper reaps it.
+        fault_hook: Test seam called in the host as ``hook(cell)`` right
+            before a cell runs; raising fails the cell, and killing the
+            host loses it.
+
+    The app forks its keeper while it is built: build it in a process
+    that has one thread, before starting any other.
     """
 
     def __init__(
@@ -375,13 +487,11 @@ class GatewayApp:
         workdir: "str | os.PathLike | None" = None,
         quotas: Optional[ClientQuotas] = None,
         poll_seconds: float = 0.05,
-        lease_seconds: float = 300.0,
+        lease_seconds: float = LEASE_SECONDS,
         fault_hook: Optional[Callable[[SweepCell], None]] = None,
     ) -> None:
         if workers < 1:
             raise ReproError(f"gateway needs workers >= 1, got {workers}")
-        self._store = open_store(store, backend=store_backend)
-        self._store_lock = threading.Lock()
         self._owns_workdir = workdir is None
         self.workdir = (
             tempfile.mkdtemp(prefix="repro-gateway-")
@@ -390,16 +500,11 @@ class GatewayApp:
         )
         os.makedirs(self.workdir, exist_ok=True)
         self.board_path = os.path.join(self.workdir, "board.sqlite")
-        # The parent connection serves submissions and health checks from
-        # whichever thread the server runs them on; the registry lock
-        # serializes access.  Workers open their own connections.
-        self._board = JobBoard(self.board_path, cross_thread=True)
-        self._next_index = self._board.max_index() + 1
         self.quotas = quotas if quotas is not None else ClientQuotas()
         self.poll_seconds = poll_seconds
         self.lease_seconds = lease_seconds
-        self._fault_hook = fault_hook
         self._lock = threading.RLock()
+        self._store_lock = threading.Lock()
         self._experiments: Dict[str, ExperimentState] = {}
         #: terminal experiment ids, earliest finished first
         self._finished: Deque[str] = deque()
@@ -408,22 +513,80 @@ class GatewayApp:
         #: fingerprint -> waiting (experiment, cell) pairs for in-flight dedup
         self._inflight: Dict[str, List[Tuple[ExperimentState, SweepCell]]] = {}
         self._draining = False
+        #: the drain is over: event streams end, nothing more is admitted
         self._closed = False
-        self._stop = threading.Event()
-        # Adopt whatever a previous instance left on a persisted board
-        # *before* any worker starts claiming, so no claim can ever find
-        # a cell with no registered owner.
-        self._recover_orphans()
-        self._workers: List[_Worker] = []
-        for i in range(workers):
-            worker = _Worker(f"gw-{i}")
-            worker.thread = threading.Thread(
-                target=self._worker_loop, args=(worker,),
-                name=f"gateway-{worker.id}", daemon=True,
+        #: the board and the store are closed (the collector's last act)
+        self._released = False
+        self._store = open_store(store, backend=store_backend)
+        # Fork the keeper with no SQLite connection open: the store's
+        # reopens on its first append (its loaded index stays), and the
+        # board's opens after the fork.  The store loads before it, since
+        # after it this process copies each memory page it first writes,
+        # which the keeper shares until then.
+        self._store.close()
+        self._start_keeper(workers, _BoardCells(fault_hook))
+        try:
+            # The app's connection serves submissions, health checks and
+            # the collector from whichever thread runs them; the registry
+            # lock serializes access.  Hosts open their own.
+            self._board = JobBoard(self.board_path, cross_thread=True)
+            self._next_index = self._board.max_index() + 1
+            # Adopt whatever a previous instance left on a persisted
+            # board before the keeper starts a host (below), so no claim
+            # can ever find a cell with no registered owner.
+            self._recover_orphans(self._board)
+            self._board.forget_hosts()
+            stamp = self._board.last_stamp()
+        except BaseException:
+            self._stop_keeper()
+            raise
+        self._collector = threading.Thread(
+            target=self._collect, args=(stamp,), name="gateway-collector",
+            daemon=True,
+        )
+        self._collector.start()
+        # Ready: the keeper may start the hosts now.
+        os.write(self._lifeline, b"\1")
+
+    def _start_keeper(self, workers: int, cells: _BoardCells) -> None:
+        """Fork the keeper, which forks and keeps the hosts."""
+        lifeline, self._lifeline = os.pipe()
+        self._doorbell, doorbell = os.pipe()
+        os.set_blocking(doorbell, False)
+        _LIFELINES.add(self._lifeline)
+        try:
+            self._keeper = Forked(
+                partial(
+                    _keeper,
+                    self.board_path,
+                    cells,
+                    workers,
+                    self.lease_seconds,
+                    self.poll_seconds,
+                    lifeline,
+                    doorbell,
+                )
             )
-            self._workers.append(worker)
-        for worker in self._workers:
-            worker.thread.start()
+        finally:
+            # The keeper and its hosts hold these ends; once they have
+            # all exited, the doorbell reads as closed.
+            os.close(lifeline)
+            os.close(doorbell)
+
+    def _cut_lifeline(self) -> None:
+        """Tell the keeper and the hosts to stop (idempotent)."""
+        with self._lock:
+            if self._lifeline is not None:
+                _LIFELINES.discard(self._lifeline)
+                os.close(self._lifeline)
+                self._lifeline = None
+
+    def _stop_keeper(self) -> None:
+        """Stop the hosts at once and reap the keeper."""
+        self._cut_lifeline()
+        self._keeper.terminate()
+        self._keeper.join(30.0)
+        os.close(self._doorbell)
 
     # ------------------------------------------------------------------
     # submission
@@ -491,7 +654,7 @@ class GatewayApp:
             charged=True,
         )
         with self._lock:
-            if self._draining or self._closed:
+            if self._draining:
                 raise GatewayDraining(
                     "gateway is draining; resubmit to the replacement instance"
                 )
@@ -577,14 +740,14 @@ class GatewayApp:
     # board recovery
     # ------------------------------------------------------------------
 
-    def _recover_orphans(self) -> None:
+    def _recover_orphans(self, board: JobBoard) -> None:
         """Adopt cells a dead instance left behind on a persisted board.
 
         A gateway drained (or killed) with queued work leaves those
         cells ``pending`` — or ``claimed`` under a lease nobody will
-        ever extend, since gateway workers are threads of the dead
-        process — on the board file.  Runs once at startup, before the
-        worker pool exists: every orphan's payload carries its client
+        ever extend, since the dead instance's hosts stopped with it —
+        on the board file.  Runs once at startup, before any host
+        exists: every orphan's payload carries its client
         and the full experiment spec, so the cells re-register in
         ``self._cells`` under their original experiment ids, visible in
         ``GET /experiments`` and executed exactly like fresh work.
@@ -596,15 +759,15 @@ class GatewayApp:
         forever (or stopping the gateway from starting); the other
         orphans are still adopted.
         """
-        for index in sorted(self._board.indexes_in_state("claimed")):
-            self._board.requeue(index)
+        for index in sorted(board.indexes_in_state("claimed")):
+            board.requeue(index)
         grouped: Dict[str, List[Tuple[int, dict]]] = {}
-        for index in sorted(self._board.indexes_in_state("pending")):
+        for index in sorted(board.indexes_in_state("pending")):
             try:
-                payload = self._board.payload(index)
+                payload = board.payload(index)
                 experiment_id = str(payload.get("experiment"))
             except (ValueError, AttributeError) as exc:
-                self._board.fail(index)
+                board.fail(index)
                 _log.warning(
                     "dropping orphaned cell %d: board payload cannot be "
                     "decoded (%s)", index, exc,
@@ -626,7 +789,7 @@ class GatewayApp:
                 ]
             except Exception as exc:  # noqa: BLE001 - damaged payloads: drop
                 for index, _payload in entries:
-                    self._board.fail(index)
+                    board.fail(index)
                 _log.warning(
                     "dropping %d orphaned cell(s) of experiment %s: "
                     "board payload cannot be rebuilt (%s)",
@@ -665,64 +828,49 @@ class GatewayApp:
             )
 
     # ------------------------------------------------------------------
-    # worker pool
+    # the collector
     # ------------------------------------------------------------------
 
-    def _runner(self, exp: ExperimentState) -> Callable:
-        def run(cell: SweepCell):
-            if self._fault_hook is not None:
-                self._fault_hook(cell)
-            return run_instrumented(
-                exp.specs[cell.protocol],
-                exp.config,
-                arrival_rate=cell.arrival_rate,
-                replication=cell.replication,
-            )
+    def _collect(self, stamp: int) -> None:
+        """The collector thread: deliver every cell the hosts finish.
 
-        return run
+        Reads the rows finished since ``stamp`` whenever a host rings
+        the doorbell, and every ``poll_seconds`` besides (the keeper
+        fails cells without ringing).  Once the keeper and every host
+        have exited, the doorbell reads as closed: one last read, and
+        the board and store are released.
+        """
+        alive = True
+        while alive:
+            ready = select.select([self._doorbell], [], [], self.poll_seconds)[0]
+            if ready:
+                alive = bool(os.read(self._doorbell, 4096))
+            with self._lock:
+                rows = self._board.finished_since(stamp)
+            for stamp, index, attempts, encoded in rows:
+                self._collect_row(index, attempts, encoded)
+        if not self.draining:
+            # The keeper died: nothing would compute another cell.
+            _log.error("gateway hosts are gone; draining")
+            self.drain()
+        self._release()
 
-    def _worker_loop(self, worker: _Worker) -> None:
-        board = JobBoard(self.board_path)
-        try:
-            while True:
-                if self._stop.is_set():
-                    worker.state = "stopped"
-                    return
-                claimed = board.claim_payload(worker.id, self.lease_seconds)
-                if claimed is None:
-                    time.sleep(self.poll_seconds)
-                    continue
-                index, payload, _attempt = claimed
-                with self._lock:
-                    entry = self._cells.get(index)
-                if entry is None:
-                    # Registered state is gone (drain raced the claim);
-                    # leave the cell pending for a future instance, with
-                    # a backoff so a miss can never busy-spin the board.
-                    board.requeue(
-                        index, not_before=time.time() + self.poll_seconds
-                    )
-                    time.sleep(self.poll_seconds)
-                    continue
-                exp, cell, fingerprint = entry
-                worker.state = "busy"
-                worker.cell = cell.describe()
-                exp.publish_started(cell)
-                outcome = _execute_cell(cell, self._runner(exp))
-                self._complete_cell(board, index, outcome)
-                worker.state = "idle"
-                worker.cell = None
-        finally:
-            board.close()
-
-    def _complete_cell(
-        self, board: JobBoard, index: int, outcome: CellOutcome
-    ) -> None:
+    def _collect_row(self, index: int, attempts: int, encoded) -> None:
+        """Publish, store and resolve one finished board row."""
         with self._lock:
             entry = self._cells.get(index)
         if entry is None:
-            return
-        exp, cell, fingerprint = entry
+            return  # resolved already, or not this instance's cell
+        exp, cell, _fingerprint = entry
+        try:
+            outcome = decode_outcome(cell, encoded)
+        except Exception:  # noqa: BLE001 - any damage: recompute
+            if attempts < MAX_ATTEMPTS:
+                with self._lock:
+                    self._board.requeue(index)
+                return
+            outcome = lost_outcome(cell, attempts)
+        exp.publish_started(cell)
         if outcome.ok:
             record = RunRecord.from_outcome(
                 exp.config,
@@ -733,10 +881,6 @@ class GatewayApp:
             )
             with self._store_lock:
                 self._store.append(record)
-            # The store holds the outcome; nothing reads one off this board.
-            board.complete(index)
-        else:
-            board.fail(index)
         self._resolve(index, outcome)
 
     def _resolve(self, index: int, outcome: CellOutcome) -> None:
@@ -837,7 +981,13 @@ class GatewayApp:
         return records
 
     def health(self) -> dict:
-        """JSON-ready service health: workers, quotas, board, store."""
+        """JSON-ready service health: hosts, quotas, board, store.
+
+        ``hosts`` maps each live host to its pid, the cell it holds
+        (``None`` when idle) and how many seconds ago its lease was
+        stamped by the claim or the last heartbeat; all read from the
+        board, which also gives the ``board`` counts per cell state.
+        """
         with self._lock:
             payload = {
                 "status": "draining" if self._draining else "ok",
@@ -849,16 +999,13 @@ class GatewayApp:
                     )
                     for state in EXPERIMENT_STATES
                 },
-                "workers": {
-                    worker.id: {"state": worker.state, "cell": worker.cell}
-                    for worker in self._workers
-                },
-                "board": self._board.counts() if not self._closed else None,
+                "hosts": self._hosts() if not self._released else None,
+                "board": self._board.counts() if not self._released else None,
                 "quotas": self.quotas.snapshot(),
             }
             # Same guard as the board: after drain() the listener keeps
             # serving health probes, but the store is closed.
-            if self._closed:
+            if self._released:
                 payload["store"] = None
             else:
                 with self._store_lock:
@@ -868,6 +1015,22 @@ class GatewayApp:
                         "records": len(self._store),
                     }
         return payload
+
+    def _hosts(self) -> Dict[str, dict]:
+        # Caller holds the registry lock.
+        now = time.time()
+        hosts = {}
+        for worker, pid, index, expiry in self._board.hosts():
+            entry = self._cells.get(index)
+            hosts[worker] = {
+                "pid": pid,
+                "cell": entry[1].describe() if entry is not None else None,
+                "lease_age_s": (
+                    None if expiry is None
+                    else now - (expiry - self.lease_seconds)
+                ),
+            }
+        return hosts
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -883,28 +1046,25 @@ class GatewayApp:
         """Graceful shutdown: finish leased cells, persist, reject new work.
 
         Submissions raise :class:`GatewayDraining` (HTTP 503) from the
-        moment the drain starts.  Worker threads finish the cell they
-        hold — its outcome is appended to the store and marked on the
-        board — then exit without claiming more; queued cells stay
+        moment the drain starts.  The lifeline is cut, so the hosts
+        claim nothing more; each finishes the cell it holds, which the
+        collector appends to the store, and exits.  Queued cells stay
         ``pending`` on the board file, which survives in ``workdir``,
         and a replacement instance started on the same workdir adopts
-        them at startup (see :meth:`_recover_orphans`).  Experiments
-        still incomplete after the drain are marked ``interrupted`` so
-        their event streams terminate cleanly.
+        them at startup (see :meth:`_recover_orphans`).  After up to
+        ``timeout`` seconds, experiments still incomplete are marked
+        ``interrupted`` so their event streams terminate cleanly; a cell
+        that lands later is still stored, until :meth:`close`.
         """
         with self._lock:
-            if self._closed:
+            if self._draining:
                 return
-            already = self._draining
             self._draining = True
-        if already:
-            return
+            # Under the lock, so whoever sees the drain sees it cut.
+            self._cut_lifeline()
         _log.info("gateway draining: finishing leased cells")
-        self._stop.set()
-        for worker in self._workers:
-            if worker.thread is not None:
-                worker.thread.join(timeout)
-            worker.state = "stopped"
+        if threading.current_thread() is not self._collector:
+            self._collector.join(timeout)
         with self._lock:
             running = [
                 exp
@@ -916,14 +1076,29 @@ class GatewayApp:
                 self._experiment_finished(exp)
         with self._lock:
             self._closed = True
+        _log.info("gateway drained: board state persisted at %s", self.board_path)
+
+    def _release(self) -> None:
+        """Close the board and the store (the collector's last act)."""
+        with self._lock:
+            self._released = True
             self._board.close()
             with self._store_lock:
                 self._store.close()
-        _log.info("gateway drained: board state persisted at %s", self.board_path)
+            os.close(self._doorbell)
 
     def close(self) -> None:
-        """Drain and release resources (removes an app-owned temp workdir)."""
+        """Drain, stop every host and the keeper, release resources.
+
+        Removes an app-owned temp workdir.  No process the app forked
+        outlives this call: hosts still computing after the drain are
+        stopped, and the keeper reaps them before it is reaped.
+        """
         self.drain()
+        if self._keeper.is_alive():
+            self._keeper.terminate()
+        self._keeper.join(30.0)
+        self._collector.join(30.0)
         if self._owns_workdir:
             import shutil
 

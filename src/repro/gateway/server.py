@@ -113,7 +113,15 @@ class GatewayServer:
                     signum, lambda *_: self.request_shutdown()
                 )
         try:
-            self._shutdown.get()
+            # Wake now and then: a signal the kernel hands to another
+            # thread (the app's collector, say) runs its Python handler
+            # only once this thread runs again.
+            while True:
+                try:
+                    self._shutdown.get(timeout=0.25)
+                    break
+                except queue.Empty:
+                    pass
             _log.info("gateway shutdown requested; draining")
             # Drain with the listener still up: late submissions get an
             # honest 503 (not a connection refusal) while leased cells

@@ -37,6 +37,14 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from repro._record import FrozenRecord
 from repro.errors import ConfigurationError
+from repro.protocols.ranges import (
+    check_commit_threshold,
+    check_epsilon,
+    check_max_deferral,
+    check_period,
+    check_shadow_budget,
+    check_wait_threshold,
+)
 
 __all__ = [
     "ParamSpec",
@@ -89,9 +97,13 @@ class ParamSpec(FrozenRecord):
         Closed set of allowed values (used by ``str`` parameters).
     doc : str
         One-line description shown by the CLI ``specs`` listing.
+    check : callable, optional
+        The parameter's range check from :mod:`repro.protocols.ranges`,
+        the one its protocol's constructor calls; it raises on a value
+        out of range.
     """
 
-    __slots__ = ("name", "kind", "default", "optional", "choices", "doc")
+    __slots__ = ("name", "kind", "default", "optional", "choices", "doc", "check")
 
     def __init__(
         self,
@@ -101,6 +113,7 @@ class ParamSpec(FrozenRecord):
         optional: bool = False,
         choices: Optional[tuple] = None,
         doc: str = "",
+        check: Optional[Callable[[Any], None]] = None,
     ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "kind", kind)
@@ -108,6 +121,7 @@ class ParamSpec(FrozenRecord):
         object.__setattr__(self, "optional", optional)
         object.__setattr__(self, "choices", choices)
         object.__setattr__(self, "doc", doc)
+        object.__setattr__(self, "check", check)
 
     def coerce(self, value: Any) -> Any:
         """Normalize ``value`` (JSON value or spec-string token) to type.
@@ -116,8 +130,8 @@ class ParamSpec(FrozenRecord):
         ------
         ConfigurationError
             If the value cannot be interpreted as this parameter's kind,
-            is ``None`` for a non-optional parameter, or falls outside
-            ``choices``.
+            is ``None`` for a non-optional parameter, falls outside
+            ``choices``, or fails ``check``.
         """
         if isinstance(value, str) and value.lower() in ("none", "null"):
             value = None
@@ -139,6 +153,13 @@ class ParamSpec(FrozenRecord):
                 f"parameter {self.name!r} must be one of "
                 f"{', '.join(map(str, self.choices))}; got {coerced!r}"
             )
+        if self.check is not None:
+            try:
+                self.check(coerced)
+            except (ValueError, ConfigurationError) as exc:
+                raise ConfigurationError(
+                    f"parameter {self.name!r}: {exc}"
+                ) from None
         return coerced
 
     def _coerce_kind(self, value: Any) -> Any:
@@ -626,6 +647,7 @@ register_protocol(
                 default=2,
                 optional=True,
                 doc="shadow budget per transaction (none = unlimited)",
+                check=check_shadow_budget,
             ),
             _replacement_param(),
         ),
@@ -650,20 +672,22 @@ register_protocol(
         builder=_build_scc_dc,
         params=(
             ParamSpec(
-                "k", "int", default=2, optional=True, doc="shadow budget"
+                "k", "int", default=2, optional=True, doc="shadow budget",
+                check=check_shadow_budget,
             ),
             ParamSpec(
                 "period", "float", default=0.01,
-                doc="termination re-evaluation period (s)",
+                doc="termination re-evaluation period (s)", check=check_period,
             ),
             ParamSpec(
                 "epsilon", "float", default=0.01,
                 doc="l_i truncation bound (no effect under deterministic "
                 "execution times; kept as spec identity)",
+                check=check_epsilon,
             ),
             ParamSpec(
                 "max_deferral", "float", default=None, optional=True,
-                doc="hard deferral cap (s)",
+                doc="hard deferral cap (s)", check=check_max_deferral,
             ),
             _replacement_param(),
         ),
@@ -678,19 +702,21 @@ register_protocol(
         builder=_build_scc_vw,
         params=(
             ParamSpec(
-                "k", "int", default=2, optional=True, doc="shadow budget"
+                "k", "int", default=2, optional=True, doc="shadow budget",
+                check=check_shadow_budget,
             ),
             ParamSpec(
                 "period", "float", default=0.01,
-                doc="vote re-evaluation period (s)",
+                doc="vote re-evaluation period (s)", check=check_period,
             ),
             ParamSpec(
                 "commit_threshold", "float", default=0.5,
                 doc="value-weighted commit-vote threshold",
+                check=check_commit_threshold,
             ),
             ParamSpec(
                 "max_deferral", "float", default=None, optional=True,
-                doc="hard deferral cap (s)",
+                doc="hard deferral cap (s)", check=check_max_deferral,
             ),
             _replacement_param(),
         ),
@@ -735,6 +761,7 @@ register_protocol(
                 "wait_threshold", "float", default=0.5,
                 doc="fraction of higher-priority conflicters that forces "
                 "a wait",
+                check=check_wait_threshold,
             ),
         ),
         description="OCC-BC with Haritsa's 50% wait control",

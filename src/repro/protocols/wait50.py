@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from repro._record import Record
 from repro.protocols.base import CCProtocol, Execution
+from repro.protocols.ranges import check_wait_threshold
 from repro.txn.spec import TransactionSpec
 
 # Evaluation order of waiting transactions is by priority so that the most
@@ -56,8 +57,7 @@ class Wait50(CCProtocol):
 
     def __init__(self, wait_threshold: float = 0.5) -> None:
         super().__init__()
-        if not 0.0 < wait_threshold <= 1.0:
-            raise ValueError(f"wait_threshold must be in (0, 1], got {wait_threshold}")
+        check_wait_threshold(wait_threshold)
         self._threshold = wait_threshold
         self._runtime: dict[int, _TxnRuntime] = {}
         self._waiting: dict[int, Execution] = {}

@@ -10,7 +10,9 @@ import pytest
 from repro._record import asdict
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.cli import main
+from repro.experiments.board import decode_outcome, encode_outcome, lost_outcome
 from repro.experiments.distributed import CELL_STATES, JobBoard
+from repro.experiments.parallel import SweepCell
 from repro.experiments.runner import build_cells
 from tests.conftest import write_board_without_outcomes
 
@@ -20,6 +22,15 @@ def board(tmp_path):
     board = JobBoard(tmp_path / "board.sqlite")
     yield board
     board.close()
+
+
+def claim(board, worker, lease_seconds):
+    """A sweep cell claim: ``(cell, attempt)``, or ``None``."""
+    claimed = board.claim_payload(worker, lease_seconds)
+    if claimed is None:
+        return None
+    _index, payload, attempt = claimed
+    return SweepCell(**payload), attempt
 
 
 def _populate(board, n=4):
@@ -32,10 +43,10 @@ def test_claims_hand_out_cells_in_index_order(board):
     cells = _populate(board)
     seen = []
     while True:
-        claim = board.claim("host-0", lease_seconds=30.0)
-        if claim is None:
+        claimed = claim(board, "host-0", lease_seconds=30.0)
+        if claimed is None:
             break
-        cell, attempt = claim
+        cell, attempt = claimed
         assert attempt == 1
         seen.append(cell)
     assert seen == list(cells)
@@ -48,12 +59,12 @@ def test_claims_hand_out_cells_in_index_order(board):
 
 
 def test_claim_returns_none_on_an_empty_board(board):
-    assert board.claim("host-0", lease_seconds=30.0) is None
+    assert claim(board, "host-0", lease_seconds=30.0) is None
 
 
 def test_populate_is_idempotent(board):
     cells = _populate(board)
-    board.claim("host-0", lease_seconds=30.0)
+    claim(board, "host-0", lease_seconds=30.0)
     board.complete(cells[0].index)
     board.populate(cells)  # a restarted parent re-populates harmlessly
     assert board.counts()["done"] == 1
@@ -62,20 +73,20 @@ def test_populate_is_idempotent(board):
 
 def test_complete_and_fail_are_terminal(board):
     cells = _populate(board, n=2)
-    board.claim("host-0", lease_seconds=30.0)
-    board.claim("host-0", lease_seconds=30.0)
+    claim(board, "host-0", lease_seconds=30.0)
+    claim(board, "host-0", lease_seconds=30.0)
     board.complete(cells[0].index)
     board.fail(cells[1].index)
     assert board.unfinished() == 0
     assert board.indexes_in_state("done") == {cells[0].index}
     assert board.indexes_in_state("failed") == {cells[1].index}
     # Neither is claimable again.
-    assert board.claim("host-1", lease_seconds=30.0) is None
+    assert claim(board, "host-1", lease_seconds=30.0) is None
 
 
 def test_heartbeat_extends_only_the_holders_lease(board):
     cells = _populate(board, n=1)
-    cell, _ = board.claim("host-0", lease_seconds=0.2)
+    cell, _ = claim(board, "host-0", lease_seconds=0.2)
     assert board.heartbeat("host-0", cell.index, lease_seconds=60.0)
     # Another host (or a stale holder after reassignment) cannot extend.
     assert not board.heartbeat("host-1", cell.index, lease_seconds=60.0)
@@ -89,35 +100,79 @@ def test_heartbeat_extends_only_the_holders_lease(board):
 
 def test_expired_lease_requeues_with_attempt_count(board):
     cells = _populate(board, n=1)
-    board.claim("host-0", lease_seconds=0.01)
+    claim(board, "host-0", lease_seconds=0.01)
     time.sleep(0.05)
     retried, exhausted = board.expire_leases(max_attempts=3)
     assert retried == [(cells[0].index, 1)]
     assert exhausted == []
     # The retry claims with attempt=2.
-    cell, attempt = board.claim("host-1", lease_seconds=30.0)
+    cell, attempt = claim(board, "host-1", lease_seconds=30.0)
     assert cell == cells[0]
     assert attempt == 2
-    assert board.attempts(cell.index) == 2
 
 
-def test_requeue_not_before_defers_the_claim(board):
-    # The gateway requeues a cell it cannot serve yet with a not_before
-    # time, so a miss never busy-spins the board.
-    cells = _populate(board, n=1)
-    board.claim("host-0", lease_seconds=30.0)
-    board.requeue(cells[0].index, not_before=time.time() + 0.3)
-    # Not yet due: not claimable, but also not done.
-    assert board.claim("host-1", lease_seconds=30.0) is None
-    assert board.unfinished() == 1
-    time.sleep(0.35)
-    assert board.claim("host-1", lease_seconds=30.0) is not None
+def test_release_takes_back_only_the_dead_hosts_cells(board):
+    # A reaped host's lease need not lapse first: its cell goes back to
+    # pending at once, and another host's lease is left alone.
+    cells = _populate(board, n=2)
+    claim(board, "host-0", lease_seconds=30.0)
+    claim(board, "host-1", lease_seconds=30.0)
+    retried, exhausted = board.release("host-0", max_attempts=3)
+    assert (retried, exhausted) == ([(cells[0].index, 1)], [])
+    assert board.indexes_in_state("pending") == {cells[0].index}
+    assert board.indexes_in_state("claimed") == {cells[1].index}
+    cell, attempt = claim(board, "host-2", lease_seconds=30.0)
+    assert (cell, attempt) == (cells[0], 2)
+
+
+def test_a_cell_at_the_ceiling_fails_with_worker_lost_in_its_row(board):
+    # Lapsed or released, a cell out of attempts carries its WorkerLost
+    # outcome in the row, so every reader decodes it like any other.
+    cells = _populate(board, n=2)
+    claim(board, "host-0", lease_seconds=0.01)
+    claim(board, "host-1", lease_seconds=30.0)
+    time.sleep(0.05)
+    assert board.expire_leases(max_attempts=1) == ([], [(cells[0].index, 1)])
+    assert board.release("host-1", max_attempts=1) == ([], [(cells[1].index, 1)])
+    rows = board.finished_since(0)
+    assert [row[1] for row in rows] == [cells[0].index, cells[1].index]
+    for (_stamp, index, _attempts, encoded), cell in zip(rows, cells):
+        outcome = decode_outcome(cell, encoded)
+        assert outcome.cell == cell and not outcome.ok
+        assert outcome.error.exc_type == "WorkerLost"
+        assert "1 time(s)" in outcome.error.message
+
+
+def test_lose_unfinished_fails_pending_and_claimed_cells(board):
+    cells = _populate(board, n=3)
+    claim(board, "host-0", lease_seconds=30.0)
+    board.complete(cells[0].index, encode_outcome(lost_outcome(cells[0], 1)))
+    claim(board, "host-0", lease_seconds=30.0)
+    board.lose_unfinished()
+    assert board.unfinished() == 0
+    assert board.indexes_in_state("failed") == {cells[1].index, cells[2].index}
+    assert board.indexes_in_state("done") == {cells[0].index}
+
+
+def test_hosts_lists_each_live_host_with_the_cell_it_holds(board):
+    cells = _populate(board, n=2)
+    board.host_started("host-0", 101)
+    board.host_started("host-1", 102)
+    claim(board, "host-1", lease_seconds=30.0)
+    [idle, busy] = board.hosts()
+    assert idle == ("host-0", 101, None, None)
+    assert busy[:3] == ("host-1", 102, cells[0].index)
+    assert busy[3] > time.time() + 29.0
+    board.host_stopped("host-1")
+    assert board.hosts() == [idle]
+    board.forget_hosts()
+    assert board.hosts() == []
 
 
 def test_attempt_ceiling_exhausts_the_cell(board):
     cells = _populate(board, n=1)
     for attempt in (1, 2):
-        cell, got = board.claim(f"host-{attempt}", lease_seconds=0.01)
+        cell, got = claim(board, f"host-{attempt}", lease_seconds=0.01)
         assert got == attempt
         time.sleep(0.05)
         retried, exhausted = board.expire_leases(max_attempts=2)
@@ -142,7 +197,7 @@ def _rows(board):
 
 def test_requeue_forces_a_finished_cell_back_to_pending(board):
     cells = _populate(board, n=1)
-    board.claim("host-0", lease_seconds=30.0)
+    claim(board, "host-0", lease_seconds=30.0)
     board.complete(cells[0].index, "garbage")
     assert board.unfinished() == 0
     board.requeue(cells[0].index)  # the corruption-recovery path
@@ -150,7 +205,7 @@ def test_requeue_forces_a_finished_cell_back_to_pending(board):
     # The damaged outcome goes with the finish.
     assert _rows(board) == [(cells[0].index, "pending", None)]
     assert board.finished_since(0) == []
-    cell, attempt = board.claim("host-1", lease_seconds=30.0)
+    cell, attempt = claim(board, "host-1", lease_seconds=30.0)
     assert cell == cells[0]
     assert attempt == 2  # the original claim still counts
 
@@ -158,7 +213,7 @@ def test_requeue_forces_a_finished_cell_back_to_pending(board):
 def test_complete_and_fail_store_the_outcome_with_the_state(board):
     cells = _populate(board, n=3)
     for _ in cells:
-        board.claim("host-0", lease_seconds=30.0)
+        claim(board, "host-0", lease_seconds=30.0)
     board.complete(cells[0].index, '{"summary": 1}')
     board.fail(cells[1].index, '{"error": "x"}')
     assert _rows(board) == [
@@ -175,7 +230,7 @@ def test_complete_and_fail_store_the_outcome_with_the_state(board):
 def test_a_reader_sees_each_finish_exactly_once(board):
     cells = _populate(board, n=3)
     for _ in cells:
-        board.claim("host-0", lease_seconds=30.0)
+        claim(board, "host-0", lease_seconds=30.0)
     read = []
     stamp = 0
 
@@ -194,7 +249,7 @@ def test_a_reader_sees_each_finish_exactly_once(board):
     # move past everything already read.
     board.requeue(cells[1].index)
     poll()
-    claimed, attempt = board.claim("host-1", lease_seconds=30.0)
+    claimed, attempt = claim(board, "host-1", lease_seconds=30.0)
     assert (claimed, attempt) == (cells[1], 2)
     board.complete(cells[1].index, "b2")
     board.fail(cells[2].index, "c")
@@ -215,7 +270,7 @@ def test_a_board_without_outcome_columns_gains_them_on_open(tmp_path):
     board = JobBoard(path)
     try:
         for _ in cells:
-            board.claim("host-0", lease_seconds=30.0)
+            claim(board, "host-0", lease_seconds=30.0)
         board.complete(cells[0].index, "a")
         board.fail(cells[1].index, "b")
         board.requeue(cells[2].index)
@@ -235,11 +290,6 @@ def test_indexes_in_state_rejects_unknown_states(board):
         board.indexes_in_state("lost")
 
 
-def test_attempts_rejects_unknown_cells(board):
-    with pytest.raises(ConfigurationError, match="no cell"):
-        board.attempts(99)
-
-
 # ----------------------------------------------------------------------
 # multi-process claim race
 # ----------------------------------------------------------------------
@@ -250,10 +300,10 @@ def _claim_all(path, worker, barrier, queue):
     barrier.wait()
     got = []
     while True:
-        claim = board.claim(worker, lease_seconds=30.0)
-        if claim is None:
+        claimed = claim(board, worker, lease_seconds=30.0)
+        if claimed is None:
             break
-        got.append(claim[0].index)
+        got.append(claimed[0].index)
     board.close()
     queue.put((worker, got))
 

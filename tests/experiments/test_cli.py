@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import json
+
 import pytest
 
 from repro.experiments.cli import main
@@ -99,6 +101,37 @@ def test_unknown_scenario_rejected(tmp_path):
     )
     with pytest.raises(SystemExit, match="unknown scenario"):
         main(["run", str(path)])
+
+
+@pytest.mark.parametrize(
+    "protocol, rate",
+    [
+        ("scc-2s", 1e-308),
+        ("scc-2s", 5e-324),
+        ("scc-ks?k=0", 60.0),
+        ("wait-50?wait_threshold=0", 60.0),
+        ("scc-vw?commit_threshold=2", 60.0),
+        ("scc-dc?period=1e-300", 60.0),
+    ],
+)
+def test_a_spec_whose_cells_cannot_run_is_one_error_line(
+    tmp_path, capsys, protocol, rate
+):
+    # Each passes the spec's own checks; the roster's constructors and
+    # the rate axis refuse it before any cell runs.
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({
+        "schema": 1, "protocols": [protocol], "arrival_rates": [rate],
+        "num_transactions": 40, "warmup_commits": 4,
+    }))
+    store = tmp_path / "runs.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", str(path), "--store", str(store)])
+    message = str(excinfo.value)
+    assert message.startswith("scc-experiments: error: ")
+    assert "\n" not in message
+    assert capsys.readouterr().out == ""
+    assert not store.exists() or store.stat().st_size == 0
 
 
 def test_invalid_workers_rejected():

@@ -1,9 +1,13 @@
-"""Shared helpers for the gateway tests: tiny specs and in-process servers."""
+"""Shared helpers for the gateway tests: tiny specs, in-process servers,
+and events a forked host can wait on."""
 
 from __future__ import annotations
 
+import itertools
 import threading
+import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +29,45 @@ def tiny_spec_dict(**overrides) -> dict:
     return spec
 
 
+class FileEvent:
+    """A ``threading.Event`` that also works across a fork.
+
+    A gateway's ``fault_hook`` runs in a forked host, which an event of
+    the test process never reaches.  This one is a file: :meth:`set`
+    creates it and :meth:`wait` polls for it, from any process.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+
+    def set(self) -> None:
+        self.path.touch()
+
+    def is_set(self) -> bool:
+        return self.path.exists()
+
+    def wait(self, timeout=None) -> bool:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.is_set():
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+            time.sleep(0.005)
+        return True
+
+
+@pytest.fixture
+def file_event(tmp_path):
+    """Factory of fresh :class:`FileEvent` objects under ``tmp_path``."""
+    count = itertools.count()
+    return lambda: FileEvent(tmp_path / f"event-{next(count)}")
+
+
 @pytest.fixture
 def make_app(tmp_path):
     """Factory building gateway apps over a store in ``tmp_path``.
 
     Every app built is drained and closed at teardown, so tests never
-    leak worker threads.
+    leak hosts.
     """
     apps = []
 

@@ -202,8 +202,8 @@ class TestDedup:
         assert len(outcomes) == 2 and all(e["cached"] for e in outcomes)
         assert len(app.results(second["id"])) == stored
 
-    def test_in_flight_cells_are_shared_not_recomputed(self, make_app):
-        release = threading.Event()
+    def test_in_flight_cells_are_shared_not_recomputed(self, make_app, file_event):
+        release = file_event()
         app = make_app(fault_hook=lambda cell: release.wait(30))
         first = app.submit(tiny_spec_dict(), client="alice")
         second = app.submit(tiny_spec_dict(), client="bob")
@@ -230,8 +230,8 @@ class TestDedup:
 
 
 class TestQuotas:
-    def test_over_quota_client_rejected_others_undisturbed(self, make_app):
-        release = threading.Event()
+    def test_over_quota_client_rejected_others_undisturbed(self, make_app, file_event):
+        release = file_event()
         app = make_app(
             quotas=ClientQuotas(max_experiments=1),
             fault_hook=lambda cell: release.wait(30),
@@ -247,15 +247,15 @@ class TestQuotas:
 
     @pytest.mark.parametrize("replications", [1_000_000, 10**20])
     def test_hopeless_grid_refused_before_it_is_built(
-        self, make_app, replications
+        self, make_app, replications, file_event
     ):
         # The cell count is arithmetic: a grid whose fresh cells must
         # exceed the quota gets its 429 without building, fingerprinting
-        # or looking up a single cell, and changes nothing.  One worker
-        # holds the first cell inside its hook, so no cell starts (and
+        # or looking up a single cell, and changes nothing.  One host
+        # holds the first cell inside its hook, so no cell lands (and
         # publishes an event) between the two snapshots.
-        release = threading.Event()
-        held = threading.Event()
+        release = file_event()
+        held = file_event()
 
         def hold(cell):
             held.set()
@@ -263,7 +263,7 @@ class TestQuotas:
 
         app = make_app(workers=1, fault_hook=hold)
         app.submit(tiny_spec_dict(), client="alice")
-        assert held.wait(30), "no worker claimed the first cell"
+        assert held.wait(30), "no host claimed the first cell"
         before = (app.list_experiments(), app.quotas.snapshot(),
                   dict(app._inflight), dict(app._cells))
         started = time.monotonic()
@@ -294,21 +294,52 @@ class TestQuotas:
         assert wait_done(app, second["id"]) == "done"
 
 
-#: Specs that validate but whose every cell raises: the mean
-#: inter-arrival time of rate 1e-308 overflows to inf, and the
-#: constructors refuse k=0 and wait_threshold=0.  6 cells each.
+#: Specs that pass every check a cell's own code makes but whose cells
+#: could never run; each is refused at submit.  Rate 1e-308 (and
+#: 5e-324) makes the inter-arrival draws overflow to inf, the
+#: constructors refuse k=0, wait_threshold=0 and commit_threshold=2, and
+#: a 1e-300 s tick cannot advance SCC-DC's clock.
+UNRUNNABLE_SPECS = (
+    tiny_spec_dict(protocols=["scc-2s"], arrival_rates=[1e-308]),
+    tiny_spec_dict(protocols=["scc-2s"], arrival_rates=[5e-324]),
+    tiny_spec_dict(protocols=["scc-ks?k=0"]),
+    tiny_spec_dict(protocols=["wait-50?wait_threshold=0"]),
+    tiny_spec_dict(protocols=["scc-vw?commit_threshold=2"]),
+    tiny_spec_dict(protocols=["scc-dc?period=1e-300"]),
+)
+
+#: Specs whose every cell fails in its host: :func:`poison` raises for
+#: each rate other than 60.  6 cells each.
 FAILING_SPECS = (
     tiny_spec_dict(
-        protocols=["scc-2s", "occ-bc", "wait-50"], arrival_rates=[1e-308],
+        protocols=["scc-2s", "occ-bc", "wait-50"], arrival_rates=[61.0],
         replications=2,
     ),
     tiny_spec_dict(
-        protocols=["scc-ks?k=0", "wait-50?wait_threshold=0"], replications=3,
+        protocols=["scc-ks?k=3", "wait-50?wait_threshold=0.25"],
+        arrival_rates=[62.0], replications=3,
     ),
 )
 
 
+def poison(cell):
+    """A fault hook failing every cell that does not run at rate 60."""
+    if cell.arrival_rate != 60.0:
+        raise RuntimeError("poisoned cell")
+
+
 class TestFailingCells:
+    def test_specs_whose_cells_cannot_run_are_a_400(self, make_app):
+        app = make_app()
+        for spec in UNRUNNABLE_SPECS:
+            body = json.dumps(spec).encode()
+            response = dispatch(
+                app, Request(method="POST", path="/experiments", body=body)
+            )
+            assert response.status == 400, (spec, response.body)
+        assert app.list_experiments() == []
+        assert app.quotas.snapshot() == {}
+
     def test_a_failing_cell_fails_only_itself(self, make_app):
         def explode(cell):
             if cell.protocol == "WAIT-50":
@@ -328,13 +359,15 @@ class TestFailingCells:
         )
         assert len(app.results(status["id"])) == 4
         health = app.health()
-        assert health["workers"]["gw-0"]["state"] in ("idle", "busy")
+        [host] = health["hosts"].values()
+        assert host["pid"] > 0 and host["cell"] is None
         assert "breaker" not in health
 
     def test_one_clients_failing_cells_do_not_stall_another(self, make_app):
-        # Two workers, as `repro serve` runs by default.  Every cell of
-        # alice's experiments raises; bob's experiment must still run.
-        app = make_app(workers=2)
+        # Two hosts, as `repro serve` runs by default.  Every cell of
+        # alice's experiments raises in its host; bob's experiment must
+        # still run.
+        app = make_app(workers=2, fault_hook=poison)
         failing = [
             app.submit(spec, client="alice")["id"] for spec in FAILING_SPECS
         ]
@@ -345,16 +378,16 @@ class TestFailingCells:
             assert wait_done(app, experiment, timeout=30) == "partial"
             final = app.status(experiment)
             assert len(final["failed"]) == final["total_cells"] == 6
-        workers = app.health()["workers"]
-        assert all(w["state"] in ("idle", "busy") for w in workers.values())
+        hosts = app.health()["hosts"]
+        assert len(hosts) == 2 and all(h["pid"] > 0 for h in hosts.values())
 
 
 class TestDrain:
     def test_drain_finishes_leased_cells_and_rejects_submissions(
-        self, make_app
+        self, make_app, file_event
     ):
-        started = threading.Event()
-        release = threading.Event()
+        started = file_event()
+        release = file_event()
 
         def hold(cell):
             started.set()
@@ -384,13 +417,13 @@ class TestDrain:
         assert events[-1]["kind"] == "experiment_interrupted"
 
     def test_cell_in_flight_past_the_drain_still_lands_in_the_store(
-        self, make_app
+        self, make_app, file_event
     ):
-        # The drain gives up on the held worker and interrupts the
-        # experiment; the worker then completes its cell, which reads
-        # the interrupted experiment's config.
-        started = threading.Event()
-        release = threading.Event()
+        # The drain gives up on the held host and interrupts the
+        # experiment; the host then completes its cell, which the
+        # collector stores with the interrupted experiment's config.
+        started = file_event()
+        release = file_event()
 
         def hold(cell):
             started.set()
@@ -402,7 +435,8 @@ class TestDrain:
         app.drain(timeout=0.1)
         assert app.status(status["id"])["status"] == "interrupted"
         release.set()
-        app._workers[0].thread.join(30)
+        # The collector ends once the host has delivered and exited.
+        app._collector.join(30)
         records = app.results(status["id"])
         assert len(records) == 1
         assert records[0]["fingerprint"] == app._get(status["id"]).fingerprints[0]
@@ -433,8 +467,8 @@ class TestFinishedExperiments:
             event = json.loads(line)
             assert line == (json.dumps(event, sort_keys=True) + "\n").encode()
 
-    def test_finished_experiment_lets_its_config_go(self, make_app):
-        release = threading.Event()
+    def test_finished_experiment_lets_its_config_go(self, make_app, file_event):
+        release = file_event()
         app = make_app(fault_hook=lambda cell: release.wait(30))
         status = app.submit(tiny_spec_dict(), client="alice")
         config = weakref.ref(app._get(status["id"]).config)
@@ -483,10 +517,10 @@ class TestFinishedExperiments:
 
 class TestRetention:
     def test_earliest_finished_experiments_are_forgotten(
-        self, make_app, monkeypatch
+        self, make_app, monkeypatch, file_event
     ):
         monkeypatch.setattr(gateway_app, "MAX_FINISHED_EXPERIMENTS", 2)
-        release = threading.Event()
+        release = file_event()
         app = make_app(
             workers=1,
             fault_hook=lambda cell: cell.arrival_rate == 61.0 and release.wait(30),
@@ -559,11 +593,11 @@ class TestRetention:
 
 
 class TestRecovery:
-    def test_replacement_instance_adopts_pending_cells(self, tmp_path):
+    def test_replacement_instance_adopts_pending_cells(self, tmp_path, file_event):
         workdir = str(tmp_path / "work")
         store_path = str(tmp_path / "store.jsonl")
-        started = threading.Event()
-        release = threading.Event()
+        started = file_event()
+        release = file_event()
 
         def hold(cell):
             started.set()
@@ -577,10 +611,10 @@ class TestRecovery:
             assert started.wait(10)
             drained = threading.Thread(target=first.drain)
             drained.start()
-            # Workers stop claiming once the stop flag is up, so exactly
-            # the leased cell finishes and the rest stay pending.
+            # Hosts stop claiming once the drain cuts their lifeline, so
+            # exactly the leased cell finishes and the rest stay pending.
             deadline = time.monotonic() + 10
-            while not first._stop.is_set():
+            while not first.draining:
                 assert time.monotonic() < deadline, "drain never started"
                 time.sleep(0.01)
             release.set()
@@ -620,7 +654,9 @@ class TestRecovery:
         finally:
             second.close()
 
-    def test_finished_orphan_releases_no_quota_of_its_client(self, tmp_path):
+    def test_finished_orphan_releases_no_quota_of_its_client(
+        self, tmp_path, file_event
+    ):
         # The instance that accepted the orphan charged for it; this one
         # did not, so the orphan finishing frees none of alice's charges
         # for her new experiment.
@@ -636,8 +672,8 @@ class TestRecovery:
                                "replication": 0},
                       "spec": tiny_spec_dict()})
         board.close()
-        release_orphan = threading.Event()
-        release_new = threading.Event()
+        release_orphan = file_event()
+        release_new = file_event()
 
         def hold(cell):
             (release_orphan if cell.arrival_rate == 60.0 else release_new).wait(30)

@@ -150,9 +150,9 @@ class TestQuotasOverHttp:
 
 
 class TestDrainOverHttp:
-    def test_shutdown_answers_503_then_stops(self, make_app):
-        started = threading.Event()
-        release = threading.Event()
+    def test_shutdown_answers_503_then_stops(self, make_app, file_event):
+        started = file_event()
+        release = file_event()
 
         def hold(cell):
             started.set()
@@ -174,7 +174,7 @@ class TestDrainOverHttp:
             deadline_tries = 100
             while not app.draining and deadline_tries:
                 deadline_tries -= 1
-                threading.Event().wait(0.01)
+                time.sleep(0.01)
             with pytest.raises(GatewayError) as info:
                 client.submit(tiny_spec_dict(seed=5))
             assert info.value.status == 503

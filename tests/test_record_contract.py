@@ -137,7 +137,7 @@ SIGNATURES = [
     )),
     ("repro.protocols.registry", "ParamSpec", True, (
         ("name",), ("kind",), ("default",), ("optional", "False"), ("choices", "None"),
-        ("doc", "''"),
+        ("doc", "''"), ("check", "None"),
     )),
     ("repro.protocols.registry", "ProtocolFamily", True, (
         ("name",), ("builder",), ("params", "()"), ("description", "''"),

@@ -12,10 +12,11 @@ forks and reaps its hosts itself, never loads ``multiprocessing``
 either.  The simulation layer loads only in a process that runs a
 cell, when it runs its first one: not in the ``results``/``specs``
 commands, a rerun served from its store, the parent of a ``--workers``
-sweep (its hosts run the cells), or a gateway that has computed
-nothing.  No program process loads numpy at all: a cold serial ``repro
-run``, a ``--workers`` host and a gateway that has computed a cell draw
-their workloads from repro's own streams.  Nor does any program process
+sweep (its hosts run the cells), or ``serve`` at all, however many cells
+its board hosts have computed; the hosts load it.  No program process
+loads numpy at all: a cold serial ``repro run``, a ``--workers`` host and
+a gateway's host that has computed a cell draw their workloads from
+repro's own streams.  Nor does any program process
 load ``hashlib`` or map OpenSSL's ``libcrypto``: cell fingerprints use
 the interpreter's built-in SHA-256 (checked in each of those processes,
 a gateway serving cached cells and the ``results`` commands; skipped on
@@ -23,7 +24,7 @@ an interpreter without one, where ``hashlib`` is the fallback), and
 ``serve`` makes experiment ids from ``os.urandom``, so it loads no
 ``uuid``, ``platform`` or ``libuuid``.  Nor, in its whole life, does a
 paper-baseline process load what it never runs (a cold serial run, the
-``--workers`` hosts and a computing gateway): the tracer and its event
+``--workers`` hosts, a computing gateway and its hosts): the tracer and its event
 types, confidence intervals, tables, ``csv`` and the workload kinds
 beyond each axis's default; a traced run loads the tracer and a
 diurnal-oltp run the extension kinds, and a confidence interval loads
@@ -31,8 +32,13 @@ no numerical library.  No program process loads ``dataclasses`` (nor
 the ``inspect``, ``ast`` and ``dis`` it pulls in) in its whole life:
 records are slotted classes on :mod:`repro._record`, and no module
 under ``src/repro`` imports ``dataclasses``.  ``serve`` loads the job
-board from :mod:`repro.experiments.board`, never the ``--workers``
-executor, while it listens and after it computes.  The engine is the
+board from :mod:`repro.experiments.board`, never the host machinery
+(:mod:`repro.experiments.hosts`, which its keeper imports after its
+fork) nor the ``--workers`` executor, while it listens and after its
+hosts compute.  A gateway's hosts are seen
+through the name they compute a cell by
+(``repro.gateway.app.run_instrumented``), wrapped in the child to report
+what the host has loaded.  The engine is the
 bottom layer: importing it loads no workload, protocol or system
 module.  Package roots resolve
 their names on first access (``repro._lazy``), so each of these stays
@@ -161,61 +167,91 @@ with tempfile.TemporaryDirectory() as workdir:
 print(json.dumps(loaded(sys.argv[3:])))
 """
 
-#: A gateway started on the empty store at ``argv[1]`` that computes the
-#: grid ``argv[2]`` on its worker threads.
-COMPUTING_GATEWAY_CHILD = """
-import json, sys, tempfile
+#: Put ahead of a gateway child: every cell a host of the app computes
+#: appends which modules of ``argv[3:]`` that host has loaded to the
+#: file ``HOST_REPORTS``, through the name the app's hosts call.
+HOST_REPORTS = """
+import json, os, sys, tempfile
 
-from repro.gateway.app import GatewayApp
-from repro.gateway.routes import Request, dispatch
+import repro.gateway.app as gateway_app
 
-spec = json.loads(sys.argv[2])
-with tempfile.TemporaryDirectory() as workdir:
-    app = GatewayApp(store=sys.argv[1], workdir=workdir)
-    try:
-        body = json.dumps(spec).encode()
-        response = dispatch(
-            app, Request(method="POST", path="/experiments", body=body)
-        )
-        assert response.status == 202, response.body
-        experiment, events, done = response.body["id"], [], False
-        while not done:
-            lines, done = app.wait_events(experiment, len(events), 60)
-            events += lines
-        assert json.loads(events[-1])["kind"] == "experiment_done", events[-1]
-    finally:
-        app.close()
-print(json.dumps(loaded(sys.argv[3:])))
+workdir = tempfile.mkdtemp()
+HOST_REPORTS = os.path.join(workdir, "hosts.jsonl")
+_compute = gateway_app.run_instrumented
+
+
+def _reporting(*args, **kwargs):
+    result = _compute(*args, **kwargs)
+    with open(HOST_REPORTS, "a") as out:
+        out.write(json.dumps(loaded(sys.argv[3:])) + "\\n")
+    return result
+
+
+gateway_app.run_instrumented = _reporting
+
+
+def host_loaded():
+    import shutil
+
+    with open(HOST_REPORTS) as lines:
+        names = sorted({name for line in lines for name in json.loads(line)})
+    shutil.rmtree(workdir, ignore_errors=True)
+    return names
 """
 
-#: A gateway on the empty store at ``argv[1]``, listening on a real
-#: socket, that computes the grid ``argv[2]``; prints which modules of
-#: ``argv[3:]`` it had loaded while listening and once it had computed.
-LISTENING_GATEWAY_CHILD = """
-import json, sys, tempfile
-
+#: A gateway started on the empty store at ``argv[1]`` that computes the
+#: grid ``argv[2]`` on its hosts; prints which modules of ``argv[3:]``
+#: the serving process had loaded once the grid was done, and which its
+#: hosts had loaded after computing cells.
+COMPUTING_GATEWAY_CHILD = HOST_REPORTS + """
 from repro.gateway.app import GatewayApp
 from repro.gateway.routes import Request, dispatch
-from repro.gateway.server import GatewayServer
 
 spec = json.loads(sys.argv[2])
-with tempfile.TemporaryDirectory() as workdir:
-    app = GatewayApp(store=sys.argv[1], workdir=workdir)
-    server = GatewayServer(app, port=0)
-    server.start()
-    listening = loaded(sys.argv[3:])
+app = GatewayApp(store=sys.argv[1], workdir=os.path.join(workdir, "board"))
+try:
     body = json.dumps(spec).encode()
-    response = dispatch(app, Request(method="POST", path="/experiments", body=body))
+    response = dispatch(
+        app, Request(method="POST", path="/experiments", body=body)
+    )
     assert response.status == 202, response.body
     experiment, events, done = response.body["id"], [], False
     while not done:
         lines, done = app.wait_events(experiment, len(events), 60)
         events += lines
     assert json.loads(events[-1])["kind"] == "experiment_done", events[-1]
-    computed = loaded(sys.argv[3:])
-    server.request_shutdown()
-    server.run()
-print(json.dumps([listening, computed]))
+finally:
+    app.close()
+print(json.dumps([loaded(sys.argv[3:]), host_loaded()]))
+"""
+
+#: A gateway on the empty store at ``argv[1]``, listening on a real
+#: socket, that computes the grid ``argv[2]``; prints which modules of
+#: ``argv[3:]`` it had loaded while listening and once it had computed,
+#: and which its hosts had loaded after computing cells.
+LISTENING_GATEWAY_CHILD = HOST_REPORTS + """
+from repro.gateway.app import GatewayApp
+from repro.gateway.routes import Request, dispatch
+from repro.gateway.server import GatewayServer
+
+spec = json.loads(sys.argv[2])
+app = GatewayApp(store=sys.argv[1], workdir=os.path.join(workdir, "board"))
+server = GatewayServer(app, port=0)
+server.start()
+listening = loaded(sys.argv[3:])
+body = json.dumps(spec).encode()
+response = dispatch(app, Request(method="POST", path="/experiments", body=body))
+assert response.status == 202, response.body
+experiment, events, done = response.body["id"], [], False
+while not done:
+    lines, done = app.wait_events(experiment, len(events), 60)
+    events += lines
+assert json.loads(events[-1])["kind"] == "experiment_done", events[-1]
+computed = loaded(sys.argv[3:])
+server.request_shutdown()
+server.run()
+app.close()
+print(json.dumps([listening, computed, host_loaded()]))
 """
 
 #: A Student-t interval over three samples.
@@ -442,13 +478,15 @@ def test_gateway_skips_numpy_until_it_computes_a_cell(tmp_path):
     assert _loaded(CACHED_GATEWAY_CHILD, modules, args) == []
 
 
-def test_gateway_computes_a_cell_without_numpy(tmp_path):
-    # A fresh store: the gateway's worker computes the cell itself.
+def test_gateway_computes_a_cell_on_hosts_without_numpy(tmp_path):
+    # A fresh store: the cell is computed on a board host, which loads
+    # the simulation layer; the serving process never does.
     store = tmp_path / "runs.jsonl"
     args = (str(store), json.dumps(ONE_CELL))
-    modules = ["numpy", *OPENSSL, *UUID, "repro.system.model"]
-    loaded = _loaded(COMPUTING_GATEWAY_CHILD, modules, args)
-    assert loaded == ["repro.system.model"]
+    modules = ["numpy", *OPENSSL, *UUID, *DATACLASS_MACHINERY, *SIMULATION]
+    serving, hosts = _loaded(COMPUTING_GATEWAY_CHILD, modules, args)
+    assert serving == []
+    assert hosts == sorted(SIMULATION)
     assert store.stat().st_size > 0
 
 
@@ -484,8 +522,9 @@ def test_workers_hosts_load_nothing_a_paper_cell_never_runs():
 def test_computing_gateway_loads_nothing_a_paper_cell_never_runs(tmp_path):
     args = (str(tmp_path / "runs.jsonl"), json.dumps(ONE_CELL))
     modules = [*UNUSED_BY_PAPER_BASELINE, "repro.system.model"]
-    loaded = _loaded(COMPUTING_GATEWAY_CHILD, modules, args)
-    assert loaded == ["repro.system.model"]
+    serving, hosts = _loaded(COMPUTING_GATEWAY_CHILD, modules, args)
+    assert serving == []
+    assert hosts == ["repro.system.model"]
 
 
 def test_traced_run_loads_the_tracer(tmp_path):
@@ -527,16 +566,22 @@ def test_workers_parent_and_hosts_never_load_dataclasses(tmp_path):
 
 
 def test_serving_gateway_never_loads_dataclasses_or_the_sweep_executor(tmp_path):
-    # The board comes from repro.experiments.board; the --workers
-    # executor beside it is never compiled, listening or computing.
+    # The board comes from repro.experiments.board; the host loop
+    # (repro.experiments.hosts) loads only in the keeper and its hosts,
+    # after the fork, and the --workers executor is never compiled,
+    # listening or computing, in the serving process or its hosts.  The
+    # cells run on the hosts, so only they load the simulation layer.
     args = (str(tmp_path / "runs.jsonl"), json.dumps(ONE_CELL))
     modules = [
         *DATACLASS_MACHINERY, "repro.experiments.distributed",
-        "repro.experiments.board", "repro.system.model",
+        "repro.experiments.board", "repro.experiments.hosts", *SIMULATION,
     ]
-    listening, computed = _loaded(LISTENING_GATEWAY_CHILD, modules, args)
+    listening, computed, hosts = _loaded(LISTENING_GATEWAY_CHILD, modules, args)
     assert listening == ["repro.experiments.board"]
-    assert computed == ["repro.experiments.board", "repro.system.model"]
+    assert computed == ["repro.experiments.board"]
+    assert hosts == sorted(
+        ["repro.experiments.board", "repro.experiments.hosts", *SIMULATION]
+    )
 
 
 def test_results_and_specs_commands_never_load_dataclasses(tmp_path):
